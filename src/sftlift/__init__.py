@@ -2,9 +2,10 @@
 degree joinings, and the ergodic-lift structure of measure fibers."""
 
 from .errors import (DegenerateMeasure, EmptyAfterTrim, FiberInfinite,
-                     HypothesisNotMet, InfiniteToOne, MismatchReport, NoPath,
-                     NotErgodic, NotFullySupported, NotInImage, NotIrreducible,
-                     PreconditionError, ProjectionNotOnto, UnsupportedFiber)
+                     HypothesisNotMet, InfiniteToOne, InputError, MismatchReport,
+                     NoPath, NotErgodic, NotFullySupported, NotInImage,
+                     NotIrreducible, PreconditionError, ProjectionNotOnto,
+                     UnsupportedFiber)
 from .graphs import (LabeledGraph, OneBlockRecoding, PeriodicOrbit,
                      RightResolvingPresentation, SlidingBlockCode,
                      StructureReport, analyze_graph, determinize,
@@ -16,13 +17,11 @@ from .codes import (DegreeReport, PhasedFiberDecomposition, compute_degree,
 from .joinings import (DegreeJoiningGraph, FiberProductGraph,
                        PeriodicJoiningReport, degree_joining_graph,
                        enumerate_periodic_degree_joinings, fiber_product,
-                       find_relating_permutation, lambda_path_over,
-                       permute_coordinates)
+                       find_relating_permutation, lambda_path_over)
 from .measures import (BernoulliMeasure, COMeasure, ComparisonResult,
                        EmpiricalDistribution, MarkovMeasure,
                        PushforwardMeasure, StationaryMeasure, as_markov,
-                       compare_measures, cylinder_probability,
-                       has_two_point_factor, measure_from_json_dict,
+                       compare_measures, has_two_point_factor, measure_from_json_dict,
                        pushforward_cylinder, sample_path)
 from .fibers import (CanonicalLiftDecomposition, LiftEntry, LiftReport,
                      MonteCarloParams, analyze_periodic_lifts,

@@ -1,49 +1,25 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 refusal (a stated precondition fails for the
-input), 1 internal error.  All randomized subcommands record their seed in
-the output, and identical configuration plus inputs produce byte-identical
-JSON (keys sorted, orderings canonical).
+Exit codes: 0 success, 2 refusal (a malformed input file, an out-of-range
+flag or a failed precondition), 1 internal error.  All randomized
+subcommands record their seed in the output, and identical configuration
+plus inputs produce byte-identical JSON (keys sorted, orderings canonical).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import dataclass
 
 from . import ca as ca_mod
 from .codes import compute_degree, is_finite_to_one
 from .errors import InfiniteToOne, PreconditionError
 from .fibers import MonteCarloParams, analyze_periodic_lifts, classify_lifts_monte_carlo
 from .graphs import (OneBlockRecoding, analyze_graph, determinize, entropy,
-                     load_graph_or_code, render_symbol, to_dot)
+                     load_graph_or_code, load_json, render_symbol, to_dot)
 from .joinings import degree_joining_graph
 from .measures import measure_from_json_dict
-
-
-@dataclass
-class RunConfig:
-    command: str
-    inputs: tuple = ()
-    sample_length: int = 10**6
-    cylinder_depth: int = 3
-    tolerance: float | None = None
-    seed: int = 0
-    max_period: int = 6
-    fmt: str = "json"
-
-    @property
-    def tau(self):
-        if self.tolerance is not None:
-            return self.tolerance
-        return 5.0 / math.sqrt(self.sample_length)
-
-    def mc_params(self):
-        return MonteCarloParams(self.sample_length, self.cylinder_depth,
-                                self.tolerance, self.seed)
 
 
 def _emit(payload, fmt="json"):
@@ -62,8 +38,12 @@ def _load_code(path):
     return code, None, None
 
 
-def cmd_analyze(config: RunConfig):
-    g, _rec, _block = _load_code(config.inputs[0])
+def _mc_params(args):
+    return MonteCarloParams(args.length, args.cyl_depth, args.tolerance, args.seed)
+
+
+def cmd_analyze(args):
+    g, _rec, _block = _load_code(args.input)
     report = analyze_graph(g)
     out = {
         "is_essential": report.is_essential,
@@ -83,8 +63,8 @@ def cmd_analyze(config: RunConfig):
     return 0
 
 
-def cmd_degree(config: RunConfig):
-    g, _rec, _block = _load_code(config.inputs[0])
+def cmd_degree(args):
+    g, _rec, _block = _load_code(args.input)
     try:
         report = compute_degree(g)
     except InfiniteToOne as exc:
@@ -95,10 +75,10 @@ def cmd_degree(config: RunConfig):
     return 0
 
 
-def cmd_joining(config: RunConfig):
-    g, _rec, _block = _load_code(config.inputs[0])
+def cmd_joining(args):
+    g, _rec, _block = _load_code(args.input)
     lam = degree_joining_graph(g)
-    if config.fmt == "dot":
+    if args.format == "dot":
         _emit(to_dot(lam.graph), fmt="dot")
         return 0
     out = lam.graph.to_json_dict()
@@ -108,13 +88,13 @@ def cmd_joining(config: RunConfig):
     return 0
 
 
-def cmd_periodic_lifts(config: RunConfig):
-    g, rec, _block = _load_code(config.inputs[0])
+def cmd_periodic_lifts(args):
+    g, rec, _block = _load_code(args.input)
     if not is_finite_to_one(g):
         raise InfiniteToOne("periodic lift analysis requires a finite-to-one code")
     code = rec if rec is not None else g
     rows = []
-    for orbit in determinize(g).periodic_orbits(config.max_period):
+    for orbit in determinize(g).periodic_orbits(args.max_period):
         report, decomposition = analyze_periodic_lifts(code, orbit)
         rows.append({
             "orbit": [str(a) for a in orbit.primitive_word],
@@ -123,7 +103,7 @@ def cmd_periodic_lifts(config: RunConfig):
             "lifts": [entry.to_json_dict() for entry in report.lifts],
             "canonical_lift": decomposition.to_json_dict(),
         })
-    if config.fmt == "table":
+    if args.format == "table":
         lines = []
         for row in rows:
             lifts = ", ".join(
@@ -133,31 +113,31 @@ def cmd_periodic_lifts(config: RunConfig):
                          f"fiber {row['fiber_size']}; lifts: {lifts}")
         _emit("\n".join(lines), fmt="table")
         return 0
-    _emit({"max_period": config.max_period, "orbits": rows})
+    _emit({"max_period": args.max_period, "orbits": rows})
     return 0
 
 
-def cmd_lift_mc(config: RunConfig, measure_path, constant_to_one=False):
-    g, rec, block = _load_code(config.inputs[0])
-    with open(measure_path) as fh:
-        data = json.load(fh)
+def cmd_lift_mc(args):
+    params = _mc_params(args)
+    g, rec, block = _load_code(args.input)
     push_code = block if block is not None else g
-    nu = measure_from_json_dict(data, code=push_code)
+    nu = load_json(args.measure, lambda data: measure_from_json_dict(data, code=push_code))
     code = rec if rec is not None else g
-    report = classify_lifts_monte_carlo(code, nu, config.mc_params(),
-                                        constant_to_one=constant_to_one)
+    report = classify_lifts_monte_carlo(code, nu, params,
+                                        constant_to_one=args.constant_to_one)
     _emit(report.to_json_dict())
     return 0
 
 
-def cmd_ca(config: RunConfig, family, modulus, vector, skip_mc):
-    family = {"diff": "difference", "difference": "difference", "sum": "sum"}[family]
-    code = ca_mod.LinearCACode(modulus, family)
-    alpha = [a.strip() for a in vector.split(",")]
+def cmd_ca(args):
+    params = _mc_params(args)
+    family = {"diff": "difference", "difference": "difference", "sum": "sum"}[args.family]
+    code = ca_mod.LinearCACode(args.modulus, family)
+    alpha = [a.strip() for a in args.vector.split(",")]
     exact = ca_mod.exact_lift_analysis(code, alpha)
     out = {"code": code.describe(), "exact": exact.to_json_dict()}
-    if not skip_mc:
-        validation = ca_mod.cross_validate(code, alpha, config.mc_params())
+    if not args.skip_mc:
+        validation = ca_mod.cross_validate(code, alpha, params)
         out["cross_validation"] = validation.to_json_dict()
     _emit(out)
     return 0
@@ -207,30 +187,10 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        inputs=(getattr(args, "input", None),),
-        sample_length=args.length,
-        cylinder_depth=args.cyl_depth,
-        tolerance=args.tolerance,
-        seed=args.seed,
-        max_period=args.max_period,
-        fmt=args.format,
-    )
+    commands = {"analyze": cmd_analyze, "degree": cmd_degree, "joining": cmd_joining,
+                "periodic-lifts": cmd_periodic_lifts, "lift-mc": cmd_lift_mc, "ca": cmd_ca}
     try:
-        if args.command == "analyze":
-            return cmd_analyze(config)
-        if args.command == "degree":
-            return cmd_degree(config)
-        if args.command == "joining":
-            return cmd_joining(config)
-        if args.command == "periodic-lifts":
-            return cmd_periodic_lifts(config)
-        if args.command == "lift-mc":
-            return cmd_lift_mc(config, args.measure, args.constant_to_one)
-        if args.command == "ca":
-            return cmd_ca(config, args.family, args.modulus, args.vector, args.skip_mc)
-        raise ValueError(f"unknown command {args.command!r}")
+        return commands[args.command](args)
     except PreconditionError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2

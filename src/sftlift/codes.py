@@ -1,17 +1,18 @@
 """Finite-to-one analysis of 1-block codes: diamonds, degree, word and
 periodic-point fibers.
 
-The degree search works on linked pairs of forward and backward subset
-states.  For a label word w and a position i, the set of symbols occurring
-at position i among preimage paths of w is F(prefix) ∩ B(suffix), where F
-is the forward subset state of the prefix ending at i and B the backward
-subset state of the suffix starting at i.  Prefix and suffix interact only
-through the common letter at position i, so the minimum of |F ∩ B| over
-all reachable pairs within one label class equals the minimum of the
-per-word counts, which is the degree.  The subset automata are finite, so
-the search terminates and yields a minimizing word as a certificate.  The
-4^|symbols| bound on the search space (and hence on the certificate
-length) is ours, not part of the theory.
+The degree is found by a magic-word search (Lind & Marcus, *An
+Introduction to Symbolic Dynamics and Coding*, §9.1) over the forward and
+backward ``SubsetAutomaton`` of the graph.  For a label word w and a
+position i, the set of symbols occurring at position i among preimage
+paths of w is F ∩ B, where F is the forward subset state of the prefix
+ending at i and B the backward subset state of the suffix starting at i.
+Prefix and suffix interact only through the common letter at position i,
+so the minimum of |F ∩ B| over all pairs of states with the same label
+equals the minimum of the per-word counts, which is the degree.  The
+automata are finite and each state carries a shortest witness word, so
+the search terminates and the minimizing pair's witnesses, joined at the
+shared letter, form a magic word that certifies the degree.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FiberInfinite, InfiniteToOne, NotInImage, NotIrreducible
-from .graphs import (LabeledGraph, PeriodicOrbit, SlidingBlockCode, _as_word,
-                     _essential_symbols, _tarjan_scc, analyze_graph,
-                     determinize, entropy)
+from .graphs import (LabeledGraph, PeriodicOrbit, SlidingBlockCode, SubsetAutomaton,
+                     _as_word, _essential_symbols, _tarjan_scc, analyze_graph,
+                     determinize, entropy, least_rotation)
 
 ENTROPY_MATCH_TOL = 1e-9
 
@@ -60,6 +61,8 @@ class PhasedFiberDecomposition:
     base_orbit: PeriodicOrbit
     lift_orbits: tuple        # of (PeriodicOrbit, winding) pairs
     fiber_size: int
+    anchors: tuple            # per lift orbit: the phase of the base word
+                              # under the first symbol of its primitive word
 
 
 def _require_irreducible(g: LabeledGraph) -> LabeledGraph:
@@ -111,52 +114,6 @@ def is_finite_to_one(g: LabeledGraph) -> bool:
     return not any(a != b for a, b in reachable & coreachable)
 
 
-def _forward_states(g):
-    """All forward subset states with a shortest witness word reaching them."""
-    states = {}
-    frontier = []
-    for y in g.y_symbols:
-        cls = frozenset(g.label_classes[y])
-        if cls and cls not in states:
-            states[cls] = (y,)
-            frontier.append(cls)
-    while frontier:
-        state = frontier.pop(0)
-        word = states[state]
-        reach = set()
-        for s in state:
-            reach.update(g.successors[s])
-        for y in g.y_symbols:
-            nxt = frozenset(s for s in reach if g.label[s] == y)
-            if nxt and nxt not in states:
-                states[nxt] = word + (y,)
-                frontier.append(nxt)
-    return states
-
-
-def _backward_states(g):
-    """Backward subset states, witnessed by the suffix they realize."""
-    states = {}
-    frontier = []
-    for y in g.y_symbols:
-        cls = frozenset(g.label_classes[y])
-        if cls and cls not in states:
-            states[cls] = (y,)
-            frontier.append(cls)
-    while frontier:
-        state = frontier.pop(0)
-        word = states[state]
-        reach = set()
-        for s in state:
-            reach.update(g.predecessors[s])
-        for y in g.y_symbols:
-            nxt = frozenset(s for s in reach if g.label[s] == y)
-            if nxt and nxt not in states:
-                states[nxt] = (y,) + word
-                frontier.append(nxt)
-    return states
-
-
 def compute_degree(g: LabeledGraph) -> DegreeReport:
     """Degree of a finite-to-one code with a magic-word certificate.
 
@@ -174,27 +131,21 @@ def compute_degree(g: LabeledGraph) -> DegreeReport:
         report = DegreeReport(False, None, None, None, h_x, h_y)
         raise InfiniteToOne("code admits a diamond; degree undefined", report)
 
-    forward = _forward_states(g)
-    backward = _backward_states(g)
-    by_label_f = {}
-    for state, word in forward.items():
-        by_label_f.setdefault(word[-1], []).append((state, word))
-    by_label_b = {}
-    for state, word in backward.items():
-        by_label_b.setdefault(word[0], []).append((state, word))
-
+    forward = SubsetAutomaton(g)
+    backward = SubsetAutomaton(g, backward=True)
+    suffixes = {}
+    for subset, word in zip(backward.subsets, backward.witness):
+        suffixes.setdefault(word[0], []).append((frozenset(subset), word))
     best = None
-    for y in g.y_symbols:
-        for f_state, f_word in by_label_f.get(y, ()):
-            for b_state, b_word in by_label_b.get(y, ()):
-                count = len(f_state & b_state)
-                if count == 0:
-                    continue
-                word = f_word + b_word[1:]
-                position = len(f_word) - 1
-                cand = (count, len(word), word, position)
-                if best is None or cand < (best[0], best[1], best[2], best[3]):
-                    best = cand
+    for subset, f_word in zip(forward.subsets, forward.witness):
+        for b_set, b_word in suffixes[f_word[-1]]:
+            count = len(b_set.intersection(subset))
+            if count == 0:
+                continue
+            word = f_word + b_word[1:]
+            cand = (count, len(word), word, len(f_word) - 1)
+            if best is None or cand < best:
+                best = cand
     if best is None:
         raise RuntimeError("no realizable forward/backward pair found")
     count, _length, word, position = best
@@ -238,72 +189,76 @@ def _preimage_words_block(code: SlidingBlockCode, w):
     return {u for u in words if code.apply(u) == w}
 
 
-def _phased_graph(g, orbit: PeriodicOrbit):
-    """Vertices (symbol, phase) following the orbit's label word."""
-    w = orbit.primitive_word
-    p = orbit.period
-    vertices = [(s, t) for t in range(p) for s in g.x_symbols if g.label[s] == w[t]]
-    vset = set(vertices)
-    succ = {v: [] for v in vertices}
-    for s, t in vertices:
-        nt = (t + 1) % p
-        for s2 in g.successors[s]:
-            if (s2, nt) in vset:
-                succ[(s, t)].append((s2, nt))
-    return vertices, succ
+def phased_cycles(g: LabeledGraph, y: PeriodicOrbit):
+    """The recurrent part of the phased preimage graph of a periodic orbit,
+    as disjoint cycles.
+
+    The phased graph has a vertex (s, t) for each phase t of the orbit's
+    word w and each symbol s labeled w[t]; its edges follow ``g`` from
+    phase t to phase t + 1 mod p.  Its recurrent part must split into
+    disjoint simple cycles, otherwise the fiber is infinite.  Each cycle is
+    returned as its symbol word read from phase 0, starting at its least
+    phase-0 symbol, and the cycles come in the order of those symbols.
+    """
+    w = y.primitive_word
+    p = y.period
+    for a in w:
+        if a not in g.label_classes:
+            raise NotInImage(f"symbol {a!r} is not in the image alphabet")
+    vertices = [(s, t) for t in range(p) for s in g.label_classes[w[t]]]
+    edges = [((s, t), (s2, (t + 1) % p)) for s, t in vertices
+             for s2 in g.successors[s] if g.label[s2] == w[(t + 1) % p]]
+    alive = _essential_symbols(vertices, edges)
+    if not alive:
+        raise NotInImage("no preimage cycle realizes the orbit's word")
+    succ = {v: [] for v in alive}
+    indeg = dict.fromkeys(alive, 0)
+    for v, u in edges:
+        if v in alive and u in alive:
+            succ[v].append(u)
+            indeg[u] += 1
+    if any(len(succ[v]) != 1 for v in alive):
+        raise FiberInfinite("recurrent phased graph branches; fiber is infinite")
+    if any(n != 1 for n in indeg.values()):
+        raise FiberInfinite("recurrent phased graph merges; fiber is infinite")
+
+    seen = set()
+    cycles = []
+    for s in g.label_classes[w[0]]:
+        u = (s, 0)
+        if u not in alive or u in seen:
+            continue
+        word = []
+        while u not in seen:
+            seen.add(u)
+            word.append(u[0])
+            u = succ[u][0]
+        if len(word) % p != 0:
+            raise RuntimeError("phased cycle length not a multiple of the base period")
+        cycles.append(tuple(word))
+    if len(seen) != len(alive):
+        raise RuntimeError("phased cycles do not account for the recurrent part")
+    return cycles
 
 
 def periodic_fiber(g: LabeledGraph, y: PeriodicOrbit) -> PhasedFiberDecomposition:
     """Exact fiber of a periodic orbit of the image.
 
-    The recurrent part of the phased graph must split into disjoint simple
-    cycles; each cycle of length q yields a lift orbit of least period q
-    and winding q / period(y).  A branching recurrent part means the fiber
-    is infinite and the input was not finite-to-one.
+    Each cycle of length q of the phased graph (see ``phased_cycles``)
+    yields a lift orbit of least period q and winding q / period(y).
     """
-    for a in y.primitive_word:
-        if a not in set(g.y_symbols):
-            raise NotInImage(f"symbol {a!r} is not in the image alphabet")
-    vertices, succ = _phased_graph(g, y)
-    alive = _essential_symbols(vertices, {(v, u) for v in vertices for u in succ[v]})
-    if not alive:
-        raise NotInImage("no preimage cycle realizes the orbit's word")
-    succ = {v: [u for u in succ[v] if u in alive] for v in alive}
-    for v in alive:
-        if len(succ[v]) != 1:
-            raise FiberInfinite("recurrent phased graph branches; fiber is infinite")
-    indeg = {}
-    for v in alive:
-        indeg[succ[v][0]] = indeg.get(succ[v][0], 0) + 1
-    if any(indeg.get(v, 0) != 1 for v in alive):
-        raise FiberInfinite("recurrent phased graph merges; fiber is infinite")
-
     p = y.period
     order = g.index
-    seen = set()
     lifts = []
-    for v in sorted(alive, key=lambda v: (v[1], order[v[0]])):
-        if v in seen:
-            continue
-        cycle = [v]
-        seen.add(v)
-        u = succ[v][0]
-        while u != v:
-            cycle.append(u)
-            seen.add(u)
-            u = succ[u][0]
-        q = len(cycle)
-        if q % p != 0:
-            raise RuntimeError("phased cycle length not a multiple of the base period")
-        # rotate so the cycle starts at phase 0, then read off the symbols
-        start = next(i for i, (_s, t) in enumerate(cycle) if t == 0)
-        word = tuple(cycle[(start + i) % q][0] for i in range(q))
-        lifts.append((PeriodicOrbit.from_word(word, order), q // p))
-    lifts.sort(key=lambda lw: (lw[1], tuple(order[s] for s in lw[0].primitive_word)))
-    total = sum(w for _o, w in lifts)
-    if total * p != len(alive):
-        raise RuntimeError("winding numbers do not account for the recurrent part")
-    return PhasedFiberDecomposition(base_orbit=y, lift_orbits=tuple(lifts), fiber_size=total)
+    for word in phased_cycles(g, y):
+        # a cycle repeats no vertex, so its word is primitive
+        k = least_rotation(word, order)
+        lifts.append((PeriodicOrbit(word[k:] + word[:k], len(word)), len(word) // p, k % p))
+    lifts.sort(key=lambda lift: (lift[1], tuple(order[s] for s in lift[0].primitive_word)))
+    return PhasedFiberDecomposition(base_orbit=y,
+                                    lift_orbits=tuple((o, w) for o, w, _a in lifts),
+                                    fiber_size=sum(w for _o, w, _a in lifts),
+                                    anchors=tuple(a for _o, _w, a in lifts))
 
 
 def _closing_failure(g, forward: bool) -> bool:

@@ -9,6 +9,10 @@ class PreconditionError(Exception):
     """An operation refused its input because a stated precondition fails."""
 
 
+class InputError(PreconditionError, ValueError):
+    """A parameter or input file is malformed or out of range."""
+
+
 class EmptyAfterTrim(PreconditionError):
     """No bi-infinite path survives trimming the graph to its essential part."""
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NotFullySupported, NotInImage
+from .errors import InputError, NotFullySupported
 from .graphs import (LabeledGraph, OneBlockRecoding, PeriodicOrbit,
                      SlidingBlockCode, determinize, full_shift, recode_to_one_block)
 from .codes import compute_degree, periodic_fiber
@@ -104,17 +104,6 @@ def _lift_orbit_alphabet(g, recoding):
     return recoding.base_alphabet if recoding is not None else g.x_symbols
 
 
-def _anchor_of_label(lift_word, labels, base_word):
-    """Phase t such that the lift point's image is the base point anchored
-    at rotation t of the base orbit word."""
-    p = len(base_word)
-    image = tuple(labels[s] for s in lift_word)
-    for t in range(p):
-        if all(image[i] == base_word[(t + i) % p] for i in range(len(image))):
-            return t
-    raise RuntimeError("lift orbit does not project onto the base orbit")
-
-
 def analyze_periodic_lifts(code, y: PeriodicOrbit):
     """Exact lift analysis of the CO-measure on a periodic image orbit.
 
@@ -130,14 +119,12 @@ def analyze_periodic_lifts(code, y: PeriodicOrbit):
 
     entries = []
     diagonal = {}
-    for orbit, winding in fiber.lift_orbits:
-        # fiber points over each base point, as rotation anchors of the lift
+    for (orbit, winding), offset in zip(fiber.lift_orbits, fiber.anchors):
+        # fiber points over each base point: rotation r of the lift lies
+        # over rotation (offset + r) mod p of the base
         per_base = {t: [] for t in range(p)}
-        q = orbit.period
-        for r in range(q):
-            rot = orbit.primitive_word[r:] + orbit.primitive_word[:r]
-            t = _anchor_of_label(rot, g.label, y.primitive_word)
-            per_base[t].append(r)
+        for r in range(orbit.period):
+            per_base[(offset + r) % p].append(r)
         sizes = {t: len(rs) for t, rs in per_base.items()}
         if set(sizes.values()) != {winding}:
             raise RuntimeError("fiber points are not equidistributed over the base orbit")
@@ -179,6 +166,14 @@ class MonteCarloParams:
     cylinder_depth: int = 3
     tolerance: float | None = None    # defaults to 5 / sqrt(sample_length)
     seed: int = 0
+
+    def __post_init__(self):
+        if self.sample_length < 1:
+            raise InputError(f"sample_length must be >= 1, got {self.sample_length}")
+        if self.cylinder_depth < 1:
+            raise InputError(f"cylinder_depth must be >= 1, got {self.cylinder_depth}")
+        if self.tolerance is not None and not self.tolerance > 0:
+            raise InputError(f"tolerance must be > 0, got {self.tolerance}")
 
     @property
     def tau(self):
@@ -303,18 +298,14 @@ def classify_lifts_monte_carlo(code, nu: StationaryMeasure,
     T = params.sample_length
     burn = len(lam.graph.x_symbols)
     if T <= 2 * burn + params.cylinder_depth:
-        raise ValueError("sample length too short for burn-in and cylinder depth")
+        raise InputError("sample_length too short for burn-in and cylinder depth")
 
     rng = make_rng(params.seed)
-    y_idx = nu.sample_indices(T, rng)
-    y_word = [nu.alphabet[i] for i in y_idx]
+    to_image = np.array([lam.graph.y_symbols.index(a) for a in nu.alphabet], dtype=np.int64)
+    y_idx = to_image[nu.sample_indices(T, rng)]
 
     walker = _ViabilityWalk(lam.graph)
-    ids = walker.viability_ids(tuple(y_word))
-    path = walker.walk(tuple(y_word), ids)
-
-    lam_index = lam.graph.index
-    path_idx = np.fromiter((lam_index[s] for s in path), count=len(path), dtype=np.int64)
+    path_idx = np.array(walker.walk(walker.viability_ids(y_idx)), dtype=np.int64)
     path_idx = path_idx[burn:len(path_idx) - burn]
 
     letter_alphabet = tuple(_lift_orbit_alphabet(g, recoding))

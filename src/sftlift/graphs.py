@@ -22,7 +22,7 @@ from math import gcd, log
 
 import numpy as np
 
-from .errors import EmptyAfterTrim, NotIrreducible
+from .errors import EmptyAfterTrim, InputError, NotIrreducible
 
 ENTROPY_TOL = 1e-12
 ENTROPY_MAX_ITER = 10**6
@@ -155,6 +155,13 @@ def full_shift(alphabet):
                         {a: a for a in alphabet}, alphabet)
 
 
+def least_rotation(word, order=None):
+    """Start index of the least rotation of a word, comparing symbols by
+    ``order`` (symbol -> rank) when given, else by their own ordering."""
+    rank = (lambda w: tuple(order[s] for s in w)) if order else (lambda w: w)
+    return min(range(len(word)), key=lambda i: rank(word[i:] + word[:i]))
+
+
 @dataclass(frozen=True)
 class PeriodicOrbit:
     """A periodic orbit named by its lexicographically least primitive word."""
@@ -174,9 +181,8 @@ class PeriodicOrbit:
             if n % p == 0 and word == word[:p] * (n // p):
                 word = word[:p]
                 break
-        key = (lambda w: tuple(order[s] for s in w)) if order else (lambda w: w)
-        best = min((word[i:] + word[:i] for i in range(len(word))), key=key)
-        return cls(best, len(best))
+        i = least_rotation(word, order)
+        return cls(word[i:] + word[:i], len(word))
 
     def points(self):
         """The orbit's points as anchored rotations of the primitive word."""
@@ -448,6 +454,58 @@ def recode_to_one_block(code: SlidingBlockCode) -> OneBlockRecoding:
     return OneBlockRecoding(graph=graph, offset=code.memory, base_alphabet=code.alphabet)
 
 
+class SubsetAutomaton:
+    """The label-driven subset construction of a labeled graph (Lind &
+    Marcus, *An Introduction to Symbolic Dynamics and Coding*, §3.3).
+
+    State k stands for the nonempty symbol set ``subsets[k]`` (a tuple in
+    symbol order): the symbols at which some path carrying the label word
+    ``witness[k]`` ends, or with ``backward`` starts.  The initial states
+    are the nonempty label classes in image-alphabet order (``initial[j]``
+    is the state of ``y_symbols[j]``, -1 when its class is empty); the other
+    states are numbered in breadth-first discovery order, so each witness is
+    a shortest such word.  ``step[k, j]`` is the state reached by reading
+    ``y_symbols[j]`` after the word (before it with ``backward``), -1 when no
+    path carries the longer word.
+    """
+
+    def __init__(self, graph: LabeledGraph, backward=False):
+        idx = graph.index
+        nbrs = graph.predecessors if backward else graph.successors
+        reach = [sum(1 << idx[t] for t in nbrs[s]) for s in graph.x_symbols]
+        classes = [sum(1 << idx[s] for s in graph.label_classes[y]) for y in graph.y_symbols]
+        ids = {}
+        masks = []
+        self.witness = []
+
+        def intern(mask, word):
+            ids[mask] = len(masks)
+            masks.append(mask)
+            self.witness.append(word)
+            return ids[mask]
+
+        self.initial = [intern(c, (y,)) if c else -1 for y, c in zip(graph.y_symbols, classes)]
+        rows = []
+        for mask, word in zip(masks, self.witness):     # both grow while read
+            out = 0
+            for i in range(mask.bit_length()):
+                if mask >> i & 1:
+                    out |= reach[i]
+            row = []
+            for y, cls in zip(graph.y_symbols, classes):
+                nxt = out & cls
+                if not nxt:
+                    row.append(-1)
+                elif nxt in ids:
+                    row.append(ids[nxt])
+                else:
+                    row.append(intern(nxt, (y,) + word if backward else word + (y,)))
+            rows.append(row)
+        self.step = np.array(rows, dtype=np.int64)
+        self.subsets = [tuple(s for i, s in enumerate(graph.x_symbols) if m >> i & 1)
+                        for m in masks]
+
+
 class RightResolvingPresentation:
     """Edge-labeled right-resolving presentation of the image shift,
     obtained by the subset construction and trimmed to its essential part.
@@ -509,6 +567,8 @@ class RightResolvingPresentation:
 
     def periodic_orbits(self, max_period):
         """All periodic orbits of the image shift with least period <= max_period."""
+        if max_period < 1:
+            raise InputError("max_period must be >= 1")
         orbits = set()
         for start in self.states:
             # DFS over label paths of bounded length that return to start
@@ -527,8 +587,6 @@ class RightResolvingPresentation:
 
     def language_subset_of(self, other) -> bool:
         """Whether every word readable here is readable in ``other``."""
-        if set(self.alphabet) - set(other.alphabet):
-            pass  # unknown letters simply kill the run below
         all_other = frozenset(other.states)
         seen = set()
         frontier = [(s, all_other) for s in self.states]
@@ -549,54 +607,27 @@ class RightResolvingPresentation:
                     frontier.append(key)
         return True
 
-    def same_language(self, other) -> bool:
-        return self.language_subset_of(other) and other.language_subset_of(self)
-
-
 def determinize(g: LabeledGraph) -> RightResolvingPresentation:
-    """Subset construction over label words; the result presents exactly the
+    """Subset construction over label words, trimmed to its essential part so
+    every finite run extends bi-infinitely; the result presents exactly the
     image shift of ``g`` and is what ``entropy`` of the image is computed on."""
     ess = analyze_graph(g).essential
+    aut = SubsetAutomaton(ess)
+    rows = aut.step.tolist()
+    alive = _essential_symbols(range(len(rows)), [(k, t) for k, row in enumerate(rows)
+                                                  for t in row if t >= 0])
     order = ess.index
-    initial = {}
-    for y in ess.y_symbols:
-        cls = tuple(sorted(ess.label_classes[y], key=order.get))
-        if cls:
-            initial[y] = cls
-    step = {}
-    seen = set(initial.values())
-    frontier = list(initial.values())
-    while frontier:
-        state = frontier.pop()
-        reach = set()
-        for s in state:
-            reach.update(ess.successors[s])
-        for y in ess.y_symbols:
-            nxt = tuple(sorted((s for s in reach if ess.label[s] == y), key=order.get))
-            if nxt:
-                step[(state, y)] = nxt
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-    # trim to the essential part so every finite run extends bi-infinitely
-    states = set(seen)
-    while True:
-        has_out = {s for (s, _y), t in step.items() if s in states and t in states}
-        has_in = {t for (s, _y), t in step.items() if s in states and t in states}
-        keep = states & has_out & has_in
-        if keep == states:
-            break
-        states = keep
-    step = {(s, y): t for (s, y), t in step.items() if s in states and t in states}
-    ordered = sorted(states, key=lambda st: tuple(order[s] for s in st))
-    return RightResolvingPresentation(ordered, step, ess.y_symbols)
+    states = sorted(alive, key=lambda k: tuple(order[s] for s in aut.subsets[k]))
+    step = {(aut.subsets[k], y): aut.subsets[t] for k in states
+            for y, t in zip(ess.y_symbols, rows[k]) if t in alive}
+    return RightResolvingPresentation([aut.subsets[k] for k in states], step, ess.y_symbols)
 
 
 def enumerate_periodic_orbits(g: LabeledGraph, max_period: int):
     """All orbits of the SFT with least period <= max_period, each reported
     once via its lexicographically least primitive word."""
     if max_period < 1:
-        raise ValueError("max_period must be >= 1")
+        raise InputError("max_period must be >= 1")
     order = g.index
     orbits = set()
     for start in g.x_symbols:
@@ -622,12 +653,30 @@ def to_dot(g: LabeledGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def load_json(path, parse):
+    """``parse`` applied to the JSON object in a file.  A file that cannot be
+    read, text that is not a JSON object and a missing key are refused with
+    an InputError naming the file."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise InputError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise InputError(f"{path} does not hold a JSON object")
+    try:
+        return parse(data)
+    except KeyError as exc:
+        raise InputError(f"{path} lacks the key {exc.args[0]!r}") from None
+
+
 def load_graph_or_code(path):
     """Read a JSON input file holding either a labeled graph or a sliding
     block code; codes are recoded to their 1-block presentation."""
-    with open(path) as fh:
-        data = json.load(fh)
-    if "block_map" in data:
-        code = SlidingBlockCode.from_json_dict(data)
+    code = load_json(path, lambda data: (SlidingBlockCode if "block_map" in data
+                                         else LabeledGraph).from_json_dict(data))
+    if isinstance(code, SlidingBlockCode):
         return recode_to_one_block(code), code
-    return LabeledGraph.from_json_dict(data), None
+    return code, None

@@ -15,10 +15,10 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .errors import (FiberInfinite, NoPath, NotInImage, ProjectionNotOnto,
-                     UnsupportedFiber)
-from .graphs import LabeledGraph, PeriodicOrbit, _as_word, _essential_symbols, _tarjan_scc, analyze_graph
-from .codes import compute_degree, periodic_fiber
+from .errors import NoPath, NotInImage, ProjectionNotOnto, UnsupportedFiber
+from .graphs import (LabeledGraph, PeriodicOrbit, SubsetAutomaton, _as_word,
+                     _essential_symbols, analyze_graph)
+from .codes import compute_degree, periodic_fiber, phased_cycles
 
 
 @dataclass(frozen=True)
@@ -91,93 +91,75 @@ def degree_joining_graph(g: LabeledGraph, degree: int | None = None) -> DegreeJo
 
 
 class _ViabilityWalk:
-    """Shared machinery for viable paths over a label window.
+    """Viable paths over a label window, given as indices into ``y_symbols``.
 
-    Backward viability sets are computed as states of the reversed subset
-    automaton and interned, so long windows cost O(1) amortized per step.
+    The backward pass runs the backward ``SubsetAutomaton`` of the graph
+    over the window: its state at position t is the set of symbols from
+    which the rest of the window can be read.  Both passes cost one table
+    or memo lookup per step.
     """
 
     def __init__(self, graph: LabeledGraph):
-        self.graph = graph
-        order = graph.index
-        self.order = order
-        self.classes = {y: tuple(sorted(graph.label_classes[y], key=order.get))
-                        for y in graph.y_symbols}
-        self.succ_by_label = {}
-        for s in graph.x_symbols:
-            for y in graph.y_symbols:
-                self.succ_by_label[(s, y)] = tuple(
-                    t for t in graph.successors[s] if graph.label[t] == y)
-        self._sets = {}
-        self._set_list = []
-        self._bstep_memo = {}
+        self.automaton = SubsetAutomaton(graph, backward=True)
+        self._rows = self.automaton.step.tolist()
+        index = graph.index
+        self._viable = [frozenset(index[s] for s in subset) for subset in self.automaton.subsets]
+        self._succ = [[index[t] for t in graph.successors[s]] for s in graph.x_symbols]
         self._fstep_memo = {}
 
-    def _intern(self, fs):
-        sid = self._sets.get(fs)
-        if sid is None:
-            sid = len(self._set_list)
-            self._sets[fs] = sid
-            self._set_list.append(fs)
-        return sid
+    def viability_ids(self, y_idx):
+        """Backward pass: per position, the automaton state of the window's
+        suffix starting there."""
+        y_idx = np.asarray(y_idx).tolist()
+        sid = self.automaton.initial[y_idx[-1]]
+        if sid < 0:
+            raise NoPath(f"image symbol index {y_idx[-1]} unrealizable")
+        ids = [sid] * len(y_idx)
+        rows = self._rows
+        for t in range(len(y_idx) - 2, -1, -1):
+            sid = rows[sid][y_idx[t]]
+            if sid < 0:
+                raise NoPath("window is not a label word of the image shift")
+            ids[t] = sid
+        return np.array(ids, dtype=np.int64)
 
-    def viability_ids(self, y_word):
-        """Backward pass: per position, the id of the viable-symbol set."""
-        T = len(y_word)
-        ids = np.empty(T, dtype=np.int64)
-        last = frozenset(self.classes.get(y_word[-1], ()))
-        if not last:
-            raise NoPath(f"image symbol {y_word[-1]!r} unrealizable")
-        ids[T - 1] = self._intern(last)
-        for t in range(T - 2, -1, -1):
-            key = (ids[t + 1], y_word[t])
-            vid = self._bstep_memo.get(key)
-            if vid is None:
-                nxt = self._set_list[ids[t + 1]]
-                viable = frozenset(s for s in self.classes.get(y_word[t], ())
-                                   if any(u in nxt for u in self.graph.successors[s]))
-                if not viable:
-                    raise NoPath("window is not a label word of the image shift")
-                vid = self._intern(viable)
-                self._bstep_memo[key] = vid
-            ids[t] = vid
-        return ids
-
-    def walk(self, y_word, ids):
-        """Forward pass: lexicographically least viable symbol each step."""
-        T = len(y_word)
-        first = min(self._set_list[ids[0]], key=self.order.get)
-        path = [first]
-        current = first
-        for t in range(1, T):
-            key = (current, ids[t])
-            nxt = self._fstep_memo.get(key)
+    def walk(self, ids):
+        """Forward pass: the lexicographically least viable symbol each step,
+        as symbol indices."""
+        ids = ids.tolist()
+        viable = self._viable
+        succ = self._succ
+        memo = self._fstep_memo
+        current = min(viable[ids[0]])
+        path = [current]
+        for sid in ids[1:]:
+            key = (current, sid)
+            nxt = memo.get(key)
             if nxt is None:
-                viable = self._set_list[ids[t]]
-                for cand in self.succ_by_label[(current, y_word[t])]:
-                    if cand in viable:
-                        nxt = cand
-                        break
+                nxt = next((c for c in succ[current] if c in viable[sid]), None)
                 if nxt is None:
                     raise RuntimeError("viability pruning admitted a dead end")
-                self._fstep_memo[key] = nxt
+                memo[key] = nxt
             path.append(nxt)
             current = nxt
         return path
 
 
-def lambda_path_over(joining: DegreeJoiningGraph, y_window, policy: str = "lex-least"):
+def lambda_path_over(joining: DegreeJoiningGraph, y_window):
     """A bi-extendable joining-graph word presenting the window, chosen by
     the deterministic lexicographic-least policy (coordinate-then-symbol
     order).  The window must be a label word of the image shift."""
-    if policy != "lex-least":
-        raise ValueError(f"unknown policy {policy!r}")
     y_window = _as_word(y_window)
     if not y_window:
         return []
-    walker = _ViabilityWalk(joining.graph)
-    ids = walker.viability_ids(y_window)
-    return walker.walk(y_window, ids)
+    lam = joining.graph
+    y_index = {y: j for j, y in enumerate(lam.y_symbols)}
+    unknown = [y for y in y_window if y not in y_index]
+    if unknown:
+        raise NoPath(f"image symbol {unknown[0]!r} unrealizable")
+    walker = _ViabilityWalk(lam)
+    ids = walker.viability_ids([y_index[y] for y in y_window])
+    return [lam.x_symbols[k] for k in walker.walk(ids)]
 
 
 @dataclass(frozen=True)
@@ -225,52 +207,11 @@ def enumerate_periodic_degree_joinings(joining: DegreeJoiningGraph, g: LabeledGr
             f"orbit fiber has {fiber.fiber_size} points but the degree is "
             f"{joining.degree}; enumeration over collapsed orbits is refused")
 
-    lam = joining.graph
-    w = y.primitive_word
-    p = y.period
-    vertices = [(s, t) for t in range(p) for s in lam.x_symbols if lam.label[s] == w[t]]
-    vset = set(vertices)
-    succ = {v: [] for v in vertices}
-    for s, t in vertices:
-        nt = (t + 1) % p
-        for s2 in lam.successors[s]:
-            if (s2, nt) in vset:
-                succ[(s, t)].append((s2, nt))
-    alive = _essential_symbols(vertices, {(v, u) for v in vertices for u in succ[v]})
-    if not alive:
-        raise NotInImage("no joining-graph cycle realizes the orbit")
-    succ = {v: [u for u in succ[v] if u in alive] for v in alive}
-    for v in alive:
-        if len(succ[v]) != 1:
-            raise FiberInfinite("joining fiber of the orbit is not a union of cycles")
-
-    order = lam.index
-    base_order = g.index
-    seen = set()
-    orbits = []
-    for v in sorted(alive, key=lambda v: (v[1], order[v[0]])):
-        if v in seen:
-            continue
-        cycle = [v]
-        seen.add(v)
-        u = succ[v][0]
-        while u != v:
-            cycle.append(u)
-            seen.add(u)
-            u = succ[u][0]
-        start = next(i for i, (_s, t) in enumerate(cycle) if t == 0)
-        word = tuple(cycle[(start + i) % len(cycle)][0] for i in range(len(cycle)))
-        orbits.append(PeriodicOrbit.from_word(word, order))
-
-    forms = {_canonical_column_form(o, base_order) for o in orbits}
+    order = joining.graph.index
+    orbits = [PeriodicOrbit.from_word(word, order) for word in phased_cycles(joining.graph, y)]
+    forms = {_canonical_column_form(o, g.index) for o in orbits}
     return PeriodicJoiningReport(base_orbit=y, orbits=tuple(orbits),
                                  permutation_related=len(forms) == 1)
-
-
-def permute_coordinates(orbit: PeriodicOrbit, perm, order=None) -> PeriodicOrbit:
-    """Apply a coordinate permutation symbolwise to a tuple-symbol orbit."""
-    word = tuple(tuple(sym[p] for p in perm) for sym in orbit.primitive_word)
-    return PeriodicOrbit.from_word(word, order)
 
 
 def find_relating_permutation(o1: PeriodicOrbit, o2: PeriodicOrbit, order):

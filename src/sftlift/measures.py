@@ -292,11 +292,6 @@ def _apply_block_map_indices(code: SlidingBlockCode, base_alphabet, y_alphabet, 
     return out
 
 
-def cylinder_probability(m: StationaryMeasure, w) -> Fraction:
-    """mu([w]_0), exact; zero for disallowed words."""
-    return m.cylinder(w)
-
-
 def pushforward_cylinder(m: StationaryMeasure, code, w) -> Fraction:
     """(pi_* m)([w]_0): the base mass of the set of preimage words, exact."""
     w = _as_word(w)

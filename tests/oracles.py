@@ -1,0 +1,296 @@
+"""The package's earlier constructions, kept unchanged as differential
+oracles for the code that replaced them: the forward and backward subset
+states of the magic-word search, the subset construction of
+``determinize``, the symbol-keyed viability walker, and the phased-graph
+cycle extraction of ``periodic_fiber`` and of the periodic degree
+joinings."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from sftlift.errors import FiberInfinite, NoPath, NotInImage
+from sftlift.graphs import (LabeledGraph, PeriodicOrbit, RightResolvingPresentation,
+                            _essential_symbols, analyze_graph)
+
+
+def forward_states(g):
+    """All forward subset states with a shortest witness word reaching them."""
+    states = {}
+    frontier = []
+    for y in g.y_symbols:
+        cls = frozenset(g.label_classes[y])
+        if cls and cls not in states:
+            states[cls] = (y,)
+            frontier.append(cls)
+    while frontier:
+        state = frontier.pop(0)
+        word = states[state]
+        reach = set()
+        for s in state:
+            reach.update(g.successors[s])
+        for y in g.y_symbols:
+            nxt = frozenset(s for s in reach if g.label[s] == y)
+            if nxt and nxt not in states:
+                states[nxt] = word + (y,)
+                frontier.append(nxt)
+    return states
+
+
+def backward_states(g):
+    """Backward subset states, witnessed by the suffix they realize."""
+    states = {}
+    frontier = []
+    for y in g.y_symbols:
+        cls = frozenset(g.label_classes[y])
+        if cls and cls not in states:
+            states[cls] = (y,)
+            frontier.append(cls)
+    while frontier:
+        state = frontier.pop(0)
+        word = states[state]
+        reach = set()
+        for s in state:
+            reach.update(g.predecessors[s])
+        for y in g.y_symbols:
+            nxt = frozenset(s for s in reach if g.label[s] == y)
+            if nxt and nxt not in states:
+                states[nxt] = (y,) + word
+                frontier.append(nxt)
+    return states
+
+
+def determinize(g: LabeledGraph) -> RightResolvingPresentation:
+    """Subset construction over label words; the result presents exactly the
+    image shift of ``g`` and is what ``entropy`` of the image is computed on."""
+    ess = analyze_graph(g).essential
+    order = ess.index
+    initial = {}
+    for y in ess.y_symbols:
+        cls = tuple(sorted(ess.label_classes[y], key=order.get))
+        if cls:
+            initial[y] = cls
+    step = {}
+    seen = set(initial.values())
+    frontier = list(initial.values())
+    while frontier:
+        state = frontier.pop()
+        reach = set()
+        for s in state:
+            reach.update(ess.successors[s])
+        for y in ess.y_symbols:
+            nxt = tuple(sorted((s for s in reach if ess.label[s] == y), key=order.get))
+            if nxt:
+                step[(state, y)] = nxt
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+    # trim to the essential part so every finite run extends bi-infinitely
+    states = set(seen)
+    while True:
+        has_out = {s for (s, _y), t in step.items() if s in states and t in states}
+        has_in = {t for (s, _y), t in step.items() if s in states and t in states}
+        keep = states & has_out & has_in
+        if keep == states:
+            break
+        states = keep
+    step = {(s, y): t for (s, y), t in step.items() if s in states and t in states}
+    ordered = sorted(states, key=lambda st: tuple(order[s] for s in st))
+    return RightResolvingPresentation(ordered, step, ess.y_symbols)
+
+
+class ViabilityWalk:
+    """Shared machinery for viable paths over a label window.
+
+    Backward viability sets are computed as states of the reversed subset
+    automaton and interned, so long windows cost O(1) amortized per step.
+    """
+
+    def __init__(self, graph: LabeledGraph):
+        self.graph = graph
+        order = graph.index
+        self.order = order
+        self.classes = {y: tuple(sorted(graph.label_classes[y], key=order.get))
+                        for y in graph.y_symbols}
+        self.succ_by_label = {}
+        for s in graph.x_symbols:
+            for y in graph.y_symbols:
+                self.succ_by_label[(s, y)] = tuple(
+                    t for t in graph.successors[s] if graph.label[t] == y)
+        self._sets = {}
+        self._set_list = []
+        self._bstep_memo = {}
+        self._fstep_memo = {}
+
+    def _intern(self, fs):
+        sid = self._sets.get(fs)
+        if sid is None:
+            sid = len(self._set_list)
+            self._sets[fs] = sid
+            self._set_list.append(fs)
+        return sid
+
+    def viability_ids(self, y_word):
+        """Backward pass: per position, the id of the viable-symbol set."""
+        T = len(y_word)
+        ids = np.empty(T, dtype=np.int64)
+        last = frozenset(self.classes.get(y_word[-1], ()))
+        if not last:
+            raise NoPath(f"image symbol {y_word[-1]!r} unrealizable")
+        ids[T - 1] = self._intern(last)
+        for t in range(T - 2, -1, -1):
+            key = (ids[t + 1], y_word[t])
+            vid = self._bstep_memo.get(key)
+            if vid is None:
+                nxt = self._set_list[ids[t + 1]]
+                viable = frozenset(s for s in self.classes.get(y_word[t], ())
+                                   if any(u in nxt for u in self.graph.successors[s]))
+                if not viable:
+                    raise NoPath("window is not a label word of the image shift")
+                vid = self._intern(viable)
+                self._bstep_memo[key] = vid
+            ids[t] = vid
+        return ids
+
+    def walk(self, y_word, ids):
+        """Forward pass: lexicographically least viable symbol each step."""
+        T = len(y_word)
+        first = min(self._set_list[ids[0]], key=self.order.get)
+        path = [first]
+        current = first
+        for t in range(1, T):
+            key = (current, ids[t])
+            nxt = self._fstep_memo.get(key)
+            if nxt is None:
+                viable = self._set_list[ids[t]]
+                for cand in self.succ_by_label[(current, y_word[t])]:
+                    if cand in viable:
+                        nxt = cand
+                        break
+                if nxt is None:
+                    raise RuntimeError("viability pruning admitted a dead end")
+                self._fstep_memo[key] = nxt
+            path.append(nxt)
+            current = nxt
+        return path
+
+
+def phased_graph(g, orbit: PeriodicOrbit):
+    """Vertices (symbol, phase) following the orbit's label word."""
+    w = orbit.primitive_word
+    p = orbit.period
+    vertices = [(s, t) for t in range(p) for s in g.x_symbols if g.label[s] == w[t]]
+    vset = set(vertices)
+    succ = {v: [] for v in vertices}
+    for s, t in vertices:
+        nt = (t + 1) % p
+        for s2 in g.successors[s]:
+            if (s2, nt) in vset:
+                succ[(s, t)].append((s2, nt))
+    return vertices, succ
+
+
+def periodic_fiber(g: LabeledGraph, y: PeriodicOrbit):
+    """Exact fiber of a periodic orbit of the image, as the pair
+    (lift orbits with winding numbers, fiber size).
+
+    The recurrent part of the phased graph must split into disjoint simple
+    cycles; each cycle of length q yields a lift orbit of least period q
+    and winding q / period(y).  A branching recurrent part means the fiber
+    is infinite and the input was not finite-to-one.
+    """
+    for a in y.primitive_word:
+        if a not in set(g.y_symbols):
+            raise NotInImage(f"symbol {a!r} is not in the image alphabet")
+    vertices, succ = phased_graph(g, y)
+    alive = _essential_symbols(vertices, {(v, u) for v in vertices for u in succ[v]})
+    if not alive:
+        raise NotInImage("no preimage cycle realizes the orbit's word")
+    succ = {v: [u for u in succ[v] if u in alive] for v in alive}
+    for v in alive:
+        if len(succ[v]) != 1:
+            raise FiberInfinite("recurrent phased graph branches; fiber is infinite")
+    indeg = {}
+    for v in alive:
+        indeg[succ[v][0]] = indeg.get(succ[v][0], 0) + 1
+    if any(indeg.get(v, 0) != 1 for v in alive):
+        raise FiberInfinite("recurrent phased graph merges; fiber is infinite")
+
+    p = y.period
+    order = g.index
+    seen = set()
+    lifts = []
+    for v in sorted(alive, key=lambda v: (v[1], order[v[0]])):
+        if v in seen:
+            continue
+        cycle = [v]
+        seen.add(v)
+        u = succ[v][0]
+        while u != v:
+            cycle.append(u)
+            seen.add(u)
+            u = succ[u][0]
+        q = len(cycle)
+        if q % p != 0:
+            raise RuntimeError("phased cycle length not a multiple of the base period")
+        # rotate so the cycle starts at phase 0, then read off the symbols
+        start = next(i for i, (_s, t) in enumerate(cycle) if t == 0)
+        word = tuple(cycle[(start + i) % q][0] for i in range(q))
+        lifts.append((PeriodicOrbit.from_word(word, order), q // p))
+    lifts.sort(key=lambda lw: (lw[1], tuple(order[s] for s in lw[0].primitive_word)))
+    total = sum(w for _o, w in lifts)
+    if total * p != len(alive):
+        raise RuntimeError("winding numbers do not account for the recurrent part")
+    return tuple(lifts), total
+
+
+def periodic_joining_orbits(lam: LabeledGraph, y: PeriodicOrbit):
+    """The joining-graph orbits over a periodic orbit, as extracted by
+    ``enumerate_periodic_degree_joinings``."""
+    w = y.primitive_word
+    p = y.period
+    vertices = [(s, t) for t in range(p) for s in lam.x_symbols if lam.label[s] == w[t]]
+    vset = set(vertices)
+    succ = {v: [] for v in vertices}
+    for s, t in vertices:
+        nt = (t + 1) % p
+        for s2 in lam.successors[s]:
+            if (s2, nt) in vset:
+                succ[(s, t)].append((s2, nt))
+    alive = _essential_symbols(vertices, {(v, u) for v in vertices for u in succ[v]})
+    if not alive:
+        raise NotInImage("no joining-graph cycle realizes the orbit")
+    succ = {v: [u for u in succ[v] if u in alive] for v in alive}
+    for v in alive:
+        if len(succ[v]) != 1:
+            raise FiberInfinite("joining fiber of the orbit is not a union of cycles")
+
+    order = lam.index
+    seen = set()
+    orbits = []
+    for v in sorted(alive, key=lambda v: (v[1], order[v[0]])):
+        if v in seen:
+            continue
+        cycle = [v]
+        seen.add(v)
+        u = succ[v][0]
+        while u != v:
+            cycle.append(u)
+            seen.add(u)
+            u = succ[u][0]
+        start = next(i for i, (_s, t) in enumerate(cycle) if t == 0)
+        word = tuple(cycle[(start + i) % len(cycle)][0] for i in range(len(cycle)))
+        orbits.append(PeriodicOrbit.from_word(word, order))
+    return orbits
+
+
+def anchor_of_label(lift_word, labels, base_word):
+    """Phase t such that the lift point's image is the base point anchored
+    at rotation t of the base orbit word."""
+    p = len(base_word)
+    image = tuple(labels[s] for s in lift_word)
+    for t in range(p):
+        if all(image[i] == base_word[(t + i) % p] for i in range(len(image))):
+            return t
+    raise RuntimeError("lift orbit does not project onto the base orbit")
+

@@ -151,3 +151,67 @@ def test_reruns_are_byte_identical(inputs, capsys):
         _code1, out1 = run(capsys, *args)
         _code2, out2 = run(capsys, *args)
         assert out1 == out2
+
+
+# ------------------------------------------------------------- refusals
+
+def run_refused(capsys, *args):
+    code = main(list(args))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+CA_DIFF4 = ("ca", "--family", "diff", "--modulus", "4", "--vector", "1/8,3/8,1/8,3/8")
+OUT_OF_RANGE = {
+    "length": ("--length", "-5"),
+    "cylinder_depth": ("--cyl-depth", "0"),
+    "tolerance": ("--tolerance", "-1"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(OUT_OF_RANGE))
+@pytest.mark.parametrize("command", ["lift-mc", "ca"])
+def test_out_of_range_mc_flag_refused(inputs, capsys, command, field):
+    if command == "ca":
+        args = CA_DIFF4
+    else:
+        args = ("lift-mc", inputs["rule102"], "--measure", inputs["push_bernoulli"])
+    code, out, err = run_refused(capsys, *args, *OUT_OF_RANGE[field])
+    assert code == 2 and out == ""
+    assert field.replace("length", "sample_length") in err
+
+
+@pytest.mark.parametrize("max_period", ["0", "-3"])
+def test_nonpositive_max_period_refused(inputs, capsys, max_period):
+    code, out, err = run_refused(capsys, "periodic-lifts", inputs["diff4"],
+                                 "--max-period", max_period)
+    assert code == 2 and out == ""
+    assert "max_period" in err
+
+
+MALFORMED = {
+    "missing": None,
+    "not-json": "{not json",
+    "missing-key": {"graph": json.dumps({"x_symbols": ["a"], "transitions": [["a", "a"]]}),
+                    "measure": json.dumps({"type": "bernoulli", "alphabet": ["0", "1"]})},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+@pytest.mark.parametrize("role", ["graph", "measure"])
+def test_malformed_input_file_refused(inputs, capsys, tmp_path, case, role):
+    path = tmp_path / f"{role}.json"
+    text = MALFORMED[case]
+    if isinstance(text, dict):
+        text = text[role]
+    if text is not None:
+        path.write_text(text)
+    if role == "graph":
+        args = ("degree", str(path))
+    else:
+        args = ("lift-mc", inputs["rule102"], "--measure", str(path))
+    code, out, err = run_refused(capsys, *args)
+    assert code == 2 and out == ""
+    assert str(path) in err
+    if case == "missing-key":
+        assert ("'label'" if role == "graph" else "'probabilities'") in err

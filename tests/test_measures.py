@@ -32,26 +32,26 @@ def cycle_markov(n):
 # ------------------------------------------------------------- cylinders
 
 def test_bernoulli_cylinder():
-    assert sl.cylinder_probability(bernoulli_p(Fraction(3, 10)), "11") == Fraction(9, 100)
+    assert bernoulli_p(Fraction(3, 10)).cylinder("11") == Fraction(9, 100)
 
 
 def test_co_cylinder():
     m = COMeasure(PeriodicOrbit.from_word("01"))
-    assert sl.cylinder_probability(m, "010") == Fraction(1, 2)
-    assert sl.cylinder_probability(m, "00") == 0
+    assert m.cylinder("010") == Fraction(1, 2)
+    assert m.cylinder("00") == 0
 
 
 def test_markov_cylinder_golden_mean():
     m = golden_mean_markov()
     assert m.stationary == (Fraction(2, 3), Fraction(1, 3))
-    assert sl.cylinder_probability(m, "ab") == Fraction(1, 3)
-    assert sl.cylinder_probability(m, "bb") == 0
+    assert m.cylinder("ab") == Fraction(1, 3)
+    assert m.cylinder("bb") == 0
 
 
 def test_empty_word_has_mass_one():
     for m in (bernoulli_p("3/10"), golden_mean_markov(),
               COMeasure(PeriodicOrbit.from_word("01"))):
-        assert sl.cylinder_probability(m, "") == 1
+        assert m.cylinder("") == 1
 
 
 # ----------------------------------------------------------- pushforward
