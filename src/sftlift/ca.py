@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 
-from .errors import DegenerateMeasure, HypothesisNotMet, MismatchReport
+from .errors import DegenerateMeasure, HypothesisNotMet, InputError, MismatchReport
 from .graphs import OneBlockRecoding, SlidingBlockCode, _as_word, recode_to_one_block
 from .codes import compute_degree
 from .fibers import LiftEntry, LiftReport, MonteCarloParams, classify_lifts_monte_carlo
@@ -61,9 +61,9 @@ class LinearCACode:
 
     def __post_init__(self):
         if self.family not in ("difference", "sum"):
-            raise ValueError("family must be 'difference' or 'sum'")
+            raise InputError(f"family must be 'difference' or 'sum', got {self.family!r}")
         if self.modulus < 2:
-            raise ValueError("modulus must be >= 2")
+            raise InputError(f"modulus must be >= 2, got {self.modulus}")
 
     # every fiber is swept by x -> x + c (difference) or pinned by its first
     # coordinate (sum): both families are N-to-1 at every single point
@@ -95,11 +95,15 @@ def least_cyclic_period(alpha) -> int:
 
 
 def _check_probability_vector(alpha, length):
-    alpha = tuple(parse_fraction(a) for a in alpha)
+    try:
+        alpha = tuple(parse_fraction(a) for a in alpha)
+    except InputError as exc:
+        raise InputError(f"probability vector: {exc}") from None
     if len(alpha) != length:
-        raise ValueError(f"probability vector must have length {length}")
+        raise InputError(f"probability vector must have length {length}, got {len(alpha)}")
     if any(a < 0 for a in alpha) or sum(alpha) != 1:
-        raise ValueError("entries must be non-negative rationals summing to 1 exactly")
+        raise InputError("probability vector entries must be non-negative rationals "
+                         "summing to 1 exactly")
     return alpha
 
 

@@ -131,7 +131,7 @@ def compute_degree(g: LabeledGraph) -> DegreeReport:
         report = DegreeReport(False, None, None, None, h_x, h_y)
         raise InfiniteToOne("code admits a diamond; degree undefined", report)
 
-    forward = SubsetAutomaton(g)
+    forward = g.forward_automaton
     backward = SubsetAutomaton(g, backward=True)
     suffixes = {}
     for subset, word in zip(backward.subsets, backward.witness):

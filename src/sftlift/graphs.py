@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from math import gcd, log
+from math import gcd, isqrt, log
 
 import numpy as np
 
@@ -45,18 +45,18 @@ class LabeledGraph:
     def __init__(self, x_symbols, transitions, label, y_symbols=None):
         self.x_symbols = tuple(x_symbols)
         if len(set(self.x_symbols)) != len(self.x_symbols):
-            raise ValueError("duplicate symbols")
+            raise InputError("x_symbols: duplicate symbols")
         if not self.x_symbols:
-            raise ValueError("empty symbol set")
+            raise InputError("x_symbols: empty symbol set")
         symset = set(self.x_symbols)
         self.transitions = frozenset((a, b) for a, b in transitions)
         for a, b in self.transitions:
             if a not in symset or b not in symset:
-                raise ValueError(f"transition ({a!r}, {b!r}) uses unknown symbol")
+                raise InputError(f"transitions: ({a!r}, {b!r}) uses a symbol not in x_symbols")
         self.label = dict(label)
         missing = symset - set(self.label)
         if missing:
-            raise ValueError(f"label not total: missing {sorted(map(str, missing))}")
+            raise InputError(f"label: not total, missing {sorted(map(str, missing))}")
         if y_symbols is None:
             seen = []
             for s in self.x_symbols:
@@ -66,7 +66,7 @@ class LabeledGraph:
             y_symbols = seen
         self.y_symbols = tuple(y_symbols)
         if set(self.label[s] for s in self.x_symbols) - set(self.y_symbols):
-            raise ValueError("label value outside y_symbols")
+            raise InputError("label: value outside y_symbols")
 
     @cached_property
     def index(self):
@@ -93,6 +93,12 @@ class LabeledGraph:
         for s in self.x_symbols:
             classes[self.label[s]].append(s)
         return classes
+
+    @cached_property
+    def forward_automaton(self):
+        """The forward ``SubsetAutomaton``, shared by ``determinize`` and the
+        magic-word search."""
+        return SubsetAutomaton(self)
 
     def adjacency_matrix(self):
         n = len(self.x_symbols)
@@ -506,6 +512,52 @@ class SubsetAutomaton:
                         for m in masks]
 
 
+def scan(step, inputs, start, out):
+    """Run a deterministic automaton over an input array: ``out[t] =
+    step[out[t-1], inputs[t]]`` with ``out[-1]`` read as ``start``.
+    Returns the last state (``start`` for empty input).
+
+    ``step`` is a dense ``(states × symbols)`` int table in which -1 means
+    no transition.  A missing transition leads to an absorbing dead state,
+    written as -1, so a caller only needs to check the last state.  ``out``
+    is the caller's buffer and may be ``inputs`` itself: every input is read
+    before its slot is written.
+
+    The scan is data-parallel (Mytkowicz, Musuvathi & Schulte,
+    "Data-Parallel Finite-State Machines", ASPLOS 2014): the input is cut
+    into about √T chunks of √T symbols; each chunk's map from entry to exit
+    state is composed for all chunks at once, the chunk entry states are
+    resolved in one pass over the chunks, and the chunks are replayed
+    together from their entry states.  Every numpy call covers all chunks,
+    so the interpreter runs O(√T) steps and numpy O(T · states) work.
+    """
+    states = len(step)
+    # row -1 is the dead state; a -1 entry indexes it too
+    table = np.vstack([step, np.full((1, step.shape[1]), -1, dtype=step.dtype)])
+    total = len(inputs)
+    width = max(1, isqrt(total))
+    chunks = total // width
+    body = chunks * width
+    blocks = inputs[:body].reshape(chunks, width)
+    maps = np.broadcast_to(np.arange(states + 1), (chunks, states + 1))
+    for i in range(width):
+        maps = table[maps, blocks[:, i, None]]
+    entry = np.empty(chunks, dtype=np.int64)
+    state = start
+    for c, row in enumerate(maps.tolist()):
+        entry[c] = state
+        state = row[state]
+    replay = out[:body].reshape(chunks, width)
+    for i in range(width):
+        entry = table[entry, blocks[:, i]]
+        replay[:, i] = entry
+    rows = table.tolist()
+    for t in range(body, total):
+        state = rows[state][inputs[t]]
+        out[t] = state
+    return state
+
+
 class RightResolvingPresentation:
     """Edge-labeled right-resolving presentation of the image shift,
     obtained by the subset construction and trimmed to its essential part.
@@ -612,7 +664,7 @@ def determinize(g: LabeledGraph) -> RightResolvingPresentation:
     every finite run extends bi-infinitely; the result presents exactly the
     image shift of ``g`` and is what ``entropy`` of the image is computed on."""
     ess = analyze_graph(g).essential
-    aut = SubsetAutomaton(ess)
+    aut = ess.forward_automaton
     rows = aut.step.tolist()
     alive = _essential_symbols(range(len(rows)), [(k, t) for k, row in enumerate(rows)
                                                   for t in row if t >= 0])

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NoPath, NotInImage, ProjectionNotOnto, UnsupportedFiber
 from .graphs import (LabeledGraph, PeriodicOrbit, SubsetAutomaton, _as_word,
-                     _essential_symbols, analyze_graph)
+                     _essential_symbols, analyze_graph, scan)
 from .codes import compute_degree, periodic_fiber, phased_cycles
 
 
@@ -93,15 +93,14 @@ def degree_joining_graph(g: LabeledGraph, degree: int | None = None) -> DegreeJo
 class _ViabilityWalk:
     """Viable paths over a label window, given as indices into ``y_symbols``.
 
-    The backward pass runs the backward ``SubsetAutomaton`` of the graph
-    over the window: its state at position t is the set of symbols from
-    which the rest of the window can be read.  Both passes cost one table
-    or memo lookup per step.
+    The backward pass scans the backward ``SubsetAutomaton`` of the graph
+    over the reversed window: its state at position t is the set of symbols
+    from which the rest of the window can be read.  The forward pass costs
+    one memo lookup per step.
     """
 
     def __init__(self, graph: LabeledGraph):
         self.automaton = SubsetAutomaton(graph, backward=True)
-        self._rows = self.automaton.step.tolist()
         index = graph.index
         self._viable = [frozenset(index[s] for s in subset) for subset in self.automaton.subsets]
         self._succ = [[index[t] for t in graph.successors[s]] for s in graph.x_symbols]
@@ -110,18 +109,15 @@ class _ViabilityWalk:
     def viability_ids(self, y_idx):
         """Backward pass: per position, the automaton state of the window's
         suffix starting there."""
-        y_idx = np.asarray(y_idx).tolist()
+        y_idx = np.asarray(y_idx)
         sid = self.automaton.initial[y_idx[-1]]
         if sid < 0:
             raise NoPath(f"image symbol index {y_idx[-1]} unrealizable")
-        ids = [sid] * len(y_idx)
-        rows = self._rows
-        for t in range(len(y_idx) - 2, -1, -1):
-            sid = rows[sid][y_idx[t]]
-            if sid < 0:
-                raise NoPath("window is not a label word of the image shift")
-            ids[t] = sid
-        return np.array(ids, dtype=np.int64)
+        ids = np.empty(len(y_idx), dtype=np.int64)
+        ids[-1] = sid
+        if scan(self.automaton.step, y_idx[-2::-1], sid, ids[-2::-1]) < 0:
+            raise NoPath("window is not a label word of the image shift")
+        return ids
 
     def walk(self, ids):
         """Forward pass: the lexicographically least viable symbol each step,

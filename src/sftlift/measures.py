@@ -15,8 +15,9 @@ from itertools import product
 
 import numpy as np
 
-from .errors import NotErgodic
-from .graphs import LabeledGraph, PeriodicOrbit, SlidingBlockCode, _as_word, _tarjan_scc
+from .errors import InputError, NotErgodic
+from .graphs import (LabeledGraph, PeriodicOrbit, SlidingBlockCode, _as_word, _tarjan_scc,
+                     scan)
 from . import codes
 
 
@@ -25,7 +26,10 @@ def parse_fraction(value) -> Fraction:
         return value
     if isinstance(value, int):
         return Fraction(value)
-    return Fraction(str(value))
+    try:
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"{value!r} is not an exact rational number") from None
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -150,17 +154,28 @@ class MarkovMeasure(StationaryMeasure):
         return mass
 
     def sample_indices(self, length, rng) -> np.ndarray:
+        """Inverse-CDF sampling: the successor of state s under a uniform draw
+        u is #{k : cum[s, k] < u}.  That count is constant between
+        consecutive distinct breakpoints of all rows, so each draw becomes
+        its interval index and the chain is a ``scan`` over a (state ×
+        interval) table.  A draw above a row's float total (which can fall
+        just below 1) goes to the row's last positive-probability state."""
         n = len(self.alphabet)
         start_p = np.array([float(p) for p in self.stationary])
         start_p /= start_p.sum()
         rows = np.array([[float(p) for p in row] for row in self.matrix])
         rows /= rows.sum(axis=1, keepdims=True)
         cum = np.cumsum(rows, axis=1)
+        breaks = np.unique(cum)
+        table = np.zeros((n, len(breaks) + 1), dtype=np.int64)
+        for s in range(n):
+            last = int(np.flatnonzero(rows[s])[-1])
+            table[s, 1:] = np.minimum(np.searchsorted(cum[s], breaks, side="right"), last)
         draws = rng.random(length)
-        out = np.empty(length, dtype=np.int64)
-        out[0] = rng.choice(n, p=start_p)
-        for t in range(1, length):
-            out[t] = np.searchsorted(cum[out[t - 1]], draws[t])
+        first = rng.choice(n, p=start_p)
+        out = np.searchsorted(breaks, draws).astype(np.int64, copy=False)
+        out[0] = first
+        scan(table, out[1:], first, out[1:])
         return out
 
     def describe(self):
@@ -233,8 +248,8 @@ class COMeasure(StationaryMeasure):
     def sample_indices(self, length, rng) -> np.ndarray:
         idx = self._index()
         r = int(rng.integers(self.orbit.period))
-        w = self.orbit.primitive_word
-        return np.array([idx[w[(r + t) % self.orbit.period]] for t in range(length)], dtype=np.int64)
+        word = np.array([idx[a] for a in self.orbit.primitive_word], dtype=np.int64)
+        return word[(r + np.arange(length)) % self.orbit.period]
 
     def describe(self):
         return {"type": "co", "orbit": [str(a) for a in self.orbit.primitive_word]}
@@ -442,4 +457,5 @@ def measure_from_json_dict(data, code=None) -> StationaryMeasure:
         if code is None:
             raise ValueError("pushforward measure needs the code it pushes through")
         return PushforwardMeasure(measure_from_json_dict(data["base"]), code)
-    raise ValueError(f"unknown measure type {kind!r}")
+    raise InputError(f"type: unknown measure type {kind!r} "
+                     "(expected bernoulli, markov, co or pushforward)")

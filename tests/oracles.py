@@ -1,9 +1,9 @@
 """The package's earlier constructions, kept unchanged as differential
 oracles for the code that replaced them: the forward and backward subset
 states of the magic-word search, the subset construction of
-``determinize``, the symbol-keyed viability walker, and the phased-graph
+``determinize``, the symbol-keyed viability walker, the phased-graph
 cycle extraction of ``periodic_fiber`` and of the periodic degree
-joinings."""
+joinings, and the per-step Markov and periodic-orbit samplers."""
 
 from __future__ import annotations
 
@@ -294,3 +294,28 @@ def anchor_of_label(lift_word, labels, base_word):
             return t
     raise RuntimeError("lift orbit does not project onto the base orbit")
 
+
+
+def markov_sample_indices(m, length, rng):
+    """One ``searchsorted`` per step over the current state's cumulative row.
+    A draw above the row's float total returns ``len(m.alphabet)``."""
+    n = len(m.alphabet)
+    start_p = np.array([float(p) for p in m.stationary])
+    start_p /= start_p.sum()
+    rows = np.array([[float(p) for p in row] for row in m.matrix])
+    rows /= rows.sum(axis=1, keepdims=True)
+    cum = np.cumsum(rows, axis=1)
+    draws = rng.random(length)
+    out = np.empty(length, dtype=np.int64)
+    out[0] = rng.choice(n, p=start_p)
+    for t in range(1, length):
+        out[t] = np.searchsorted(cum[out[t - 1]], draws[t])
+    return out
+
+
+def co_sample_indices(m, length, rng):
+    """The orbit word read from a uniform random phase, letter by letter."""
+    idx = m._index()
+    r = int(rng.integers(m.orbit.period))
+    w = m.orbit.primitive_word
+    return np.array([idx[w[(r + t) % m.orbit.period]] for t in range(length)], dtype=np.int64)

@@ -215,3 +215,29 @@ def test_malformed_input_file_refused(inputs, capsys, tmp_path, case, role):
     assert str(path) in err
     if case == "missing-key":
         assert ("'label'" if role == "graph" else "'probabilities'") in err
+
+
+INVALID_VALUES = {
+    "transition": ("graph", {"x_symbols": ["a"], "transitions": [["a", "b"]],
+                             "label": {"a": "a"}}, "transitions"),
+    "measure-type": ("measure", {"type": "poisson", "alphabet": ["0", "1"]}, "type"),
+    "modulus": ("ca", ("--modulus", "1", "--vector", "1"), "modulus"),
+    "vector": ("ca", ("--modulus", "4", "--vector", "1/2,abc,1/4,1/4"), "vector"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_VALUES))
+def test_invalid_input_value_refused(inputs, capsys, tmp_path, case):
+    role, payload, field = INVALID_VALUES[case]
+    if role == "ca":
+        args = ("ca", "--family", "diff", *payload)
+    else:
+        path = tmp_path / f"{role}.json"
+        path.write_text(json.dumps(payload))
+        if role == "graph":
+            args = ("degree", str(path))
+        else:
+            args = ("lift-mc", inputs["rule102"], "--measure", str(path))
+    code, out, err = run_refused(capsys, *args)
+    assert code == 2 and out == ""
+    assert err.startswith("refused:") and field in err

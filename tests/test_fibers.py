@@ -159,3 +159,21 @@ def test_measure_outside_image_rejected(golden_mean_graph):
     nu = BernoulliMeasure(("a", "b"), ("1/2", "1/2"))
     with pytest.raises(NotFullySupported):
         sl.is_fully_supported_on_image(nu, golden_mean_graph)
+
+
+def test_mc_builds_the_forward_automaton_once_per_graph(rule102, monkeypatch):
+    built = []
+
+    class Recording(sl.graphs.SubsetAutomaton):
+        def __init__(self, graph, backward=False):
+            if not backward:
+                built.append(graph)
+            super().__init__(graph, backward)
+
+    for module in (sl.graphs, sl.codes, sl.joinings):
+        monkeypatch.setattr(module, "SubsetAutomaton", Recording)
+    recoding = sl.recode_to_one_block(rule102.code)
+    nu = PushforwardMeasure(BernoulliMeasure("01", ("7/10", "3/10")), rule102.code)
+    sl.classify_lifts_monte_carlo(recoding, nu, MonteCarloParams(sample_length=2000))
+    assert sum(g is recoding.graph for g in built) == 1
+    assert len({id(g) for g in built}) == len(built)

@@ -181,6 +181,68 @@ def test_determinize_language_exhaustive_length_6(rule102, golden_mean_graph):
                 assert aut.accepts(word) == label_word_realizable(g, word)
 
 
+# -------------------------------------------------------------------- scan
+
+def loop_scan(step, inputs, start):
+    """Plain per-step reference: -1 once a transition is missing."""
+    out = []
+    state = start
+    for x in inputs:
+        state = -1 if state < 0 else int(step[state][x])
+        out.append(state)
+    return out
+
+
+@st.composite
+def scan_cases(draw):
+    states = draw(st.integers(1, 6))
+    symbols = draw(st.integers(1, 4))
+    low = draw(st.sampled_from([-1, 0]))
+    step = np.array([[draw(st.integers(low, states - 1)) for _ in range(symbols)]
+                     for _ in range(states)], dtype=np.int64)
+    length = draw(st.one_of(st.integers(0, 40), st.integers(2, 40).map(lambda k: k * k),
+                            st.integers(0, 2000)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    inputs = np.random.default_rng(seed).integers(0, symbols, size=length)
+    return step, inputs, draw(st.integers(0, states - 1))
+
+
+@given(scan_cases())
+def test_scan_matches_loop(case):
+    step, inputs, start = case
+    expected = loop_scan(step, inputs, start)
+    out = np.full(len(inputs), 99, dtype=np.int64)
+    last = sl.graphs.scan(step, inputs, start, out)
+    assert out.tolist() == expected
+    assert last == (expected[-1] if expected else start)
+
+
+@given(scan_cases())
+def test_scan_in_place_over_reversed_view(case):
+    step, inputs, start = case
+    expected = loop_scan(step, inputs[::-1], start)
+    buffer = inputs.copy()
+    view = buffer[::-1]
+    sl.graphs.scan(step, view, start, view)
+    assert view.tolist() == expected
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 15, 16, 17, 1000])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_scan_dead_transition_is_absorbing(length, where):
+    # symbol 0 cycles the two states; symbol 1 has no transition from state 1
+    step = np.array([[1, 0], [0, -1]], dtype=np.int64)
+    inputs = np.zeros(length, dtype=np.int64)
+    position = {"first": 0, "middle": length // 2, "last": length - 1}[where]
+    start = 0 if position % 2 else 1           # in state 1 just before position
+    inputs[position] = 1
+    out = np.empty(length, dtype=np.int64)
+    last = sl.graphs.scan(step, inputs, start, out)
+    assert out.tolist() == loop_scan(step, inputs, start)
+    assert last == -1
+    assert (out[position:] == -1).all() and (out[:position] >= 0).all()
+
+
 # ---------------------------------------------------- periodic orbit lists
 
 def test_orbits_full_2_shift():

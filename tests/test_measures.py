@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +10,7 @@ import sftlift as sl
 from sftlift import BernoulliMeasure, COMeasure, MarkovMeasure, PeriodicOrbit
 from sftlift.errors import NotErgodic
 
+import oracles
 from conftest import random_rational_vector
 
 
@@ -109,6 +111,50 @@ def test_sampling_deterministic_given_seed():
     m = golden_mean_markov()
     assert sl.sample_path(m, 500, seed=42) == sl.sample_path(m, 500, seed=42)
     assert sl.sample_path(m, 500, seed=42) != sl.sample_path(m, 500, seed=43)
+
+
+class StubRng:
+    """Replays fixed uniform draws and a fixed initial state."""
+
+    def __init__(self, draws, first):
+        self.draws = np.array(draws)
+        self.first = first
+
+    def random(self, length):
+        assert length == len(self.draws)
+        return self.draws
+
+    def choice(self, n, p):
+        return self.first
+
+
+@pytest.mark.parametrize("weights", [[5, 39, 38, 9, 2], [5, 39, 38, 9, 2, 0]])
+def test_markov_largest_draw_stays_in_alphabet(weights):
+    # after float normalisation this row's cumulative total is
+    # 0.9999999999999998, below the largest draw 1 - 2**-53; the draw must
+    # land on the last state of positive probability (index 4)
+    states = "abcdef"[:len(weights)]
+    row = [Fraction(w, sum(weights)) for w in weights]
+    m = MarkovMeasure(states, {a: dict(zip(states, row)) for a in states}, stationary=row)
+    draws = [0.0, 0.5, 0.25, 1 - 2**-53]
+    old = oracles.markov_sample_indices(m, len(draws), StubRng(draws, 1))
+    assert old[-1] == len(states)                  # the per-step sampler's overflow
+    new = m.sample_indices(len(draws), StubRng(draws, 1))
+    assert new.tolist() == old.tolist()[:-1] + [4]
+
+
+def test_markov_draws_on_breakpoints_match_oracle():
+    # a draw equal to a cumulative breakpoint selects the state it closes
+    weights = [[1, 1, 2], [0, 3, 1], [2, 0, 2]]
+    states = "abc"
+    rows = {a: {b: Fraction(w, sum(row)) for b, w in zip(states, row)}
+            for a, row in zip(states, weights)}
+    m = MarkovMeasure(states, rows)
+    cum = np.cumsum(np.array([[w / sum(row) for w in row] for row in weights]), axis=1)
+    draws = [0.0] + sorted(set(cum.ravel().tolist())) * 3
+    for first in range(3):
+        old = oracles.markov_sample_indices(m, len(draws), StubRng(draws, first))
+        assert m.sample_indices(len(draws), StubRng(draws, first)).tolist() == old.tolist()
 
 
 # ------------------------------------------------------- two-point factor

@@ -1,9 +1,11 @@
 """Differential tests: the shared subset automaton, the integer viability
-walk and the single phased-cycle routine against the constructions they
-replaced (kept in ``oracles.py``)."""
+walk, the single phased-cycle routine and the vectorised samplers against
+the constructions they replaced (kept in ``oracles.py``)."""
 
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +14,7 @@ from sftlift.codes import phased_cycles
 from sftlift.errors import NoPath, PreconditionError
 from sftlift.graphs import SubsetAutomaton
 from sftlift.joinings import _ViabilityWalk
+from sftlift.measures import make_rng
 
 import oracles
 from test_graphs import graphs_strategy
@@ -123,3 +126,50 @@ def test_periodic_cycles_match_oracle_on_sweep_fixtures(sweep_fixtures):
             _check_fiber(g, y)
             assert (_fiber_outcome(_joining_orbits, lam, y)
                     == _fiber_outcome(oracles.periodic_joining_orbits, lam, y))
+
+
+@st.composite
+def markov_chains(draw):
+    """Ergodic chains on 2-10 states: a random cycle keeps them irreducible,
+    the other transitions carry random integer weights, zero included."""
+    n = draw(st.integers(2, 10))
+    states = [str(i) for i in range(n)]
+    cycle = draw(st.permutations(range(n)))
+    weights = [[draw(st.integers(0, 9)) for _ in range(n)] for _ in range(n)]
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        weights[a][b] = max(weights[a][b], 1)
+    rows = {states[a]: {states[b]: Fraction(w, sum(row)) for b, w in enumerate(row) if w}
+            for a, row in enumerate(weights)}
+    return sl.MarkovMeasure(states, rows)
+
+
+SAMPLE_LENGTHS = st.one_of(st.sampled_from([1, 2, 3]),
+                           st.integers(2, 70).map(lambda k: k * k),
+                           st.integers(1, 5000))
+
+
+@given(markov_chains(), SAMPLE_LENGTHS, st.integers(0, 2**32 - 1))
+def test_markov_sampler_matches_per_step_oracle(m, length, seed):
+    new = m.sample_indices(length, make_rng(seed))
+    old = oracles.markov_sample_indices(m, length, make_rng(seed))
+    assert new.dtype == old.dtype == np.int64
+    assert new.tolist() == old.tolist()
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 8, 9, 10, 4096, 4999])
+def test_markov_sampler_matches_oracle_at_chunk_edges(length):
+    m = sl.MarkovMeasure("abcd", {"a": {"b": "1/3", "d": "2/3"}, "b": {"b": "1/2", "c": "1/2"},
+                                  "c": {"a": "1/5", "c": "4/5"}, "d": {"a": "1"}})
+    for seed in range(3):
+        new = m.sample_indices(length, make_rng(seed))
+        assert new.tolist() == oracles.markov_sample_indices(m, length, make_rng(seed)).tolist()
+
+
+@given(st.lists(st.sampled_from("abc"), min_size=1, max_size=12), SAMPLE_LENGTHS,
+       st.integers(0, 2**32 - 1))
+def test_co_sampler_matches_comprehension(word, length, seed):
+    m = sl.COMeasure(sl.PeriodicOrbit.from_word(tuple(word)), alphabet="abcd")
+    new = m.sample_indices(length, make_rng(seed))
+    old = oracles.co_sample_indices(m, length, make_rng(seed))
+    assert new.dtype == old.dtype == np.int64
+    assert new.tolist() == old.tolist()
