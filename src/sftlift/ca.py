@@ -26,7 +26,7 @@ from functools import cached_property
 from itertools import product
 
 from .errors import DegenerateMeasure, HypothesisNotMet, InputError, MismatchReport
-from .graphs import OneBlockRecoding, SlidingBlockCode, _as_word, recode_to_one_block
+from .graphs import OneBlockRecoding, SlidingBlockCode, _as_word
 from .codes import compute_degree
 from .fibers import LiftEntry, LiftReport, MonteCarloParams, classify_lifts_monte_carlo
 from .measures import (BernoulliMeasure, PushforwardMeasure, StationaryMeasure,
@@ -73,9 +73,9 @@ class LinearCACode:
     def code(self) -> SlidingBlockCode:
         return difference_code(self.modulus) if self.family == "difference" else sum_code(self.modulus)
 
-    @cached_property
+    @property
     def recoding(self) -> OneBlockRecoding:
-        return recode_to_one_block(self.code)
+        return self.code.recoding
 
     def describe(self):
         return {"type": "linear-ca", "family": self.family, "modulus": self.modulus}

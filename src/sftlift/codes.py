@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FiberInfinite, InfiniteToOne, NotInImage, NotIrreducible
-from .graphs import (LabeledGraph, PeriodicOrbit, SlidingBlockCode, SubsetAutomaton,
+from .graphs import (LabeledGraph, PeriodicOrbit, SubsetAutomaton,
                      _as_word, _essential_symbols, _tarjan_scc, analyze_graph,
                      determinize, entropy, least_rotation)
 
@@ -158,35 +158,28 @@ def preimage_words(code, w):
 
     Accepts a LabeledGraph (result words have length |w|) or a
     SlidingBlockCode (result words have length |w| + memory + anticipation;
-    the empty word yields the allowed memory+anticipation stubs).
+    the empty word yields the extendable memory+anticipation stubs).  A
+    block code is read through its 1-block recoding: a preimage path of w
+    there is a chain of overlapping (m+n+1)-blocks, expanded to its base
+    word, so the cost grows with the number of preimage paths, not with the
+    k^(|w|+m+n) domain words.
     """
     w = _as_word(w)
-    if isinstance(code, SlidingBlockCode):
-        return _preimage_words_block(code, w)
-    g = code
-    alive = _essential_symbols(g.x_symbols, g.transitions)
+    if isinstance(code, LabeledGraph):
+        return _preimage_paths(code, w) if w else {()}
+    g = code.recoding.graph
     if not w:
-        return {()}
-    result = set()
+        return {u[:-1] for u in _essential_symbols(g.x_symbols, g.transitions)}
+    return {p[0] + tuple(u[-1] for u in p[1:]) for p in _preimage_paths(g, w)}
+
+
+def _preimage_paths(g: LabeledGraph, w):
+    alive = _essential_symbols(g.x_symbols, g.transitions)
     paths = [(s,) for s in g.x_symbols if s in alive and g.label[s] == w[0]]
     for letter in w[1:]:
         paths = [p + (s,) for p in paths for s in g.successors[p[-1]]
                  if s in alive and g.label[s] == letter]
-    result.update(paths)
-    return result
-
-
-def _preimage_words_block(code: SlidingBlockCode, w):
-    length = len(w) + code.memory + code.anticipation
-    if length == 0:
-        return {()}
-    words = [(s,) for s in code.alphabet]
-    for _ in range(length - 1):
-        words = [u + (b,) for u in words for b in code.alphabet if (u[-1], b) in code.transitions]
-    if not w:
-        # preimage of the whole space: the allowed memory+anticipation stubs
-        return set(words)
-    return {u for u in words if code.apply(u) == w}
+    return set(paths)
 
 
 def phased_cycles(g: LabeledGraph, y: PeriodicOrbit):

@@ -25,13 +25,12 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError, NotFullySupported
-from .graphs import (LabeledGraph, OneBlockRecoding, PeriodicOrbit,
-                     SlidingBlockCode, determinize, full_shift, recode_to_one_block)
+from .graphs import LabeledGraph, OneBlockRecoding, PeriodicOrbit, determinize, full_shift
 from .codes import compute_degree, periodic_fiber
 from .joinings import DegreeJoiningGraph, _ViabilityWalk, degree_joining_graph
 from .measures import (BernoulliMeasure, COMeasure, EmpiricalDistribution,
                        MarkovMeasure, PushforwardMeasure, StationaryMeasure,
-                       make_rng)
+                       as_markov, make_rng)
 
 
 @dataclass(frozen=True)
@@ -128,15 +127,9 @@ def analyze_periodic_lifts(code, y: PeriodicOrbit):
         sizes = {t: len(rs) for t, rs in per_base.items()}
         if set(sizes.values()) != {winding}:
             raise RuntimeError("fiber points are not equidistributed over the base orbit")
-        mass = Fraction(0)
-        for t in range(p):
-            pts = per_base[t]
-            cell = Fraction(0)
-            for r1 in pts:
-                for r2 in pts:
-                    if r1 == r2:
-                        cell += Fraction(1, len(pts)) * Fraction(1, len(pts))
-            mass += Fraction(1, p) * cell
+        # the self-joining puts 1/(p |pts_t|^2) on each of the |pts_t|
+        # diagonal pairs over base point t
+        mass = sum(Fraction(1, p * len(per_base[t])) for t in range(p))
         if mass != Fraction(1, winding):
             raise RuntimeError("diagonal mass disagrees with the winding number")
 
@@ -182,54 +175,34 @@ class MonteCarloParams:
         return 5.0 / math.sqrt(self.sample_length)
 
 
-def support_presentation(nu: StationaryMeasure, g: LabeledGraph):
-    """Right-resolving presentation of the support of an image measure."""
-    if isinstance(nu, PushforwardMeasure):
-        return _pushforward_support_presentation(nu)
-    if isinstance(nu, BernoulliMeasure):
-        support = full_shift(nu.support_states())
-        return determinize(support)
-    if isinstance(nu, MarkovMeasure):
-        states = nu.support_states()
-        graph = LabeledGraph(states, nu.support_transitions(),
-                             {a: a for a in states}, g.y_symbols)
-        return determinize(graph)
-    raise TypeError(f"unsupported image measure type {type(nu).__name__}")
+def support_presentation(nu: StationaryMeasure):
+    """Right-resolving presentation of the support of an image measure.
 
-
-def _pushforward_support_presentation(nu: PushforwardMeasure):
-    base, code = nu.base, nu.code
-    if isinstance(code, SlidingBlockCode):
-        graph = recode_to_one_block(code).graph
-        if isinstance(base, BernoulliMeasure):
-            positive = set(base.support_states())
-            keep = [b for b in graph.x_symbols if all(a in positive for a in b)]
-        elif isinstance(base, MarkovMeasure):
-            support = base.support_transitions()
-            keep = [b for b in graph.x_symbols
-                    if all(pair in support for pair in zip(b, b[1:])) or len(b) == 1]
-        else:
-            raise TypeError("pushforward support needs a Bernoulli or Markov base")
-        restricted = graph.restrict(keep)
-    else:
-        graph = code
-        if isinstance(base, BernoulliMeasure):
-            restricted = graph.restrict(base.support_states())
-        elif isinstance(base, MarkovMeasure):
-            support = base.support_transitions() & graph.transitions
-            restricted = LabeledGraph(base.support_states(), support,
-                                      {s: graph.label[s] for s in base.support_states()},
-                                      graph.y_symbols)
-        else:
-            raise TypeError("pushforward support needs a Bernoulli or Markov base")
-    return determinize(restricted)
+    One rule serves every image measure, read as a pushforward (a direct
+    image measure under the identity code on its own alphabet): the support
+    of the base measure is the SFT of its Markov support graph (a Bernoulli
+    measure through ``as_markov``), whose edges are the 2-words of positive
+    mass.  The recoding graph of the block code, cut down to the transitions
+    whose (m+n+2)-word has all its pairs in that graph, presents the image
+    of that support.
+    """
+    if not isinstance(nu, PushforwardMeasure):
+        nu = PushforwardMeasure(nu, full_shift(nu.alphabet))
+    chain = as_markov(nu.base) if isinstance(nu.base, BernoulliMeasure) else nu.base
+    if not isinstance(chain, MarkovMeasure):
+        raise InputError(f"type: a {nu.base.describe()['type']} measure has no Markov support "
+                         "graph; expected bernoulli or markov, directly or as a pushforward base")
+    pairs = chain.support_transitions()
+    graph = nu.block_code.recoding.graph
+    edges = {(u, v) for u, v in graph.transitions if pairs.issuperset(zip(u, u[1:] + v[-1:]))}
+    return determinize(LabeledGraph(graph.x_symbols, edges, graph.label, graph.y_symbols))
 
 
 def is_fully_supported_on_image(nu: StationaryMeasure, g: LabeledGraph) -> bool:
     """Whether supp(nu) is the whole image shift of g (exact language check
     between right-resolving presentations)."""
     image = determinize(g)
-    support = support_presentation(nu, g)
+    support = support_presentation(nu)
     if not support.language_subset_of(image):
         raise NotFullySupported("measure is not supported inside the image shift")
     return image.language_subset_of(support)
@@ -287,7 +260,7 @@ def classify_lifts_monte_carlo(code, nu: StationaryMeasure,
     d = degree_report.degree
 
     if not set(nu.alphabet) <= set(g.y_symbols):
-        raise ValueError("image measure alphabet is not contained in the code's image alphabet")
+        raise InputError("image measure alphabet is not contained in the code's image alphabet")
     if not is_fully_supported_on_image(nu, g):
         if not constant_to_one:
             raise NotFullySupported(

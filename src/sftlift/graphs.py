@@ -46,8 +46,6 @@ class LabeledGraph:
         self.x_symbols = tuple(x_symbols)
         if len(set(self.x_symbols)) != len(self.x_symbols):
             raise InputError("x_symbols: duplicate symbols")
-        if not self.x_symbols:
-            raise InputError("x_symbols: empty symbol set")
         symset = set(self.x_symbols)
         self.transitions = frozenset((a, b) for a, b in transitions)
         for a, b in self.transitions:
@@ -141,6 +139,8 @@ class LabeledGraph:
 
     @classmethod
     def from_json_dict(cls, data):
+        if not data["x_symbols"]:
+            raise InputError("x_symbols: empty symbol set")
         return cls(data["x_symbols"],
                    [tuple(e) for e in data["transitions"]],
                    data["label"],
@@ -181,7 +181,7 @@ class PeriodicOrbit:
         take the least rotation under the given symbol order (input order)."""
         word = _as_word(word)
         if not word:
-            raise ValueError("empty orbit word")
+            raise InputError("orbit: empty orbit word")
         n = len(word)
         for p in range(1, n + 1):
             if n % p == 0 and word == word[:p] * (n // p):
@@ -357,7 +357,8 @@ class SlidingBlockCode:
 
     def __init__(self, memory, anticipation, alphabet, block_map, transitions=None):
         if memory < 0 or anticipation < 0:
-            raise ValueError("memory and anticipation must be non-negative")
+            raise InputError(f"memory and anticipation must be non-negative, "
+                             f"got {memory} and {anticipation}")
         self.memory = int(memory)
         self.anticipation = int(anticipation)
         self.alphabet = tuple(alphabet)
@@ -368,7 +369,7 @@ class SlidingBlockCode:
         width = self.memory + self.anticipation + 1
         for word in self._allowed_words(width):
             if word not in self.block_map:
-                raise ValueError(f"block_map missing allowed word {word!r}")
+                raise InputError(f"block_map: missing allowed word {word!r}")
         seen = []
         for word in sorted(self.block_map, key=self._word_key):
             y = self.block_map[word]
@@ -383,6 +384,12 @@ class SlidingBlockCode:
     @property
     def width(self):
         return self.memory + self.anticipation + 1
+
+    @cached_property
+    def recoding(self) -> OneBlockRecoding:
+        """The 1-block recoding, built once per code: cylinders, samples and
+        the support of pushforward measures all read it."""
+        return recode_to_one_block(self)
 
     def domain_graph(self):
         return LabeledGraph(self.alphabet, self.transitions,
@@ -448,13 +455,11 @@ def recode_to_one_block(code: SlidingBlockCode) -> OneBlockRecoding:
     """Higher-block presentation turning any sliding block code into a
     vertex-labeled graph (symbols = allowed (m+n+1)-words, transitions =
     overlaps)."""
-    width = code.width
-    if width == 1:
-        symbols = [(s,) for s in code.alphabet]
-        trans = {((a,), (b,)) for a, b in code.transitions}
-    else:
-        symbols = sorted(code._allowed_words(width), key=code._word_key)
-        trans = {(u, v) for u in symbols for v in symbols if u[1:] == v[:-1]}
+    symbols = sorted(code._allowed_words(code.width), key=code._word_key)
+    # consecutive blocks overlap in all but one letter, and the pair they
+    # add is a domain transition (implied by v being allowed when width > 1)
+    trans = {(u, v) for u in symbols for v in symbols
+             if u[1:] == v[:-1] and (u[-1], v[-1]) in code.transitions}
     label = {u: code.block_map[u] for u in symbols}
     graph = LabeledGraph(symbols, trans, label, code.y_symbols)
     return OneBlockRecoding(graph=graph, offset=code.memory, base_alphabet=code.alphabet)
@@ -730,5 +735,5 @@ def load_graph_or_code(path):
     code = load_json(path, lambda data: (SlidingBlockCode if "block_map" in data
                                          else LabeledGraph).from_json_dict(data))
     if isinstance(code, SlidingBlockCode):
-        return recode_to_one_block(code), code
+        return code.recoding, code
     return code, None

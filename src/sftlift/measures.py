@@ -5,6 +5,12 @@ enters only through sampling and Monte-Carlo statistics.  Hidden Markov
 images are never materialized: a ``PushforwardMeasure`` keeps the (measure,
 code) pair and evaluates image cylinders lazily and exactly, because the
 image of a Markov measure has no finite Markov presentation in general.
+Both code kinds are read as a sliding block code (a labeled graph is the
+width-1 block code on its own symbols) through the code's cached 1-block
+recoding (Lind & Marcus, *An Introduction to Symbolic Dynamics and
+Coding*, §1.4-1.5): an image cylinder sums the base measure over the
+preimage paths of the recoding graph, and a sample reads each base window
+through one window-code -> label table.
 """
 
 from __future__ import annotations
@@ -16,8 +22,7 @@ from itertools import product
 import numpy as np
 
 from .errors import InputError, NotErgodic
-from .graphs import (LabeledGraph, PeriodicOrbit, SlidingBlockCode, _as_word, _tarjan_scc,
-                     scan)
+from .graphs import PeriodicOrbit, SlidingBlockCode, _as_word, _tarjan_scc, scan
 from . import codes
 
 
@@ -97,16 +102,12 @@ class MarkovMeasure(StationaryMeasure):
                 matrix[idx[a]][idx[b]] = parse_fraction(p)
         for i, a in enumerate(self.alphabet):
             if sum(matrix[i]) != 1:
-                raise ValueError(f"row of {a!r} does not sum to 1 exactly")
+                raise InputError(f"transitions: row of {a!r} does not sum to 1 exactly")
             if any(p < 0 for p in matrix[i]):
-                raise ValueError("negative transition probability")
-        if support_graph is not None:
-            allowed = support_graph.transitions
-            for i, a in enumerate(self.alphabet):
-                for j, b in enumerate(self.alphabet):
-                    if matrix[i][j] > 0 and (a, b) not in allowed:
-                        raise ValueError(f"positive probability on forbidden transition ({a!r},{b!r})")
+                raise InputError(f"transitions: negative probability in the row of {a!r}")
         self.matrix = tuple(tuple(row) for row in matrix)
+        if support_graph is not None:
+            self._require_transitions_in(support_graph.transitions)
         if stationary is None:
             if not self.is_ergodic():
                 raise NotErgodic("support graph not strongly connected; supply a stationary vector")
@@ -114,20 +115,28 @@ class MarkovMeasure(StationaryMeasure):
         else:
             stationary = tuple(parse_fraction(p) for p in stationary)
         self.stationary = stationary
+        if len(self.stationary) != n:
+            raise InputError(f"stationary: one probability per state required, got "
+                             f"{len(self.stationary)} for {n} states")
         if sum(self.stationary) != 1 or any(p < 0 for p in self.stationary):
-            raise ValueError("stationary vector must be a probability vector")
+            raise InputError("stationary: must be a probability vector")
         row_check = [sum(self.stationary[i] * self.matrix[i][j] for i in range(n)) for j in range(n)]
         if tuple(row_check) != self.stationary:
-            raise ValueError("vector is not stationary for the transition matrix")
+            raise InputError("stationary: vector is not stationary for the transition matrix")
+
+    def _require_transitions_in(self, allowed):
+        """Refuse positive probability on a transition outside ``allowed``."""
+        for i, a in enumerate(self.alphabet):
+            for j, b in enumerate(self.alphabet):
+                if self.matrix[i][j] > 0 and (a, b) not in allowed:
+                    raise InputError(f"transitions: positive probability on forbidden "
+                                     f"transition ({a!r},{b!r})")
 
     def support_transitions(self):
+        """The transitions of the support: the 2-words of positive mass."""
         idx = self._index()
         return {(a, b) for a in self.alphabet for b in self.alphabet
-                if self.matrix[idx[a]][idx[b]] > 0}
-
-    def support_states(self):
-        idx = self._index()
-        return tuple(a for a in self.alphabet if self.stationary[idx[a]] > 0)
+                if self.stationary[idx[a]] * self.matrix[idx[a]][idx[b]] > 0}
 
     def is_ergodic(self) -> bool:
         succ = {a: [] for a in self.alphabet}
@@ -197,9 +206,10 @@ class BernoulliMeasure(StationaryMeasure):
         self.alphabet = tuple(alphabet)
         self.probabilities = tuple(parse_fraction(p) for p in probabilities)
         if len(self.probabilities) != len(self.alphabet):
-            raise ValueError("one probability per symbol required")
+            raise InputError(f"probabilities: one probability per symbol required, got "
+                             f"{len(self.probabilities)} for {len(self.alphabet)} symbols")
         if any(p < 0 for p in self.probabilities) or sum(self.probabilities) != 1:
-            raise ValueError("probabilities must be non-negative and sum to 1 exactly")
+            raise InputError("probabilities: must be non-negative and sum to 1 exactly")
 
     def cylinder(self, word) -> Fraction:
         idx = self._index()
@@ -209,9 +219,6 @@ class BernoulliMeasure(StationaryMeasure):
                 return Fraction(0)
             mass *= self.probabilities[idx[a]]
         return mass
-
-    def support_states(self):
-        return tuple(a for a, p in zip(self.alphabet, self.probabilities) if p > 0)
 
     def sample_indices(self, length, rng) -> np.ndarray:
         p = np.array([float(q) for q in self.probabilities])
@@ -258,53 +265,62 @@ class COMeasure(StationaryMeasure):
 class PushforwardMeasure(StationaryMeasure):
     """Lazy image of a measure under a code: the (measure, code) pair.
 
-    Cylinders are evaluated exactly by summing the base measure over
-    preimage words; samples are base samples pushed through the code.
+    ``block_code`` is the code as a sliding block code (a labeled graph is
+    read as the width-1 block code on its own symbols); everything here
+    reads its cached 1-block recoding.  A cylinder sums the base measure
+    exactly over the preimage words of the recoding graph's preimage paths;
+    a sample of length T reads each window of a base sample of
+    T + memory + anticipation letters through one window-code -> label
+    table.  The base measure must live on the code's domain: a base letter
+    outside the domain alphabet, or a Markov base with positive probability
+    on a transition the domain forbids, is refused.
     """
 
     def __init__(self, base: StationaryMeasure, code):
         self.base = base
         self.code = code
         self.alphabet = code.y_symbols
+        self.block_code = code if isinstance(code, SlidingBlockCode) else SlidingBlockCode(
+            0, 0, code.x_symbols, {(s,): code.label[s] for s in code.x_symbols}, code.transitions)
+        outside = set(base.alphabet) - set(self.block_code.alphabet)
+        if outside:
+            raise InputError(f"base: letters {sorted(map(str, outside))} are outside the "
+                             "code's domain alphabet")
+        if isinstance(base, MarkovMeasure):
+            base._require_transitions_in(self.block_code.transitions)
 
     def cylinder(self, word) -> Fraction:
-        return pushforward_cylinder(self.base, self.code, word)
+        return pushforward_cylinder(self.base, self.block_code, word)
 
     def sample_indices(self, length, rng) -> np.ndarray:
-        if isinstance(self.code, SlidingBlockCode):
-            extra = self.code.memory + self.code.anticipation
-            base_idx = self.base.sample_indices(length + extra, rng)
-            return _apply_block_map_indices(self.code, self.base.alphabet, self.alphabet, base_idx)
-        g = self.code
-        base_idx = self.base.sample_indices(length, rng)
-        lookup = np.array([self.alphabet.index(g.label[s]) for s in self.base.alphabet],
-                          dtype=np.int64)
-        return lookup[base_idx]
+        width = self.block_code.width
+        k = len(self.base.alphabet)
+        letter = self.base._index()
+        image = {y: i for i, y in enumerate(self.alphabet)}
+        graph = self.block_code.recoding.graph
+        blocks = [u for u in graph.x_symbols if all(a in letter for a in u)]
+        table = np.full(k ** width, -1, dtype=np.int64)
+        encoded = np.array([[letter[a] for a in u] for u in blocks], dtype=np.int64)
+        table[window_codes(encoded.reshape(-1, width), k, width)[:, 0]] = [
+            image[graph.label[u]] for u in blocks]
+        out = table[window_codes(self.base.sample_indices(length + width - 1, rng), k, width)]
+        if (out < 0).any():
+            raise InputError("base: the sample left the code's domain")
+        return out
 
     def describe(self):
         kind = "sliding-block code" if isinstance(self.code, SlidingBlockCode) else "1-block code"
         return {"type": "pushforward", "base": self.base.describe(), "code": kind}
 
 
-def _apply_block_map_indices(code: SlidingBlockCode, base_alphabet, y_alphabet, arr):
-    """Vectorized block-map application on an index array."""
-    k = len(base_alphabet)
-    width = code.width
-    y_index = {y: i for i, y in enumerate(y_alphabet)}
-    table = np.full(k ** width, -1, dtype=np.int64)
-    base_idx = {a: i for i, a in enumerate(base_alphabet)}
-    for word, y in code.block_map.items():
-        code_val = 0
-        for a in word:
-            code_val = code_val * k + base_idx[a]
-        table[code_val] = y_index[y]
-    codes_arr = np.zeros(len(arr) - width + 1, dtype=np.int64)
+def window_codes(arr, k, width):
+    """The base-k code of every length-``width`` window along the last axis
+    of an index array."""
+    n = arr.shape[-1] - width + 1
+    codes_arr = np.zeros(arr.shape[:-1] + (n,), dtype=np.int64)
     for j in range(width):
-        codes_arr = codes_arr * k + arr[j:len(arr) - width + 1 + j]
-    out = table[codes_arr]
-    if (out < 0).any():
-        raise ValueError("sample left the code's domain")
-    return out
+        codes_arr = codes_arr * k + arr[..., j:j + n]
+    return codes_arr
 
 
 def pushforward_cylinder(m: StationaryMeasure, code, w) -> Fraction:
@@ -398,10 +414,7 @@ class EmpiricalDistribution:
         for length in range(1, depth + 1):
             if len(arr) < length:
                 break
-            codes_arr = np.zeros(len(arr) - length + 1, dtype=np.int64)
-            for j in range(length):
-                codes_arr = codes_arr * k + arr[j:len(arr) - length + 1 + j]
-            binned = np.bincount(codes_arr, minlength=k ** length)
+            binned = np.bincount(window_codes(arr, k, length), minlength=k ** length)
             for code_val, count in enumerate(binned):
                 if count:
                     word = []
@@ -455,7 +468,7 @@ def measure_from_json_dict(data, code=None) -> StationaryMeasure:
         return COMeasure(orbit, data.get("alphabet"))
     if kind == "pushforward":
         if code is None:
-            raise ValueError("pushforward measure needs the code it pushes through")
+            raise InputError("pushforward measure needs the code it pushes through")
         return PushforwardMeasure(measure_from_json_dict(data["base"]), code)
     raise InputError(f"type: unknown measure type {kind!r} "
                      "(expected bernoulli, markov, co or pushforward)")

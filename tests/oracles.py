@@ -3,7 +3,11 @@ oracles for the code that replaced them: the forward and backward subset
 states of the magic-word search, the subset construction of
 ``determinize``, the symbol-keyed viability walker, the phased-graph
 cycle extraction of ``periodic_fiber`` and of the periodic degree
-joinings, and the per-step Markov and periodic-orbit samplers."""
+joinings, the per-step Markov and periodic-orbit samplers, and the
+per-code-kind pushforward constructions: block-code preimage words by
+enumerating every domain word, samples through the block-map table or the
+graph's label lookup, and the branch-per-measure-type support
+presentation."""
 
 from __future__ import annotations
 
@@ -11,7 +15,9 @@ import numpy as np
 
 from sftlift.errors import FiberInfinite, NoPath, NotInImage
 from sftlift.graphs import (LabeledGraph, PeriodicOrbit, RightResolvingPresentation,
-                            _essential_symbols, analyze_graph)
+                            SlidingBlockCode, _essential_symbols, analyze_graph,
+                            determinize, full_shift, recode_to_one_block)
+from sftlift.measures import BernoulliMeasure, MarkovMeasure, PushforwardMeasure
 
 
 def forward_states(g):
@@ -319,3 +325,105 @@ def co_sample_indices(m, length, rng):
     r = int(rng.integers(m.orbit.period))
     w = m.orbit.primitive_word
     return np.array([idx[w[(r + t) % m.orbit.period]] for t in range(length)], dtype=np.int64)
+
+
+def preimage_words_block(code: SlidingBlockCode, w):
+    """Every allowed domain word of length |w| + memory + anticipation that
+    ``apply`` maps onto w (for the empty word, all allowed stubs), whether
+    or not it extends bi-infinitely."""
+    length = len(w) + code.memory + code.anticipation
+    if length == 0:
+        return {()}
+    words = [(s,) for s in code.alphabet]
+    for _ in range(length - 1):
+        words = [u + (b,) for u in words for b in code.alphabet if (u[-1], b) in code.transitions]
+    if not w:
+        # preimage of the whole space: the allowed memory+anticipation stubs
+        return set(words)
+    return {u for u in words if code.apply(u) == w}
+
+
+def apply_block_map_indices(code: SlidingBlockCode, base_alphabet, y_alphabet, arr):
+    """Vectorized block-map application on an index array."""
+    k = len(base_alphabet)
+    width = code.width
+    y_index = {y: i for i, y in enumerate(y_alphabet)}
+    table = np.full(k ** width, -1, dtype=np.int64)
+    base_idx = {a: i for i, a in enumerate(base_alphabet)}
+    for word, y in code.block_map.items():
+        code_val = 0
+        for a in word:
+            code_val = code_val * k + base_idx[a]
+        table[code_val] = y_index[y]
+    codes_arr = np.zeros(len(arr) - width + 1, dtype=np.int64)
+    for j in range(width):
+        codes_arr = codes_arr * k + arr[j:len(arr) - width + 1 + j]
+    out = table[codes_arr]
+    if (out < 0).any():
+        raise ValueError("sample left the code's domain")
+    return out
+
+
+def pushforward_sample_indices(nu: PushforwardMeasure, length, rng):
+    """Base samples through the block-map table for a block code, through a
+    label lookup for a labeled graph."""
+    if isinstance(nu.code, SlidingBlockCode):
+        extra = nu.code.memory + nu.code.anticipation
+        base_idx = nu.base.sample_indices(length + extra, rng)
+        return apply_block_map_indices(nu.code, nu.base.alphabet, nu.alphabet, base_idx)
+    g = nu.code
+    base_idx = nu.base.sample_indices(length, rng)
+    lookup = np.array([nu.alphabet.index(g.label[s]) for s in nu.base.alphabet],
+                      dtype=np.int64)
+    return lookup[base_idx]
+
+
+def _support_states(m):
+    if isinstance(m, BernoulliMeasure):
+        return tuple(a for a, p in zip(m.alphabet, m.probabilities) if p > 0)
+    return tuple(a for a, p in zip(m.alphabet, m.stationary) if p > 0)
+
+
+def support_presentation(nu, g: LabeledGraph):
+    """Right-resolving presentation of the support of an image measure,
+    one branch per measure type and code kind.  It keeps every block of a
+    width-1 block code whatever the Markov support."""
+    if isinstance(nu, PushforwardMeasure):
+        return _pushforward_support_presentation(nu)
+    if isinstance(nu, BernoulliMeasure):
+        support = full_shift(_support_states(nu))
+        return determinize(support)
+    if isinstance(nu, MarkovMeasure):
+        states = _support_states(nu)
+        graph = LabeledGraph(states, nu.support_transitions(),
+                             {a: a for a in states}, g.y_symbols)
+        return determinize(graph)
+    raise TypeError(f"unsupported image measure type {type(nu).__name__}")
+
+
+def _pushforward_support_presentation(nu: PushforwardMeasure):
+    base, code = nu.base, nu.code
+    if isinstance(code, SlidingBlockCode):
+        graph = recode_to_one_block(code).graph
+        if isinstance(base, BernoulliMeasure):
+            positive = set(_support_states(base))
+            keep = [b for b in graph.x_symbols if all(a in positive for a in b)]
+        elif isinstance(base, MarkovMeasure):
+            support = base.support_transitions()
+            keep = [b for b in graph.x_symbols
+                    if all(pair in support for pair in zip(b, b[1:])) or len(b) == 1]
+        else:
+            raise TypeError("pushforward support needs a Bernoulli or Markov base")
+        restricted = graph.restrict(keep)
+    else:
+        graph = code
+        if isinstance(base, BernoulliMeasure):
+            restricted = graph.restrict(_support_states(base))
+        elif isinstance(base, MarkovMeasure):
+            support = base.support_transitions() & graph.transitions
+            restricted = LabeledGraph(_support_states(base), support,
+                                      {s: graph.label[s] for s in _support_states(base)},
+                                      graph.y_symbols)
+        else:
+            raise TypeError("pushforward support needs a Bernoulli or Markov base")
+    return determinize(restricted)

@@ -217,12 +217,50 @@ def test_malformed_input_file_refused(inputs, capsys, tmp_path, case, role):
         assert ("'label'" if role == "graph" else "'probabilities'") in err
 
 
+RULE102 = {"memory": 0, "anticipation": 1, "alphabet": ["0", "1"],
+           "block_map": {"00": "0", "01": "1", "10": "1", "11": "0"}}
+HALF = {"0": "1/2", "1": "1/2"}
+
+
+def markov(transitions, **extra):
+    return {"type": "markov", "states": ["0", "1"], "transitions": transitions, **extra}
+
+
 INVALID_VALUES = {
     "transition": ("graph", {"x_symbols": ["a"], "transitions": [["a", "b"]],
                              "label": {"a": "a"}}, "transitions"),
     "measure-type": ("measure", {"type": "poisson", "alphabet": ["0", "1"]}, "type"),
     "modulus": ("ca", ("--modulus", "1", "--vector", "1"), "modulus"),
     "vector": ("ca", ("--modulus", "4", "--vector", "1/2,abc,1/4,1/4"), "vector"),
+    "negative-memory": ("graph", {**RULE102, "memory": -1}, "memory"),
+    "missing-block": ("graph", {**RULE102, "block_map": {"00": "0", "01": "1", "10": "1"}},
+                      "block_map"),
+    "bernoulli-sum": ("measure", {"type": "bernoulli", "alphabet": ["0", "1"],
+                                  "probabilities": ["1/2", "1/3"]}, "probabilities"),
+    "bernoulli-negative": ("measure", {"type": "bernoulli", "alphabet": ["0", "1"],
+                                       "probabilities": ["3/2", "-1/2"]}, "probabilities"),
+    "bernoulli-length": ("measure", {"type": "bernoulli", "alphabet": ["0", "1"],
+                                     "probabilities": ["1"]}, "probabilities"),
+    "markov-row-sum": ("measure", markov({"0": {"0": "1/2", "1": "1/3"}, "1": {"0": "1"}}),
+                       "transitions"),
+    "markov-negative": ("measure", markov({"0": {"0": "3/2", "1": "-1/2"}, "1": {"0": "1"}}),
+                        "transitions"),
+    "markov-not-stationary": ("measure", markov({"0": HALF, "1": HALF},
+                                                stationary=["1/3", "2/3"]), "stationary"),
+    "markov-stationary-length": ("measure", markov({"0": HALF, "1": HALF}, stationary=["1"]),
+                                 "stationary"),
+    # the golden-mean graph forbids b -> b
+    "markov-forbidden": ("golden", {"type": "pushforward", "base": {
+        "type": "markov", "states": ["a", "b"], "transitions": {"a": {"a": "1/2", "b": "1/2"},
+                                                                "b": {"a": "1/2", "b": "1/2"}}}},
+                         "transitions"),
+    "co-empty": ("measure", {"type": "co", "orbit": []}, "orbit"),
+    "co-measure": ("measure", {"type": "co", "orbit": ["0", "1"]}, "type"),
+    "co-base": ("measure", {"type": "pushforward", "base": {"type": "co", "orbit": ["0", "1"]}},
+                "type"),
+    "base-letter": ("measure", {"type": "pushforward", "base": {
+        "type": "bernoulli", "alphabet": ["0", "1", "2"],
+        "probabilities": ["1/2", "1/4", "1/4"]}}, "base"),
 }
 
 
@@ -237,7 +275,27 @@ def test_invalid_input_value_refused(inputs, capsys, tmp_path, case):
         if role == "graph":
             args = ("degree", str(path))
         else:
-            args = ("lift-mc", inputs["rule102"], "--measure", str(path))
+            code = inputs["golden" if role == "golden" else "rule102"]
+            args = ("lift-mc", code, "--measure", str(path), "--length", "2000")
     code, out, err = run_refused(capsys, *args)
     assert code == 2 and out == ""
     assert err.startswith("refused:") and field in err
+
+
+@pytest.mark.parametrize("form", ["block-code", "graph"])
+def test_lift_mc_refuses_a_width_one_pushforward_missing_image_words(capsys, tmp_path, form):
+    # the base forbids 1 -> 1, so the image word bb has measure zero
+    if form == "block-code":
+        code = {"memory": 0, "anticipation": 0, "alphabet": ["0", "1"],
+                "block_map": {"0": "a", "1": "b"}}
+    else:
+        code = {"x_symbols": ["0", "1"],
+                "transitions": [["0", "0"], ["0", "1"], ["1", "0"], ["1", "1"]],
+                "label": {"0": "a", "1": "b"}}
+    measure = {"type": "pushforward", "base": markov({"0": HALF, "1": {"0": "1"}})}
+    (tmp_path / "code.json").write_text(json.dumps(code))
+    (tmp_path / "nu.json").write_text(json.dumps(measure))
+    code, out, err = run_refused(capsys, "lift-mc", str(tmp_path / "code.json"), "--measure",
+                                 str(tmp_path / "nu.json"), "--length", "2000")
+    assert code == 2 and out == ""
+    assert "not fully supported" in err

@@ -80,6 +80,22 @@ def test_pushforward_consistency_exact(rule102):
         assert total == sl.pushforward_cylinder(m, rule102.code, w)
 
 
+def test_diff4_cylinder_of_a_long_word_is_the_sum_over_its_lifts(diff4):
+    # y_i = x_{i+1} - x_i mod 4: the preimages of w are the four words
+    # lift_c(w) = (c, c + w_0, c + w_0 + w_1, ...), one per start letter c
+    rng = random.Random(16)
+    states = "0123"
+    m = MarkovMeasure(states, {a: dict(zip(states, random_rational_vector(rng, 4)))
+                               for a in states})
+    w = [rng.randrange(4) for _ in range(16)]
+    lifts = [[c] for c in range(4)]
+    for lift in lifts:
+        for y in w:
+            lift.append((lift[-1] + y) % 4)
+    expected = sum(m.cylinder(tuple(str(x) for x in lift)) for lift in lifts)
+    assert sl.PushforwardMeasure(m, diff4.code).cylinder(tuple(map(str, w))) == expected
+
+
 def test_pushforward_on_graph_code(golden_mean_graph):
     m = MarkovMeasure(["a", "b"],
                       {"a": {"a": Fraction(1, 2), "b": Fraction(1, 2)}, "b": {"a": 1}},

@@ -1,9 +1,11 @@
 """Differential tests: the shared subset automaton, the integer viability
-walk, the single phased-cycle routine and the vectorised samplers against
-the constructions they replaced (kept in ``oracles.py``)."""
+walk, the single phased-cycle routine, the vectorised samplers and the
+recoding-based pushforward path against the constructions they replaced
+(kept in ``oracles.py``)."""
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from hypothesis import given, strategies as st
 
 import sftlift as sl
 from sftlift.codes import phased_cycles
-from sftlift.errors import NoPath, PreconditionError
+from sftlift.errors import EmptyAfterTrim, NoPath, PreconditionError
+from sftlift.fibers import support_presentation
 from sftlift.graphs import SubsetAutomaton
 from sftlift.joinings import _ViabilityWalk
 from sftlift.measures import make_rng
@@ -173,3 +176,147 @@ def test_co_sampler_matches_comprehension(word, length, seed):
     old = oracles.co_sample_indices(m, length, make_rng(seed))
     assert new.dtype == old.dtype == np.int64
     assert new.tolist() == old.tolist()
+
+
+# ------------------------------------------------------ pushforward path
+
+def _random_block_code(rng, k, memory, anticipation, density=1.0):
+    """A random block map on k letters; below density 1 the domain keeps
+    each transition with that probability."""
+    alphabet = "abcd"[:k]
+    transitions = {(a, b) for a in alphabet for b in alphabet if rng.random() < density}
+    labels = "xyz"[:rng.randint(1, 3)]
+    block_map = {u: rng.choice(labels)
+                 for u in product(alphabet, repeat=memory + anticipation + 1)}
+    return sl.SlidingBlockCode(memory, anticipation, alphabet, block_map, transitions)
+
+
+def _image_word(rng, code, length):
+    """The image of a random domain walk when one survives, else random letters."""
+    walk = [rng.choice(code.alphabet)]
+    for _ in range(length + code.width - 2):
+        nxt = [b for b in code.alphabet if (walk[-1], b) in code.transitions]
+        if not nxt:
+            return tuple(rng.choice(code.y_symbols) for _ in range(length))
+        walk.append(rng.choice(nxt))
+    return code.apply(walk) if length else ()
+
+
+def _extends(code, word):
+    """Whether a domain word extends to a bi-infinite point: it is a path,
+    its first letter has arbitrarily long pasts and its last letter
+    arbitrarily long futures (k steps suffice on k letters)."""
+    trans = code.transitions
+    if any((a, b) not in trans for a, b in zip(word, word[1:])):
+        return False
+    forward, backward = set(code.alphabet), set(code.alphabet)
+    for _ in code.alphabet:
+        forward = {a for a in code.alphabet if any((a, b) in trans for b in forward)}
+        backward = {b for b in code.alphabet if any((a, b) in trans for a in backward)}
+    if not word:
+        return bool(forward)
+    return word[0] in backward and word[-1] in forward
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_block_preimage_words_match_enumeration_on_full_shifts(k):
+    rng = random.Random(k)
+    for memory, anticipation in product(range(3), repeat=2):
+        code = _random_block_code(rng, k, memory, anticipation)
+        for length in range(6):
+            w = _image_word(rng, code, length)
+            assert sl.preimage_words(code, w) == oracles.preimage_words_block(code, w)
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_block_preimage_words_drop_exactly_the_non_extendable_words(seed):
+    rng = random.Random(seed)
+    code = _random_block_code(rng, rng.randint(2, 4), rng.randint(0, 2), rng.randint(0, 2),
+                              density=0.6)
+    for length in range(6):
+        w = _image_word(rng, code, length)
+        old = oracles.preimage_words_block(code, w)
+        assert sl.preimage_words(code, w) == {u for u in old if _extends(code, u)}
+
+
+def test_block_preimage_words_on_a_domain_without_blocks():
+    code = sl.SlidingBlockCode(1, 1, "ab", {}, [("a", "b")])
+    for w in ("", "x", "xy"):
+        assert sl.preimage_words(code, w) == set()
+
+
+def _random_base(rng, alphabet):
+    """A Bernoulli measure with some zero weights, or an ergodic Markov
+    chain: a random cycle plus random extra transitions."""
+    if rng.random() < 0.5:
+        weights = [rng.choice([0, 1, 2, 5]) for _ in alphabet]
+        weights[rng.randrange(len(alphabet))] += 1
+        return sl.BernoulliMeasure(alphabet, [Fraction(x, sum(weights)) for x in weights])
+    cycle = rng.sample(alphabet, len(alphabet))
+    edges = set(zip(cycle, cycle[1:] + cycle[:1]))
+    edges |= {(a, b) for a in alphabet for b in alphabet if rng.random() < 0.4}
+    rows = {}
+    for a in alphabet:
+        weights = {b: rng.randint(1, 4) for b in alphabet if (a, b) in edges}
+        rows[a] = {b: Fraction(x, sum(weights.values())) for b, x in weights.items()}
+    return sl.MarkovMeasure(alphabet, rows)
+
+
+def _random_pushforward(rng, as_graph, k_max=4, span=2):
+    """A random base pushed through a full-shift block code (memory and
+    anticipation up to ``span``), or through a labeled graph whose
+    transitions contain those of a Markov base."""
+    k = rng.randint(2, k_max)
+    if not as_graph:
+        code = _random_block_code(rng, k, rng.randint(0, span), rng.randint(0, span))
+        return sl.PushforwardMeasure(_random_base(rng, code.alphabet), code)
+    symbols = "abcd"[:k]
+    base = _random_base(rng, symbols)
+    edges = {(a, b) for a in symbols for b in symbols if rng.random() < 0.6}
+    if isinstance(base, sl.MarkovMeasure):
+        edges |= base.support_transitions()
+    labels = "xyz"[:rng.randint(1, 3)]
+    code = sl.LabeledGraph(symbols, edges, {s: rng.choice(labels) for s in symbols})
+    return sl.PushforwardMeasure(base, code)
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans(), SAMPLE_LENGTHS)
+def test_pushforward_samples_match_per_kind_oracle(seed, as_graph, length):
+    nu = _random_pushforward(random.Random(seed), as_graph)
+    new = nu.sample_indices(length, make_rng(seed))
+    old = oracles.pushforward_sample_indices(nu, length, make_rng(seed))
+    assert new.dtype == old.dtype == np.int64
+    assert new.tolist() == old.tolist()
+
+
+def _presentation(fn, *args):
+    try:
+        return fn(*args)
+    except EmptyAfterTrim:
+        return None
+
+
+def _same_language(p, q):
+    if p is None or q is None:
+        return p is q
+    return p.language_subset_of(q) and q.language_subset_of(p)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["block", "graph", "direct"]))
+def test_support_presentation_matches_per_type_oracle(seed, kind):
+    rng = random.Random(seed)
+    if kind == "direct":
+        nu = _random_base(rng, "abcd"[:rng.randint(2, 4)])
+        old = _presentation(oracles.support_presentation, nu, sl.full_shift(nu.alphabet))
+    else:
+        # small codes: the subset construction of a random code can be large
+        nu = _random_pushforward(rng, kind == "graph", k_max=3, span=1)
+        code = nu.code
+        if kind == "block" and code.width == 1 and isinstance(nu.base, sl.MarkovMeasure):
+            # the per-type oracle keeps every block of a width-1 code whatever
+            # the Markov support; the same code as a labeled graph it reads right
+            code = sl.LabeledGraph(code.alphabet, code.transitions,
+                                   {a: code.block_map[(a,)] for a in code.alphabet})
+        old = _presentation(oracles.support_presentation,
+                            sl.PushforwardMeasure(nu.base, code), None)
+    assert _same_language(_presentation(support_presentation, nu), old)
