@@ -106,8 +106,9 @@ class LabeledGraph:
         return mat
 
     def restrict(self, symbols):
-        keep = [s for s in self.x_symbols if s in set(symbols)]
-        trans = {(a, b) for a, b in self.transitions if a in set(keep) and b in set(keep)}
+        wanted = set(symbols)
+        keep = [s for s in self.x_symbols if s in wanted]
+        trans = {(a, b) for a, b in self.transitions if a in wanted and b in wanted}
         return LabeledGraph(keep, trans, {s: self.label[s] for s in keep}, self.y_symbols)
 
     def is_word(self, word):
@@ -130,10 +131,11 @@ class LabeledGraph:
     __hash__ = None
 
     def to_json_dict(self):
+        name = {s: render_symbol(s) for s in self.x_symbols}
         return {
-            "x_symbols": [render_symbol(s) for s in self.x_symbols],
-            "transitions": sorted([render_symbol(a), render_symbol(b)] for a, b in self.transitions),
-            "label": {render_symbol(s): str(self.label[s]) for s in self.x_symbols},
+            "x_symbols": [name[s] for s in self.x_symbols],
+            "transitions": sorted([name[a], name[b]] for a, b in self.transitions),
+            "label": {name[s]: str(self.label[s]) for s in self.x_symbols},
             "y_symbols": [str(y) for y in self.y_symbols],
         }
 
@@ -163,9 +165,30 @@ def full_shift(alphabet):
 
 def least_rotation(word, order=None):
     """Start index of the least rotation of a word, comparing symbols by
-    ``order`` (symbol -> rank) when given, else by their own ordering."""
-    rank = (lambda w: tuple(order[s] for s in w)) if order else (lambda w: w)
-    return min(range(len(word)), key=lambda i: rank(word[i:] + word[:i]))
+    ``order`` (symbol -> rank) when given, else by their own ordering; the
+    smallest such index when several rotations are equal.
+
+    Booth's algorithm (Booth, "Lexicographically least circular
+    substrings", IPL 1980): a failure function over the doubled word, O(p)
+    comparisons for a word of length p."""
+    ranks = [order[s] for s in word] if order else list(word)
+    ranks += ranks
+    fail = [-1] * len(ranks)
+    k = 0                                   # start of the least rotation so far
+    for j in range(1, len(ranks)):
+        c = ranks[j]
+        i = fail[j - k - 1]
+        while i != -1 and c != ranks[k + i + 1]:
+            if c < ranks[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if c != ranks[k + i + 1]:           # here i == -1
+            if c < ranks[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k
 
 
 @dataclass(frozen=True)
@@ -454,12 +477,16 @@ class OneBlockRecoding:
 def recode_to_one_block(code: SlidingBlockCode) -> OneBlockRecoding:
     """Higher-block presentation turning any sliding block code into a
     vertex-labeled graph (symbols = allowed (m+n+1)-words, transitions =
-    overlaps)."""
+    overlaps).  Blocks are indexed by their (m+n)-prefix, so the cost is
+    O(N + E) for N blocks and E transitions, not O(N²)."""
     symbols = sorted(code._allowed_words(code.width), key=code._word_key)
+    by_prefix = {}
+    for v in symbols:
+        by_prefix.setdefault(v[:-1], []).append(v)
     # consecutive blocks overlap in all but one letter, and the pair they
     # add is a domain transition (implied by v being allowed when width > 1)
-    trans = {(u, v) for u in symbols for v in symbols
-             if u[1:] == v[:-1] and (u[-1], v[-1]) in code.transitions}
+    trans = {(u, v) for u in symbols for v in by_prefix.get(u[1:], ())
+             if (u[-1], v[-1]) in code.transitions}
     label = {u: code.block_map[u] for u in symbols}
     graph = LabeledGraph(symbols, trans, label, code.y_symbols)
     return OneBlockRecoding(graph=graph, offset=code.memory, base_alphabet=code.alphabet)
@@ -626,6 +653,7 @@ class RightResolvingPresentation:
         """All periodic orbits of the image shift with least period <= max_period."""
         if max_period < 1:
             raise InputError("max_period must be >= 1")
+        rank = {a: i for i, a in enumerate(self.alphabet)}
         orbits = set()
         for start in self.states:
             # DFS over label paths of bounded length that return to start
@@ -633,14 +661,14 @@ class RightResolvingPresentation:
             while stack:
                 state, word = stack.pop()
                 if word and state == start:
-                    orbits.add(PeriodicOrbit.from_word(word, {a: i for i, a in enumerate(self.alphabet)}))
+                    orbits.add(PeriodicOrbit.from_word(word, rank))
                 if len(word) >= max_period:
                     continue
                 for a in reversed(self.alphabet):
                     nxt = self.step.get((state, a))
                     if nxt is not None:
                         stack.append((nxt, word + (a,)))
-        return sorted(orbits, key=lambda o: (o.period, tuple(self.alphabet.index(a) for a in o.primitive_word)))
+        return sorted(orbits, key=lambda o: (o.period, tuple(rank[a] for a in o.primitive_word)))
 
     def language_subset_of(self, other) -> bool:
         """Whether every word readable here is readable in ``other``."""

@@ -44,24 +44,36 @@ class DegreeJoiningGraph:
 
 def fiber_product(g: LabeledGraph, n: int, distinct: bool = False) -> FiberProductGraph:
     """The 1-step SFT of equal-label n-tuples (pairwise-distinct entries
-    when ``distinct``), trimmed to its essential part."""
+    when ``distinct``), trimmed to its essential part.
+
+    The successors of a tuple u under label y are the product of the
+    coordinates' y-labelled successor lists (Lind & Marcus, §9.1), built
+    coordinate by coordinate.  The cost is O(n) per tuple and label plus
+    O(n) per successor tuple and per partial successor tuple built, not the
+    square of the tuple count; distinct tuples are listed as permutations
+    of a label class, not filtered from all n-tuples."""
     if n < 1:
         raise ValueError("arity must be >= 1")
     order = g.index
     symbols = []
     for y in g.y_symbols:
         cls = g.label_classes[y]
-        for tup in product(cls, repeat=n):
-            if distinct and len(set(tup)) != n:
-                continue
-            symbols.append(tup)
+        symbols.extend(permutations(cls, n) if distinct else product(cls, repeat=n))
     symbols.sort(key=lambda t: tuple(order[s] for s in t))
-    symset = set(symbols)
+    by_label = {s: {} for s in g.x_symbols}
+    for s, succ in g.successors.items():
+        for t in succ:
+            by_label[s].setdefault(g.label[t], []).append(t)
     trans = set()
     for u in symbols:
-        for v in symbols:
-            if v in symset and all((a, b) in g.transitions for a, b in zip(u, v)):
-                trans.add((u, v))
+        outs = [by_label[a] for a in u]
+        for y in outs[0]:
+            if any(y not in out for out in outs):
+                continue
+            tails = [()]
+            for out in outs:        # extend coordinate by coordinate, pruning repeats
+                tails = [t + (b,) for t in tails for b in out[y] if not (distinct and b in t)]
+            trans.update((u, v) for v in tails)
     alive = _essential_symbols(symbols, trans)
     if not alive:
         raise NotInImage("fiber product is empty after trimming")

@@ -167,8 +167,9 @@ class MarkovMeasure(StationaryMeasure):
         u is #{k : cum[s, k] < u}.  That count is constant between
         consecutive distinct breakpoints of all rows, so each draw becomes
         its interval index and the chain is a ``scan`` over a (state ×
-        interval) table.  A draw above a row's float total (which can fall
-        just below 1) goes to the row's last positive-probability state."""
+        interval) table.  Each row is clamped to its positive-probability
+        states: a draw above the row's float total (which can fall just
+        below 1) goes to its last one, a draw of exactly 0 to its first."""
         n = len(self.alphabet)
         start_p = np.array([float(p) for p in self.stationary])
         start_p /= start_p.sum()
@@ -178,8 +179,9 @@ class MarkovMeasure(StationaryMeasure):
         breaks = np.unique(cum)
         table = np.zeros((n, len(breaks) + 1), dtype=np.int64)
         for s in range(n):
-            last = int(np.flatnonzero(rows[s])[-1])
-            table[s, 1:] = np.minimum(np.searchsorted(cum[s], breaks, side="right"), last)
+            positive = np.flatnonzero(rows[s])
+            table[s, 1:] = np.searchsorted(cum[s], breaks, side="right")
+            np.clip(table[s], positive[0], positive[-1], out=table[s])
         draws = rng.random(length)
         first = rng.choice(n, p=start_p)
         out = np.searchsorted(breaks, draws).astype(np.int64, copy=False)

@@ -3,20 +3,25 @@ oracles for the code that replaced them: the forward and backward subset
 states of the magic-word search, the subset construction of
 ``determinize``, the symbol-keyed viability walker, the phased-graph
 cycle extraction of ``periodic_fiber`` and of the periodic degree
-joinings, the per-step Markov and periodic-orbit samplers, and the
-per-code-kind pushforward constructions: block-code preimage words by
+joinings, the per-step Markov and periodic-orbit samplers, the
+per-code-kind pushforward constructions (block-code preimage words by
 enumerating every domain word, samples through the block-map table or the
 graph's label lookup, and the branch-per-measure-type support
-presentation."""
+presentation), and the quadratic exact constructions: the fiber product
+that tests every pair of tuples, the least rotation by ranking every
+rotation, and the recoding that compares every pair of blocks."""
 
 from __future__ import annotations
+
+from itertools import product
 
 import numpy as np
 
 from sftlift.errors import FiberInfinite, NoPath, NotInImage
-from sftlift.graphs import (LabeledGraph, PeriodicOrbit, RightResolvingPresentation,
-                            SlidingBlockCode, _essential_symbols, analyze_graph,
-                            determinize, full_shift, recode_to_one_block)
+from sftlift.graphs import (LabeledGraph, OneBlockRecoding, PeriodicOrbit,
+                            RightResolvingPresentation, SlidingBlockCode, _essential_symbols,
+                            analyze_graph, determinize, full_shift)
+from sftlift.joinings import FiberProductGraph
 from sftlift.measures import BernoulliMeasure, MarkovMeasure, PushforwardMeasure
 
 
@@ -303,19 +308,22 @@ def anchor_of_label(lift_word, labels, base_word):
 
 
 def markov_sample_indices(m, length, rng):
-    """One ``searchsorted`` per step over the current state's cumulative row.
-    A draw above the row's float total returns ``len(m.alphabet)``."""
+    """One ``searchsorted`` per step over the current state's cumulative row,
+    raised to the row's first positive-probability state (a draw of exactly
+    0 would give state 0 otherwise).  A draw above the row's float total
+    returns ``len(m.alphabet)``."""
     n = len(m.alphabet)
     start_p = np.array([float(p) for p in m.stationary])
     start_p /= start_p.sum()
     rows = np.array([[float(p) for p in row] for row in m.matrix])
     rows /= rows.sum(axis=1, keepdims=True)
     cum = np.cumsum(rows, axis=1)
+    first = [int(np.flatnonzero(row)[0]) for row in rows]
     draws = rng.random(length)
     out = np.empty(length, dtype=np.int64)
     out[0] = rng.choice(n, p=start_p)
     for t in range(1, length):
-        out[t] = np.searchsorted(cum[out[t - 1]], draws[t])
+        out[t] = max(np.searchsorted(cum[out[t - 1]], draws[t]), first[out[t - 1]])
     return out
 
 
@@ -427,3 +435,51 @@ def _pushforward_support_presentation(nu: PushforwardMeasure):
         else:
             raise TypeError("pushforward support needs a Bernoulli or Markov base")
     return determinize(restricted)
+
+
+def fiber_product(g: LabeledGraph, n: int, distinct: bool = False) -> FiberProductGraph:
+    """The 1-step SFT of equal-label n-tuples (pairwise-distinct entries
+    when ``distinct``), trimmed to its essential part; every pair of tuples
+    is tested for a transition."""
+    if n < 1:
+        raise ValueError("arity must be >= 1")
+    order = g.index
+    symbols = []
+    for y in g.y_symbols:
+        cls = g.label_classes[y]
+        for tup in product(cls, repeat=n):
+            if distinct and len(set(tup)) != n:
+                continue
+            symbols.append(tup)
+    symbols.sort(key=lambda t: tuple(order[s] for s in t))
+    symset = set(symbols)
+    trans = set()
+    for u in symbols:
+        for v in symbols:
+            if v in symset and all((a, b) in g.transitions for a, b in zip(u, v)):
+                trans.add((u, v))
+    alive = _essential_symbols(symbols, trans)
+    if not alive:
+        raise NotInImage("fiber product is empty after trimming")
+    symbols = [t for t in symbols if t in alive]
+    trans = {(u, v) for u, v in trans if u in alive and v in alive}
+    label = {t: g.label[t[0]] for t in symbols}
+    return FiberProductGraph(n, LabeledGraph(symbols, trans, label, g.y_symbols))
+
+
+def least_rotation(word, order=None):
+    """Start index of the least rotation of a word, comparing symbols by
+    ``order`` (symbol -> rank) when given, else by their own ordering."""
+    rank = (lambda w: tuple(order[s] for s in w)) if order else (lambda w: w)
+    return min(range(len(word)), key=lambda i: rank(word[i:] + word[:i]))
+
+
+def recode_to_one_block(code: SlidingBlockCode) -> OneBlockRecoding:
+    """Higher-block presentation of a sliding block code, comparing every
+    pair of blocks for overlap."""
+    symbols = sorted(code._allowed_words(code.width), key=code._word_key)
+    trans = {(u, v) for u in symbols for v in symbols
+             if u[1:] == v[:-1] and (u[-1], v[-1]) in code.transitions}
+    label = {u: code.block_map[u] for u in symbols}
+    graph = LabeledGraph(symbols, trans, label, code.y_symbols)
+    return OneBlockRecoding(graph=graph, offset=code.memory, base_alphabet=code.alphabet)

@@ -49,6 +49,26 @@ def test_joining_graph_difference_code_size(n):
     assert len(lam.graph.x_symbols) == n * math.factorial(n)
 
 
+def _check_difference_joining(n, symbols, transitions):
+    g = sl.difference_code(n).recoding.graph
+    lam = sl.degree_joining_graph(g)
+    assert lam.degree == n
+    assert len(lam.graph.x_symbols) == symbols
+    assert len(lam.graph.transitions) == transitions
+    for i in range(n):
+        assert {t[i] for t in lam.graph.x_symbols} == set(g.x_symbols)
+
+
+def test_joining_graph_difference_code_6_at_scale():
+    # 6 classes of 6 blocks: 6 · 6! tuples, each with one successor per label
+    _check_difference_joining(6, 4320, 25920)
+
+
+@pytest.mark.slow
+def test_joining_graph_difference_code_7_at_scale():
+    _check_difference_joining(7, 35280, 246960)
+
+
 def test_joining_symbols_closed_under_permutation(rule102, sum5):
     for ca in (rule102, sum5):
         lam = sl.degree_joining_graph(ca.recoding.graph)

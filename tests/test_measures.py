@@ -159,6 +159,19 @@ def test_markov_largest_draw_stays_in_alphabet(weights):
     assert new.tolist() == old.tolist()[:-1] + [4]
 
 
+@pytest.mark.parametrize("first", [1, 2])
+def test_markov_zero_draw_skips_a_zero_probability_state(first):
+    # every row is (0, 1/2, 1/2): a draw of exactly 0.0 must land on the
+    # row's first positive-probability state (index 1), never on state 0
+    states = "abc"
+    row = {"b": Fraction(1, 2), "c": Fraction(1, 2)}
+    m = MarkovMeasure(states, {a: row for a in states}, stationary=[0, row["b"], row["c"]])
+    draws = [0.0, 0.0]
+    new = m.sample_indices(len(draws), StubRng(draws, first))
+    assert new.tolist() == [first, 1]
+    assert oracles.markov_sample_indices(m, len(draws), StubRng(draws, first)).tolist() == [first, 1]
+
+
 def test_markov_draws_on_breakpoints_match_oracle():
     # a draw equal to a cumulative breakpoint selects the state it closes
     weights = [[1, 1, 2], [0, 3, 1], [2, 0, 2]]

@@ -1,7 +1,8 @@
 """Differential tests: the shared subset automaton, the integer viability
-walk, the single phased-cycle routine, the vectorised samplers and the
-recoding-based pushforward path against the constructions they replaced
-(kept in ``oracles.py``)."""
+walk, the single phased-cycle routine, the vectorised samplers, the
+recoding-based pushforward path and the output-sensitive fiber product,
+least rotation and recoding against the constructions they replaced (kept
+in ``oracles.py``)."""
 
 import random
 from fractions import Fraction
@@ -13,9 +14,9 @@ from hypothesis import given, strategies as st
 
 import sftlift as sl
 from sftlift.codes import phased_cycles
-from sftlift.errors import EmptyAfterTrim, NoPath, PreconditionError
+from sftlift.errors import EmptyAfterTrim, NoPath, NotInImage, PreconditionError
 from sftlift.fibers import support_presentation
-from sftlift.graphs import SubsetAutomaton
+from sftlift.graphs import SubsetAutomaton, least_rotation
 from sftlift.joinings import _ViabilityWalk
 from sftlift.measures import make_rng
 
@@ -320,3 +321,66 @@ def test_support_presentation_matches_per_type_oracle(seed, kind):
         old = _presentation(oracles.support_presentation,
                             sl.PushforwardMeasure(nu.base, code), None)
     assert _same_language(_presentation(support_presentation, nu), old)
+
+
+# ------------------------------------------------ output-sensitive constructions
+
+@st.composite
+def thinned_graphs(draw):
+    """A random graph, sometimes with transitions dropped so that trimming
+    the graph (and so its fiber products) removes symbols or everything."""
+    g = draw(graphs_strategy(max_symbols=5))
+    edges = sorted(g.transitions)
+    if draw(st.booleans()):
+        edges = [e for e, keep in zip(edges, draw(st.lists(st.booleans(), min_size=len(edges),
+                                                           max_size=len(edges)))) if keep]
+    return sl.LabeledGraph(g.x_symbols, edges, g.label, g.y_symbols)
+
+
+def _product_outcome(fn, g, n, distinct):
+    try:
+        prod = fn(g, n, distinct)
+    except NotInImage:
+        return NotInImage
+    return prod.arity, prod.graph
+
+
+@given(thinned_graphs(), st.integers(1, 4), st.booleans())
+def test_fiber_product_matches_all_pairs_oracle(g, n, distinct):
+    assert (_product_outcome(sl.fiber_product, g, n, distinct)
+            == _product_outcome(oracles.fiber_product, g, n, distinct))
+
+
+def test_fiber_product_matches_oracle_on_reference_codes(rule102, diff4, sum5):
+    # the degree-fold distinct product is the joining graph; the plain
+    # product is compared at arity 2, where the all-pairs oracle stays small
+    for ca in (rule102, diff4, sum5):
+        g = ca.recoding.graph
+        for n, distinct in ((sl.compute_degree(g).degree, True), (2, False)):
+            assert (_product_outcome(sl.fiber_product, g, n, distinct)
+                    == _product_outcome(oracles.fiber_product, g, n, distinct))
+
+
+@pytest.mark.parametrize("alphabet, max_length", [("ab", 10), ("abc", 7)])
+def test_least_rotation_matches_oracle_on_every_short_word(alphabet, max_length):
+    for length in range(1, max_length + 1):
+        for word in product(alphabet, repeat=length):
+            assert least_rotation(word) == oracles.least_rotation(word)
+
+
+@given(st.lists(st.sampled_from("abcd"), min_size=1, max_size=30), st.integers(1, 4),
+       st.one_of(st.none(), st.permutations("abcd")))
+def test_least_rotation_matches_oracle(root, repeats, ranking):
+    word = tuple(root) * repeats
+    order = None if ranking is None else {a: i for i, a in enumerate(ranking)}
+    assert least_rotation(word, order) == oracles.least_rotation(word, order)
+    assert (sl.PeriodicOrbit.from_word(word, order).primitive_word
+            == sl.PeriodicOrbit.from_word(root, order).primitive_word)
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_recoding_matches_all_pairs_oracle(seed):
+    rng = random.Random(seed)
+    code = _random_block_code(rng, rng.randint(1, 4), rng.randint(0, 2), rng.randint(0, 2),
+                              density=rng.choice([0.5, 0.8, 1.0]))
+    assert sl.recode_to_one_block(code) == oracles.recode_to_one_block(code)
