@@ -212,7 +212,7 @@ def _coordinate_letter_tables(lam: DegreeJoiningGraph, recoding, letter_alphabet
     letter_index = {a: i for i, a in enumerate(letter_alphabet)}
     d = lam.degree
     n = len(lam.graph.x_symbols)
-    tables = np.empty((d, n), dtype=np.int64)
+    tables = np.empty((d, n), dtype=np.int32)
     for k, sym in enumerate(lam.graph.x_symbols):
         for i in range(d):
             letter = recoding.base_letter(sym[i]) if recoding is not None else sym[i]
@@ -278,7 +278,7 @@ def classify_lifts_monte_carlo(code, nu: StationaryMeasure,
     y_idx = to_image[nu.sample_indices(T, rng)]
 
     walker = _ViabilityWalk(lam.graph)
-    path_idx = np.array(walker.walk(walker.viability_ids(y_idx)), dtype=np.int64)
+    path_idx = walker.walk(walker.viability_ids(y_idx))
     path_idx = path_idx[burn:len(path_idx) - burn]
 
     letter_alphabet = tuple(_lift_orbit_alphabet(g, recoding))

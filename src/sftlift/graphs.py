@@ -111,13 +111,6 @@ class LabeledGraph:
         trans = {(a, b) for a, b in self.transitions if a in wanted and b in wanted}
         return LabeledGraph(keep, trans, {s: self.label[s] for s in keep}, self.y_symbols)
 
-    def is_word(self, word):
-        """True when the word is an allowed path of the graph."""
-        word = _as_word(word)
-        if any(s not in self.index for s in word):
-            return False
-        return all((a, b) in self.transitions for a, b in zip(word, word[1:]))
-
     def __repr__(self):
         return (f"LabeledGraph({len(self.x_symbols)} symbols, "
                 f"{len(self.transitions)} transitions, image alphabet {list(self.y_symbols)!r})")
@@ -237,16 +230,34 @@ class StructureReport:
 
 
 def _essential_symbols(symbols, transitions):
+    """The symbols on bi-infinite paths: what is left after removing, again
+    and again, every symbol with no predecessor or no successor among the
+    rest.  The removal runs as a queue of the symbols whose in- or
+    out-degree has dropped to 0, so the cost is O(V + E)."""
     alive = set(symbols)
-    changed = True
-    while changed:
-        changed = False
-        outs = {a for a, b in transitions if a in alive and b in alive}
-        ins = {b for a, b in transitions if a in alive and b in alive}
-        keep = alive & outs & ins
-        if keep != alive:
-            alive = keep
-            changed = True
+    edges = [(a, b) for a, b in transitions if a in alive and b in alive]
+    queue = list((alive - {a for a, _ in edges}) | (alive - {b for _, b in edges}))
+    if not queue:
+        return alive
+    alive.difference_update(queue)
+    outs, ins = {}, {}
+    for a, b in edges:
+        outs.setdefault(a, []).append(b)
+        ins.setdefault(b, []).append(a)
+    outdeg = {s: len(succ) for s, succ in outs.items()}
+    indeg = {s: len(pred) for s, pred in ins.items()}
+    while queue:
+        s = queue.pop()
+        for t in outs.get(s, ()):
+            indeg[t] -= 1
+            if not indeg[t] and t in alive:
+                alive.remove(t)
+                queue.append(t)
+        for t in ins.get(s, ()):
+            outdeg[t] -= 1
+            if not outdeg[t] and t in alive:
+                alive.remove(t)
+                queue.append(t)
     return alive
 
 

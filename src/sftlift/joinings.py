@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations, product
+from math import isqrt
 
 import numpy as np
 
@@ -107,16 +108,30 @@ class _ViabilityWalk:
 
     The backward pass scans the backward ``SubsetAutomaton`` of the graph
     over the reversed window: its state at position t is the set of symbols
-    from which the rest of the window can be read.  The forward pass costs
-    one memo lookup per step.
+    from which the rest of the window can be read.  The forward pass reads
+    the dense table ``forward[s, v]``, the least successor of symbol s in
+    viability state v, with the sentinel symbol ``dead = len(x_symbols)``
+    (whose own row is all ``dead``) where there is none; it is run as a
+    speculate-and-verify scan, described in ``walk``.
+
+    ``resolutions`` counts, over all walks, how the chunks of the scan were
+    settled: by a right guess, a coordinate relabelling or a re-run.
     """
 
     def __init__(self, graph: LabeledGraph):
         self.automaton = SubsetAutomaton(graph, backward=True)
+        self.graph = graph
         index = graph.index
-        self._viable = [frozenset(index[s] for s in subset) for subset in self.automaton.subsets]
-        self._succ = [[index[t] for t in graph.successors[s]] for s in graph.x_symbols]
-        self._fstep_memo = {}
+        n = self.dead = len(graph.x_symbols)
+        subsets = self.automaton.subsets
+        self._first = np.array([index[subset[0]] for subset in subsets], dtype=np.int64)
+        succ = [[index[t] for t in graph.successors[s]] for s in graph.x_symbols]
+        self.forward = np.full((n + 1, len(subsets)), n, dtype=np.int64)
+        for v, subset in enumerate(subsets):
+            viable = {index[s] for s in subset}
+            self.forward[:n, v] = [next((t for t in row if t in viable), n) for row in succ]
+        self._relabellings = {}
+        self.resolutions = {"guess": 0, "relabel": 0, "rerun": 0}
 
     def viability_ids(self, y_idx):
         """Backward pass: per position, the automaton state of the window's
@@ -131,25 +146,95 @@ class _ViabilityWalk:
             raise NoPath("window is not a label word of the image shift")
         return ids
 
+    def _relabelling(self, guess, true):
+        """The row sending each symbol index s to that of s∘σ (``dead`` where
+        s∘σ is no symbol), for the coordinate permutation σ with
+        guess∘σ = true; None when the two symbols are not so related.  Rows
+        are built on first use and cached by σ."""
+        symbols = self.graph.x_symbols
+        a, b = symbols[guess], symbols[true]
+        if not (isinstance(a, tuple) and isinstance(b, tuple) and len(a) == len(b)):
+            return None
+        position = {x: i for i, x in enumerate(a)}
+        if len(position) != len(a) or set(b) != position.keys():
+            return None
+        sigma = tuple(position[x] for x in b)
+        row = self._relabellings.get(sigma)
+        if row is None:
+            row = np.full(self.dead + 1, self.dead, dtype=np.int64)
+            for k, s in enumerate(symbols):
+                if isinstance(s, tuple) and len(s) == len(sigma):
+                    row[k] = self.graph.index.get(tuple(s[j] for j in sigma), self.dead)
+            self._relabellings[sigma] = row
+        return row
+
     def walk(self, ids):
         """Forward pass: the lexicographically least viable symbol each step,
-        as symbol indices."""
-        ids = ids.tolist()
-        viable = self._viable
-        succ = self._succ
-        memo = self._fstep_memo
-        current = min(viable[ids[0]])
-        path = [current]
-        for sid in ids[1:]:
-            key = (current, sid)
-            nxt = memo.get(key)
-            if nxt is None:
-                nxt = next((c for c in succ[current] if c in viable[sid]), None)
-                if nxt is None:
-                    raise RuntimeError("viability pruning admitted a dead end")
-                memo[key] = nxt
-            path.append(nxt)
-            current = nxt
+        as an int64 array of symbol indices.
+
+        The scan speculates and verifies (Mytkowicz, Musuvathi & Schulte,
+        "Data-Parallel Finite-State Machines", ASPLOS 2014).  The window is
+        cut into about √T chunks of √T steps.  Each chunk starts from its
+        position's least viable symbol, which is exact for the first chunk,
+        and all chunks step together, one table lookup per step for all of
+        them.  Then the chunks are settled in order.  A chunk's true start is
+        the table step from the previous chunk's settled end; where it is
+        not the guess:
+
+        - if it is the guess with its coordinates permuted by some σ, the
+          chunk is relabelled through σ and kept up to its first position
+          that is not a table step from the one before;
+        - from there (or from the true start when there is no σ) the chunk
+          is re-run one step at a time until it meets the speculated path,
+          which is right from that point on because the walk is
+          deterministic.
+
+        So the result is the step-by-step walk whatever the guesses.
+        """
+        ids = np.asarray(ids, dtype=np.int64)
+        forward, dead = self.forward, self.dead
+        total = len(ids)
+        width = max(1, isqrt(total))
+        chunks = total // width
+        body = chunks * width
+        path = np.empty(total, dtype=np.int64)
+        spec = path[:body].reshape(chunks, width)
+        steps = ids[:body].reshape(chunks, width)
+        current = self._first[steps[:, 0]]
+        spec[:, 0] = current
+        for i in range(1, width):
+            current = forward[current, steps[:, i]]
+            spec[:, i] = current
+        for c in range(1, chunks):
+            true = forward[spec[c - 1, -1], steps[c, 0]]
+            if true == spec[c, 0]:
+                self.resolutions["guess"] += 1
+                continue
+            if true == dead:
+                raise RuntimeError("viability pruning admitted a dead end")
+            row = self._relabelling(spec[c, 0], true)
+            i = 0
+            if row is not None:
+                moved = row[spec[c]]
+                bad = np.flatnonzero(forward[moved[:-1], steps[c, 1:]] != moved[1:])
+                if not len(bad):
+                    spec[c] = moved
+                    self.resolutions["relabel"] += 1
+                    continue
+                i = bad[0] + 1
+                spec[c, :i] = moved[:i]
+                true = forward[moved[i - 1], steps[c, i]]
+            self.resolutions["rerun"] += 1
+            while true != spec[c, i]:
+                spec[c, i] = true
+                i += 1
+                if i == width:
+                    break
+                true = forward[true, steps[c, i]]
+        for t in range(body, total):
+            path[t] = forward[path[t - 1], ids[t]]
+        if total and path[-1] == dead:      # the sentinel is absorbing
+            raise RuntimeError("viability pruning admitted a dead end")
         return path
 
 
@@ -167,7 +252,7 @@ def lambda_path_over(joining: DegreeJoiningGraph, y_window):
         raise NoPath(f"image symbol {unknown[0]!r} unrealizable")
     walker = _ViabilityWalk(lam)
     ids = walker.viability_ids([y_index[y] for y in y_window])
-    return [lam.x_symbols[k] for k in walker.walk(ids)]
+    return [lam.x_symbols[k] for k in walker.walk(ids).tolist()]
 
 
 @dataclass(frozen=True)

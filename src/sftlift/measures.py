@@ -315,11 +315,11 @@ class PushforwardMeasure(StationaryMeasure):
         return {"type": "pushforward", "base": self.base.describe(), "code": kind}
 
 
-def window_codes(arr, k, width):
+def window_codes(arr, k, width, dtype=np.int64):
     """The base-k code of every length-``width`` window along the last axis
-    of an index array."""
+    of an index array, as ``dtype``."""
     n = arr.shape[-1] - width + 1
-    codes_arr = np.zeros(arr.shape[:-1] + (n,), dtype=np.int64)
+    codes_arr = np.zeros(arr.shape[:-1] + (n,), dtype=dtype)
     for j in range(width):
         codes_arr = codes_arr * k + arr[..., j:j + n]
     return codes_arr
@@ -410,21 +410,35 @@ class EmpiricalDistribution:
 
     @classmethod
     def from_indices(cls, arr, alphabet, depth):
+        """Count the windows of every length up to ``depth`` in an index
+        array.
+
+        Only the longest windows, of length min(depth, len(arr)), are
+        counted directly: their base-k codes go through one bincount.  The
+        counts of each shorter length l are the sums of those of length
+        l + 1 over the last letter, plus the one window of length l that
+        starts too late to be the prefix of a longer one."""
         k = len(alphabet)
+        arr = np.asarray(arr)
+        top = min(depth, len(arr))
+        binned = [None] * (top + 1)
+        if top:
+            dtype = np.int32 if k ** top < 2 ** 31 else np.int64
+            codes_arr = window_codes(arr.astype(dtype, copy=False), k, top, dtype)
+            binned[top] = np.bincount(codes_arr, minlength=k ** top)
+            for length in range(top - 1, 0, -1):
+                binned[length] = binned[length + 1].reshape(-1, k).sum(axis=1)
+                binned[length][window_codes(arr[-length:], k, length)[0]] += 1
         counts = {}
-        arr = np.asarray(arr, dtype=np.int64)
-        for length in range(1, depth + 1):
-            if len(arr) < length:
-                break
-            binned = np.bincount(window_codes(arr, k, length), minlength=k ** length)
-            for code_val, count in enumerate(binned):
+        for length in range(1, top + 1):
+            for code_val, count in enumerate(binned[length].tolist()):
                 if count:
                     word = []
                     v = code_val
                     for _ in range(length):
                         word.append(alphabet[v % k])
                         v //= k
-                    counts[tuple(reversed(word))] = int(count)
+                    counts[tuple(reversed(word))] = count
         return cls(tuple(alphabet), depth, counts, int(len(arr)))
 
     def frequency(self, word) -> float:

@@ -144,8 +144,8 @@ def sweep_fixtures(rule102, sum5, random_fto_fixtures):
 
 def label_word_realizable(g: LabeledGraph, word) -> bool:
     """Direct DFS: does some essential path of g carry this label word?"""
-    from sftlift.graphs import _essential_symbols
-    alive = _essential_symbols(g.x_symbols, g.transitions)
+    from oracles import essential_symbols
+    alive = essential_symbols(g.x_symbols, g.transitions)
     word = tuple(word)
     if not word:
         return True

@@ -1,7 +1,9 @@
 """The package's earlier constructions, kept unchanged as differential
 oracles for the code that replaced them: the forward and backward subset
 states of the magic-word search, the subset construction of
-``determinize``, the symbol-keyed viability walker, the phased-graph
+``determinize``, the essential-part trim by repeated full passes, the
+symbol-keyed viability walker (one memo lookup per step), the per-length
+cylinder counter of empirical distributions, the phased-graph
 cycle extraction of ``periodic_fiber`` and of the periodic degree
 joinings, the per-step Markov and periodic-orbit samplers, the
 per-code-kind pushforward constructions (block-code preimage words by
@@ -19,10 +21,26 @@ import numpy as np
 
 from sftlift.errors import FiberInfinite, NoPath, NotInImage
 from sftlift.graphs import (LabeledGraph, OneBlockRecoding, PeriodicOrbit,
-                            RightResolvingPresentation, SlidingBlockCode, _essential_symbols,
-                            analyze_graph, determinize, full_shift)
+                            RightResolvingPresentation, SlidingBlockCode, analyze_graph,
+                            determinize, full_shift)
 from sftlift.joinings import FiberProductGraph
-from sftlift.measures import BernoulliMeasure, MarkovMeasure, PushforwardMeasure
+from sftlift.measures import BernoulliMeasure, MarkovMeasure, PushforwardMeasure, window_codes
+
+
+def essential_symbols(symbols, transitions):
+    """The symbols on bi-infinite paths, trimmed in full passes over the
+    transitions until nothing changes: passes × transitions."""
+    alive = set(symbols)
+    changed = True
+    while changed:
+        changed = False
+        outs = {a for a, b in transitions if a in alive and b in alive}
+        ins = {b for a, b in transitions if a in alive and b in alive}
+        keep = alive & outs & ins
+        if keep != alive:
+            alive = keep
+            changed = True
+    return alive
 
 
 def forward_states(g):
@@ -214,7 +232,7 @@ def periodic_fiber(g: LabeledGraph, y: PeriodicOrbit):
         if a not in set(g.y_symbols):
             raise NotInImage(f"symbol {a!r} is not in the image alphabet")
     vertices, succ = phased_graph(g, y)
-    alive = _essential_symbols(vertices, {(v, u) for v in vertices for u in succ[v]})
+    alive = essential_symbols(vertices, {(v, u) for v in vertices for u in succ[v]})
     if not alive:
         raise NotInImage("no preimage cycle realizes the orbit's word")
     succ = {v: [u for u in succ[v] if u in alive] for v in alive}
@@ -268,7 +286,7 @@ def periodic_joining_orbits(lam: LabeledGraph, y: PeriodicOrbit):
         for s2 in lam.successors[s]:
             if (s2, nt) in vset:
                 succ[(s, t)].append((s2, nt))
-    alive = _essential_symbols(vertices, {(v, u) for v in vertices for u in succ[v]})
+    alive = essential_symbols(vertices, {(v, u) for v in vertices for u in succ[v]})
     if not alive:
         raise NotInImage("no joining-graph cycle realizes the orbit")
     succ = {v: [u for u in succ[v] if u in alive] for v in alive}
@@ -305,6 +323,27 @@ def anchor_of_label(lift_word, labels, base_word):
             return t
     raise RuntimeError("lift orbit does not project onto the base orbit")
 
+
+
+def empirical_counts(arr, alphabet, depth):
+    """Window counts of an index array, one bincount per length up to
+    ``depth``, keyed by the word."""
+    k = len(alphabet)
+    counts = {}
+    arr = np.asarray(arr, dtype=np.int64)
+    for length in range(1, depth + 1):
+        if len(arr) < length:
+            break
+        binned = np.bincount(window_codes(arr, k, length), minlength=k ** length)
+        for code_val, count in enumerate(binned):
+            if count:
+                word = []
+                v = code_val
+                for _ in range(length):
+                    word.append(alphabet[v % k])
+                    v //= k
+                counts[tuple(reversed(word))] = int(count)
+    return counts
 
 
 def markov_sample_indices(m, length, rng):
@@ -458,7 +497,7 @@ def fiber_product(g: LabeledGraph, n: int, distinct: bool = False) -> FiberProdu
         for v in symbols:
             if v in symset and all((a, b) in g.transitions for a, b in zip(u, v)):
                 trans.add((u, v))
-    alive = _essential_symbols(symbols, trans)
+    alive = essential_symbols(symbols, trans)
     if not alive:
         raise NotInImage("fiber product is empty after trimming")
     symbols = [t for t in symbols if t in alive]

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 import sftlift as sl
 from sftlift import LabeledGraph, PeriodicOrbit, SlidingBlockCode
 from sftlift.errors import EmptyAfterTrim, NotIrreducible
+from sftlift.graphs import _essential_symbols
 
 from conftest import eig_entropy, label_word_realizable
 
@@ -56,6 +57,27 @@ def test_trimming_removes_dangling_symbols():
     report = sl.analyze_graph(g)
     assert set(report.trimmed_symbols) == {"b", "c"}
     assert report.essential.x_symbols == ("a",)
+
+
+class _CountedEdges:
+    """An edge list that counts how often it is read through."""
+
+    def __init__(self, edges):
+        self.edges = edges
+        self.passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return iter(self.edges)
+
+
+def test_trimming_a_long_dangling_path_reads_the_edges_once():
+    # 0 -> 1 -> ... -> 1999 -> the loop at 2000 -> 2001 -> ... -> 3999:
+    # a pass-by-pass trim removes one path end per pass, 2000 passes
+    n = 4000
+    edges = _CountedEdges([(i, i + 1) for i in range(n - 1)] + [(2000, 2000)])
+    assert _essential_symbols(range(n), edges) == {2000}
+    assert edges.passes == 1
 
 
 def test_empty_after_trim():

@@ -1,5 +1,6 @@
-"""Differential tests: the shared subset automaton, the integer viability
-walk, the single phased-cycle routine, the vectorised samplers, the
+"""Differential tests: the shared subset automaton, the speculate-and-verify
+viability walk, the one-pass empirical counts, the queue-based essential
+trim, the single phased-cycle routine, the vectorised samplers, the
 recoding-based pushforward path and the output-sensitive fiber product,
 least rotation and recoding against the constructions they replaced (kept
 in ``oracles.py``)."""
@@ -10,15 +11,15 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 import sftlift as sl
 from sftlift.codes import phased_cycles
 from sftlift.errors import EmptyAfterTrim, NoPath, NotInImage, PreconditionError
 from sftlift.fibers import support_presentation
-from sftlift.graphs import SubsetAutomaton, least_rotation
+from sftlift.graphs import LabeledGraph, SubsetAutomaton, _essential_symbols, least_rotation
 from sftlift.joinings import _ViabilityWalk
-from sftlift.measures import make_rng
+from sftlift.measures import EmpiricalDistribution, make_rng
 
 import oracles
 from test_graphs import graphs_strategy
@@ -82,12 +83,102 @@ def test_viability_walk_matches_oracle(g, seed, length, corrupt):
     assert _new_path(g, word) == expected
 
 
+def _bernoulli_window(lam, seed, length):
+    rng = random.Random(seed)
+    weights = [rng.randint(1, 9) for _ in lam.y_symbols]
+    nu = sl.BernoulliMeasure(lam.y_symbols, [Fraction(w, sum(weights)) for w in weights])
+    return tuple(lam.y_symbols[i] for i in nu.sample_indices(length, make_rng(seed)))
+
+
 def test_viability_walk_matches_oracle_on_joining_graphs(rule102, diff4, sum5):
-    rng = random.Random(7)
     for ca in (rule102, diff4, sum5):
-        lam = sl.degree_joining_graph(ca.recoding.graph)
-        word = tuple(rng.choice(lam.graph.y_symbols) for _ in range(3000))
-        assert _new_path(lam.graph, word) == _old_path(lam.graph, word)
+        lam = sl.degree_joining_graph(ca.recoding.graph).graph
+        for seed in (0, 1, 2):
+            word = _bernoulli_window(lam, seed, 3000)
+            assert _new_path(lam, word) == _old_path(lam, word)
+
+
+def _path_labels(g, rng, length, periodic):
+    """The labels of a random path of g, or, with ``periodic``, of a cycle of
+    g wound round until the window is full."""
+    s = rng.choice(g.x_symbols)
+    if periodic:
+        seen = {}
+        while s not in seen:
+            seen[s] = len(seen)
+            s = rng.choice(g.successors[s])
+        cycle = list(seen)[seen[s]:]
+        path = [cycle[t % len(cycle)] for t in range(length)]
+    else:
+        path = [s]
+        while len(path) < length:
+            path.append(rng.choice(g.successors[path[-1]]))
+    return tuple(g.label[s] for s in path)
+
+
+@st.composite
+def walk_windows(draw):
+    """A random small graph with plain symbols, or its distinct-tuple fiber
+    product of arity 1 to 3 (the joining graph when the arity is the
+    degree), and a label window on it: a random path's labels, or a cycle's
+    labels repeated, a window that need not contain a magic word."""
+    g = sl.analyze_graph(draw(graphs_strategy())).essential
+    arity = draw(st.integers(0, 3))
+    if arity:
+        try:
+            g = sl.fiber_product(g, arity, distinct=True).graph
+        except NotInImage:
+            assume(False)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return g, _path_labels(g, rng, draw(st.integers(1, 400)), draw(st.booleans()))
+
+
+@given(walk_windows())
+def test_speculative_walk_matches_oracle_on_random_windows(case):
+    g, word = case
+    assert _new_path(g, word) == _old_path(g, word)
+
+
+def _settled_walker(g, word):
+    walker = _ViabilityWalk(g)
+    path = walker.walk(walker.viability_ids([g.y_symbols.index(y) for y in word]))
+    assert [g.x_symbols[k] for k in path] == _old_path(g, word)
+    return walker
+
+
+def test_speculative_walk_settles_chunks_all_three_ways(sum5):
+    lam = sl.degree_joining_graph(sum5.recoding.graph).graph
+    joining = _settled_walker(lam, _bernoulli_window(lam, 0, 3000)).resolutions
+    assert joining["guess"] and joining["relabel"]
+    # plain symbols have no coordinates to permute.  c leads only to b, so
+    # each chunk after the first is guessed at a and re-run from b, meeting
+    # the speculated path at c; round the 2-cycle it never meets it
+    g = LabeledGraph("abc", [("a", "c"), ("b", "c"), ("c", "b")],
+                     {"a": "0", "b": "0", "c": "1"})
+    cycle = LabeledGraph("ab", [("a", "b"), ("b", "a")], {"a": "0", "b": "0"})
+    plain = _settled_walker(g, "01" * 50).resolutions
+    winding = _settled_walker(cycle, "0" * 99).resolutions
+    assert plain["rerun"] and winding["rerun"] and not plain["relabel"]
+    # a pair graph whose second chunk starts at a swap of its guess, but the
+    # swapped chunk is not a path of the walk, so it is re-run
+    g = LabeledGraph("abcd", [("a", "d"), ("b", "b"), ("b", "c"), ("c", "a"), ("c", "b"),
+                              ("d", "a"), ("d", "b")],
+                     {"a": "0", "b": "0", "c": "1", "d": "1"})
+    swapped = _settled_walker(sl.fiber_product(g, 2, distinct=True).graph, "1010")
+    assert swapped._relabellings and swapped.resolutions["rerun"] == 1
+    assert not swapped.resolutions["relabel"]
+
+
+def test_speculative_walk_raises_on_a_dead_end():
+    g = LabeledGraph("ab", [("a", "b"), ("b", "a")], {"a": "x", "b": "y"})
+    walker = _ViabilityWalk(g)
+    good = walker.viability_ids([0, 1] * 25)
+    assert walker.walk(good).tolist() == [0, 1] * 25
+    for t in range(1, len(good)):
+        ids = good.copy()
+        ids[t] = ids[t - 1]                 # a cannot follow a, nor b follow b
+        with pytest.raises(RuntimeError, match="dead end"):
+            walker.walk(ids)
 
 
 def _fiber_outcome(fn, g, y):
@@ -384,3 +475,26 @@ def test_recoding_matches_all_pairs_oracle(seed):
     code = _random_block_code(rng, rng.randint(1, 4), rng.randint(0, 2), rng.randint(0, 2),
                               density=rng.choice([0.5, 0.8, 1.0]))
     assert sl.recode_to_one_block(code) == oracles.recode_to_one_block(code)
+
+
+@given(st.integers(1, 4).flatmap(lambda k: st.tuples(
+    st.just(k), st.lists(st.integers(0, k - 1), max_size=30), st.integers(1, 5))))
+@example((1, [0, 0, 0], 3))         # one letter, len == depth
+@example((1, [0], 4))               # one letter, len < depth
+@example((3, [2, 0], 2))            # len == depth
+@example((2, [1, 0, 1], 5))         # len < depth
+@example((2, [], 2))
+def test_empirical_counts_match_per_length_oracle(case):
+    k, arr, depth = case
+    alphabet = tuple("abcd"[:k])
+    emp = EmpiricalDistribution.from_indices(np.array(arr, dtype=np.int64), alphabet, depth)
+    assert emp.counts == oracles.empirical_counts(arr, alphabet, depth)
+    assert emp.sample_length == len(arr)
+
+
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n + 1), st.integers(0, n + 1)),
+                         max_size=3 * n))))
+def test_essential_symbols_match_full_pass_oracle(case):
+    n, edges = case                     # endpoints n and n + 1 are not symbols
+    assert _essential_symbols(range(n), edges) == oracles.essential_symbols(range(n), edges)
