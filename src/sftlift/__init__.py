@@ -9,8 +9,7 @@ from .errors import (DegenerateMeasure, EmptyAfterTrim, FiberInfinite,
 from .graphs import (LabeledGraph, OneBlockRecoding, PeriodicOrbit,
                      RightResolvingPresentation, SlidingBlockCode,
                      StructureReport, analyze_graph, determinize,
-                     entropy, enumerate_periodic_orbits, full_shift,
-                     recode_to_one_block, to_dot)
+                     entropy, full_shift, recode_to_one_block, to_dot)
 from .codes import (DegreeReport, PhasedFiberDecomposition, compute_degree,
                     is_bi_closing, is_finite_to_one, is_left_closing,
                     is_right_closing, periodic_fiber, preimage_words)

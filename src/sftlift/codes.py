@@ -85,32 +85,36 @@ def _pair_successors(g, pairs):
     return succ
 
 
+def _reversed(succ):
+    pred = {p: [] for p in succ}
+    for p, nbrs in succ.items():
+        for q in nbrs:
+            pred[q].append(p)
+    return pred
+
+
+def _closure(seeds, neighbors):
+    """Everything reachable from ``seeds`` along ``neighbors``, seeds included."""
+    seen = set(seeds)
+    frontier = list(seen)
+    while frontier:
+        v = frontier.pop()
+        for w in neighbors[v]:
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return seen
+
+
 def is_finite_to_one(g: LabeledGraph) -> bool:
     """Diamond test on the pair graph of equal-label symbol pairs: the code
     is finite-to-one iff no path runs from a diagonal pair to a diagonal
     pair through an off-diagonal pair."""
     g = _require_irreducible(g)
-    pairs = _pair_symbols(g)
-    succ = _pair_successors(g, pairs)
-
-    def closure(seeds, neighbors):
-        seen = set(seeds)
-        frontier = list(seeds)
-        while frontier:
-            v = frontier.pop()
-            for w in neighbors[v]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return seen
-
+    succ = _pair_successors(g, _pair_symbols(g))
     diagonal = [(a, a) for a in g.x_symbols]
-    reachable = closure(diagonal, succ)
-    pred = {p: [] for p in pairs}
-    for p, nbrs in succ.items():
-        for q in nbrs:
-            pred[q].append(p)
-    coreachable = closure(diagonal, pred)
+    reachable = _closure(diagonal, succ)
+    coreachable = _closure(diagonal, _reversed(succ))
     return not any(a != b for a, b in reachable & coreachable)
 
 
@@ -258,22 +262,10 @@ def _closing_failure(g, forward: bool) -> bool:
     """Whether two distinct one-sided rays with equal start and equal labels
     exist (the negation of right-closing for forward=True, of left-closing
     otherwise), assuming the code is finite-to-one."""
-    pairs = _pair_symbols(g)
-    succ = _pair_successors(g, pairs)
+    succ = _pair_successors(g, _pair_symbols(g))
     if not forward:
-        rev = {p: [] for p in pairs}
-        for p, nbrs in succ.items():
-            for q in nbrs:
-                rev[q].append(p)
-        succ = rev
-    seen = set((a, a) for a in g.x_symbols)
-    frontier = list(seen)
-    while frontier:
-        v = frontier.pop()
-        for w in succ[v]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
+        succ = _reversed(succ)
+    seen = _closure([(a, a) for a in g.x_symbols], succ)
     off = [p for p in seen if p[0] != p[1]]
     if not off:
         return False
@@ -281,18 +273,9 @@ def _closing_failure(g, forward: bool) -> bool:
     # can run forever, i.e. reaches a cycle of the pair graph
     sub_succ = {p: [q for q in succ[p] if q in seen] for p in seen}
     comps = _tarjan_scc(sorted(seen, key=lambda p: (g.index[p[0]], g.index[p[1]])), sub_succ)
-    recurrent = set()
-    for comp in comps:
-        if len(comp) > 1 or comp[0] in sub_succ[comp[0]]:
-            recurrent.update(comp)
-    reach_rec = set(recurrent)
-    changed = True
-    while changed:
-        changed = False
-        for p in seen:
-            if p not in reach_rec and any(q in reach_rec for q in sub_succ[p]):
-                reach_rec.add(p)
-                changed = True
+    recurrent = [p for comp in comps if len(comp) > 1 or comp[0] in sub_succ[comp[0]]
+                 for p in comp]
+    reach_rec = _closure(recurrent, _reversed(sub_succ))
     return any(p in reach_rec for p in off)
 
 

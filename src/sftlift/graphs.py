@@ -605,96 +605,98 @@ class RightResolvingPresentation:
     """Edge-labeled right-resolving presentation of the image shift,
     obtained by the subset construction and trimmed to its essential part.
 
-    States are forward-viable symbol sets; from each state at most one edge
-    per image letter.  A word belongs to the image language iff it can be
-    read from some state.
+    State k stands for the forward-viable symbol set ``states[k]``.
+    ``step`` is an int64 table: ``step[k, j]`` is the state that the edge
+    labeled ``alphabet[j]`` leads to from state k, -1 when k has no such
+    edge.  A word belongs to the image language iff it can be read from
+    some state.
     """
 
     def __init__(self, states, step, alphabet):
         self.states = tuple(states)              # tuples of x-symbols
-        self.step = dict(step)                   # (state, y) -> state
+        self.step = step
         self.alphabet = tuple(alphabet)
 
     def accepts(self, word) -> bool:
-        word = _as_word(word)
-        for start in self.states:
-            state = start
-            ok = True
-            for a in word:
-                nxt = self.step.get((state, a))
-                if nxt is None:
-                    ok = False
-                    break
-                state = nxt
-            if ok:
-                return True
-        return False
-
-    @cached_property
-    def _successors(self):
-        succ = {s: [] for s in self.states}
-        for (s, _a), t in self.step.items():
-            succ[s].append(t)
-        return succ
+        column = {a: j for j, a in enumerate(self.alphabet)}
+        rows = self.step.tolist()
+        current = range(len(rows))
+        for a in _as_word(word):
+            if a not in column:
+                return False
+            current = {t for s in current if (t := rows[s][column[a]]) >= 0}
+        return bool(current)
 
     def entropy(self) -> float:
         """Entropy of the presented sofic shift: max over SCCs of the log
         Perron value of the edge-count adjacency (valid because the
         presentation is right-resolving)."""
-        comps = _tarjan_scc(self.states, self._successors)
-        best = None
-        for comp in comps:
-            comp_set = set(comp)
-            n = len(comp)
-            idx = {s: i for i, s in enumerate(comp)}
-            mat = np.zeros((n, n), dtype=np.int64)
-            for (s, _a), t in self.step.items():
-                if s in comp_set and t in comp_set:
-                    mat[idx[s], idx[t]] += 1
-            if mat.sum() == 0:
-                continue
-            val = log(perron_value(mat))
-            if best is None or val > best:
-                best = val
-        if best is None:
+        n = len(self.states)
+        succ = [[t for t in row if t >= 0] for row in self.step.tolist()]
+        counts = np.zeros((n, n + 1), dtype=np.int64)      # column -1 takes the missing edges
+        np.add.at(counts, (np.arange(n)[:, None], self.step), 1)
+        values = [log(perron_value(mat)) for comp in _tarjan_scc(range(n), succ)
+                  if (mat := counts[np.ix_(comp, comp)]).any()]
+        if not values:
             raise EmptyAfterTrim("presentation has no cycle")
-        return best
+        return max(values)
 
     def periodic_orbits(self, max_period):
-        """All periodic orbits of the image shift with least period <= max_period."""
+        """All periodic orbits of the image shift with least period <=
+        max_period, by period and then lexicographically in alphabet order.
+
+        Each orbit is named by its Lyndon word, which is primitive and its
+        own least rotation.  One depth-first sweep lists the prenecklaces in
+        lexicographic order (Fredricksen–Kessler–Maiorana; Duval, J.
+        Algorithms 1983), extending only words that some state reads, and
+        keeps a Lyndon word w when reading it maps some state to itself.
+        This misses no orbit of a presentation built by ``determinize``: if
+        w^∞ is in the image, reading rot(w) = w[1:] w[0] again and again
+        from the label-class state of w[0] gives a chain of subset states
+        that shrinks (the construction is monotone) and never empties (the
+        preimages of w^∞ pass through it).  It stops at a state S on a
+        cycle, which the trim keeps, and w maps the state that w[1:]
+        reaches from S to itself.
+        """
         if max_period < 1:
             raise InputError("max_period must be >= 1")
-        rank = {a: i for i, a in enumerate(self.alphabet)}
-        orbits = set()
-        for start in self.states:
-            # DFS over label paths of bounded length that return to start
-            stack = [(start, ())]
-            while stack:
-                state, word = stack.pop()
-                if word and state == start:
-                    orbits.add(PeriodicOrbit.from_word(word, rank))
-                if len(word) >= max_period:
-                    continue
-                for a in reversed(self.alphabet):
-                    nxt = self.step.get((state, a))
-                    if nxt is not None:
-                        stack.append((nxt, word + (a,)))
-        return sorted(orbits, key=lambda o: (o.period, tuple(rank[a] for a in o.primitive_word)))
+        rows = self.step.tolist()
+        words = []
+        # (w, p, runs): a prenecklace w whose longest Lyndon prefix has
+        # length p, and the (start, end) state pairs of the runs reading it
+        stack = [((), 1, [(s, s) for s in range(len(rows))])]
+        while stack:
+            w, p, runs = stack.pop()
+            if w and p == len(w) and any(s == t for s, t in runs):
+                words.append(tuple(self.alphabet[a] for a in w))
+            if len(w) == max_period:
+                continue
+            least = w[-p] if w else 0
+            for a in reversed(range(least, len(self.alphabet))):
+                nxt = [(s, u) for s, t in runs if (u := rows[t][a]) >= 0]
+                if nxt:
+                    # repeating w[-p] keeps p; a larger letter makes a Lyndon word
+                    stack.append((w + (a,), p if w and a == least else len(w) + 1, nxt))
+        words.sort(key=len)
+        return [PeriodicOrbit(word, len(word)) for word in words]
 
     def language_subset_of(self, other) -> bool:
-        """Whether every word readable here is readable in ``other``."""
-        all_other = frozenset(other.states)
-        seen = set()
-        frontier = [(s, all_other) for s in self.states]
-        seen.update(frontier)
+        """Whether every word readable here is readable in ``other``.  The
+        letters of the two alphabets are matched by name."""
+        column = {a: j for j, a in enumerate(other.alphabet)}
+        columns = [(j, column.get(a, -1)) for j, a in enumerate(self.alphabet)]
+        rows = self.step.tolist()
+        # a letter missing from ``other`` reads the extra column, -1 everywhere
+        other_rows = [row + [-1] for row in other.step.tolist()]
+        seen = {(s, frozenset(range(len(other_rows)))) for s in range(len(rows))}
+        frontier = list(seen)
         while frontier:
             state, tracked = frontier.pop()
-            for a in self.alphabet:
-                nxt = self.step.get((state, a))
-                if nxt is None:
+            for j, other_j in columns:
+                nxt = rows[state][j]
+                if nxt < 0:
                     continue
-                nxt_tracked = frozenset(t2 for t in tracked
-                                        if (t2 := other.step.get((t, a))) is not None)
+                nxt_tracked = frozenset(u for t in tracked if (u := other_rows[t][other_j]) >= 0)
                 if not nxt_tracked:
                     return False
                 key = (nxt, nxt_tracked)
@@ -703,40 +705,24 @@ class RightResolvingPresentation:
                     frontier.append(key)
         return True
 
+
 def determinize(g: LabeledGraph) -> RightResolvingPresentation:
     """Subset construction over label words, trimmed to its essential part so
     every finite run extends bi-infinitely; the result presents exactly the
-    image shift of ``g`` and is what ``entropy`` of the image is computed on."""
+    image shift of ``g`` and is what ``entropy`` of the image is computed on.
+    The alive states of the forward ``SubsetAutomaton`` are renumbered in
+    the order of their subsets."""
     ess = analyze_graph(g).essential
     aut = ess.forward_automaton
     rows = aut.step.tolist()
     alive = _essential_symbols(range(len(rows)), [(k, t) for k, row in enumerate(rows)
                                                   for t in row if t >= 0])
     order = ess.index
-    states = sorted(alive, key=lambda k: tuple(order[s] for s in aut.subsets[k]))
-    step = {(aut.subsets[k], y): aut.subsets[t] for k in states
-            for y, t in zip(ess.y_symbols, rows[k]) if t in alive}
-    return RightResolvingPresentation([aut.subsets[k] for k in states], step, ess.y_symbols)
-
-
-def enumerate_periodic_orbits(g: LabeledGraph, max_period: int):
-    """All orbits of the SFT with least period <= max_period, each reported
-    once via its lexicographically least primitive word."""
-    if max_period < 1:
-        raise InputError("max_period must be >= 1")
-    order = g.index
-    orbits = set()
-    for start in g.x_symbols:
-        stack = [(start, (start,))]
-        while stack:
-            current, word = stack.pop()
-            if (current, start) in g.transitions:
-                orbits.add(PeriodicOrbit.from_word(word, order))
-            if len(word) >= max_period:
-                continue
-            for nxt in reversed(g.successors[current]):
-                stack.append((nxt, word + (nxt,)))
-    return sorted(orbits, key=lambda o: (o.period, tuple(order[s] for s in o.primitive_word)))
+    keep = sorted(alive, key=lambda k: tuple(order[s] for s in aut.subsets[k]))
+    renumber = np.full(len(rows) + 1, -1, dtype=np.int64)   # entry -1 stays -1
+    renumber[keep] = np.arange(len(keep))
+    return RightResolvingPresentation([aut.subsets[k] for k in keep],
+                                      renumber[aut.step[keep]], ess.y_symbols)
 
 
 def to_dot(g: LabeledGraph) -> str:

@@ -1,7 +1,11 @@
 """The package's earlier constructions, kept unchanged as differential
 oracles for the code that replaced them: the forward and backward subset
 states of the magic-word search, the subset construction of
-``determinize``, the essential-part trim by repeated full passes, the
+``determinize`` and the right-resolving presentation keyed by (subset
+tuple, letter) with its depth-first orbit enumerator, the depth-first
+orbit enumerator of an SFT, the closing test that finds the pairs reaching
+a recurrent pair by full passes, the essential-part trim by repeated full
+passes, the
 symbol-keyed viability walker (one memo lookup per step), the per-length
 cylinder counter of empirical distributions, the phased-graph
 cycle extraction of ``periodic_fiber`` and of the periodic degree
@@ -15,14 +19,16 @@ rotation, and the recoding that compares every pair of blocks."""
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import product
+from math import log
 
 import numpy as np
 
-from sftlift.errors import FiberInfinite, NoPath, NotInImage
-from sftlift.graphs import (LabeledGraph, OneBlockRecoding, PeriodicOrbit,
-                            RightResolvingPresentation, SlidingBlockCode, analyze_graph,
-                            determinize, full_shift)
+from sftlift.codes import _pair_successors, _pair_symbols
+from sftlift.errors import EmptyAfterTrim, FiberInfinite, InputError, NoPath, NotInImage
+from sftlift.graphs import (LabeledGraph, OneBlockRecoding, PeriodicOrbit, SlidingBlockCode,
+                            _as_word, _tarjan_scc, analyze_graph, full_shift, perron_value)
 from sftlift.joinings import FiberProductGraph
 from sftlift.measures import BernoulliMeasure, MarkovMeasure, PushforwardMeasure, window_codes
 
@@ -87,6 +93,179 @@ def backward_states(g):
                 states[nxt] = (y,) + word
                 frontier.append(nxt)
     return states
+
+
+class RightResolvingPresentation:
+    """Edge-labeled right-resolving presentation of the image shift,
+    obtained by the subset construction and trimmed to its essential part.
+
+    States are forward-viable symbol sets; from each state at most one edge
+    per image letter.  A word belongs to the image language iff it can be
+    read from some state.
+    """
+
+    def __init__(self, states, step, alphabet):
+        self.states = tuple(states)              # tuples of x-symbols
+        self.step = dict(step)                   # (state, y) -> state
+        self.alphabet = tuple(alphabet)
+
+    def accepts(self, word) -> bool:
+        word = _as_word(word)
+        for start in self.states:
+            state = start
+            ok = True
+            for a in word:
+                nxt = self.step.get((state, a))
+                if nxt is None:
+                    ok = False
+                    break
+                state = nxt
+            if ok:
+                return True
+        return False
+
+    @cached_property
+    def _successors(self):
+        succ = {s: [] for s in self.states}
+        for (s, _a), t in self.step.items():
+            succ[s].append(t)
+        return succ
+
+    def entropy(self) -> float:
+        """Entropy of the presented sofic shift: max over SCCs of the log
+        Perron value of the edge-count adjacency (valid because the
+        presentation is right-resolving)."""
+        comps = _tarjan_scc(self.states, self._successors)
+        best = None
+        for comp in comps:
+            comp_set = set(comp)
+            n = len(comp)
+            idx = {s: i for i, s in enumerate(comp)}
+            mat = np.zeros((n, n), dtype=np.int64)
+            for (s, _a), t in self.step.items():
+                if s in comp_set and t in comp_set:
+                    mat[idx[s], idx[t]] += 1
+            if mat.sum() == 0:
+                continue
+            val = log(perron_value(mat))
+            if best is None or val > best:
+                best = val
+        if best is None:
+            raise EmptyAfterTrim("presentation has no cycle")
+        return best
+
+    def periodic_orbits(self, max_period):
+        """All periodic orbits of the image shift with least period <= max_period."""
+        if max_period < 1:
+            raise InputError("max_period must be >= 1")
+        rank = {a: i for i, a in enumerate(self.alphabet)}
+        orbits = set()
+        for start in self.states:
+            # DFS over label paths of bounded length that return to start
+            stack = [(start, ())]
+            while stack:
+                state, word = stack.pop()
+                if word and state == start:
+                    orbits.add(PeriodicOrbit.from_word(word, rank))
+                if len(word) >= max_period:
+                    continue
+                for a in reversed(self.alphabet):
+                    nxt = self.step.get((state, a))
+                    if nxt is not None:
+                        stack.append((nxt, word + (a,)))
+        return sorted(orbits, key=lambda o: (o.period, tuple(rank[a] for a in o.primitive_word)))
+
+    def language_subset_of(self, other) -> bool:
+        """Whether every word readable here is readable in ``other``."""
+        all_other = frozenset(other.states)
+        seen = set()
+        frontier = [(s, all_other) for s in self.states]
+        seen.update(frontier)
+        while frontier:
+            state, tracked = frontier.pop()
+            for a in self.alphabet:
+                nxt = self.step.get((state, a))
+                if nxt is None:
+                    continue
+                nxt_tracked = frozenset(t2 for t in tracked
+                                        if (t2 := other.step.get((t, a))) is not None)
+                if not nxt_tracked:
+                    return False
+                key = (nxt, nxt_tracked)
+                if key not in seen:
+                    seen.add(key)
+                    frontier.append(key)
+        return True
+
+
+def keyed_presentation(p) -> RightResolvingPresentation:
+    """The (subset tuple, letter) -> subset tuple view of a table-based
+    ``sftlift.RightResolvingPresentation``."""
+    step = {(p.states[k], p.alphabet[j]): p.states[t]
+            for k, row in enumerate(p.step.tolist()) for j, t in enumerate(row) if t >= 0}
+    return RightResolvingPresentation(p.states, step, p.alphabet)
+
+
+def enumerate_periodic_orbits(g: LabeledGraph, max_period: int):
+    """All orbits of the SFT with least period <= max_period, each reported
+    once via its lexicographically least primitive word, by a depth-first
+    search from every symbol."""
+    if max_period < 1:
+        raise InputError("max_period must be >= 1")
+    order = g.index
+    orbits = set()
+    for start in g.x_symbols:
+        stack = [(start, (start,))]
+        while stack:
+            current, word = stack.pop()
+            if (current, start) in g.transitions:
+                orbits.add(PeriodicOrbit.from_word(word, order))
+            if len(word) >= max_period:
+                continue
+            for nxt in reversed(g.successors[current]):
+                stack.append((nxt, word + (nxt,)))
+    return sorted(orbits, key=lambda o: (o.period, tuple(order[s] for s in o.primitive_word)))
+
+
+def closing_failure(g, forward: bool) -> bool:
+    """Whether two distinct one-sided rays with equal start and equal labels
+    exist (the negation of right-closing for forward=True, of left-closing
+    otherwise), assuming the code is finite-to-one; the pairs that reach a
+    recurrent pair are found by full passes until nothing changes."""
+    pairs = _pair_symbols(g)
+    succ = _pair_successors(g, pairs)
+    if not forward:
+        rev = {p: [] for p in pairs}
+        for p, nbrs in succ.items():
+            for q in nbrs:
+                rev[q].append(p)
+        succ = rev
+    seen = set((a, a) for a in g.x_symbols)
+    frontier = list(seen)
+    while frontier:
+        v = frontier.pop()
+        for w in succ[v]:
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    off = [p for p in seen if p[0] != p[1]]
+    if not off:
+        return False
+    sub_succ = {p: [q for q in succ[p] if q in seen] for p in seen}
+    comps = _tarjan_scc(sorted(seen, key=lambda p: (g.index[p[0]], g.index[p[1]])), sub_succ)
+    recurrent = set()
+    for comp in comps:
+        if len(comp) > 1 or comp[0] in sub_succ[comp[0]]:
+            recurrent.update(comp)
+    reach_rec = set(recurrent)
+    changed = True
+    while changed:
+        changed = False
+        for p in seen:
+            if p not in reach_rec and any(q in reach_rec for q in sub_succ[p]):
+                reach_rec.add(p)
+                changed = True
+    return any(p in reach_rec for p in off)
 
 
 def determinize(g: LabeledGraph) -> RightResolvingPresentation:

@@ -155,6 +155,13 @@ def test_full_support_checks(rule102, diff4):
     assert not sl.is_fully_supported_on_image(partial, diff4.recoding.graph)
 
 
+@pytest.mark.parametrize("alphabet, full", [(("1", "0"), True), (("0",), False), (("1",), False)])
+def test_full_support_matches_letters_by_name(rule102, alphabet, full):
+    # a direct measure lists the image letters in its own order, or only some
+    nu = BernoulliMeasure(alphabet, [f"1/{len(alphabet)}"] * len(alphabet))
+    assert sl.is_fully_supported_on_image(nu, rule102.recoding.graph) is full
+
+
 def test_measure_outside_image_rejected(golden_mean_graph):
     nu = BernoulliMeasure(("a", "b"), ("1/2", "1/2"))
     with pytest.raises(NotFullySupported):

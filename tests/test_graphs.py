@@ -10,6 +10,7 @@ from sftlift import LabeledGraph, PeriodicOrbit, SlidingBlockCode
 from sftlift.errors import EmptyAfterTrim, NotIrreducible
 from sftlift.graphs import _essential_symbols
 
+import oracles
 from conftest import eig_entropy, label_word_realizable
 
 
@@ -267,31 +268,47 @@ def test_scan_dead_transition_is_absorbing(length, where):
 
 # ---------------------------------------------------- periodic orbit lists
 
+def _identity_labelled(g):
+    """The SFT of g as its own image: determinize then presents the SFT."""
+    return LabeledGraph(g.x_symbols, g.transitions, {s: s for s in g.x_symbols}, g.x_symbols)
+
+
 def test_orbits_full_2_shift():
-    orbits = sl.enumerate_periodic_orbits(sl.full_shift("01"), 2)
-    assert {o.primitive_word for o in orbits} == {("0",), ("1",), ("0", "1")}
+    orbits = sl.determinize(sl.full_shift("01")).periodic_orbits(2)
+    assert [o.primitive_word for o in orbits] == [("0",), ("1",), ("0", "1")]
 
 
 def test_orbits_golden_mean(golden_mean_graph):
-    orbits = sl.enumerate_periodic_orbits(golden_mean_graph, 2)
-    assert {o.primitive_word for o in orbits} == {("a",), ("a", "b")}
+    orbits = sl.determinize(golden_mean_graph).periodic_orbits(2)
+    assert [o.primitive_word for o in orbits] == [("a",), ("a", "b")]
 
 
 def test_fixed_points_of_full_shift():
-    orbits = sl.enumerate_periodic_orbits(sl.full_shift("abcd"), 1)
+    orbits = sl.determinize(sl.full_shift("abcd")).periodic_orbits(1)
     assert len(orbits) == 4
     assert all(o.period == 1 for o in orbits)
 
 
 @given(graphs_strategy(max_symbols=5), st.integers(1, 5))
 def test_trace_formula(g, max_p):
-    orbits = sl.enumerate_periodic_orbits(g, max_p)
+    swept = sl.determinize(_identity_labelled(g)).periodic_orbits(max_p)
+    assert swept == oracles.enumerate_periodic_orbits(g, max_p)
     mat = g.adjacency_matrix()
     power = np.eye(len(g.x_symbols), dtype=np.int64)
     for p in range(1, max_p + 1):
         power = power @ mat
-        expected = sum(o.period for o in orbits if p % o.period == 0)
+        expected = sum(o.period for o in swept if p % o.period == 0)
         assert int(np.trace(power)) == expected
+
+
+def test_sum5_orbits_to_period_8_number_the_lyndon_words(sum5):
+    # the image of sum5 is the full 5-shift: one orbit per Lyndon word
+    mobius = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1, 7: -1, 8: 0}
+    lyndon = sum(sum(mobius[d] * 5 ** (p // d) for d in mobius if p % d == 0) // p
+                 for p in range(1, 9))
+    orbits = sl.determinize(sum5.recoding.graph).periodic_orbits(8)
+    assert len(orbits) == lyndon == 63319
+    assert [o.period for o in orbits] == sorted(o.period for o in orbits)
 
 
 def test_periodic_orbit_canonicalization():

@@ -1,9 +1,10 @@
-"""Differential tests: the shared subset automaton, the speculate-and-verify
-viability walk, the one-pass empirical counts, the queue-based essential
-trim, the single phased-cycle routine, the vectorised samplers, the
-recoding-based pushforward path and the output-sensitive fiber product,
-least rotation and recoding against the constructions they replaced (kept
-in ``oracles.py``)."""
+"""Differential tests: the shared subset automaton, the table-based image
+presentation with its Lyndon-word orbit sweep, the closing test, the
+speculate-and-verify viability walk, the one-pass empirical counts, the
+queue-based essential trim, the single phased-cycle routine, the
+vectorised samplers, the recoding-based pushforward path and the
+output-sensitive fiber product, least rotation and recoding against the
+constructions they replaced (kept in ``oracles.py``)."""
 
 import random
 from fractions import Fraction
@@ -46,9 +47,66 @@ def test_subset_automaton_matches_subset_state_oracles(g):
 def test_determinize_matches_oracle(g):
     new, old = sl.determinize(g), oracles.determinize(g)
     assert new.states == old.states
-    assert new.step == old.step
+    assert new.step.dtype == np.int64
+    assert oracles.keyed_presentation(new).step == old.step
     assert new.alphabet == old.alphabet
     assert new.entropy() == old.entropy()       # bit for bit
+    for length in range(4):
+        for word in product(new.alphabet + ("?",), repeat=length):
+            assert new.accepts(word) == old.accepts(word)
+    for max_period in range(1, 7):
+        assert new.periodic_orbits(max_period) == old.periodic_orbits(max_period)
+
+
+def _a_cycle(g):
+    path = [g.x_symbols[0]]
+    while path.count(path[-1]) == 1:
+        path.append(g.successors[path[-1]][0])
+    first = path.index(path[-1])
+    return set(zip(path[first:], path[first + 1:]))
+
+
+@given(graphs_strategy(max_symbols=5), st.data())
+def test_language_inclusion_matches_oracle(g, data):
+    """Both ways between g and a subgraph, kept nonempty by a cycle of g,
+    whose image alphabet lists the letters it uses in another order, so
+    letters are matched by name."""
+    cycle = _a_cycle(g)
+    keep = set(data.draw(st.lists(st.sampled_from(g.x_symbols), unique=True)))
+    keep.update(a for a, _ in cycle)
+    edges = data.draw(st.sets(st.sampled_from(sorted(g.transitions)))) | cycle
+    letters = data.draw(st.permutations(sorted({g.label[s] for s in keep})))
+    h = LabeledGraph([s for s in g.x_symbols if s in keep],
+                     {(a, b) for a, b in edges if a in keep and b in keep},
+                     {s: g.label[s] for s in keep}, letters)
+    new_h = sl.determinize(h)
+    new_g, old_g, old_h = sl.determinize(g), oracles.determinize(g), oracles.determinize(h)
+    assert new_h.language_subset_of(new_g) == old_h.language_subset_of(old_g)
+    assert new_g.language_subset_of(new_h) == old_g.language_subset_of(old_h)
+    reordered = sl.determinize(LabeledGraph(g.x_symbols, g.transitions, g.label,
+                                            g.y_symbols[::-1]))
+    assert new_g.language_subset_of(reordered) and reordered.language_subset_of(new_g)
+
+
+def test_orbit_sweep_matches_depth_first_oracle(diff4, random_fto_fixtures):
+    for g, max_period in [(diff4.recoding.graph, 7)] + [(g, 6) for g in random_fto_fixtures]:
+        assert (sl.determinize(g).periodic_orbits(max_period)
+                == oracles.determinize(g).periodic_orbits(max_period))
+
+
+_ONE_SIDED = ([("s0", "s1"), ("s0", "s2"), ("s1", "s2"), ("s2", "s0"), ("s2", "s1")],
+              {"s0": "1", "s1": "0", "s2": "1"})
+
+
+@given(graphs_strategy())
+@example(LabeledGraph(["s0", "s1", "s2"], *_ONE_SIDED))
+@example(LabeledGraph(["s0", "s1", "s2"], [(b, a) for a, b in _ONE_SIDED[0]], _ONE_SIDED[1]))
+def test_closing_matches_full_pass_oracle(g):
+    """On every random graph, finite-to-one or not: few finite-to-one random
+    graphs fail to be closing, so the two examples are finite-to-one codes
+    that are closing on one side only."""
+    assert sl.is_right_closing(g) == (not oracles.closing_failure(g, True))
+    assert sl.is_left_closing(g) == (not oracles.closing_failure(g, False))
 
 
 def _old_path(g, word):
@@ -389,8 +447,11 @@ def _presentation(fn, *args):
 
 
 def _same_language(p, q):
+    """Language equality of a presentation and an oracle presentation, read
+    through the oracle's (subset tuple, letter) view of the first."""
     if p is None or q is None:
         return p is q
+    p = oracles.keyed_presentation(p)
     return p.language_subset_of(q) and q.language_subset_of(p)
 
 
