@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import ca as ca_mod
 from .codes import compute_degree, is_finite_to_one
@@ -23,8 +24,44 @@ from .measures import measure_from_json_dict
 
 
 def _emit(payload, fmt="json"):
+    """Write a payload to stdout as text, or as JSON byte-identical to
+    ``json.dumps(payload, sort_keys=True, indent=2)`` and a newline.  Each
+    distinct string is escaped once by the C escaper, each depth shares one
+    whitespace triple, and json.dumps takes over on a key or type left out."""
     if fmt == "json":
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        parts, layouts, strings, keys = [], [], {}, {}
+
+        def encode(o, depth):
+            if isinstance(o, str):
+                parts.append(strings.get(o) or strings.setdefault(o, encode_basestring_ascii(o)))
+            elif isinstance(o, (dict, list, tuple)):
+                if len(layouts) == depth:
+                    inner = "\n" + "  " * (depth + 1)
+                    layouts.append((inner, "," + inner, inner[:-2]))
+                sep, comma, close = layouts[depth] if o else ("", "", "")
+                is_dict = isinstance(o, dict)
+                parts.append("{" if is_dict else "[")
+                for item in sorted(o.items()) if is_dict else o:
+                    parts.append(sep)
+                    sep = comma
+                    if is_dict:     # the escaper raises TypeError on a non-str key
+                        key, item = item
+                        parts.append(keys.get(key) or keys.setdefault(
+                            key, encode_basestring_ascii(key) + ": "))
+                    encode(item, depth + 1)
+                parts.append(close)
+                parts.append("}" if is_dict else "]")
+            elif isinstance(o, int) and not isinstance(o, bool):
+                parts.append(int.__repr__(o))
+            else:           # None, bool and float; a TypeError on any other type
+                parts.append(json.dumps(o))
+
+        try:
+            encode(payload, 0)
+            parts.append("\n")
+        except TypeError:
+            parts = [json.dumps(payload, sort_keys=True, indent=2), "\n"]
+        sys.stdout.write("".join(parts))     # one write: a captured stdout keeps one string
     else:
         sys.stdout.write(payload if isinstance(payload, str) else str(payload))
         if not str(payload).endswith("\n"):

@@ -187,52 +187,57 @@ def _preimage_paths(g: LabeledGraph, w):
 
 
 def phased_cycles(g: LabeledGraph, y: PeriodicOrbit):
+    """``_phased_cycle_ids`` with each cycle as its symbol word."""
+    return [tuple(g.x_symbols[i] for i in ids) for ids in _phased_cycle_ids(g, y)]
+
+
+def _phased_cycle_ids(g: LabeledGraph, y: PeriodicOrbit):
     """The recurrent part of the phased preimage graph of a periodic orbit,
     as disjoint cycles.
 
-    The phased graph has a vertex (s, t) for each phase t of the orbit's
-    word w and each symbol s labeled w[t]; its edges follow ``g`` from
-    phase t to phase t + 1 mod p.  Its recurrent part must split into
-    disjoint simple cycles, otherwise the fiber is infinite.  Each cycle is
-    returned as its symbol word read from phase 0, starting at its least
-    phase-0 symbol, and the cycles come in the order of those symbols.
+    The phased graph has a vertex t * n + s for each phase t of the orbit's
+    word w and each index s (among n) of a symbol labeled w[t]; its edges
+    follow ``g`` from phase t to phase t + 1 mod p.  Its recurrent part must
+    split into disjoint simple cycles, otherwise the fiber is infinite.
+    Each cycle is returned as its list of symbol indices read from phase 0,
+    starting at its least phase-0 symbol, and the cycles come in the order
+    of those symbols.
     """
-    w = y.primitive_word
-    p = y.period
+    w, p = y.primitive_word, y.period
     for a in w:
         if a not in g.label_classes:
             raise NotInImage(f"symbol {a!r} is not in the image alphabet")
-    vertices = [(s, t) for t in range(p) for s in g.label_classes[w[t]]]
-    edges = [((s, t), (s2, (t + 1) % p)) for s, t in vertices
-             for s2 in g.successors[s] if g.label[s2] == w[(t + 1) % p]]
+    n, table, cols = len(g.x_symbols), g.letter_successors, [g.y_symbols.index(a) for a in w]
+    vertices = [t * n + s for t in range(p) for s in table[n][cols[t]]]
+    edges = [(v, (v // n + 1) % p * n + s) for v in vertices
+             for s in table[v % n][cols[(v // n + 1) % p]]]
     alive = _essential_symbols(vertices, edges)
     if not alive:
         raise NotInImage("no preimage cycle realizes the orbit's word")
-    succ = {v: [] for v in alive}
-    indeg = dict.fromkeys(alive, 0)
+    # trimmed, each vertex has a predecessor: with one successor each, none
+    # has two iff succ is one-to-one
+    succ = {}
     for v, u in edges:
         if v in alive and u in alive:
-            succ[v].append(u)
-            indeg[u] += 1
-    if any(len(succ[v]) != 1 for v in alive):
-        raise FiberInfinite("recurrent phased graph branches; fiber is infinite")
-    if any(n != 1 for n in indeg.values()):
+            if v in succ:
+                raise FiberInfinite("recurrent phased graph branches; fiber is infinite")
+            succ[v] = u
+    if len(set(succ.values())) != len(succ):
         raise FiberInfinite("recurrent phased graph merges; fiber is infinite")
 
     seen = set()
     cycles = []
-    for s in g.label_classes[w[0]]:
-        u = (s, 0)
+    for u in table[n][cols[0]]:
         if u not in alive or u in seen:
             continue
         word = []
         while u not in seen:
             seen.add(u)
-            word.append(u[0])
-            u = succ[u][0]
+            word.append(u % n)
+            u = succ[u]
         if len(word) % p != 0:
             raise RuntimeError("phased cycle length not a multiple of the base period")
-        cycles.append(tuple(word))
+        cycles.append(word)
     if len(seen) != len(alive):
         raise RuntimeError("phased cycles do not account for the recurrent part")
     return cycles
@@ -241,21 +246,21 @@ def phased_cycles(g: LabeledGraph, y: PeriodicOrbit):
 def periodic_fiber(g: LabeledGraph, y: PeriodicOrbit) -> PhasedFiberDecomposition:
     """Exact fiber of a periodic orbit of the image.
 
-    Each cycle of length q of the phased graph (see ``phased_cycles``)
+    Each cycle of length q of the phased graph (see ``_phased_cycle_ids``)
     yields a lift orbit of least period q and winding q / period(y).
     """
     p = y.period
-    order = g.index
     lifts = []
-    for word in phased_cycles(g, y):
+    for ids in _phased_cycle_ids(g, y):
         # a cycle repeats no vertex, so its word is primitive
-        k = least_rotation(word, order)
-        lifts.append((PeriodicOrbit(word[k:] + word[:k], len(word)), len(word) // p, k % p))
-    lifts.sort(key=lambda lift: (lift[1], tuple(order[s] for s in lift[0].primitive_word)))
+        k = least_rotation(ids)
+        lifts.append((len(ids) // p, ids[k:] + ids[:k], k % p))
+    lifts.sort(key=lambda lift: lift[:2])
+    orbits = [PeriodicOrbit(tuple(g.x_symbols[i] for i in ids), len(ids)) for _w, ids, _a in lifts]
     return PhasedFiberDecomposition(base_orbit=y,
-                                    lift_orbits=tuple((o, w) for o, w, _a in lifts),
-                                    fiber_size=sum(w for _o, w, _a in lifts),
-                                    anchors=tuple(a for _o, _w, a in lifts))
+                                    lift_orbits=tuple(zip(orbits, (w for w, _i, _a in lifts))),
+                                    fiber_size=sum(w for w, _i, _a in lifts),
+                                    anchors=tuple(a for _w, _i, a in lifts))
 
 
 def _closing_failure(g, forward: bool) -> bool:

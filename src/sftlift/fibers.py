@@ -73,7 +73,8 @@ class CanonicalLiftDecomposition:
     components: tuple                 # (measure, Fraction weight)
 
     def __post_init__(self):
-        if sum(w for _m, w in self.components) != 1:
+        common = math.lcm(*(w.denominator for _m, w in self.components))
+        if sum(w.numerator * (common // w.denominator) for _m, w in self.components) != common:
             raise ValueError("canonical lift weights must sum to 1 exactly")
 
     @property
@@ -118,27 +119,16 @@ def analyze_periodic_lifts(code, y: PeriodicOrbit):
 
     entries = []
     diagonal = {}
-    for (orbit, winding), offset in zip(fiber.lift_orbits, fiber.anchors):
-        # fiber points over each base point: rotation r of the lift lies
-        # over rotation (offset + r) mod p of the base
-        per_base = {t: [] for t in range(p)}
-        for r in range(orbit.period):
-            per_base[(offset + r) % p].append(r)
-        sizes = {t: len(rs) for t, rs in per_base.items()}
-        if set(sizes.values()) != {winding}:
+    for orbit, winding in fiber.lift_orbits:
+        # rotation r lies over base rotation (anchor + r) mod p, so each base
+        # point has winding points over it, with diagonal mass 1/(p winding^2)
+        if orbit.period != winding * p:
             raise RuntimeError("fiber points are not equidistributed over the base orbit")
-        # the self-joining puts 1/(p |pts_t|^2) on each of the |pts_t|
-        # diagonal pairs over base point t
-        mass = sum(Fraction(1, p * len(per_base[t])) for t in range(p))
-        if mass != Fraction(1, winding):
-            raise RuntimeError("diagonal mass disagrees with the winding number")
-
         reported = recoding.base_orbit(orbit) if recoding is not None else orbit
         lift_measure = COMeasure(reported, _lift_orbit_alphabet(g, recoding))
         entries.append(LiftEntry(lift_measure.describe(), winding, lift_measure))
-        diagonal[",".join(str(a) for a in reported.primitive_word)] = mass
+        diagonal[",".join(str(a) for a in reported.primitive_word)] = Fraction(1, winding)
 
-    assert sum(e.multiplicity for e in entries) == d
     base_measure = COMeasure(y, g.y_symbols)
     report = LiftReport(
         base=base_measure.describe(),

@@ -93,6 +93,18 @@ class LabeledGraph:
         return classes
 
     @cached_property
+    def letter_successors(self):
+        """``[i][j]`` lists the successors of symbol i labeled ``y_symbols[j]``
+        by index, in index order; row ``len(x_symbols)`` lists each label
+        class, as the successors of a start vertex preceding every symbol."""
+        rows = [self.successors[s] for s in self.x_symbols] + [self.x_symbols]
+        table = [[[] for _ in self.y_symbols] for _ in rows]
+        for row, succ in zip(table, rows):
+            for t in succ:
+                row[self.y_symbols.index(self.label[t])].append(self.index[t])
+        return table
+
+    @cached_property
     def forward_automaton(self):
         """The forward ``SubsetAutomaton``, shared by ``determinize`` and the
         magic-word search."""
@@ -205,16 +217,6 @@ class PeriodicOrbit:
                 break
         i = least_rotation(word, order)
         return cls(word[i:] + word[:i], len(word))
-
-    def points(self):
-        """The orbit's points as anchored rotations of the primitive word."""
-        w = self.primitive_word
-        return [w[i:] + w[:i] for i in range(self.period)]
-
-    def repeat_to(self, length):
-        w = self.primitive_word
-        reps = -(-length // self.period)
-        return (w * reps)[:length]
 
 
 @dataclass(frozen=True)
@@ -425,10 +427,6 @@ class SlidingBlockCode:
         the support of pushforward measures all read it."""
         return recode_to_one_block(self)
 
-    def domain_graph(self):
-        return LabeledGraph(self.alphabet, self.transitions,
-                            {a: a for a in self.alphabet}, self.alphabet)
-
     def _allowed_words(self, length):
         if length == 0:
             yield ()
@@ -476,13 +474,13 @@ class OneBlockRecoding:
         """The domain letter this block symbol contributes at its own time."""
         return block_symbol[self.offset]
 
-    def base_word(self, block_word):
-        """Translate a recoded word back to a same-length domain word."""
-        return tuple(self.base_letter(b) for b in block_word)
-
     def base_orbit(self, orbit: PeriodicOrbit) -> PeriodicOrbit:
-        order = {s: i for i, s in enumerate(self.base_alphabet)}
-        return PeriodicOrbit.from_word(self.base_word(orbit.primitive_word), order)
+        """The domain orbit of a lift orbit.  Blocks come in lexicographic
+        order, so runs of overlapping blocks compare as the base words from m
+        letters earlier: the least base rotation starts m letters sooner."""
+        word = tuple(b[self.offset] for b in orbit.primitive_word)
+        k = -self.offset % orbit.period
+        return PeriodicOrbit(word[k:] + word[:k], orbit.period)
 
 
 def recode_to_one_block(code: SlidingBlockCode) -> OneBlockRecoding:

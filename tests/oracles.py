@@ -3,34 +3,40 @@ oracles for the code that replaced them: the forward and backward subset
 states of the magic-word search, the subset construction of
 ``determinize`` and the right-resolving presentation keyed by (subset
 tuple, letter) with its depth-first orbit enumerator, the depth-first
-orbit enumerator of an SFT, the closing test that finds the pairs reaching
-a recurrent pair by full passes, the essential-part trim by repeated full
-passes, the
-symbol-keyed viability walker (one memo lookup per step), the per-length
-cylinder counter of empirical distributions, the phased-graph
-cycle extraction of ``periodic_fiber`` and of the periodic degree
-joinings, the per-step Markov and periodic-orbit samplers, the
+orbit enumerator of an SFT, the closing test that finds the pairs
+reaching a recurrent pair by full passes, the essential-part trim by
+repeated full passes, the symbol-keyed viability walker (one memo lookup
+per step), the per-length cylinder counter of empirical distributions,
+the phased-graph cycle extraction of ``periodic_fiber`` and of the
+periodic degree joinings, the phased cycles and periodic fiber on
+(symbol, phase) tuple vertices with the periodic lift analysis that
+counted the fiber points over every base point and canonicalized each
+base orbit anew, the per-step Markov and periodic-orbit samplers, the
 per-code-kind pushforward constructions (block-code preimage words by
-enumerating every domain word, samples through the block-map table or the
-graph's label lookup, and the branch-per-measure-type support
+enumerating every domain word, samples through the block-map table or
+the graph's label lookup, and the branch-per-measure-type support
 presentation), and the quadratic exact constructions: the fiber product
 that tests every pair of tuples, the least rotation by ranking every
 rotation, and the recoding that compares every pair of blocks."""
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import log
 
 import numpy as np
 
-from sftlift.codes import _pair_successors, _pair_symbols
+from sftlift.codes import PhasedFiberDecomposition, _pair_successors, _pair_symbols
 from sftlift.errors import EmptyAfterTrim, FiberInfinite, InputError, NoPath, NotInImage
+from sftlift.fibers import (CanonicalLiftDecomposition, LiftEntry, LiftReport,
+                            _lift_orbit_alphabet, _unwrap)
 from sftlift.graphs import (LabeledGraph, OneBlockRecoding, PeriodicOrbit, SlidingBlockCode,
                             _as_word, _tarjan_scc, analyze_graph, full_shift, perron_value)
 from sftlift.joinings import FiberProductGraph
-from sftlift.measures import BernoulliMeasure, MarkovMeasure, PushforwardMeasure, window_codes
+from sftlift.measures import (BernoulliMeasure, COMeasure, MarkovMeasure, PushforwardMeasure,
+                              window_codes)
 
 
 def essential_symbols(symbols, transitions):
@@ -490,6 +496,115 @@ def periodic_joining_orbits(lam: LabeledGraph, y: PeriodicOrbit):
         word = tuple(cycle[(start + i) % len(cycle)][0] for i in range(len(cycle)))
         orbits.append(PeriodicOrbit.from_word(word, order))
     return orbits
+
+
+def tuple_phased_cycles(g: LabeledGraph, y: PeriodicOrbit):
+    """``codes.phased_cycles`` on (symbol, phase) tuple vertices: the
+    recurrent phased graph as disjoint cycles, each read from phase 0 at its
+    least phase-0 symbol, in the order of those symbols."""
+    w = y.primitive_word
+    p = y.period
+    for a in w:
+        if a not in g.label_classes:
+            raise NotInImage(f"symbol {a!r} is not in the image alphabet")
+    vertices = [(s, t) for t in range(p) for s in g.label_classes[w[t]]]
+    edges = [((s, t), (s2, (t + 1) % p)) for s, t in vertices
+             for s2 in g.successors[s] if g.label[s2] == w[(t + 1) % p]]
+    alive = essential_symbols(vertices, edges)
+    if not alive:
+        raise NotInImage("no preimage cycle realizes the orbit's word")
+    succ = {v: [] for v in alive}
+    indeg = dict.fromkeys(alive, 0)
+    for v, u in edges:
+        if v in alive and u in alive:
+            succ[v].append(u)
+            indeg[u] += 1
+    if any(len(succ[v]) != 1 for v in alive):
+        raise FiberInfinite("recurrent phased graph branches; fiber is infinite")
+    if any(n != 1 for n in indeg.values()):
+        raise FiberInfinite("recurrent phased graph merges; fiber is infinite")
+
+    seen = set()
+    cycles = []
+    for s in g.label_classes[w[0]]:
+        u = (s, 0)
+        if u not in alive or u in seen:
+            continue
+        word = []
+        while u not in seen:
+            seen.add(u)
+            word.append(u[0])
+            u = succ[u][0]
+        if len(word) % p != 0:
+            raise RuntimeError("phased cycle length not a multiple of the base period")
+        cycles.append(tuple(word))
+    if len(seen) != len(alive):
+        raise RuntimeError("phased cycles do not account for the recurrent part")
+    return cycles
+
+
+def tuple_periodic_fiber(g: LabeledGraph, y: PeriodicOrbit) -> PhasedFiberDecomposition:
+    """``codes.periodic_fiber`` over ``tuple_phased_cycles``, rotating each
+    symbol word by the symbol order."""
+    p = y.period
+    order = g.index
+    lifts = []
+    for word in tuple_phased_cycles(g, y):
+        k = least_rotation(word, order)
+        lifts.append((PeriodicOrbit(word[k:] + word[:k], len(word)), len(word) // p, k % p))
+    lifts.sort(key=lambda lift: (lift[1], tuple(order[s] for s in lift[0].primitive_word)))
+    return PhasedFiberDecomposition(base_orbit=y,
+                                    lift_orbits=tuple((o, w) for o, w, _a in lifts),
+                                    fiber_size=sum(w for _o, w, _a in lifts),
+                                    anchors=tuple(a for _o, _w, a in lifts))
+
+
+def analyze_periodic_lifts(code, y: PeriodicOrbit):
+    """``fibers.analyze_periodic_lifts`` with the fiber points of each lift
+    counted over every base point, the diagonal mass summed over them, the
+    base orbit canonicalized by ``PeriodicOrbit.from_word`` and the weights
+    summed as Fractions."""
+    g, recoding = _unwrap(code)
+    fiber = tuple_periodic_fiber(g, y)
+    d = fiber.fiber_size
+    p = y.period
+
+    entries = []
+    diagonal = {}
+    for (orbit, winding), offset in zip(fiber.lift_orbits, fiber.anchors):
+        per_base = {t: [] for t in range(p)}
+        for r in range(orbit.period):
+            per_base[(offset + r) % p].append(r)
+        sizes = {t: len(rs) for t, rs in per_base.items()}
+        if set(sizes.values()) != {winding}:
+            raise RuntimeError("fiber points are not equidistributed over the base orbit")
+        mass = sum(Fraction(1, p * len(per_base[t])) for t in range(p))
+        if mass != Fraction(1, winding):
+            raise RuntimeError("diagonal mass disagrees with the winding number")
+        if recoding is None:
+            reported = orbit
+        else:
+            order = {s: i for i, s in enumerate(recoding.base_alphabet)}
+            base_word = tuple(recoding.base_letter(b) for b in orbit.primitive_word)
+            reported = PeriodicOrbit.from_word(base_word, order)
+        lift_measure = COMeasure(reported, _lift_orbit_alphabet(g, recoding))
+        entries.append(LiftEntry(lift_measure.describe(), winding, lift_measure))
+        diagonal[",".join(str(a) for a in reported.primitive_word)] = mass
+
+    if sum(e.multiplicity for e in entries) != d:
+        raise RuntimeError("multiplicities do not sum to the fiber size")
+    weights = tuple((e.measure, Fraction(e.multiplicity, d)) for e in entries)
+    if sum(w for _m, w in weights) != 1:
+        raise ValueError("canonical lift weights must sum to 1 exactly")
+    report = LiftReport(
+        base=COMeasure(y, g.y_symbols).describe(),
+        degree=d,
+        lifts=tuple(entries),
+        method="exact",
+        details={"diagonal_mass": {k: str(v) for k, v in diagonal.items()},
+                 "base_period": p},
+    )
+    return report, CanonicalLiftDecomposition(weights)
 
 
 def anchor_of_label(lift_word, labels, base_word):

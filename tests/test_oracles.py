@@ -1,7 +1,8 @@
 """Differential tests: the shared subset automaton, the table-based image
 presentation with its Lyndon-word orbit sweep, the closing test, the
 speculate-and-verify viability walk, the one-pass empirical counts, the
-queue-based essential trim, the single phased-cycle routine, the
+queue-based essential trim, the single phased-cycle routine on integer
+vertices with the periodic lift analysis, the
 vectorised samplers, the recoding-based pushforward path and the
 output-sensitive fiber product, least rotation and recoding against the
 constructions they replaced (kept in ``oracles.py``)."""
@@ -17,7 +18,7 @@ from hypothesis import assume, example, given, strategies as st
 import sftlift as sl
 from sftlift.codes import phased_cycles
 from sftlift.errors import EmptyAfterTrim, NoPath, NotInImage, PreconditionError
-from sftlift.fibers import support_presentation
+from sftlift.fibers import _unwrap, support_presentation
 from sftlift.graphs import LabeledGraph, SubsetAutomaton, _essential_symbols, least_rotation
 from sftlift.joinings import _ViabilityWalk
 from sftlift.measures import EmpiricalDistribution, make_rng
@@ -279,6 +280,77 @@ def test_periodic_cycles_match_oracle_on_sweep_fixtures(sweep_fixtures):
             _check_fiber(g, y)
             assert (_fiber_outcome(_joining_orbits, lam, y)
                     == _fiber_outcome(oracles.periodic_joining_orbits, lam, y))
+
+
+def _refusal_or(fn, *args):
+    try:
+        return fn(*args)
+    except PreconditionError as exc:
+        return type(exc), str(exc)
+
+
+def _lift_json(analyze, code, y):
+    return tuple(part.to_json_dict() for part in analyze(code, y))
+
+
+def _check_lifts(code, y):
+    """Lift analysis, fiber and phased cycles against the tuple-vertex
+    oracles; a refusal must match by type and message."""
+    g, _recoding = _unwrap(code)
+    assert (_refusal_or(_lift_json, sl.analyze_periodic_lifts, code, y)
+            == _refusal_or(_lift_json, oracles.analyze_periodic_lifts, code, y))
+    assert _refusal_or(sl.periodic_fiber, g, y) == _refusal_or(oracles.tuple_periodic_fiber, g, y)
+    assert _refusal_or(phased_cycles, g, y) == _refusal_or(oracles.tuple_phased_cycles, g, y)
+
+
+def test_periodic_lifts_match_tuple_oracle_on_sweep_fixtures(sweep_fixtures):
+    # the random finite-to-one fixtures are among the sweep fixtures
+    for _name, code, _cto in sweep_fixtures:
+        for y in sl.determinize(_unwrap(code)[0]).periodic_orbits(4):
+            _check_lifts(code, y)
+
+
+@st.composite
+def block_codes_with_memory(draw):
+    """Block codes with memory 1-2 and anticipation 0-1 on an alphabet not
+    listed in string order; half are bipermutive (first and last letter
+    enter as a sum mod k), so finite-to-one, and half are random maps."""
+    k = draw(st.integers(2, 3))
+    alphabet = draw(st.permutations("abc"[:k]))
+    memory, anticipation = draw(st.integers(1, 2)), draw(st.integers(0, 1))
+    width = memory + anticipation + 1
+    if draw(st.booleans()):
+        middles = k ** (width - 2)
+        shift = draw(st.lists(st.integers(0, k - 1), min_size=middles, max_size=middles))
+        rank = {a: i for i, a in enumerate(alphabet)}
+        def value(u):
+            middle = sum(rank[a] * k ** i for i, a in enumerate(u[1:-1]))
+            return str((rank[u[0]] + rank[u[-1]] + shift[middle]) % k)
+    else:
+        labels = draw(st.sampled_from(["xy", "xyz"]))
+        table = draw(st.lists(st.sampled_from(labels), min_size=k ** width, max_size=k ** width))
+        def value(u):
+            return table[sum("abc".index(a) * k ** i for i, a in enumerate(u))]
+    block_map = {u: value(u) for u in product(alphabet, repeat=width)}
+    return sl.SlidingBlockCode(memory, anticipation, alphabet, block_map)
+
+
+@given(block_codes_with_memory())
+def test_periodic_lifts_match_tuple_oracle_on_codes_with_memory(code):
+    for y in sl.determinize(code.recoding.graph).periodic_orbits(4):
+        _check_lifts(code, y)
+
+
+def test_periodic_refusals_match_tuple_oracle(golden_mean_graph, constant_label_graph):
+    refusals = [(golden_mean_graph, ("b",)), (golden_mean_graph, ("c",)),
+                (golden_mean_graph, ("a", "c")), (constant_label_graph, ("z",)),
+                (constant_label_graph, ("y",))]
+    for g, word in refusals:
+        y = sl.PeriodicOrbit.from_word(word)
+        with pytest.raises(PreconditionError):
+            sl.analyze_periodic_lifts(g, y)
+        _check_lifts(g, y)
+    _check_lifts(golden_mean_graph, sl.PeriodicOrbit.from_word("ab"))
 
 
 @st.composite
