@@ -11,11 +11,11 @@ from .graphs import (LabeledGraph, OneBlockRecoding, PeriodicOrbit,
                      StructureReport, analyze_graph, determinize,
                      entropy, full_shift, recode_to_one_block, to_dot)
 from .codes import (DegreeReport, PhasedFiberDecomposition, compute_degree,
-                    is_bi_closing, is_finite_to_one, is_left_closing,
-                    is_right_closing, periodic_fiber, preimage_words)
-from .joinings import (DegreeJoiningGraph, FiberProductGraph,
-                       PeriodicJoiningReport, degree_joining_graph,
-                       enumerate_periodic_degree_joinings, fiber_product,
+                    fiber_product, is_bi_closing, is_finite_to_one,
+                    is_left_closing, is_right_closing, periodic_fiber,
+                    preimage_words)
+from .joinings import (DegreeJoiningGraph, PeriodicJoiningReport,
+                       degree_joining_graph, enumerate_periodic_degree_joinings,
                        find_relating_permutation, lambda_path_over)
 from .measures import (BernoulliMeasure, COMeasure, ComparisonResult,
                        EmpiricalDistribution, MarkovMeasure,

@@ -1,5 +1,5 @@
-"""Finite-to-one analysis of 1-block codes: diamonds, degree, word and
-periodic-point fibers.
+"""Finite-to-one analysis of 1-block codes: fiber products, the diamond
+and closing tests on the 2-fold one, degree, word and periodic-point fibers.
 
 The degree is found by a magic-word search (Lind & Marcus, *An
 Introduction to Symbolic Dynamics and Coding*, §9.1) over the forward and
@@ -18,10 +18,11 @@ shared letter, form a magic word that certifies the degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations, product
 
 from .errors import FiberInfinite, InfiniteToOne, NotInImage, NotIrreducible
 from .graphs import (LabeledGraph, PeriodicOrbit, SubsetAutomaton,
-                     _as_word, _essential_symbols, _tarjan_scc, analyze_graph,
+                     _as_word, _essential_symbols, analyze_graph,
                      determinize, entropy, least_rotation)
 
 ENTROPY_MATCH_TOL = 1e-9
@@ -72,27 +73,6 @@ def _require_irreducible(g: LabeledGraph) -> LabeledGraph:
     return report.essential
 
 
-def _pair_symbols(g):
-    return [(a, b) for a in g.x_symbols for b in g.x_symbols if g.label[a] == g.label[b]]
-
-
-def _pair_successors(g, pairs):
-    pair_set = set(pairs)
-    succ = {}
-    for a, b in pairs:
-        succ[(a, b)] = [(c, d) for c in g.successors[a] for d in g.successors[b]
-                        if (c, d) in pair_set]
-    return succ
-
-
-def _reversed(succ):
-    pred = {p: [] for p in succ}
-    for p, nbrs in succ.items():
-        for q in nbrs:
-            pred[q].append(p)
-    return pred
-
-
 def _closure(seeds, neighbors):
     """Everything reachable from ``seeds`` along ``neighbors``, seeds included."""
     seen = set(seeds)
@@ -106,16 +86,60 @@ def _closure(seeds, neighbors):
     return seen
 
 
-def is_finite_to_one(g: LabeledGraph) -> bool:
-    """Diamond test on the pair graph of equal-label symbol pairs: the code
-    is finite-to-one iff no path runs from a diagonal pair to a diagonal
-    pair through an off-diagonal pair."""
+def fiber_product(g: LabeledGraph, n: int, distinct: bool = False) -> LabeledGraph:
+    """The 1-step SFT of equal-label n-tuples (pairwise-distinct entries
+    when ``distinct``), trimmed to its essential part.
+
+    Built on tuples of symbol indices (index order is symbol order) and
+    converted to symbols once.  A tuple's successors under label y are the
+    product of its coordinates' y-labelled successor lists (Lind & Marcus,
+    §9.1), built coordinate by coordinate: O(n) per tuple, label and
+    (partial) successor tuple; distinct tuples are permutations of a class."""
+    if n < 1:
+        raise ValueError("arity must be >= 1")
+    table = g.letter_successors
+    ids = []
+    for cls in table[len(g.x_symbols)]:
+        ids.extend(permutations(cls, n) if distinct else product(cls, repeat=n))
+    ids.sort()
+    trans = []
+    for u in ids:
+        outs = [table[a] for a in u]
+        for y in range(len(g.y_symbols)):
+            tails = [()]
+            for out in outs:        # extend coordinate by coordinate, pruning repeats
+                tails = [t + (b,) for t in tails for b in out[y] if not (distinct and b in t)]
+            trans.extend((u, v) for v in tails)
+    alive = _essential_symbols(ids, trans)
+    if not alive:
+        raise NotInImage("fiber product is empty after trimming")
+    symbol = {u: tuple(g.x_symbols[i] for i in u) for u in ids if u in alive}
+    return LabeledGraph(symbol.values(),
+                        [(symbol[u], symbol[v]) for u, v in trans if u in alive and v in alive],
+                        {t: g.label[t[0]] for t in symbol.values()}, g.y_symbols)
+
+
+def _diagonal_reach(g: LabeledGraph):
+    """The off-diagonal pairs of the trimmed 2-fold fiber product that its
+    diagonal reaches forward and backward.  The code is finite-to-one iff
+    no pair is in both (no diamond), right-closing iff none is reached
+    forward and left-closing iff none is reached backward.
+
+    The trim changes none of these answers.  A diamond, or a path from
+    the diagonal that runs on forever, extends along the diagonal to a
+    bi-infinite pair path, so the trim keeps every pair on it; every pair
+    it keeps runs on forever, and a dead-end pair is on neither kind of
+    path.  The diagonal comes from the essential graph, so each of its
+    pairs survives the trim."""
     g = _require_irreducible(g)
-    succ = _pair_successors(g, _pair_symbols(g))
-    diagonal = [(a, a) for a in g.x_symbols]
-    reachable = _closure(diagonal, succ)
-    coreachable = _closure(diagonal, _reversed(succ))
-    return not any(a != b for a, b in reachable & coreachable)
+    pairs = fiber_product(g, 2)
+    diag = {(a, a) for a in g.x_symbols}
+    return _closure(diag, pairs.successors) - diag, _closure(diag, pairs.predecessors) - diag
+
+
+def is_finite_to_one(g: LabeledGraph) -> bool:
+    forward, backward = _diagonal_reach(g)
+    return not (forward & backward)
 
 
 def compute_degree(g: LabeledGraph) -> DegreeReport:
@@ -263,37 +287,16 @@ def periodic_fiber(g: LabeledGraph, y: PeriodicOrbit) -> PhasedFiberDecompositio
                                     anchors=tuple(a for _w, _i, a in lifts))
 
 
-def _closing_failure(g, forward: bool) -> bool:
-    """Whether two distinct one-sided rays with equal start and equal labels
-    exist (the negation of right-closing for forward=True, of left-closing
-    otherwise), assuming the code is finite-to-one."""
-    succ = _pair_successors(g, _pair_symbols(g))
-    if not forward:
-        succ = _reversed(succ)
-    seen = _closure([(a, a) for a in g.x_symbols], succ)
-    off = [p for p in seen if p[0] != p[1]]
-    if not off:
-        return False
-    # an off-diagonal pair reachable from the diagonal fails closing iff it
-    # can run forever, i.e. reaches a cycle of the pair graph
-    sub_succ = {p: [q for q in succ[p] if q in seen] for p in seen}
-    comps = _tarjan_scc(sorted(seen, key=lambda p: (g.index[p[0]], g.index[p[1]])), sub_succ)
-    recurrent = [p for comp in comps if len(comp) > 1 or comp[0] in sub_succ[comp[0]]
-                 for p in comp]
-    reach_rec = _closure(recurrent, _reversed(sub_succ))
-    return any(p in reach_rec for p in off)
-
-
 def is_right_closing(g: LabeledGraph) -> bool:
-    return not _closing_failure(_require_irreducible(g), forward=True)
+    return not _diagonal_reach(g)[0]
 
 
 def is_left_closing(g: LabeledGraph) -> bool:
-    return not _closing_failure(_require_irreducible(g), forward=False)
+    return not _diagonal_reach(g)[1]
 
 
 def is_bi_closing(g: LabeledGraph) -> bool:
     """Necessary for constant-to-one; not sufficient when the image shift is
     strictly sofic, so this alone never certifies constant-to-one-ness."""
-    g = _require_irreducible(g)
-    return not _closing_failure(g, True) and not _closing_failure(g, False)
+    forward, backward = _diagonal_reach(g)
+    return not (forward | backward)

@@ -148,10 +148,19 @@ class LabeledGraph:
     def from_json_dict(cls, data):
         if not data["x_symbols"]:
             raise InputError("x_symbols: empty symbol set")
-        return cls(data["x_symbols"],
-                   [tuple(e) for e in data["transitions"]],
-                   data["label"],
+        label = data["label"]
+        if not isinstance(label, dict) or not all(isinstance(y, str) for y in label.values()):
+            raise InputError("label: must map each symbol to a string")
+        return cls(data["x_symbols"], _json_pairs(data["transitions"]), label,
                    data.get("y_symbols"))
+
+
+def _json_pairs(entries):
+    """A JSON ``transitions`` list as pairs, refusing an entry that is not one."""
+    for e in entries:
+        if not (isinstance(e, list) and len(e) == 2):
+            raise InputError(f"transitions: entry {e!r} is not a pair")
+    return [tuple(e) for e in entries]
 
 
 def render_symbol(sym):
@@ -403,6 +412,10 @@ class SlidingBlockCode:
         self.transitions = frozenset((a, b) for a, b in transitions)
         self.block_map = {_as_word(k): v for k, v in block_map.items()}
         width = self.memory + self.anticipation + 1
+        for word in self.block_map:
+            if len(word) != width or not set(word) <= set(self.alphabet):
+                raise InputError(f"block_map: key {word!r} is not a word of {width} letters "
+                                 f"from the alphabet")
         for word in self._allowed_words(width):
             if word not in self.block_map:
                 raise InputError(f"block_map: missing allowed word {word!r}")
@@ -445,14 +458,19 @@ class SlidingBlockCode:
 
     @classmethod
     def from_json_dict(cls, data):
+        for field in ("memory", "anticipation"):
+            if type(data[field]) is not int:
+                raise InputError(f"{field}: must be an integer, got {data[field]!r}")
         alphabet = tuple(data["alphabet"])
         multi = any(len(str(s)) > 1 for s in alphabet)
         def parse_key(k):
             return tuple(k.split(",")) if multi else tuple(k)
         block_map = {parse_key(k): v for k, v in data["block_map"].items()}
+        if not all(isinstance(y, str) for y in block_map.values()):
+            raise InputError("block_map: must map each word to a string")
         transitions = data.get("transitions")
         if transitions is not None:
-            transitions = [tuple(e) for e in transitions]
+            transitions = _json_pairs(transitions)
         return cls(data["memory"], data["anticipation"], alphabet, block_map, transitions)
 
 

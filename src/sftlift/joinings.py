@@ -1,4 +1,4 @@
-"""Fiber products and the graph of mutually separated preimage tuples.
+"""The graph of mutually separated preimage tuples.
 
 For a finite-to-one 1-block code of degree d, the d-tuples of preimages
 that never share a symbol at the same time form a 1-step SFT (here: the
@@ -11,23 +11,15 @@ the ergodic lifts with multiplicity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import permutations
 from math import isqrt
 
 import numpy as np
 
-from .errors import NoPath, NotInImage, ProjectionNotOnto, UnsupportedFiber
+from .errors import NoPath, ProjectionNotOnto, UnsupportedFiber
 from .graphs import (LabeledGraph, PeriodicOrbit, SubsetAutomaton, _as_word,
-                     _essential_symbols, analyze_graph, scan)
-from .codes import compute_degree, periodic_fiber, phased_cycles
-
-
-@dataclass(frozen=True)
-class FiberProductGraph:
-    """Equal-label n-tuples with componentwise transitions, trimmed essential."""
-
-    arity: int
-    graph: LabeledGraph
+                     analyze_graph, scan)
+from .codes import compute_degree, fiber_product, periodic_fiber, phased_cycles
 
 
 @dataclass(frozen=True)
@@ -43,55 +35,13 @@ class DegreeJoiningGraph:
     components: tuple
 
 
-def fiber_product(g: LabeledGraph, n: int, distinct: bool = False) -> FiberProductGraph:
-    """The 1-step SFT of equal-label n-tuples (pairwise-distinct entries
-    when ``distinct``), trimmed to its essential part.
-
-    The successors of a tuple u under label y are the product of the
-    coordinates' y-labelled successor lists (Lind & Marcus, §9.1), built
-    coordinate by coordinate.  The cost is O(n) per tuple and label plus
-    O(n) per successor tuple and per partial successor tuple built, not the
-    square of the tuple count; distinct tuples are listed as permutations
-    of a label class, not filtered from all n-tuples."""
-    if n < 1:
-        raise ValueError("arity must be >= 1")
-    order = g.index
-    symbols = []
-    for y in g.y_symbols:
-        cls = g.label_classes[y]
-        symbols.extend(permutations(cls, n) if distinct else product(cls, repeat=n))
-    symbols.sort(key=lambda t: tuple(order[s] for s in t))
-    by_label = {s: {} for s in g.x_symbols}
-    for s, succ in g.successors.items():
-        for t in succ:
-            by_label[s].setdefault(g.label[t], []).append(t)
-    trans = set()
-    for u in symbols:
-        outs = [by_label[a] for a in u]
-        for y in outs[0]:
-            if any(y not in out for out in outs):
-                continue
-            tails = [()]
-            for out in outs:        # extend coordinate by coordinate, pruning repeats
-                tails = [t + (b,) for t in tails for b in out[y] if not (distinct and b in t)]
-            trans.update((u, v) for v in tails)
-    alive = _essential_symbols(symbols, trans)
-    if not alive:
-        raise NotInImage("fiber product is empty after trimming")
-    symbols = [t for t in symbols if t in alive]
-    trans = {(u, v) for u, v in trans if u in alive and v in alive}
-    label = {t: g.label[t[0]] for t in symbols}
-    return FiberProductGraph(n, LabeledGraph(symbols, trans, label, g.y_symbols))
-
-
 def degree_joining_graph(g: LabeledGraph, degree: int | None = None) -> DegreeJoiningGraph:
     """Materialize the SFT of d-tuples of distinct mutually separated
     preimages and verify that every coordinate projection still covers the
     whole domain and every image letter is still realized."""
     if degree is None:
         degree = compute_degree(g).degree
-    prod = fiber_product(g, degree, distinct=True)
-    lam = prod.graph
+    lam = fiber_product(g, degree, distinct=True)
     for i in range(degree):
         covered = {t[i] for t in lam.x_symbols}
         if covered != set(g.x_symbols):
@@ -99,8 +49,7 @@ def degree_joining_graph(g: LabeledGraph, degree: int | None = None) -> DegreeJo
                 f"coordinate {i} misses symbols {sorted(map(str, set(g.x_symbols) - covered))}")
     if {lam.label[t] for t in lam.x_symbols} != set(g.y_symbols):
         raise ProjectionNotOnto("joining graph misses part of the image alphabet")
-    report = analyze_graph(lam)
-    return DegreeJoiningGraph(degree, lam, report.components)
+    return DegreeJoiningGraph(degree, lam, analyze_graph(lam).components)
 
 
 class _ViabilityWalk:

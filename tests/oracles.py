@@ -3,7 +3,8 @@ oracles for the code that replaced them: the forward and backward subset
 states of the magic-word search, the subset construction of
 ``determinize`` and the right-resolving presentation keyed by (subset
 tuple, letter) with its depth-first orbit enumerator, the depth-first
-orbit enumerator of an SFT, the closing test that finds the pairs
+orbit enumerator of an SFT, the diamond test on the untrimmed graph of
+equal-label pairs and the closing test on it that finds the pairs
 reaching a recurrent pair by full passes, the essential-part trim by
 repeated full passes, the symbol-keyed viability walker (one memo lookup
 per step), the per-length cylinder counter of empirical distributions,
@@ -28,13 +29,12 @@ from math import log
 
 import numpy as np
 
-from sftlift.codes import PhasedFiberDecomposition, _pair_successors, _pair_symbols
+from sftlift.codes import PhasedFiberDecomposition, _require_irreducible
 from sftlift.errors import EmptyAfterTrim, FiberInfinite, InputError, NoPath, NotInImage
 from sftlift.fibers import (CanonicalLiftDecomposition, LiftEntry, LiftReport,
                             _lift_orbit_alphabet, _unwrap)
 from sftlift.graphs import (LabeledGraph, OneBlockRecoding, PeriodicOrbit, SlidingBlockCode,
                             _as_word, _tarjan_scc, analyze_graph, full_shift, perron_value)
-from sftlift.joinings import FiberProductGraph
 from sftlift.measures import (BernoulliMeasure, COMeasure, MarkovMeasure, PushforwardMeasure,
                               window_codes)
 
@@ -231,6 +231,51 @@ def enumerate_periodic_orbits(g: LabeledGraph, max_period: int):
             for nxt in reversed(g.successors[current]):
                 stack.append((nxt, word + (nxt,)))
     return sorted(orbits, key=lambda o: (o.period, tuple(order[s] for s in o.primitive_word)))
+
+
+def _pair_symbols(g):
+    return [(a, b) for a in g.x_symbols for b in g.x_symbols if g.label[a] == g.label[b]]
+
+
+def _pair_successors(g, pairs):
+    pair_set = set(pairs)
+    succ = {}
+    for a, b in pairs:
+        succ[(a, b)] = [(c, d) for c in g.successors[a] for d in g.successors[b]
+                        if (c, d) in pair_set]
+    return succ
+
+
+def _reversed(succ):
+    pred = {p: [] for p in succ}
+    for p, nbrs in succ.items():
+        for q in nbrs:
+            pred[q].append(p)
+    return pred
+
+
+def _closure(seeds, neighbors):
+    seen = set(seeds)
+    frontier = list(seen)
+    while frontier:
+        v = frontier.pop()
+        for w in neighbors[v]:
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return seen
+
+
+def finite_to_one(g: LabeledGraph) -> bool:
+    """Diamond test on the untrimmed pair graph of all equal-label symbol
+    pairs: the code is finite-to-one iff no path runs from a diagonal pair
+    to a diagonal pair through an off-diagonal pair."""
+    g = _require_irreducible(g)
+    succ = _pair_successors(g, _pair_symbols(g))
+    diagonal = [(a, a) for a in g.x_symbols]
+    reachable = _closure(diagonal, succ)
+    coreachable = _closure(diagonal, _reversed(succ))
+    return not any(a != b for a, b in reachable & coreachable)
 
 
 def closing_failure(g, forward: bool) -> bool:
@@ -770,7 +815,7 @@ def _pushforward_support_presentation(nu: PushforwardMeasure):
     return determinize(restricted)
 
 
-def fiber_product(g: LabeledGraph, n: int, distinct: bool = False) -> FiberProductGraph:
+def fiber_product(g: LabeledGraph, n: int, distinct: bool = False) -> LabeledGraph:
     """The 1-step SFT of equal-label n-tuples (pairwise-distinct entries
     when ``distinct``), trimmed to its essential part; every pair of tuples
     is tested for a transition."""
@@ -797,7 +842,7 @@ def fiber_product(g: LabeledGraph, n: int, distinct: bool = False) -> FiberProdu
     symbols = [t for t in symbols if t in alive]
     trans = {(u, v) for u, v in trans if u in alive and v in alive}
     label = {t: g.label[t[0]] for t in symbols}
-    return FiberProductGraph(n, LabeledGraph(symbols, trans, label, g.y_symbols))
+    return LabeledGraph(symbols, trans, label, g.y_symbols)
 
 
 def least_rotation(word, order=None):

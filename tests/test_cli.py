@@ -290,6 +290,22 @@ INVALID_VALUES = {
     "negative-memory": ("graph", {**RULE102, "memory": -1}, "memory"),
     "missing-block": ("graph", {**RULE102, "block_map": {"00": "0", "01": "1", "10": "1"}},
                       "block_map"),
+    "transition-pair": ("graph", {"x_symbols": ["a"], "transitions": [["a"]],
+                                  "label": {"a": "a"}}, "transitions"),
+    "block-transition-pair": ("graph", {**RULE102, "transitions": [["0", "1", "0"]]},
+                              "transitions"),
+    "label-type": ("graph", {"x_symbols": ["a"], "transitions": [["a", "a"]],
+                             "label": {"a": [0]}}, "label"),
+    "memory-string": ("graph", {**RULE102, "memory": "x"}, "memory"),
+    "memory-float": ("graph", {**RULE102, "memory": 0.5}, "memory"),
+    "memory-bool": ("graph", {**RULE102, "memory": True}, "memory"),
+    "anticipation-float": ("graph", {**RULE102, "anticipation": 1.0}, "anticipation"),
+    "block-key-letter": ("graph", {**RULE102, "block_map": {**RULE102["block_map"], "22": "0"}},
+                         "block_map"),
+    "block-key-length": ("graph", {**RULE102, "block_map": {**RULE102["block_map"], "0": "0"}},
+                         "block_map"),
+    "block-value-type": ("graph", {**RULE102, "block_map": {**RULE102["block_map"], "11": [0]}},
+                         "block_map"),
     "bernoulli-sum": ("measure", {"type": "bernoulli", "alphabet": ["0", "1"],
                                   "probabilities": ["1/2", "1/3"]}, "probabilities"),
     "bernoulli-negative": ("measure", {"type": "bernoulli", "alphabet": ["0", "1"],

@@ -11,21 +11,21 @@ from sftlift.errors import NoPath, UnsupportedFiber
 
 def test_fiber_product_rule102(rule102):
     prod = sl.fiber_product(rule102.recoding.graph, 2)
-    assert len(prod.graph.x_symbols) == 8
-    for u, v in prod.graph.x_symbols:
+    assert len(prod.x_symbols) == 8
+    for u, v in prod.x_symbols:
         assert rule102.recoding.graph.label[u] == rule102.recoding.graph.label[v]
 
 
 def test_fiber_product_arity_one(golden_mean_graph):
     prod = sl.fiber_product(golden_mean_graph, 1)
-    assert len(prod.graph.x_symbols) == 2
-    assert {(u[0], v[0]) for u, v in prod.graph.transitions} == set(golden_mean_graph.transitions)
+    assert len(prod.x_symbols) == 2
+    assert {(u[0], v[0]) for u, v in prod.transitions} == set(golden_mean_graph.transitions)
 
 
 def test_fiber_product_identity_diagonal():
     prod = sl.fiber_product(sl.full_shift("01"), 2)
-    assert all(u == v for u, v in prod.graph.x_symbols)
-    assert len(prod.graph.x_symbols) == 2
+    assert all(u == v for u, v in prod.x_symbols)
+    assert len(prod.x_symbols) == 2
 
 
 # ------------------------------------------------------------ joining graph

@@ -1,5 +1,6 @@
 """Differential tests: the shared subset automaton, the table-based image
-presentation with its Lyndon-word orbit sweep, the closing test, the
+presentation with its Lyndon-word orbit sweep, the diamond and closing
+tests on the trimmed 2-fold fiber product, the
 speculate-and-verify viability walk, the one-pass empirical counts, the
 queue-based essential trim, the single phased-cycle routine on integer
 vertices with the periodic lift analysis, the
@@ -99,15 +100,56 @@ _ONE_SIDED = ([("s0", "s1"), ("s0", "s2"), ("s1", "s2"), ("s2", "s0"), ("s2", "s
               {"s0": "1", "s1": "0", "s2": "1"})
 
 
+# irreducible but not essential: t has no predecessor
+_TRANSIENT = LabeledGraph("tab", [("t", "a"), ("a", "a"), ("a", "b"), ("b", "a")],
+                          {"t": "a", "a": "a", "b": "b"})
+# the diagonal reaches the pair (b, c), but b and c lead only to d and e,
+# whose labels differ, so the trim of the 2-fold fiber product removes it
+_DEAD_END_PAIR = LabeledGraph("abcde", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "e"),
+                                        ("d", "a"), ("e", "a")],
+                              {"a": "x", "b": "y", "c": "y", "d": "z", "e": "w"})
+
+
+@given(graphs_strategy())
+@example(_TRANSIENT)
+@example(_DEAD_END_PAIR)
+def test_diamond_test_matches_pair_graph_oracle(g):
+    """On every random graph: ``graphs_strategy`` draws codes that are
+    finite-to-one and codes that are not."""
+    assert sl.is_finite_to_one(g) == oracles.finite_to_one(g)
+
+
+def test_diamond_test_matches_pair_graph_oracle_on_fixtures(random_fto_fixtures,
+                                                           constant_label_graph,
+                                                           rule102, diff4, sum5):
+    graphs = [ca.recoding.graph for ca in (rule102, diff4, sum5)]
+    for g in random_fto_fixtures + graphs + [constant_label_graph]:
+        assert sl.is_finite_to_one(g) == oracles.finite_to_one(g)
+
+
+def test_trim_cases_keep_every_verdict():
+    for g in (_TRANSIENT, _DEAD_END_PAIR):
+        assert sl.is_finite_to_one(g)
+        assert sl.is_right_closing(g) and sl.is_left_closing(g) and sl.is_bi_closing(g)
+
+
 @given(graphs_strategy())
 @example(LabeledGraph(["s0", "s1", "s2"], *_ONE_SIDED))
 @example(LabeledGraph(["s0", "s1", "s2"], [(b, a) for a, b in _ONE_SIDED[0]], _ONE_SIDED[1]))
+@example(_TRANSIENT)
+@example(_DEAD_END_PAIR)
 def test_closing_matches_full_pass_oracle(g):
     """On every random graph, finite-to-one or not: few finite-to-one random
-    graphs fail to be closing, so the two examples are finite-to-one codes
-    that are closing on one side only."""
+    graphs fail to be closing, so the first two examples are finite-to-one
+    codes that are closing on one side only."""
     assert sl.is_right_closing(g) == (not oracles.closing_failure(g, True))
     assert sl.is_left_closing(g) == (not oracles.closing_failure(g, False))
+
+
+@given(graphs_strategy())
+@example(LabeledGraph(["s0", "s1", "s2"], *_ONE_SIDED))
+def test_bi_closing_is_right_and_left_closing(g):
+    assert sl.is_bi_closing(g) == (sl.is_right_closing(g) and sl.is_left_closing(g))
 
 
 def _old_path(g, word):
@@ -185,7 +227,7 @@ def walk_windows(draw):
     arity = draw(st.integers(0, 3))
     if arity:
         try:
-            g = sl.fiber_product(g, arity, distinct=True).graph
+            g = sl.fiber_product(g, arity, distinct=True)
         except NotInImage:
             assume(False)
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
@@ -223,7 +265,7 @@ def test_speculative_walk_settles_chunks_all_three_ways(sum5):
     g = LabeledGraph("abcd", [("a", "d"), ("b", "b"), ("b", "c"), ("c", "a"), ("c", "b"),
                               ("d", "a"), ("d", "b")],
                      {"a": "0", "b": "0", "c": "1", "d": "1"})
-    swapped = _settled_walker(sl.fiber_product(g, 2, distinct=True).graph, "1010")
+    swapped = _settled_walker(sl.fiber_product(g, 2, distinct=True), "1010")
     assert swapped._relabellings and swapped.resolutions["rerun"] == 1
     assert not swapped.resolutions["relabel"]
 
@@ -563,10 +605,9 @@ def thinned_graphs(draw):
 
 def _product_outcome(fn, g, n, distinct):
     try:
-        prod = fn(g, n, distinct)
+        return fn(g, n, distinct)
     except NotInImage:
         return NotInImage
-    return prod.arity, prod.graph
 
 
 @given(thinned_graphs(), st.integers(1, 4), st.booleans())
