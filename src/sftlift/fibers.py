@@ -68,23 +68,30 @@ class LiftReport:
 
 @dataclass(frozen=True)
 class CanonicalLiftDecomposition:
-    """Ergodic decomposition of the uniform-fiber lift: weights m_i / d."""
+    """Ergodic decomposition of the uniform-fiber lift: the lift of
+    multiplicity m_i has weight m_i / d."""
 
-    components: tuple                 # (measure, Fraction weight)
+    lifts: tuple                      # the report's LiftEntry per component
+    degree: int                       # d
 
     def __post_init__(self):
-        common = math.lcm(*(w.denominator for _m, w in self.components))
-        if sum(w.numerator * (common // w.denominator) for _m, w in self.components) != common:
+        if sum(e.multiplicity for e in self.lifts) != self.degree:
             raise ValueError("canonical lift weights must sum to 1 exactly")
 
     @property
+    def components(self):
+        """(measure, Fraction weight) per component."""
+        return tuple((e.measure, Fraction(e.multiplicity, self.degree)) for e in self.lifts)
+
+    @property
     def is_ergodic(self):
-        return len(self.components) == 1
+        return len(self.lifts) == 1
 
     def to_json_dict(self):
         return {
-            "components": [{"measure": m.describe(), "weight": str(w)}
-                           for m, w in self.components],
+            "components": [{"measure": e.descriptor,
+                            "weight": str(Fraction(e.multiplicity, self.degree))}
+                           for e in self.lifts],
             "is_ergodic": self.is_ergodic,
         }
 
@@ -138,9 +145,7 @@ def analyze_periodic_lifts(code, y: PeriodicOrbit):
         details={"diagonal_mass": {k: str(v) for k, v in diagonal.items()},
                  "base_period": p},
     )
-    decomposition = CanonicalLiftDecomposition(
-        tuple((e.measure, Fraction(e.multiplicity, d)) for e in entries))
-    return report, decomposition
+    return report, CanonicalLiftDecomposition(report.lifts, d)
 
 
 @dataclass(frozen=True)

@@ -72,16 +72,22 @@ class LabeledGraph:
 
     @cached_property
     def successors(self):
+        """Map symbol -> its successors, in symbol order."""
         succ = {s: [] for s in self.x_symbols}
-        for a, b in sorted(self.transitions, key=lambda e: (self.index[e[0]], self.index[e[1]])):
+        for a, b in self.transitions:
             succ[a].append(b)
+        for row in succ.values():
+            row.sort(key=self.index.__getitem__)
         return succ
 
     @cached_property
     def predecessors(self):
+        """Map symbol -> its predecessors, in symbol order."""
         pred = {s: [] for s in self.x_symbols}
-        for a, b in sorted(self.transitions, key=lambda e: (self.index[e[1]], self.index[e[0]])):
+        for a, b in self.transitions:
             pred[b].append(a)
+        for row in pred.values():
+            row.sort(key=self.index.__getitem__)
         return pred
 
     @cached_property
@@ -582,39 +588,93 @@ def scan(step, inputs, start, out):
     is the caller's buffer and may be ``inputs`` itself: every input is read
     before its slot is written.
 
-    The scan is data-parallel (Mytkowicz, Musuvathi & Schulte,
-    "Data-Parallel Finite-State Machines", ASPLOS 2014): the input is cut
-    into about √T chunks of √T symbols; each chunk's map from entry to exit
-    state is composed for all chunks at once, the chunk entry states are
-    resolved in one pass over the chunks, and the chunks are replayed
-    together from their entry states.  Every numpy call covers all chunks,
-    so the interpreter runs O(√T) steps and numpy O(T · states) work.
+    The scan is data-parallel with convergence (Mytkowicz, Musuvathi &
+    Schulte, "Data-Parallel Finite-State Machines", ASPLOS 2014).  The input
+    is cut into about √T chunks of √T symbols, copied into one contiguous
+    (position × chunk) array of the narrowest unsigned type that holds the
+    symbols and the states; each position's symbols are overwritten by its
+    states once read.  Each chunk runs one lane per entry state until its
+    live lanes meet in one state, which is checked after 1, 2, 4, 8, ...
+    steps: say after j_c steps.  From there on it runs a single lane, and
+    the single lanes of all chunks step together.  One pass over the chunks
+    resolves their true entry states, and each chunk is replayed from its
+    own for the steps before j_c only (all of it if its true lane dies).
+    The interpreter runs O(√T) steps and numpy O(T + Σ_c j_c · states)
+    work; j_c = 1 when all rows of the table are equal.  In the worst case
+    the lanes never merge, as under a permutation of the states per symbol:
+    every j_c is √T and the work is O(T · states), that of composing every
+    chunk's whole map.
     """
-    states = len(step)
-    # row -1 is the dead state; a -1 entry indexes it too
-    table = np.vstack([step, np.full((1, step.shape[1]), -1, dtype=step.dtype)])
+    states, symbols = step.shape
     total = len(inputs)
     width = max(1, isqrt(total))
     chunks = total // width
     body = chunks * width
+    # state s is held as s + 1, so that the dead state is 0 and row 0
+    table = np.zeros((states + 1, symbols), dtype=np.intp)
+    table[1:] = step + 1
+    flat = table.ravel()
     blocks = inputs[:body].reshape(chunks, width)
-    maps = np.broadcast_to(np.arange(states + 1), (chunks, states + 1))
-    for i in range(width):
-        maps = table[maps, blocks[:, i, None]]
-    entry = np.empty(chunks, dtype=np.int64)
-    state = start
-    for c, row in enumerate(maps.tolist()):
-        entry[c] = state
-        state = row[state]
-    replay = out[:body].reshape(chunks, width)
-    for i in range(width):
-        entry = table[entry, blocks[:, i]]
-        replay[:, i] = entry
+    cols = np.empty((width, chunks), dtype=np.min_scalar_type(max(symbols - 1, states)))
+    cols[...] = blocks.T
+    # merge[c]: the position at which chunk c's lanes were found met;
+    # gate[c, e]: the state of the lane from entry e there, and in the end
+    # the exit of chunk c from entry e
+    gate = np.empty((chunks, states), dtype=np.min_scalar_type(states))
+    merge = np.full(chunks, width)
+    live = np.arange(chunks)
+    lanes = np.broadcast_to(np.arange(1, states + 1), (chunks, states))
+    single = np.zeros(chunks, dtype=np.intp)
+    i, check = 0, 1
+    while len(live) and i < width:
+        col = cols[i]
+        lanes = flat.take(lanes * symbols + (col if len(live) == chunks else col[live])[:, None])
+        if len(live) < chunks:
+            single = flat.take(single * symbols + col)
+            col[...] = single
+        i += 1
+        if i == check or i == width:
+            check *= 2
+            top = lanes.max(1, initial=0)
+            merged = ((lanes == top[:, None]) | (lanes == 0)).all(1)
+            if merged.any():
+                done = live[merged]
+                gate[done] = lanes[merged]
+                single[done] = col[done] = top[merged]
+                merge[done] = i - 1
+                live, lanes = live[~merged], lanes[~merged]
+    gate[live] = lanes
+    for i in range(i, width):
+        single = flat.take(single * symbols + cols[i])
+        cols[i] = single
+    settled = merge < width
+    gate[settled] = np.where(gate[settled] == 0, 0, single[settled, None])
+    entry = []
+    state = start + 1
+    for row in gate.tolist():
+        if not state:
+            break
+        entry.append(state)
+        state = row[state - 1]
+    # chunks from c on enter dead; a chunk whose true lane dies is replayed whole
+    c = len(entry)
+    if not state and c:
+        merge[c - 1] = width
+    cols[:, c:] = 0
+    lane, where, i = np.array(entry, dtype=np.intp), slice(None, c), 0
+    for stop in np.unique(merge[:c]).tolist():
+        for i in range(i, stop):
+            lane = flat.take(lane * symbols + blocks[where, i])
+            cols[i, where] = lane
+        i = stop
+        lane = lane[merge[where] > stop]
+        where = np.flatnonzero(merge[:c] > stop)
+    np.subtract(cols.T, 1, out=out[:body].reshape(chunks, width), dtype=out.dtype)
     rows = table.tolist()
     for t in range(body, total):
         state = rows[state][inputs[t]]
-        out[t] = state
-    return state
+        out[t] = state - 1
+    return state - 1
 
 
 class RightResolvingPresentation:

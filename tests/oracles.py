@@ -18,14 +18,16 @@ enumerating every domain word, samples through the block-map table or
 the graph's label lookup, and the branch-per-measure-type support
 presentation), and the quadratic exact constructions: the fiber product
 that tests every pair of tuples, the least rotation by ranking every
-rotation, and the recoding that compares every pair of blocks."""
+rotation, and the recoding that compares every pair of blocks; the
+integer scan that composes every chunk's whole entry-to-exit map, and the
+successor and predecessor lists sorted over all transitions at once."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import log
+from math import isqrt, log
 
 import numpy as np
 
@@ -649,7 +651,7 @@ def analyze_periodic_lifts(code, y: PeriodicOrbit):
         details={"diagonal_mass": {k: str(v) for k, v in diagonal.items()},
                  "base_period": p},
     )
-    return report, CanonicalLiftDecomposition(weights)
+    return report, CanonicalLiftDecomposition(report.lifts, d)
 
 
 def anchor_of_label(lift_word, labels, base_word):
@@ -861,3 +863,51 @@ def recode_to_one_block(code: SlidingBlockCode) -> OneBlockRecoding:
     label = {u: code.block_map[u] for u in symbols}
     graph = LabeledGraph(symbols, trans, label, code.y_symbols)
     return OneBlockRecoding(graph=graph, offset=code.memory, base_alphabet=code.alphabet)
+
+
+def composed_scan(step, inputs, start, out):
+    """``graphs.scan`` by composing each chunk's whole (states + 1)-entry
+    map for all about √T chunks at once, resolving the entry states in one
+    pass and replaying every chunk: O(T · states)."""
+    states = len(step)
+    # row -1 is the dead state; a -1 entry indexes it too
+    table = np.vstack([step, np.full((1, step.shape[1]), -1, dtype=step.dtype)])
+    total = len(inputs)
+    width = max(1, isqrt(total))
+    chunks = total // width
+    body = chunks * width
+    blocks = inputs[:body].reshape(chunks, width)
+    maps = np.broadcast_to(np.arange(states + 1), (chunks, states + 1))
+    for i in range(width):
+        maps = table[maps, blocks[:, i, None]]
+    entry = np.empty(chunks, dtype=np.int64)
+    state = start
+    for c, row in enumerate(maps.tolist()):
+        entry[c] = state
+        state = row[state]
+    replay = out[:body].reshape(chunks, width)
+    for i in range(width):
+        entry = table[entry, blocks[:, i]]
+        replay[:, i] = entry
+    rows = table.tolist()
+    for t in range(body, total):
+        state = rows[state][inputs[t]]
+        out[t] = state
+    return state
+
+
+def sorted_successors(g: LabeledGraph):
+    """``LabeledGraph.successors`` by one sort of all transitions keyed by
+    an (index, index) pair."""
+    succ = {s: [] for s in g.x_symbols}
+    for a, b in sorted(g.transitions, key=lambda e: (g.index[e[0]], g.index[e[1]])):
+        succ[a].append(b)
+    return succ
+
+
+def sorted_predecessors(g: LabeledGraph):
+    """``LabeledGraph.predecessors`` by one sort of all transitions."""
+    pred = {s: [] for s in g.x_symbols}
+    for a, b in sorted(g.transitions, key=lambda e: (g.index[e[1]], g.index[e[0]])):
+        pred[b].append(a)
+    return pred

@@ -218,15 +218,27 @@ def loop_scan(step, inputs, start):
 
 @st.composite
 def scan_cases(draw):
-    states = draw(st.integers(1, 6))
+    """Tables of 1-64 states: random (with or without missing transitions),
+    with a reset symbol (their lanes merge), permutations of the states per
+    symbol (they never merge) or with rows of -1 (lanes that die); lengths
+    around and at squares, where the chunks of ``scan`` come out exact."""
+    states = draw(st.integers(1, 64))
     symbols = draw(st.integers(1, 4))
-    low = draw(st.sampled_from([-1, 0]))
-    step = np.array([[draw(st.integers(low, states - 1)) for _ in range(symbols)]
-                     for _ in range(states)], dtype=np.int64)
-    length = draw(st.one_of(st.integers(0, 40), st.integers(2, 40).map(lambda k: k * k),
+    kind = draw(st.sampled_from(["random", "reset", "permutation", "dead rows"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "permutation":
+        step = np.array([rng.permutation(states) for _ in range(symbols)]).T.copy()
+    else:
+        step = rng.integers(draw(st.sampled_from([-1, 0])), states, size=(states, symbols))
+    if kind == "reset":
+        step[:, rng.integers(symbols)] = rng.integers(states)
+    if kind == "dead rows":
+        step[rng.random(states) < 0.3] = -1
+    length = draw(st.one_of(st.integers(0, 40),
+                            st.integers(1, 45).flatmap(
+                                lambda k: st.sampled_from([k * k - 1, k * k, k * k + 1])),
                             st.integers(0, 2000)))
-    seed = draw(st.integers(0, 2**32 - 1))
-    inputs = np.random.default_rng(seed).integers(0, symbols, size=length)
+    inputs = rng.integers(0, symbols, size=length)
     return step, inputs, draw(st.integers(0, states - 1))
 
 

@@ -1,6 +1,7 @@
 """Differential tests: the shared subset automaton, the table-based image
 presentation with its Lyndon-word orbit sweep, the diamond and closing
-tests on the trimmed 2-fold fiber product, the
+tests on the trimmed 2-fold fiber product, the per-row sorted successor
+lists, the integer scan that merges its lanes, the
 speculate-and-verify viability walk, the one-pass empirical counts, the
 queue-based essential trim, the single phased-cycle routine on integer
 vertices with the periodic lift analysis, the
@@ -25,7 +26,7 @@ from sftlift.joinings import _ViabilityWalk
 from sftlift.measures import EmpiricalDistribution, make_rng
 
 import oracles
-from test_graphs import graphs_strategy
+from test_graphs import graphs_strategy, loop_scan, scan_cases
 
 
 @given(graphs_strategy())
@@ -442,6 +443,39 @@ def test_co_sampler_matches_comprehension(word, length, seed):
     assert new.tolist() == old.tolist()
 
 
+# ------------------------------------------------------------ integer scan
+
+@given(scan_cases())
+def test_scan_matches_composed_oracle(case):
+    step, inputs, start = case
+    expected = np.full(len(inputs), 99, dtype=np.int64)
+    expected_last = oracles.composed_scan(step, inputs, start, expected)
+    assert expected.tolist() == loop_scan(step, inputs, start)
+    out = np.full(len(inputs), 99, dtype=np.int64)
+    assert sl.graphs.scan(step, inputs, start, out) == expected_last
+    assert out.tolist() == expected.tolist()
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind", ["synchronizing", "permutation"])
+def test_scan_matches_composed_oracle_at_a_million_steps(kind):
+    # 300 states and 5 symbols: symbol 0 resets every state to state 7, so
+    # the lanes of a chunk merge at its first 0; a permutation table never
+    # merges, so every chunk runs all its lanes and is replayed whole
+    rng = np.random.default_rng(10)
+    if kind == "synchronizing":
+        step = rng.integers(0, 300, size=(300, 5))
+        step[:, 0] = 7
+    else:
+        step = np.array([rng.permutation(300) for _ in range(5)]).T.copy()
+    inputs = rng.integers(0, 5, size=10**6)
+    expected = np.empty(len(inputs), dtype=np.int64)
+    expected_last = oracles.composed_scan(step, inputs, 3, expected)
+    out = np.empty(len(inputs), dtype=np.int64)
+    assert sl.graphs.scan(step, inputs, 3, out) == expected_last
+    assert np.array_equal(out, expected)
+
+
 # ------------------------------------------------------ pushforward path
 
 def _random_block_code(rng, k, memory, anticipation, density=1.0):
@@ -672,3 +706,16 @@ def test_empirical_counts_match_per_length_oracle(case):
 def test_essential_symbols_match_full_pass_oracle(case):
     n, edges = case                     # endpoints n and n + 1 are not symbols
     assert _essential_symbols(range(n), edges) == oracles.essential_symbols(range(n), edges)
+
+
+@given(graphs_strategy())
+def test_adjacency_lists_match_one_sort_oracle(g):
+    assert g.successors == oracles.sorted_successors(g)
+    assert g.predecessors == oracles.sorted_predecessors(g)
+
+
+def test_adjacency_lists_match_one_sort_oracle_on_joining_graphs(rule102, diff4, sum5):
+    for ca in (rule102, diff4, sum5):
+        for g in (ca.recoding.graph, sl.degree_joining_graph(ca.recoding.graph).graph):
+            assert g.successors == oracles.sorted_successors(g)
+            assert g.predecessors == oracles.sorted_predecessors(g)
