@@ -13,10 +13,10 @@ from .graphs import (LabeledGraph, OneBlockRecoding, PeriodicOrbit,
 from .codes import (DegreeReport, PhasedFiberDecomposition, compute_degree,
                     fiber_product, is_bi_closing, is_finite_to_one,
                     is_left_closing, is_right_closing, periodic_fiber,
-                    preimage_words)
+                    periodic_fibers, preimage_words)
 from .joinings import (DegreeJoiningGraph, PeriodicJoiningReport,
                        degree_joining_graph, enumerate_periodic_degree_joinings,
-                       find_relating_permutation, lambda_path_over)
+                       lambda_path_over)
 from .measures import (BernoulliMeasure, COMeasure, ComparisonResult,
                        EmpiricalDistribution, MarkovMeasure,
                        PushforwardMeasure, StationaryMeasure, as_markov,

@@ -14,9 +14,9 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from . import ca as ca_mod
-from .codes import compute_degree, is_finite_to_one
+from .codes import compute_degree, is_finite_to_one, periodic_fibers
 from .errors import InfiniteToOne, PreconditionError
-from .fibers import MonteCarloParams, analyze_periodic_lifts, classify_lifts_monte_carlo
+from .fibers import MonteCarloParams, _periodic_lift_report, classify_lifts_monte_carlo
 from .graphs import (OneBlockRecoding, analyze_graph, determinize, entropy,
                      load_graph_or_code, load_json, render_symbol, to_dot)
 from .joinings import degree_joining_graph
@@ -129,13 +129,12 @@ def cmd_periodic_lifts(args):
     g, rec, _block = _load_code(args.input)
     if not is_finite_to_one(g):
         raise InfiniteToOne("periodic lift analysis requires a finite-to-one code")
-    code = rec if rec is not None else g
     rows = []
-    for orbit in determinize(g).periodic_orbits(args.max_period):
-        report, decomposition = analyze_periodic_lifts(code, orbit)
+    for fiber in periodic_fibers(g, args.max_period):
+        report, decomposition = _periodic_lift_report(fiber, g, rec)
         rows.append({
-            "orbit": [str(a) for a in orbit.primitive_word],
-            "period": orbit.period,
+            "orbit": [str(a) for a in fiber.base_orbit.primitive_word],
+            "period": fiber.base_orbit.period,
             "fiber_size": report.degree,
             "lifts": [entry.to_json_dict() for entry in report.lifts],
             "canonical_lift": decomposition.to_json_dict(),
@@ -186,33 +185,34 @@ def build_parser():
         description="finite-to-one factor codes on SFTs: degrees, joinings, measure fibers")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_input=True):
-        if with_input:
-            p.add_argument("input", help="graph or sliding-block-code JSON file")
-        p.add_argument("--format", choices=["json", "table", "dot"], default="json")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--length", type=int, default=10**6,
-                       help="Monte-Carlo sample length T")
-        p.add_argument("--cyl-depth", type=int, default=3,
-                       help="cylinder depth L for empirical statistics")
-        p.add_argument("--tolerance", type=float, default=None,
-                       help="clustering tolerance (default 5/sqrt(T))")
-        p.add_argument("--max-period", type=int, default=6)
+    code = argparse.ArgumentParser(add_help=False)
+    code.add_argument("input", help="graph or sliding-block-code JSON file")
+    mc_flags = argparse.ArgumentParser(add_help=False)
+    mc_flags.add_argument("--seed", type=int, default=0)
+    mc_flags.add_argument("--length", type=int, default=10**6,
+                          help="Monte-Carlo sample length T")
+    mc_flags.add_argument("--cyl-depth", type=int, default=3,
+                          help="cylinder depth L for empirical statistics")
+    mc_flags.add_argument("--tolerance", type=float, default=None,
+                          help="clustering tolerance (default 5/sqrt(T))")
 
-    common(sub.add_parser("analyze", help="structure report and entropies"))
-    common(sub.add_parser("degree", help="finite-to-one verdict and degree"))
-    common(sub.add_parser("joining", help="export the degree joining graph"))
-    common(sub.add_parser("periodic-lifts", help="exact lifts of all short periodic orbits"))
+    sub.add_parser("analyze", parents=[code], help="structure report and entropies")
+    sub.add_parser("degree", parents=[code], help="finite-to-one verdict and degree")
+    sub.add_parser("joining", parents=[code], help="export the degree joining graph").add_argument(
+        "--format", choices=["json", "dot"], default="json")
+    periodic = sub.add_parser("periodic-lifts", parents=[code],
+                              help="exact lifts of all short periodic orbits")
+    periodic.add_argument("--format", choices=["json", "table"], default="json")
+    periodic.add_argument("--max-period", type=int, default=6)
 
-    mc = sub.add_parser("lift-mc", help="Monte-Carlo lift classification")
-    common(mc)
+    mc = sub.add_parser("lift-mc", parents=[code, mc_flags], help="Monte-Carlo lift classification")
     mc.add_argument("--measure", required=True, help="image-measure JSON file")
     mc.add_argument("--constant-to-one", action="store_true",
                     help="assert the code is constant-to-one, allowing "
                          "non-fully-supported image measures")
 
-    ca_p = sub.add_parser("ca", help="exact linear-CA analyzers plus cross-validation")
-    common(ca_p, with_input=False)
+    ca_p = sub.add_parser("ca", parents=[mc_flags],
+                          help="exact linear-CA analyzers plus cross-validation")
     ca_p.add_argument("--family", required=True, choices=["diff", "difference", "sum"])
     ca_p.add_argument("--modulus", type=int, required=True)
     ca_p.add_argument("--vector", required=True,

@@ -13,6 +13,10 @@ equals the minimum of the per-word counts, which is the degree.  The
 automata are finite and each state carries a shortest witness word, so
 the search terminates and the minimizing pair's witnesses, joined at the
 shared letter, form a magic word that certifies the degree.
+
+The lifts of a periodic orbit are the cycles of its word's preimage paths
+closed up at phase 0; ``periodic_fibers`` finds them for every orbit up
+to a period in one Lyndon-word sweep, checked against tr(A^n).
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from itertools import permutations, product
 
 from .errors import FiberInfinite, InfiniteToOne, NotInImage, NotIrreducible
 from .graphs import (LabeledGraph, PeriodicOrbit, SubsetAutomaton,
-                     _as_word, _essential_symbols, analyze_graph,
+                     _as_word, _essential_symbols, _lyndon_words, analyze_graph,
                      determinize, entropy, least_rotation)
 
 ENTROPY_MATCH_TOL = 1e-9
@@ -62,8 +66,6 @@ class PhasedFiberDecomposition:
     base_orbit: PeriodicOrbit
     lift_orbits: tuple        # of (PeriodicOrbit, winding) pairs
     fiber_size: int
-    anchors: tuple            # per lift orbit: the phase of the base word
-                              # under the first symbol of its primitive word
 
 
 def _require_irreducible(g: LabeledGraph) -> LabeledGraph:
@@ -210,81 +212,86 @@ def _preimage_paths(g: LabeledGraph, w):
     return set(paths)
 
 
-def phased_cycles(g: LabeledGraph, y: PeriodicOrbit):
-    """``_phased_cycle_ids`` with each cycle as its symbol word."""
-    return [tuple(g.x_symbols[i] for i in ids) for ids in _phased_cycle_ids(g, y)]
+def _extend(table, runs, a):
+    """Extend the preimage paths ``runs`` of a word by letter index a: each
+    (start, end) index pair maps to one path, or to None once two reach it;
+    the empty word's run is (n, n), n the start row of ``table``."""
+    nxt = {}
+    for (s, e), path in runs.items():
+        for t in table[e][a]:
+            key = (t, t) if path == () else (s, t)
+            nxt[key] = None if path is None or key in nxt else path + (t,)
+    return nxt
 
 
-def _phased_cycle_ids(g: LabeledGraph, y: PeriodicOrbit):
-    """The recurrent part of the phased preimage graph of a periodic orbit,
-    as disjoint cycles.
-
-    The phased graph has a vertex t * n + s for each phase t of the orbit's
-    word w and each index s (among n) of a symbol labeled w[t]; its edges
-    follow ``g`` from phase t to phase t + 1 mod p.  Its recurrent part must
-    split into disjoint simple cycles, otherwise the fiber is infinite.
-    Each cycle is returned as its list of symbol indices read from phase 0,
-    starting at its least phase-0 symbol, and the cycles come in the order
-    of those symbols.
-    """
-    w, p = y.primitive_word, y.period
-    for a in w:
-        if a not in g.label_classes:
-            raise NotInImage(f"symbol {a!r} is not in the image alphabet")
-    n, table, cols = len(g.x_symbols), g.letter_successors, [g.y_symbols.index(a) for a in w]
-    vertices = [t * n + s for t in range(p) for s in table[n][cols[t]]]
-    edges = [(v, (v // n + 1) % p * n + s) for v in vertices
-             for s in table[v % n][cols[(v // n + 1) % p]]]
-    alive = _essential_symbols(vertices, edges)
-    if not alive:
-        raise NotInImage("no preimage cycle realizes the orbit's word")
-    # trimmed, each vertex has a predecessor: with one successor each, none
-    # has two iff succ is one-to-one
+def _close(g: LabeledGraph, y: PeriodicOrbit, runs) -> PhasedFiberDecomposition:
+    """The fiber of y from the preimage paths ``runs`` of its word w, with no
+    lifts if none closes up.  A path from s to e and an edge from e to t
+    labeled w[0] relate s to t; the essential part of this relation, a pair
+    counted once per path, must be a permutation, or the fiber is infinite.
+    A cycle of k pairs is a lift of winding k whose word repeats no (phase,
+    symbol) vertex, so is primitive.  Lifts come by winding, then word."""
+    table, first = g.letter_successors, g.y_symbols.index(y.primitive_word[0])
+    edges = [(s, t, path) for (s, e), path in runs.items() for t in table[e][first]]
+    alive = _essential_symbols({s for s, _t, _p in edges}, [(s, t) for s, t, _p in edges])
     succ = {}
-    for v, u in edges:
-        if v in alive and u in alive:
-            if v in succ:
+    for s, t, path in edges:
+        if s in alive and t in alive:
+            if s in succ or path is None:
                 raise FiberInfinite("recurrent phased graph branches; fiber is infinite")
-            succ[v] = u
-    if len(set(succ.values())) != len(succ):
-        raise FiberInfinite("recurrent phased graph merges; fiber is infinite")
-
-    seen = set()
-    cycles = []
-    for u in table[n][cols[0]]:
-        if u not in alive or u in seen:
-            continue
-        word = []
-        while u not in seen:
-            seen.add(u)
-            word.append(u % n)
-            u = succ[u]
-        if len(word) % p != 0:
-            raise RuntimeError("phased cycle length not a multiple of the base period")
-        cycles.append(word)
-    if len(seen) != len(alive):
-        raise RuntimeError("phased cycles do not account for the recurrent part")
-    return cycles
+            succ[s] = t, path
+    lifts = []
+    while succ:
+        s, ids = next(iter(succ)), []
+        while s in succ:
+            s, path = succ.pop(s)
+            ids.extend(path)
+        k = least_rotation(ids)
+        lifts.append((len(ids) // y.period, ids[k:] + ids[:k]))
+    lifts.sort()
+    return PhasedFiberDecomposition(y, tuple(
+        (PeriodicOrbit(tuple(g.x_symbols[i] for i in ids), len(ids)), w) for w, ids in lifts),
+        sum(w for w, _ids in lifts))
 
 
 def periodic_fiber(g: LabeledGraph, y: PeriodicOrbit) -> PhasedFiberDecomposition:
-    """Exact fiber of a periodic orbit of the image.
+    """Exact fiber of a periodic orbit of the image (see ``_close``)."""
+    runs = {(len(g.x_symbols),) * 2: ()}
+    for a in y.primitive_word:
+        if a not in g.label_classes:
+            raise NotInImage(f"symbol {a!r} is not in the image alphabet")
+        runs = _extend(g.letter_successors, runs, g.y_symbols.index(a))
+    fiber = _close(g, y, runs)
+    if not fiber.lift_orbits:
+        raise NotInImage("no preimage cycle realizes the orbit's word")
+    return fiber
 
-    Each cycle of length q of the phased graph (see ``_phased_cycle_ids``)
-    yields a lift orbit of least period q and winding q / period(y).
-    """
-    p = y.period
-    lifts = []
-    for ids in _phased_cycle_ids(g, y):
-        # a cycle repeats no vertex, so its word is primitive
-        k = least_rotation(ids)
-        lifts.append((len(ids) // p, ids[k:] + ids[:k], k % p))
-    lifts.sort(key=lambda lift: lift[:2])
-    orbits = [PeriodicOrbit(tuple(g.x_symbols[i] for i in ids), len(ids)) for _w, ids, _a in lifts]
-    return PhasedFiberDecomposition(base_orbit=y,
-                                    lift_orbits=tuple(zip(orbits, (w for w, _i, _a in lifts))),
-                                    fiber_size=sum(w for w, _i, _a in lifts),
-                                    anchors=tuple(a for _w, _i, a in lifts))
+
+def periodic_fibers(g: LabeledGraph, max_period: int):
+    """The fibers of all periodic orbits of the image of least period <=
+    max_period, ordered as ``determinize(g).periodic_orbits``, by one
+    Lyndon-word sweep that extends the preimage paths of each prefix and
+    closes them at each Lyndon word.  Checksum: a lift of winding w over an
+    orbit of period q holds q·w points, of period dividing n iff q·w does,
+    so for each n <= max_period they sum to tr(A^n) (Lind & Marcus §2.2)."""
+    g = analyze_graph(g).essential
+    fibers = []
+    for w, runs in _lyndon_words(len(g.y_symbols), max_period, {(len(g.x_symbols),) * 2: ()},
+                                 lambda runs, a: _extend(g.letter_successors, runs, a)):
+        fiber = _close(g, PeriodicOrbit(tuple(g.y_symbols[a] for a in w), len(w)), runs)
+        if fiber.lift_orbits:
+            fibers.append(fiber)
+    fibers.sort(key=lambda fiber: fiber.base_orbit.period)
+    adjacency = power = g.adjacency_matrix()        # int64: exact while N·d^n < 2^63
+    if len(g.x_symbols) * max(map(len, g.successors.values())) ** max_period >= 2**63:
+        adjacency = power = adjacency.astype(object)    # Python ints beyond
+    for n in range(1, max_period + 1):
+        points = sum(o.period for f in fibers for o, _w in f.lift_orbits if n % o.period == 0)
+        if points != power.trace():
+            raise RuntimeError(f"periodic fibers hold {points} points of period dividing {n}, "
+                               f"not tr(A^{n}) = {power.trace()}")
+        power = power @ adjacency
+    return fibers
 
 
 def is_right_closing(g: LabeledGraph) -> bool:

@@ -120,32 +120,31 @@ def analyze_periodic_lifts(code, y: PeriodicOrbit):
     independent self-joining, which must equal 1/multiplicity.
     """
     g, recoding = _unwrap(code)
-    fiber = periodic_fiber(g, y)
-    d = fiber.fiber_size
-    p = y.period
+    return _periodic_lift_report(periodic_fiber(g, y), g, recoding)
 
-    entries = []
-    diagonal = {}
+
+def _periodic_lift_report(fiber, g, recoding):
+    """``analyze_periodic_lifts`` of a fiber computed on g, of ``recoding`` or None."""
+    y, p = fiber.base_orbit, fiber.base_orbit.period
+    entries, diagonal = [], {}
     for orbit, winding in fiber.lift_orbits:
-        # rotation r lies over base rotation (anchor + r) mod p, so each base
-        # point has winding points over it, with diagonal mass 1/(p winding^2)
+        # the rotations of a lift run over the base rotations in turn, so each
+        # base point has winding points over it, with diagonal mass 1/(p winding^2)
         if orbit.period != winding * p:
             raise RuntimeError("fiber points are not equidistributed over the base orbit")
         reported = recoding.base_orbit(orbit) if recoding is not None else orbit
         lift_measure = COMeasure(reported, _lift_orbit_alphabet(g, recoding))
         entries.append(LiftEntry(lift_measure.describe(), winding, lift_measure))
-        diagonal[",".join(str(a) for a in reported.primitive_word)] = Fraction(1, winding)
+        diagonal[",".join(str(a) for a in reported.primitive_word)] = str(Fraction(1, winding))
 
-    base_measure = COMeasure(y, g.y_symbols)
     report = LiftReport(
-        base=base_measure.describe(),
-        degree=d,
+        base=COMeasure(y, g.y_symbols).describe(),
+        degree=fiber.fiber_size,
         lifts=tuple(entries),
         method="exact",
-        details={"diagonal_mass": {k: str(v) for k, v in diagonal.items()},
-                 "base_period": p},
+        details={"diagonal_mass": diagonal, "base_period": p},
     )
-    return report, CanonicalLiftDecomposition(report.lifts, d)
+    return report, CanonicalLiftDecomposition(report.lifts, fiber.fiber_size)
 
 
 @dataclass(frozen=True)

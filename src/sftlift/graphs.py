@@ -677,6 +677,29 @@ def scan(step, inputs, start, out):
     return state - 1
 
 
+def _lyndon_words(letters, max_period, runs, extend):
+    """Each Lyndon word over ``range(letters)`` of length <= max_period with
+    its runs (``runs`` for the empty word, ``extend(runs, a)`` for a word
+    followed by a; a word without runs is not extended), in lexicographic
+    order: one depth-first sweep over the prenecklaces
+    (Fredricksen–Kessler–Maiorana; Duval, J. Algorithms 1983)."""
+    if max_period < 1:
+        raise InputError("max_period must be >= 1")
+    # (w, p, runs): a prenecklace w whose longest Lyndon prefix has length p
+    stack = [((), 1, runs)]
+    while stack:
+        w, p, runs = stack.pop()
+        if w and p == len(w):
+            yield w, runs
+        if len(w) < max_period:
+            least = w[-p] if w else 0
+            for a in reversed(range(least, letters)):
+                nxt = extend(runs, a)
+                if nxt:
+                    # repeating w[-p] keeps p; a larger letter makes a Lyndon word
+                    stack.append((w + (a,), p if w and a == least else len(w) + 1, nxt))
+
+
 class RightResolvingPresentation:
     """Edge-labeled right-resolving presentation of the image shift,
     obtained by the subset construction and trimmed to its essential part.
@@ -722,39 +745,22 @@ class RightResolvingPresentation:
         max_period, by period and then lexicographically in alphabet order.
 
         Each orbit is named by its Lyndon word, which is primitive and its
-        own least rotation.  One depth-first sweep lists the prenecklaces in
-        lexicographic order (Fredricksen–Kessler–Maiorana; Duval, J.
-        Algorithms 1983), extending only words that some state reads, and
-        keeps a Lyndon word w when reading it maps some state to itself.
-        This misses no orbit of a presentation built by ``determinize``: if
-        w^∞ is in the image, reading rot(w) = w[1:] w[0] again and again
-        from the label-class state of w[0] gives a chain of subset states
-        that shrinks (the construction is monotone) and never empties (the
+        own least rotation.  The ``_lyndon_words`` sweep carries the (start,
+        end) state pairs of the runs reading each word, and keeps a Lyndon
+        word w when reading it maps some state to itself.  This misses no
+        orbit of a presentation built by ``determinize``: if w^∞ is in the
+        image, reading rot(w) = w[1:] w[0] again and again from the
+        label-class state of w[0] gives a chain of subset states that
+        shrinks (the construction is monotone) and never empties (the
         preimages of w^∞ pass through it).  It stops at a state S on a
         cycle, which the trim keeps, and w maps the state that w[1:]
         reaches from S to itself.
         """
-        if max_period < 1:
-            raise InputError("max_period must be >= 1")
         rows = self.step.tolist()
-        words = []
-        # (w, p, runs): a prenecklace w whose longest Lyndon prefix has
-        # length p, and the (start, end) state pairs of the runs reading it
-        stack = [((), 1, [(s, s) for s in range(len(rows))])]
-        while stack:
-            w, p, runs = stack.pop()
-            if w and p == len(w) and any(s == t for s, t in runs):
-                words.append(tuple(self.alphabet[a] for a in w))
-            if len(w) == max_period:
-                continue
-            least = w[-p] if w else 0
-            for a in reversed(range(least, len(self.alphabet))):
-                nxt = [(s, u) for s, t in runs if (u := rows[t][a]) >= 0]
-                if nxt:
-                    # repeating w[-p] keeps p; a larger letter makes a Lyndon word
-                    stack.append((w + (a,), p if w and a == least else len(w) + 1, nxt))
-        words.sort(key=len)
-        return [PeriodicOrbit(word, len(word)) for word in words]
+        sweep = _lyndon_words(len(self.alphabet), max_period, [(s, s) for s in range(len(rows))],
+                              lambda runs, a: [(s, u) for s, t in runs if (u := rows[t][a]) >= 0])
+        words = sorted((w for w, runs in sweep if any(s == t for s, t in runs)), key=len)
+        return [PeriodicOrbit(tuple(self.alphabet[a] for a in w), len(w)) for w in words]
 
     def language_subset_of(self, other) -> bool:
         """Whether every word readable here is readable in ``other``.  The

@@ -11,7 +11,6 @@ the ergodic lifts with multiplicity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from math import isqrt
 
 import numpy as np
@@ -19,7 +18,7 @@ import numpy as np
 from .errors import NoPath, ProjectionNotOnto, UnsupportedFiber
 from .graphs import (LabeledGraph, PeriodicOrbit, SubsetAutomaton, _as_word,
                      analyze_graph, scan)
-from .codes import compute_degree, fiber_product, periodic_fiber, phased_cycles
+from .codes import compute_degree, fiber_product, periodic_fiber
 
 
 @dataclass(frozen=True)
@@ -220,16 +219,9 @@ def _canonical_column_form(orbit: PeriodicOrbit, order):
     permutation iff their forms agree (columns are pairwise distinct
     because tuple entries never collide)."""
     word = orbit.primitive_word
-    q = len(word)
-    d = len(word[0])
-    best = None
-    for r in range(q):
-        rot = word[r:] + word[:r]
-        cols = sorted(tuple(order[rot[t][i]] for t in range(q)) for i in range(d))
-        cand = tuple(cols)
-        if best is None or cand < best:
-            best = cand
-    return q, best
+    return len(word), min(tuple(sorted(tuple(order[s[i]] for s in word[r:] + word[:r])
+                                       for i in range(len(word[0]))))
+                          for r in range(len(word)))
 
 
 def enumerate_periodic_degree_joinings(joining: DegreeJoiningGraph, g: LabeledGraph,
@@ -249,20 +241,15 @@ def enumerate_periodic_degree_joinings(joining: DegreeJoiningGraph, g: LabeledGr
             f"orbit fiber has {fiber.fiber_size} points but the degree is "
             f"{joining.degree}; enumeration over collapsed orbits is refused")
 
-    order = joining.graph.index
-    orbits = [PeriodicOrbit.from_word(word, order) for word in phased_cycles(joining.graph, y)]
+    lam, w = joining.graph, y.primitive_word
+
+    def least_phase_zero_symbol(orbit):         # where the orbit's labels read w
+        u = orbit.primitive_word
+        image = tuple(lam.label[s] for s in u) * 2
+        return min(lam.index[s] for i, s in enumerate(u) if image[i:i + len(w)] == w)
+
+    orbits = sorted((o for o, _w in periodic_fiber(lam, y).lift_orbits),
+                    key=least_phase_zero_symbol)
     forms = {_canonical_column_form(o, g.index) for o in orbits}
     return PeriodicJoiningReport(base_orbit=y, orbits=tuple(orbits),
                                  permutation_related=len(forms) == 1)
-
-
-def find_relating_permutation(o1: PeriodicOrbit, o2: PeriodicOrbit, order):
-    """Brute-force search for a coordinate permutation mapping one orbit to
-    the other; small-degree oracle for the canonical-form verdict."""
-    d = len(o1.primitive_word[0])
-    targets = {o2.primitive_word[i:] + o2.primitive_word[:i] for i in range(o2.period)}
-    for perm in permutations(range(d)):
-        moved = tuple(tuple(sym[p] for p in perm) for sym in o1.primitive_word)
-        if moved in targets:
-            return perm
-    return None

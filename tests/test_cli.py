@@ -244,6 +244,29 @@ def test_nonpositive_max_period_refused(inputs, capsys, max_period):
     assert "max_period" in err
 
 
+FLAG_VALUES = {"--format": "json", "--seed": "1", "--length": "100", "--cyl-depth": "2",
+               "--tolerance": "0.1", "--max-period": "2"}
+MC_FLAGS = {"--seed", "--length", "--cyl-depth", "--tolerance"}
+READ_FLAGS = {"analyze": set(), "degree": set(), "joining": {"--format"},
+              "periodic-lifts": {"--format", "--max-period"}, "lift-mc": MC_FLAGS, "ca": MC_FLAGS}
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c, read in READ_FLAGS.items()
+                                           for f in sorted(FLAG_VALUES) if f not in read])
+def test_unread_flag_refused(inputs, capsys, command, flag):
+    if command == "ca":
+        args = CA_DIFF4
+    elif command == "lift-mc":
+        args = ("lift-mc", inputs["rule102"], "--measure", inputs["push_bernoulli"])
+    else:
+        args = (command, inputs["rule102"])
+    with pytest.raises(SystemExit) as exit_info:
+        main([*args, flag, FLAG_VALUES[flag]])
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2 and captured.out == ""
+    assert flag in captured.err
+
+
 MALFORMED = {
     "missing": None,
     "not-json": "{not json",

@@ -1,10 +1,14 @@
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 import sftlift as sl
-from sftlift import LabeledGraph, PeriodicOrbit
+from sftlift import LabeledGraph, PeriodicOrbit, codes
+from sftlift.fibers import _unwrap
+from sftlift.graphs import load_graph_or_code
 from sftlift.errors import FiberInfinite, InfiniteToOne, NotInImage
 
 from conftest import d_star, direct_preimage_paths, trace_fiber_count
@@ -195,6 +199,43 @@ def test_constant_to_one_codes_fiber_equals_degree(rule102, sum5):
         d = sl.compute_degree(g).degree
         for orbit in sl.determinize(g).periodic_orbits(3):
             assert sl.periodic_fiber(g, orbit).fiber_size == d
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name", ["sum5", "diff4", "skew3", "rule102", "rule150"])
+def test_periodic_fibers_pass_the_trace_checksum(name):
+    # periodic_fibers raises RuntimeError unless its points add up to tr(A^n)
+    g = _unwrap(load_graph_or_code(GOLDEN / f"{name}.json")[0])[0]
+    fibers = sl.periodic_fibers(g, 6)
+    assert [f.base_orbit for f in fibers] == sl.determinize(g).periodic_orbits(6)
+
+
+def test_periodic_fibers_checksum_in_python_ints_past_the_int64_bound():
+    # two 30-cycles through symbol 0: out-degree 2, so 59 * 2^58 bounds
+    # tr(A^58) past 2^63 and the checksum runs on Python ints
+    syms = [str(i) for i in range(59)]
+    edges = [(a, b) for a, b in zip(syms, syms[1:]) if b != "30"] + [("29", "0"), ("0", "30"),
+                                                                     ("58", "0")]
+    fibers = sl.periodic_fibers(LabeledGraph(syms, edges, {s: s for s in syms}), 58)
+    assert [[(o.period, w) for o, w in f.lift_orbits] for f in fibers] == [[(30, 1)]] * 2
+
+
+def test_periodic_fibers_checksum_catches_a_lost_lift(monkeypatch, diff4):
+    close, lost = codes._close, []
+
+    def lose_one(*args):
+        fiber = close(*args)
+        if len(fiber.lift_orbits) > 1 and not lost:
+            lost.append(fiber.lift_orbits[-1])
+            fiber = replace(fiber, lift_orbits=fiber.lift_orbits[:-1])
+        return fiber
+
+    monkeypatch.setattr(codes, "_close", lose_one)
+    with pytest.raises(RuntimeError, match=r"tr\(A\^1\)"):
+        sl.periodic_fibers(diff4.recoding.graph, 3)
+    assert lost
 
 
 # ----------------------------------------------------------- closing tests

@@ -3,8 +3,8 @@ presentation with its Lyndon-word orbit sweep, the diamond and closing
 tests on the trimmed 2-fold fiber product, the per-row sorted successor
 lists, the integer scan that merges its lanes, the
 speculate-and-verify viability walk, the one-pass empirical counts, the
-queue-based essential trim, the single phased-cycle routine on integer
-vertices with the periodic lift analysis, the
+queue-based essential trim, the one-sweep periodic fibers and the
+closing step along one word with the periodic lift analysis, the
 vectorised samplers, the recoding-based pushforward path and the
 output-sensitive fiber product, least rotation and recoding against the
 constructions they replaced (kept in ``oracles.py``)."""
@@ -18,7 +18,6 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 import sftlift as sl
-from sftlift.codes import phased_cycles
 from sftlift.errors import EmptyAfterTrim, NoPath, NotInImage, PreconditionError
 from sftlift.fibers import _unwrap, support_presentation
 from sftlift.graphs import LabeledGraph, SubsetAutomaton, _essential_symbols, least_rotation
@@ -297,32 +296,6 @@ def _check_fiber(g, y):
         assert fiber is expected
         return
     assert (fiber.lift_orbits, fiber.fiber_size) == expected
-    for (orbit, _winding), offset in zip(fiber.lift_orbits, fiber.anchors):
-        word = orbit.primitive_word
-        for r in range(orbit.period):
-            rot = word[r:] + word[:r]
-            assert (offset + r) % y.period == oracles.anchor_of_label(
-                rot, g.label, y.primitive_word)
-
-
-def _joining_orbits(lam, y):
-    return [sl.PeriodicOrbit.from_word(w, lam.index) for w in phased_cycles(lam, y)]
-
-
-@given(graphs_strategy(max_symbols=5))
-def test_periodic_fiber_and_anchors_match_oracle(g):
-    for y in sl.determinize(g).periodic_orbits(3):
-        _check_fiber(g, y)
-
-
-def test_periodic_cycles_match_oracle_on_sweep_fixtures(sweep_fixtures):
-    for _name, code, _cto in sweep_fixtures:
-        g = code.graph if hasattr(code, "graph") else code
-        lam = sl.degree_joining_graph(g).graph
-        for y in sl.determinize(g).periodic_orbits(3):
-            _check_fiber(g, y)
-            assert (_fiber_outcome(_joining_orbits, lam, y)
-                    == _fiber_outcome(oracles.periodic_joining_orbits, lam, y))
 
 
 def _refusal_or(fn, *args):
@@ -332,25 +305,56 @@ def _refusal_or(fn, *args):
         return type(exc), str(exc)
 
 
+def _per_orbit_fibers(g, max_period):
+    return [oracles.phased_fiber(g, y)
+            for y in oracles.determinize(g).periodic_orbits(max_period)]
+
+
+def _check_sweep(g, max_period):
+    """The one-sweep fibers against the per-orbit phased-graph oracle, orbit
+    by orbit; a refusal must match by type and message."""
+    assert (_refusal_or(sl.periodic_fibers, g, max_period)
+            == _refusal_or(_per_orbit_fibers, g, max_period))
+
+
+@given(graphs_strategy(max_symbols=5))
+def test_periodic_fiber_matches_oracle(g):
+    for y in sl.determinize(g).periodic_orbits(3):
+        _check_fiber(g, y)
+    _check_sweep(g, 3)
+
+
+def test_periodic_cycles_match_oracle_on_sweep_fixtures(sweep_fixtures):
+    for _name, code, _cto in sweep_fixtures:
+        g = code.graph if hasattr(code, "graph") else code
+        joining = sl.degree_joining_graph(g)
+        for y in sl.determinize(g).periodic_orbits(3):
+            _check_fiber(g, y)
+            orbits = _fiber_outcome(lambda g, y: list(sl.enumerate_periodic_degree_joinings(
+                joining, g, y, constant_to_one=True).orbits), g, y)
+            assert orbits == _fiber_outcome(oracles.periodic_joining_orbits, joining.graph, y)
+
+
 def _lift_json(analyze, code, y):
     return tuple(part.to_json_dict() for part in analyze(code, y))
 
 
 def _check_lifts(code, y):
-    """Lift analysis, fiber and phased cycles against the tuple-vertex
-    oracles; a refusal must match by type and message."""
+    """Lift analysis and fiber against the tuple-vertex oracles; a refusal
+    must match by type and message."""
     g, _recoding = _unwrap(code)
     assert (_refusal_or(_lift_json, sl.analyze_periodic_lifts, code, y)
             == _refusal_or(_lift_json, oracles.analyze_periodic_lifts, code, y))
     assert _refusal_or(sl.periodic_fiber, g, y) == _refusal_or(oracles.tuple_periodic_fiber, g, y)
-    assert _refusal_or(phased_cycles, g, y) == _refusal_or(oracles.tuple_phased_cycles, g, y)
 
 
 def test_periodic_lifts_match_tuple_oracle_on_sweep_fixtures(sweep_fixtures):
     # the random finite-to-one fixtures are among the sweep fixtures
     for _name, code, _cto in sweep_fixtures:
-        for y in sl.determinize(_unwrap(code)[0]).periodic_orbits(4):
+        g = _unwrap(code)[0]
+        for y in sl.determinize(g).periodic_orbits(4):
             _check_lifts(code, y)
+        _check_sweep(g, 4)
 
 
 @st.composite
@@ -382,6 +386,17 @@ def block_codes_with_memory(draw):
 def test_periodic_lifts_match_tuple_oracle_on_codes_with_memory(code):
     for y in sl.determinize(code.recoding.graph).periodic_orbits(4):
         _check_lifts(code, y)
+    _check_sweep(code.recoding.graph, 4)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("family, modulus, max_period", [("sum", 5, 8), ("difference", 5, 7)])
+def test_periodic_fibers_match_per_orbit_oracle_at_scale(family, modulus, max_period):
+    g = sl.LinearCACode(modulus, family).recoding.graph
+    fibers = sl.periodic_fibers(g, max_period)
+    assert [f.base_orbit for f in fibers] == sl.determinize(g).periodic_orbits(max_period)
+    for fiber in fibers:
+        assert fiber == oracles.phased_fiber(g, fiber.base_orbit)
 
 
 def test_periodic_refusals_match_tuple_oracle(golden_mean_graph, constant_label_graph):
