@@ -282,15 +282,14 @@ def periodic_fibers(g: LabeledGraph, max_period: int):
         if fiber.lift_orbits:
             fibers.append(fiber)
     fibers.sort(key=lambda fiber: fiber.base_orbit.period)
-    adjacency = power = g.adjacency_matrix()        # int64: exact while N·d^n < 2^63
-    if len(g.x_symbols) * max(map(len, g.successors.values())) ** max_period >= 2**63:
-        adjacency = power = adjacency.astype(object)    # Python ints beyond
+    adjacency = power = g.adjacency_matrix().astype(object)     # Python ints: no wrap-around
     for n in range(1, max_period + 1):
+        if n > 1:
+            power = power @ adjacency
         points = sum(o.period for f in fibers for o, _w in f.lift_orbits if n % o.period == 0)
         if points != power.trace():
             raise RuntimeError(f"periodic fibers hold {points} points of period dividing {n}, "
                                f"not tr(A^{n}) = {power.trace()}")
-        power = power @ adjacency
     return fibers
 
 

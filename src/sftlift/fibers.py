@@ -135,14 +135,15 @@ def _periodic_lift_report(fiber, g, recoding):
         reported = recoding.base_orbit(orbit) if recoding is not None else orbit
         lift_measure = COMeasure(reported, _lift_orbit_alphabet(g, recoding))
         entries.append(LiftEntry(lift_measure.describe(), winding, lift_measure))
-        diagonal[",".join(str(a) for a in reported.primitive_word)] = str(Fraction(1, winding))
+        diagonal[",".join(str(a) for a in reported.primitive_word)] = Fraction(1, winding)
 
     report = LiftReport(
         base=COMeasure(y, g.y_symbols).describe(),
         degree=fiber.fiber_size,
         lifts=tuple(entries),
         method="exact",
-        details={"diagonal_mass": diagonal, "base_period": p},
+        details={"diagonal_mass": {k: str(v) for k, v in diagonal.items()},
+                 "base_period": p},
     )
     return report, CanonicalLiftDecomposition(report.lifts, fiber.fiber_size)
 

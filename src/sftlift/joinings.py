@@ -219,9 +219,16 @@ def _canonical_column_form(orbit: PeriodicOrbit, order):
     permutation iff their forms agree (columns are pairwise distinct
     because tuple entries never collide)."""
     word = orbit.primitive_word
-    return len(word), min(tuple(sorted(tuple(order[s[i]] for s in word[r:] + word[:r])
-                                       for i in range(len(word[0]))))
-                          for r in range(len(word)))
+    q = len(word)
+    d = len(word[0])
+    best = None
+    for r in range(q):
+        rot = word[r:] + word[:r]
+        cols = sorted(tuple(order[rot[t][i]] for t in range(q)) for i in range(d))
+        cand = tuple(cols)
+        if best is None or cand < best:
+            best = cand
+    return q, best
 
 
 def enumerate_periodic_degree_joinings(joining: DegreeJoiningGraph, g: LabeledGraph,

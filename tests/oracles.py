@@ -12,11 +12,8 @@ the phased-graph cycle extraction of ``periodic_fiber`` and of the
 periodic degree joinings, the phased cycles and periodic fiber on
 (symbol, phase) tuple vertices with the periodic lift analysis that
 counted the fiber points over every base point and canonicalized each
-base orbit anew, the phased graph on integer vertices that was built
-anew for every orbit (``phased_cycle_ids``, with its merge refusal and
-two RuntimeErrors that cannot fire, and ``phased_fiber`` over it), the
-brute-force search for a coordinate permutation relating two joining
-orbits, the per-step Markov and periodic-orbit samplers, the
+base orbit anew, the brute-force search for a coordinate permutation
+relating two joining orbits, the per-step Markov and periodic-orbit samplers, the
 per-code-kind pushforward constructions (block-code preimage words by
 enumerating every domain word, samples through the block-map table or
 the graph's label lookup, and the branch-per-measure-type support
@@ -40,8 +37,7 @@ from sftlift.errors import EmptyAfterTrim, FiberInfinite, InputError, NoPath, No
 from sftlift.fibers import (CanonicalLiftDecomposition, LiftEntry, LiftReport,
                             _lift_orbit_alphabet, _unwrap)
 from sftlift.graphs import (LabeledGraph, OneBlockRecoding, PeriodicOrbit, SlidingBlockCode,
-                            _as_word, _essential_symbols, _tarjan_scc, analyze_graph,
-                            full_shift, perron_value)
+                            _as_word, _tarjan_scc, analyze_graph, full_shift, perron_value)
 from sftlift.measures import (BernoulliMeasure, COMeasure, MarkovMeasure, PushforwardMeasure,
                               window_codes)
 
@@ -550,79 +546,11 @@ def periodic_joining_orbits(lam: LabeledGraph, y: PeriodicOrbit):
     return orbits
 
 
-def phased_cycle_ids(g: LabeledGraph, y: PeriodicOrbit):
-    """The recurrent part of the phased preimage graph of a periodic orbit,
-    as disjoint cycles, built anew for the orbit.
-
-    The phased graph has a vertex t * n + s for each phase t of the orbit's
-    word w and each index s (among n) of a symbol labeled w[t]; its edges
-    follow ``g`` from phase t to phase t + 1 mod p.  Its recurrent part must
-    split into disjoint simple cycles, otherwise the fiber is infinite.
-    Each cycle is returned as its list of symbol indices read from phase 0,
-    starting at its least phase-0 symbol, and the cycles come in the order
-    of those symbols.  The merge refusal and both RuntimeErrors cannot
-    fire: after the trim every vertex has a predecessor, so one successor
-    each makes the successor map one-to-one and onto.
-    """
-    w, p = y.primitive_word, y.period
-    for a in w:
-        if a not in g.label_classes:
-            raise NotInImage(f"symbol {a!r} is not in the image alphabet")
-    n, table, cols = len(g.x_symbols), g.letter_successors, [g.y_symbols.index(a) for a in w]
-    vertices = [t * n + s for t in range(p) for s in table[n][cols[t]]]
-    edges = [(v, (v // n + 1) % p * n + s) for v in vertices
-             for s in table[v % n][cols[(v // n + 1) % p]]]
-    alive = _essential_symbols(vertices, edges)
-    if not alive:
-        raise NotInImage("no preimage cycle realizes the orbit's word")
-    succ = {}
-    for v, u in edges:
-        if v in alive and u in alive:
-            if v in succ:
-                raise FiberInfinite("recurrent phased graph branches; fiber is infinite")
-            succ[v] = u
-    if len(set(succ.values())) != len(succ):
-        raise FiberInfinite("recurrent phased graph merges; fiber is infinite")
-
-    seen = set()
-    cycles = []
-    for u in table[n][cols[0]]:
-        if u not in alive or u in seen:
-            continue
-        word = []
-        while u not in seen:
-            seen.add(u)
-            word.append(u % n)
-            u = succ[u]
-        if len(word) % p != 0:
-            raise RuntimeError("phased cycle length not a multiple of the base period")
-        cycles.append(word)
-    if len(seen) != len(alive):
-        raise RuntimeError("phased cycles do not account for the recurrent part")
-    return cycles
-
-
-def phased_fiber(g: LabeledGraph, y: PeriodicOrbit) -> PhasedFiberDecomposition:
-    """``codes.periodic_fiber`` over ``phased_cycle_ids``, one phased graph
-    per orbit: a cycle of length q is a lift orbit of least period q and
-    winding q / period(y)."""
-    p = y.period
-    lifts = []
-    for ids in phased_cycle_ids(g, y):
-        k = least_rotation(ids)
-        lifts.append((len(ids) // p, ids[k:] + ids[:k]))
-    lifts.sort()
-    return PhasedFiberDecomposition(
-        base_orbit=y,
-        lift_orbits=tuple((PeriodicOrbit(tuple(g.x_symbols[i] for i in ids), len(ids)), w)
-                          for w, ids in lifts),
-        fiber_size=sum(w for w, _ids in lifts))
-
-
 def tuple_phased_cycles(g: LabeledGraph, y: PeriodicOrbit):
-    """``codes.phased_cycles`` on (symbol, phase) tuple vertices: the
-    recurrent phased graph as disjoint cycles, each read from phase 0 at its
-    least phase-0 symbol, in the order of those symbols."""
+    """The phased cycles of a periodic orbit, one phased graph per orbit
+    on (symbol, phase) tuple vertices: the recurrent phased graph as
+    disjoint cycles, each read from phase 0 at its least phase-0 symbol,
+    in the order of those symbols; the core of ``tuple_periodic_fiber``."""
     w = y.primitive_word
     p = y.period
     for a in w:

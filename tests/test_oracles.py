@@ -306,13 +306,13 @@ def _refusal_or(fn, *args):
 
 
 def _per_orbit_fibers(g, max_period):
-    return [oracles.phased_fiber(g, y)
+    return [oracles.tuple_periodic_fiber(g, y)
             for y in oracles.determinize(g).periodic_orbits(max_period)]
 
 
 def _check_sweep(g, max_period):
-    """The one-sweep fibers against the per-orbit phased-graph oracle, orbit
-    by orbit; a refusal must match by type and message."""
+    """The one-sweep fibers against the per-orbit tuple-vertex oracle,
+    orbit by orbit; a refusal must match by type and message."""
     assert (_refusal_or(sl.periodic_fibers, g, max_period)
             == _refusal_or(_per_orbit_fibers, g, max_period))
 
@@ -396,7 +396,7 @@ def test_periodic_fibers_match_per_orbit_oracle_at_scale(family, modulus, max_pe
     fibers = sl.periodic_fibers(g, max_period)
     assert [f.base_orbit for f in fibers] == sl.determinize(g).periodic_orbits(max_period)
     for fiber in fibers:
-        assert fiber == oracles.phased_fiber(g, fiber.base_orbit)
+        assert fiber == oracles.tuple_periodic_fiber(g, fiber.base_orbit)
 
 
 def test_periodic_refusals_match_tuple_oracle(golden_mean_graph, constant_label_graph):
