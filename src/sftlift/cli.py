@@ -11,12 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from . import ca as ca_mod
-from .codes import compute_degree, is_finite_to_one, periodic_fibers
+from .codes import _lift_cycles, compute_degree, is_finite_to_one
 from .errors import InfiniteToOne, PreconditionError
-from .fibers import MonteCarloParams, _periodic_lift_report, classify_lifts_monte_carlo
+from .fibers import MonteCarloParams, classify_lifts_monte_carlo
 from .graphs import (OneBlockRecoding, analyze_graph, determinize, entropy,
                      load_graph_or_code, load_json, render_symbol, to_dot)
 from .joinings import degree_joining_graph
@@ -129,16 +130,26 @@ def cmd_periodic_lifts(args):
     g, rec, _block = _load_code(args.input)
     if not is_finite_to_one(g):
         raise InfiniteToOne("periodic lift analysis requires a finite-to-one code")
-    rows = []
-    for fiber in periodic_fibers(g, args.max_period):
-        report, decomposition = _periodic_lift_report(fiber, g, rec)
-        rows.append({
-            "orbit": [str(a) for a in fiber.base_orbit.primitive_word],
-            "period": fiber.base_orbit.period,
-            "fiber_size": report.degree,
-            "lifts": [entry.to_json_dict() for entry in report.lifts],
-            "canonical_lift": decomposition.to_json_dict(),
-        })
+    g = analyze_graph(g).essential
+    names = [str(rec.base_letter(s)) if rec is not None else str(s) for s in g.x_symbols]
+    labels, offset = [str(y) for y in g.y_symbols], rec.offset if rec is not None else 0
+    # lift words rotate as in OneBlockRecoding.base_orbit; rows wait for the checksum
+    weights, rows = {}, []
+    for word, lifts in _lift_cycles(g, args.max_period):
+        p, d = len(word), sum(w for w, _ids in lifts)
+        lift_rows, components = [], []
+        for w, ids in lifts:
+            if len(ids) != w * p:
+                raise RuntimeError("fiber points are not equidistributed over the base orbit")
+            k = -offset % len(ids)
+            measure = {"type": "co", "orbit": [names[i] for i in ids[k:] + ids[:k]]}
+            weight = weights.get((w, d)) or weights.setdefault((w, d), str(Fraction(w, d)))
+            lift_rows.append({"measure": measure, "multiplicity": w})
+            components.append({"measure": measure, "weight": weight})
+        rows.append({"orbit": [labels[a] for a in word], "period": p, "fiber_size": d,
+                     "lifts": lift_rows, "canonical_lift": {"components": components,
+                                                            "is_ergodic": len(lifts) == 1}})
+    rows.sort(key=lambda row: row["period"])
     if args.format == "table":
         lines = []
         for row in rows:

@@ -224,22 +224,22 @@ def _extend(table, runs, a):
     return nxt
 
 
-def _close(g: LabeledGraph, y: PeriodicOrbit, runs) -> PhasedFiberDecomposition:
-    """The fiber of y from the preimage paths ``runs`` of its word w, with no
-    lifts if none closes up.  A path from s to e and an edge from e to t
-    labeled w[0] relate s to t; the essential part of this relation, a pair
-    counted once per path, must be a permutation, or the fiber is infinite.
-    A cycle of k pairs is a lift of winding k whose word repeats no (phase,
-    symbol) vertex, so is primitive.  Lifts come by winding, then word."""
-    table, first = g.letter_successors, g.y_symbols.index(y.primitive_word[0])
+def _close(table, first, runs, period):
+    """The lifts of an orbit of word w from its preimage paths ``runs``, as
+    sorted (winding, symbol ids) pairs.  A path from s to e and an edge from
+    e to t labeled w[0] (index ``first``) relate s to t; the essential part
+    of this relation (trimmed only if it is not a permutation of its starts),
+    a pair counted once per path, must be a permutation, or the fiber is
+    infinite.  A cycle of k pairs is a lift of winding k whose word repeats
+    no (phase, symbol) vertex, so is primitive."""
     edges = [(s, t, path) for (s, e), path in runs.items() for t in table[e][first]]
-    alive = _essential_symbols({s for s, _t, _p in edges}, [(s, t) for s, t, _p in edges])
-    succ = {}
-    for s, t, path in edges:
-        if s in alive and t in alive:
-            if s in succ or path is None:
-                raise FiberInfinite("recurrent phased graph branches; fiber is infinite")
-            succ[s] = t, path
+    succ = {s: (t, path) for s, t, path in edges}
+    if len(succ) < len(edges) or succ.keys() != {t for t, _p in succ.values()}:
+        alive = _essential_symbols(succ, [(s, t) for s, t, _p in edges])
+        edges = [(s, t, path) for s, t, path in edges if s in alive and t in alive]
+        succ = {s: (t, path) for s, t, path in edges}
+    if len(succ) < len(edges) or any(path is None for _t, path in succ.values()):
+        raise FiberInfinite("recurrent phased graph branches; fiber is infinite")
     lifts = []
     while succ:
         s, ids = next(iter(succ)), []
@@ -247,8 +247,12 @@ def _close(g: LabeledGraph, y: PeriodicOrbit, runs) -> PhasedFiberDecomposition:
             s, path = succ.pop(s)
             ids.extend(path)
         k = least_rotation(ids)
-        lifts.append((len(ids) // y.period, ids[k:] + ids[:k]))
+        lifts.append((len(ids) // period, ids[k:] + ids[:k]))
     lifts.sort()
+    return lifts
+
+
+def _decomposition(g: LabeledGraph, y: PeriodicOrbit, lifts) -> PhasedFiberDecomposition:
     return PhasedFiberDecomposition(y, tuple(
         (PeriodicOrbit(tuple(g.x_symbols[i] for i in ids), len(ids)), w) for w, ids in lifts),
         sum(w for w, _ids in lifts))
@@ -261,36 +265,42 @@ def periodic_fiber(g: LabeledGraph, y: PeriodicOrbit) -> PhasedFiberDecompositio
         if a not in g.label_classes:
             raise NotInImage(f"symbol {a!r} is not in the image alphabet")
         runs = _extend(g.letter_successors, runs, g.y_symbols.index(a))
-    fiber = _close(g, y, runs)
-    if not fiber.lift_orbits:
+    lifts = _close(g.letter_successors, g.y_symbols.index(y.primitive_word[0]), runs, y.period)
+    if not lifts:
         raise NotInImage("no preimage cycle realizes the orbit's word")
-    return fiber
+    return _decomposition(g, y, lifts)
 
 
-def periodic_fibers(g: LabeledGraph, max_period: int):
-    """The fibers of all periodic orbits of the image of least period <=
-    max_period, ordered as ``determinize(g).periodic_orbits``, by one
-    Lyndon-word sweep that extends the preimage paths of each prefix and
-    closes them at each Lyndon word.  Checksum: a lift of winding w over an
-    orbit of period q holds q·w points, of period dividing n iff q·w does,
-    so for each n <= max_period they sum to tr(A^n) (Lind & Marcus §2.2)."""
-    g = analyze_graph(g).essential
-    fibers = []
+def _lift_cycles(g: LabeledGraph, max_period: int):
+    """The Lyndon word (label indices) and ``_close`` lifts of each orbit of
+    least period <= max_period with lifts on the essential graph g, by one
+    sweep that extends the preimage paths of each prefix.  Checksum after
+    the last: a lift of winding w over an orbit of period q holds q·w
+    points, of period dividing n iff q·w does, so for each n <= max_period
+    they sum to tr(A^n) (Lind & Marcus §2.2)."""
+    table, lengths = g.letter_successors, []
     for w, runs in _lyndon_words(len(g.y_symbols), max_period, {(len(g.x_symbols),) * 2: ()},
-                                 lambda runs, a: _extend(g.letter_successors, runs, a)):
-        fiber = _close(g, PeriodicOrbit(tuple(g.y_symbols[a] for a in w), len(w)), runs)
-        if fiber.lift_orbits:
-            fibers.append(fiber)
-    fibers.sort(key=lambda fiber: fiber.base_orbit.period)
+                                 lambda runs, a: _extend(table, runs, a)):
+        lifts = _close(table, w[0], runs, len(w))
+        if lifts:
+            lengths += (len(ids) for _w, ids in lifts)
+            yield w, lifts
     adjacency = power = g.adjacency_matrix().astype(object)     # Python ints: no wrap-around
     for n in range(1, max_period + 1):
         if n > 1:
             power = power @ adjacency
-        points = sum(o.period for f in fibers for o, _w in f.lift_orbits if n % o.period == 0)
-        if points != power.trace():
-            raise RuntimeError(f"periodic fibers hold {points} points of period dividing {n}, "
+        held = sum(q for q in lengths if n % q == 0)
+        if held != power.trace():
+            raise RuntimeError(f"periodic fibers hold {held} points of period dividing {n}, "
                                f"not tr(A^{n}) = {power.trace()}")
-    return fibers
+
+
+def periodic_fibers(g: LabeledGraph, max_period: int):
+    """The fibers of all periodic orbits of the image of least period <= max_period,
+    from ``_lift_cycles``, ordered as ``determinize(g).periodic_orbits``."""
+    g = analyze_graph(g).essential
+    return sorted((_decomposition(g, PeriodicOrbit(tuple(g.y_symbols[a] for a in w), len(w)), lifts)
+                   for w, lifts in _lift_cycles(g, max_period)), key=lambda f: f.base_orbit.period)
 
 
 def is_right_closing(g: LabeledGraph) -> bool:

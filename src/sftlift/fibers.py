@@ -120,12 +120,7 @@ def analyze_periodic_lifts(code, y: PeriodicOrbit):
     independent self-joining, which must equal 1/multiplicity.
     """
     g, recoding = _unwrap(code)
-    return _periodic_lift_report(periodic_fiber(g, y), g, recoding)
-
-
-def _periodic_lift_report(fiber, g, recoding):
-    """``analyze_periodic_lifts`` of a fiber computed on g, of ``recoding`` or None."""
-    y, p = fiber.base_orbit, fiber.base_orbit.period
+    fiber, p = periodic_fiber(g, y), y.period
     entries, diagonal = [], {}
     for orbit, winding in fiber.lift_orbits:
         # the rotations of a lift run over the base rotations in turn, so each
@@ -135,16 +130,10 @@ def _periodic_lift_report(fiber, g, recoding):
         reported = recoding.base_orbit(orbit) if recoding is not None else orbit
         lift_measure = COMeasure(reported, _lift_orbit_alphabet(g, recoding))
         entries.append(LiftEntry(lift_measure.describe(), winding, lift_measure))
-        diagonal[",".join(str(a) for a in reported.primitive_word)] = Fraction(1, winding)
-
-    report = LiftReport(
-        base=COMeasure(y, g.y_symbols).describe(),
-        degree=fiber.fiber_size,
-        lifts=tuple(entries),
-        method="exact",
-        details={"diagonal_mass": {k: str(v) for k, v in diagonal.items()},
-                 "base_period": p},
-    )
+        diagonal[",".join(str(a) for a in reported.primitive_word)] = str(Fraction(1, winding))
+    report = LiftReport(base=COMeasure(y, g.y_symbols).describe(), degree=fiber.fiber_size,
+                        lifts=tuple(entries), method="exact",
+                        details={"diagonal_mass": diagonal, "base_period": p})
     return report, CanonicalLiftDecomposition(report.lifts, fiber.fiber_size)
 
 

@@ -190,8 +190,11 @@ def least_rotation(word, order=None):
 
     Booth's algorithm (Booth, "Lexicographically least circular
     substrings", IPL 1980): a failure function over the doubled word, O(p)
-    comparisons for a word of length p."""
+    comparisons for a word of length p, run only on a tie for the least symbol."""
     ranks = [order[s] for s in word] if order else list(word)
+    least = min(ranks, default=None)
+    if ranks.count(least) == 1:
+        return ranks.index(least)
     ranks += ranks
     fail = [-1] * len(ranks)
     k = 0                                   # start of the least rotation so far

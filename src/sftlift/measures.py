@@ -97,8 +97,13 @@ class MarkovMeasure(StationaryMeasure):
         idx = self._index()
         n = len(self.alphabet)
         matrix = [[Fraction(0)] * n for _ in range(n)]
-        for a, row in transition_probabilities.items():
+        rows = transition_probabilities
+        if not (isinstance(rows, dict) and all(isinstance(row, dict) for row in rows.values())):
+            raise InputError("transitions: expected an object of probability objects per state")
+        for a, row in rows.items():
             for b, p in row.items():
+                if a not in idx or b not in idx:
+                    raise InputError(f"transitions: unknown state {b if a in idx else a!r}")
                 matrix[idx[a]][idx[b]] = parse_fraction(p)
         for i, a in enumerate(self.alphabet):
             if sum(matrix[i]) != 1:

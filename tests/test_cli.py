@@ -348,6 +348,8 @@ INVALID_VALUES = {
         "type": "markov", "states": ["a", "b"], "transitions": {"a": {"a": "1/2", "b": "1/2"},
                                                                 "b": {"a": "1/2", "b": "1/2"}}}},
                          "transitions"),
+    "markov-transitions-type": ("measure", markov(["0", "1"]), "transitions"),
+    "markov-row-type": ("measure", markov({"0": "1", "1": HALF}), "transitions"),
     "co-empty": ("measure", {"type": "co", "orbit": []}, "orbit"),
     "co-measure": ("measure", {"type": "co", "orbit": ["0", "1"]}, "type"),
     "co-base": ("measure", {"type": "pushforward", "base": {"type": "co", "orbit": ["0", "1"]}},
@@ -374,6 +376,17 @@ def test_invalid_input_value_refused(inputs, capsys, tmp_path, case):
     code, out, err = run_refused(capsys, *args)
     assert code == 2 and out == ""
     assert err.startswith("refused:") and field in err
+
+
+@pytest.mark.parametrize("transitions", [{"0": HALF, "1": HALF, "2": HALF},
+                                         {"0": {"0": "1/2", "2": "1/2"}, "1": HALF}])
+def test_markov_unknown_state_is_named(inputs, capsys, tmp_path, transitions):
+    path = tmp_path / "nu.json"
+    path.write_text(json.dumps(markov(transitions)))
+    code, out, err = run_refused(capsys, "lift-mc", inputs["rule102"], "--measure", str(path),
+                                 "--length", "2000")
+    assert code == 2 and out == ""
+    assert err == "refused: transitions: unknown state '2'\n"
 
 
 @pytest.mark.parametrize("form", ["block-code", "graph"])

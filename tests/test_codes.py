@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,6 +6,7 @@ from hypothesis import given, strategies as st
 
 import sftlift as sl
 from sftlift import LabeledGraph, PeriodicOrbit, codes
+from sftlift.cli import main
 from sftlift.fibers import _unwrap
 from sftlift.graphs import load_graph_or_code
 from sftlift.errors import FiberInfinite, InfiniteToOne, NotInImage
@@ -212,19 +212,27 @@ def test_periodic_fibers_pass_the_trace_checksum(name):
     assert [f.base_orbit for f in fibers] == sl.determinize(g).periodic_orbits(6)
 
 
-def test_periodic_fibers_checksum_catches_a_lost_lift(monkeypatch, diff4):
+def test_periodic_fibers_checksum_catches_a_lost_lift(monkeypatch, capsys):
+    # the close step the sweep calls drops the last lift of the first orbit
+    # with several; the trace checksum must refuse before anything is printed,
+    # in the library and in the CLI
     close, lost = codes._close, []
 
     def lose_one(*args):
-        fiber = close(*args)
-        if len(fiber.lift_orbits) > 1 and not lost:
-            lost.append(fiber.lift_orbits[-1])
-            fiber = replace(fiber, lift_orbits=fiber.lift_orbits[:-1])
-        return fiber
+        lifts = close(*args)
+        if len(lifts) > 1 and not lost:
+            lost.append(lifts.pop())
+        return lifts
 
     monkeypatch.setattr(codes, "_close", lose_one)
+    path = GOLDEN / "diff4.json"
     with pytest.raises(RuntimeError, match=r"tr\(A\^1\)"):
-        sl.periodic_fibers(diff4.recoding.graph, 3)
+        sl.periodic_fibers(_unwrap(load_graph_or_code(path)[0])[0], 3)
+    assert lost
+    lost.clear()
+    assert main(["periodic-lifts", str(path), "--max-period", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "RuntimeError" in err and "tr(A^1)" in err
     assert lost
 
 

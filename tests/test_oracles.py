@@ -4,12 +4,17 @@ tests on the trimmed 2-fold fiber product, the per-row sorted successor
 lists, the integer scan that merges its lanes, the
 speculate-and-verify viability walk, the one-pass empirical counts, the
 queue-based essential trim, the one-sweep periodic fibers and the
-closing step along one word with the periodic lift analysis, the
-vectorised samplers, the recoding-based pushforward path and the
+closing step along one word with the periodic lift analysis and the
+``periodic-lifts`` rows, the vectorised samplers, the recoding-based pushforward path and the
 output-sensitive fiber product, least rotation and recoding against the
 constructions they replaced (kept in ``oracles.py``)."""
 
+import contextlib
+import io
+import json
+import os
 import random
+import tempfile
 from fractions import Fraction
 from itertools import product
 
@@ -18,7 +23,9 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 import sftlift as sl
-from sftlift.errors import EmptyAfterTrim, NoPath, NotInImage, PreconditionError
+from sftlift import codes
+from sftlift.cli import main
+from sftlift.errors import EmptyAfterTrim, FiberInfinite, NoPath, NotInImage, PreconditionError
 from sftlift.fibers import _unwrap, support_presentation
 from sftlift.graphs import LabeledGraph, SubsetAutomaton, _essential_symbols, least_rotation
 from sftlift.joinings import _ViabilityWalk
@@ -387,6 +394,99 @@ def test_periodic_lifts_match_tuple_oracle_on_codes_with_memory(code):
     for y in sl.determinize(code.recoding.graph).periodic_orbits(4):
         _check_lifts(code, y)
     _check_sweep(code.recoding.graph, 4)
+
+
+def _cli_rows(payload, max_period):
+    """The periodic-lifts rows for a code or graph JSON payload, or the exit
+    code and stdout of a run that does not exit 0."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "code.json")
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["periodic-lifts", path, "--max-period", str(max_period)])
+    return json.loads(out.getvalue())["orbits"] if code == 0 else (code, out.getvalue())
+
+
+def _oracle_rows(code, max_period):
+    """periodic-lifts rows built orbit by orbit from the tuple-vertex lift analysis."""
+    rows = []
+    for y in oracles.determinize(sl.analyze_graph(_unwrap(code)[0]).essential).periodic_orbits(
+            max_period):
+        report, canonical = oracles.analyze_periodic_lifts(code, y)
+        rows.append({"orbit": [str(a) for a in y.primitive_word], "period": y.period,
+                     "fiber_size": report.degree,
+                     "lifts": [entry.to_json_dict() for entry in report.lifts],
+                     "canonical_lift": canonical.to_json_dict()})
+    return rows
+
+
+def _check_cli_rows(code, payload, max_period=4):
+    """The CLI rows equal the oracle rows on an irreducible finite-to-one
+    code; any other code is refused with exit 2 and nothing on stdout."""
+    report = sl.analyze_graph(_unwrap(code)[0])
+    if report.is_irreducible and sl.is_finite_to_one(report.essential):
+        assert _cli_rows(payload, max_period) == _oracle_rows(code, max_period)
+    else:
+        assert _cli_rows(payload, max_period) == (2, "")
+
+
+@given(block_codes_with_memory())
+def test_periodic_lifts_cli_rows_match_oracle_on_codes_with_memory(code):
+    # memory 1-2: the lift words are rotated by a nonzero recoding offset
+    payload = {"memory": code.memory, "anticipation": code.anticipation,
+               "alphabet": list(code.alphabet),
+               "block_map": {"".join(u): y for u, y in code.block_map.items()}}
+    _check_cli_rows(code, payload)
+
+
+@given(graphs_strategy())
+def test_periodic_lifts_cli_rows_match_oracle_on_graphs(g):
+    _check_cli_rows(g, g.to_json_dict())
+
+
+def test_periodic_lifts_cli_rows_rotate_words_with_a_repeated_least_symbol():
+    # the lift s0 s1 s0 s2 holds its least symbol twice, so its rotation runs Booth's algorithm
+    g = LabeledGraph(["s0", "s1", "s2"], [("s0", "s1"), ("s1", "s0"), ("s0", "s2"), ("s2", "s0")],
+                     {"s0": "0", "s1": "1", "s2": "2"})
+    rows = _cli_rows(g.to_json_dict(), 4)
+    assert {"type": "co", "orbit": ["s0", "s1", "s0", "s2"]} in [
+        lift["measure"] for row in rows for lift in row["lifts"]]
+    assert rows == _oracle_rows(g, 4)
+
+
+# close-step cases: (graph, orbit word, trimmed, refused); labels are the
+# symbols' first letters
+CLOSE_CASES = {
+    # the fixed point 0 has the two fixed points a and b over it
+    "permutation": ([("a0", "a0"), ("b0", "b0"), ("a0", "b1"), ("b1", "a0")], "0", False, False),
+    # c0 -> a0 starts a path that never returns to c0
+    "trim": ([("a0", "a0"), ("c0", "a0")], "0", True, False),
+    # a0 -> a0 and a0 -> b0 -> b0: a0 relates to two symbols
+    "branch": ([("a0", "a0"), ("a0", "b0"), ("b0", "b0")], "0", True, True),
+    # two paths a0 b1 d2 and a0 c1 d2 close at a0, a permutation with a marked path
+    "marked": ([("a0", "b1"), ("a0", "c1"), ("b1", "d2"), ("c1", "d2"), ("d2", "a0")], "012",
+               False, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLOSE_CASES))
+def test_close_step_cases_match_oracle(monkeypatch, case):
+    edges, word, trimmed, refused = CLOSE_CASES[case]
+    symbols = sorted({s for e in edges for s in e})
+    g = LabeledGraph(symbols, edges, {s: s[1] for s in symbols})
+    y = sl.PeriodicOrbit.from_word(tuple(word))
+    trims = []
+    trim = codes._essential_symbols
+    monkeypatch.setattr(codes, "_essential_symbols", lambda *args: trims.append(1) or trim(*args))
+    outcome = _refusal_or(sl.periodic_fiber, g, y)
+    assert bool(trims) == trimmed
+    assert outcome == _refusal_or(oracles.tuple_periodic_fiber, g, y)
+    if refused:
+        assert outcome == (FiberInfinite, "recurrent phased graph branches; fiber is infinite")
+    else:
+        assert outcome.lift_orbits
 
 
 @pytest.mark.slow
