@@ -27,7 +27,6 @@ from itertools import product
 
 from .errors import DegenerateMeasure, HypothesisNotMet, InputError, MismatchReport
 from .graphs import OneBlockRecoding, SlidingBlockCode, _as_word
-from .codes import compute_degree
 from .fibers import LiftEntry, LiftReport, MonteCarloParams, classify_lifts_monte_carlo
 from .measures import (BernoulliMeasure, PushforwardMeasure, StationaryMeasure,
                        as_markov, compare_measures, has_two_point_factor,
@@ -273,15 +272,11 @@ def cross_validate(ca: LinearCACode, alpha,
     if params is None:
         params = MonteCarloParams()
     mismatches = []
-    exact = exact_lift_analysis(ca, alpha)
-    degree_report = compute_degree(ca.recoding.graph)
-    if degree_report.degree != ca.modulus:
-        mismatches.append(f"generic degree {degree_report.degree} != modulus {ca.modulus}")
-
-    alpha = _check_probability_vector(alpha, ca.modulus)
+    exact = exact_lift_analysis(ca, alpha)      # refuses an invalid alpha first
     nu = PushforwardMeasure(BernoulliMeasure(_digits(ca.modulus), alpha), ca.code)
     mc = classify_lifts_monte_carlo(ca, nu, params, constant_to_one=True)
-
+    if mc.degree != ca.modulus:
+        mismatches.append(f"generic degree {mc.degree} != modulus {ca.modulus}")
     if len(mc.lifts) != len(exact.lifts):
         mismatches.append(f"cluster count {len(mc.lifts)} != exact lift count {len(exact.lifts)}")
     if mc.multiplicities() != exact.multiplicities():
@@ -289,20 +284,18 @@ def cross_validate(ca: LinearCACode, alpha,
 
     matching = []
     if not mismatches:
-        depth = params.cylinder_depth
-        words = [w for length in range(1, depth + 1)
-                 for w in product(_digits(ca.modulus), repeat=length)]
+        lengths = range(1, params.cylinder_depth + 1)
+        # each exact lift's cylinders in the order of the concatenated count arrays
+        cylinders = [np.array([float(entry.measure.cylinder(w)) for length in lengths
+                               for w in product(_digits(ca.modulus), repeat=length)])
+                     for entry in exact.lifts]
         used = set()
         for ci, cluster in enumerate(mc.lifts):
-            best = None
-            for ei, entry in enumerate(exact.lifts):
-                if ei in used:
-                    continue
-                deviation = max(abs(cluster.measure.frequency(w) - float(entry.measure.cylinder(w)))
-                                for w in words)
-                if best is None or deviation < best[1]:
-                    best = (ei, deviation)
-            ei, deviation = best
+            freq = np.concatenate([cluster.measure.frequencies(length) for length in lengths])
+            deviations = {ei: float(np.abs(freq - exact_freq).max())
+                          for ei, exact_freq in enumerate(cylinders) if ei not in used}
+            ei = min(deviations, key=deviations.get)      # the lowest index on a tie
+            deviation = deviations[ei]
             if deviation > margin_tolerance or cluster.multiplicity != exact.lifts[ei].multiplicity:
                 mismatches.append(
                     f"cluster {ci} matches no exact lift within {margin_tolerance} "
@@ -312,4 +305,4 @@ def cross_validate(ca: LinearCACode, alpha,
                 matching.append((ci, ei, deviation))
     if mismatches:
         raise MismatchReport(mismatches)
-    return CrossValidationReport(ca.describe(), degree_report.degree, exact, mc, tuple(matching))
+    return CrossValidationReport(ca.describe(), mc.degree, exact, mc, tuple(matching))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -28,7 +29,8 @@ def _emit(payload, fmt="json"):
     """Write a payload to stdout as text, or as JSON byte-identical to
     ``json.dumps(payload, sort_keys=True, indent=2)`` and a newline.  Each
     distinct string is escaped once by the C escaper, each depth shares one
-    whitespace triple, and json.dumps takes over on a key or type left out."""
+    whitespace triple, constants and finite numbers are written as json
+    writes them, and json.dumps takes over on a key or type left out."""
     if fmt == "json":
         parts, layouts, strings, keys = [], [], {}, {}
 
@@ -52,9 +54,13 @@ def _emit(payload, fmt="json"):
                     encode(item, depth + 1)
                 parts.append(close)
                 parts.append("}" if is_dict else "]")
-            elif isinstance(o, int) and not isinstance(o, bool):
+            elif o is None or o is True or o is False:     # identity: 1 == True
+                parts.append("null" if o is None else "true" if o else "false")
+            elif isinstance(o, int):
                 parts.append(int.__repr__(o))
-            else:           # None, bool and float; a TypeError on any other type
+            elif isinstance(o, float) and math.isfinite(o):
+                parts.append(float.__repr__(o))
+            else:           # nan and inf; a TypeError on any other type
                 parts.append(json.dumps(o))
 
         try:

@@ -21,13 +21,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
 from .errors import InputError, NotFullySupported
-from .graphs import LabeledGraph, OneBlockRecoding, PeriodicOrbit, determinize, full_shift
+from .graphs import (LabeledGraph, OneBlockRecoding, PeriodicOrbit, _tarjan_scc, determinize,
+                     full_shift)
 from .codes import compute_degree, periodic_fiber
-from .joinings import DegreeJoiningGraph, _ViabilityWalk, degree_joining_graph
+from .joinings import _ViabilityWalk, degree_joining_graph
 from .measures import (BernoulliMeasure, COMeasure, EmpiricalDistribution,
                        MarkovMeasure, PushforwardMeasure, StationaryMeasure,
                        as_markov, make_rng)
@@ -192,36 +194,13 @@ def is_fully_supported_on_image(nu: StationaryMeasure, g: LabeledGraph) -> bool:
     return image.language_subset_of(support)
 
 
-def _coordinate_letter_tables(lam: DegreeJoiningGraph, recoding, letter_alphabet):
-    letter_index = {a: i for i, a in enumerate(letter_alphabet)}
-    d = lam.degree
-    n = len(lam.graph.x_symbols)
-    tables = np.empty((d, n), dtype=np.int32)
-    for k, sym in enumerate(lam.graph.x_symbols):
-        for i in range(d):
-            letter = recoding.base_letter(sym[i]) if recoding is not None else sym[i]
-            tables[i, k] = letter_index[letter]
-    return tables
-
-
 def _single_linkage(dist, tau):
-    n = dist.shape[0]
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dist[i, j] <= tau:
-                parent[find(i)] = find(j)
-    clusters = {}
-    for i in range(n):
-        clusters.setdefault(find(i), []).append(i)
-    return sorted(clusters.values(), key=lambda c: (-len(c), c[0]))
+    """The connected components of the graph joining i and j when
+    dist[i, j] <= tau, for a symmetric matrix: members ascending, largest
+    component first, ties by first member."""
+    close = {i: np.flatnonzero(row <= tau).tolist() for i, row in enumerate(dist)}
+    return sorted((sorted(c) for c in _tarjan_scc(range(len(dist)), close)),
+                  key=lambda c: (-len(c), c[0]))
 
 
 def classify_lifts_monte_carlo(code, nu: StationaryMeasure,
@@ -240,8 +219,7 @@ def classify_lifts_monte_carlo(code, nu: StationaryMeasure,
         params = MonteCarloParams()
     g, recoding = _unwrap(code)
     constant_to_one = constant_to_one or bool(getattr(code, "constant_to_one", False))
-    degree_report = compute_degree(g)
-    d = degree_report.degree
+    d = compute_degree(g).degree
 
     if not set(nu.alphabet) <= set(g.y_symbols):
         raise InputError("image measure alphabet is not contained in the code's image alphabet")
@@ -266,26 +244,21 @@ def classify_lifts_monte_carlo(code, nu: StationaryMeasure,
     path_idx = path_idx[burn:len(path_idx) - burn]
 
     letter_alphabet = tuple(_lift_orbit_alphabet(g, recoding))
-    tables = _coordinate_letter_tables(lam, recoding, letter_alphabet)
+    letter = {a: i for i, a in enumerate(letter_alphabet)}
     distributions = []
     for i in range(d):
-        coords = tables[i][path_idx]
+        table = np.array([letter[recoding.base_letter(sym[i]) if recoding is not None else sym[i]]
+                          for sym in lam.graph.x_symbols], dtype=np.int32)
         distributions.append(EmpiricalDistribution.from_indices(
-            coords, letter_alphabet, params.cylinder_depth))
+            table[path_idx], letter_alphabet, params.cylinder_depth))
 
-    dist = np.zeros((d, d))
-    for i in range(d):
-        for j in range(i + 1, d):
-            dist[i, j] = dist[j, i] = distributions[i].distance(distributions[j])
+    dist = np.array([[a.distance(b) for b in distributions] for a in distributions])
     clusters = _single_linkage(dist, params.tau)
-    assert sum(len(c) for c in clusters) == d
 
     entries = []
     cluster_details = []
     for members in clusters:
-        merged = distributions[members[0]]
-        for m in members[1:]:
-            merged = merged.merged_with(distributions[m])
+        merged = reduce(EmpiricalDistribution.merged_with, [distributions[m] for m in members])
         descriptor = {"type": "empirical-cluster",
                       "coordinates": members,
                       "frequencies": merged.to_json_dict(max_length=1)["frequencies"]}

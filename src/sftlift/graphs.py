@@ -56,12 +56,7 @@ class LabeledGraph:
         if missing:
             raise InputError(f"label: not total, missing {sorted(map(str, missing))}")
         if y_symbols is None:
-            seen = []
-            for s in self.x_symbols:
-                y = self.label[s]
-                if y not in seen:
-                    seen.append(y)
-            y_symbols = seen
+            y_symbols = dict.fromkeys(self.label[s] for s in self.x_symbols)
         self.y_symbols = tuple(y_symbols)
         if set(self.label[s] for s in self.x_symbols) - set(self.y_symbols):
             raise InputError("label: value outside y_symbols")
@@ -152,20 +147,34 @@ class LabeledGraph:
 
     @classmethod
     def from_json_dict(cls, data):
-        if not data["x_symbols"]:
+        x_symbols = _json_list(data, "x_symbols")
+        if not x_symbols:
             raise InputError("x_symbols: empty symbol set")
         label = data["label"]
         if not isinstance(label, dict) or not all(isinstance(y, str) for y in label.values()):
             raise InputError("label: must map each symbol to a string")
-        return cls(data["x_symbols"], _json_pairs(data["transitions"]), label,
-                   data.get("y_symbols"))
+        return cls(x_symbols, _json_pairs(data["transitions"]), label,
+                   _json_list(data, "y_symbols", optional=True))
+
+
+def _json_list(data, field, optional=False):
+    """``data[field]`` as a tuple, refusing a value that is not a list of
+    strings and numbers; an optional field may be absent or null (None)."""
+    value = data.get(field) if optional else data[field]
+    if optional and value is None:
+        return None
+    if not isinstance(value, list) or any(isinstance(s, (list, dict)) for s in value):
+        raise InputError(f"{field}: expected a list of strings or numbers, got {value!r}")
+    return tuple(value)
 
 
 def _json_pairs(entries):
     """A JSON ``transitions`` list as pairs, refusing an entry that is not one."""
+    if not isinstance(entries, list):
+        raise InputError(f"transitions: expected a list of pairs, got {entries!r}")
     for e in entries:
-        if not (isinstance(e, list) and len(e) == 2):
-            raise InputError(f"transitions: entry {e!r} is not a pair")
+        if not (isinstance(e, list) and len(e) == 2) or any(isinstance(s, (list, dict)) for s in e):
+            raise InputError(f"transitions: entry {e!r} is not a pair of symbols")
     return [tuple(e) for e in entries]
 
 
@@ -428,12 +437,8 @@ class SlidingBlockCode:
         for word in self._allowed_words(width):
             if word not in self.block_map:
                 raise InputError(f"block_map: missing allowed word {word!r}")
-        seen = []
-        for word in sorted(self.block_map, key=self._word_key):
-            y = self.block_map[word]
-            if y not in seen:
-                seen.append(y)
-        self.y_symbols = tuple(seen)
+        self.y_symbols = tuple(dict.fromkeys(
+            self.block_map[word] for word in sorted(self.block_map, key=self._word_key)))
 
     def _word_key(self, word):
         idx = {s: i for i, s in enumerate(self.alphabet)}
@@ -470,13 +475,14 @@ class SlidingBlockCode:
         for field in ("memory", "anticipation"):
             if type(data[field]) is not int:
                 raise InputError(f"{field}: must be an integer, got {data[field]!r}")
-        alphabet = tuple(data["alphabet"])
+        alphabet = _json_list(data, "alphabet")
         multi = any(len(str(s)) > 1 for s in alphabet)
         def parse_key(k):
             return tuple(k.split(",")) if multi else tuple(k)
-        block_map = {parse_key(k): v for k, v in data["block_map"].items()}
-        if not all(isinstance(y, str) for y in block_map.values()):
+        if not (isinstance(data["block_map"], dict)
+                and all(isinstance(y, str) for y in data["block_map"].values())):
             raise InputError("block_map: must map each word to a string")
+        block_map = {parse_key(k): v for k, v in data["block_map"].items()}
         transitions = data.get("transitions")
         if transitions is not None:
             transitions = _json_pairs(transitions)

@@ -11,6 +11,7 @@ the ergodic lifts with multiplicity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import isqrt
 
 import numpy as np
@@ -26,12 +27,15 @@ class DegreeJoiningGraph:
     """The distinct-tuple restriction of the d-fold fiber product.
 
     ``graph.label`` is the 1-block code onto the image; reducibility is
-    allowed and recorded in ``components``.
+    allowed and recorded in ``components``, computed on first use.
     """
 
     degree: int
     graph: LabeledGraph
-    components: tuple
+
+    @cached_property
+    def components(self):
+        return analyze_graph(self.graph).components
 
 
 def degree_joining_graph(g: LabeledGraph, degree: int | None = None) -> DegreeJoiningGraph:
@@ -48,7 +52,7 @@ def degree_joining_graph(g: LabeledGraph, degree: int | None = None) -> DegreeJo
                 f"coordinate {i} misses symbols {sorted(map(str, set(g.x_symbols) - covered))}")
     if {lam.label[t] for t in lam.x_symbols} != set(g.y_symbols):
         raise ProjectionNotOnto("joining graph misses part of the image alphabet")
-    return DegreeJoiningGraph(degree, lam, analyze_graph(lam).components)
+    return DegreeJoiningGraph(degree, lam)
 
 
 class _ViabilityWalk:

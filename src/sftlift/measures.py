@@ -10,7 +10,10 @@ width-1 block code on its own symbols) through the code's cached 1-block
 recoding (Lind & Marcus, *An Introduction to Symbolic Dynamics and
 Coding*, §1.4-1.5): an image cylinder sums the base measure over the
 preimage paths of the recoding graph, and a sample reads each base window
-through one window-code -> label table.
+through one window-code -> label table.  The cylinder counts of a
+sample are arrays: ``EmpiricalDistribution.counts[l - 1]`` counts the
+length-l windows, indexed by base-k word code, which is the order of
+``window_codes`` and of ``product(alphabet, repeat=l)``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from itertools import product
 import numpy as np
 
 from .errors import InputError, NotErgodic
-from .graphs import PeriodicOrbit, SlidingBlockCode, _as_word, _tarjan_scc, scan
+from .graphs import PeriodicOrbit, SlidingBlockCode, _as_word, _json_list, _tarjan_scc, scan
 from . import codes
 
 
@@ -92,7 +95,7 @@ def stationary_vector(states, matrix) -> tuple:
 class MarkovMeasure(StationaryMeasure):
     """Stationary Markov measure with exact rational transition matrix."""
 
-    def __init__(self, states, transition_probabilities, stationary=None, support_graph=None):
+    def __init__(self, states, transition_probabilities, stationary=None):
         self.alphabet = tuple(states)
         idx = self._index()
         n = len(self.alphabet)
@@ -111,8 +114,6 @@ class MarkovMeasure(StationaryMeasure):
             if any(p < 0 for p in matrix[i]):
                 raise InputError(f"transitions: negative probability in the row of {a!r}")
         self.matrix = tuple(tuple(row) for row in matrix)
-        if support_graph is not None:
-            self._require_transitions_in(support_graph.transitions)
         if stationary is None:
             if not self.is_ergodic():
                 raise NotErgodic("support graph not strongly connected; supply a stationary vector")
@@ -129,14 +130,6 @@ class MarkovMeasure(StationaryMeasure):
         if tuple(row_check) != self.stationary:
             raise InputError("stationary: vector is not stationary for the transition matrix")
 
-    def _require_transitions_in(self, allowed):
-        """Refuse positive probability on a transition outside ``allowed``."""
-        for i, a in enumerate(self.alphabet):
-            for j, b in enumerate(self.alphabet):
-                if self.matrix[i][j] > 0 and (a, b) not in allowed:
-                    raise InputError(f"transitions: positive probability on forbidden "
-                                     f"transition ({a!r},{b!r})")
-
     def support_transitions(self):
         """The transitions of the support: the 2-words of positive mass."""
         idx = self._index()
@@ -144,14 +137,9 @@ class MarkovMeasure(StationaryMeasure):
                 if self.stationary[idx[a]] * self.matrix[idx[a]][idx[b]] > 0}
 
     def is_ergodic(self) -> bool:
-        succ = {a: [] for a in self.alphabet}
-        idx = self._index()
-        for a in self.alphabet:
-            for b in self.alphabet:
-                if self.matrix[idx[a]][idx[b]] > 0:
-                    succ[a].append(b)
-        comps = _tarjan_scc(self.alphabet, succ)
-        return len(comps) == 1
+        succ = {a: [b for b, p in zip(self.alphabet, row) if p > 0]
+                for a, row in zip(self.alphabet, self.matrix)}
+        return len(_tarjan_scc(self.alphabet, succ)) == 1
 
     def cylinder(self, word) -> Fraction:
         word = _as_word(word)
@@ -294,7 +282,10 @@ class PushforwardMeasure(StationaryMeasure):
             raise InputError(f"base: letters {sorted(map(str, outside))} are outside the "
                              "code's domain alphabet")
         if isinstance(base, MarkovMeasure):
-            base._require_transitions_in(self.block_code.transitions)
+            for (i, a), (j, b) in product(enumerate(base.alphabet), repeat=2):
+                if base.matrix[i][j] > 0 and (a, b) not in self.block_code.transitions:
+                    raise InputError(f"transitions: positive probability on forbidden "
+                                     f"transition ({a!r},{b!r})")
 
     def cylinder(self, word) -> Fraction:
         return pushforward_cylinder(self.base, self.block_code, word)
@@ -404,13 +395,13 @@ def compare_measures(m1: StationaryMeasure, m2: StationaryMeasure, depth: int) -
     return ComparisonResult(depth, None, None)
 
 
-@dataclass
+@dataclass(eq=False)
 class EmpiricalDistribution:
     """Cylinder counts of one sampled coordinate up to a fixed depth."""
 
     alphabet: tuple
     depth: int
-    counts: dict                  # word tuple -> int
+    counts: list                  # counts[l - 1]: int array over the length-l word codes
     sample_length: int
 
     @classmethod
@@ -426,67 +417,58 @@ class EmpiricalDistribution:
         k = len(alphabet)
         arr = np.asarray(arr)
         top = min(depth, len(arr))
-        binned = [None] * (top + 1)
+        counts = [np.zeros(k ** length, dtype=np.int64) for length in range(depth, top, -1)]
         if top:
             dtype = np.int32 if k ** top < 2 ** 31 else np.int64
-            codes_arr = window_codes(arr.astype(dtype, copy=False), k, top, dtype)
-            binned[top] = np.bincount(codes_arr, minlength=k ** top)
+            counts.append(np.bincount(window_codes(arr.astype(dtype, copy=False), k, top, dtype),
+                                      minlength=k ** top))
             for length in range(top - 1, 0, -1):
-                binned[length] = binned[length + 1].reshape(-1, k).sum(axis=1)
-                binned[length][window_codes(arr[-length:], k, length)[0]] += 1
-        counts = {}
-        for length in range(1, top + 1):
-            for code_val, count in enumerate(binned[length].tolist()):
-                if count:
-                    word = []
-                    v = code_val
-                    for _ in range(length):
-                        word.append(alphabet[v % k])
-                        v //= k
-                    counts[tuple(reversed(word))] = count
-        return cls(tuple(alphabet), depth, counts, int(len(arr)))
+                counts.append(counts[-1].reshape(-1, k).sum(axis=1))
+                counts[-1][window_codes(arr[-length:], k, length)[0]] += 1
+        return cls(tuple(alphabet), depth, counts[::-1], int(len(arr)))
+
+    def frequencies(self, length) -> np.ndarray:
+        """The length-``length`` counts (1 <= length <= depth) divided by
+        the number of windows of that length, all 0 when no window fits."""
+        return self.counts[length - 1] / max(self.sample_length - length + 1, 1)
 
     def frequency(self, word) -> float:
-        word = _as_word(word)
-        windows = self.sample_length - len(word) + 1
-        if windows <= 0:
-            return 0.0
-        return self.counts.get(word, 0) / windows
+        """The frequency of a word of 1 to ``depth`` letters."""
+        word, code = _as_word(word), 0
+        for a in word:
+            code = code * len(self.alphabet) + self.alphabet.index(a)
+        return float(self.frequencies(len(word))[code])
 
     def distance(self, other) -> float:
         """L-infinity distance over all cylinder frequencies up to depth."""
-        depth = min(self.depth, other.depth)
-        worst = 0.0
-        for length in range(1, depth + 1):
-            for word in product(self.alphabet, repeat=length):
-                worst = max(worst, abs(self.frequency(word) - other.frequency(word)))
-        return worst
+        return max((float(np.abs(self.frequencies(length) - other.frequencies(length)).max())
+                    for length in range(1, min(self.depth, other.depth) + 1)), default=0.0)
 
     def merged_with(self, other):
-        merged = dict(self.counts)
-        for word, c in other.counts.items():
-            merged[word] = merged.get(word, 0) + c
         return EmpiricalDistribution(self.alphabet, min(self.depth, other.depth),
-                                     merged, self.sample_length + other.sample_length)
+                                     [a + b for a, b in zip(self.counts, other.counts)],
+                                     self.sample_length + other.sample_length)
 
     def to_json_dict(self, max_length=1):
         freq = {}
         for length in range(1, max_length + 1):
-            for word in product(self.alphabet, repeat=length):
-                freq[",".join(str(a) for a in word)] = self.frequency(word)
+            names = (",".join(str(a) for a in w) for w in product(self.alphabet, repeat=length))
+            freq.update(zip(names, self.frequencies(length).tolist()))
         return {"sample_length": self.sample_length, "frequencies": freq}
 
 
 def measure_from_json_dict(data, code=None) -> StationaryMeasure:
+    if not isinstance(data, dict):
+        raise InputError(f"base: expected a measure object, got {data!r}")
     kind = data["type"]
     if kind == "bernoulli":
-        return BernoulliMeasure(data["alphabet"], data["probabilities"])
+        return BernoulliMeasure(_json_list(data, "alphabet"), _json_list(data, "probabilities"))
     if kind == "markov":
-        return MarkovMeasure(data["states"], data["transitions"],
-                             stationary=data.get("stationary"))
+        return MarkovMeasure(_json_list(data, "states"), data["transitions"],
+                             stationary=_json_list(data, "stationary", optional=True))
     if kind == "co":
-        orbit = PeriodicOrbit.from_word(tuple(data["orbit"]))
-        return COMeasure(orbit, data.get("alphabet"))
+        orbit = PeriodicOrbit.from_word(_json_list(data, "orbit"))
+        return COMeasure(orbit, _json_list(data, "alphabet", optional=True))
     if kind == "pushforward":
         if code is None:
             raise InputError("pushforward measure needs the code it pushes through")

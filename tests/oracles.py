@@ -7,7 +7,9 @@ orbit enumerator of an SFT, the diamond test on the untrimmed graph of
 equal-label pairs and the closing test on it that finds the pairs
 reaching a recurrent pair by full passes, the essential-part trim by
 repeated full passes, the symbol-keyed viability walker (one memo lookup
-per step), the per-length cylinder counter of empirical distributions,
+per step), the per-length cylinder counter of empirical distributions
+with its word-keyed frequencies, distance and merge, the union-find
+single-linkage clustering,
 the phased-graph cycle extraction of ``periodic_fiber`` and of the
 periodic degree joinings, the phased cycles and periodic fiber on
 (symbol, phase) tuple vertices with the periodic lift analysis that
@@ -686,6 +688,73 @@ def empirical_counts(arr, alphabet, depth):
                     v //= k
                 counts[tuple(reversed(word))] = int(count)
     return counts
+
+
+class EmpiricalDistribution:
+    """Cylinder counts keyed by the word (``empirical_counts``), with the
+    frequency, distance, merge and JSON form read one word at a time over
+    ``product(alphabet, repeat=l)``."""
+
+    def __init__(self, alphabet, depth, counts, sample_length):
+        self.alphabet = tuple(alphabet)
+        self.depth = depth
+        self.counts = counts
+        self.sample_length = sample_length
+
+    @classmethod
+    def from_indices(cls, arr, alphabet, depth):
+        return cls(alphabet, depth, empirical_counts(arr, alphabet, depth), len(arr))
+
+    def frequency(self, word) -> float:
+        word = tuple(word)
+        windows = self.sample_length - len(word) + 1
+        if windows <= 0:
+            return 0.0
+        return self.counts.get(word, 0) / windows
+
+    def distance(self, other) -> float:
+        depth = min(self.depth, other.depth)
+        worst = 0.0
+        for length in range(1, depth + 1):
+            for word in product(self.alphabet, repeat=length):
+                worst = max(worst, abs(self.frequency(word) - other.frequency(word)))
+        return worst
+
+    def merged_with(self, other):
+        merged = dict(self.counts)
+        for word, c in other.counts.items():
+            merged[word] = merged.get(word, 0) + c
+        return EmpiricalDistribution(self.alphabet, min(self.depth, other.depth),
+                                     merged, self.sample_length + other.sample_length)
+
+    def to_json_dict(self, max_length=1):
+        freq = {}
+        for length in range(1, max_length + 1):
+            for word in product(self.alphabet, repeat=length):
+                freq[",".join(str(a) for a in word)] = self.frequency(word)
+        return {"sample_length": self.sample_length, "frequencies": freq}
+
+
+def single_linkage(dist, tau):
+    """Single-linkage clusters at threshold ``tau`` by union-find over every
+    pair i < j, largest first, ties by first member."""
+    n = dist.shape[0]
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if dist[i, j] <= tau:
+                parent[find(i)] = find(j)
+    clusters = {}
+    for i in range(n):
+        clusters.setdefault(find(i), []).append(i)
+    return sorted(clusters.values(), key=lambda c: (-len(c), c[0]))
 
 
 def markov_sample_indices(m, length, rng):

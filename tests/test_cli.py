@@ -194,6 +194,13 @@ def test_emit_matches_json_dumps(tree):
     assert emitted(tree) == stdlib(tree)
 
 
+def test_emit_writes_constants_and_numbers_as_json_dumps():
+    scalars = [True, 1, 1.0, 0.0, -0.0, 1e-300, math.nan, None, False, 0]
+    payload = {"list": scalars, "dict": {str(i): v for i, v in enumerate(scalars)},
+               "nested": [[v] for v in scalars] + [{"v": v} for v in scalars]}
+    assert emitted(payload) == stdlib(payload)
+
+
 def test_emit_leaves_int_keys_to_json_dumps():
     for payload in ({1: "a", 2: [3]}, {"outer": {10: None, 2: {"x": 1}}}, [{True: 1}]):
         assert emitted(payload) == stdlib(payload)
@@ -297,6 +304,8 @@ def test_malformed_input_file_refused(inputs, capsys, tmp_path, case, role):
 
 RULE102 = {"memory": 0, "anticipation": 1, "alphabet": ["0", "1"],
            "block_map": {"00": "0", "01": "1", "10": "1", "11": "0"}}
+GOLDEN = {"x_symbols": ["a", "b"], "transitions": [["a", "a"], ["a", "b"], ["b", "a"]],
+          "label": {"a": "a", "b": "b"}}
 HALF = {"0": "1/2", "1": "1/2"}
 
 
@@ -357,6 +366,28 @@ INVALID_VALUES = {
     "base-letter": ("measure", {"type": "pushforward", "base": {
         "type": "bernoulli", "alphabet": ["0", "1", "2"],
         "probabilities": ["1/2", "1/4", "1/4"]}}, "base"),
+    "x-symbols-type": ("graph", {**GOLDEN, "x_symbols": 5}, "x_symbols"),
+    "x-symbols-entry": ("graph", {**GOLDEN, "x_symbols": ["a", ["b"]]}, "x_symbols"),
+    "graph-transitions-type": ("graph", {**GOLDEN, "transitions": 5}, "transitions"),
+    "transition-entry": ("graph", {**GOLDEN, "transitions": [["a", ["a"]]]}, "transitions"),
+    "y-symbols-type": ("graph", {**GOLDEN, "y_symbols": 5}, "y_symbols"),
+    "block-alphabet-type": ("graph", {**RULE102, "alphabet": 5}, "alphabet"),
+    "block-alphabet-entry": ("graph", {**RULE102, "alphabet": ["0", ["1"]]}, "alphabet"),
+    "block-map-list": ("graph", {**RULE102, "block_map": [["00", "0"]]}, "block_map"),
+    "block-transitions-type": ("graph", {**RULE102, "transitions": 5}, "transitions"),
+    "markov-states-type": ("measure", {**markov({"0": HALF, "1": HALF}), "states": 5}, "states"),
+    "markov-states-entry": ("measure", {**markov({"0": HALF, "1": HALF}), "states": ["0", ["1"]]},
+                            "states"),
+    "markov-stationary-type": ("measure", markov({"0": HALF, "1": HALF}, stationary=5),
+                               "stationary"),
+    "bernoulli-alphabet-type": ("measure", {"type": "bernoulli", "alphabet": 5,
+                                            "probabilities": ["1/2", "1/2"]}, "alphabet"),
+    "bernoulli-probabilities-type": ("measure", {"type": "bernoulli", "alphabet": ["0", "1"],
+                                                 "probabilities": 5}, "probabilities"),
+    "co-orbit-type": ("measure", {"type": "co", "orbit": 5}, "orbit"),
+    "co-alphabet-type": ("measure", {"type": "co", "orbit": ["0", "1"], "alphabet": 5},
+                         "alphabet"),
+    "base-type": ("measure", {"type": "pushforward", "base": "x"}, "base"),
 }
 
 

@@ -2,7 +2,9 @@
 presentation with its Lyndon-word orbit sweep, the diamond and closing
 tests on the trimmed 2-fold fiber product, the per-row sorted successor
 lists, the integer scan that merges its lanes, the
-speculate-and-verify viability walk, the one-pass empirical counts, the
+speculate-and-verify viability walk, the one-pass empirical count arrays
+with their frequencies, distance, merge and JSON form, the single-linkage
+clusters as connected components, the
 queue-based essential trim, the one-sweep periodic fibers and the
 closing step along one word with the periodic lift analysis and the
 ``periodic-lifts`` rows, the vectorised samplers, the recoding-based pushforward path and the
@@ -17,6 +19,7 @@ import random
 import tempfile
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -26,7 +29,7 @@ import sftlift as sl
 from sftlift import codes
 from sftlift.cli import main
 from sftlift.errors import EmptyAfterTrim, FiberInfinite, NoPath, NotInImage, PreconditionError
-from sftlift.fibers import _unwrap, support_presentation
+from sftlift.fibers import _single_linkage, _unwrap, support_presentation
 from sftlift.graphs import LabeledGraph, SubsetAutomaton, _essential_symbols, least_rotation
 from sftlift.joinings import _ViabilityWalk
 from sftlift.measures import EmpiricalDistribution, make_rng
@@ -811,8 +814,52 @@ def test_empirical_counts_match_per_length_oracle(case):
     k, arr, depth = case
     alphabet = tuple("abcd"[:k])
     emp = EmpiricalDistribution.from_indices(np.array(arr, dtype=np.int64), alphabet, depth)
-    assert emp.counts == oracles.empirical_counts(arr, alphabet, depth)
+    expected = oracles.empirical_counts(arr, alphabet, depth)
+    assert [c.tolist() for c in emp.counts] == [
+        [expected.get(w, 0) for w in product(alphabet, repeat=length)]
+        for length in range(1, depth + 1)]
     assert emp.sample_length == len(arr)
+
+
+SAMPLES = st.integers(1, 3).flatmap(lambda k: st.tuples(
+    st.just(k), st.integers(1, 4), st.lists(st.integers(0, k - 1), max_size=12),
+    st.lists(st.integers(0, k - 1), max_size=12), st.integers(1, 4)))
+
+
+@given(SAMPLES)
+@example((2, 3, [], [0, 1], 2))             # one empty sample, one shorter than depth
+@example((3, 4, [0, 1, 2], [2], 1))         # both shorter than depth
+def test_empirical_reads_match_word_dict_oracle(case):
+    k, depth, arr1, arr2, other_depth = case
+    alphabet = tuple("xyz"[:k])
+    new = [EmpiricalDistribution.from_indices(np.array(a, dtype=np.int64), alphabet, n)
+           for a, n in ((arr1, depth), (arr2, other_depth))]
+    old = [oracles.EmpiricalDistribution.from_indices(a, alphabet, n)
+           for a, n in ((arr1, depth), (arr2, other_depth))]
+    merged, old_merged = new[0].merged_with(new[1]), old[0].merged_with(old[1])
+    assert merged.depth == old_merged.depth and merged.sample_length == old_merged.sample_length
+    for emp, ref in [*zip(new, old), (merged, old_merged)]:
+        for length in range(1, emp.depth + 1):
+            for word in product(alphabet, repeat=length):
+                assert emp.frequency(word) == ref.frequency(word)
+            assert emp.to_json_dict(length) == ref.to_json_dict(length)
+    assert new[0].distance(new[1]) == old[0].distance(old[1])
+    assert new[1].distance(new[0]) == old[1].distance(old[0])
+
+
+TAU = 0.5
+DISTANCES = st.sampled_from([0.0, 0.25, TAU, 0.75, 1.0])     # TAU itself makes ties
+
+
+@given(st.integers(1, 7).flatmap(lambda n: st.lists(DISTANCES, min_size=n * n, max_size=n * n)))
+@example([0.0, TAU, 1.0, TAU, 0.0, TAU, 1.0, TAU, 0.0])      # a chain 0 - 1 - 2 at exactly tau
+@example([0.0, 1.0, 1.0, TAU, 1.0, 0.0, TAU, 1.0,             # {0, 3} and {1, 2}: equal sizes
+          1.0, TAU, 0.0, 1.0, TAU, 1.0, 1.0, 0.0])
+def test_single_linkage_matches_union_find_oracle(entries):
+    n = isqrt(len(entries))
+    upper = np.triu(np.array(entries).reshape(n, n), 1)
+    dist = upper + upper.T
+    assert _single_linkage(dist, TAU) == oracles.single_linkage(dist, TAU)
 
 
 @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
