@@ -241,7 +241,7 @@ def exact_lift_analysis(ca: LinearCACode, alpha) -> LiftReport:
         return difference_lift_analysis(ca.modulus, alpha)
     if ca.modulus != 5:
         raise HypothesisNotMet("exact sum-code analysis is only backed for modulus 5")
-    return sum_code_lift_analysis(alpha)
+    return sum_code_lift_analysis(alpha, mc_fallback=False)
 
 
 @dataclass(frozen=True)

@@ -187,10 +187,10 @@ def cmd_ca(args):
     family = {"diff": "difference", "difference": "difference", "sum": "sum"}[args.family]
     code = ca_mod.LinearCACode(args.modulus, family)
     alpha = [a.strip() for a in args.vector.split(",")]
-    exact = ca_mod.exact_lift_analysis(code, alpha)
+    validation = None if args.skip_mc else ca_mod.cross_validate(code, alpha, params)
+    exact = ca_mod.exact_lift_analysis(code, alpha) if validation is None else validation.exact
     out = {"code": code.describe(), "exact": exact.to_json_dict()}
-    if not args.skip_mc:
-        validation = ca_mod.cross_validate(code, alpha, params)
+    if validation is not None:
         out["cross_validation"] = validation.to_json_dict()
     _emit(out)
     return 0

@@ -586,6 +586,23 @@ class SubsetAutomaton:
                         for m in masks]
 
 
+def _speculate(flat, symbols, inputs, entry):
+    """Every chunk of about √T inputs run at once from state ``entry`` of the
+    flat (states × symbols) table, one lookup per step for all chunks: the
+    chunks are the columns of a (position × chunk) array of the narrowest
+    unsigned type that holds the symbols and the states, and each position's
+    symbols are overwritten by the chunks' states once read."""
+    width = max(1, isqrt(len(inputs)))
+    chunks = len(inputs) // width
+    cols = np.empty((width, chunks), np.min_scalar_type(max(symbols, len(flat) // symbols) - 1))
+    cols[...] = inputs[:chunks * width].reshape(chunks, width).T
+    lane = np.intp(entry)
+    for col in cols:
+        lane = flat.take(lane * symbols + col)
+        col[...] = lane
+    return cols
+
+
 def scan(step, inputs, start, out):
     """Run a deterministic automaton over an input array: ``out[t] =
     step[out[t-1], inputs[t]]`` with ``out[-1]`` read as ``start``.
@@ -597,90 +614,49 @@ def scan(step, inputs, start, out):
     is the caller's buffer and may be ``inputs`` itself: every input is read
     before its slot is written.
 
-    The scan is data-parallel with convergence (Mytkowicz, Musuvathi &
-    Schulte, "Data-Parallel Finite-State Machines", ASPLOS 2014).  The input
-    is cut into about √T chunks of √T symbols, copied into one contiguous
-    (position × chunk) array of the narrowest unsigned type that holds the
-    symbols and the states; each position's symbols are overwritten by its
-    states once read.  Each chunk runs one lane per entry state until its
-    live lanes meet in one state, which is checked after 1, 2, 4, 8, ...
-    steps: say after j_c steps.  From there on it runs a single lane, and
-    the single lanes of all chunks step together.  One pass over the chunks
-    resolves their true entry states, and each chunk is replayed from its
-    own for the steps before j_c only (all of it if its true lane dies).
-    The interpreter runs O(√T) steps and numpy O(T + Σ_c j_c · states)
-    work; j_c = 1 when all rows of the table are equal.  In the worst case
-    the lanes never merge, as under a permutation of the states per symbol:
-    every j_c is √T and the work is O(T · states), that of composing every
-    chunk's whole map.
+    The scan speculates and verifies (Mytkowicz, Musuvathi & Schulte,
+    "Data-Parallel Finite-State Machines", ASPLOS 2014): ``_speculate`` runs
+    every chunk as if it were entered in ``start``.  Then the chunks are
+    settled in order.  A chunk whose true first state is not the speculated
+    one is re-run one step at a time until it meets its speculated run,
+    which is right from there on; once the true run is dead, so is every
+    later chunk.  The input past the last whole chunk runs as a loop.  The
+    cost is O(T) numpy work and O(√T + re-run steps) interpreted steps: with
+    all rows of the table equal no chunk is re-run, and in the worst case, a
+    permutation of the states per symbol, every chunk is re-run whole, a
+    step loop plus O(T).
     """
     states, symbols = step.shape
-    total = len(inputs)
-    width = max(1, isqrt(total))
-    chunks = total // width
-    body = chunks * width
-    # state s is held as s + 1, so that the dead state is 0 and row 0
+    # state s is held as s + 1, so that the dead state is 0, whose row is all 0
     table = np.zeros((states + 1, symbols), dtype=np.intp)
     table[1:] = step + 1
-    flat = table.ravel()
+    cols = _speculate(table.ravel(), symbols, inputs, start + 1)
+    width, chunks = cols.shape
+    body = width * chunks
     blocks = inputs[:body].reshape(chunks, width)
-    cols = np.empty((width, chunks), dtype=np.min_scalar_type(max(symbols - 1, states)))
-    cols[...] = blocks.T
-    # merge[c]: the position at which chunk c's lanes were found met;
-    # gate[c, e]: the state of the lane from entry e there, and in the end
-    # the exit of chunk c from entry e
-    gate = np.empty((chunks, states), dtype=np.min_scalar_type(states))
-    merge = np.full(chunks, width)
-    live = np.arange(chunks)
-    lanes = np.broadcast_to(np.arange(1, states + 1), (chunks, states))
-    single = np.zeros(chunks, dtype=np.intp)
-    i, check = 0, 1
-    while len(live) and i < width:
-        col = cols[i]
-        lanes = flat.take(lanes * symbols + (col if len(live) == chunks else col[live])[:, None])
-        if len(live) < chunks:
-            single = flat.take(single * symbols + col)
-            col[...] = single
-        i += 1
-        if i == check or i == width:
-            check *= 2
-            top = lanes.max(1, initial=0)
-            merged = ((lanes == top[:, None]) | (lanes == 0)).all(1)
-            if merged.any():
-                done = live[merged]
-                gate[done] = lanes[merged]
-                single[done] = col[done] = top[merged]
-                merge[done] = i - 1
-                live, lanes = live[~merged], lanes[~merged]
-    gate[live] = lanes
-    for i in range(i, width):
-        single = flat.take(single * symbols + cols[i])
-        cols[i] = single
-    settled = merge < width
-    gate[settled] = np.where(gate[settled] == 0, 0, single[settled, None])
-    entry = []
-    state = start + 1
-    for row in gate.tolist():
-        if not state:
-            break
-        entry.append(state)
-        state = row[state - 1]
-    # chunks from c on enter dead; a chunk whose true lane dies is replayed whole
-    c = len(entry)
-    if not state and c:
-        merge[c - 1] = width
-    cols[:, c:] = 0
-    lane, where, i = np.array(entry, dtype=np.intp), slice(None, c), 0
-    for stop in np.unique(merge[:c]).tolist():
-        for i in range(i, stop):
-            lane = flat.take(lane * symbols + blocks[where, i])
-            cols[i, where] = lane
-        i = stop
-        lane = lane[merge[where] > stop]
-        where = np.flatnonzero(merge[:c] > stop)
-    np.subtract(cols.T, 1, out=out[:body].reshape(chunks, width), dtype=out.dtype)
     rows = table.tolist()
-    for t in range(body, total):
+    state = start + 1
+    for c, (head, end, first) in enumerate(zip(cols[0].tolist(), cols[-1].tolist(),
+                                               blocks[:, 0].tolist())):
+        true = rows[state][first]
+        if true == head:
+            state = end
+            continue
+        spec, xs, i = cols[:, c].tolist(), blocks[c].tolist(), 0
+        while true and true != spec[i]:
+            spec[i] = true
+            i += 1
+            if i == width:
+                break
+            true = rows[true][xs[i]]
+        cols[:i, c] = spec[:i]
+        state = end if true and i < width else true
+        if not true:                    # dead from position i on, and in every later chunk
+            cols[i:, c] = 0
+            cols[:, c + 1:] = 0
+            break
+    np.subtract(cols.T, 1, out=out[:body].reshape(chunks, width), dtype=out.dtype)
+    for t in range(body, len(inputs)):
         state = rows[state][inputs[t]]
         out[t] = state - 1
     return state - 1

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import isqrt
 
 import numpy as np
 
 from .errors import NoPath, ProjectionNotOnto, UnsupportedFiber
-from .graphs import (LabeledGraph, PeriodicOrbit, SubsetAutomaton, _as_word,
+from .graphs import (LabeledGraph, PeriodicOrbit, SubsetAutomaton, _as_word, _speculate,
                      analyze_graph, scan)
 from .codes import compute_degree, fiber_product, periodic_fiber
 
@@ -63,8 +62,9 @@ class _ViabilityWalk:
     from which the rest of the window can be read.  The forward pass reads
     the dense table ``forward[s, v]``, the least successor of symbol s in
     viability state v, with the sentinel symbol ``dead = len(x_symbols)``
-    (whose own row is all ``dead``) where there is none; it is run as a
-    speculate-and-verify scan, described in ``walk``.
+    (whose own row is all ``dead``) where there is none.  Its start row
+    ``dead + 1`` holds the least symbol of each viability state, so a walk
+    starts there; it is run as a speculate-and-verify scan (see ``walk``).
 
     ``resolutions`` counts, over all walks, how the chunks of the scan were
     settled: by a right guess, a coordinate relabelling or a re-run.
@@ -76,12 +76,12 @@ class _ViabilityWalk:
         index = graph.index
         n = self.dead = len(graph.x_symbols)
         subsets = self.automaton.subsets
-        self._first = np.array([index[subset[0]] for subset in subsets], dtype=np.int64)
         succ = [[index[t] for t in graph.successors[s]] for s in graph.x_symbols]
-        self.forward = np.full((n + 1, len(subsets)), n, dtype=np.int64)
+        self.forward = np.full((n + 2, len(subsets)), n, dtype=np.int64)
         for v, subset in enumerate(subsets):
             viable = {index[s] for s in subset}
             self.forward[:n, v] = [next((t for t in row if t in viable), n) for row in succ]
+            self.forward[n + 1, v] = index[subset[0]]
         self._relabellings = {}
         self.resolutions = {"guess": 0, "relabel": 0, "rerun": 0}
 
@@ -124,14 +124,12 @@ class _ViabilityWalk:
         """Forward pass: the lexicographically least viable symbol each step,
         as an int64 array of symbol indices.
 
-        The scan speculates and verifies (Mytkowicz, Musuvathi & Schulte,
-        "Data-Parallel Finite-State Machines", ASPLOS 2014).  The window is
-        cut into about √T chunks of √T steps.  Each chunk starts from its
-        position's least viable symbol, which is exact for the first chunk,
-        and all chunks step together, one table lookup per step for all of
-        them.  Then the chunks are settled in order.  A chunk's true start is
-        the table step from the previous chunk's settled end; where it is
-        not the guess:
+        The walk speculates and verifies, like ``scan``: ``_speculate`` runs
+        every chunk of the window from the start row, so each chunk starts
+        from its position's least viable symbol, which is exact for the
+        first chunk.  Then the chunks are settled in order.  A chunk's true
+        start is the table step from the previous chunk's settled end; where
+        it is not the guess:
 
         - if it is the guess with its coordinates permuted by some σ, the
           chunk is relabelled through σ and kept up to its first position
@@ -145,47 +143,45 @@ class _ViabilityWalk:
         """
         ids = np.asarray(ids, dtype=np.int64)
         forward, dead = self.forward, self.dead
-        total = len(ids)
-        width = max(1, isqrt(total))
-        chunks = total // width
-        body = chunks * width
-        path = np.empty(total, dtype=np.int64)
-        spec = path[:body].reshape(chunks, width)
+        cols = _speculate(forward.ravel(), forward.shape[1], ids, dead + 1)
+        width, chunks = cols.shape
+        body = width * chunks
         steps = ids[:body].reshape(chunks, width)
-        current = self._first[steps[:, 0]]
-        spec[:, 0] = current
-        for i in range(1, width):
-            current = forward[current, steps[:, i]]
-            spec[:, i] = current
+        heads, ends, firsts = cols[0].tolist(), cols[-1].tolist(), steps[:, 0].tolist()
         for c in range(1, chunks):
-            true = forward[spec[c - 1, -1], steps[c, 0]]
-            if true == spec[c, 0]:
+            true = forward[ends[c - 1], firsts[c]]
+            if true == heads[c]:
                 self.resolutions["guess"] += 1
                 continue
             if true == dead:
                 raise RuntimeError("viability pruning admitted a dead end")
-            row = self._relabelling(spec[c, 0], true)
+            spec = cols[:, c]
+            row = self._relabelling(heads[c], true)
             i = 0
             if row is not None:
-                moved = row[spec[c]]
+                moved = row[spec]
                 bad = np.flatnonzero(forward[moved[:-1], steps[c, 1:]] != moved[1:])
                 if not len(bad):
-                    spec[c] = moved
+                    spec[...] = moved
+                    ends[c] = moved[-1]
                     self.resolutions["relabel"] += 1
                     continue
                 i = bad[0] + 1
-                spec[c, :i] = moved[:i]
+                spec[:i] = moved[:i]
                 true = forward[moved[i - 1], steps[c, i]]
             self.resolutions["rerun"] += 1
-            while true != spec[c, i]:
-                spec[c, i] = true
+            while true != spec[i]:
+                spec[i] = true
                 i += 1
                 if i == width:
+                    ends[c] = true
                     break
                 true = forward[true, steps[c, i]]
-        for t in range(body, total):
+        path = np.empty(len(ids), dtype=np.int64)
+        path[:body].reshape(chunks, width)[...] = cols.T
+        for t in range(body, len(ids)):
             path[t] = forward[path[t - 1], ids[t]]
-        if total and path[-1] == dead:      # the sentinel is absorbing
+        if len(ids) and path[-1] == dead:   # the sentinel is absorbing
             raise RuntimeError("viability pruning admitted a dead end")
         return path
 

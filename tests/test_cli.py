@@ -251,6 +251,16 @@ def test_nonpositive_max_period_refused(inputs, capsys, max_period):
     assert "max_period" in err
 
 
+@pytest.mark.parametrize("mode", [("--skip-mc",), ("--length", "2000")])
+def test_ca_sum5_below_mass_threshold_refused(capsys, mode):
+    # alpha_0 <= 1/2 is outside the exact sum-code analysis, with or without
+    # the Monte-Carlo cross-validation
+    code, out, err = run_refused(capsys, "ca", "--family", "sum", "--modulus", "5",
+                                 "--vector", "1/5,1/5,1/5,1/5,1/5", *mode)
+    assert code == 2 and out == ""
+    assert "alpha_0 <= 1/2" in err
+
+
 FLAG_VALUES = {"--format": "json", "--seed": "1", "--length": "100", "--cyl-depth": "2",
                "--tolerance": "0.1", "--max-period": "2"}
 MC_FLAGS = {"--seed", "--length", "--cyl-depth", "--tolerance"}

@@ -1,5 +1,5 @@
 import json
-from math import log, sqrt
+from math import isqrt, log, sqrt
 
 import numpy as np
 import pytest
@@ -262,11 +262,14 @@ def test_scan_in_place_over_reversed_view(case):
     assert view.tolist() == expected
 
 
+# symbol 0 cycles the two states; symbol 1 has no transition from state 1
+_CYCLE_OR_DIE = [[1, 0], [0, -1]]
+
+
 @pytest.mark.parametrize("length", [1, 2, 3, 4, 15, 16, 17, 1000])
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
 def test_scan_dead_transition_is_absorbing(length, where):
-    # symbol 0 cycles the two states; symbol 1 has no transition from state 1
-    step = np.array([[1, 0], [0, -1]], dtype=np.int64)
+    step = np.array(_CYCLE_OR_DIE, dtype=np.int64)
     inputs = np.zeros(length, dtype=np.int64)
     position = {"first": 0, "middle": length // 2, "last": length - 1}[where]
     start = 0 if position % 2 else 1           # in state 1 just before position
@@ -276,6 +279,40 @@ def test_scan_dead_transition_is_absorbing(length, where):
     assert out.tolist() == loop_scan(step, inputs, start)
     assert last == -1
     assert (out[position:] == -1).all() and (out[:position] >= 0).all()
+
+
+def _second_chunk_runs(step, inputs):
+    """Chunk 1 of ``scan``'s √T chunks from state 0: its run speculated from
+    state 0 and its true run."""
+    width = isqrt(len(inputs))
+    chunk = slice(width, 2 * width)
+    return loop_scan(step, inputs[chunk], 0), loop_scan(step, inputs, 0)[chunk]
+
+
+@pytest.mark.parametrize("step, inputs, settles", [
+    # chunk 1 is entered in state 1: its speculation dies, its true run lives
+    (_CYCLE_OR_DIE, [1, 1, 1, 0, 0, 1, 0, 0] + [0] * 8,
+     lambda spec, true: spec[-1] == -1 and -1 not in true),
+    # chunk 1 is entered in state 1: its true run dies mid-chunk, its speculation lives
+    (_CYCLE_OR_DIE, [1, 1, 1, 0, 0, 0, 1, 0] + [0] * 8,
+     lambda spec, true: -1 not in spec and true[1] >= 0 and true[2] == -1),
+    # a permutation: chunk 1's re-run never meets its speculation, so chunk 2
+    # is entered in its true end, not in the speculated one
+    ([[1], [0]], [0] * 9,
+     lambda spec, true: all(a != b for a, b in zip(spec, true)) and spec[-1] != true[-1]),
+    # symbol 0 resets to 0, a third 1 in a row dies: chunk 1's re-run meets its
+    # speculation, and then both die
+    ([[0, 1], [0, 2], [0, -1]], [0, 0, 0, 0, 1, 1, 0, 1, 1, 1] + [0] * 15,
+     lambda spec, true: spec[1] == true[1] and true[-1] == -1),
+], ids=["speculation dies", "true run dies", "re-run never meets", "re-run meets, then dies"])
+def test_scan_settle_paths(step, inputs, settles):
+    step, inputs = np.array(step), np.array(inputs)
+    spec, true = _second_chunk_runs(step, inputs)
+    assert spec[0] != true[0] and settles(spec, true)     # chunk 1 is re-run
+    out = np.empty(len(inputs), dtype=np.int64)
+    expected = loop_scan(step, inputs, 0)
+    assert sl.graphs.scan(step, inputs, 0, out) == expected[-1]
+    assert out.tolist() == expected
 
 
 # ---------------------------------------------------- periodic orbit lists
