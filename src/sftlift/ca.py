@@ -167,10 +167,11 @@ class AlternatingOffsetMeasure(StationaryMeasure):
         return self.cylinder_at_phase(word, 0)
 
     def sample_indices(self, length, rng) -> np.ndarray:
+        """x_t + c * (-1)^(t + phase) (mod N), phase drawn first, in x's dtype."""
         phase = int(rng.integers(2))
         base_idx = self.base.sample_indices(length, rng)
-        signs = np.array([1 if (i + phase) % 2 == 0 else -1 for i in range(length)])
-        return (base_idx + signs * self.offset) % self.modulus
+        shift = np.where(np.arange(length) % 2 == phase, self.offset, self.modulus - self.offset)
+        return ((base_idx + shift) % self.modulus).astype(base_idx.dtype)
 
     def describe(self):
         return {"type": "alternating-offset", "offset": self.offset,

@@ -213,11 +213,16 @@ def classify_lifts_monte_carlo(code, nu: StationaryMeasure,
     per-coordinate cylinder statistics, and reports single-linkage clusters
     as lifts with multiplicity = cluster size.  Non-fully-supported inputs
     are refused unless the code is known constant-to-one, because the
-    clustering guarantees fail there.
+    clustering guarantees fail there.  More cylinders than letters are refused first.
     """
     if params is None:
         params = MonteCarloParams()
     g, recoding = _unwrap(code)
+    letter_alphabet = tuple(_lift_orbit_alphabet(g, recoding))
+    k, depth, T = len(letter_alphabet), params.cylinder_depth, params.sample_length
+    if k ** min(depth, int(T).bit_length()) > T:
+        raise InputError(f"cylinder_depth {depth} asks for {k}**{depth} cylinders, "
+                         f"more than sample_length {T}")
     constant_to_one = constant_to_one or bool(getattr(code, "constant_to_one", False))
     d = compute_degree(g).degree
 
@@ -230,27 +235,26 @@ def classify_lifts_monte_carlo(code, nu: StationaryMeasure,
                 "constant-to-one; refusing to classify")
 
     lam = degree_joining_graph(g, degree=d)
-    T = params.sample_length
     burn = len(lam.graph.x_symbols)
-    if T <= 2 * burn + params.cylinder_depth:
+    if T <= 2 * burn + depth:
         raise InputError("sample_length too short for burn-in and cylinder depth")
 
     rng = make_rng(params.seed)
-    to_image = np.array([lam.graph.y_symbols.index(a) for a in nu.alphabet], dtype=np.int64)
-    y_idx = to_image[nu.sample_indices(T, rng)]
+    to_image = np.array([lam.graph.y_symbols.index(a) for a in nu.alphabet],
+                        dtype=np.min_scalar_type(len(lam.graph.y_symbols) - 1))
+    y_idx = to_image.take(nu.sample_indices(T, rng))
 
     walker = _ViabilityWalk(lam.graph)
     path_idx = walker.walk(walker.viability_ids(y_idx))
     path_idx = path_idx[burn:len(path_idx) - burn]
 
-    letter_alphabet = tuple(_lift_orbit_alphabet(g, recoding))
     letter = {a: i for i, a in enumerate(letter_alphabet)}
     distributions = []
     for i in range(d):
         table = np.array([letter[recoding.base_letter(sym[i]) if recoding is not None else sym[i]]
-                          for sym in lam.graph.x_symbols], dtype=np.int32)
+                          for sym in lam.graph.x_symbols], dtype=np.min_scalar_type(k - 1))
         distributions.append(EmpiricalDistribution.from_indices(
-            table[path_idx], letter_alphabet, params.cylinder_depth))
+            table.take(path_idx), letter_alphabet, depth))
 
     dist = np.array([[a.distance(b) for b in distributions] for a in distributions])
     clusters = _single_linkage(dist, params.tau)

@@ -10,10 +10,10 @@ width-1 block code on its own symbols) through the code's cached 1-block
 recoding (Lind & Marcus, *An Introduction to Symbolic Dynamics and
 Coding*, §1.4-1.5): an image cylinder sums the base measure over the
 preimage paths of the recoding graph, and a sample reads each base window
-through one window-code -> label table.  The cylinder counts of a
-sample are arrays: ``EmpiricalDistribution.counts[l - 1]`` counts the
-length-l windows, indexed by base-k word code, which is the order of
-``window_codes`` and of ``product(alphabet, repeat=l)``.
+through one window-code -> label table, its draws looked up in a guide
+table (``_count_below``).  ``EmpiricalDistribution.counts[l - 1]`` is an
+array of a sample's length-l window counts by base-k word code, the
+order of ``window_codes`` and of ``product(alphabet, repeat=l)``.
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ class StationaryMeasure:
     """Protocol base: a shift-invariant measure evaluated on cylinders.
 
     Subclasses provide ``alphabet``, ``cylinder(word) -> Fraction``,
-    ``sample_indices(length, rng)`` and ``describe()``.
+    ``sample_indices(length, rng)`` and ``describe()``.  Samples hold
+    alphabet indices as ``np.min_scalar_type(len(alphabet) - 1)``.
     """
 
     alphabet: tuple
@@ -66,6 +67,22 @@ class StationaryMeasure:
 
     def _index(self):
         return {a: i for i, a in enumerate(self.alphabet)}
+
+
+def _count_below(breaks, draws, strict):
+    """``np.searchsorted(breaks, draws, "left" if strict else "right")`` for
+    draws in [0, 1], narrow, by a guide table (Chen & Asau 1974; Devroye
+    1986, §III.2.4): draw u is in bucket floor(u·2^b), exactly, and only
+    the draws in buckets that a break splits (marked m + 1) are searched."""
+    m, side = len(breaks), "left" if strict else "right"
+    bits = min(m.bit_length() + 6, 20)
+    edges = np.arange(2 ** bits + 2) / 2 ** bits
+    low = np.searchsorted(breaks, edges[:-1], side)
+    table = np.where(np.searchsorted(breaks, edges[1:]) > low, m + 1, low)
+    out = table.astype(np.min_scalar_type(m + 1)).take((draws * 2 ** bits).astype(np.int32))
+    split = np.flatnonzero(out == m + 1)
+    out[split] = np.searchsorted(breaks, draws[split], side)
+    return out.astype(np.min_scalar_type(m), copy=False)
 
 
 def stationary_vector(states, matrix) -> tuple:
@@ -159,10 +176,10 @@ class MarkovMeasure(StationaryMeasure):
         """Inverse-CDF sampling: the successor of state s under a uniform draw
         u is #{k : cum[s, k] < u}.  That count is constant between
         consecutive distinct breakpoints of all rows, so each draw becomes
-        its interval index and the chain is a ``scan`` over a (state ×
-        interval) table.  Each row is clamped to its positive-probability
-        states: a draw above the row's float total (which can fall just
-        below 1) goes to its last one, a draw of exactly 0 to its first."""
+        its interval index (``_count_below``) and the chain, of narrow
+        indices, a ``scan`` over a (state × interval) table.  Each row is
+        clamped to its positive-probability states: a draw above the row's
+        float total (below 1 at times) goes to its last one, 0 to its first."""
         n = len(self.alphabet)
         start_p = np.array([float(p) for p in self.stationary])
         start_p /= start_p.sum()
@@ -177,9 +194,9 @@ class MarkovMeasure(StationaryMeasure):
             np.clip(table[s], positive[0], positive[-1], out=table[s])
         draws = rng.random(length)
         first = rng.choice(n, p=start_p)
-        out = np.searchsorted(breaks, draws).astype(np.int64, copy=False)
+        out = np.empty(length, np.min_scalar_type(n - 1))
         out[0] = first
-        scan(table, out[1:], first, out[1:])
+        scan(table, _count_below(breaks, draws[1:], strict=True), first, out[1:])
         return out
 
     def describe(self):
@@ -216,9 +233,10 @@ class BernoulliMeasure(StationaryMeasure):
         return mass
 
     def sample_indices(self, length, rng) -> np.ndarray:
+        """``rng.choice(len(alphabet), length, p=p)``'s indices, narrow."""
         p = np.array([float(q) for q in self.probabilities])
-        p /= p.sum()
-        return rng.choice(len(self.alphabet), size=length, p=p)
+        cdf = np.cumsum(p / p.sum())     # choice divides it by cdf[-1], which then tops every draw
+        return _count_below(cdf[:-1] / cdf[-1], rng.random(length), strict=False)
 
     def describe(self):
         return {"type": "bernoulli",
@@ -248,9 +266,11 @@ class COMeasure(StationaryMeasure):
         return Fraction(hits, p)
 
     def sample_indices(self, length, rng) -> np.ndarray:
+        """The orbit word from a uniform phase, as narrow indices."""
         idx = self._index()
         r = int(rng.integers(self.orbit.period))
-        word = np.array([idx[a] for a in self.orbit.primitive_word], dtype=np.int64)
+        word = np.array([idx[a] for a in self.orbit.primitive_word],
+                        np.min_scalar_type(len(idx) - 1))
         return word[(r + np.arange(length)) % self.orbit.period]
 
     def describe(self):
@@ -291,32 +311,34 @@ class PushforwardMeasure(StationaryMeasure):
         return pushforward_cylinder(self.base, self.block_code, word)
 
     def sample_indices(self, length, rng) -> np.ndarray:
+        """Each base window's image as a narrow index; ``len(alphabet)``: none."""
         width = self.block_code.width
         k = len(self.base.alphabet)
         letter = self.base._index()
         image = {y: i for i, y in enumerate(self.alphabet)}
         graph = self.block_code.recoding.graph
         blocks = [u for u in graph.x_symbols if all(a in letter for a in u)]
-        table = np.full(k ** width, -1, dtype=np.int64)
+        table = np.full(k ** width, len(image), dtype=np.min_scalar_type(len(image)))
         encoded = np.array([[letter[a] for a in u] for u in blocks], dtype=np.int64)
         table[window_codes(encoded.reshape(-1, width), k, width)[:, 0]] = [
             image[graph.label[u]] for u in blocks]
-        out = table[window_codes(self.base.sample_indices(length + width - 1, rng), k, width)]
-        if (out < 0).any():
+        out = table.take(window_codes(self.base.sample_indices(length + width - 1, rng), k, width))
+        if (out == len(image)).any():
             raise InputError("base: the sample left the code's domain")
-        return out
+        return out.astype(np.min_scalar_type(len(image) - 1), copy=False)
 
     def describe(self):
         kind = "sliding-block code" if isinstance(self.code, SlidingBlockCode) else "1-block code"
         return {"type": "pushforward", "base": self.base.describe(), "code": kind}
 
 
-def window_codes(arr, k, width, dtype=np.int64):
+def window_codes(arr, k, width):
     """The base-k code of every length-``width`` window along the last axis
-    of an index array, as ``dtype``."""
+    of an index array, narrow, but int64 past 2^32 codes for ``bincount``."""
     n = arr.shape[-1] - width + 1
-    codes_arr = np.zeros(arr.shape[:-1] + (n,), dtype=dtype)
-    for j in range(width):
+    dtype = np.min_scalar_type(k ** width - 1) if k ** width <= 2 ** 32 else np.int64
+    codes_arr = arr[..., :n].astype(dtype)
+    for j in range(1, width):
         codes_arr = codes_arr * k + arr[..., j:j + n]
     return codes_arr
 
@@ -419,9 +441,7 @@ class EmpiricalDistribution:
         top = min(depth, len(arr))
         counts = [np.zeros(k ** length, dtype=np.int64) for length in range(depth, top, -1)]
         if top:
-            dtype = np.int32 if k ** top < 2 ** 31 else np.int64
-            counts.append(np.bincount(window_codes(arr.astype(dtype, copy=False), k, top, dtype),
-                                      minlength=k ** top))
+            counts.append(np.bincount(window_codes(arr, k, top), minlength=k ** top))
             for length in range(top - 1, 0, -1):
                 counts.append(counts[-1].reshape(-1, k).sum(axis=1))
                 counts[-1][window_codes(arr[-length:], k, length)[0]] += 1

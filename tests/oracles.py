@@ -16,6 +16,8 @@ periodic degree joinings, the phased cycles and periodic fiber on
 counted the fiber points over every base point and canonicalized each
 base orbit anew, the brute-force search for a coordinate permutation
 relating two joining orbits, the per-step Markov and periodic-orbit samplers, the
+Bernoulli sampler through ``rng.choice``, the Markov interval lookup by
+``np.searchsorted``, the alternating-offset sampler's sign comprehension, the
 per-code-kind pushforward constructions (block-code preimage words by
 enumerating every domain word, samples through the block-map table or
 the graph's label lookup, and the branch-per-measure-type support
@@ -39,7 +41,7 @@ from sftlift.errors import EmptyAfterTrim, FiberInfinite, InputError, NoPath, No
 from sftlift.fibers import (CanonicalLiftDecomposition, LiftEntry, LiftReport,
                             _lift_orbit_alphabet, _unwrap)
 from sftlift.graphs import (LabeledGraph, OneBlockRecoding, PeriodicOrbit, SlidingBlockCode,
-                            _as_word, _tarjan_scc, analyze_graph, full_shift, perron_value)
+                            _as_word, _tarjan_scc, analyze_graph, full_shift, perron_value, scan)
 from sftlift.measures import (BernoulliMeasure, COMeasure, MarkovMeasure, PushforwardMeasure,
                               window_codes)
 
@@ -775,6 +777,46 @@ def markov_sample_indices(m, length, rng):
     for t in range(1, length):
         out[t] = max(np.searchsorted(cum[out[t - 1]], draws[t]), first[out[t - 1]])
     return out
+
+
+def markov_interval_sample_indices(m, length, rng):
+    """Each draw's interval index by ``np.searchsorted`` over the distinct
+    breakpoints of all rows, then a ``scan`` over the (state × interval)
+    table, in int64."""
+    n = len(m.alphabet)
+    start_p = np.array([float(p) for p in m.stationary])
+    start_p /= start_p.sum()
+    rows = np.array([[float(p) for p in row] for row in m.matrix])
+    rows /= rows.sum(axis=1, keepdims=True)
+    cum = np.cumsum(rows, axis=1)
+    breaks = np.unique(cum)
+    table = np.zeros((n, len(breaks) + 1), dtype=np.int64)
+    for s in range(n):
+        positive = np.flatnonzero(rows[s])
+        table[s, 1:] = np.searchsorted(cum[s], breaks, side="right")
+        np.clip(table[s], positive[0], positive[-1], out=table[s])
+    draws = rng.random(length)
+    first = rng.choice(n, p=start_p)
+    out = np.searchsorted(breaks, draws).astype(np.int64, copy=False)
+    out[0] = first
+    scan(table, out[1:], first, out[1:])
+    return out
+
+
+def bernoulli_sample_indices(m, length, rng):
+    """``rng.choice`` with the normalised float probabilities, in int64."""
+    p = np.array([float(q) for q in m.probabilities])
+    p /= p.sum()
+    return rng.choice(len(m.alphabet), size=length, p=p)
+
+
+def alternating_offset_sample_indices(m, length, rng):
+    """The base sample plus c times a ±1 sign built letter by letter, in
+    int64."""
+    phase = int(rng.integers(2))
+    base_idx = m.base.sample_indices(length, rng)
+    signs = np.array([1 if (i + phase) % 2 == 0 else -1 for i in range(length)])
+    return (base_idx + signs * m.offset) % m.modulus
 
 
 def co_sample_indices(m, length, rng):

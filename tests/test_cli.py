@@ -243,6 +243,15 @@ def test_out_of_range_mc_flag_refused(inputs, capsys, command, field):
     assert field.replace("length", "sample_length") in err
 
 
+def test_over_deep_cylinder_count_refused(inputs, capsys):
+    # 2**31 cylinders would be a 16 GiB count array for a 10**6-letter sample
+    code, out, err = run_refused(capsys, "lift-mc", inputs["rule102"], "--measure",
+                                 inputs["push_bernoulli"], "--cyl-depth", "31")
+    assert code == 2 and out == ""
+    assert err == ("refused: cylinder_depth 31 asks for 2**31 cylinders, "
+                   "more than sample_length 1000000\n")
+
+
 @pytest.mark.parametrize("max_period", ["0", "-3"])
 def test_nonpositive_max_period_refused(inputs, capsys, max_period):
     code, out, err = run_refused(capsys, "periodic-lifts", inputs["diff4"],

@@ -6,7 +6,7 @@ import pytest
 import sftlift as sl
 from sftlift import (BernoulliMeasure, LinearCACode, MarkovMeasure,
                      MonteCarloParams, PeriodicOrbit, PushforwardMeasure)
-from sftlift.errors import NotFullySupported
+from sftlift.errors import InputError, NotFullySupported
 
 
 FAST = MonteCarloParams(sample_length=100_000, seed=0)
@@ -129,6 +129,22 @@ def test_mc_constant_to_one_accepts_partial_support():
         BernoulliMeasure("0123", ("1/2", "1/2", "0", "0")), ca.code)
     report = sl.classify_lifts_monte_carlo(ca, nu, FAST)
     assert report.multiplicities() == [1, 1, 1, 1]
+
+
+def test_mc_refuses_more_cylinders_than_letters_before_sampling(rule102, monkeypatch):
+    nu = PushforwardMeasure(BernoulliMeasure("01", ("7/10", "3/10")), rule102.code)
+    report = sl.classify_lifts_monte_carlo(rule102, nu, MonteCarloParams(2048, 11))
+    assert report.details["cylinder_depth"] == 11          # 2**11 == sample_length
+    assert len(report.lifts[0].measure.counts[-1]) == 2048
+
+    def sample_indices(length, rng):
+        raise AssertionError("sampled before the cylinder_depth check")
+
+    monkeypatch.setattr(nu, "sample_indices", sample_indices)
+    for depth, length in ((11, 2047), (31, 10**6), (10**9, 10**6)):
+        with pytest.raises(InputError, match=rf"^cylinder_depth {depth} asks for 2\*\*{depth} "
+                                             rf"cylinders, more than sample_length {length}$"):
+            sl.classify_lifts_monte_carlo(rule102, nu, MonteCarloParams(length, depth))
 
 
 def test_mc_report_is_json_serializable(rule102):

@@ -539,8 +539,10 @@ SAMPLE_LENGTHS = st.one_of(st.sampled_from([1, 2, 3]),
 def test_markov_sampler_matches_per_step_oracle(m, length, seed):
     new = m.sample_indices(length, make_rng(seed))
     old = oracles.markov_sample_indices(m, length, make_rng(seed))
-    assert new.dtype == old.dtype == np.int64
+    assert new.dtype == np.uint8 and old.dtype == np.int64    # the narrowest for 1-4 letters
     assert new.tolist() == old.tolist()
+    assert new.tolist() == oracles.markov_interval_sample_indices(m, length,
+                                                                 make_rng(seed)).tolist()
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 8, 9, 10, 4096, 4999])
@@ -558,8 +560,89 @@ def test_co_sampler_matches_comprehension(word, length, seed):
     m = sl.COMeasure(sl.PeriodicOrbit.from_word(tuple(word)), alphabet="abcd")
     new = m.sample_indices(length, make_rng(seed))
     old = oracles.co_sample_indices(m, length, make_rng(seed))
-    assert new.dtype == old.dtype == np.int64
+    assert new.dtype == np.uint8 and old.dtype == np.int64    # the narrowest for 1-4 letters
     assert new.tolist() == old.tolist()
+
+
+# ------------------------------------------------------ guide-table lookup
+
+BREAKS = st.one_of(st.floats(0, 1), st.sampled_from([0.0, 0.5, 1 - 2**-53, 1.0, 1 + 2**-52]))
+
+
+@st.composite
+def guide_cases(draw):
+    """Sorted breaks in [0, 1 + 2^-52], with ties as zero probabilities make
+    them, and draws in [0, 1] that include 0, 1 - 2^-53, 1 and every break
+    up to 1."""
+    breaks = draw(st.lists(BREAKS, max_size=40))
+    breaks = sorted(breaks + breaks[:draw(st.integers(0, len(breaks)))])
+    draws = draw(st.lists(st.floats(0, 1), max_size=60))
+    draws += [0.0, 1 - 2**-53, 1.0] + [b for b in breaks if b <= 1]
+    return np.array(breaks), np.array(draws)
+
+
+def _cumulative_breaks(weights):
+    cdf = np.cumsum(np.array(weights, dtype=float) / sum(weights))
+    return cdf, np.concatenate([cdf, np.random.default_rng(len(weights)).random(2000)])
+
+
+@given(guide_cases(), st.booleans())
+@example(_cumulative_breaks([i % 5 for i in range(1, 300)]), False)     # 299 breaks, 59 ties
+@example(_cumulative_breaks([i % 5 for i in range(1, 300)]), True)
+@example((0.5 + np.arange(250) * 2.0**-40, 0.5 + np.arange(-3, 500) * 2.0**-41), True)
+def test_count_below_matches_searchsorted(case, strict):
+    breaks, draws = case
+    new = sl.measures._count_below(breaks, draws, strict)
+    assert new.dtype == np.min_scalar_type(len(breaks))
+    assert new.tolist() == np.searchsorted(breaks, draws, "left" if strict else "right").tolist()
+
+
+@given(st.lists(st.integers(0, 9), min_size=1, max_size=8).filter(any), SAMPLE_LENGTHS,
+       st.integers(0, 2**32 - 1))
+def test_bernoulli_sampler_matches_choice_oracle(weights, length, seed):
+    m = sl.BernoulliMeasure(range(len(weights)), [Fraction(w, sum(weights)) for w in weights])
+    new_rng, old_rng = make_rng(seed), make_rng(seed)
+    new = m.sample_indices(length, new_rng)
+    old = oracles.bernoulli_sample_indices(m, length, old_rng)
+    assert new.dtype == np.uint8 and new.tolist() == old.tolist()
+    assert new_rng.random() == old_rng.random()          # the same draws were taken
+
+
+@pytest.mark.parametrize("weights", [[1], [0, 1], [1, 0], [7, 3], [0, 3, 0, 7],
+                                     [5, 39, 38, 9, 2, 0], [1] * 7 + [0], [1, 2] * 150])
+def test_bernoulli_sampler_matches_choice_oracle_over_seeds(weights):
+    m = sl.BernoulliMeasure(range(len(weights)), [Fraction(w, sum(weights)) for w in weights])
+    for seed in range(40):
+        new = m.sample_indices(1000, make_rng(seed))
+        assert new.dtype == np.min_scalar_type(len(weights) - 1)
+        assert new.tolist() == oracles.bernoulli_sample_indices(m, 1000, make_rng(seed)).tolist()
+
+
+@given(st.integers(2, 7).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, 9), min_size=n, max_size=n).filter(any), st.integers(-9, 9))),
+    SAMPLE_LENGTHS, st.integers(0, 2**32 - 1))
+def test_alternating_offset_sampler_matches_comprehension(case, length, seed):
+    weights, offset = case
+    base = sl.BernoulliMeasure([str(i) for i in range(len(weights))],
+                               [Fraction(w, sum(weights)) for w in weights])
+    m = sl.AlternatingOffsetMeasure(base, offset, len(weights))
+    new = m.sample_indices(length, make_rng(seed))
+    old = oracles.alternating_offset_sample_indices(m, length, make_rng(seed))
+    assert new.dtype == np.uint8 and new.tolist() == old.tolist()
+
+
+@pytest.mark.slow
+def test_samplers_match_their_oracles_at_a_million_letters():
+    bernoulli = sl.BernoulliMeasure("01234", ["3/5", "1/10", "1/10", "0", "1/5"])
+    markov = sl.MarkovMeasure("abcd", {"a": {"b": "1/3", "d": "2/3"}, "b": {"b": "1/2", "c": "1/2"},
+                                       "c": {"a": "1/5", "c": "4/5"}, "d": {"a": "1"}})
+    T = 10**6
+    for seed in (0, 1):
+        new = bernoulli.sample_indices(T, make_rng(seed))
+        assert np.array_equal(new, oracles.bernoulli_sample_indices(bernoulli, T, make_rng(seed)))
+        new = markov.sample_indices(T, make_rng(seed))
+        for oracle in (oracles.markov_interval_sample_indices, oracles.markov_sample_indices):
+            assert np.array_equal(new, oracle(markov, T, make_rng(seed)))
 
 
 # ------------------------------------------------------------ integer scan
@@ -705,7 +788,7 @@ def test_pushforward_samples_match_per_kind_oracle(seed, as_graph, length):
     nu = _random_pushforward(random.Random(seed), as_graph)
     new = nu.sample_indices(length, make_rng(seed))
     old = oracles.pushforward_sample_indices(nu, length, make_rng(seed))
-    assert new.dtype == old.dtype == np.int64
+    assert new.dtype == np.uint8 and old.dtype == np.int64    # the narrowest for 1-4 letters
     assert new.tolist() == old.tolist()
 
 
@@ -823,6 +906,39 @@ def test_empirical_counts_match_per_length_oracle(case):
         [expected.get(w, 0) for w in product(alphabet, repeat=length)]
         for length in range(1, depth + 1)]
     assert emp.sample_length == len(arr)
+
+
+@pytest.mark.parametrize("k, depth, length", [
+    (255, 1, 3000), (255, 2, 1), (256, 1, 3000), (2, 8, 3000), (16, 2, 3000),   # 255 and 256
+    (256, 2, 5000), (2, 16, 5000), (4, 8, 2), (2, 17, 5000)])                   # 65536; 2**17
+def test_empirical_counts_match_word_dict_oracle_at_code_dtype_edges(k, depth, length):
+    # k**top codes are uint8 up to 256, uint16 up to 65536 and uint32 above
+    arr = np.random.default_rng(k + depth).integers(0, k, length).astype(np.min_scalar_type(k - 1))
+    arr[:depth] = k - 1                                   # the largest code occurs
+    emp = EmpiricalDistribution.from_indices(arr, tuple(range(k)), depth)
+    expected = oracles.empirical_counts(arr, tuple(range(k)), depth)
+    for length_ in range(1, depth + 1):
+        counts = emp.counts[length_ - 1]
+        assert len(counts) == k ** length_
+        got = {tuple(int(c) // k ** (length_ - 1 - j) % k for j in range(length_)): int(counts[c])
+               for c in np.flatnonzero(counts)}
+        assert got == {w: n for w, n in expected.items() if len(w) == length_}
+
+
+@pytest.mark.parametrize("k, top", [(2, 32), (16, 8), (256, 4), (65536, 2), (3, 20), (2, 33),
+                                    (3, 21)])
+def test_window_codes_at_the_bincount_dtype_edge(k, top):
+    # counting k**top = 2**32 codes would take a 32 GiB count array, so only
+    # the codes are checked there: uint32 up to k**top - 1 = 2**32 - 1, and
+    # int64 from 2**32, because older NumPy's np.bincount refuses uint64
+    arr = np.random.default_rng(top).integers(0, k, 100).astype(np.min_scalar_type(k - 1))
+    arr[:top] = k - 1
+    codes_arr = sl.measures.window_codes(arr, k, top)
+    assert codes_arr.dtype == (np.uint32 if k ** top <= 2**32 else np.int64)
+    assert codes_arr[0] == k ** top - 1
+    assert codes_arr.tolist() == [sum(int(a) * k ** (top - 1 - j)
+                                      for j, a in enumerate(arr[i:i + top]))
+                                  for i in range(len(arr) - top + 1)]
 
 
 SAMPLES = st.integers(1, 3).flatmap(lambda k: st.tuples(
