@@ -26,11 +26,13 @@ from .measures import measure_from_json_dict
 
 
 def _emit(payload, fmt="json"):
-    """Write a payload to stdout as text, or as JSON byte-identical to
-    ``json.dumps(payload, sort_keys=True, indent=2)`` and a newline.  Each
-    distinct string is escaped once by the C escaper, each depth shares one
-    whitespace triple, constants and finite numbers are written as json
-    writes them, and json.dumps takes over on a key or type left out."""
+    """Write a payload to stdout as a line-ended text, or as JSON
+    byte-identical to ``json.dumps(payload, sort_keys=True, indent=2)`` and a
+    newline.  Each distinct string is escaped once by the C escaper, each
+    depth shares one whitespace triple, constants and finite numbers are
+    written as json writes them, and json.dumps takes over on a key or type
+    left out.  ``periodic-lifts`` alone writes this layout itself, straight
+    from the lift sweep, once the sweep's checksum has passed."""
     if fmt == "json":
         parts, layouts, strings, keys = [], [], {}, {}
 
@@ -70,9 +72,7 @@ def _emit(payload, fmt="json"):
             parts = [json.dumps(payload, sort_keys=True, indent=2), "\n"]
         sys.stdout.write("".join(parts))     # one write: a captured stdout keeps one string
     else:
-        sys.stdout.write(payload if isinstance(payload, str) else str(payload))
-        if not str(payload).endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.write(payload if payload.endswith("\n") else payload + "\n")
 
 
 def _load_code(path):
@@ -139,35 +139,52 @@ def cmd_periodic_lifts(args):
     g = analyze_graph(g).essential
     names = [str(rec.base_letter(s)) if rec is not None else str(s) for s in g.x_symbols]
     labels, offset = [str(y) for y in g.y_symbols], rec.offset if rec is not None else 0
-    # lift words rotate as in OneBlockRecoding.base_orbit; rows wait for the checksum
+    table, sep = args.format == "table", ",\n"
+    if not table:       # each name escaped once, as _emit would
+        names, labels = ([encode_basestring_ascii(s) for s in strs] for strs in (names, labels))
+    # lift words rotate as in OneBlockRecoding.base_orbit; row texts wait for the checksum
     weights, rows = {}, []
     for word, lifts in _lift_cycles(g, args.max_period):
         p, d = len(word), sum(w for w, _ids in lifts)
-        lift_rows, components = [], []
+        if any(len(ids) != w * p for w, ids in lifts):
+            raise RuntimeError("fiber points are not equidistributed over the base orbit")
+        lifts = [(w, ids[-offset % len(ids):] + ids[:-offset % len(ids)]) for w, ids in lifts]
+        if table:
+            rows.append((p, f"orbit {','.join(map(labels.__getitem__, word))} (period {p}): "
+                            f"fiber {d}; lifts: " + ", ".join(
+                                f"{','.join(map(names.__getitem__, ids))} (mult {w})"
+                                for w, ids in lifts) + "\n"))
+            continue
+        components, lift_items = [], []
         for w, ids in lifts:
-            if len(ids) != w * p:
-                raise RuntimeError("fiber points are not equidistributed over the base orbit")
-            k = -offset % len(ids)
-            measure = {"type": "co", "orbit": [names[i] for i in ids[k:] + ids[:k]]}
-            weight = weights.get((w, d)) or weights.setdefault((w, d), str(Fraction(w, d)))
-            lift_rows.append({"measure": measure, "multiplicity": w})
-            components.append({"measure": measure, "weight": weight})
-        rows.append({"orbit": [labels[a] for a in word], "period": p, "fiber_size": d,
-                     "lifts": lift_rows, "canonical_lift": {"components": components,
-                                                            "is_ergodic": len(lifts) == 1}})
-    rows.sort(key=lambda row: row["period"])
-    if args.format == "table":
-        lines = []
-        for row in rows:
-            lifts = ", ".join(
-                f"{','.join(e['measure']['orbit'])} (mult {e['multiplicity']})"
-                for e in row["lifts"])
-            lines.append(f"orbit {','.join(row['orbit'])} (period {row['period']}): "
-                         f"fiber {row['fiber_size']}; lifts: {lifts}")
-        _emit("\n".join(lines), fmt="table")
-        return 0
-    _emit({"max_period": args.max_period, "orbits": rows})
+            weight = weights.get((w, d)) or weights.setdefault((w, d), f'"{Fraction(w, d)}"')
+            components.append(_co_item(10, names, ids, '"weight": ' + weight))
+            lift_items.append(_co_item(8, names, ids, f'"multiplicity": {w}'))
+        orbit = ",\n        ".join(map(labels.__getitem__, word))
+        rows.append((p, f',\n    {{\n      "canonical_lift": {{\n        "components": [\n'
+                        f'{sep.join(components)}\n        ],\n'
+                        f'        "is_ergodic": {"false" if lifts[1:] else "true"}\n      }},\n'
+                        f'      "fiber_size": {d},\n'
+                        f'      "lifts": [\n{sep.join(lift_items)}\n      ],\n'
+                        f'      "orbit": [\n        {orbit}\n      ],\n'
+                        f'      "period": {p}\n    }}'))
+    rows = [row for _p, row in sorted(rows, key=lambda row: row[0])]
+    if table:
+        sys.stdout.write("".join(rows) or "\n")
+    else:       # one join; each row text starts with ",\n", the first one without the comma
+        rows[:1] = [row[1:] for row in rows[:1]]
+        sys.stdout.write("".join([f'{{\n  "max_period": {args.max_period},\n  "orbits": [', *rows,
+                                  "\n  ]\n}\n" if rows else "]\n}\n"]))
     return 0
+
+
+def _co_item(pad, names, ids, last):
+    """A lift or canonical-lift component of a JSON periodic-lifts row at indent
+    ``pad``: the co measure on the escaped ``names`` of ``ids``, then ``last``."""
+    i = " " * pad
+    orbit = f",\n{i}      ".join(map(names.__getitem__, ids))
+    return (f'{i}{{\n{i}  "measure": {{\n{i}    "orbit": [\n{i}      {orbit}\n{i}    ],\n'
+            f'{i}    "type": "co"\n{i}  }},\n{i}  {last}\n{i}}}')
 
 
 def cmd_lift_mc(args):

@@ -22,10 +22,13 @@ from math import gcd, isqrt, log
 
 import numpy as np
 
-from .errors import EmptyAfterTrim, InputError, NotIrreducible
+from .errors import EmptyAfterTrim, InputError, NotIrreducible, PreconditionError
 
 ENTROPY_TOL = 1e-12
 ENTROPY_MAX_ITER = 10**6
+# The most states a SubsetAutomaton builds: the subset construction of a
+# graph on n symbols can reach 2**n - 1 states.
+MAX_SUBSET_STATES = 2**15
 
 
 def _as_word(word):
@@ -546,7 +549,8 @@ class SubsetAutomaton:
     states are numbered in breadth-first discovery order, so each witness is
     a shortest such word.  ``step[k, j]`` is the state reached by reading
     ``y_symbols[j]`` after the word (before it with ``backward``), -1 when no
-    path carries the longer word.
+    path carries the longer word.  A construction that would pass
+    ``MAX_SUBSET_STATES`` states is refused while it runs.
     """
 
     def __init__(self, graph: LabeledGraph, backward=False):
@@ -559,6 +563,10 @@ class SubsetAutomaton:
         self.witness = []
 
         def intern(mask, word):
+            if len(masks) == MAX_SUBSET_STATES:
+                raise PreconditionError(
+                    f"the subset construction reached {len(masks) + 1} states, "
+                    f"more than the cap MAX_SUBSET_STATES = {MAX_SUBSET_STATES}")
             ids[mask] = len(masks)
             masks.append(mask)
             self.witness.append(word)

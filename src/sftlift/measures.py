@@ -28,6 +28,10 @@ from .errors import InputError, NotErgodic
 from .graphs import PeriodicOrbit, SlidingBlockCode, _as_word, _json_list, _tarjan_scc, scan
 from . import codes
 
+# The most count cells, summed over the window lengths 1..depth, that
+# EmpiricalDistribution.from_indices allocates: 2**27 int64 cells take 1 GiB.
+MAX_COUNT_CELLS = 2 ** 27
+
 
 def parse_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
@@ -435,8 +439,15 @@ class EmpiricalDistribution:
         counted directly: their base-k codes go through one bincount.  The
         counts of each shorter length l are the sums of those of length
         l + 1 over the last letter, plus the one window of length l that
-        starts too late to be the prefix of a longer one."""
+        starts too late to be the prefix of a longer one.  Refuses, before
+        allocating, more than ``MAX_COUNT_CELLS`` cells in all."""
         k = len(alphabet)
+        # sum of k**l: with k >= 2 its first 64 terms already pass the cap
+        cells = k * depth if k < 2 else sum(k ** n for n in range(1, min(depth, 64) + 1))
+        if cells > MAX_COUNT_CELLS:
+            raise InputError(f"counting windows of {k} letters up to depth {depth} takes "
+                             f"{'over ' * (k > 1 and depth > 64)}{cells} cells, more than the cap "
+                             f"MAX_COUNT_CELLS = {MAX_COUNT_CELLS}")
         arr = np.asarray(arr)
         top = min(depth, len(arr))
         counts = [np.zeros(k ** length, dtype=np.int64) for length in range(depth, top, -1)]

@@ -24,8 +24,10 @@ the graph's label lookup, and the branch-per-measure-type support
 presentation), and the quadratic exact constructions: the fiber product
 that tests every pair of tuples, the least rotation by ranking every
 rotation, and the recoding that compares every pair of blocks; the
-integer scan that composes every chunk's whole entry-to-exit map, and the
-successor and predecessor lists sorted over all transitions at once."""
+integer scan that composes every chunk's whole entry-to-exit map, the
+successor and predecessor lists sorted over all transitions at once, and
+the ``periodic-lifts`` rows built as dicts for the general JSON encoder,
+with their table text."""
 
 from __future__ import annotations
 
@@ -36,12 +38,15 @@ from math import isqrt, log
 
 import numpy as np
 
-from sftlift.codes import PhasedFiberDecomposition, _require_irreducible
-from sftlift.errors import EmptyAfterTrim, FiberInfinite, InputError, NoPath, NotInImage
+from sftlift.codes import (PhasedFiberDecomposition, _lift_cycles, _require_irreducible,
+                           is_finite_to_one)
+from sftlift.errors import (EmptyAfterTrim, FiberInfinite, InfiniteToOne, InputError, NoPath,
+                            NotInImage)
 from sftlift.fibers import (CanonicalLiftDecomposition, LiftEntry, LiftReport,
                             _lift_orbit_alphabet, _unwrap)
 from sftlift.graphs import (LabeledGraph, OneBlockRecoding, PeriodicOrbit, SlidingBlockCode,
-                            _as_word, _tarjan_scc, analyze_graph, full_shift, perron_value, scan)
+                            _as_word, _tarjan_scc, analyze_graph, full_shift, load_graph_or_code,
+                            perron_value, scan)
 from sftlift.measures import (BernoulliMeasure, COMeasure, MarkovMeasure, PushforwardMeasure,
                               window_codes)
 
@@ -657,6 +662,50 @@ def analyze_periodic_lifts(code, y: PeriodicOrbit):
                  "base_period": p},
     )
     return report, CanonicalLiftDecomposition(report.lifts, d)
+
+
+def periodic_lift_rows(path, max_period):
+    """The ``periodic-lifts`` rows of a graph or code file as the CLI built
+    them before it wrote their text straight from the sweep: one dict per
+    orbit with lifts, from ``_lift_cycles`` on the essential graph, sorted
+    by period, for ``json.dumps`` or ``periodic_lift_table``."""
+    g, rec = load_graph_or_code(path)[0], None
+    if isinstance(g, OneBlockRecoding):
+        g, rec = g.graph, g
+    if not is_finite_to_one(g):
+        raise InfiniteToOne("periodic lift analysis requires a finite-to-one code")
+    g = analyze_graph(g).essential
+    names = [str(rec.base_letter(s)) if rec is not None else str(s) for s in g.x_symbols]
+    labels, offset = [str(y) for y in g.y_symbols], rec.offset if rec is not None else 0
+    weights, rows = {}, []
+    for word, lifts in _lift_cycles(g, max_period):
+        p, d = len(word), sum(w for w, _ids in lifts)
+        lift_rows, components = [], []
+        for w, ids in lifts:
+            if len(ids) != w * p:
+                raise RuntimeError("fiber points are not equidistributed over the base orbit")
+            k = -offset % len(ids)
+            measure = {"type": "co", "orbit": [names[i] for i in ids[k:] + ids[:k]]}
+            weight = weights.get((w, d)) or weights.setdefault((w, d), str(Fraction(w, d)))
+            lift_rows.append({"measure": measure, "multiplicity": w})
+            components.append({"measure": measure, "weight": weight})
+        rows.append({"orbit": [labels[a] for a in word], "period": p, "fiber_size": d,
+                     "lifts": lift_rows, "canonical_lift": {"components": components,
+                                                            "is_ergodic": len(lifts) == 1}})
+    rows.sort(key=lambda row: row["period"])
+    return rows
+
+
+def periodic_lift_table(rows):
+    """The ``periodic-lifts --format table`` text of ``periodic_lift_rows``."""
+    lines = []
+    for row in rows:
+        lifts = ", ".join(
+            f"{','.join(e['measure']['orbit'])} (mult {e['multiplicity']})"
+            for e in row["lifts"])
+        lines.append(f"orbit {','.join(row['orbit'])} (period {row['period']}): "
+                     f"fiber {row['fiber_size']}; lifts: {lifts}")
+    return "\n".join(lines) + "\n"
 
 
 def anchor_of_label(lift_word, labels, base_word):

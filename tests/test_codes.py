@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import sftlift as sl
-from sftlift import LabeledGraph, PeriodicOrbit, codes
+from sftlift import LabeledGraph, PeriodicOrbit, cli, codes
 from sftlift.cli import main
 from sftlift.fibers import _unwrap
 from sftlift.graphs import load_graph_or_code
@@ -229,11 +229,29 @@ def test_periodic_fibers_checksum_catches_a_lost_lift(monkeypatch, capsys):
     with pytest.raises(RuntimeError, match=r"tr\(A\^1\)"):
         sl.periodic_fibers(_unwrap(load_graph_or_code(path)[0])[0], 3)
     assert lost
-    lost.clear()
-    assert main(["periodic-lifts", str(path), "--max-period", "3"]) == 1
-    out, err = capsys.readouterr()
-    assert out == "" and "RuntimeError" in err and "tr(A^1)" in err
-    assert lost
+    for fmt in ("json", "table"):
+        lost.clear()
+        assert main(["periodic-lifts", str(path), "--max-period", "3", "--format", fmt]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "RuntimeError" in err and "tr(A^1)" in err
+        assert lost
+
+
+def test_periodic_lifts_unequal_fiber_points_write_nothing(monkeypatch, capsys):
+    # the sweep's third orbit claims one more winding than its lift has
+    # points for; the rows formatted before it must not reach stdout
+    sweep = cli._lift_cycles
+
+    def miscount(g, max_period):
+        for n, (word, lifts) in enumerate(sweep(g, max_period)):
+            yield word, [(w + 1, ids) for w, ids in lifts] if n == 2 else lifts
+
+    monkeypatch.setattr(cli, "_lift_cycles", miscount)
+    for fmt in ("json", "table"):
+        assert main(["periodic-lifts", str(GOLDEN / "sum5.json"), "--max-period", "3",
+                     "--format", fmt]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "RuntimeError" in err and "equidistributed" in err
 
 
 # ----------------------------------------------------------- closing tests

@@ -1,12 +1,20 @@
 import json
+import random
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import sftlift as sl
 from sftlift import (BernoulliMeasure, LinearCACode, MarkovMeasure,
                      MonteCarloParams, PeriodicOrbit, PushforwardMeasure)
-from sftlift.errors import InputError, NotFullySupported
+from sftlift.cli import main
+from sftlift.errors import InputError, NotFullySupported, PreconditionError
+
+from test_oracles import _random_pushforward
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 FAST = MonteCarloParams(sample_length=100_000, seed=0)
@@ -200,3 +208,23 @@ def test_mc_builds_the_forward_automaton_once_per_graph(rule102, monkeypatch):
     sl.classify_lifts_monte_carlo(recoding, nu, MonteCarloParams(sample_length=2000))
     assert sum(g is recoding.graph for g in built) == 1
     assert len({id(g) for g in built}) == len(built)
+
+
+def test_support_presentation_over_the_subset_state_cap_refused():
+    # a random pushforward whose subset construction ran past 20 s without the cap
+    nu = _random_pushforward(random.Random(24), False)
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError, match=r"^the subset construction reached 32769 "
+                                                r"states, more than the cap MAX_SUBSET_STATES "
+                                                r"= 32768$"):
+        sl.fibers.support_presentation(nu)
+    assert time.perf_counter() - start < 2
+
+
+def test_cli_refuses_a_subset_construction_over_the_cap(monkeypatch, capsys):
+    # diff4's image presentation has more than one state: with a cap of one,
+    # analyze exits 2 before it writes anything
+    monkeypatch.setattr(sl.graphs, "MAX_SUBSET_STATES", 1)
+    assert main(["analyze", str(GOLDEN / "diff4.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("refused: the subset construction reached 2 states")

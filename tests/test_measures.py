@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -9,7 +10,7 @@ from hypothesis import given, strategies as st
 
 import sftlift as sl
 from sftlift import BernoulliMeasure, COMeasure, MarkovMeasure, PeriodicOrbit
-from sftlift.errors import NotErgodic
+from sftlift.errors import InputError, NotErgodic
 
 import oracles
 from conftest import random_rational_vector
@@ -300,6 +301,22 @@ def test_empirical_distance():
     b = sl.EmpiricalDistribution.from_indices(np.ones(100, dtype=int), ("0", "1"), 1)
     assert a.distance(b) == 1.0
     assert a.distance(a) == 0.0
+
+
+def test_empirical_counts_over_the_cell_cap_refused_before_allocating():
+    # 2**46 - 2 cells at depth 45 (256 TiB of int64) and 2**28 - 2 one past the cap;
+    # one letter counts one cell a length
+    start = time.perf_counter()
+    for alphabet, depth, cells in ((("a", "b"), 45, "70368744177662"),
+                                   (("a", "b"), 27, "268435454"),
+                                   (("a",), 2**27 + 1, "134217729"),
+                                   (("a", "b"), 10**9, "over 36893488147419103230")):
+        with pytest.raises(InputError) as info:
+            sl.EmpiricalDistribution.from_indices(np.zeros(5, np.uint8), alphabet, depth)
+        assert str(info.value) == (f"counting windows of {len(alphabet)} letters up to depth "
+                                   f"{depth} takes {cells} cells, more than the cap "
+                                   f"MAX_COUNT_CELLS = {2**27}")
+    assert time.perf_counter() - start < 1
 
 
 # --------------------------------------------------------------------- I/O

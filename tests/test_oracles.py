@@ -7,7 +7,8 @@ with their frequencies, distance, merge and JSON form, the single-linkage
 clusters as connected components, the
 queue-based essential trim, the one-sweep periodic fibers and the
 closing step along one word with the periodic lift analysis and the
-``periodic-lifts`` rows, the vectorised samplers, the recoding-based pushforward path and the
+``periodic-lifts`` rows with their JSON and table text written straight
+from the sweep, the vectorised samplers, the recoding-based pushforward path and the
 output-sensitive fiber product, least rotation and recoding against the
 constructions they replaced (kept in ``oracles.py``)."""
 
@@ -20,6 +21,7 @@ import tempfile
 from fractions import Fraction
 from itertools import product
 from math import isqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -400,17 +402,47 @@ def test_periodic_lifts_match_tuple_oracle_on_codes_with_memory(code):
     _check_sweep(code.recoding.graph, 4)
 
 
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CODES = sorted(p.stem for p in GOLDEN.glob("*.json") if not p.stem.startswith("nu_"))
+
+
+def _cli_stdout(path, max_period, fmt="json"):
+    """The exit code and stdout of ``periodic-lifts`` on a file."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["periodic-lifts", str(path), "--max-period", str(max_period),
+                     "--format", fmt])
+    return code, out.getvalue()
+
+
+def _oracle_stdout(path, max_period, fmt="json"):
+    """The exit code and stdout that the row-dict oracle gives, with an empty
+    stdout and the CLI's exit code on an error."""
+    try:
+        rows = oracles.periodic_lift_rows(str(path), max_period)
+    except PreconditionError:
+        return 2, ""
+    except Exception:       # noqa: BLE001 - main reports any other error as exit 1
+        return 1, ""
+    if fmt == "table":
+        return 0, oracles.periodic_lift_table(rows)
+    return 0, json.dumps({"max_period": max_period, "orbits": rows},
+                         sort_keys=True, indent=2) + "\n"
+
+
+def _write_json(tmp, payload):
+    path = os.path.join(tmp, "code.json")
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    return path
+
+
 def _cli_rows(payload, max_period):
     """The periodic-lifts rows for a code or graph JSON payload, or the exit
     code and stdout of a run that does not exit 0."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "code.json")
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = main(["periodic-lifts", path, "--max-period", str(max_period)])
-    return json.loads(out.getvalue())["orbits"] if code == 0 else (code, out.getvalue())
+        code, out = _cli_stdout(_write_json(tmp, payload), max_period)
+    return json.loads(out)["orbits"] if code == 0 else (code, out)
 
 
 def _oracle_rows(code, max_period):
@@ -458,6 +490,85 @@ def test_periodic_lifts_cli_rows_rotate_words_with_a_repeated_least_symbol():
     assert {"type": "co", "orbit": ["s0", "s1", "s0", "s2"]} in [
         lift["measure"] for row in rows for lift in row["lifts"]]
     assert rows == _oracle_rows(g, 4)
+
+
+@pytest.mark.parametrize("name", GOLDEN_CODES)
+def test_periodic_lifts_json_bytes_match_row_dict_oracle(name):
+    code, out = _cli_stdout(GOLDEN / f"{name}.json", 6)
+    assert code == 0
+    assert out.encode() == _oracle_stdout(GOLDEN / f"{name}.json", 6)[1].encode()
+
+
+def test_periodic_lifts_json_bytes_match_row_dict_oracle_on_skew_products(random_fto_fixtures):
+    # the odd fixtures are skew products: degree 2 or 3, lifts of winding up to 3
+    with tempfile.TemporaryDirectory() as tmp:
+        for g in random_fto_fixtures[1::2]:
+            path = _write_json(tmp, g.to_json_dict())
+            expected = _oracle_stdout(path, 6)
+            assert expected[0] == 0
+            assert _cli_stdout(path, 6) == expected
+
+
+@pytest.mark.parametrize("name", ["sum5", "skew3", "diff4"])
+def test_periodic_lifts_table_bytes_match_row_dict_oracle(name):
+    code, out = _cli_stdout(GOLDEN / f"{name}.json", 6, "table")
+    assert code == 0 and out.count("\n") > 1
+    assert out.encode() == _oracle_stdout(GOLDEN / f"{name}.json", 6, "table")[1].encode()
+
+
+# names JSON must escape: quote, backslash, control characters, a non-ASCII
+# letter, a line separator and an astral character (a surrogate pair)
+ESCAPED_NAMES = st.text(st.sampled_from('"\\\x00\n\x1f\x7f\xe9\u2028\U0001f600a'),
+                        min_size=1, max_size=3)
+
+
+@st.composite
+def escaped_graph_payloads(draw):
+    """A labeled-graph file payload, random or a cycle that winds w >= 2
+    times over its label word, with symbol and label names JSON escapes,
+    and that w (1 for a random graph)."""
+    if draw(st.booleans()):
+        g = draw(graphs_strategy(max_symbols=5))
+        symbols, edges, label, letters, winding = (g.x_symbols, g.transitions, g.label,
+                                                   g.y_symbols, 1)
+    else:
+        n, winding = draw(st.integers(1, 3)), draw(st.integers(2, 3))
+        symbols, letters = [f"s{i}" for i in range(n * winding)], [str(i) for i in range(n)]
+        edges = [(s, symbols[(i + 1) % len(symbols)]) for i, s in enumerate(symbols)]
+        label = {s: letters[i % n] for i, s in enumerate(symbols)}
+    name = dict(zip(symbols, draw(st.lists(ESCAPED_NAMES, min_size=len(symbols),
+                                           max_size=len(symbols), unique=True))))
+    letter = dict(zip(letters, draw(st.lists(ESCAPED_NAMES, min_size=len(letters),
+                                             max_size=len(letters), unique=True))))
+    return {"x_symbols": [name[s] for s in symbols],
+            "transitions": [[name[a], name[b]] for a, b in sorted(edges)],
+            "label": {name[s]: letter[label[s]] for s in symbols},
+            "y_symbols": [letter[y] for y in letters]}, winding
+
+
+@given(escaped_graph_payloads(), st.integers(1, 4), st.sampled_from(["json", "table"]))
+def test_periodic_lifts_writer_escapes_names_as_json_dumps(drawn, max_period, fmt):
+    payload, winding = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write_json(tmp, payload)
+        out = _cli_stdout(path, max_period, fmt)
+        assert out == _oracle_stdout(path, max_period, fmt)
+    if fmt == "json" and winding > 1:
+        rows = json.loads(out[1])["orbits"]
+        assert [lift["multiplicity"] for row in rows for lift in row["lifts"]] == (
+            [winding] if max_period >= len(payload["y_symbols"]) else [])
+
+
+def test_periodic_lifts_without_a_short_orbit_writes_an_empty_list():
+    # one 5-cycle with five labels: its image orbit has period 5 > 4
+    g = LabeledGraph([f"s{i}" for i in range(5)], [(f"s{i}", f"s{(i + 1) % 5}") for i in range(5)],
+                     {f"s{i}": str(i) for i in range(5)})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write_json(tmp, g.to_json_dict())
+        assert _cli_stdout(path, 4) == _oracle_stdout(path, 4) == (
+            0, '{\n  "max_period": 4,\n  "orbits": []\n}\n')
+        assert _cli_stdout(path, 4, "table") == _oracle_stdout(path, 4, "table") == (0, "\n")
+        assert json.loads(_cli_stdout(path, 5)[1])["orbits"][0]["period"] == 5
 
 
 # close-step cases: (graph, orbit word, trimmed, refused); labels are the
