@@ -125,9 +125,9 @@ def cmd_joining(args):
     if args.format == "dot":
         _emit(to_dot(lam.graph), fmt="dot")
         return 0
-    out = lam.graph.to_json_dict()
+    out, name = lam.graph.to_json_dict(), lam.graph.names
     out["degree"] = lam.degree
-    out["components"] = [[render_symbol(s) for s in comp] for comp in lam.components]
+    out["components"] = [[name[s] for s in comp] for comp in lam.components]
     _emit(out)
     return 0
 

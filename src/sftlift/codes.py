@@ -22,14 +22,21 @@ to a period in one Lyndon-word sweep, checked against tr(A^n).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from math import perm
 
-from .errors import FiberInfinite, InfiniteToOne, NotInImage, NotIrreducible
+import numpy as np
+
+from .errors import FiberInfinite, InfiniteToOne, NotInImage, NotIrreducible, PreconditionError
 from .graphs import (LabeledGraph, PeriodicOrbit, SubsetAutomaton,
-                     _as_word, _essential_symbols, _lyndon_words, analyze_graph,
+                     _as_word, _essential_mask, _essential_symbols, _lyndon_words, analyze_graph,
                      determinize, entropy, least_rotation)
 
 ENTROPY_MATCH_TOL = 1e-9
+# The most tuples ``fiber_product`` builds.  It keeps the packed keys, below
+# N * m**n for N symbols and a largest label class m, inside int64: m**n is
+# at most the count, or 2**11 times it with ``distinct`` (m**n / m!/(m-n)!
+# peaks at 9**9/9!), so below 2**31, and N is far below 2**32.
+MAX_PRODUCT_TUPLES = 2**20
 
 
 @dataclass(frozen=True)
@@ -90,35 +97,63 @@ def _closure(seeds, neighbors):
 
 def fiber_product(g: LabeledGraph, n: int, distinct: bool = False) -> LabeledGraph:
     """The 1-step SFT of equal-label n-tuples (pairwise-distinct entries
-    when ``distinct``), trimmed to its essential part.
+    when ``distinct``), trimmed to its essential part (Lind & Marcus §9.1).
 
-    Built on tuples of symbol indices (index order is symbol order) and
-    converted to symbols once.  A tuple's successors under label y are the
-    product of its coordinates' y-labelled successor lists (Lind & Marcus,
-    §9.1), built coordinate by coordinate: O(n) per tuple, label and
-    (partial) successor tuple; distinct tuples are permutations of a class."""
+    Its size, Σ_y |C_y|^n over the label classes (falling factorials when
+    ``distinct``), is checked against MAX_PRODUCT_TUPLES first.  It is built
+    on int arrays of symbol indices, in index order: tuples and successors
+    are expanded coordinate by coordinate with ``np.repeat``, successors
+    are found by ``searchsorted`` on a packed mixed-radix key, and symbols
+    are made once, for the tuples that survive the trim."""
     if n < 1:
         raise ValueError("arity must be >= 1")
-    table = g.letter_successors
-    ids = []
-    for cls in table[len(g.x_symbols)]:
-        ids.extend(permutations(cls, n) if distinct else product(cls, repeat=n))
-    ids.sort()
-    trans = []
-    for u in ids:
-        outs = [table[a] for a in u]
-        for y in range(len(g.y_symbols)):
-            tails = [()]
-            for out in outs:        # extend coordinate by coordinate, pruning repeats
-                tails = [t + (b,) for t in tails for b in out[y] if not (distinct and b in t)]
-            trans.extend((u, v) for v in tails)
-    alive = _essential_symbols(ids, trans)
-    if not alive:
+    sizes = [len(c) for c in g.label_classes.values()]
+    count = sum(perm(m, n) if distinct else m**n for m in sizes)
+    if count > MAX_PRODUCT_TUPLES:
+        raise PreconditionError(f"the {n}-fold fiber product has {count} tuples, more than "
+                                f"the cap MAX_PRODUCT_TUPLES = {MAX_PRODUCT_TUPLES}")
+    table, labels = g.letter_successors, len(g.y_symbols)
+    counts = np.array([len(c) for row in table for c in row], dtype=np.int64)
+    flat = np.array([t for row in table for c in row for t in c], dtype=np.int64)
+    first = np.cumsum(counts) - counts          # where each (symbol, label) list starts
+
+    def successors(tuples):
+        """The successor tuples of each row of ``tuples`` with their source
+        rows, by source, then label, then lexicographically."""
+        rows = np.stack(np.divmod(np.arange(len(tuples) * labels), labels), axis=1)
+        for i in range(n):      # columns: source row, label, coordinates so far
+            cell = tuples[rows[:, 0], i] * labels + rows[:, 1]
+            cnt = counts[cell]
+            at = np.repeat(first[cell] - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
+            rows = np.column_stack([np.repeat(rows, cnt, axis=0), flat[at]])
+            if distinct:
+                rows = rows[(rows[:, 2:-1] != rows[:, -1:]).all(axis=1)]
+        return rows[:, 0], rows[:, 2:]
+
+    # the tuples succeed a start tuple of row len(x_symbols), by label class
+    ids = successors(np.full((1, n), len(g.x_symbols)))[1]
+    ids = ids[np.argsort(ids[:, 0], kind="stable")]
+    rank = np.zeros(len(g.x_symbols), dtype=np.int64)
+    for cls in table[-1]:
+        rank[cls] = np.arange(len(cls))
+    weights = max(sizes) ** np.arange(n - 1, -1, -1)
+
+    def key(tuples):        # the first index, then the ranks in its class: lexicographic
+        return tuples[:, 0] * weights[0] + rank[tuples[:, 1:]] @ weights[1:]
+
+    src, nxt = successors(ids)
+    dst = np.searchsorted(key(ids), key(nxt))
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    alive = _essential_mask(len(ids), src, dst)
+    if not alive.any():
         raise NotInImage("fiber product is empty after trimming")
-    symbol = {u: tuple(g.x_symbols[i] for i in u) for u in ids if u in alive}
-    return LabeledGraph(symbol.values(),
-                        [(symbol[u], symbol[v]) for u, v in trans if u in alive and v in alive],
-                        {t: g.label[t[0]] for t in symbol.values()}, g.y_symbols)
+    live, new = alive[src] & alive[dst], np.cumsum(alive) - 1
+    src, dst = new[src[live]], new[dst[live]]
+    symbols = [tuple(map(g.x_symbols.__getitem__, u)) for u in ids[alive].tolist()]
+    pairs = [(symbols[a], symbols[b]) for a, b in zip(src.tolist(), dst.tolist())]
+    return LabeledGraph(symbols, pairs, {u: g.label[u[0]] for u in symbols}, g.y_symbols,
+                        edges=(src, dst))
 
 
 def _diagonal_reach(g: LabeledGraph):

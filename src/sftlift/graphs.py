@@ -42,10 +42,10 @@ class LabeledGraph:
     """A 1-step SFT with a vertex labeling: the data of a 1-block factor code.
 
     Values are immutable after construction and safe to share between
-    concurrent readers.
+    concurrent readers.  A caller that holds the ``edges`` may pass them.
     """
 
-    def __init__(self, x_symbols, transitions, label, y_symbols=None):
+    def __init__(self, x_symbols, transitions, label, y_symbols=None, edges=None):
         self.x_symbols = tuple(x_symbols)
         if len(set(self.x_symbols)) != len(self.x_symbols):
             raise InputError("x_symbols: duplicate symbols")
@@ -63,30 +63,42 @@ class LabeledGraph:
         self.y_symbols = tuple(y_symbols)
         if set(self.label[s] for s in self.x_symbols) - set(self.y_symbols):
             raise InputError("label: value outside y_symbols")
+        if edges is not None:
+            self.edges = edges
 
     @cached_property
     def index(self):
         return {s: i for i, s in enumerate(self.x_symbols)}
 
     @cached_property
+    def edges(self):
+        """The transitions as (source, target) index arrays, in index order."""
+        pairs = sorted((self.index[a], self.index[b]) for a, b in self.transitions)
+        return tuple(np.array(pairs, dtype=np.int64).reshape(-1, 2).T)
+
+    @cached_property
     def successors(self):
         """Map symbol -> its successors, in symbol order."""
-        succ = {s: [] for s in self.x_symbols}
-        for a, b in self.transitions:
-            succ[a].append(b)
-        for row in succ.values():
-            row.sort(key=self.index.__getitem__)
+        succ, xs = {s: [] for s in self.x_symbols}, self.x_symbols
+        for a, b in zip(*(e.tolist() for e in self.edges)):
+            succ[xs[a]].append(xs[b])
         return succ
 
     @cached_property
     def predecessors(self):
         """Map symbol -> its predecessors, in symbol order."""
-        pred = {s: [] for s in self.x_symbols}
-        for a, b in self.transitions:
-            pred[b].append(a)
-        for row in pred.values():
-            row.sort(key=self.index.__getitem__)
+        pred, xs = {s: [] for s in self.x_symbols}, self.x_symbols
+        for a, b in zip(*(e.tolist() for e in self.edges)):
+            pred[xs[b]].append(xs[a])
         return pred
+
+    @cached_property
+    def names(self):
+        """Map symbol -> ``render_symbol(symbol)``, rendering each member of
+        the tuple symbols once."""
+        part = {}
+        return {s: "|".join([part.get(m) or part.setdefault(m, render_symbol(m)) for m in s])
+                if isinstance(s, tuple) else str(s) for s in self.x_symbols}
 
     @cached_property
     def label_classes(self):
@@ -117,8 +129,7 @@ class LabeledGraph:
     def adjacency_matrix(self):
         n = len(self.x_symbols)
         mat = np.zeros((n, n), dtype=np.int64)
-        for a, b in self.transitions:
-            mat[self.index[a], self.index[b]] = 1
+        mat[self.edges] = 1
         return mat
 
     def restrict(self, symbols):
@@ -140,11 +151,12 @@ class LabeledGraph:
     __hash__ = None
 
     def to_json_dict(self):
-        name = {s: render_symbol(s) for s in self.x_symbols}
+        names = list(self.names.values())
+        src, dst = (e.tolist() for e in self.edges)
         return {
-            "x_symbols": [name[s] for s in self.x_symbols],
-            "transitions": sorted([name[a], name[b]] for a, b in self.transitions),
-            "label": {name[s]: str(self.label[s]) for s in self.x_symbols},
+            "x_symbols": names,
+            "transitions": sorted([names[a], names[b]] for a, b in zip(src, dst)),
+            "label": {n: str(self.label[s]) for s, n in zip(self.x_symbols, names)},
             "y_symbols": [str(y) for y in self.y_symbols],
         }
 
@@ -262,35 +274,40 @@ class StructureReport:
 
 
 def _essential_symbols(symbols, transitions):
-    """The symbols on bi-infinite paths: what is left after removing, again
-    and again, every symbol with no predecessor or no successor among the
-    rest.  The removal runs as a queue of the symbols whose in- or
-    out-degree has dropped to 0, so the cost is O(V + E)."""
-    alive = set(symbols)
-    edges = [(a, b) for a, b in transitions if a in alive and b in alive]
-    queue = list((alive - {a for a, _ in edges}) | (alive - {b for _, b in edges}))
+    """The symbols on bi-infinite paths, by ``_essential_mask``; transitions
+    count where both ends are symbols, and are read once."""
+    index = {s: i for i, s in enumerate(symbols)}
+    pairs = [(index[a], index[b]) for a, b in transitions if a in index and b in index]
+    pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    alive = _essential_mask(len(index), pairs[:, 0], pairs[:, 1]).tolist()
+    return {s for s, a in zip(index, alive) if a}
+
+
+def _essential_mask(n, src, dst):
+    """Which of n vertices lie on bi-infinite paths along the edges src[k]
+    -> dst[k], by degree peeling: ``bincount`` counts the degrees, and a
+    queue removes each vertex whose in- or out-degree drops to 0.  Python
+    work is spent only on the removed vertices and their edges."""
+    in_deg, out_deg = np.bincount(dst, minlength=n), np.bincount(src, minlength=n)
+    alive = (in_deg > 0) & (out_deg > 0)
+    queue = np.flatnonzero(~alive).tolist()
     if not queue:
         return alive
-    alive.difference_update(queue)
-    outs, ins = {}, {}
-    for a, b in edges:
-        outs.setdefault(a, []).append(b)
-        ins.setdefault(b, []).append(a)
-    outdeg = {s: len(succ) for s, succ in outs.items()}
-    indeg = {s: len(pred) for s, pred in ins.items()}
+    # a removed vertex lowers the in-degrees of its targets, the out-degrees of its sources
+    sides = [(np.split(dst[np.argsort(src, kind="stable")], np.cumsum(out_deg)[:-1]),
+              in_deg.tolist()),
+             (np.split(src[np.argsort(dst, kind="stable")], np.cumsum(in_deg)[:-1]),
+              out_deg.tolist())]
+    alive = alive.tolist()
     while queue:
         s = queue.pop()
-        for t in outs.get(s, ()):
-            indeg[t] -= 1
-            if not indeg[t] and t in alive:
-                alive.remove(t)
-                queue.append(t)
-        for t in ins.get(s, ()):
-            outdeg[t] -= 1
-            if not outdeg[t] and t in alive:
-                alive.remove(t)
-                queue.append(t)
-    return alive
+        for ends, degree in sides:
+            for t in ends[s].tolist():
+                degree[t] -= 1
+                if not degree[t] and alive[t]:
+                    alive[t] = False
+                    queue.append(t)
+    return np.array(alive, dtype=bool)
 
 
 def _tarjan_scc(order, succ):
@@ -363,23 +380,27 @@ def _component_period(comp, succ):
 
 
 def analyze_graph(g: LabeledGraph) -> StructureReport:
-    """Trim to the essential part, decompose into SCCs, report periods."""
-    alive = _essential_symbols(g.x_symbols, g.transitions)
-    if not alive:
+    """Trim to the essential part, decompose into SCCs, report periods.  All
+    three run on ``g.edges``, Tarjan and the period search on lists of
+    successor indices; symbols are mapped back once."""
+    xs, (src, dst) = g.x_symbols, g.edges
+    alive = _essential_mask(len(xs), src, dst)
+    if not alive.any():
         raise EmptyAfterTrim("no bi-infinite path exists")
-    trimmed = tuple(s for s in g.x_symbols if s not in alive)
-    essential = g.restrict(alive) if trimmed else g
-    comps = _tarjan_scc(essential.x_symbols, essential.successors)
-    comps = [tuple(sorted(c, key=essential.index.get)) for c in comps]
-    comps.sort(key=lambda c: essential.index[c[0]])
-    periods = tuple(_component_period(list(c), essential.successors) for c in comps)
+    trimmed = tuple(s for s, a in zip(xs, alive.tolist()) if not a)
+    essential = g.restrict(set(xs).difference(trimmed)) if trimmed else g
+    live = alive[src] & alive[dst]
+    bounds = np.searchsorted(src[live], np.arange(len(xs) + 1)).tolist()
+    targets = dst[live].tolist()
+    succ = [targets[a:b] for a, b in zip(bounds, bounds[1:])]
+    comps = sorted(sorted(c) for c in _tarjan_scc(np.flatnonzero(alive).tolist(), succ))
     return StructureReport(
         essential=essential,
         is_essential=not trimmed,
         trimmed_symbols=trimmed,
-        components=tuple(comps),
+        components=tuple(tuple(map(xs.__getitem__, c)) for c in comps),
         is_irreducible=len(comps) == 1 and len(comps[0]) == len(essential.x_symbols),
-        periods=periods,
+        periods=tuple(_component_period(c, succ) for c in comps),
     )
 
 
@@ -575,10 +596,11 @@ class SubsetAutomaton:
         self.initial = [intern(c, (y,)) if c else -1 for y, c in zip(graph.y_symbols, classes)]
         rows = []
         for mask, word in zip(masks, self.witness):     # both grow while read
-            out = 0
-            for i in range(mask.bit_length()):
-                if mask >> i & 1:
-                    out |= reach[i]
+            out, rest = 0, mask
+            while rest:                 # the union over the set bits, lowest first
+                low = rest & -rest
+                out |= reach[low.bit_length() - 1]
+                rest ^= low
             row = []
             for y, cls in zip(graph.y_symbols, classes):
                 nxt = out & cls
@@ -801,11 +823,12 @@ def determinize(g: LabeledGraph) -> RightResolvingPresentation:
 
 
 def to_dot(g: LabeledGraph) -> str:
+    name = list(g.names.values())
     lines = ["digraph shift {"]
-    for s in g.x_symbols:
-        lines.append(f'  "{render_symbol(s)}" [label="{render_symbol(s)} / {g.label[s]}"];')
-    for a, b in sorted(g.transitions, key=lambda e: (g.index[e[0]], g.index[e[1]])):
-        lines.append(f'  "{render_symbol(a)}" -> "{render_symbol(b)}";')
+    for s, n in zip(g.x_symbols, name):
+        lines.append(f'  "{n}" [label="{n} / {g.label[s]}"];')
+    for a, b in zip(*(e.tolist() for e in g.edges)):
+        lines.append(f'  "{name[a]}" -> "{name[b]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -25,9 +25,12 @@ presentation), and the quadratic exact constructions: the fiber product
 that tests every pair of tuples, the least rotation by ranking every
 rotation, and the recoding that compares every pair of blocks; the
 integer scan that composes every chunk's whole entry-to-exit map, the
-successor and predecessor lists sorted over all transitions at once, and
-the ``periodic-lifts`` rows built as dicts for the general JSON encoder,
-with their table text."""
+successor and predecessor lists sorted over all transitions at once, the
+``periodic-lifts`` rows built as dicts for the general JSON encoder, with
+their table text, and the fiber product and structure report built on
+tuples and symbols: one comprehension per tuple, label and coordinate,
+and the trim (a queue over a dict per symbol), Tarjan and period search
+keyed by symbol."""
 
 from __future__ import annotations
 
@@ -45,7 +48,7 @@ from sftlift.errors import (EmptyAfterTrim, FiberInfinite, InfiniteToOne, InputE
 from sftlift.fibers import (CanonicalLiftDecomposition, LiftEntry, LiftReport,
                             _lift_orbit_alphabet, _unwrap)
 from sftlift.graphs import (LabeledGraph, OneBlockRecoding, PeriodicOrbit, SlidingBlockCode,
-                            _as_word, _tarjan_scc, analyze_graph, full_shift, load_graph_or_code,
+                            StructureReport, _as_word, _component_period, _tarjan_scc, analyze_graph, full_shift, load_graph_or_code,
                             perron_value, scan)
 from sftlift.measures import (BernoulliMeasure, COMeasure, MarkovMeasure, PushforwardMeasure,
                               window_codes)
@@ -1084,3 +1087,89 @@ def find_relating_permutation(o1: PeriodicOrbit, o2: PeriodicOrbit, order):
         if moved in targets:
             return perm
     return None
+
+
+def queue_essential_symbols(symbols, transitions):
+    """The symbols on bi-infinite paths: what is left after removing, again
+    and again, every symbol with no predecessor or no successor among the
+    rest.  The removal runs as a queue of the symbols whose in- or
+    out-degree has dropped to 0, so the cost is O(V + E)."""
+    alive = set(symbols)
+    edges = [(a, b) for a, b in transitions if a in alive and b in alive]
+    queue = list((alive - {a for a, _ in edges}) | (alive - {b for _, b in edges}))
+    if not queue:
+        return alive
+    alive.difference_update(queue)
+    outs, ins = {}, {}
+    for a, b in edges:
+        outs.setdefault(a, []).append(b)
+        ins.setdefault(b, []).append(a)
+    outdeg = {s: len(succ) for s, succ in outs.items()}
+    indeg = {s: len(pred) for s, pred in ins.items()}
+    while queue:
+        s = queue.pop()
+        for t in outs.get(s, ()):
+            indeg[t] -= 1
+            if not indeg[t] and t in alive:
+                alive.remove(t)
+                queue.append(t)
+        for t in ins.get(s, ()):
+            outdeg[t] -= 1
+            if not outdeg[t] and t in alive:
+                alive.remove(t)
+                queue.append(t)
+    return alive
+
+
+def tuple_fiber_product(g: LabeledGraph, n: int, distinct: bool = False) -> LabeledGraph:
+    """The 1-step SFT of equal-label n-tuples (pairwise-distinct entries
+    when ``distinct``), trimmed to its essential part.
+
+    Built on tuples of symbol indices (index order is symbol order) and
+    converted to symbols once.  A tuple's successors under label y are the
+    product of its coordinates' y-labelled successor lists (Lind & Marcus,
+    §9.1), built coordinate by coordinate: O(n) per tuple, label and
+    (partial) successor tuple; distinct tuples are permutations of a class."""
+    if n < 1:
+        raise ValueError("arity must be >= 1")
+    table = g.letter_successors
+    ids = []
+    for cls in table[len(g.x_symbols)]:
+        ids.extend(permutations(cls, n) if distinct else product(cls, repeat=n))
+    ids.sort()
+    trans = []
+    for u in ids:
+        outs = [table[a] for a in u]
+        for y in range(len(g.y_symbols)):
+            tails = [()]
+            for out in outs:        # extend coordinate by coordinate, pruning repeats
+                tails = [t + (b,) for t in tails for b in out[y] if not (distinct and b in t)]
+            trans.extend((u, v) for v in tails)
+    alive = queue_essential_symbols(ids, trans)
+    if not alive:
+        raise NotInImage("fiber product is empty after trimming")
+    symbol = {u: tuple(g.x_symbols[i] for i in u) for u in ids if u in alive}
+    return LabeledGraph(symbol.values(),
+                        [(symbol[u], symbol[v]) for u, v in trans if u in alive and v in alive],
+                        {t: g.label[t[0]] for t in symbol.values()}, g.y_symbols)
+
+
+def tuple_analyze_graph(g: LabeledGraph) -> StructureReport:
+    """Trim to the essential part, decompose into SCCs, report periods."""
+    alive = queue_essential_symbols(g.x_symbols, g.transitions)
+    if not alive:
+        raise EmptyAfterTrim("no bi-infinite path exists")
+    trimmed = tuple(s for s in g.x_symbols if s not in alive)
+    essential = g.restrict(alive) if trimmed else g
+    comps = _tarjan_scc(essential.x_symbols, essential.successors)
+    comps = [tuple(sorted(c, key=essential.index.get)) for c in comps]
+    comps.sort(key=lambda c: essential.index[c[0]])
+    periods = tuple(_component_period(list(c), essential.successors) for c in comps)
+    return StructureReport(
+        essential=essential,
+        is_essential=not trimmed,
+        trimmed_symbols=trimmed,
+        components=tuple(comps),
+        is_irreducible=len(comps) == 1 and len(comps[0]) == len(essential.x_symbols),
+        periods=periods,
+    )

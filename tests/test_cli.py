@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -250,6 +251,20 @@ def test_over_deep_cylinder_count_refused(inputs, capsys):
     assert code == 2 and out == ""
     assert err == ("refused: cylinder_depth 31 asks for 2**31 cylinders, "
                    "more than sample_length 1000000\n")
+
+
+def test_oversized_joining_graph_refused_before_it_is_built(capsys, tmp_path):
+    # diff9 has degree 9: its joining graph would hold 9 · 9! = 3 265 920 tuples
+    path = tmp_path / "diff9.json"
+    path.write_text(json.dumps({
+        "memory": 0, "anticipation": 1, "alphabet": [str(a) for a in range(9)],
+        "block_map": {f"{a}{b}": str((b - a) % 9) for a in range(9) for b in range(9)}}))
+    start = time.perf_counter()
+    code, out, err = run_refused(capsys, "joining", str(path))
+    assert time.perf_counter() - start < 2.0
+    assert code == 2 and out == ""
+    assert err == ("refused: the 9-fold fiber product has 3265920 tuples, "
+                   "more than the cap MAX_PRODUCT_TUPLES = 1048576\n")
 
 
 @pytest.mark.parametrize("max_period", ["0", "-3"])

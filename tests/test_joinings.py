@@ -3,8 +3,8 @@ from itertools import permutations
 import pytest
 
 import sftlift as sl
-from sftlift import LinearCACode, PeriodicOrbit
-from sftlift.errors import NoPath, UnsupportedFiber
+from sftlift import LinearCACode, PeriodicOrbit, codes
+from sftlift.errors import NoPath, PreconditionError, UnsupportedFiber
 
 import oracles
 
@@ -28,6 +28,16 @@ def test_fiber_product_identity_diagonal():
     prod = sl.fiber_product(sl.full_shift("01"), 2)
     assert all(u == v for u, v in prod.x_symbols)
     assert len(prod.x_symbols) == 2
+
+
+def test_fiber_product_refuses_above_the_tuple_cap(monkeypatch, sum5):
+    # sum5 has 5 label classes of 5 blocks: 5 · 5**3 triples, 5 · 5 · 4 · 3 distinct ones
+    g = sum5.recoding.graph
+    monkeypatch.setattr(codes, "MAX_PRODUCT_TUPLES", 624)
+    with pytest.raises(PreconditionError, match=r"^the 3-fold fiber product has 625 tuples, "
+                                                r"more than the cap MAX_PRODUCT_TUPLES = 624$"):
+        sl.fiber_product(g, 3)
+    assert len(sl.fiber_product(g, 3, distinct=True).x_symbols) == 300
 
 
 # ------------------------------------------------------------ joining graph

@@ -5,12 +5,14 @@ lists, the speculate-and-verify integer scan, the
 speculate-and-verify viability walk, the one-pass empirical count arrays
 with their frequencies, distance, merge and JSON form, the single-linkage
 clusters as connected components, the
-queue-based essential trim, the one-sweep periodic fibers and the
+essential trim on index arrays, the one-sweep periodic fibers and the
 closing step along one word with the periodic lift analysis and the
 ``periodic-lifts`` rows with their JSON and table text written straight
 from the sweep, the vectorised samplers, the recoding-based pushforward path and the
-output-sensitive fiber product, least rotation and recoding against the
-constructions they replaced (kept in ``oracles.py``)."""
+fiber product on integer arrays with its edges, the structure report on
+the edges and the ``joining`` output built from them, least rotation and
+recoding against the constructions they replaced (kept in
+``oracles.py``)."""
 
 import contextlib
 import io
@@ -32,7 +34,8 @@ from sftlift import codes
 from sftlift.cli import main
 from sftlift.errors import EmptyAfterTrim, FiberInfinite, NoPath, NotInImage, PreconditionError
 from sftlift.fibers import _single_linkage, _unwrap, support_presentation
-from sftlift.graphs import LabeledGraph, SubsetAutomaton, _essential_symbols, least_rotation
+from sftlift.graphs import (LabeledGraph, SubsetAutomaton, _essential_symbols, least_rotation,
+                            render_symbol)
 from sftlift.joinings import _ViabilityWalk
 from sftlift.measures import EmpiricalDistribution, make_rng
 
@@ -953,6 +956,16 @@ def thinned_graphs(draw):
     return sl.LabeledGraph(g.x_symbols, edges, g.label, g.y_symbols)
 
 
+@st.composite
+def branching_graphs(draw):
+    """A thinned graph in which s0 has two successors of its own label, s0
+    and s1, so that a fiber product expands a coordinate into two."""
+    g = draw(thinned_graphs())
+    label = {**g.label, "s1": g.label["s0"]}
+    return sl.LabeledGraph(g.x_symbols, set(g.transitions) | {("s0", "s0"), ("s0", "s1")},
+                           label, g.y_symbols)
+
+
 def _product_outcome(fn, g, n, distinct):
     try:
         return fn(g, n, distinct)
@@ -960,10 +973,35 @@ def _product_outcome(fn, g, n, distinct):
         return NotInImage
 
 
-@given(thinned_graphs(), st.integers(1, 4), st.booleans())
+def _edges_are_transitions_by_index(g):
+    """Whether ``g.edges`` holds ``transitions`` mapped through ``index``,
+    in index order."""
+    pairs = sorted((g.index[a], g.index[b]) for a, b in g.transitions)
+    return list(zip(*(e.tolist() for e in g.edges))) == pairs
+
+
+@given(st.one_of(thinned_graphs(), branching_graphs()), st.integers(1, 4), st.booleans())
 def test_fiber_product_matches_all_pairs_oracle(g, n, distinct):
-    assert (_product_outcome(sl.fiber_product, g, n, distinct)
-            == _product_outcome(oracles.fiber_product, g, n, distinct))
+    # and the tuple oracle, on graphs that the trim shrinks or empties
+    outcome = _product_outcome(sl.fiber_product, g, n, distinct)
+    assert outcome == _product_outcome(oracles.tuple_fiber_product, g, n, distinct)
+    assert outcome == _product_outcome(oracles.fiber_product, g, n, distinct)
+    if outcome is not NotInImage:
+        assert _edges_are_transitions_by_index(outcome)
+
+
+def test_fiber_product_expands_trims_and_empties_like_the_oracles():
+    # s0 has the successors s0 and s1 of label 0; s1 -> s2 is a dead end
+    g = sl.LabeledGraph(["s0", "s1", "s2"], [("s0", "s0"), ("s0", "s1"), ("s1", "s2")],
+                        {"s0": "0", "s1": "0", "s2": "1"})
+    for n in range(1, 5):
+        for distinct in (False, True):
+            outcome = _product_outcome(sl.fiber_product, g, n, distinct)
+            assert outcome == _product_outcome(oracles.tuple_fiber_product, g, n, distinct)
+            # only the diagonal loop at s0 runs on forever
+            assert outcome == (NotInImage if distinct and n > 1 else
+                               sl.LabeledGraph([("s0",) * n], [(("s0",) * n,) * 2],
+                                               {("s0",) * n: "0"}, ("0", "1")))
 
 
 def test_fiber_product_matches_oracle_on_reference_codes(rule102, diff4, sum5):
@@ -974,6 +1012,103 @@ def test_fiber_product_matches_oracle_on_reference_codes(rule102, diff4, sum5):
         for n, distinct in ((sl.compute_degree(g).degree, True), (2, False)):
             assert (_product_outcome(sl.fiber_product, g, n, distinct)
                     == _product_outcome(oracles.fiber_product, g, n, distinct))
+
+
+@pytest.mark.parametrize("code, n, distinct", [(sl.difference_code(6), 6, True),
+                                                (sl.sum_code(5), 3, False)],
+                         ids=["diff6-joining", "sum5-triples"])
+def test_fiber_product_matches_tuple_oracle_at_scale(code, n, distinct):
+    g = code.recoding.graph
+    product_graph = sl.fiber_product(g, n, distinct)
+    assert product_graph == oracles.tuple_fiber_product(g, n, distinct)
+    assert _edges_are_transitions_by_index(product_graph)
+
+
+@st.composite
+def structure_graphs(draw):
+    """A random graph on up to 8 symbols: often with dead ends (not
+    essential) or several components, sometimes with no cycle; with
+    ``period`` p > 1 an edge only joins symbol i to a symbol j = i + 1 mod p,
+    so every cycle length is a multiple of p."""
+    n = draw(st.integers(1, 8))
+    period = draw(st.sampled_from([1, 1, 2, 3]))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3 * n))
+    edges = [(i, j) for i, j in edges if (j - i - 1) % period == 0]
+    syms = [f"s{i}" for i in range(n)]
+    return sl.LabeledGraph(syms, [(syms[i], syms[j]) for i, j in edges],
+                           {s: str(i % 2) for i, s in enumerate(syms)})
+
+
+def _structure_outcome(fn, g):
+    try:
+        return fn(g)
+    except EmptyAfterTrim as exc:
+        return EmptyAfterTrim, str(exc)
+
+
+@given(structure_graphs())
+def test_structure_report_matches_tuple_oracle(g):
+    assert _structure_outcome(sl.analyze_graph, g) == _structure_outcome(
+        oracles.tuple_analyze_graph, g)
+
+
+def test_structure_report_matches_tuple_oracle_on_fixed_cases():
+    cases = {   # (edges on s0..s5, expected periods or None for EmptyAfterTrim)
+        "dead ends both ways": ([(0, 1), (1, 1), (1, 2), (3, 1)], (1,)),
+        "reducible": ([(0, 0), (0, 1), (1, 2), (2, 1), (2, 3), (3, 4), (4, 5), (5, 3)], (1, 2, 3)),
+        "periodic": ([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)], (3,)),
+        "acyclic": ([(0, 1), (1, 2), (3, 4)], None),
+    }
+    for edges, periods in cases.values():
+        syms = [f"s{i}" for i in range(6)]
+        g = sl.LabeledGraph(syms, [(syms[i], syms[j]) for i, j in edges],
+                            {s: "0" for s in syms})
+        outcome = _structure_outcome(sl.analyze_graph, g)
+        assert outcome == _structure_outcome(oracles.tuple_analyze_graph, g)
+        if periods is None:
+            assert outcome == (EmptyAfterTrim, "no bi-infinite path exists")
+        else:
+            assert outcome.periods == periods
+
+
+def _joining_oracle_stdout(g, fmt):
+    """``joining`` stdout built from the tuple fiber product and structure
+    report, with each symbol rendered by ``render_symbol``."""
+    degree = sl.compute_degree(g).degree
+    lam = oracles.tuple_fiber_product(g, degree, distinct=True)
+    if fmt == "dot":
+        index = lam.index
+        lines = ["digraph shift {"]
+        lines += [f'  "{render_symbol(s)}" [label="{render_symbol(s)} / {lam.label[s]}"];'
+                  for s in lam.x_symbols]
+        lines += [f'  "{render_symbol(a)}" -> "{render_symbol(b)}";' for a, b in
+                  sorted(lam.transitions, key=lambda e: (index[e[0]], index[e[1]]))]
+        return "\n".join(lines + ["}"]) + "\n"
+    payload = {
+        "x_symbols": [render_symbol(s) for s in lam.x_symbols],
+        "transitions": sorted([render_symbol(a), render_symbol(b)] for a, b in lam.transitions),
+        "label": {render_symbol(s): str(lam.label[s]) for s in lam.x_symbols},
+        "y_symbols": [str(y) for y in lam.y_symbols],
+        "degree": degree,
+        "components": [[render_symbol(s) for s in comp]
+                       for comp in oracles.tuple_analyze_graph(lam).components],
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_joining_bytes_match_tuple_oracles_off_the_right_resolving_path(fmt):
+    # the edge graph of skew3, labelled by the first vertex of each edge: a
+    # degree-3 code whose symbols have two successors of one label
+    path = GOLDEN / "skew3-edges.json"
+    g = sl.LabeledGraph.from_json_dict(json.loads(path.read_text()))
+    assert sl.analyze_graph(g).is_irreducible and sl.is_finite_to_one(g)
+    assert any(len(cell) > 1 for row in g.letter_successors[:-1] for cell in row)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["joining", str(path), "--format", fmt]) == 0
+    assert out.getvalue().encode() == _joining_oracle_stdout(g, fmt).encode()
 
 
 @pytest.mark.parametrize("alphabet, max_length", [("ab", 10), ("abc", 7)])
@@ -1098,7 +1233,9 @@ def test_single_linkage_matches_union_find_oracle(entries):
                          max_size=3 * n))))
 def test_essential_symbols_match_full_pass_oracle(case):
     n, edges = case                     # endpoints n and n + 1 are not symbols
-    assert _essential_symbols(range(n), edges) == oracles.essential_symbols(range(n), edges)
+    alive = _essential_symbols(range(n), edges)
+    assert alive == oracles.essential_symbols(range(n), edges)
+    assert alive == oracles.queue_essential_symbols(range(n), edges)
 
 
 @given(graphs_strategy())
