@@ -23,7 +23,6 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
 
 from .errors import DegenerateMeasure, HypothesisNotMet, InputError, MismatchReport
 from .graphs import OneBlockRecoding, SlidingBlockCode, _as_word
@@ -264,6 +263,26 @@ class CrossValidationReport:
         }
 
 
+def _cylinder_table(measure, digits, depth):
+    """The cylinders of an exact lift, a Bernoulli or an alternating-offset
+    measure, on the words over ``digits`` of lengths 1..depth, in the order
+    of the concatenated count arrays, as exact Fractions.  Per phase, the
+    masses of each length's words extend those of their prefixes by one
+    letter's probability at its position; the phases are then averaged."""
+    if isinstance(measure, AlternatingOffsetMeasure):
+        weight = Fraction(1, 2)
+        phases = [[[measure.base.cylinder(measure._displaced((a,), i + phase)) for a in digits]
+                   for i in (0, 1)] for phase in (0, 1)]
+    else:
+        weight, phases = 1, [[[measure.cylinder((a,)) for a in digits]] * 2]
+    table, levels = [], [[Fraction(1)]] * len(phases)
+    for i in range(depth):
+        levels = [[m * q for m in level for q in rows[i % 2]]
+                  for level, rows in zip(levels, phases)]
+        table += [weight * sum(masses) for masses in zip(*levels)]
+    return table
+
+
 def cross_validate(ca: LinearCACode, alpha,
                    params: MonteCarloParams | None = None,
                    margin_tolerance: float = 0.01) -> CrossValidationReport:
@@ -286,9 +305,8 @@ def cross_validate(ca: LinearCACode, alpha,
     matching = []
     if not mismatches:
         lengths = range(1, params.cylinder_depth + 1)
-        # each exact lift's cylinders in the order of the concatenated count arrays
-        cylinders = [np.array([float(entry.measure.cylinder(w)) for length in lengths
-                               for w in product(_digits(ca.modulus), repeat=length)])
+        cylinders = [np.array([float(m) for m in _cylinder_table(
+                         entry.measure, _digits(ca.modulus), params.cylinder_depth)])
                      for entry in exact.lifts]
         used = set()
         for ci, cluster in enumerate(mc.lifts):

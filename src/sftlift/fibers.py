@@ -34,6 +34,11 @@ from .measures import (BernoulliMeasure, COMeasure, EmpiricalDistribution,
                        MarkovMeasure, PushforwardMeasure, StationaryMeasure,
                        as_markov, make_rng)
 
+# The longest Monte-Carlo sample accepted.  A run holds about 22 bytes per
+# letter at its peak (20.6 MiB traced for ``ca --family sum`` at T = 10**6),
+# so 2**26 letters take about 1.4 GiB.
+MAX_SAMPLE_LENGTH = 2**26
+
 
 @dataclass(frozen=True)
 class LiftEntry:
@@ -149,6 +154,9 @@ class MonteCarloParams:
     def __post_init__(self):
         if self.sample_length < 1:
             raise InputError(f"sample_length must be >= 1, got {self.sample_length}")
+        if self.sample_length > MAX_SAMPLE_LENGTH:
+            raise InputError(f"sample_length {self.sample_length} is more than the cap "
+                             f"MAX_SAMPLE_LENGTH = {MAX_SAMPLE_LENGTH}")
         if self.cylinder_depth < 1:
             raise InputError(f"cylinder_depth must be >= 1, got {self.cylinder_depth}")
         if self.tolerance is not None and not self.tolerance > 0:
@@ -198,7 +206,7 @@ def _single_linkage(dist, tau):
     """The connected components of the graph joining i and j when
     dist[i, j] <= tau, for a symmetric matrix: members ascending, largest
     component first, ties by first member."""
-    close = {i: np.flatnonzero(row <= tau).tolist() for i, row in enumerate(dist)}
+    close = [np.flatnonzero(row <= tau).tolist() for row in dist]
     return sorted((sorted(c) for c in _tarjan_scc(range(len(dist)), close)),
                   key=lambda c: (-len(c), c[0]))
 

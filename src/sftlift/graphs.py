@@ -311,72 +311,67 @@ def _essential_mask(n, src, dst):
 
 
 def _tarjan_scc(order, succ):
-    """Iterative Tarjan; components returned in a deterministic order."""
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    comps = []
-    counter = [0]
-
+    """Iterative Tarjan on the vertices 0..len(succ)-1, ``succ[v]`` listing
+    the successors of v, from the roots in ``order``; its state is kept in
+    lists, and the components are returned in a deterministic order."""
+    n = len(succ)
+    index, low, on_stack = [-1] * n, [0] * n, [False] * n
+    stack, comps, counter = [], [], 0
     for root in order:
-        if root in index:
+        if index[root] >= 0:
             continue
-        work = [(root, iter(succ[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
+        index[root] = low[root] = counter
+        counter += 1
         stack.append(root)
-        on_stack.add(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
         while work:
             v, it = work[-1]
-            advanced = False
             for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
                     stack.append(w)
-                    on_stack.add(w)
+                    on_stack[w] = True
                     work.append((w, iter(succ[w])))
-                    advanced = True
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:                       # every successor of v is done
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while not comp or comp[-1] != v:
+                        comp.append(stack.pop())
+                        on_stack[comp[-1]] = False
+                    comps.append(comp)
     return comps
 
 
-def _component_period(comp, succ):
-    """gcd of cycle lengths inside one strongly connected component."""
-    comp_set = set(comp)
-    root = comp[0]
-    level = {root: 0}
-    queue = [root]
-    g = 0
-    while queue:
-        v = queue.pop()
-        for w in succ[v]:
-            if w not in comp_set:
-                continue
-            if w in level:
-                g = gcd(g, level[v] + 1 - level[w])
-            else:
-                level[w] = level[v] + 1
-                queue.append(w)
-    return abs(g) if g else 0
+def _component_periods(comps, succ):
+    """Per strongly connected component of the vertices 0..len(succ)-1, the
+    gcd of its cycle lengths, by one BFS each on lists shared by all."""
+    owner, level = [-1] * len(succ), [-1] * len(succ)
+    for c, comp in enumerate(comps):
+        for v in comp:
+            owner[v] = c
+    periods = []
+    for c, comp in enumerate(comps):
+        level[comp[0]], queue, g = 0, [comp[0]], 0
+        while queue:
+            v = queue.pop()
+            for w in succ[v]:
+                if owner[w] != c:
+                    continue
+                if level[w] >= 0:
+                    g = gcd(g, level[v] + 1 - level[w])
+                else:
+                    level[w] = level[v] + 1
+                    queue.append(w)
+        periods.append(abs(g))
+    return periods
 
 
 def analyze_graph(g: LabeledGraph) -> StructureReport:
@@ -400,7 +395,7 @@ def analyze_graph(g: LabeledGraph) -> StructureReport:
         trimmed_symbols=trimmed,
         components=tuple(tuple(map(xs.__getitem__, c)) for c in comps),
         is_irreducible=len(comps) == 1 and len(comps[0]) == len(essential.x_symbols),
-        periods=tuple(_component_period(c, succ) for c in comps),
+        periods=tuple(_component_periods(comps, succ)),
     )
 
 

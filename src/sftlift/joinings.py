@@ -73,16 +73,22 @@ class _ViabilityWalk:
     def __init__(self, graph: LabeledGraph):
         self.automaton = SubsetAutomaton(graph, backward=True)
         self.graph = graph
-        index = graph.index
         n = self.dead = len(graph.x_symbols)
-        subsets = self.automaton.subsets
-        succ = [[index[t] for t in graph.successors[s]] for s in graph.x_symbols]
-        self.forward = np.full((n + 2, len(subsets)), n, dtype=np.int64)
+        index, subsets = graph.index, self.automaton.subsets
+        viable = np.zeros((len(subsets), n), dtype=bool)
         for v, subset in enumerate(subsets):
-            viable = {index[s] for s in subset}
-            self.forward[:n, v] = [next((t for t in row if t in viable), n) for row in succ]
-            self.forward[n + 1, v] = index[subset[0]]
-        self._relabellings = {}
+            viable[v, [index[s] for s in subset]] = True
+        # the edges run in index order, so each source's first edge into a
+        # state's viable set leads to its least viable successor there
+        src, dst = graph.edges
+        v, e = np.nonzero(viable[:, dst])
+        s = src[e]
+        first = np.ones(len(e), dtype=bool)
+        first[1:] = (v[1:] != v[:-1]) | (s[1:] != s[:-1])
+        self.forward = np.full((n + 2, len(subsets)), n, dtype=np.int64)
+        self.forward[s[first], v[first]] = dst[e[first]]
+        self.forward[n + 1] = viable.argmax(axis=1)
+        self._relabellings, self._rows = {}, {}
         self.resolutions = {"guess": 0, "relabel": 0, "rerun": 0}
 
     def viability_ids(self, y_idx):
@@ -99,26 +105,29 @@ class _ViabilityWalk:
         return ids
 
     def _relabelling(self, guess, true):
-        """The row sending each symbol index s to that of s∘σ (``dead`` where
-        s∘σ is no symbol), for the coordinate permutation σ with
-        guess∘σ = true; None when the two symbols are not so related.  Rows
-        are built on first use and cached by σ."""
-        symbols = self.graph.x_symbols
+        """The coordinate permutation σ with guess∘σ = true, None when the
+        two symbols are not so related; cached by the pair.  On first use of
+        σ, ``_rows[σ]`` gets the row sending each symbol index s to that of
+        s∘σ (``dead`` where s∘σ is no symbol), and that row again as a list
+        if it commutes with every table step from a symbol or ``dead``."""
+        key = (guess, true)
+        if key in self._relabellings:
+            return self._relabellings[key]
+        symbols, sigma = self.graph.x_symbols, None
         a, b = symbols[guess], symbols[true]
-        if not (isinstance(a, tuple) and isinstance(b, tuple) and len(a) == len(b)):
-            return None
-        position = {x: i for i, x in enumerate(a)}
-        if len(position) != len(a) or set(b) != position.keys():
-            return None
-        sigma = tuple(position[x] for x in b)
-        row = self._relabellings.get(sigma)
-        if row is None:
+        position = {x: i for i, x in enumerate(a)} if isinstance(a, tuple) else {}
+        if (isinstance(b, tuple) and 0 < len(position) == len(a) == len(b)
+                and set(b) == position.keys()):
+            sigma = tuple(position[x] for x in b)
+        if sigma is not None and sigma not in self._rows:
             row = np.full(self.dead + 1, self.dead, dtype=np.int64)
             for k, s in enumerate(symbols):
                 if isinstance(s, tuple) and len(s) == len(sigma):
                     row[k] = self.graph.index.get(tuple(s[j] for j in sigma), self.dead)
-            self._relabellings[sigma] = row
-        return row
+            commutes = np.array_equal(self.forward[row], row[self.forward[:-1]])
+            self._rows[sigma] = row, row.tolist() if commutes else None
+        self._relabellings[key] = sigma
+        return sigma
 
     def walk(self, ids):
         """Forward pass: the lexicographically least viable symbol each step,
@@ -131,9 +140,13 @@ class _ViabilityWalk:
         start is the table step from the previous chunk's settled end; where
         it is not the guess:
 
-        - if it is the guess with its coordinates permuted by some σ, the
-          chunk is relabelled through σ and kept up to its first position
-          that is not a table step from the one before;
+        - if it is the guess with its coordinates permuted by some σ whose
+          row commutes with the table, the true chunk is the speculated one
+          relabelled through σ, by induction on the position: its end is
+          mapped now, on Python ints, and the chunk with one ``take`` per σ
+          after the loop;
+        - for any other σ, the chunk is relabelled through σ and kept up to
+          its first position that is not a table step from the one before;
         - from there (or from the true start when there is no σ) the chunk
           is re-run one step at a time until it meets the speculated path,
           which is right from that point on because the walk is
@@ -148,15 +161,22 @@ class _ViabilityWalk:
         body = width * chunks
         steps = ids[:body].reshape(chunks, width)
         heads, ends, firsts = cols[0].tolist(), cols[-1].tolist(), steps[:, 0].tolist()
+        owned = {}                      # σ -> the chunks relabelled through it
         for c in range(1, chunks):
-            true = forward[ends[c - 1], firsts[c]]
+            true = forward.item(ends[c - 1], firsts[c])
             if true == heads[c]:
                 self.resolutions["guess"] += 1
                 continue
             if true == dead:
                 raise RuntimeError("viability pruning admitted a dead end")
+            sigma = self._relabelling(heads[c], true)
+            row, relabel = self._rows.get(sigma, (None, None))
+            if relabel is not None:
+                owned.setdefault(sigma, []).append(c)
+                ends[c] = relabel[ends[c]]
+                self.resolutions["relabel"] += 1
+                continue
             spec = cols[:, c]
-            row = self._relabelling(heads[c], true)
             i = 0
             if row is not None:
                 moved = row[spec]
@@ -177,8 +197,13 @@ class _ViabilityWalk:
                     ends[c] = true
                     break
                 true = forward[true, steps[c, i]]
+        # relabelled in a narrow copy with a chunk per row, which replaces the
+        # columns before the int64 path is made: the peak stays that of the path
+        cols = np.ascontiguousarray(cols.T)
+        for sigma, owners in owned.items():
+            cols[owners] = self._rows[sigma][0].astype(cols.dtype).take(cols[owners])
         path = np.empty(len(ids), dtype=np.int64)
-        path[:body].reshape(chunks, width)[...] = cols.T
+        path[:body].reshape(chunks, width)[...] = cols
         for t in range(body, len(ids)):
             path[t] = forward[path[t - 1], ids[t]]
         if len(ids) and path[-1] == dead:   # the sentinel is absorbing

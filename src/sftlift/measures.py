@@ -158,9 +158,8 @@ class MarkovMeasure(StationaryMeasure):
                 if self.stationary[idx[a]] * self.matrix[idx[a]][idx[b]] > 0}
 
     def is_ergodic(self) -> bool:
-        succ = {a: [b for b, p in zip(self.alphabet, row) if p > 0]
-                for a, row in zip(self.alphabet, self.matrix)}
-        return len(_tarjan_scc(self.alphabet, succ)) == 1
+        succ = [[j for j, p in enumerate(row) if p > 0] for row in self.matrix]
+        return len(_tarjan_scc(range(len(succ)), succ)) == 1
 
     def cylinder(self, word) -> Fraction:
         word = _as_word(word)
@@ -379,14 +378,12 @@ def has_two_point_factor(m) -> bool:
         raise TypeError("two-point-factor decision implemented for Markov measures only")
     if not m.is_ergodic():
         raise NotErgodic("measure's support chain is not strongly connected")
-    support = m.support_transitions()
-    nodes = [(a, i) for a in m.alphabet for i in (0, 1)]
-    succ = {v: [] for v in nodes}
-    for a, b in support:
-        succ[(a, 0)].append((b, 1))
-        succ[(a, 1)].append((b, 0))
-    comps = _tarjan_scc(nodes, succ)
-    return len(comps) != 1
+    idx = m._index()
+    succ = [[] for _ in range(2 * len(idx))]        # (a, parity) is vertex 2 * idx[a] + parity
+    for a, b in m.support_transitions():
+        succ[2 * idx[a]].append(2 * idx[b] + 1)
+        succ[2 * idx[a] + 1].append(2 * idx[b])
+    return len(_tarjan_scc(range(len(succ)), succ)) != 1
 
 
 def as_markov(m: BernoulliMeasure) -> MarkovMeasure:

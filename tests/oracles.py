@@ -7,7 +7,9 @@ orbit enumerator of an SFT, the diamond test on the untrimmed graph of
 equal-label pairs and the closing test on it that finds the pairs
 reaching a recurrent pair by full passes, the essential-part trim by
 repeated full passes, the symbol-keyed viability walker (one memo lookup
-per step), the per-length cylinder counter of empirical distributions
+per step) and the speculate-and-verify walker that verifies every
+relabelled chunk on its own, with its table from per-symbol successor
+lists, the per-length cylinder counter of empirical distributions
 with its word-keyed frequencies, distance and merge, the union-find
 single-linkage clustering,
 the phased-graph cycle extraction of ``periodic_fiber`` and of the
@@ -30,14 +32,14 @@ successor and predecessor lists sorted over all transitions at once, the
 their table text, and the fiber product and structure report built on
 tuples and symbols: one comprehension per tuple, label and coordinate,
 and the trim (a queue over a dict per symbol), Tarjan and period search
-keyed by symbol."""
+keyed by vertex in dicts and sets."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations, product
-from math import isqrt, log
+from math import gcd, isqrt, log
 
 import numpy as np
 
@@ -48,11 +50,83 @@ from sftlift.errors import (EmptyAfterTrim, FiberInfinite, InfiniteToOne, InputE
 from sftlift.fibers import (CanonicalLiftDecomposition, LiftEntry, LiftReport,
                             _lift_orbit_alphabet, _unwrap)
 from sftlift.graphs import (LabeledGraph, OneBlockRecoding, PeriodicOrbit, SlidingBlockCode,
-                            StructureReport, _as_word, _component_period, _tarjan_scc, analyze_graph, full_shift, load_graph_or_code,
-                            perron_value, scan)
+                            StructureReport, _as_word, _speculate, analyze_graph, full_shift,
+                            load_graph_or_code, perron_value, scan)
+from sftlift.joinings import _ViabilityWalk
 from sftlift.measures import (BernoulliMeasure, COMeasure, MarkovMeasure, PushforwardMeasure,
                               window_codes)
 
+
+
+def tarjan_scc(order, succ):
+    """Iterative Tarjan keyed by vertex: dicts for the index and low maps
+    and a set for stack membership; components in a deterministic order."""
+    index = {}
+    low = {}
+    on_stack = set()
+    stack = []
+    comps = []
+    counter = [0]
+
+    for root in order:
+        if root in index:
+            continue
+        work = [(root, iter(succ[root]))]
+        index[root] = low[root] = counter[0]
+        counter[0] += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = counter[0]
+                    counter[0] += 1
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(succ[w])))
+                    advanced = True
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.append(w)
+                    if w == v:
+                        break
+                comps.append(comp)
+    return comps
+
+
+def component_period(comp, succ):
+    """gcd of cycle lengths inside one strongly connected component, by a
+    BFS keyed by vertex."""
+    comp_set = set(comp)
+    root = comp[0]
+    level = {root: 0}
+    queue = [root]
+    g = 0
+    while queue:
+        v = queue.pop()
+        for w in succ[v]:
+            if w not in comp_set:
+                continue
+            if w in level:
+                g = gcd(g, level[v] + 1 - level[w])
+            else:
+                level[w] = level[v] + 1
+                queue.append(w)
+    return abs(g) if g else 0
 
 def essential_symbols(symbols, transitions):
     """The symbols on bi-infinite paths, trimmed in full passes over the
@@ -156,7 +230,7 @@ class RightResolvingPresentation:
         """Entropy of the presented sofic shift: max over SCCs of the log
         Perron value of the edge-count adjacency (valid because the
         presentation is right-resolving)."""
-        comps = _tarjan_scc(self.states, self._successors)
+        comps = tarjan_scc(self.states, self._successors)
         best = None
         for comp in comps:
             comp_set = set(comp)
@@ -318,7 +392,7 @@ def closing_failure(g, forward: bool) -> bool:
     if not off:
         return False
     sub_succ = {p: [q for q in succ[p] if q in seen] for p in seen}
-    comps = _tarjan_scc(sorted(seen, key=lambda p: (g.index[p[0]], g.index[p[1]])), sub_succ)
+    comps = tarjan_scc(sorted(seen, key=lambda p: (g.index[p[0]], g.index[p[1]])), sub_succ)
     recurrent = set()
     for comp in comps:
         if len(comp) > 1 or comp[0] in sub_succ[comp[0]]:
@@ -448,6 +522,90 @@ class ViabilityWalk:
             current = nxt
         return path
 
+
+
+class ChunkVerifiedWalk(_ViabilityWalk):
+    """The speculate-and-verify walker that checks every relabelled chunk
+    on its own: its forward table is built from per-symbol successor lists,
+    each coordinate permutation's row is cached by σ, and a chunk that
+    starts at a permutation of its guess is relabelled, then verified step
+    by step with four numpy calls before it is kept."""
+
+    def __init__(self, graph: LabeledGraph):
+        super().__init__(graph)
+        index = graph.index
+        n = self.dead = len(graph.x_symbols)
+        subsets = self.automaton.subsets
+        succ = [[index[t] for t in graph.successors[s]] for s in graph.x_symbols]
+        self.forward = np.full((n + 2, len(subsets)), n, dtype=np.int64)
+        for v, subset in enumerate(subsets):
+            viable = {index[s] for s in subset}
+            self.forward[:n, v] = [next((t for t in row if t in viable), n) for row in succ]
+            self.forward[n + 1, v] = index[subset[0]]
+        self._relabellings = {}
+
+    def _relabelling(self, guess, true):
+        symbols = self.graph.x_symbols
+        a, b = symbols[guess], symbols[true]
+        if not (isinstance(a, tuple) and isinstance(b, tuple) and len(a) == len(b)):
+            return None
+        position = {x: i for i, x in enumerate(a)}
+        if len(position) != len(a) or set(b) != position.keys():
+            return None
+        sigma = tuple(position[x] for x in b)
+        row = self._relabellings.get(sigma)
+        if row is None:
+            row = np.full(self.dead + 1, self.dead, dtype=np.int64)
+            for k, s in enumerate(symbols):
+                if isinstance(s, tuple) and len(s) == len(sigma):
+                    row[k] = self.graph.index.get(tuple(s[j] for j in sigma), self.dead)
+            self._relabellings[sigma] = row
+        return row
+
+    def walk(self, ids):
+        ids = np.asarray(ids, dtype=np.int64)
+        forward, dead = self.forward, self.dead
+        cols = _speculate(forward.ravel(), forward.shape[1], ids, dead + 1)
+        width, chunks = cols.shape
+        body = width * chunks
+        steps = ids[:body].reshape(chunks, width)
+        heads, ends, firsts = cols[0].tolist(), cols[-1].tolist(), steps[:, 0].tolist()
+        for c in range(1, chunks):
+            true = forward[ends[c - 1], firsts[c]]
+            if true == heads[c]:
+                self.resolutions["guess"] += 1
+                continue
+            if true == dead:
+                raise RuntimeError("viability pruning admitted a dead end")
+            spec = cols[:, c]
+            row = self._relabelling(heads[c], true)
+            i = 0
+            if row is not None:
+                moved = row[spec]
+                bad = np.flatnonzero(forward[moved[:-1], steps[c, 1:]] != moved[1:])
+                if not len(bad):
+                    spec[...] = moved
+                    ends[c] = moved[-1]
+                    self.resolutions["relabel"] += 1
+                    continue
+                i = bad[0] + 1
+                spec[:i] = moved[:i]
+                true = forward[moved[i - 1], steps[c, i]]
+            self.resolutions["rerun"] += 1
+            while true != spec[i]:
+                spec[i] = true
+                i += 1
+                if i == width:
+                    ends[c] = true
+                    break
+                true = forward[true, steps[c, i]]
+        path = np.empty(len(ids), dtype=np.int64)
+        path[:body].reshape(chunks, width)[...] = cols.T
+        for t in range(body, len(ids)):
+            path[t] = forward[path[t - 1], ids[t]]
+        if len(ids) and path[-1] == dead:   # the sentinel is absorbing
+            raise RuntimeError("viability pruning admitted a dead end")
+        return path
 
 def phased_graph(g, orbit: PeriodicOrbit):
     """Vertices (symbol, phase) following the orbit's label word."""
@@ -1161,10 +1319,10 @@ def tuple_analyze_graph(g: LabeledGraph) -> StructureReport:
         raise EmptyAfterTrim("no bi-infinite path exists")
     trimmed = tuple(s for s in g.x_symbols if s not in alive)
     essential = g.restrict(alive) if trimmed else g
-    comps = _tarjan_scc(essential.x_symbols, essential.successors)
+    comps = tarjan_scc(essential.x_symbols, essential.successors)
     comps = [tuple(sorted(c, key=essential.index.get)) for c in comps]
     comps.sort(key=lambda c: essential.index[c[0]])
-    periods = tuple(_component_period(list(c), essential.successors) for c in comps)
+    periods = tuple(component_period(list(c), essential.successors) for c in comps)
     return StructureReport(
         essential=essential,
         is_essential=not trimmed,

@@ -1,11 +1,13 @@
 import warnings
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 import sftlift as sl
 from sftlift import (AlternatingOffsetMeasure, BernoulliMeasure, LinearCACode,
                      MonteCarloParams, PushforwardMeasure)
+from sftlift.ca import _cylinder_table, _digits, exact_lift_analysis
 from sftlift.errors import DegenerateMeasure, HypothesisNotMet, MismatchReport
 
 
@@ -172,6 +174,21 @@ def test_cross_validate_sum5(sum5):
     assert report.exact.multiplicities() == [1, 2, 2]
     assert report.monte_carlo.multiplicities() == [1, 2, 2]
 
+
+@pytest.mark.parametrize("modulus, family, vector", [
+    (2, "difference", ("7/10", "3/10")),
+    (4, "difference", ("1/8", "3/8", "1/8", "3/8")),
+    (5, "sum", ("3/5", "1/10", "1/10", "1/10", "1/10")),
+    (5, "sum", ("7/10", "1/10", "1/20", "1/10", "1/20")),
+])
+def test_cylinder_table_matches_per_word_cylinders(modulus, family, vector):
+    """The prefix-extended table of each exact lift equals ``cylinder`` on
+    every word of lengths 1..4, in ``product`` order."""
+    digits = _digits(modulus)
+    for entry in exact_lift_analysis(LinearCACode(modulus, family), vector).lifts:
+        expected = [entry.measure.cylinder(w) for length in range(1, 5)
+                    for w in product(digits, repeat=length)]
+        assert _cylinder_table(entry.measure, digits, 4) == expected
 
 def test_cross_validate_reports_mismatches(diff4):
     with pytest.raises(MismatchReport):

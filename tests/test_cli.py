@@ -253,6 +253,19 @@ def test_over_deep_cylinder_count_refused(inputs, capsys):
                    "more than sample_length 1000000\n")
 
 
+@pytest.mark.parametrize("command", ["lift-mc", "ca"])
+def test_oversized_sample_refused_before_it_is_drawn(inputs, capsys, command):
+    if command == "ca":
+        args = ("ca", "--family", "sum", "--modulus", "5", "--vector", "3/5,1/10,1/10,1/10,1/10")
+    else:
+        args = ("lift-mc", inputs["rule102"], "--measure", inputs["push_bernoulli"])
+    start = time.perf_counter()
+    code, out, err = run_refused(capsys, *args, "--length", "100000000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == ("refused: sample_length 100000000000 is more than the cap "
+                   "MAX_SAMPLE_LENGTH = 67108864\n")
+
 def test_oversized_joining_graph_refused_before_it_is_built(capsys, tmp_path):
     # diff9 has degree 9: its joining graph would hold 9 · 9! = 3 265 920 tuples
     path = tmp_path / "diff9.json"

@@ -169,6 +169,14 @@ def test_mc_sample_length_guard(rule102):
         sl.classify_lifts_monte_carlo(rule102, nu, MonteCarloParams(sample_length=8))
 
 
+
+def test_sample_length_cap_checked_when_params_are_made():
+    # only the parameters are made: nothing is sampled
+    assert MonteCarloParams(sl.fibers.MAX_SAMPLE_LENGTH).sample_length == 2**26
+    with pytest.raises(InputError, match="more than the cap MAX_SAMPLE_LENGTH = 67108864"):
+        MonteCarloParams(sl.fibers.MAX_SAMPLE_LENGTH + 1)
+
+
 # ------------------------------------------------------------ full support
 
 def test_full_support_checks(rule102, diff4):

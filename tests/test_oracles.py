@@ -2,7 +2,8 @@
 presentation with its Lyndon-word orbit sweep, the diamond and closing
 tests on the trimmed 2-fold fiber product, the per-row sorted successor
 lists, the speculate-and-verify integer scan, the
-speculate-and-verify viability walk, the one-pass empirical count arrays
+speculate-and-verify viability walk with its once-checked coordinate
+relabellings, Tarjan and the period search on lists, the one-pass empirical count arrays
 with their frequencies, distance, merge and JSON form, the single-linkage
 clusters as connected components, the
 essential trim on index arrays, the one-sweep periodic fibers and the
@@ -34,8 +35,8 @@ from sftlift import codes
 from sftlift.cli import main
 from sftlift.errors import EmptyAfterTrim, FiberInfinite, NoPath, NotInImage, PreconditionError
 from sftlift.fibers import _single_linkage, _unwrap, support_presentation
-from sftlift.graphs import (LabeledGraph, SubsetAutomaton, _essential_symbols, least_rotation,
-                            render_symbol)
+from sftlift.graphs import (LabeledGraph, SubsetAutomaton, _component_periods, _essential_symbols,
+                            _tarjan_scc, least_rotation, render_symbol)
 from sftlift.joinings import _ViabilityWalk
 from sftlift.measures import EmpiricalDistribution, make_rng
 
@@ -251,8 +252,15 @@ def walk_windows(draw):
 
 @given(walk_windows())
 def test_speculative_walk_matches_oracle_on_random_windows(case):
+    # and the walk that verifies every relabelled chunk, count for count: on
+    # these graphs some coordinate permutations fail the check on the table
     g, word = case
-    assert _new_path(g, word) == _old_path(g, word)
+    ids = [g.y_symbols.index(y) for y in word]
+    new, old = _ViabilityWalk(g), oracles.ChunkVerifiedWalk(g)
+    path = new.walk(new.viability_ids(ids))
+    assert [g.x_symbols[k] for k in path] == _old_path(g, word)
+    assert np.array_equal(path, old.walk(old.viability_ids(ids)))
+    assert new.resolutions == old.resolutions
 
 
 def _settled_walker(g, word):
@@ -281,9 +289,71 @@ def test_speculative_walk_settles_chunks_all_three_ways(sum5):
     g = LabeledGraph("abcd", [("a", "d"), ("b", "b"), ("b", "c"), ("c", "a"), ("c", "b"),
                               ("d", "a"), ("d", "b")],
                      {"a": "0", "b": "0", "c": "1", "d": "1"})
+    # (the swap's row fails the check against the whole table, so the chunk
+    # goes through the per-chunk verify)
     swapped = _settled_walker(sl.fiber_product(g, 2, distinct=True), "1010")
     assert swapped._relabellings and swapped.resolutions["rerun"] == 1
     assert not swapped.resolutions["relabel"]
+    assert [relabel for _row, relabel in swapped._rows.values()] == [None]
+
+
+@st.composite
+def fto_joining_windows(draw):
+    """The joining graph of a random finite-to-one code and a label window
+    of 2000 to 4000 letters on it (a random path's labels, or a cycle's
+    wound round), so that a walk has dozens of chunks.  The code is a
+    bipermutive block code of width 2 over 2 or 3 letters, a(σ(x_0) +
+    τ(x_1)) mod k for permutations σ, τ and a of Z_k (degree k), or a skew
+    product of a random base with a Z_2 or Z_3 cocycle on its edges,
+    projected to the base (degree 2 or 3 when irreducible).  Half of them
+    are multiplied by a degree-1 code that is closing on one side only, so
+    that some chunks are re-run."""
+    k = draw(st.sampled_from([2, 3]))
+    if draw(st.booleans()):
+        sigma, tau, out = (draw(st.permutations(range(k))) for _ in range(3))
+        alphabet = tuple("abc"[:k])
+        g = sl.SlidingBlockCode(0, 1, alphabet, {
+            (alphabet[x], alphabet[y]): str(out[(sigma[x] + tau[y]) % k])
+            for x in range(k) for y in range(k)}).recoding.graph
+    else:
+        m = draw(st.integers(2, 6 // k + 1))
+        base = draw(st.permutations(range(m)))
+        edges = set(zip(base, base[1:] + base[:1]))
+        edges.update(draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)),
+                                   max_size=2 * m)))
+        shift = {e: draw(st.integers(0, k - 1)) for e in sorted(edges)}
+        g = LabeledGraph([f"q{q}r{r}" for q in range(m) for r in range(k)],
+                         {(f"q{a}r{r}", f"q{b}r{(r + c) % k}")
+                          for (a, b), c in shift.items() for r in range(k)},
+                         {f"q{q}r{r}": f"q{q}" for q in range(m) for r in range(k)})
+    if draw(st.booleans()):
+        h = LabeledGraph(["s0", "s1", "s2"], *_ONE_SIDED)
+        if draw(st.booleans()):
+            h = LabeledGraph(h.x_symbols, [(b, a) for a, b in h.transitions], h.label)
+        g = LabeledGraph([(a, b) for a in h.x_symbols for b in g.x_symbols],
+                         {((a, b), (c, d)) for a, c in h.transitions for b, d in g.transitions},
+                         {(a, b): (h.label[a], g.label[b]) for a in h.x_symbols
+                          for b in g.x_symbols})
+    assume(sl.analyze_graph(g).is_irreducible)
+    lam = sl.degree_joining_graph(g).graph
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return lam, _path_labels(lam, rng, draw(st.integers(2000, 4000)), draw(st.booleans()))
+
+
+@given(fto_joining_windows())
+def test_speculative_walk_matches_chunk_verified_walk_on_fto_joinings(case):
+    """The walk that settles chunks in ints through once-checked σ rows
+    equals the per-step oracle and the walk that verifies every relabelled
+    chunk, with the same table and the same guesses, relabels and re-runs."""
+    lam, word = case
+    ids = [lam.y_symbols.index(y) for y in word]
+    new, old = _ViabilityWalk(lam), oracles.ChunkVerifiedWalk(lam)
+    path = new.walk(new.viability_ids(ids))
+    assert np.array_equal(new.forward, old.forward)
+    assert np.array_equal(path, old.walk(old.viability_ids(ids)))
+    assert [lam.x_symbols[k] for k in path] == _old_path(lam, word)
+    assert new.resolutions == old.resolutions
+    assert sum(new.resolutions.values()) >= 43        # isqrt(2000) - 1 chunk boundaries
 
 
 def test_speculative_walk_raises_on_a_dead_end():
@@ -1051,6 +1121,26 @@ def _structure_outcome(fn, g):
 def test_structure_report_matches_tuple_oracle(g):
     assert _structure_outcome(sl.analyze_graph, g) == _structure_outcome(
         oracles.tuple_analyze_graph, g)
+
+
+@st.composite
+def int_digraphs(draw):
+    """Successor lists on the vertices 0..n-1 (repeats allowed, in any
+    order) and the roots of a search: some of the vertices, in any order."""
+    n = draw(st.integers(1, 12))
+    succ = [draw(st.lists(st.integers(0, n - 1), max_size=3)) for _ in range(n)]
+    roots = draw(st.permutations(range(n)))
+    return roots[:draw(st.integers(0, n))], succ
+
+
+@given(int_digraphs())
+@example(([0], [[1], [2], [0, 3], [4], [5], [3]]))     # periods 3 and 3, from one root
+@example(([0, 2], [[1], [0, 1], [3], [4], [5], [2], []]))
+def test_list_tarjan_and_periods_match_dict_oracles(case):
+    roots, succ = case
+    comps = _tarjan_scc(roots, succ)
+    assert comps == oracles.tarjan_scc(roots, succ)
+    assert _component_periods(comps, succ) == [oracles.component_period(c, succ) for c in comps]
 
 
 def test_structure_report_matches_tuple_oracle_on_fixed_cases():
