@@ -37,6 +37,8 @@ ENTROPY_MATCH_TOL = 1e-9
 # at most the count, or 2**11 times it with ``distinct`` (m**n / m!/(m-n)!
 # peaks at 9**9/9!), so below 2**31, and N is far below 2**32.
 MAX_PRODUCT_TUPLES = 2**20
+# The most lift points ``_lift_cycles`` sweeps to a period p: Σ_{n<=p} tr(A^n).
+MAX_PERIODIC_POINTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -312,7 +314,17 @@ def _lift_cycles(g: LabeledGraph, max_period: int):
     sweep that extends the preimage paths of each prefix.  Checksum after
     the last: a lift of winding w over an orbit of period q holds q·w
     points, of period dividing n iff q·w does, so for each n <= max_period
-    they sum to tr(A^n) (Lind & Marcus §2.2)."""
+    they sum to tr(A^n) (Lind & Marcus §2.2).  The traces are taken first,
+    and a sweep whose traces sum past MAX_PERIODIC_POINTS is refused."""
+    adjacency = power = g.adjacency_matrix().astype(object)     # Python ints: no wrap-around
+    traces = [power.trace()]
+    while len(traces) < max_period and sum(traces) <= MAX_PERIODIC_POINTS:
+        power = power @ adjacency
+        traces.append(power.trace())
+    if sum(traces) > MAX_PERIODIC_POINTS:
+        raise PreconditionError(f"max_period {max_period}: the periods up to {len(traces)} "
+                                f"already hold {sum(traces)} lift points, more than the cap "
+                                f"MAX_PERIODIC_POINTS = {MAX_PERIODIC_POINTS}")
     table, lengths = g.letter_successors, []
     for w, runs in _lyndon_words(len(g.y_symbols), max_period, {(len(g.x_symbols),) * 2: ()},
                                  lambda runs, a: _extend(table, runs, a)):
@@ -320,14 +332,11 @@ def _lift_cycles(g: LabeledGraph, max_period: int):
         if lifts:
             lengths += (len(ids) for _w, ids in lifts)
             yield w, lifts
-    adjacency = power = g.adjacency_matrix().astype(object)     # Python ints: no wrap-around
-    for n in range(1, max_period + 1):
-        if n > 1:
-            power = power @ adjacency
+    for n, trace in enumerate(traces, 1):
         held = sum(q for q in lengths if n % q == 0)
-        if held != power.trace():
+        if held != trace:
             raise RuntimeError(f"periodic fibers hold {held} points of period dividing {n}, "
-                               f"not tr(A^{n}) = {power.trace()}")
+                               f"not tr(A^{n}) = {trace}")
 
 
 def periodic_fibers(g: LabeledGraph, max_period: int):

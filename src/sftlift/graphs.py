@@ -628,7 +628,7 @@ def _speculate(flat, symbols, inputs, entry):
     return cols
 
 
-def scan(step, inputs, start, out):
+def scan(step, inputs, start, out, relabel=None, counts=None):
     """Run a deterministic automaton over an input array: ``out[t] =
     step[out[t-1], inputs[t]]`` with ``out[-1]`` read as ``start``.
     Returns the last state (``start`` for empty input).
@@ -642,14 +642,23 @@ def scan(step, inputs, start, out):
     The scan speculates and verifies (Mytkowicz, Musuvathi & Schulte,
     "Data-Parallel Finite-State Machines", ASPLOS 2014): ``_speculate`` runs
     every chunk as if it were entered in ``start``.  Then the chunks are
-    settled in order.  A chunk whose true first state is not the speculated
-    one is re-run one step at a time until it meets its speculated run,
-    which is right from there on; once the true run is dead, so is every
-    later chunk.  The input past the last whole chunk runs as a loop.  The
-    cost is O(T) numpy work and O(√T + re-run steps) interpreted steps: with
-    all rows of the table equal no chunk is re-run, and in the worst case, a
-    permutation of the states per symbol, every chunk is re-run whole, a
-    step loop plus O(T).
+    settled in order.  Where a chunk's true first state is not its guess,
+    the speculated one, ``relabel(guess, true)`` may offer a state row σ
+    over the states 0..len(σ)-1, which hold every state a step reaches,
+    with σ[guess] = true (σ keeps the dead state -1).  If σ commutes with
+    their table rows, checked once per σ, the true chunk is the guessed one
+    mapped through σ, by induction on the position; else that is verified
+    up to the first position that is not a step.  From there, or from the
+    true first state when no σ is offered, the chunk is re-run one step at
+    a time until it meets its speculated run, which is right from there
+    on; once the true run is dead, so is every later chunk.  The mapped
+    chunks are written after the loop, and the input past the last whole
+    chunk runs as a loop.  ``counts`` (keys "guess", "relabel", "rerun")
+    adds up how the chunks after the first were settled.  The cost is O(T)
+    numpy work and O(√T + re-run steps) interpreted steps: with all rows of
+    the table equal no chunk is re-run, and in the worst case, a
+    permutation of the states per symbol with no σ offered, every chunk is
+    re-run whole, a step loop plus O(T).
     """
     states, symbols = step.shape
     # state s is held as s + 1, so that the dead state is 0, whose row is all 0
@@ -660,14 +669,37 @@ def scan(step, inputs, start, out):
     body = width * chunks
     blocks = inputs[:body].reshape(chunks, width)
     rows = table.tolist()
-    state = start + 1
-    for c, (head, end, first) in enumerate(zip(cols[0].tolist(), cols[-1].tolist(),
-                                               blocks[:, 0].tolist())):
+    counts = dict.fromkeys(("guess", "relabel", "rerun"), 0) if counts is None else counts
+    heads, ends = cols[0].tolist(), cols[-1].tolist()
+    rowed = {}  # id(σ) -> σ (held, so its id is not reused), σ shifted, its chunks, commutes
+    state = ends[0] if chunks else start + 1
+    for c, first in enumerate(blocks[1:, 0].tolist(), 1):
         true = rows[state][first]
-        if true == head:
-            state = end
+        if true == heads[c]:
+            counts["guess"] += 1
+            state = ends[c]
             continue
-        spec, xs, i = cols[:, c].tolist(), blocks[c].tolist(), 0
+        sigma = relabel(heads[c] - 1, true - 1) if relabel and heads[c] and true else None
+        i = 0
+        if sigma is not None:
+            if id(sigma) not in rowed:
+                moves = np.concatenate(([0], np.asarray(sigma) + 1))
+                rowed[id(sigma)] = (sigma, moves, [],
+                                    np.array_equal(table[moves], moves[table[:len(moves)]]))
+            _sigma, moves, owners, commutes = rowed[id(sigma)]
+            if not commutes:
+                moved = moves[cols[:, c]]
+                bad = np.flatnonzero(table[moved[:-1], blocks[c, 1:]] != moved[1:])
+            if commutes or not len(bad):
+                owners.append(c)
+                counts["relabel"] += 1
+                state = moves.item(ends[c])
+                continue
+            i = bad[0] + 1
+            cols[:i, c] = moved[:i]
+            true = rows[moved[i - 1]][blocks[c, i]]
+        counts["rerun"] += 1
+        spec, xs = cols[:, c].tolist(), blocks[c].tolist()
         while true and true != spec[i]:
             spec[i] = true
             i += 1
@@ -675,12 +707,17 @@ def scan(step, inputs, start, out):
                 break
             true = rows[true][xs[i]]
         cols[:i, c] = spec[:i]
-        state = end if true and i < width else true
+        state = ends[c] if true and i < width else true
         if not true:                    # dead from position i on, and in every later chunk
             cols[i:, c] = 0
             cols[:, c + 1:] = 0
             break
-    np.subtract(cols.T, 1, out=out[:body].reshape(chunks, width), dtype=out.dtype)
+    settled = out[:body].reshape(chunks, width)
+    np.subtract(cols.T, 1, out=settled, dtype=out.dtype)
+    for sigma, _moves, owners, _commutes in rowed.values():
+        sigma = np.append(sigma, -1)    # the dead state stays -1
+        for k in range(0, len(owners), 64):     # no T-sized index array is made
+            settled[owners[k:k + 64]] = sigma.take(settled[owners[k:k + 64]])
     for t in range(body, len(inputs)):
         state = rows[state][inputs[t]]
         out[t] = state - 1
@@ -725,16 +762,6 @@ class RightResolvingPresentation:
         self.states = tuple(states)              # tuples of x-symbols
         self.step = step
         self.alphabet = tuple(alphabet)
-
-    def accepts(self, word) -> bool:
-        column = {a: j for j, a in enumerate(self.alphabet)}
-        rows = self.step.tolist()
-        current = range(len(rows))
-        for a in _as_word(word):
-            if a not in column:
-                return False
-            current = {t for s in current if (t := rows[s][column[a]]) >= 0}
-        return bool(current)
 
     def entropy(self) -> float:
         """Entropy of the presented sofic shift: max over SCCs of the log

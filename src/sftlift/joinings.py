@@ -16,8 +16,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NoPath, ProjectionNotOnto, UnsupportedFiber
-from .graphs import (LabeledGraph, PeriodicOrbit, SubsetAutomaton, _as_word, _speculate,
-                     analyze_graph, scan)
+from .graphs import (LabeledGraph, PeriodicOrbit, SubsetAutomaton, _as_word, analyze_graph,
+                     scan)
 from .codes import compute_degree, fiber_product, periodic_fiber
 
 
@@ -64,10 +64,8 @@ class _ViabilityWalk:
     viability state v, with the sentinel symbol ``dead = len(x_symbols)``
     (whose own row is all ``dead``) where there is none.  Its start row
     ``dead + 1`` holds the least symbol of each viability state, so a walk
-    starts there; it is run as a speculate-and-verify scan (see ``walk``).
-
-    ``resolutions`` counts, over all walks, how the chunks of the scan were
-    settled: by a right guess, a coordinate relabelling or a re-run.
+    starts there.  ``resolutions`` counts, over all walks, how ``scan``
+    settled the chunks: by a right guess, a coordinate relabelling or a re-run.
     """
 
     def __init__(self, graph: LabeledGraph):
@@ -105,110 +103,39 @@ class _ViabilityWalk:
         return ids
 
     def _relabelling(self, guess, true):
-        """The coordinate permutation σ with guess∘σ = true, None when the
-        two symbols are not so related; cached by the pair.  On first use of
-        σ, ``_rows[σ]`` gets the row sending each symbol index s to that of
-        s∘σ (``dead`` where s∘σ is no symbol), and that row again as a list
-        if it commutes with every table step from a symbol or ``dead``."""
+        """For ``scan``: the row sending each symbol index s to that of s∘σ
+        (``dead`` where s∘σ is no symbol, or s is ``dead``) for the coordinate
+        permutation σ with guess∘σ = true, None when there is none or either
+        is ``dead``; cached by the pair, and by σ, so that σ is checked once."""
         key = (guess, true)
-        if key in self._relabellings:
-            return self._relabellings[key]
-        symbols, sigma = self.graph.x_symbols, None
+        if self.dead in key or key in self._relabellings:
+            return self._relabellings.get(key)
+        symbols, row = self.graph.x_symbols, None
         a, b = symbols[guess], symbols[true]
         position = {x: i for i, x in enumerate(a)} if isinstance(a, tuple) else {}
         if (isinstance(b, tuple) and 0 < len(position) == len(a) == len(b)
                 and set(b) == position.keys()):
             sigma = tuple(position[x] for x in b)
-        if sigma is not None and sigma not in self._rows:
-            row = np.full(self.dead + 1, self.dead, dtype=np.int64)
-            for k, s in enumerate(symbols):
-                if isinstance(s, tuple) and len(s) == len(sigma):
-                    row[k] = self.graph.index.get(tuple(s[j] for j in sigma), self.dead)
-            commutes = np.array_equal(self.forward[row], row[self.forward[:-1]])
-            self._rows[sigma] = row, row.tolist() if commutes else None
-        self._relabellings[key] = sigma
-        return sigma
+            if sigma not in self._rows:
+                row = np.full(self.dead + 1, self.dead, dtype=np.int64)
+                for k, s in enumerate(symbols):
+                    if isinstance(s, tuple) and len(s) == len(sigma):
+                        row[k] = self.graph.index.get(tuple(s[j] for j in sigma), self.dead)
+                self._rows[sigma] = row
+            row = self._rows[sigma]
+        self._relabellings[key] = row
+        return row
 
     def walk(self, ids):
         """Forward pass: the lexicographically least viable symbol each step,
-        as an int64 array of symbol indices.
-
-        The walk speculates and verifies, like ``scan``: ``_speculate`` runs
-        every chunk of the window from the start row, so each chunk starts
-        from its position's least viable symbol, which is exact for the
-        first chunk.  Then the chunks are settled in order.  A chunk's true
-        start is the table step from the previous chunk's settled end; where
-        it is not the guess:
-
-        - if it is the guess with its coordinates permuted by some σ whose
-          row commutes with the table, the true chunk is the speculated one
-          relabelled through σ, by induction on the position: its end is
-          mapped now, on Python ints, and the chunk with one ``take`` per σ
-          after the loop;
-        - for any other σ, the chunk is relabelled through σ and kept up to
-          its first position that is not a table step from the one before;
-        - from there (or from the true start when there is no σ) the chunk
-          is re-run one step at a time until it meets the speculated path,
-          which is right from that point on because the walk is
-          deterministic.
-
-        So the result is the step-by-step walk whatever the guesses.
-        """
+        as int64 symbol indices, written over ``ids`` when that is int64.  It
+        is one ``scan`` of ``forward`` from the start row, with the σ rows of
+        ``_relabelling`` offered where a chunk's guess is not its true start."""
         ids = np.asarray(ids, dtype=np.int64)
-        forward, dead = self.forward, self.dead
-        cols = _speculate(forward.ravel(), forward.shape[1], ids, dead + 1)
-        width, chunks = cols.shape
-        body = width * chunks
-        steps = ids[:body].reshape(chunks, width)
-        heads, ends, firsts = cols[0].tolist(), cols[-1].tolist(), steps[:, 0].tolist()
-        owned = {}                      # σ -> the chunks relabelled through it
-        for c in range(1, chunks):
-            true = forward.item(ends[c - 1], firsts[c])
-            if true == heads[c]:
-                self.resolutions["guess"] += 1
-                continue
-            if true == dead:
-                raise RuntimeError("viability pruning admitted a dead end")
-            sigma = self._relabelling(heads[c], true)
-            row, relabel = self._rows.get(sigma, (None, None))
-            if relabel is not None:
-                owned.setdefault(sigma, []).append(c)
-                ends[c] = relabel[ends[c]]
-                self.resolutions["relabel"] += 1
-                continue
-            spec = cols[:, c]
-            i = 0
-            if row is not None:
-                moved = row[spec]
-                bad = np.flatnonzero(forward[moved[:-1], steps[c, 1:]] != moved[1:])
-                if not len(bad):
-                    spec[...] = moved
-                    ends[c] = moved[-1]
-                    self.resolutions["relabel"] += 1
-                    continue
-                i = bad[0] + 1
-                spec[:i] = moved[:i]
-                true = forward[moved[i - 1], steps[c, i]]
-            self.resolutions["rerun"] += 1
-            while true != spec[i]:
-                spec[i] = true
-                i += 1
-                if i == width:
-                    ends[c] = true
-                    break
-                true = forward[true, steps[c, i]]
-        # relabelled in a narrow copy with a chunk per row, which replaces the
-        # columns before the int64 path is made: the peak stays that of the path
-        cols = np.ascontiguousarray(cols.T)
-        for sigma, owners in owned.items():
-            cols[owners] = self._rows[sigma][0].astype(cols.dtype).take(cols[owners])
-        path = np.empty(len(ids), dtype=np.int64)
-        path[:body].reshape(chunks, width)[...] = cols
-        for t in range(body, len(ids)):
-            path[t] = forward[path[t - 1], ids[t]]
-        if len(ids) and path[-1] == dead:   # the sentinel is absorbing
+        if scan(self.forward, ids, self.dead + 1, ids, self._relabelling,
+                self.resolutions) == self.dead:       # the sentinel is absorbing
             raise RuntimeError("viability pruning admitted a dead end")
-        return path
+        return ids
 
 
 def lambda_path_over(joining: DegreeJoiningGraph, y_window):

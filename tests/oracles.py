@@ -9,7 +9,8 @@ reaching a recurrent pair by full passes, the essential-part trim by
 repeated full passes, the symbol-keyed viability walker (one memo lookup
 per step) and the speculate-and-verify walker that verifies every
 relabelled chunk on its own, with its table from per-symbol successor
-lists, the per-length cylinder counter of empirical distributions
+lists, and the walker with its own loop that settles chunks on ints, the
+table-based word reader of the image presentation, the per-length cylinder counter of empirical distributions
 with its word-keyed frequencies, distance and merge, the union-find
 single-linkage clustering,
 the phased-graph cycle extraction of ``periodic_fiber`` and of the
@@ -291,6 +292,19 @@ class RightResolvingPresentation:
                     seen.add(key)
                     frontier.append(key)
         return True
+
+
+def table_accepts(p, word) -> bool:
+    """Whether a table-based ``sftlift.RightResolvingPresentation`` reads
+    the word from some state, following every state's run at once."""
+    column = {a: j for j, a in enumerate(p.alphabet)}
+    rows = p.step.tolist()
+    current = range(len(rows))
+    for a in _as_word(word):
+        if a not in column:
+            return False
+        current = {t for s in current if (t := rows[s][column[a]]) >= 0}
+    return bool(current)
 
 
 def keyed_presentation(p) -> RightResolvingPresentation:
@@ -606,6 +620,98 @@ class ChunkVerifiedWalk(_ViabilityWalk):
         if len(ids) and path[-1] == dead:   # the sentinel is absorbing
             raise RuntimeError("viability pruning admitted a dead end")
         return path
+
+
+class IntSettledWalk(_ViabilityWalk):
+    """The forward walk with its own chunk-settling loop: a chunk whose true
+    start is its guess with the coordinates permuted by a σ that commutes
+    with the whole table (checked once per σ and kept in ``_rows``) is
+    settled by mapping its end on Python ints and relabelled with one
+    ``take`` per σ after the loop; any other σ is relabelled and verified
+    per chunk, and a chunk without σ, or failing the verify, is re-run."""
+
+    def _relabelling(self, guess, true):
+        """The coordinate permutation σ with guess∘σ = true, None when the
+        two symbols are not so related; cached by the pair.  On first use of
+        σ, ``_rows[σ]`` gets the row sending each symbol index s to that of
+        s∘σ (``dead`` where s∘σ is no symbol), and that row again as a list
+        if it commutes with every table step from a symbol or ``dead``."""
+        key = (guess, true)
+        if key in self._relabellings:
+            return self._relabellings[key]
+        symbols, sigma = self.graph.x_symbols, None
+        a, b = symbols[guess], symbols[true]
+        position = {x: i for i, x in enumerate(a)} if isinstance(a, tuple) else {}
+        if (isinstance(b, tuple) and 0 < len(position) == len(a) == len(b)
+                and set(b) == position.keys()):
+            sigma = tuple(position[x] for x in b)
+        if sigma is not None and sigma not in self._rows:
+            row = np.full(self.dead + 1, self.dead, dtype=np.int64)
+            for k, s in enumerate(symbols):
+                if isinstance(s, tuple) and len(s) == len(sigma):
+                    row[k] = self.graph.index.get(tuple(s[j] for j in sigma), self.dead)
+            commutes = np.array_equal(self.forward[row], row[self.forward[:-1]])
+            self._rows[sigma] = row, row.tolist() if commutes else None
+        self._relabellings[key] = sigma
+        return sigma
+
+    def walk(self, ids):
+        ids = np.asarray(ids, dtype=np.int64)
+        forward, dead = self.forward, self.dead
+        cols = _speculate(forward.ravel(), forward.shape[1], ids, dead + 1)
+        width, chunks = cols.shape
+        body = width * chunks
+        steps = ids[:body].reshape(chunks, width)
+        heads, ends, firsts = cols[0].tolist(), cols[-1].tolist(), steps[:, 0].tolist()
+        owned = {}                      # σ -> the chunks relabelled through it
+        for c in range(1, chunks):
+            true = forward.item(ends[c - 1], firsts[c])
+            if true == heads[c]:
+                self.resolutions["guess"] += 1
+                continue
+            if true == dead:
+                raise RuntimeError("viability pruning admitted a dead end")
+            sigma = self._relabelling(heads[c], true)
+            row, relabel = self._rows.get(sigma, (None, None))
+            if relabel is not None:
+                owned.setdefault(sigma, []).append(c)
+                ends[c] = relabel[ends[c]]
+                self.resolutions["relabel"] += 1
+                continue
+            spec = cols[:, c]
+            i = 0
+            if row is not None:
+                moved = row[spec]
+                bad = np.flatnonzero(forward[moved[:-1], steps[c, 1:]] != moved[1:])
+                if not len(bad):
+                    spec[...] = moved
+                    ends[c] = moved[-1]
+                    self.resolutions["relabel"] += 1
+                    continue
+                i = bad[0] + 1
+                spec[:i] = moved[:i]
+                true = forward[moved[i - 1], steps[c, i]]
+            self.resolutions["rerun"] += 1
+            while true != spec[i]:
+                spec[i] = true
+                i += 1
+                if i == width:
+                    ends[c] = true
+                    break
+                true = forward[true, steps[c, i]]
+        # relabelled in a narrow copy with a chunk per row, which replaces the
+        # columns before the int64 path is made: the peak stays that of the path
+        cols = np.ascontiguousarray(cols.T)
+        for sigma, owners in owned.items():
+            cols[owners] = self._rows[sigma][0].astype(cols.dtype).take(cols[owners])
+        path = np.empty(len(ids), dtype=np.int64)
+        path[:body].reshape(chunks, width)[...] = cols
+        for t in range(body, len(ids)):
+            path[t] = forward[path[t - 1], ids[t]]
+        if len(ids) and path[-1] == dead:   # the sentinel is absorbing
+            raise RuntimeError("viability pruning admitted a dead end")
+        return path
+
 
 def phased_graph(g, orbit: PeriodicOrbit):
     """Vertices (symbol, phase) following the orbit's label word."""

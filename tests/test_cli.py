@@ -4,11 +4,14 @@ import json
 import math
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sftlift.cli import _emit, main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -278,6 +281,17 @@ def test_oversized_joining_graph_refused_before_it_is_built(capsys, tmp_path):
     assert code == 2 and out == ""
     assert err == ("refused: the 9-fold fiber product has 3265920 tuples, "
                    "more than the cap MAX_PRODUCT_TUPLES = 1048576\n")
+
+
+def test_oversized_periodic_sweep_refused_before_it_runs(capsys):
+    # sum5 has tr(A^n) = 5**n: the periods up to 9 hold 5 + 25 + ... + 5**9 lift points
+    start = time.perf_counter()
+    code, out, err = run_refused(capsys, "periodic-lifts", str(GOLDEN_DIR / "sum5.json"),
+                                 "--max-period", "30")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == ("refused: max_period 30: the periods up to 9 already hold 2441405 lift "
+                   "points, more than the cap MAX_PERIODIC_POINTS = 1048576\n")
 
 
 @pytest.mark.parametrize("max_period", ["0", "-3"])

@@ -170,7 +170,7 @@ def test_determinize_rule102_image_is_full_shift(rule102):
     assert abs(aut.entropy() - log(2)) <= 1e-10
     for length in range(1, 7):
         for word in __import__("itertools").product("01", repeat=length):
-            assert aut.accepts(word)
+            assert oracles.table_accepts(aut, word)
 
 
 def test_determinize_identity_labeling():
@@ -192,7 +192,7 @@ def test_determinize_language_matches_graph(g):
     aut = sl.determinize(g)
     for length in range(1, 5):
         for word in product(g.y_symbols, repeat=length):
-            assert aut.accepts(word) == label_word_realizable(g, word)
+            assert oracles.table_accepts(aut, word) == label_word_realizable(g, word)
 
 
 def test_determinize_language_exhaustive_length_6(rule102, golden_mean_graph):
@@ -201,7 +201,7 @@ def test_determinize_language_exhaustive_length_6(rule102, golden_mean_graph):
         aut = sl.determinize(g)
         for length in range(1, 7):
             for word in product(g.y_symbols, repeat=length):
-                assert aut.accepts(word) == label_word_realizable(g, word)
+                assert oracles.table_accepts(aut, word) == label_word_realizable(g, word)
 
 
 # -------------------------------------------------------------------- scan
@@ -289,30 +289,59 @@ def _second_chunk_runs(step, inputs):
     return loop_scan(step, inputs[chunk], 0), loop_scan(step, inputs, 0)[chunk]
 
 
-@pytest.mark.parametrize("step, inputs, settles", [
+# swaps states 0 and 1 and keeps state 2: a state row that ``scan`` may relabel by
+_SWAP = np.array([1, 0, 2])
+
+
+def _offer_swap(guess, true):
+    return _SWAP if _SWAP[guess] == true else None
+
+
+@pytest.mark.parametrize("step, inputs, relabel, settles, counts", [
     # chunk 1 is entered in state 1: its speculation dies, its true run lives
-    (_CYCLE_OR_DIE, [1, 1, 1, 0, 0, 1, 0, 0] + [0] * 8,
-     lambda spec, true: spec[-1] == -1 and -1 not in true),
+    (_CYCLE_OR_DIE, [1, 1, 1, 0, 0, 1, 0, 0] + [0] * 8, None,
+     lambda spec, true: spec[-1] == -1 and -1 not in true, (2, 0, 1)),
     # chunk 1 is entered in state 1: its true run dies mid-chunk, its speculation lives
-    (_CYCLE_OR_DIE, [1, 1, 1, 0, 0, 0, 1, 0] + [0] * 8,
-     lambda spec, true: -1 not in spec and true[1] >= 0 and true[2] == -1),
+    (_CYCLE_OR_DIE, [1, 1, 1, 0, 0, 0, 1, 0] + [0] * 8, None,
+     lambda spec, true: -1 not in spec and true[1] >= 0 and true[2] == -1, (0, 0, 1)),
     # a permutation: chunk 1's re-run never meets its speculation, so chunk 2
     # is entered in its true end, not in the speculated one
-    ([[1], [0]], [0] * 9,
-     lambda spec, true: all(a != b for a, b in zip(spec, true)) and spec[-1] != true[-1]),
+    ([[1], [0]], [0] * 9, None,
+     lambda spec, true: all(a != b for a, b in zip(spec, true)) and spec[-1] != true[-1],
+     (1, 0, 1)),
     # symbol 0 resets to 0, a third 1 in a row dies: chunk 1's re-run meets its
     # speculation, and then both die
-    ([[0, 1], [0, 2], [0, -1]], [0, 0, 0, 0, 1, 1, 0, 1, 1, 1] + [0] * 15,
-     lambda spec, true: spec[1] == true[1] and true[-1] == -1),
-], ids=["speculation dies", "true run dies", "re-run never meets", "re-run meets, then dies"])
-def test_scan_settle_paths(step, inputs, settles):
+    ([[0, 1], [0, 2], [0, -1]], [0, 0, 0, 0, 1, 1, 0, 1, 1, 1] + [0] * 15, None,
+     lambda spec, true: spec[1] == true[1] and true[-1] == -1, (0, 0, 2)),
+    # that permutation with the swap offered: it commutes with the table, so
+    # chunks 1 and 3 are their speculations relabelled, and none is re-run
+    ([[1], [0], [2]], [0] * 25, _offer_swap,
+     lambda spec, true: true == _SWAP[spec].tolist(), (2, 2, 0)),
+    # symbol 1 sends 0 to 2 but 1 to 0, so the swap does not commute: chunk 1
+    # relabelled fails its first step and is re-run from there until it meets
+    # its speculation; chunk 2, entered in 2, is offered nothing and re-run
+    ([[1, 2], [0, 0], [2, 2]], [0, 0, 0, 0, 1, 1, 0, 0, 0], _offer_swap,
+     lambda spec, true: _SWAP[spec][0] == true[0] and _SWAP[spec][1] != true[1], (0, 0, 2)),
+    # chunk 1's speculation dies at its head, its true run lives: no σ is asked for
+    ([[2, -1], [1, 1], [2, 2]], [0, 0, 0, 1, 0, 0, 0, 0, 0], _offer_swap,
+     lambda spec, true: spec[0] == -1 and -1 not in true, (1, 0, 1)),
+    # the swap commutes, symbol 2 dies from state 2 only: chunk 1 is
+    # relabelled to end in 2, so chunk 2's true run dies at once, and chunk 3
+    ([[1, 2, 0], [0, 2, 1], [2, 2, -1]], [0, 0, 0, 0, 0, 1, 2, 0, 0, 0, 0, 0], _offer_swap,
+     lambda spec, true: true == _SWAP[spec].tolist() and true[-1] == 2, (0, 1, 1)),
+], ids=["speculation dies", "true run dies", "re-run never meets", "re-run meets, then dies",
+        "commuting relabel", "relabel verified, then re-run", "dead guess",
+        "relabel, then dies"])
+def test_scan_settle_paths(step, inputs, relabel, settles, counts):
     step, inputs = np.array(step), np.array(inputs)
     spec, true = _second_chunk_runs(step, inputs)
-    assert spec[0] != true[0] and settles(spec, true)     # chunk 1 is re-run
+    assert spec[0] != true[0] and settles(spec, true)     # chunk 1 is not guessed
     out = np.empty(len(inputs), dtype=np.int64)
     expected = loop_scan(step, inputs, 0)
-    assert sl.graphs.scan(step, inputs, 0, out) == expected[-1]
+    settled = dict.fromkeys(("guess", "relabel", "rerun"), 0)
+    assert sl.graphs.scan(step, inputs, 0, out, relabel, settled) == expected[-1]
     assert out.tolist() == expected
+    assert tuple(settled.values()) == counts
 
 
 # ---------------------------------------------------- periodic orbit lists

@@ -2,8 +2,8 @@
 presentation with its Lyndon-word orbit sweep, the diamond and closing
 tests on the trimmed 2-fold fiber product, the per-row sorted successor
 lists, the speculate-and-verify integer scan, the
-speculate-and-verify viability walk with its once-checked coordinate
-relabellings, Tarjan and the period search on lists, the one-pass empirical count arrays
+forward walk as one ``scan`` with once-checked coordinate relabellings,
+Tarjan and the period search on lists, the one-pass empirical count arrays
 with their frequencies, distance, merge and JSON form, the single-linkage
 clusters as connected components, the
 essential trim on index arrays, the one-sweep periodic fibers and the
@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import sftlift as sl
 from sftlift import codes
@@ -71,7 +71,7 @@ def test_determinize_matches_oracle(g):
     assert new.entropy() == old.entropy()       # bit for bit
     for length in range(4):
         for word in product(new.alphabet + ("?",), repeat=length):
-            assert new.accepts(word) == old.accepts(word)
+            assert oracles.table_accepts(new, word) == old.accepts(word)
     for max_period in range(1, 7):
         assert new.periodic_orbits(max_period) == old.periodic_orbits(max_period)
 
@@ -250,24 +250,33 @@ def walk_windows(draw):
     return g, _path_labels(g, rng, draw(st.integers(1, 400)), draw(st.booleans()))
 
 
+def _settled_walker(g, word):
+    """A walker after one walk over the window, checked against the per-step
+    oracle's path and, path and ``resolutions``, against the two walks with
+    their own chunk-settling loops, built on the same table."""
+    ids = [g.y_symbols.index(y) for y in word]
+    walker = _ViabilityWalk(g)
+    path = walker.walk(walker.viability_ids(ids))
+    assert [g.x_symbols[k] for k in path] == _old_path(g, word)
+    for old in (oracles.IntSettledWalk(g), oracles.ChunkVerifiedWalk(g)):
+        assert np.array_equal(walker.forward, old.forward)
+        assert np.array_equal(path, old.walk(old.viability_ids(ids)))
+        assert walker.resolutions == old.resolutions
+    return walker
+
+
 @given(walk_windows())
 def test_speculative_walk_matches_oracle_on_random_windows(case):
-    # and the walk that verifies every relabelled chunk, count for count: on
-    # these graphs some coordinate permutations fail the check on the table
-    g, word = case
-    ids = [g.y_symbols.index(y) for y in word]
-    new, old = _ViabilityWalk(g), oracles.ChunkVerifiedWalk(g)
-    path = new.walk(new.viability_ids(ids))
-    assert [g.x_symbols[k] for k in path] == _old_path(g, word)
-    assert np.array_equal(path, old.walk(old.viability_ids(ids)))
-    assert new.resolutions == old.resolutions
+    # count for count: on these graphs some coordinate permutations fail the
+    # check on the table, and their chunks are verified one by one
+    _settled_walker(*case)
 
 
-def _settled_walker(g, word):
-    walker = _ViabilityWalk(g)
-    path = walker.walk(walker.viability_ids([g.y_symbols.index(y) for y in word]))
-    assert [g.x_symbols[k] for k in path] == _old_path(g, word)
-    return walker
+@pytest.mark.slow
+@settings(max_examples=300)
+@given(walk_windows())
+def test_speculative_walk_matches_oracle_on_300_random_windows(case):
+    _settled_walker(*case)
 
 
 def test_speculative_walk_settles_chunks_all_three_ways(sum5):
@@ -292,9 +301,9 @@ def test_speculative_walk_settles_chunks_all_three_ways(sum5):
     # (the swap's row fails the check against the whole table, so the chunk
     # goes through the per-chunk verify)
     swapped = _settled_walker(sl.fiber_product(g, 2, distinct=True), "1010")
-    assert swapped._relabellings and swapped.resolutions["rerun"] == 1
-    assert not swapped.resolutions["relabel"]
-    assert [relabel for _row, relabel in swapped._rows.values()] == [None]
+    forward, rows = swapped.forward, [r for r in swapped._relabellings.values() if r is not None]
+    assert rows and not any(np.array_equal(forward[r], r[forward[:len(r)]]) for r in rows)
+    assert swapped.resolutions == {"guess": 0, "relabel": 0, "rerun": 1}
 
 
 @st.composite
@@ -342,25 +351,25 @@ def fto_joining_windows(draw):
 
 @given(fto_joining_windows())
 def test_speculative_walk_matches_chunk_verified_walk_on_fto_joinings(case):
-    """The walk that settles chunks in ints through once-checked σ rows
-    equals the per-step oracle and the walk that verifies every relabelled
-    chunk, with the same table and the same guesses, relabels and re-runs."""
-    lam, word = case
-    ids = [lam.y_symbols.index(y) for y in word]
-    new, old = _ViabilityWalk(lam), oracles.ChunkVerifiedWalk(lam)
-    path = new.walk(new.viability_ids(ids))
-    assert np.array_equal(new.forward, old.forward)
-    assert np.array_equal(path, old.walk(old.viability_ids(ids)))
-    assert [lam.x_symbols[k] for k in path] == _old_path(lam, word)
-    assert new.resolutions == old.resolutions
-    assert sum(new.resolutions.values()) >= 43        # isqrt(2000) - 1 chunk boundaries
+    """The walk as one ``scan`` with once-checked σ rows equals the per-step
+    oracle and the walks with their own chunk-settling loops, with the same
+    table and the same guesses, relabels and re-runs."""
+    resolutions = _settled_walker(*case).resolutions
+    assert sum(resolutions.values()) >= 43        # isqrt(2000) - 1 chunk boundaries
+
+
+@pytest.mark.slow
+@settings(max_examples=300)
+@given(fto_joining_windows())
+def test_speculative_walk_matches_chunk_verified_walk_on_300_fto_joinings(case):
+    _settled_walker(*case)
 
 
 def test_speculative_walk_raises_on_a_dead_end():
     g = LabeledGraph("ab", [("a", "b"), ("b", "a")], {"a": "x", "b": "y"})
     walker = _ViabilityWalk(g)
     good = walker.viability_ids([0, 1] * 25)
-    assert walker.walk(good).tolist() == [0, 1] * 25
+    assert walker.walk(good.copy()).tolist() == [0, 1] * 25     # walk writes over its argument
     for t in range(1, len(good)):
         ids = good.copy()
         ids[t] = ids[t - 1]                 # a cannot follow a, nor b follow b
