@@ -28,11 +28,11 @@ import numpy as np
 
 from .errors import FiberInfinite, InfiniteToOne, NotInImage, NotIrreducible, PreconditionError
 from .graphs import (LabeledGraph, PeriodicOrbit, SubsetAutomaton,
-                     _as_word, _essential_mask, _essential_symbols, _lyndon_words, analyze_graph,
+                     _as_word, _essential_mask, _lyndon_words, _successor_lists, analyze_graph,
                      determinize, entropy, least_rotation)
 
 ENTROPY_MATCH_TOL = 1e-9
-# The most tuples ``fiber_product`` builds.  It keeps the packed keys, below
+# The most tuples ``_product_ids`` builds.  It keeps the packed keys, below
 # N * m**n for N symbols and a largest label class m, inside int64: m**n is
 # at most the count, or 2**11 times it with ``distinct`` (m**n / m!/(m-n)!
 # peaks at 9**9/9!), so below 2**31, and N is far below 2**32.
@@ -84,29 +84,15 @@ def _require_irreducible(g: LabeledGraph) -> LabeledGraph:
     return report.essential
 
 
-def _closure(seeds, neighbors):
-    """Everything reachable from ``seeds`` along ``neighbors``, seeds included."""
-    seen = set(seeds)
-    frontier = list(seen)
-    while frontier:
-        v = frontier.pop()
-        for w in neighbors[v]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return seen
-
-
-def fiber_product(g: LabeledGraph, n: int, distinct: bool = False) -> LabeledGraph:
-    """The 1-step SFT of equal-label n-tuples (pairwise-distinct entries
-    when ``distinct``), trimmed to its essential part (Lind & Marcus §9.1).
+def _product_ids(g: LabeledGraph, n: int, distinct: bool = False):
+    """The trimmed n-fold fiber product of ``fiber_product`` as int arrays:
+    ``ids``, whose row k holds the symbol indices of tuple k, rows in
+    lexicographic order, and the transitions ``src``, ``dst`` between rows.
 
     Its size, Σ_y |C_y|^n over the label classes (falling factorials when
-    ``distinct``), is checked against MAX_PRODUCT_TUPLES first.  It is built
-    on int arrays of symbol indices, in index order: tuples and successors
-    are expanded coordinate by coordinate with ``np.repeat``, successors
-    are found by ``searchsorted`` on a packed mixed-radix key, and symbols
-    are made once, for the tuples that survive the trim."""
+    ``distinct``), is checked against MAX_PRODUCT_TUPLES first.  Tuples and
+    successors are expanded coordinate by coordinate with ``np.repeat``, and
+    successors are found by ``searchsorted`` on a packed mixed-radix key."""
     if n < 1:
         raise ValueError("arity must be >= 1")
     sizes = [len(c) for c in g.label_classes.values()]
@@ -151,8 +137,15 @@ def fiber_product(g: LabeledGraph, n: int, distinct: bool = False) -> LabeledGra
     if not alive.any():
         raise NotInImage("fiber product is empty after trimming")
     live, new = alive[src] & alive[dst], np.cumsum(alive) - 1
-    src, dst = new[src[live]], new[dst[live]]
-    symbols = [tuple(map(g.x_symbols.__getitem__, u)) for u in ids[alive].tolist()]
+    return ids[alive], new[src[live]], new[dst[live]]
+
+
+def fiber_product(g: LabeledGraph, n: int, distinct: bool = False) -> LabeledGraph:
+    """The 1-step SFT of equal-label n-tuples (pairwise-distinct entries
+    when ``distinct``), trimmed to its essential part (Lind & Marcus §9.1):
+    ``_product_ids`` with symbols made once, for the tuples it keeps."""
+    ids, src, dst = _product_ids(g, n, distinct)
+    symbols = [tuple(map(g.x_symbols.__getitem__, u)) for u in ids.tolist()]
     pairs = [(symbols[a], symbols[b]) for a, b in zip(src.tolist(), dst.tolist())]
     return LabeledGraph(symbols, pairs, {u: g.label[u[0]] for u in symbols}, g.y_symbols,
                         edges=(src, dst))
@@ -169,11 +162,18 @@ def _diagonal_reach(g: LabeledGraph):
     bi-infinite pair path, so the trim keeps every pair on it; every pair
     it keeps runs on forever, and a dead-end pair is on neither kind of
     path.  The diagonal comes from the essential graph, so each of its
-    pairs survives the trim."""
+    pairs survives the trim.  Pairs are the rows of ``_product_ids``."""
     g = _require_irreducible(g)
-    pairs = fiber_product(g, 2)
-    diag = {(a, a) for a in g.x_symbols}
-    return _closure(diag, pairs.successors) - diag, _closure(diag, pairs.predecessors) - diag
+    ids, src, dst = _product_ids(g, 2)
+    diag = np.flatnonzero(ids[:, 0] == ids[:, 1]).tolist()
+    reach = []
+    for succ in (_successor_lists(len(ids), src, dst), _successor_lists(len(ids), dst, src)):
+        seen, frontier = set(diag), diag
+        while frontier:
+            frontier = list({w for v in frontier for w in succ[v]}.difference(seen))
+            seen.update(frontier)
+        reach.append(seen.difference(diag))
+    return reach
 
 
 def is_finite_to_one(g: LabeledGraph) -> bool:
@@ -236,17 +236,20 @@ def preimage_words(code, w):
         return _preimage_paths(code, w) if w else {()}
     g = code.recoding.graph
     if not w:
-        return {u[:-1] for u in _essential_symbols(g.x_symbols, g.transitions)}
+        alive = _essential_mask(len(g.x_symbols), *g.edges).tolist()
+        return {u[:-1] for u, a in zip(g.x_symbols, alive) if a}
     return {p[0] + tuple(u[-1] for u in p[1:]) for p in _preimage_paths(g, w)}
 
 
 def _preimage_paths(g: LabeledGraph, w):
-    alive = _essential_symbols(g.x_symbols, g.transitions)
-    paths = [(s,) for s in g.x_symbols if s in alive and g.label[s] == w[0]]
-    for letter in w[1:]:
-        paths = [p + (s,) for p in paths for s in g.successors[p[-1]]
-                 if s in alive and g.label[s] == letter]
-    return set(paths)
+    """The essential paths of g carrying the label word w, read from the
+    start row of ``letter_successors`` on."""
+    if not set(w) <= g.label_classes.keys():
+        return set()
+    alive, paths = _essential_mask(len(g.x_symbols), *g.edges).tolist(), [(len(g.x_symbols),)]
+    for j in map(g.y_symbols.index, w):
+        paths = [p + (s,) for p in paths for s in g.letter_successors[p[-1]][j] if alive[s]]
+    return {tuple(map(g.x_symbols.__getitem__, p[1:])) for p in paths}
 
 
 def _extend(table, runs, a):
@@ -272,8 +275,8 @@ def _close(table, first, runs, period):
     edges = [(s, t, path) for (s, e), path in runs.items() for t in table[e][first]]
     succ = {s: (t, path) for s, t, path in edges}
     if len(succ) < len(edges) or succ.keys() != {t for t, _p in succ.values()}:
-        alive = _essential_symbols(succ, [(s, t) for s, t, _p in edges])
-        edges = [(s, t, path) for s, t, path in edges if s in alive and t in alive]
+        alive = _essential_mask(len(table), *np.array([(s, t) for s, t, _p in edges]).T).tolist()
+        edges = [(s, t, path) for s, t, path in edges if alive[s] and alive[t]]
         succ = {s: (t, path) for s, t, path in edges}
     if len(succ) < len(edges) or any(path is None for _t, path in succ.values()):
         raise FiberInfinite("recurrent phased graph branches; fiber is infinite")

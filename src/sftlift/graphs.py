@@ -61,6 +61,8 @@ class LabeledGraph:
         if y_symbols is None:
             y_symbols = dict.fromkeys(self.label[s] for s in self.x_symbols)
         self.y_symbols = tuple(y_symbols)
+        if len(set(self.y_symbols)) != len(self.y_symbols):
+            raise InputError("y_symbols: duplicate symbols")
         if set(self.label[s] for s in self.x_symbols) - set(self.y_symbols):
             raise InputError("label: value outside y_symbols")
         if edges is not None:
@@ -75,22 +77,6 @@ class LabeledGraph:
         """The transitions as (source, target) index arrays, in index order."""
         pairs = sorted((self.index[a], self.index[b]) for a, b in self.transitions)
         return tuple(np.array(pairs, dtype=np.int64).reshape(-1, 2).T)
-
-    @cached_property
-    def successors(self):
-        """Map symbol -> its successors, in symbol order."""
-        succ, xs = {s: [] for s in self.x_symbols}, self.x_symbols
-        for a, b in zip(*(e.tolist() for e in self.edges)):
-            succ[xs[a]].append(xs[b])
-        return succ
-
-    @cached_property
-    def predecessors(self):
-        """Map symbol -> its predecessors, in symbol order."""
-        pred, xs = {s: [] for s in self.x_symbols}, self.x_symbols
-        for a, b in zip(*(e.tolist() for e in self.edges)):
-            pred[xs[b]].append(xs[a])
-        return pred
 
     @cached_property
     def names(self):
@@ -113,11 +99,12 @@ class LabeledGraph:
         """``[i][j]`` lists the successors of symbol i labeled ``y_symbols[j]``
         by index, in index order; row ``len(x_symbols)`` lists each label
         class, as the successors of a start vertex preceding every symbol."""
-        rows = [self.successors[s] for s in self.x_symbols] + [self.x_symbols]
-        table = [[[] for _ in self.y_symbols] for _ in rows]
-        for row, succ in zip(table, rows):
-            for t in succ:
-                row[self.y_symbols.index(self.label[t])].append(self.index[t])
+        column = {y: j for j, y in enumerate(self.y_symbols)}
+        labels = [column[self.label[s]] for s in self.x_symbols]
+        n, (src, dst) = len(labels), (e.tolist() for e in self.edges)
+        table = [[[] for _ in self.y_symbols] for _ in range(n + 1)]
+        for a, b in zip(src + [n] * n, dst + list(range(n))):
+            table[a][labels[b]].append(b)
         return table
 
     @cached_property
@@ -273,14 +260,13 @@ class StructureReport:
     periods: tuple             # per component, gcd of its cycle lengths
 
 
-def _essential_symbols(symbols, transitions):
-    """The symbols on bi-infinite paths, by ``_essential_mask``; transitions
-    count where both ends are symbols, and are read once."""
-    index = {s: i for i, s in enumerate(symbols)}
-    pairs = [(index[a], index[b]) for a, b in transitions if a in index and b in index]
-    pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    alive = _essential_mask(len(index), pairs[:, 0], pairs[:, 1]).tolist()
-    return {s for s, a in zip(index, alive) if a}
+def _successor_lists(n, src, dst):
+    """``succ[v]`` lists the targets of the edges src[k] -> dst[k] leaving vertex
+    v of 0..n-1, in edge order: compressed rows of one stable sort by source."""
+    order = np.argsort(src, kind="stable")
+    bounds = np.searchsorted(src[order], np.arange(n + 1)).tolist()
+    targets = dst[order].tolist()
+    return [targets[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _essential_mask(n, src, dst):
@@ -294,15 +280,13 @@ def _essential_mask(n, src, dst):
     if not queue:
         return alive
     # a removed vertex lowers the in-degrees of its targets, the out-degrees of its sources
-    sides = [(np.split(dst[np.argsort(src, kind="stable")], np.cumsum(out_deg)[:-1]),
-              in_deg.tolist()),
-             (np.split(src[np.argsort(dst, kind="stable")], np.cumsum(in_deg)[:-1]),
-              out_deg.tolist())]
+    sides = [(_successor_lists(n, src, dst), in_deg.tolist()),
+             (_successor_lists(n, dst, src), out_deg.tolist())]
     alive = alive.tolist()
     while queue:
         s = queue.pop()
         for ends, degree in sides:
-            for t in ends[s].tolist():
+            for t in ends[s]:
                 degree[t] -= 1
                 if not degree[t] and alive[t]:
                     alive[t] = False
@@ -385,9 +369,7 @@ def analyze_graph(g: LabeledGraph) -> StructureReport:
     trimmed = tuple(s for s, a in zip(xs, alive.tolist()) if not a)
     essential = g.restrict(set(xs).difference(trimmed)) if trimmed else g
     live = alive[src] & alive[dst]
-    bounds = np.searchsorted(src[live], np.arange(len(xs) + 1)).tolist()
-    targets = dst[live].tolist()
-    succ = [targets[a:b] for a, b in zip(bounds, bounds[1:])]
+    succ = _successor_lists(len(xs), src[live], dst[live])
     comps = sorted(sorted(c) for c in _tarjan_scc(np.flatnonzero(alive).tolist(), succ))
     return StructureReport(
         essential=essential,
@@ -571,8 +553,8 @@ class SubsetAutomaton:
 
     def __init__(self, graph: LabeledGraph, backward=False):
         idx = graph.index
-        nbrs = graph.predecessors if backward else graph.successors
-        reach = [sum(1 << idx[t] for t in nbrs[s]) for s in graph.x_symbols]
+        src, dst = graph.edges[::-1] if backward else graph.edges
+        reach = [sum(1 << t for t in succ) for succ in _successor_lists(len(idx), src, dst)]
         classes = [sum(1 << idx[s] for s in graph.label_classes[y]) for y in graph.y_symbols]
         ids = {}
         masks = []
@@ -833,12 +815,11 @@ def determinize(g: LabeledGraph) -> RightResolvingPresentation:
     the order of their subsets."""
     ess = analyze_graph(g).essential
     aut = ess.forward_automaton
-    rows = aut.step.tolist()
-    alive = _essential_symbols(range(len(rows)), [(k, t) for k, row in enumerate(rows)
-                                                  for t in row if t >= 0])
+    src, letter = np.nonzero(aut.step >= 0)
+    alive = _essential_mask(len(aut.step), src, aut.step[src, letter])
     order = ess.index
-    keep = sorted(alive, key=lambda k: tuple(order[s] for s in aut.subsets[k]))
-    renumber = np.full(len(rows) + 1, -1, dtype=np.int64)   # entry -1 stays -1
+    keep = sorted(np.flatnonzero(alive).tolist(), key=lambda k: [order[s] for s in aut.subsets[k]])
+    renumber = np.full(len(aut.step) + 1, -1, dtype=np.int64)   # entry -1 stays -1
     renumber[keep] = np.arange(len(keep))
     return RightResolvingPresentation([aut.subsets[k] for k in keep],
                                       renumber[aut.step[keep]], ess.y_symbols)

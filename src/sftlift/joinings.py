@@ -2,10 +2,10 @@
 
 For a finite-to-one 1-block code of degree d, the d-tuples of preimages
 that never share a symbol at the same time form a 1-step SFT (here: the
-joining graph).  It projects onto the whole domain in every coordinate and
-onto the whole image under its common label, and its ergodic measures over
-a given image measure are exactly the degree joinings, whose margins list
-the ergodic lifts with multiplicity.
+joining graph).  It projects onto the essential part of the domain in
+every coordinate and onto the whole image under its common label, and its
+ergodic measures over a given image measure are exactly the degree
+joinings, whose margins list the ergodic lifts with multiplicity.
 """
 
 from __future__ import annotations
@@ -40,16 +40,17 @@ class DegreeJoiningGraph:
 def degree_joining_graph(g: LabeledGraph, degree: int | None = None) -> DegreeJoiningGraph:
     """Materialize the SFT of d-tuples of distinct mutually separated
     preimages and verify that every coordinate projection still covers the
-    whole domain and every image letter is still realized."""
+    essential part of g, which it is built from, and every label there."""
     if degree is None:
         degree = compute_degree(g).degree
+    ess = analyze_graph(g).essential
     lam = fiber_product(g, degree, distinct=True)
     for i in range(degree):
         covered = {t[i] for t in lam.x_symbols}
-        if covered != set(g.x_symbols):
+        if covered != set(ess.x_symbols):
             raise ProjectionNotOnto(
-                f"coordinate {i} misses symbols {sorted(map(str, set(g.x_symbols) - covered))}")
-    if {lam.label[t] for t in lam.x_symbols} != set(g.y_symbols):
+                f"coordinate {i} misses symbols {sorted(map(str, set(ess.x_symbols) - covered))}")
+    if {lam.label[t] for t in lam.x_symbols} != {ess.label[s] for s in ess.x_symbols}:
         raise ProjectionNotOnto("joining graph misses part of the image alphabet")
     return DegreeJoiningGraph(degree, lam)
 

@@ -119,6 +119,8 @@ class MarkovMeasure(StationaryMeasure):
     def __init__(self, states, transition_probabilities, stationary=None):
         self.alphabet = tuple(states)
         idx = self._index()
+        if len(idx) != len(self.alphabet):
+            raise InputError("states: duplicate states")
         n = len(self.alphabet)
         matrix = [[Fraction(0)] * n for _ in range(n)]
         rows = transition_probabilities
@@ -219,6 +221,8 @@ class BernoulliMeasure(StationaryMeasure):
 
     def __init__(self, alphabet, probabilities):
         self.alphabet = tuple(alphabet)
+        if len(self._index()) != len(self.alphabet):
+            raise InputError("alphabet: duplicate letters")
         self.probabilities = tuple(parse_fraction(p) for p in probabilities)
         if len(self.probabilities) != len(self.alphabet):
             raise InputError(f"probabilities: one probability per symbol required, got "

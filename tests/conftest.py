@@ -144,14 +144,15 @@ def sweep_fixtures(rule102, sum5, random_fto_fixtures):
 
 def label_word_realizable(g: LabeledGraph, word) -> bool:
     """Direct DFS: does some essential path of g carry this label word?"""
-    from oracles import essential_symbols
+    from oracles import essential_symbols, sorted_successors
     alive = essential_symbols(g.x_symbols, g.transitions)
     word = tuple(word)
     if not word:
         return True
+    succ = sorted_successors(g)
     frontier = [s for s in alive if g.label[s] == word[0]]
     for letter in word[1:]:
-        frontier = [t for s in frontier for t in g.successors[s]
+        frontier = [t for s in frontier for t in succ[s]
                     if t in alive and g.label[t] == letter]
         if not frontier:
             return False
@@ -163,9 +164,11 @@ def direct_preimage_paths(g: LabeledGraph, word):
     word = tuple(word)
     if not word:
         return [()]
+    from oracles import sorted_successors
+    succ = sorted_successors(g)
     paths = [(s,) for s in g.x_symbols if g.label[s] == word[0]]
     for letter in word[1:]:
-        paths = [p + (t,) for p in paths for t in g.successors[p[-1]]
+        paths = [p + (t,) for p in paths for t in succ[p[-1]]
                  if g.label[t] == letter]
     return paths
 

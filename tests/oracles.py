@@ -154,12 +154,13 @@ def forward_states(g):
         if cls and cls not in states:
             states[cls] = (y,)
             frontier.append(cls)
+    succ = sorted_successors(g)
     while frontier:
         state = frontier.pop(0)
         word = states[state]
         reach = set()
         for s in state:
-            reach.update(g.successors[s])
+            reach.update(succ[s])
         for y in g.y_symbols:
             nxt = frozenset(s for s in reach if g.label[s] == y)
             if nxt and nxt not in states:
@@ -177,12 +178,13 @@ def backward_states(g):
         if cls and cls not in states:
             states[cls] = (y,)
             frontier.append(cls)
+    pred = sorted_predecessors(g)
     while frontier:
         state = frontier.pop(0)
         word = states[state]
         reach = set()
         for s in state:
-            reach.update(g.predecessors[s])
+            reach.update(pred[s])
         for y in g.y_symbols:
             nxt = frozenset(s for s in reach if g.label[s] == y)
             if nxt and nxt not in states:
@@ -321,7 +323,7 @@ def enumerate_periodic_orbits(g: LabeledGraph, max_period: int):
     search from every symbol."""
     if max_period < 1:
         raise InputError("max_period must be >= 1")
-    order = g.index
+    order, succ = g.index, sorted_successors(g)
     orbits = set()
     for start in g.x_symbols:
         stack = [(start, (start,))]
@@ -331,7 +333,7 @@ def enumerate_periodic_orbits(g: LabeledGraph, max_period: int):
                 orbits.add(PeriodicOrbit.from_word(word, order))
             if len(word) >= max_period:
                 continue
-            for nxt in reversed(g.successors[current]):
+            for nxt in reversed(succ[current]):
                 stack.append((nxt, word + (nxt,)))
     return sorted(orbits, key=lambda o: (o.period, tuple(order[s] for s in o.primitive_word)))
 
@@ -341,11 +343,10 @@ def _pair_symbols(g):
 
 
 def _pair_successors(g, pairs):
-    pair_set = set(pairs)
+    pair_set, nbrs = set(pairs), sorted_successors(g)
     succ = {}
     for a, b in pairs:
-        succ[(a, b)] = [(c, d) for c in g.successors[a] for d in g.successors[b]
-                        if (c, d) in pair_set]
+        succ[(a, b)] = [(c, d) for c in nbrs[a] for d in nbrs[b] if (c, d) in pair_set]
     return succ
 
 
@@ -432,14 +433,14 @@ def determinize(g: LabeledGraph) -> RightResolvingPresentation:
         cls = tuple(sorted(ess.label_classes[y], key=order.get))
         if cls:
             initial[y] = cls
-    step = {}
+    step, succ = {}, sorted_successors(ess)
     seen = set(initial.values())
     frontier = list(initial.values())
     while frontier:
         state = frontier.pop()
         reach = set()
         for s in state:
-            reach.update(ess.successors[s])
+            reach.update(succ[s])
         for y in ess.y_symbols:
             nxt = tuple(sorted((s for s in reach if ess.label[s] == y), key=order.get))
             if nxt:
@@ -474,11 +475,11 @@ class ViabilityWalk:
         self.order = order
         self.classes = {y: tuple(sorted(graph.label_classes[y], key=order.get))
                         for y in graph.y_symbols}
-        self.succ_by_label = {}
+        self.succ_by_label, self.succ = {}, sorted_successors(graph)
         for s in graph.x_symbols:
             for y in graph.y_symbols:
                 self.succ_by_label[(s, y)] = tuple(
-                    t for t in graph.successors[s] if graph.label[t] == y)
+                    t for t in self.succ[s] if graph.label[t] == y)
         self._sets = {}
         self._set_list = []
         self._bstep_memo = {}
@@ -506,7 +507,7 @@ class ViabilityWalk:
             if vid is None:
                 nxt = self._set_list[ids[t + 1]]
                 viable = frozenset(s for s in self.classes.get(y_word[t], ())
-                                   if any(u in nxt for u in self.graph.successors[s]))
+                                   if any(u in nxt for u in self.succ[s]))
                 if not viable:
                     raise NoPath("window is not a label word of the image shift")
                 vid = self._intern(viable)
@@ -550,7 +551,8 @@ class ChunkVerifiedWalk(_ViabilityWalk):
         index = graph.index
         n = self.dead = len(graph.x_symbols)
         subsets = self.automaton.subsets
-        succ = [[index[t] for t in graph.successors[s]] for s in graph.x_symbols]
+        nbrs = sorted_successors(graph)
+        succ = [[index[t] for t in nbrs[s]] for s in graph.x_symbols]
         self.forward = np.full((n + 2, len(subsets)), n, dtype=np.int64)
         for v, subset in enumerate(subsets):
             viable = {index[s] for s in subset}
@@ -718,11 +720,11 @@ def phased_graph(g, orbit: PeriodicOrbit):
     w = orbit.primitive_word
     p = orbit.period
     vertices = [(s, t) for t in range(p) for s in g.x_symbols if g.label[s] == w[t]]
-    vset = set(vertices)
+    vset, nbrs = set(vertices), sorted_successors(g)
     succ = {v: [] for v in vertices}
     for s, t in vertices:
         nt = (t + 1) % p
-        for s2 in g.successors[s]:
+        for s2 in nbrs[s]:
             if (s2, nt) in vset:
                 succ[(s, t)].append((s2, nt))
     return vertices, succ
@@ -788,11 +790,11 @@ def periodic_joining_orbits(lam: LabeledGraph, y: PeriodicOrbit):
     w = y.primitive_word
     p = y.period
     vertices = [(s, t) for t in range(p) for s in lam.x_symbols if lam.label[s] == w[t]]
-    vset = set(vertices)
+    vset, nbrs = set(vertices), sorted_successors(lam)
     succ = {v: [] for v in vertices}
     for s, t in vertices:
         nt = (t + 1) % p
-        for s2 in lam.successors[s]:
+        for s2 in nbrs[s]:
             if (s2, nt) in vset:
                 succ[(s, t)].append((s2, nt))
     alive = essential_symbols(vertices, {(v, u) for v in vertices for u in succ[v]})
@@ -832,9 +834,9 @@ def tuple_phased_cycles(g: LabeledGraph, y: PeriodicOrbit):
     for a in w:
         if a not in g.label_classes:
             raise NotInImage(f"symbol {a!r} is not in the image alphabet")
-    vertices = [(s, t) for t in range(p) for s in g.label_classes[w[t]]]
+    vertices, succ = [(s, t) for t in range(p) for s in g.label_classes[w[t]]], sorted_successors(g)
     edges = [((s, t), (s2, (t + 1) % p)) for s, t in vertices
-             for s2 in g.successors[s] if g.label[s2] == w[(t + 1) % p]]
+             for s2 in succ[s] if g.label[s2] == w[(t + 1) % p]]
     alive = essential_symbols(vertices, edges)
     if not alive:
         raise NotInImage("no preimage cycle realizes the orbit's word")
@@ -1325,8 +1327,8 @@ def composed_scan(step, inputs, start, out):
 
 
 def sorted_successors(g: LabeledGraph):
-    """``LabeledGraph.successors`` by one sort of all transitions keyed by
-    an (index, index) pair."""
+    """Map symbol -> its successors, in symbol order, by one sort of all
+    transitions keyed by an (index, index) pair."""
     succ = {s: [] for s in g.x_symbols}
     for a, b in sorted(g.transitions, key=lambda e: (g.index[e[0]], g.index[e[1]])):
         succ[a].append(b)
@@ -1334,7 +1336,8 @@ def sorted_successors(g: LabeledGraph):
 
 
 def sorted_predecessors(g: LabeledGraph):
-    """``LabeledGraph.predecessors`` by one sort of all transitions."""
+    """Map symbol -> its predecessors, in symbol order, by one sort of all
+    transitions."""
     pred = {s: [] for s in g.x_symbols}
     for a, b in sorted(g.transitions, key=lambda e: (g.index[e[1]], g.index[e[0]])):
         pred[b].append(a)
@@ -1425,10 +1428,11 @@ def tuple_analyze_graph(g: LabeledGraph) -> StructureReport:
         raise EmptyAfterTrim("no bi-infinite path exists")
     trimmed = tuple(s for s in g.x_symbols if s not in alive)
     essential = g.restrict(alive) if trimmed else g
-    comps = tarjan_scc(essential.x_symbols, essential.successors)
+    succ = sorted_successors(essential)
+    comps = tarjan_scc(essential.x_symbols, succ)
     comps = [tuple(sorted(c, key=essential.index.get)) for c in comps]
     comps.sort(key=lambda c: essential.index[c[0]])
-    periods = tuple(component_period(list(c), essential.successors) for c in comps)
+    periods = tuple(component_period(list(c), succ) for c in comps)
     return StructureReport(
         essential=essential,
         is_essential=not trimmed,

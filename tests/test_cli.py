@@ -123,6 +123,49 @@ def test_lift_mc(inputs, capsys):
     assert payload["details"]["seed"] == 0
 
 
+GOLDEN_MEAN = {"x_symbols": ["a", "b"], "transitions": [["a", "b"], ["b", "a"], ["a", "a"]],
+               "label": {"a": "0", "b": "1"}}
+# inputs whose essential part is smaller than what they declare: a dangling
+# symbol c, an image letter 2 that no symbol carries, and a domain whose
+# transitions forbid every word that maps to 0
+PARTIAL = {
+    "dangling": {"x_symbols": ["a", "b", "c"],
+                 "transitions": [["a", "a"], ["a", "b"], ["b", "a"], ["c", "a"]],
+                 "label": {"a": "0", "b": "1", "c": "1"}},
+    "unused-letter": {**GOLDEN_MEAN, "y_symbols": ["0", "1", "2"]},
+    "forbidden-image-word": {"memory": 0, "anticipation": 1, "alphabet": ["0", "1"],
+                             "transitions": [["0", "1"], ["1", "0"]],
+                             "block_map": {"00": "0", "01": "1", "10": "1", "11": "0"}},
+}
+
+
+@pytest.mark.parametrize("case, degree, symbols", [
+    ("dangling", 1, ["a", "b"]), ("unused-letter", 1, ["a", "b"]),
+    ("forbidden-image-word", 2, ["0|1|1|0", "1|0|0|1"])])
+def test_joining_reads_the_essential_part(capsys, tmp_path, case, degree, symbols):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(PARTIAL[case]))
+    code, out = run(capsys, "joining", str(path))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["degree"] == degree and payload["x_symbols"] == symbols
+    assert payload["components"] == [symbols]
+
+
+def test_lift_mc_reads_the_essential_part(capsys, tmp_path):
+    (tmp_path / "code.json").write_text(json.dumps(PARTIAL["dangling"]))
+    (tmp_path / "nu.json").write_text(json.dumps({"type": "pushforward", "base": {
+        "type": "markov", "states": ["a", "b"],
+        "transitions": {"a": {"a": "1/2", "b": "1/2"}, "b": {"a": "1"}}}}))
+    code, out = run(capsys, "lift-mc", str(tmp_path / "code.json"), "--measure",
+                    str(tmp_path / "nu.json"), "--length", "2000")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["degree"] == 1
+    assert [e["multiplicity"] for e in payload["lifts"]] == [1]
+    assert payload["lifts"][0]["measure"]["frequencies"]["c"] == 0.0
+
+
 def test_lift_mc_refusal(inputs, capsys):
     code, _out = run(capsys, "lift-mc", inputs["collapse"],
                      "--measure", inputs["markov_sub"], "--length", "2000")
@@ -432,6 +475,8 @@ INVALID_VALUES = {
     "graph-transitions-type": ("graph", {**GOLDEN, "transitions": 5}, "transitions"),
     "transition-entry": ("graph", {**GOLDEN, "transitions": [["a", ["a"]]]}, "transitions"),
     "y-symbols-type": ("graph", {**GOLDEN, "y_symbols": 5}, "y_symbols"),
+    # a second 0 column doubled the image's 0-edges: entropy_y came out above entropy_x
+    "y-symbols-duplicate": ("graph", {**GOLDEN_MEAN, "y_symbols": ["0", "1", "0"]}, "y_symbols"),
     "block-alphabet-type": ("graph", {**RULE102, "alphabet": 5}, "alphabet"),
     "block-alphabet-entry": ("graph", {**RULE102, "alphabet": ["0", ["1"]]}, "alphabet"),
     "block-map-list": ("graph", {**RULE102, "block_map": [["00", "0"]]}, "block_map"),
@@ -449,6 +494,10 @@ INVALID_VALUES = {
     "co-alphabet-type": ("measure", {"type": "co", "orbit": ["0", "1"], "alphabet": 5},
                          "alphabet"),
     "base-type": ("measure", {"type": "pushforward", "base": "x"}, "base"),
+    "bernoulli-alphabet-duplicate": ("measure", {"type": "bernoulli", "alphabet": ["0", "0"],
+                                                 "probabilities": ["1/2", "1/2"]}, "alphabet"),
+    "markov-states-duplicate": ("measure", {"type": "markov", "states": ["0", "0"],
+                                            "transitions": {"0": {"0": "1"}}}, "states"),
 }
 
 

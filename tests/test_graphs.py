@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import sftlift as sl
-from sftlift import LabeledGraph, PeriodicOrbit, SlidingBlockCode
+from sftlift import LabeledGraph, PeriodicOrbit, SlidingBlockCode, graphs
 from sftlift.errors import EmptyAfterTrim, NotIrreducible
-from sftlift.graphs import _essential_symbols
+from sftlift.graphs import _essential_mask
 
 import oracles
 from conftest import eig_entropy, label_word_realizable
@@ -60,25 +60,16 @@ def test_trimming_removes_dangling_symbols():
     assert report.essential.x_symbols == ("a",)
 
 
-class _CountedEdges:
-    """An edge list that counts how often it is read through."""
-
-    def __init__(self, edges):
-        self.edges = edges
-        self.passes = 0
-
-    def __iter__(self):
-        self.passes += 1
-        return iter(self.edges)
-
-
-def test_trimming_a_long_dangling_path_reads_the_edges_once():
+def test_trimming_a_long_dangling_path_reads_the_edges_once(monkeypatch):
     # 0 -> 1 -> ... -> 1999 -> the loop at 2000 -> 2001 -> ... -> 3999:
-    # a pass-by-pass trim removes one path end per pass, 2000 passes
+    # a pass-by-pass trim removes one path end per pass, 2000 passes; the
+    # queue reads the edges into successor lists once each way
     n = 4000
-    edges = _CountedEdges([(i, i + 1) for i in range(n - 1)] + [(2000, 2000)])
-    assert _essential_symbols(range(n), edges) == {2000}
-    assert edges.passes == 1
+    src, dst = np.append(np.arange(n - 1), 2000), np.append(np.arange(1, n), 2000)
+    passes, lists = [], graphs._successor_lists
+    monkeypatch.setattr(graphs, "_successor_lists", lambda *args: passes.append(1) or lists(*args))
+    assert np.flatnonzero(_essential_mask(n, src, dst)).tolist() == [2000]
+    assert len(passes) == 2
 
 
 def test_empty_after_trim():

@@ -35,7 +35,7 @@ from sftlift import codes
 from sftlift.cli import main
 from sftlift.errors import EmptyAfterTrim, FiberInfinite, NoPath, NotInImage, PreconditionError
 from sftlift.fibers import _single_linkage, _unwrap, support_presentation
-from sftlift.graphs import (LabeledGraph, SubsetAutomaton, _component_periods, _essential_symbols,
+from sftlift.graphs import (LabeledGraph, SubsetAutomaton, _component_periods, _essential_mask,
                             _tarjan_scc, least_rotation, render_symbol)
 from sftlift.joinings import _ViabilityWalk
 from sftlift.measures import EmpiricalDistribution, make_rng
@@ -53,7 +53,7 @@ def test_subset_automaton_matches_subset_state_oracles(g):
         assert aut.witness == list(expected.values())
         assert all(list(s) == sorted(s, key=g.index.get) for s in aut.subsets)
         ids = {frozenset(s): k for k, s in enumerate(aut.subsets)}
-        nbrs = g.predecessors if backward else g.successors
+        nbrs = (oracles.sorted_predecessors if backward else oracles.sorted_successors)(g)
         for k, subset in enumerate(aut.subsets):
             reach = {t for s in subset for t in nbrs[s]}
             for j, y in enumerate(g.y_symbols):
@@ -77,9 +77,9 @@ def test_determinize_matches_oracle(g):
 
 
 def _a_cycle(g):
-    path = [g.x_symbols[0]]
+    path, succ = [g.x_symbols[0]], oracles.sorted_successors(g)
     while path.count(path[-1]) == 1:
-        path.append(g.successors[path[-1]][0])
+        path.append(succ[path[-1]][0])
     first = path.index(path[-1])
     return set(zip(path[first:], path[first + 1:]))
 
@@ -183,10 +183,10 @@ def _new_path(g, word):
 def test_viability_walk_matches_oracle(g, seed, length, corrupt):
     rng = random.Random(seed)
     ess = sl.analyze_graph(g).essential
-    s = rng.choice(ess.x_symbols)
+    s, succ = rng.choice(ess.x_symbols), oracles.sorted_successors(ess)
     word = [ess.label[s]]
     for _ in range(length - 1):
-        s = rng.choice(ess.successors[s])
+        s = rng.choice(succ[s])
         word.append(ess.label[s])
     if corrupt:
         word[rng.randrange(length)] = rng.choice(g.y_symbols)
@@ -218,18 +218,18 @@ def test_viability_walk_matches_oracle_on_joining_graphs(rule102, diff4, sum5):
 def _path_labels(g, rng, length, periodic):
     """The labels of a random path of g, or, with ``periodic``, of a cycle of
     g wound round until the window is full."""
-    s = rng.choice(g.x_symbols)
+    s, succ = rng.choice(g.x_symbols), oracles.sorted_successors(g)
     if periodic:
         seen = {}
         while s not in seen:
             seen[s] = len(seen)
-            s = rng.choice(g.successors[s])
+            s = rng.choice(succ[s])
         cycle = list(seen)[seen[s]:]
         path = [cycle[t % len(cycle)] for t in range(length)]
     else:
         path = [s]
         while len(path) < length:
-            path.append(rng.choice(g.successors[path[-1]]))
+            path.append(rng.choice(succ[path[-1]]))
     return tuple(g.label[s] for s in path)
 
 
@@ -675,8 +675,8 @@ def test_close_step_cases_match_oracle(monkeypatch, case):
     g = LabeledGraph(symbols, edges, {s: s[1] for s in symbols})
     y = sl.PeriodicOrbit.from_word(tuple(word))
     trims = []
-    trim = codes._essential_symbols
-    monkeypatch.setattr(codes, "_essential_symbols", lambda *args: trims.append(1) or trim(*args))
+    trim = codes._essential_mask
+    monkeypatch.setattr(codes, "_essential_mask", lambda *args: trims.append(1) or trim(*args))
     outcome = _refusal_or(sl.periodic_fiber, g, y)
     assert bool(trims) == trimmed
     assert outcome == _refusal_or(oracles.tuple_periodic_fiber, g, y)
@@ -1332,19 +1332,25 @@ def test_single_linkage_matches_union_find_oracle(entries):
                          max_size=3 * n))))
 def test_essential_symbols_match_full_pass_oracle(case):
     n, edges = case                     # endpoints n and n + 1 are not symbols
-    alive = _essential_symbols(range(n), edges)
+    inside = np.array([e for e in edges if max(e) < n], dtype=np.int64).reshape(-1, 2)
+    alive = set(np.flatnonzero(_essential_mask(n, inside[:, 0], inside[:, 1])).tolist())
     assert alive == oracles.essential_symbols(range(n), edges)
     assert alive == oracles.queue_essential_symbols(range(n), edges)
 
 
+def _letter_successors_oracle(g):
+    """``letter_successors`` read off ``oracles.sorted_successors``."""
+    succ = oracles.sorted_successors(g)
+    rows = [succ[s] for s in g.x_symbols] + [g.x_symbols]
+    return [[[g.index[t] for t in row if g.label[t] == y] for y in g.y_symbols] for row in rows]
+
+
 @given(graphs_strategy())
-def test_adjacency_lists_match_one_sort_oracle(g):
-    assert g.successors == oracles.sorted_successors(g)
-    assert g.predecessors == oracles.sorted_predecessors(g)
+def test_letter_successors_match_one_sort_oracle(g):
+    assert g.letter_successors == _letter_successors_oracle(g)
 
 
-def test_adjacency_lists_match_one_sort_oracle_on_joining_graphs(rule102, diff4, sum5):
+def test_letter_successors_match_one_sort_oracle_on_joining_graphs(rule102, diff4, sum5):
     for ca in (rule102, diff4, sum5):
         for g in (ca.recoding.graph, sl.degree_joining_graph(ca.recoding.graph).graph):
-            assert g.successors == oracles.sorted_successors(g)
-            assert g.predecessors == oracles.sorted_predecessors(g)
+            assert g.letter_successors == _letter_successors_oracle(g)
