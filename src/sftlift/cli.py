@@ -24,6 +24,9 @@ from .graphs import (OneBlockRecoding, analyze_graph, determinize, entropy,
 from .joinings import degree_joining_graph
 from .measures import measure_from_json_dict
 
+# The most row texts ``periodic-lifts`` holds before it writes them.
+ROW_BATCH = 2**12
+
 
 def _emit(payload, fmt="json"):
     """Write a payload to stdout as a line-ended text, or as JSON
@@ -142,18 +145,23 @@ def cmd_periodic_lifts(args):
     table, sep = args.format == "table", ",\n"
     if not table:       # each name escaped once, as _emit would
         names, labels = ([encode_basestring_ascii(s) for s in strs] for strs in (names, labels))
-    # lift words rotate as in OneBlockRecoding.base_orbit; row texts wait for the checksum
-    weights, rows = {}, []
-    for word, lifts in _lift_cycles(g, args.max_period):
+    # the sweep yields nothing before its checksum passes; rows go out ROW_BATCH at a
+    # time, and lift words rotate as in OneBlockRecoding.base_orbit
+    weights, n = {}, 0
+    rows = [] if table else [f'{{\n  "max_period": {args.max_period},\n  "orbits": [']
+    for n, (word, lifts) in enumerate(_lift_cycles(g, args.max_period), 1):
         p, d = len(word), sum(w for w, _ids in lifts)
         if any(len(ids) != w * p for w, ids in lifts):
             raise RuntimeError("fiber points are not equidistributed over the base orbit")
+        if len(rows) >= ROW_BATCH:
+            sys.stdout.write("".join(rows))
+            rows.clear()
         lifts = [(w, ids[-offset % len(ids):] + ids[:-offset % len(ids)]) for w, ids in lifts]
         if table:
-            rows.append((p, f"orbit {','.join(map(labels.__getitem__, word))} (period {p}): "
-                            f"fiber {d}; lifts: " + ", ".join(
-                                f"{','.join(map(names.__getitem__, ids))} (mult {w})"
-                                for w, ids in lifts) + "\n"))
+            rows.append(f"orbit {','.join(map(labels.__getitem__, word))} (period {p}): "
+                        f"fiber {d}; lifts: " + ", ".join(
+                            f"{','.join(map(names.__getitem__, ids))} (mult {w})"
+                            for w, ids in lifts) + "\n")
             continue
         components, lift_items = [], []
         for w, ids in lifts:
@@ -161,20 +169,14 @@ def cmd_periodic_lifts(args):
             components.append(_co_item(10, names, ids, '"weight": ' + weight))
             lift_items.append(_co_item(8, names, ids, f'"multiplicity": {w}'))
         orbit = ",\n        ".join(map(labels.__getitem__, word))
-        rows.append((p, f',\n    {{\n      "canonical_lift": {{\n        "components": [\n'
-                        f'{sep.join(components)}\n        ],\n'
-                        f'        "is_ergodic": {"false" if lifts[1:] else "true"}\n      }},\n'
-                        f'      "fiber_size": {d},\n'
-                        f'      "lifts": [\n{sep.join(lift_items)}\n      ],\n'
-                        f'      "orbit": [\n        {orbit}\n      ],\n'
-                        f'      "period": {p}\n    }}'))
-    rows = [row for _p, row in sorted(rows, key=lambda row: row[0])]
-    if table:
-        sys.stdout.write("".join(rows) or "\n")
-    else:       # one join; each row text starts with ",\n", the first one without the comma
-        rows[:1] = [row[1:] for row in rows[:1]]
-        sys.stdout.write("".join([f'{{\n  "max_period": {args.max_period},\n  "orbits": [', *rows,
-                                  "\n  ]\n}\n" if rows else "]\n}\n"]))
+        rows.append(f'{"," if n > 1 else ""}\n    {{\n      "canonical_lift": {{\n'
+                    f'        "components": [\n{sep.join(components)}\n        ],\n'
+                    f'        "is_ergodic": {"false" if lifts[1:] else "true"}\n      }},\n'
+                    f'      "fiber_size": {d},\n      "lifts": [\n{sep.join(lift_items)}\n'
+                    f'      ],\n      "orbit": [\n        {orbit}\n      ],\n'
+                    f'      "period": {p}\n    }}')
+    rows.append(("" if n else "\n") if table else "\n  ]\n}\n" if n else "]\n}\n")
+    sys.stdout.write("".join(rows))
     return 0
 
 

@@ -15,8 +15,8 @@ the search terminates and the minimizing pair's witnesses, joined at the
 shared letter, form a magic word that certifies the degree.
 
 The lifts of a periodic orbit are the cycles of its word's preimage paths
-closed up at phase 0; ``periodic_fibers`` finds them for every orbit up
-to a period in one Lyndon-word sweep, checked against tr(A^n).
+closed up at phase 0; ``periodic_fibers`` finds them for every orbit up to
+a period by one array pass per period, checked against tr(A^n).
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ from math import perm
 
 import numpy as np
 
-from .errors import FiberInfinite, InfiniteToOne, NotInImage, NotIrreducible, PreconditionError
-from .graphs import (LabeledGraph, PeriodicOrbit, SubsetAutomaton,
-                     _as_word, _essential_mask, _lyndon_words, _successor_lists, analyze_graph,
-                     determinize, entropy, least_rotation)
+from .errors import (FiberInfinite, InfiniteToOne, InputError, NotInImage, NotIrreducible,
+                     PreconditionError)
+from .graphs import (LabeledGraph, PeriodicOrbit, SubsetAutomaton, _as_word, _essential_mask,
+                     _least_starts, _successor_lists, analyze_graph, determinize, entropy)
 
 ENTROPY_MATCH_TOL = 1e-9
 # The most tuples ``_product_ids`` builds.  It keeps the packed keys, below
@@ -39,6 +39,8 @@ ENTROPY_MATCH_TOL = 1e-9
 MAX_PRODUCT_TUPLES = 2**20
 # The most lift points ``_lift_cycles`` sweeps to a period p: Σ_{n<=p} tr(A^n).
 MAX_PERIODIC_POINTS = 2**20
+# About the most rows ``_phased_lifts`` extends at once in the last period, in whole words.
+LIFT_BATCH = 2**10
 
 
 @dataclass(frozen=True)
@@ -236,8 +238,7 @@ def preimage_words(code, w):
         return _preimage_paths(code, w) if w else {()}
     g = code.recoding.graph
     if not w:
-        alive = _essential_mask(len(g.x_symbols), *g.edges).tolist()
-        return {u[:-1] for u, a in zip(g.x_symbols, alive) if a}
+        return {u[:-1] for u, a in zip(g.x_symbols, g.essential_mask.tolist()) if a}
     return {p[0] + tuple(u[-1] for u in p[1:]) for p in _preimage_paths(g, w)}
 
 
@@ -246,50 +247,100 @@ def _preimage_paths(g: LabeledGraph, w):
     start row of ``letter_successors`` on."""
     if not set(w) <= g.label_classes.keys():
         return set()
-    alive, paths = _essential_mask(len(g.x_symbols), *g.edges).tolist(), [(len(g.x_symbols),)]
+    alive, paths = g.essential_mask.tolist(), [(len(g.x_symbols),)]
     for j in map(g.y_symbols.index, w):
         paths = [p + (s,) for p in paths for s in g.letter_successors[p[-1]][j] if alive[s]]
     return {tuple(map(g.x_symbols.__getitem__, p[1:])) for p in paths}
 
 
-def _extend(table, runs, a):
-    """Extend the preimage paths ``runs`` of a word by letter index a: each
-    (start, end) index pair maps to one path, or to None once two reach it;
-    the empty word's run is (n, n), n the start row of ``table``."""
-    nxt = {}
-    for (s, e), path in runs.items():
-        for t in table[e][a]:
-            key = (t, t) if path == () else (s, t)
-            nxt[key] = None if path is None or key in nxt else path + (t,)
-    return nxt
+def _phased_lifts(g: LabeledGraph, max_period: int, word=None):
+    """Per period q <= max_period, the Lyndon words of length q (label indices,
+    rows of ``words``) and their ``_cycles`` lifts; only ``word`` when given.
+    One array pass per period extends the paths of the prenecklaces of length
+    q - 1 by a letter.  A row is a path of a word: the word's rank (``np.unique``
+    keeps words in lexicographic order), the path, and whether another path of
+    the word has its ends (``merged``).  w + a is a prenecklace iff a >= w[-p],
+    a Lyndon word iff a > w[-p], p = ``plen`` the length of w's longest Lyndon
+    prefix (Duval, J. Algorithms 1983).  A path from s to e of a Lyndon word w
+    and an edge from e to t labeled w[0] relate s to t; the essential part of
+    this relation (trimmed only where it is no permutation of its starts) must
+    be a permutation without merged paths, or the fiber is infinite."""
+    n, k = len(g.x_symbols), len(g.y_symbols)
+    lab = np.array([g.y_symbols.index(g.label[s]) for s in g.x_symbols], dtype=np.int64)
+    cell = g.edges[0] * k + lab[g.edges[1]]     # edges by source, then target label, then target
+    flat = g.edges[1][np.argsort(cell, kind="stable")]
+    bounds = np.searchsorted(np.sort(cell), np.arange(n * k + 1))
+
+    def step(ends, lo, hi):         # the successors of ``ends`` labeled lo..hi-1, with their rows
+        a, cnt = bounds[ends * k + lo], bounds[ends * k + hi] - bounds[ends * k + lo]
+        at = np.repeat(a - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
+        return np.repeat(np.arange(len(ends)), cnt), flat[at]
+
+    def extend(q, words, plen, rank, paths, merged):
+        least = words[rank, q - 1 - plen[rank]] if word is None else np.full_like(rank, word[q - 1])
+        row, end = step(paths[:, -1], least + (word is None and q == last),
+                        k if word is None else least + 1)
+        wkey = rank[row] * k + lab[end]
+        _key, at, count = np.unique((wkey * n + paths[row, 0]) * n + end,
+                                    return_index=True, return_counts=True)
+        row, end, wkey = row[at], end[at], wkey[at]
+        p = np.where(lab[end] == least[row], plen[rank[row]], q)
+        wkey, at, rank = np.unique(wkey, return_index=True, return_inverse=True)
+        return (np.column_stack([words[wkey // k], wkey % k]), p[at], rank,
+                np.column_stack([paths[row], end]), (count > 1) | merged[row])
+
+    def close(q, words, plen, rank, paths, merged):
+        rows = np.flatnonzero(plen[rank] == q) if word is None else np.arange(len(rank))
+        at, t = step(paths[rows, -1], words[rank[rows], 0], words[rank[rows], 0] + 1)
+        rows = rows[at]
+        s_key, t_key = rank[rows] * n + paths[rows, 0], rank[rows] * n + t     # s_key ascends
+        bad = np.zeros(len(words), dtype=bool)      # the words whose relation is no permutation
+        bad[rank[rows][1:][s_key[1:] == s_key[:-1]]] = True
+        bad[rank[rows][s_key != np.sort(t_key)]] = True
+        if (sel := bad[rank[rows]]).any():
+            ends, back = np.unique(np.concatenate([s_key[sel], t_key[sel]]), return_inverse=True)
+            keep = ~sel
+            keep[sel] = _essential_mask(len(ends), *back.reshape(2, -1))[back].reshape(2, -1).all(0)
+            rows, s_key, t_key = rows[keep], s_key[keep], t_key[keep]
+        if (s_key[1:] == s_key[:-1]).any() or merged[rows].any():
+            raise FiberInfinite("recurrent phased graph branches; fiber is infinite")
+        return q, words, _cycles(np.searchsorted(s_key, t_key), paths[rows], rank[rows])
+
+    last = max_period if word is None else len(word)
+    start = np.argsort(lab, kind="stable") if word is None else np.flatnonzero(lab == word[0])
+    words, rank = np.unique(lab[start], return_inverse=True)
+    rows = (words[:, None], np.ones(len(words), dtype=np.int64), rank, start[:, None], start < 0)
+    if word is None or last == 1:
+        yield close(1, *rows)
+    for q in range(2, last + 1):
+        words, plen, rank, paths, merged = rows
+        batch = LIFT_BATCH if q == last else len(rank) + 1
+        cuts = sorted(set(np.searchsorted(rank, rank[::batch]).tolist()))      # whole words
+        for a, b in zip(cuts, cuts[1:] + [len(rank)]):
+            part = extend(q, words, plen, rank[a:b], paths[a:b], merged[a:b])
+            if word is None or q == last:
+                yield close(q, *part)
+        rows = part if q < last and len(rank) else rows
 
 
-def _close(table, first, runs, period):
-    """The lifts of an orbit of word w from its preimage paths ``runs``, as
-    sorted (winding, symbol ids) pairs.  A path from s to e and an edge from
-    e to t labeled w[0] (index ``first``) relate s to t; the essential part
-    of this relation (trimmed only if it is not a permutation of its starts),
-    a pair counted once per path, must be a permutation, or the fiber is
-    infinite.  A cycle of k pairs is a lift of winding k whose word repeats
-    no (phase, symbol) vertex, so is primitive."""
-    edges = [(s, t, path) for (s, e), path in runs.items() for t in table[e][first]]
-    succ = {s: (t, path) for s, t, path in edges}
-    if len(succ) < len(edges) or succ.keys() != {t for t, _p in succ.values()}:
-        alive = _essential_mask(len(table), *np.array([(s, t) for s, t, _p in edges]).T).tolist()
-        edges = [(s, t, path) for s, t, path in edges if alive[s] and alive[t]]
-        succ = {s: (t, path) for s, t, path in edges}
-    if len(succ) < len(edges) or any(path is None for _t, path in succ.values()):
-        raise FiberInfinite("recurrent phased graph branches; fiber is infinite")
-    lifts = []
-    while succ:
-        s, ids = next(iter(succ)), []
-        while s in succ:
-            s, path = succ.pop(s)
-            ids.extend(path)
-        k = least_rotation(ids)
-        lifts.append((len(ids) // period, ids[k:] + ids[:k]))
-    lifts.sort()
-    return lifts
+def _cycles(succ, paths, rank):
+    """The lifts of the cycles of the permutation ``succ`` of the relation pairs
+    with paths ``paths`` and word ranks ``rank`` of ``_phased_lifts``: a cycle
+    of w pairs is a lift of winding w whose ids are its paths at their least
+    rotation; per winding, its (w, word ranks, ids), sorted by (rank, ids)."""
+    lead, jump = np.arange(len(succ)), succ
+    while ((lower := np.minimum(lead, lead[jump])) < lead).any():
+        lead, jump = lower, jump[jump]          # the least pair of each cycle, by doubling
+    size, groups = np.bincount(lead, minlength=len(lead)), []
+    for w in sorted(set(size[size > 0].tolist())):
+        seq = [np.flatnonzero(size == w)]
+        while len(seq) < w:
+            seq.append(succ[seq[-1]])
+        ids, m = paths[np.stack(seq, axis=1)].reshape(len(seq[0]), -1), w * paths.shape[1]
+        ids = np.take_along_axis(ids, (_least_starts(ids)[:, None] + np.arange(m)) % m, axis=1)
+        by = np.lexsort([*ids.T[::-1], rank[seq[0]]])
+        groups.append((w, rank[seq[0]][by], ids[by].astype(np.min_scalar_type(ids.max()))))
+    return groups
 
 
 def _decomposition(g: LabeledGraph, y: PeriodicOrbit, lifts) -> PhasedFiberDecomposition:
@@ -299,26 +350,27 @@ def _decomposition(g: LabeledGraph, y: PeriodicOrbit, lifts) -> PhasedFiberDecom
 
 
 def periodic_fiber(g: LabeledGraph, y: PeriodicOrbit) -> PhasedFiberDecomposition:
-    """Exact fiber of a periodic orbit of the image (see ``_close``)."""
-    runs = {(len(g.x_symbols),) * 2: ()}
-    for a in y.primitive_word:
-        if a not in g.label_classes:
-            raise NotInImage(f"symbol {a!r} is not in the image alphabet")
-        runs = _extend(g.letter_successors, runs, g.y_symbols.index(a))
-    lifts = _close(g.letter_successors, g.y_symbols.index(y.primitive_word[0]), runs, y.period)
+    """Exact fiber of a periodic orbit of the image: ``_phased_lifts`` on its word."""
+    if missing := [a for a in y.primitive_word if a not in g.label_classes]:
+        raise NotInImage(f"symbol {missing[0]!r} is not in the image alphabet")
+    word = [g.y_symbols.index(a) for a in y.primitive_word]
+    lifts = [(w, u) for _q, _words, groups in _phased_lifts(g, len(word), word)
+             for w, _ranks, ids in groups for u in ids.tolist()]
     if not lifts:
         raise NotInImage("no preimage cycle realizes the orbit's word")
     return _decomposition(g, y, lifts)
 
 
 def _lift_cycles(g: LabeledGraph, max_period: int):
-    """The Lyndon word (label indices) and ``_close`` lifts of each orbit of
-    least period <= max_period with lifts on the essential graph g, by one
-    sweep that extends the preimage paths of each prefix.  Checksum after
-    the last: a lift of winding w over an orbit of period q holds q·w
-    points, of period dividing n iff q·w does, so for each n <= max_period
-    they sum to tr(A^n) (Lind & Marcus §2.2).  The traces are taken first,
-    and a sweep whose traces sum past MAX_PERIODIC_POINTS is refused."""
+    """The Lyndon word (label indices) and sorted (winding, ids) lifts of
+    each orbit of least period <= max_period with lifts on the essential
+    graph g, by period.  The ``_phased_lifts`` sweep is held as arrays until
+    its checksum passes: a lift of winding w over an orbit of period q holds
+    q·w points, of period dividing n iff q·w does, so for each n <=
+    max_period they sum to tr(A^n) (Lind & Marcus §2.2).  A sweep whose
+    traces, taken first, sum past MAX_PERIODIC_POINTS is refused."""
+    if max_period < 1:
+        raise InputError("max_period must be >= 1")
     adjacency = power = g.adjacency_matrix().astype(object)     # Python ints: no wrap-around
     traces = [power.trace()]
     while len(traces) < max_period and sum(traces) <= MAX_PERIODIC_POINTS:
@@ -328,18 +380,20 @@ def _lift_cycles(g: LabeledGraph, max_period: int):
         raise PreconditionError(f"max_period {max_period}: the periods up to {len(traces)} "
                                 f"already hold {sum(traces)} lift points, more than the cap "
                                 f"MAX_PERIODIC_POINTS = {MAX_PERIODIC_POINTS}")
-    table, lengths = g.letter_successors, []
-    for w, runs in _lyndon_words(len(g.y_symbols), max_period, {(len(g.x_symbols),) * 2: ()},
-                                 lambda runs, a: _extend(table, runs, a)):
-        lifts = _close(table, w[0], runs, len(w))
-        if lifts:
-            lengths += (len(ids) for _w, ids in lifts)
-            yield w, lifts
+    batches = list(_phased_lifts(g, max_period))
+    sizes = [(q * w, len(ranks)) for q, _words, groups in batches for w, ranks, _ids in groups]
     for n, trace in enumerate(traces, 1):
-        held = sum(q for q in lengths if n % q == 0)
+        held = sum(m * count for m, count in sizes if n % m == 0)
         if held != trace:
             raise RuntimeError(f"periodic fibers hold {held} points of period dividing {n}, "
                                f"not tr(A^{n}) = {trace}")
+    while batches:          # a batch's arrays go as its orbits are yielded
+        _q, words, groups = batches.pop(0)
+        orbits, labels = {}, words.tolist()
+        for w, ranks, ids in groups:            # windings up
+            for r, u in zip(ranks.tolist(), ids.tolist()):
+                orbits.setdefault(r, []).append((w, u))
+        yield from ((tuple(labels[r]), orbits[r]) for r in sorted(orbits))
 
 
 def periodic_fibers(g: LabeledGraph, max_period: int):

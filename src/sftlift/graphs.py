@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from math import gcd, isqrt, log
+from math import isqrt, log
 
 import numpy as np
 
@@ -106,6 +106,11 @@ class LabeledGraph:
         for a, b in zip(src + [n] * n, dst + list(range(n))):
             table[a][labels[b]].append(b)
         return table
+
+    @cached_property
+    def essential_mask(self):
+        """Which symbols lie on bi-infinite paths: ``_essential_mask`` of the edges."""
+        return _essential_mask(len(self.x_symbols), *self.edges)
 
     @cached_property
     def forward_automaton(self):
@@ -197,32 +202,25 @@ def full_shift(alphabet):
 def least_rotation(word, order=None):
     """Start index of the least rotation of a word, comparing symbols by
     ``order`` (symbol -> rank) when given, else by their own ordering; the
-    smallest such index when several rotations are equal.
+    smallest such index when several rotations are equal."""
+    order = order or {s: r for r, s in enumerate(sorted(set(word)))}
+    return int(_least_starts(np.array([[order[s] for s in word]]))[0])
 
-    Booth's algorithm (Booth, "Lexicographically least circular
-    substrings", IPL 1980): a failure function over the doubled word, O(p)
-    comparisons for a word of length p, run only on a tie for the least symbol."""
-    ranks = [order[s] for s in word] if order else list(word)
-    least = min(ranks, default=None)
-    if ranks.count(least) == 1:
-        return ranks.index(least)
-    ranks += ranks
-    fail = [-1] * len(ranks)
-    k = 0                                   # start of the least rotation so far
-    for j in range(1, len(ranks)):
-        c = ranks[j]
-        i = fail[j - k - 1]
-        while i != -1 and c != ranks[k + i + 1]:
-            if c < ranks[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if c != ranks[k + i + 1]:           # here i == -1
-            if c < ranks[k]:
-                k = j
-            fail[j - k] = -1
-        else:
-            fail[j - k] = i + 1
-    return k
+
+def _least_starts(words):
+    """The (smallest) start of the least rotation of each row of ``words``: the
+    candidate starts hold the row's least entry, dropped column by column."""
+    m = words.shape[1]
+    row, start = np.nonzero(words == words.min(axis=1, keepdims=True))
+    for c in range(1, m):
+        tied = np.bincount(row, minlength=len(words))[row] > 1
+        if not tied.any():
+            break
+        entry, least = words[row, (start + c) % m], words.max(axis=1)
+        np.minimum.at(least, row[tied], entry[tied])
+        keep = ~tied | (entry == least[row])
+        row, start = row[keep], start[keep]
+    return start[np.unique(row, return_index=True)[1]]
 
 
 @dataclass(frozen=True)
@@ -334,42 +332,42 @@ def _tarjan_scc(order, succ):
     return comps
 
 
-def _component_periods(comps, succ):
+def _component_periods(comps, succ, src, dst):
     """Per strongly connected component of the vertices 0..len(succ)-1, the
-    gcd of its cycle lengths, by one BFS each on lists shared by all."""
+    gcd of its cycle lengths, ``succ`` listing the targets of the edges
+    src -> dst: one search per component levels its vertices, then one
+    ``np.gcd.at`` takes level[v] + 1 - level[w] over its edges v -> w (the
+    edges between vertices of no component gather in a last, dropped slot)."""
     owner, level = [-1] * len(succ), [-1] * len(succ)
     for c, comp in enumerate(comps):
         for v in comp:
             owner[v] = c
-    periods = []
     for c, comp in enumerate(comps):
-        level[comp[0]], queue, g = 0, [comp[0]], 0
+        level[comp[0]], queue = 0, [comp[0]]
         while queue:
             v = queue.pop()
             for w in succ[v]:
-                if owner[w] != c:
-                    continue
-                if level[w] >= 0:
-                    g = gcd(g, level[v] + 1 - level[w])
-                else:
+                if level[w] < 0 and owner[w] == c:
                     level[w] = level[v] + 1
                     queue.append(w)
-        periods.append(abs(g))
-    return periods
+    owner, level = np.array(owner, np.int64), np.array(level, np.int64)
+    periods, inner = np.zeros(len(comps) + 1, np.int64), owner[src] == owner[dst]
+    np.gcd.at(periods, owner[src[inner]], level[src[inner]] + 1 - level[dst[inner]])
+    return periods[:-1].tolist()
 
 
 def analyze_graph(g: LabeledGraph) -> StructureReport:
     """Trim to the essential part, decompose into SCCs, report periods.  All
     three run on ``g.edges``, Tarjan and the period search on lists of
     successor indices; symbols are mapped back once."""
-    xs, (src, dst) = g.x_symbols, g.edges
-    alive = _essential_mask(len(xs), src, dst)
+    xs, (src, dst), alive = g.x_symbols, g.edges, g.essential_mask
     if not alive.any():
         raise EmptyAfterTrim("no bi-infinite path exists")
     trimmed = tuple(s for s, a in zip(xs, alive.tolist()) if not a)
     essential = g.restrict(set(xs).difference(trimmed)) if trimmed else g
     live = alive[src] & alive[dst]
-    succ = _successor_lists(len(xs), src[live], dst[live])
+    src, dst = src[live], dst[live]
+    succ = _successor_lists(len(xs), src, dst)
     comps = sorted(sorted(c) for c in _tarjan_scc(np.flatnonzero(alive).tolist(), succ))
     return StructureReport(
         essential=essential,
@@ -377,7 +375,7 @@ def analyze_graph(g: LabeledGraph) -> StructureReport:
         trimmed_symbols=trimmed,
         components=tuple(tuple(map(xs.__getitem__, c)) for c in comps),
         is_irreducible=len(comps) == 1 and len(comps[0]) == len(essential.x_symbols),
-        periods=tuple(_component_periods(comps, succ)),
+        periods=tuple(_component_periods(comps, succ, src, dst)),
     )
 
 
@@ -706,29 +704,6 @@ def scan(step, inputs, start, out, relabel=None, counts=None):
     return state - 1
 
 
-def _lyndon_words(letters, max_period, runs, extend):
-    """Each Lyndon word over ``range(letters)`` of length <= max_period with
-    its runs (``runs`` for the empty word, ``extend(runs, a)`` for a word
-    followed by a; a word without runs is not extended), in lexicographic
-    order: one depth-first sweep over the prenecklaces
-    (Fredricksen–Kessler–Maiorana; Duval, J. Algorithms 1983)."""
-    if max_period < 1:
-        raise InputError("max_period must be >= 1")
-    # (w, p, runs): a prenecklace w whose longest Lyndon prefix has length p
-    stack = [((), 1, runs)]
-    while stack:
-        w, p, runs = stack.pop()
-        if w and p == len(w):
-            yield w, runs
-        if len(w) < max_period:
-            least = w[-p] if w else 0
-            for a in reversed(range(least, letters)):
-                nxt = extend(runs, a)
-                if nxt:
-                    # repeating w[-p] keeps p; a larger letter makes a Lyndon word
-                    stack.append((w + (a,), p if w and a == least else len(w) + 1, nxt))
-
-
 class RightResolvingPresentation:
     """Edge-labeled right-resolving presentation of the image shift,
     obtained by the subset construction and trimmed to its essential part.
@@ -764,22 +739,31 @@ class RightResolvingPresentation:
         max_period, by period and then lexicographically in alphabet order.
 
         Each orbit is named by its Lyndon word, which is primitive and its
-        own least rotation.  The ``_lyndon_words`` sweep carries the (start,
-        end) state pairs of the runs reading each word, and keeps a Lyndon
-        word w when reading it maps some state to itself.  This misses no
-        orbit of a presentation built by ``determinize``: if w^∞ is in the
-        image, reading rot(w) = w[1:] w[0] again and again from the
-        label-class state of w[0] gives a chain of subset states that
-        shrinks (the construction is monotone) and never empties (the
-        preimages of w^∞ pass through it).  It stops at a state S on a
-        cycle, which the trim keeps, and w maps the state that w[1:]
-        reaches from S to itself.
+        own least rotation.  One array pass per length extends the runs
+        (start, state) of the prenecklaces by a letter, as in
+        ``codes._phased_lifts``, and keeps a Lyndon word w when reading it
+        maps some state to itself.  This misses no orbit of a presentation
+        built by ``determinize``: if w^∞ is in the image, reading rot(w) =
+        w[1:] w[0] again and again from the label-class state of w[0] gives a
+        chain of subset states that shrinks (the construction is monotone)
+        and never empties (the preimages of w^∞ pass through it).  It stops
+        at a state S on a cycle, which the trim keeps, and w maps the state
+        that w[1:] reaches from S to itself.
         """
-        rows = self.step.tolist()
-        sweep = _lyndon_words(len(self.alphabet), max_period, [(s, s) for s in range(len(rows))],
-                              lambda runs, a: [(s, u) for s, t in runs if (u := rows[t][a]) >= 0])
-        words = sorted((w for w, runs in sweep if any(s == t for s, t in runs)), key=len)
-        return [PeriodicOrbit(tuple(self.alphabet[a] for a in w), len(w)) for w in words]
+        if max_period < 1:
+            raise InputError("max_period must be >= 1")
+        k, words, found = len(self.alphabet), np.zeros((1, 0), dtype=np.int64), []
+        start = end = np.arange(len(self.step))     # a run from each state reads the empty word
+        rank, plen = np.zeros_like(start), np.ones(1, dtype=np.int64)
+        for q in range(1, max_period + 1):
+            least = words[rank, q - 1 - plen[rank]] if q > 1 else np.zeros_like(rank)
+            row, a = np.nonzero((np.arange(k) >= least[:, None]) & (self.step[end] >= 0))
+            p = np.where(a == least[row], plen[rank[row]], q)
+            wkey, at, rank = np.unique(rank[row] * k + a, return_index=True, return_inverse=True)
+            words, plen, start, end = (np.column_stack([words[wkey // k], wkey % k]), p[at],
+                                       start[row], self.step[end[row], a])
+            found += words[sorted(set(rank[(start == end) & (plen[rank] == q)].tolist()))].tolist()
+        return [PeriodicOrbit(tuple(self.alphabet[a] for a in w), len(w)) for w in found]
 
     def language_subset_of(self, other) -> bool:
         """Whether every word readable here is readable in ``other``.  The

@@ -33,7 +33,11 @@ successor and predecessor lists sorted over all transitions at once, the
 their table text, and the fiber product and structure report built on
 tuples and symbols: one comprehension per tuple, label and coordinate,
 and the trim (a queue over a dict per symbol), Tarjan and period search
-keyed by vertex in dicts and sets."""
+keyed by vertex in dicts and sets; the depth-first Lyndon-word sweep of
+the periodic fibers, which extends and closes the preimage runs of one
+word at a time in dicts, with ``periodic_fiber`` on those runs, the
+period search with one ``gcd`` call per non-tree edge, and Booth's least
+rotation of one word."""
 
 from __future__ import annotations
 
@@ -44,15 +48,15 @@ from math import gcd, isqrt, log
 
 import numpy as np
 
-from sftlift.codes import (PhasedFiberDecomposition, _lift_cycles, _require_irreducible,
-                           is_finite_to_one)
+from sftlift.codes import (MAX_PERIODIC_POINTS, PhasedFiberDecomposition, _decomposition,
+                           _require_irreducible, is_finite_to_one)
 from sftlift.errors import (EmptyAfterTrim, FiberInfinite, InfiniteToOne, InputError, NoPath,
-                            NotInImage)
+                            NotInImage, PreconditionError)
 from sftlift.fibers import (CanonicalLiftDecomposition, LiftEntry, LiftReport,
                             _lift_orbit_alphabet, _unwrap)
 from sftlift.graphs import (LabeledGraph, OneBlockRecoding, PeriodicOrbit, SlidingBlockCode,
-                            StructureReport, _as_word, _speculate, analyze_graph, full_shift,
-                            load_graph_or_code, perron_value, scan)
+                            StructureReport, _as_word, _essential_mask, _speculate,
+                            analyze_graph, full_shift, load_graph_or_code, perron_value, scan)
 from sftlift.joinings import _ViabilityWalk
 from sftlift.measures import (BernoulliMeasure, COMeasure, MarkovMeasure, PushforwardMeasure,
                               window_codes)
@@ -933,10 +937,141 @@ def analyze_periodic_lifts(code, y: PeriodicOrbit):
     return report, CanonicalLiftDecomposition(report.lifts, d)
 
 
+def lyndon_words(letters, max_period, runs, extend):
+    """Each Lyndon word over ``range(letters)`` of length <= max_period with
+    its runs (``runs`` for the empty word, ``extend(runs, a)`` for a word
+    followed by a; a word without runs is not extended), in lexicographic
+    order: one depth-first sweep over the prenecklaces
+    (Fredricksen–Kessler–Maiorana; Duval, J. Algorithms 1983)."""
+    if max_period < 1:
+        raise InputError("max_period must be >= 1")
+    # (w, p, runs): a prenecklace w whose longest Lyndon prefix has length p
+    stack = [((), 1, runs)]
+    while stack:
+        w, p, runs = stack.pop()
+        if w and p == len(w):
+            yield w, runs
+        if len(w) < max_period:
+            least = w[-p] if w else 0
+            for a in reversed(range(least, letters)):
+                nxt = extend(runs, a)
+                if nxt:
+                    # repeating w[-p] keeps p; a larger letter makes a Lyndon word
+                    stack.append((w + (a,), p if w and a == least else len(w) + 1, nxt))
+
+
+def extend_runs(table, runs, a):
+    """Extend the preimage paths ``runs`` of a word by letter index a: each
+    (start, end) index pair maps to one path, or to None once two reach it;
+    the empty word's run is (n, n), n the start row of ``table``."""
+    nxt = {}
+    for (s, e), path in runs.items():
+        for t in table[e][a]:
+            key = (t, t) if path == () else (s, t)
+            nxt[key] = None if path is None or key in nxt else path + (t,)
+    return nxt
+
+
+def close_runs(table, first, runs, period):
+    """The lifts of an orbit of word w from its preimage paths ``runs``, as
+    sorted (winding, symbol ids) pairs.  A path from s to e and an edge from
+    e to t labeled w[0] (index ``first``) relate s to t; the essential part
+    of this relation (trimmed only if it is not a permutation of its starts),
+    a pair counted once per path, must be a permutation, or the fiber is
+    infinite.  A cycle of k pairs is a lift of winding k whose word repeats
+    no (phase, symbol) vertex, so is primitive."""
+    edges = [(s, t, path) for (s, e), path in runs.items() for t in table[e][first]]
+    succ = {s: (t, path) for s, t, path in edges}
+    if len(succ) < len(edges) or succ.keys() != {t for t, _p in succ.values()}:
+        alive = _essential_mask(len(table), *np.array([(s, t) for s, t, _p in edges]).T).tolist()
+        edges = [(s, t, path) for s, t, path in edges if alive[s] and alive[t]]
+        succ = {s: (t, path) for s, t, path in edges}
+    if len(succ) < len(edges) or any(path is None for _t, path in succ.values()):
+        raise FiberInfinite("recurrent phased graph branches; fiber is infinite")
+    lifts = []
+    while succ:
+        s, ids = next(iter(succ)), []
+        while s in succ:
+            s, path = succ.pop(s)
+            ids.extend(path)
+        k = least_rotation(ids)
+        lifts.append((len(ids) // period, ids[k:] + ids[:k]))
+    lifts.sort()
+    return lifts
+
+
+def run_periodic_fiber(g: LabeledGraph, y: PeriodicOrbit) -> PhasedFiberDecomposition:
+    """Exact fiber of a periodic orbit of the image, from the preimage runs
+    of its word (see ``close_runs``)."""
+    runs = {(len(g.x_symbols),) * 2: ()}
+    for a in y.primitive_word:
+        if a not in g.label_classes:
+            raise NotInImage(f"symbol {a!r} is not in the image alphabet")
+        runs = extend_runs(g.letter_successors, runs, g.y_symbols.index(a))
+    lifts = close_runs(g.letter_successors, g.y_symbols.index(y.primitive_word[0]), runs, y.period)
+    if not lifts:
+        raise NotInImage("no preimage cycle realizes the orbit's word")
+    return _decomposition(g, y, lifts)
+
+
+def lift_cycles(g: LabeledGraph, max_period: int):
+    """The Lyndon word (label indices) and ``close_runs`` lifts of each orbit
+    of least period <= max_period with lifts on the essential graph g, in
+    lexicographic order, by one depth-first sweep that extends the preimage
+    paths of each prefix; checked against tr(A^n) after the last, and
+    refused past MAX_PERIODIC_POINTS before it starts."""
+    adjacency = power = g.adjacency_matrix().astype(object)     # Python ints: no wrap-around
+    traces = [power.trace()]
+    while len(traces) < max_period and sum(traces) <= MAX_PERIODIC_POINTS:
+        power = power @ adjacency
+        traces.append(power.trace())
+    if sum(traces) > MAX_PERIODIC_POINTS:
+        raise PreconditionError(f"max_period {max_period}: the periods up to {len(traces)} "
+                                f"already hold {sum(traces)} lift points, more than the cap "
+                                f"MAX_PERIODIC_POINTS = {MAX_PERIODIC_POINTS}")
+    table, lengths = g.letter_successors, []
+    for w, runs in lyndon_words(len(g.y_symbols), max_period, {(len(g.x_symbols),) * 2: ()},
+                                lambda runs, a: extend_runs(table, runs, a)):
+        lifts = close_runs(table, w[0], runs, len(w))
+        if lifts:
+            lengths += (len(ids) for _w, ids in lifts)
+            yield w, lifts
+    for n, trace in enumerate(traces, 1):
+        held = sum(q for q in lengths if n % q == 0)
+        if held != trace:
+            raise RuntimeError(f"periodic fibers hold {held} points of period dividing {n}, "
+                               f"not tr(A^{n}) = {trace}")
+
+
+def loop_component_periods(comps, succ):
+    """Per strongly connected component of the vertices 0..len(succ)-1, the
+    gcd of its cycle lengths, by one BFS each on shared lists, with one
+    ``gcd`` call per edge inside the component that is not a tree edge."""
+    owner, level = [-1] * len(succ), [-1] * len(succ)
+    for c, comp in enumerate(comps):
+        for v in comp:
+            owner[v] = c
+    periods = []
+    for c, comp in enumerate(comps):
+        level[comp[0]], queue, g = 0, [comp[0]], 0
+        while queue:
+            v = queue.pop()
+            for w in succ[v]:
+                if owner[w] != c:
+                    continue
+                if level[w] >= 0:
+                    g = gcd(g, level[v] + 1 - level[w])
+                else:
+                    level[w] = level[v] + 1
+                    queue.append(w)
+        periods.append(abs(g))
+    return periods
+
+
 def periodic_lift_rows(path, max_period):
     """The ``periodic-lifts`` rows of a graph or code file as the CLI built
     them before it wrote their text straight from the sweep: one dict per
-    orbit with lifts, from ``_lift_cycles`` on the essential graph, sorted
+    orbit with lifts, from ``lift_cycles`` on the essential graph, sorted
     by period, for ``json.dumps`` or ``periodic_lift_table``."""
     g, rec = load_graph_or_code(path)[0], None
     if isinstance(g, OneBlockRecoding):
@@ -947,7 +1082,7 @@ def periodic_lift_rows(path, max_period):
     names = [str(rec.base_letter(s)) if rec is not None else str(s) for s in g.x_symbols]
     labels, offset = [str(y) for y in g.y_symbols], rec.offset if rec is not None else 0
     weights, rows = {}, []
-    for word, lifts in _lift_cycles(g, max_period):
+    for word, lifts in lift_cycles(g, max_period):
         p, d = len(word), sum(w for w, _ids in lifts)
         lift_rows, components = [], []
         for w, ids in lifts:
@@ -1282,6 +1417,36 @@ def least_rotation(word, order=None):
     ``order`` (symbol -> rank) when given, else by their own ordering."""
     rank = (lambda w: tuple(order[s] for s in w)) if order else (lambda w: w)
     return min(range(len(word)), key=lambda i: rank(word[i:] + word[:i]))
+
+
+def booth_least_rotation(word, order=None):
+    """Start index of the least rotation of a word, comparing symbols by
+    ``order`` (symbol -> rank) when given, else by their own ordering; the
+    smallest such index when several rotations are equal.  Booth's algorithm
+    (Booth, "Lexicographically least circular substrings", IPL 1980): a
+    failure function over the doubled word, O(p) comparisons for a word of
+    length p, run only on a tie for the least symbol."""
+    ranks = [order[s] for s in word] if order else list(word)
+    least = min(ranks, default=None)
+    if ranks.count(least) == 1:
+        return ranks.index(least)
+    ranks += ranks
+    fail = [-1] * len(ranks)
+    k = 0                                   # start of the least rotation so far
+    for j in range(1, len(ranks)):
+        c = ranks[j]
+        i = fail[j - k - 1]
+        while i != -1 and c != ranks[k + i + 1]:
+            if c < ranks[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if c != ranks[k + i + 1]:           # here i == -1
+            if c < ranks[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k
 
 
 def recode_to_one_block(code: SlidingBlockCode) -> OneBlockRecoding:

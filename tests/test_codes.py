@@ -1,11 +1,12 @@
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 import sftlift as sl
-from sftlift import LabeledGraph, PeriodicOrbit, cli, codes
+from sftlift import LabeledGraph, PeriodicOrbit, cli, codes, graphs
 from sftlift.cli import main
 from sftlift.fibers import _unwrap
 from sftlift.graphs import load_graph_or_code
@@ -116,6 +117,17 @@ def test_preimage_words_on_graph(rule102):
     assert {tuple("".join(b) for b in w) for w in words} == {("01", "10"), ("10", "01")}
 
 
+def test_preimage_words_compute_the_essential_mask_once(monkeypatch):
+    # the recoding graph caches its essential mask: the 155 sum5 words of
+    # length 1-3 and the empty word compute it once between them
+    code, calls, mask = sl.LinearCACode(5, "sum"), [], graphs._essential_mask
+    monkeypatch.setattr(graphs, "_essential_mask", lambda *args: calls.append(1) or mask(*args))
+    words = [w for n in (1, 2, 3) for w in product("01234", repeat=n)]
+    assert len(words) == 155
+    assert all(sl.preimage_words(code, w) for w in [*words, ()])
+    assert len(calls) == 1
+
+
 @given(graphs_strategy(max_symbols=5, max_labels=3), st.integers(1, 4))
 def test_preimage_words_match_direct_enumeration(g, length):
     from itertools import product
@@ -213,18 +225,20 @@ def test_periodic_fibers_pass_the_trace_checksum(name):
 
 
 def test_periodic_fibers_checksum_catches_a_lost_lift(monkeypatch, capsys):
-    # the close step the sweep calls drops the last lift of the first orbit
-    # with several; the trace checksum must refuse before anything is printed,
-    # in the library and in the CLI
-    close, lost = codes._close, []
+    # the cycle step of the sweep's core drops the last lift of its first
+    # winding group; the trace checksum must refuse before anything is
+    # printed, in the library and in the CLI
+    cycles, lost = codes._cycles, []
 
     def lose_one(*args):
-        lifts = close(*args)
-        if len(lifts) > 1 and not lost:
-            lost.append(lifts.pop())
-        return lifts
+        groups = cycles(*args)
+        if groups and not lost:
+            w, ranks, ids = groups[0]
+            lost.append(ids[-1])
+            groups[0] = w, ranks[:-1], ids[:-1]
+        return groups
 
-    monkeypatch.setattr(codes, "_close", lose_one)
+    monkeypatch.setattr(codes, "_cycles", lose_one)
     path = GOLDEN / "diff4.json"
     with pytest.raises(RuntimeError, match=r"tr\(A\^1\)"):
         sl.periodic_fibers(_unwrap(load_graph_or_code(path)[0])[0], 3)

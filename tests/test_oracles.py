@@ -12,14 +12,18 @@ closing step along one word with the periodic lift analysis and the
 from the sweep, the vectorised samplers, the recoding-based pushforward path and the
 fiber product on integer arrays with its edges, the structure report on
 the edges and the ``joining`` output built from them, least rotation and
-recoding against the constructions they replaced (kept in
-``oracles.py``)."""
+recoding, the per-period array sweep of the periodic lifts and
+``periodic_fiber`` on it, and the period search's gcd pass against the
+constructions they replaced (kept in ``oracles.py``)."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
 import random
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from itertools import product
@@ -36,7 +40,8 @@ from sftlift.cli import main
 from sftlift.errors import EmptyAfterTrim, FiberInfinite, NoPath, NotInImage, PreconditionError
 from sftlift.fibers import _single_linkage, _unwrap, support_presentation
 from sftlift.graphs import (LabeledGraph, SubsetAutomaton, _component_periods, _essential_mask,
-                            _tarjan_scc, least_rotation, render_symbol)
+                            _successor_lists, _tarjan_scc, least_rotation, load_graph_or_code,
+                            render_symbol)
 from sftlift.joinings import _ViabilityWalk
 from sftlift.measures import EmpiricalDistribution, make_rng
 
@@ -686,6 +691,74 @@ def test_close_step_cases_match_oracle(monkeypatch, case):
         assert outcome.lift_orbits
 
 
+def _check_lift_cycles(g, max_period):
+    """The per-period array sweep against the depth-first sweep over the
+    preimage runs, orbit by orbit in period order, on the essential part of
+    g; a refusal must match by type and message."""
+    g = sl.analyze_graph(g).essential
+    assert (_refusal_or(lambda: list(codes._lift_cycles(g, max_period)))
+            == _refusal_or(lambda: sorted(oracles.lift_cycles(g, max_period),
+                                          key=lambda orbit: len(orbit[0]))))
+
+
+@given(graphs_strategy())
+@example(LabeledGraph(["s0", "s1"], [("s0", "s0"), ("s0", "s1"), ("s1", "s0"), ("s1", "s1")],
+                      {"s0": "0", "s1": "0"}))
+def test_lift_cycles_match_run_sweep_oracle(g):
+    # infinite-to-one graphs included: their sweeps refuse with FiberInfinite
+    _check_lift_cycles(g, 5)
+
+
+@pytest.mark.parametrize("name", GOLDEN_CODES)
+def test_lift_cycles_match_run_sweep_oracle_on_golden_codes(name):
+    _check_lift_cycles(_unwrap(load_graph_or_code(GOLDEN / f"{name}.json")[0])[0], 6)
+
+
+def test_periodic_fiber_matches_run_oracle_on_golden_codes(collapsing_fixture):
+    graphs = [_unwrap(load_graph_or_code(GOLDEN / f"{name}.json")[0])[0]
+              for name in GOLDEN_CODES]
+    for g in [*graphs, collapsing_fixture]:
+        for y in sl.determinize(g).periodic_orbits(4):
+            assert (_refusal_or(sl.periodic_fiber, g, y)
+                    == _refusal_or(oracles.run_periodic_fiber, g, y))
+
+
+# The peak RSS of ``periodic-lifts`` on sum5 at period 8, in MB: a third of
+# the 336 MB it reached when it held every row's text until the checksum.
+PERIOD_8_PEAK_RSS_MB = 112
+
+
+@pytest.mark.slow
+def test_periodic_lifts_at_period_8_hold_integers_not_text():
+    # the child process reports its own peak RSS, VmHWM: its ru_maxrss would
+    # also count the test runner's RSS, which the exec that starts it replaces.
+    # Its stdout is hashed as it streams, and must hash as the depth-first
+    # sweep's rows dumped by json.
+    path = str(GOLDEN / "sum5.json")
+    child = ("import sys\n"
+             "from sftlift.cli import main\n"
+             f"code = main(['periodic-lifts', {path!r}, '--max-period', '8'])\n"
+             "sys.stdout.flush()\n"
+             "print(*[s for s in open('/proc/self/status') if s.startswith('VmHWM')], "
+             "file=sys.stderr)\n"
+             "sys.exit(code)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(sl.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-c", child], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    digest = hashlib.sha256()
+    while chunk := proc.stdout.read(1 << 20):
+        digest.update(chunk)
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 0, err
+    assert err.split()[-1] == "kB" and int(err.split()[-2]) / 1024 <= PERIOD_8_PEAK_RSS_MB
+    expected = hashlib.sha256()
+    payload = {"max_period": 8, "orbits": oracles.periodic_lift_rows(path, 8)}
+    for part in json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload):
+        expected.update(part.encode())
+    expected.update(b"\n")
+    assert digest.hexdigest() == expected.hexdigest()
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("family, modulus, max_period", [("sum", 5, 8), ("difference", 5, 7)])
 def test_periodic_fibers_match_per_orbit_oracle_at_scale(family, modulus, max_period):
@@ -1149,7 +1222,39 @@ def test_list_tarjan_and_periods_match_dict_oracles(case):
     roots, succ = case
     comps = _tarjan_scc(roots, succ)
     assert comps == oracles.tarjan_scc(roots, succ)
-    assert _component_periods(comps, succ) == [oracles.component_period(c, succ) for c in comps]
+    src, dst = _edge_arrays(succ)
+    expected = [oracles.component_period(c, succ) for c in comps]
+    assert _component_periods(comps, succ, src, dst) == expected
+    assert oracles.loop_component_periods(comps, succ) == expected
+
+
+def _edge_arrays(succ):
+    """The edges of successor lists as (source, target) index arrays."""
+    return (np.repeat(np.arange(len(succ)), [len(t) for t in succ]).astype(np.int64),
+            np.array([w for t in succ for w in t], dtype=np.int64))
+
+
+def _check_periods(g):
+    """The gcd pass of ``_component_periods`` against the per-edge gcd loop,
+    on the live edges and components of g as ``analyze_graph`` builds them."""
+    src, dst = g.edges
+    live = g.essential_mask[src] & g.essential_mask[dst]
+    src, dst = src[live], dst[live]
+    succ = _successor_lists(len(g.x_symbols), src, dst)
+    comps = sorted(sorted(c) for c in _tarjan_scc(np.flatnonzero(g.essential_mask).tolist(), succ))
+    periods = _component_periods(comps, succ, src, dst)
+    assert periods == oracles.loop_component_periods(comps, succ)
+    return periods
+
+
+@given(graphs_strategy(max_symbols=8))
+def test_component_periods_match_per_edge_gcd_loop(g):
+    _check_periods(g)
+
+
+def test_component_periods_match_per_edge_gcd_loop_on_diff7_joining_graph():
+    lam = sl.degree_joining_graph(sl.LinearCACode(7, "difference").recoding.graph)
+    assert _check_periods(lam.graph) == [1] * 720
 
 
 def test_structure_report_matches_tuple_oracle_on_fixed_cases():
@@ -1215,6 +1320,7 @@ def test_least_rotation_matches_oracle_on_every_short_word(alphabet, max_length)
     for length in range(1, max_length + 1):
         for word in product(alphabet, repeat=length):
             assert least_rotation(word) == oracles.least_rotation(word)
+            assert least_rotation(word) == oracles.booth_least_rotation(word)
 
 
 @given(st.lists(st.sampled_from("abcd"), min_size=1, max_size=30), st.integers(1, 4),
@@ -1223,6 +1329,7 @@ def test_least_rotation_matches_oracle(root, repeats, ranking):
     word = tuple(root) * repeats
     order = None if ranking is None else {a: i for i, a in enumerate(ranking)}
     assert least_rotation(word, order) == oracles.least_rotation(word, order)
+    assert least_rotation(word, order) == oracles.booth_least_rotation(word, order)
     assert (sl.PeriodicOrbit.from_word(word, order).primitive_word
             == sl.PeriodicOrbit.from_word(root, order).primitive_word)
 
