@@ -18,10 +18,10 @@ from .joinings import (DegreeJoiningGraph, PeriodicJoiningReport,
                        degree_joining_graph, enumerate_periodic_degree_joinings,
                        lambda_path_over)
 from .measures import (BernoulliMeasure, COMeasure, ComparisonResult,
-                       EmpiricalDistribution, MarkovMeasure,
-                       PushforwardMeasure, StationaryMeasure, as_markov,
+                       EmpiricalDistribution, HiddenChain, MarkovMeasure,
+                       PushforwardMeasure, StationaryMeasure,
                        compare_measures, has_two_point_factor, measure_from_json_dict,
-                       pushforward_cylinder, sample_path)
+                       sample_path)
 from .fibers import (CanonicalLiftDecomposition, LiftEntry, LiftReport,
                      MonteCarloParams, analyze_periodic_lifts,
                      classify_lifts_monte_carlo, is_fully_supported_on_image)

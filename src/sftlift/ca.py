@@ -25,11 +25,10 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import DegenerateMeasure, HypothesisNotMet, InputError, MismatchReport
-from .graphs import OneBlockRecoding, SlidingBlockCode, _as_word
+from .graphs import OneBlockRecoding, SlidingBlockCode
 from .fibers import LiftEntry, LiftReport, MonteCarloParams, classify_lifts_monte_carlo
-from .measures import (BernoulliMeasure, PushforwardMeasure, StationaryMeasure,
-                       as_markov, compare_measures, has_two_point_factor,
-                       parse_fraction)
+from .measures import (BernoulliMeasure, HiddenChain, PushforwardMeasure, StationaryMeasure,
+                       compare_measures, has_two_point_factor, parse_fraction)
 
 import numpy as np
 
@@ -152,18 +151,18 @@ class AlternatingOffsetMeasure(StationaryMeasure):
         self.modulus = modulus
         self.alphabet = base.alphabet
 
-    def _displaced(self, word, phase):
-        signs = [1 if (i + phase) % 2 == 0 else -1 for i in range(len(word))]
-        return tuple(str((int(a) - sign * self.offset) % self.modulus)
-                     for a, sign in zip(word, signs))
-
-    def cylinder_at_phase(self, word, phase) -> Fraction:
-        word = _as_word(word)
-        return Fraction(1, 2) * (self.base.cylinder(self._displaced(word, phase))
-                                 + self.base.cylinder(self._displaced(word, phase + 1)))
-
-    def cylinder(self, word) -> Fraction:
-        return self.cylinder_at_phase(word, 0)
+    def _hidden_chain(self):
+        """(phase, base state) pairs, numbered phase * n + z: phase 0 adds the
+        offset to its base letter, phase 1 subtracts it, and each step flips
+        the phase as it moves the base state."""
+        base, idx, shift = self.base.hidden_chain(), self._index(), (self.offset, -self.offset)
+        n = len(base.stationary)
+        return HiddenChain(
+            tuple(p / 2 for p in base.stationary) * 2,
+            tuple({(1 - phase) * n + t: p for t, p in row.items()}
+                  for phase in (0, 1) for row in base.rows),
+            tuple(idx[str((int(self.alphabet[e]) + shift[phase]) % self.modulus)]
+                  for phase in (0, 1) for e in base.letter))
 
     def sample_indices(self, length, rng) -> np.ndarray:
         """x_t + c * (-1)^(t + phase) (mod N), phase drawn first, in x's dtype."""
@@ -194,7 +193,7 @@ def sum_code_lift_analysis(alpha, params: MonteCarloParams | None = None,
             "point-mass input: analyze the fixed point with analyze_periodic_lifts")
     digits = _digits(5)
     mu = BernoulliMeasure(digits, alpha)
-    if has_two_point_factor(as_markov(mu)):
+    if has_two_point_factor(mu):
         raise RuntimeError("two-point rotation unexpectedly a factor of a Bernoulli measure")
     if alpha[0] <= Fraction(1, 2):
         if not mc_fallback:
@@ -264,22 +263,15 @@ class CrossValidationReport:
 
 
 def _cylinder_table(measure, digits, depth):
-    """The cylinders of an exact lift, a Bernoulli or an alternating-offset
-    measure, on the words over ``digits`` of lengths 1..depth, in the order
-    of the concatenated count arrays, as exact Fractions.  Per phase, the
-    masses of each length's words extend those of their prefixes by one
-    letter's probability at its position; the phases are then averaged."""
-    if isinstance(measure, AlternatingOffsetMeasure):
-        weight = Fraction(1, 2)
-        phases = [[[measure.base.cylinder(measure._displaced((a,), i + phase)) for a in digits]
-                   for i in (0, 1)] for phase in (0, 1)]
-    else:
-        weight, phases = 1, [[[measure.cylinder((a,)) for a in digits]] * 2]
-    table, levels = [], [[Fraction(1)]] * len(phases)
-    for i in range(depth):
-        levels = [[m * q for m in level for q in rows[i % 2]]
-                  for level, rows in zip(levels, phases)]
-        table += [weight * sum(masses) for masses in zip(*levels)]
+    """The cylinders of an exact lift on the words over ``digits`` of
+    lengths 1..depth, in the order of the concatenated count arrays, as
+    exact Fractions: ``cylinder``'s forward recursion run once over the
+    prefix tree of the words, each word extending its prefix's masses."""
+    chain, idx = measure.hidden_chain(), measure._index()
+    table, level = [], [None]
+    for _ in range(depth):
+        level = [chain.forward(masses, idx.get(a, -1)) for masses in level for a in digits]
+        table += [sum(masses.values(), Fraction(0)) for masses in level]
     return table
 
 

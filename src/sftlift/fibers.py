@@ -7,8 +7,8 @@ Two routes:
   and the relatively-independent-self-joining diagonal masses are computed
   in exact rationals;
 
-* statistical, for fully supported Markov/Bernoulli (or lazily pushed
-  forward) image measures — sample a long image window, thread the
+* statistical, for fully supported image measures (hidden Markov
+  chains, pushforwards included) — sample a long image window, thread the
   joining graph over it, and cluster the per-coordinate empirical cylinder
   statistics.  Almost every fiber point is generic for one of the lifts,
   with multiplicities given by how many coordinates share a cluster, so
@@ -26,13 +26,10 @@ from functools import reduce
 import numpy as np
 
 from .errors import InputError, NotFullySupported
-from .graphs import (LabeledGraph, OneBlockRecoding, PeriodicOrbit, _tarjan_scc, determinize,
-                     full_shift)
+from .graphs import LabeledGraph, OneBlockRecoding, PeriodicOrbit, _tarjan_scc, determinize
 from .codes import compute_degree, periodic_fiber
 from .joinings import _ViabilityWalk, degree_joining_graph
-from .measures import (BernoulliMeasure, COMeasure, EmpiricalDistribution,
-                       MarkovMeasure, PushforwardMeasure, StationaryMeasure,
-                       as_markov, make_rng)
+from .measures import COMeasure, EmpiricalDistribution, StationaryMeasure, make_rng
 
 # The longest Monte-Carlo sample accepted.  A run holds about 22 bytes per
 # letter at its peak (20.6 MiB traced for ``ca --family sum`` at T = 10**6),
@@ -170,26 +167,15 @@ class MonteCarloParams:
 
 
 def support_presentation(nu: StationaryMeasure):
-    """Right-resolving presentation of the support of an image measure.
-
-    One rule serves every image measure, read as a pushforward (a direct
-    image measure under the identity code on its own alphabet): the support
-    of the base measure is the SFT of its Markov support graph (a Bernoulli
-    measure through ``as_markov``), whose edges are the 2-words of positive
-    mass.  The recoding graph of the block code, cut down to the transitions
-    whose (m+n+2)-word has all its pairs in that graph, presents the image
-    of that support.
-    """
-    if not isinstance(nu, PushforwardMeasure):
-        nu = PushforwardMeasure(nu, full_shift(nu.alphabet))
-    chain = as_markov(nu.base) if isinstance(nu.base, BernoulliMeasure) else nu.base
-    if not isinstance(chain, MarkovMeasure):
-        raise InputError(f"type: a {nu.base.describe()['type']} measure has no Markov support "
-                         "graph; expected bernoulli or markov, directly or as a pushforward base")
-    pairs = chain.support_transitions()
-    graph = nu.block_code.recoding.graph
-    edges = {(u, v) for u, v in graph.transitions if pairs.issuperset(zip(u, u[1:] + v[-1:]))}
-    return determinize(LabeledGraph(graph.x_symbols, edges, graph.label, graph.y_symbols))
+    """Right-resolving presentation of the support of a measure: the subset
+    construction of its hidden chain's graph of positive transitions, each
+    state labelled by its letter.  Every chain state has positive mass, so
+    every path of that graph has positive mass."""
+    chain = nu.hidden_chain()
+    states = range(len(chain.letter))
+    edges = {(z, t) for z in states for t in chain.rows[z]}
+    label = {z: nu.alphabet[chain.letter[z]] for z in states}
+    return determinize(LabeledGraph(states, edges, label, nu.alphabet))
 
 
 def is_fully_supported_on_image(nu: StationaryMeasure, g: LabeledGraph) -> bool:

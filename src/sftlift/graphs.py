@@ -449,8 +449,8 @@ class SlidingBlockCode:
 
     @cached_property
     def recoding(self) -> OneBlockRecoding:
-        """The 1-block recoding, built once per code: cylinders, samples and
-        the support of pushforward measures all read it."""
+        """The 1-block recoding, built once per code: preimage words and the
+        samples of pushforward measures read it."""
         return recode_to_one_block(self)
 
     def _allowed_words(self, length):

@@ -1,19 +1,18 @@
 """Exact-rational stationary measures and their cylinder calculus.
 
 All measure arithmetic is done in ``fractions.Fraction``; floating point
-enters only through sampling and Monte-Carlo statistics.  Hidden Markov
-images are never materialized: a ``PushforwardMeasure`` keeps the (measure,
-code) pair and evaluates image cylinders lazily and exactly, because the
-image of a Markov measure has no finite Markov presentation in general.
-Both code kinds are read as a sliding block code (a labeled graph is the
-width-1 block code on its own symbols) through the code's cached 1-block
-recoding (Lind & Marcus, *An Introduction to Symbolic Dynamics and
-Coding*, §1.4-1.5): an image cylinder sums the base measure over the
-preimage paths of the recoding graph, and a sample reads each base window
-through one window-code -> label table, its draws looked up in a guide
-table (``_count_below``).  ``EmpiricalDistribution.counts[l - 1]`` is an
-array of a sample's length-l window counts by base-k word code, the
-order of ``window_codes`` and of ``product(alphabet, repeat=l)``.
+enters only through sampling and Monte-Carlo statistics.  Every measure is
+a finite hidden Markov chain (``StationaryMeasure.hidden_chain``), and
+every cylinder is one forward recursion over its chain (Rabiner, Proc.
+IEEE 1989).  An image measure is the chain on the windows of its base
+chain.  Both code kinds are read as a sliding block code (a labeled graph
+is the width-1 block code on its own symbols; Lind & Marcus, *An
+Introduction to Symbolic Dynamics and Coding*, §1.4-1.5): a sample reads
+each base window through one window-code -> label table of the code's
+cached 1-block recoding, its draws looked up in a guide table
+(``_count_below``).  ``EmpiricalDistribution.counts[l - 1]`` is an array
+of a sample's length-l window counts by base-k word code, the order of
+``window_codes`` and of ``product(alphabet, repeat=l)``.
 """
 
 from __future__ import annotations
@@ -21,12 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InputError, NotErgodic
 from .graphs import PeriodicOrbit, SlidingBlockCode, _as_word, _json_list, _tarjan_scc, scan
-from . import codes
 
 # The most count cells, summed over the window lengths 1..depth, that
 # EmpiricalDistribution.from_indices allocates: 2**27 int64 cells take 1 GiB.
@@ -50,18 +49,56 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+class HiddenChain(NamedTuple):
+    """A stationary measure as a finite hidden Markov chain: state z has
+    stationary mass ``stationary[z] > 0``, moves to z' with probability
+    ``rows[z][z'] > 0`` (a sparse row) and emits the letter
+    ``alphabet[letter[z]]`` of its measure."""
+
+    stationary: tuple
+    rows: tuple
+    letter: tuple
+
+    def forward(self, masses, j):
+        """The forward masses of the states of letter j one letter on: those
+        of a first letter when ``masses`` is None, else reached from the
+        forward masses (state -> mass) of the word so far."""
+        if masses is None:
+            return {z: p for z, p in enumerate(self.stationary) if self.letter[z] == j}
+        out = {}
+        for z, mass in masses.items():
+            for t, p in self.rows[z].items():
+                if self.letter[t] == j:
+                    out[t] = out[t] + mass * p if t in out else mass * p
+        return out
+
+
 class StationaryMeasure:
     """Protocol base: a shift-invariant measure evaluated on cylinders.
 
-    Subclasses provide ``alphabet``, ``cylinder(word) -> Fraction``,
-    ``sample_indices(length, rng)`` and ``describe()``.  Samples hold
-    alphabet indices as ``np.min_scalar_type(len(alphabet) - 1)``.
+    Subclasses provide ``alphabet``, ``_hidden_chain() -> HiddenChain`` (the
+    measure's ``hidden_chain()``, built once), ``sample_indices(length,
+    rng)`` and ``describe()``.  Every cylinder is read from the hidden
+    chain.  Samples hold alphabet indices as
+    ``np.min_scalar_type(len(alphabet) - 1)``.
     """
 
     alphabet: tuple
 
+    def hidden_chain(self) -> HiddenChain:
+        """The measure's ``HiddenChain``, built once by ``_hidden_chain``."""
+        if "_chain" not in vars(self):
+            self._chain = self._hidden_chain()
+        return self._chain
+
     def cylinder(self, word) -> Fraction:
-        raise NotImplementedError
+        """m([word]_0), exactly, by the forward recursion (Rabiner, Proc.
+        IEEE 1989) on the hidden chain: 1 for the empty word, 0 for a word
+        with a letter outside ``alphabet`` (which no state emits)."""
+        chain, index, masses = self.hidden_chain(), self._index(), None
+        for a in _as_word(word):
+            masses = chain.forward(masses, index.get(a, -1))
+        return Fraction(1) if masses is None else sum(masses.values(), Fraction(0))
 
     def sample_indices(self, length, rng) -> np.ndarray:
         raise NotImplementedError
@@ -113,6 +150,17 @@ def stationary_vector(states, matrix) -> tuple:
     return tuple(rhs)
 
 
+def _letter_chain(stationary, matrix):
+    """The chain on the letters of positive stationary mass, each its own
+    state and letter, with the positive entries of their matrix rows."""
+    support = [i for i, p in enumerate(stationary) if p > 0]
+    number = {i: z for z, i in enumerate(support)}
+    return HiddenChain(tuple(stationary[i] for i in support),
+                       tuple({number[j]: matrix[i][j] for j in support if matrix[i][j] > 0}
+                             for i in support),
+                       tuple(support))
+
+
 class MarkovMeasure(StationaryMeasure):
     """Stationary Markov measure with exact rational transition matrix."""
 
@@ -138,7 +186,8 @@ class MarkovMeasure(StationaryMeasure):
                 raise InputError(f"transitions: negative probability in the row of {a!r}")
         self.matrix = tuple(tuple(row) for row in matrix)
         if stationary is None:
-            if not self.is_ergodic():
+            succ = [[j for j, p in enumerate(row) if p > 0] for row in self.matrix]
+            if len(_tarjan_scc(range(n), succ)) != 1:
                 raise NotErgodic("support graph not strongly connected; supply a stationary vector")
             stationary = stationary_vector(self.alphabet, self.matrix)
         else:
@@ -153,29 +202,8 @@ class MarkovMeasure(StationaryMeasure):
         if tuple(row_check) != self.stationary:
             raise InputError("stationary: vector is not stationary for the transition matrix")
 
-    def support_transitions(self):
-        """The transitions of the support: the 2-words of positive mass."""
-        idx = self._index()
-        return {(a, b) for a in self.alphabet for b in self.alphabet
-                if self.stationary[idx[a]] * self.matrix[idx[a]][idx[b]] > 0}
-
-    def is_ergodic(self) -> bool:
-        succ = [[j for j, p in enumerate(row) if p > 0] for row in self.matrix]
-        return len(_tarjan_scc(range(len(succ)), succ)) == 1
-
-    def cylinder(self, word) -> Fraction:
-        word = _as_word(word)
-        if not word:
-            return Fraction(1)
-        idx = self._index()
-        if any(a not in idx for a in word):
-            return Fraction(0)
-        mass = self.stationary[idx[word[0]]]
-        for a, b in zip(word, word[1:]):
-            mass *= self.matrix[idx[a]][idx[b]]
-            if mass == 0:
-                return Fraction(0)
-        return mass
+    def _hidden_chain(self):
+        return _letter_chain(self.stationary, self.matrix)
 
     def sample_indices(self, length, rng) -> np.ndarray:
         """Inverse-CDF sampling: the successor of state s under a uniform draw
@@ -191,7 +219,7 @@ class MarkovMeasure(StationaryMeasure):
         rows = np.array([[float(p) for p in row] for row in self.matrix])
         rows /= rows.sum(axis=1, keepdims=True)
         cum = np.cumsum(rows, axis=1)
-        breaks = np.unique(cum)
+        breaks = np.unique(cum, return_index=True)[0]     # without a flag numpy imports numpy.ma
         table = np.zeros((n, len(breaks) + 1), dtype=np.int64)
         for s in range(n):
             positive = np.flatnonzero(rows[s])
@@ -230,14 +258,8 @@ class BernoulliMeasure(StationaryMeasure):
         if any(p < 0 for p in self.probabilities) or sum(self.probabilities) != 1:
             raise InputError("probabilities: must be non-negative and sum to 1 exactly")
 
-    def cylinder(self, word) -> Fraction:
-        idx = self._index()
-        mass = Fraction(1)
-        for a in _as_word(word):
-            if a not in idx:
-                return Fraction(0)
-            mass *= self.probabilities[idx[a]]
-        return mass
+    def _hidden_chain(self):
+        return _letter_chain(self.probabilities, [self.probabilities] * len(self.alphabet))
 
     def sample_indices(self, length, rng) -> np.ndarray:
         """``rng.choice(len(alphabet), length, p=p)``'s indices, narrow."""
@@ -259,18 +281,16 @@ class COMeasure(StationaryMeasure):
         if alphabet is None:
             alphabet = sorted(set(orbit.primitive_word), key=str)
         self.alphabet = tuple(alphabet)
+        outside = set(orbit.primitive_word) - set(self.alphabet)
+        if outside:
+            raise InputError(f"alphabet: lacks the orbit letters {sorted(map(str, outside))}")
 
-    def cylinder(self, word) -> Fraction:
-        word = _as_word(word)
-        if not word:
-            return Fraction(1)
-        w = self.orbit.primitive_word
-        p = self.orbit.period
-        hits = 0
-        for r in range(p):
-            if all(word[i] == w[(r + i) % p] for i in range(len(word))):
-                hits += 1
-        return Fraction(hits, p)
+    def _hidden_chain(self):
+        """The p phases r of the orbit, r moving to r + 1 mod p."""
+        p, idx = self.orbit.period, self._index()
+        return HiddenChain((Fraction(1, p),) * p,
+                           tuple({(r + 1) % p: Fraction(1)} for r in range(p)),
+                           tuple(idx[a] for a in self.orbit.primitive_word))
 
     def sample_indices(self, length, rng) -> np.ndarray:
         """The orbit word from a uniform phase, as narrow indices."""
@@ -285,17 +305,17 @@ class COMeasure(StationaryMeasure):
 
 
 class PushforwardMeasure(StationaryMeasure):
-    """Lazy image of a measure under a code: the (measure, code) pair.
+    """Image of a measure under a code: the (measure, code) pair.
 
     ``block_code`` is the code as a sliding block code (a labeled graph is
-    read as the width-1 block code on its own symbols); everything here
-    reads its cached 1-block recoding.  A cylinder sums the base measure
-    exactly over the preimage words of the recoding graph's preimage paths;
-    a sample of length T reads each window of a base sample of
-    T + memory + anticipation letters through one window-code -> label
-    table.  The base measure must live on the code's domain: a base letter
-    outside the domain alphabet, or a Markov base with positive probability
-    on a transition the domain forbids, is refused.
+    read as the width-1 block code on its own symbols).  The hidden chain's
+    states are the positive-mass windows of ``block_code.width`` base-chain
+    states, labelled by the block map.  A sample of length T reads each
+    window of a base sample of T + memory + anticipation letters through
+    one window-code -> label table.  The base must live on the code's
+    domain: a base letter outside the domain alphabet is refused, and so is
+    a positive-mass base step that the domain forbids (so every window is a
+    recoding block, and every window step a recoding transition).
     """
 
     def __init__(self, base: StationaryMeasure, code):
@@ -308,14 +328,29 @@ class PushforwardMeasure(StationaryMeasure):
         if outside:
             raise InputError(f"base: letters {sorted(map(str, outside))} are outside the "
                              "code's domain alphabet")
-        if isinstance(base, MarkovMeasure):
-            for (i, a), (j, b) in product(enumerate(base.alphabet), repeat=2):
-                if base.matrix[i][j] > 0 and (a, b) not in self.block_code.transitions:
-                    raise InputError(f"transitions: positive probability on forbidden "
-                                     f"transition ({a!r},{b!r})")
+        chain = base.hidden_chain()
+        letter = [base.alphabet[e] for e in chain.letter]
+        for a, b in ((letter[z], letter[t]) for z, row in enumerate(chain.rows) for t in row):
+            if (a, b) not in self.block_code.transitions:
+                field = "transitions" if isinstance(base, MarkovMeasure) else "base"
+                raise InputError(f"{field}: positive probability on forbidden "
+                                 f"transition ({a!r},{b!r})")
 
-    def cylinder(self, word) -> Fraction:
-        return pushforward_cylinder(self.base, self.block_code, word)
+    def _hidden_chain(self):
+        base, letters = self.base.hidden_chain(), self.base.alphabet
+        windows = {(z,): p for z, p in enumerate(base.stationary)}
+        for _ in range(self.block_code.width - 1):
+            windows = {u + (t,): m * p
+                       for u, m in windows.items() for t, p in base.rows[u[-1]].items()}
+        number, image = {u: i for i, u in enumerate(windows)}, self._index()
+        return HiddenChain(
+            tuple(windows.values()),
+            tuple({number[u[1:] + (t,)]: p for t, p in base.rows[u[-1]].items()} for u in windows),
+            tuple(image[self.block_code.block_map[tuple(letters[base.letter[z]] for z in u)]]
+                  for u in windows))
+
+    # a method of the class's own dict, where perfbench/spans.py finds the methods it wraps
+    cylinder = StationaryMeasure.cylinder
 
     def sample_indices(self, length, rng) -> np.ndarray:
         """Each base window's image as a narrow index; ``len(alphabet)``: none."""
@@ -350,15 +385,6 @@ def window_codes(arr, k, width):
     return codes_arr
 
 
-def pushforward_cylinder(m: StationaryMeasure, code, w) -> Fraction:
-    """(pi_* m)([w]_0): the base mass of the set of preimage words, exact."""
-    w = _as_word(w)
-    total = Fraction(0)
-    for u in codes.preimage_words(code, w):
-        total += m.cylinder(u)
-    return total
-
-
 def sample_path(m: StationaryMeasure, length: int, seed: int):
     """A word of the stationary process, deterministic given the seed."""
     if length < 1:
@@ -369,33 +395,22 @@ def sample_path(m: StationaryMeasure, length: int, seed: int):
 
 
 def has_two_point_factor(m) -> bool:
-    """Whether the two-point rotation is a factor of the measure.
+    """Whether the two-point rotation is a factor of a Bernoulli or Markov
+    measure, whose hidden chain's states are its letters.
 
-    Decided for Markov measures (Bernoulli measures are converted) through
-    the product chain on states x {0,1} with a deterministic parity flip:
-    the factor exists iff the positive-probability product graph fails to
-    be strongly connected, which is exactly non-ergodicity of the product.
+    Decided through the product chain on states x {0,1} with a
+    deterministic parity flip: the factor exists iff the positive-probability
+    product graph fails to be strongly connected, which is exactly
+    non-ergodicity of the product.
     """
-    if isinstance(m, BernoulliMeasure):
-        m = as_markov(m)
-    if not isinstance(m, MarkovMeasure):
+    if not isinstance(m, (BernoulliMeasure, MarkovMeasure)):
         raise TypeError("two-point-factor decision implemented for Markov measures only")
-    if not m.is_ergodic():
+    rows = m.hidden_chain().rows
+    if len(_tarjan_scc(range(len(rows)), rows)) != 1:
         raise NotErgodic("measure's support chain is not strongly connected")
-    idx = m._index()
-    succ = [[] for _ in range(2 * len(idx))]        # (a, parity) is vertex 2 * idx[a] + parity
-    for a, b in m.support_transitions():
-        succ[2 * idx[a]].append(2 * idx[b] + 1)
-        succ[2 * idx[a] + 1].append(2 * idx[b])
+    # (z, parity) is vertex 2 * z + parity
+    succ = [[2 * t + 1 - parity for t in row] for row in rows for parity in (0, 1)]
     return len(_tarjan_scc(range(len(succ)), succ)) != 1
-
-
-def as_markov(m: BernoulliMeasure) -> MarkovMeasure:
-    rows = {a: {b: p for b, p in zip(m.alphabet, m.probabilities) if p > 0}
-            for a, q in zip(m.alphabet, m.probabilities) if q > 0}
-    states = [a for a, q in zip(m.alphabet, m.probabilities) if q > 0]
-    stat = [q for q in m.probabilities if q > 0]
-    return MarkovMeasure(states, rows, stationary=stat)
 
 
 @dataclass(frozen=True)

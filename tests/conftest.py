@@ -61,8 +61,8 @@ def collapsing_fixture():
                         {"u": "0", "v": "0", "w": "1"})
 
 
-def _random_fto_graph(rng: random.Random):
-    n = rng.randint(2, 6)
+def _random_fto_graph(rng: random.Random, max_symbols=6):
+    n = rng.randint(2, max_symbols)
     syms = [f"s{i}" for i in range(n)]
     n_y = rng.randint(2, n) if n > 1 else 1
     ys = [str(i) for i in range(n_y)]
@@ -82,12 +82,12 @@ def _random_fto_graph(rng: random.Random):
     return LabeledGraph(syms, edges, label, used)
 
 
-def _random_skew_graph(rng: random.Random):
+def _random_skew_graph(rng: random.Random, max_symbols=6):
     """Skew product over a random base with a Z_k cocycle on the edges: the
     projection to the base is a degree-k factor code (preimages differ by a
     constant fiber offset, so no diamond can form)."""
     k = rng.choice([2, 2, 3])
-    m = rng.randint(2, 6 // k)
+    m = rng.randint(2, max_symbols // k)
     base = [f"q{i}" for i in range(m)]
     perm = base[:]
     rng.shuffle(perm)
@@ -111,15 +111,20 @@ def random_fto_fixtures():
     """20 randomly generated irreducible essential finite-to-one fixtures
     with alphabets <= 6, deterministic across runs; half are random skew
     products so that degrees above one are represented."""
-    rng = random.Random(20260810)
+    return random_fto_codes(random.Random(20260810), 20, 6)
+
+
+def random_fto_codes(rng, count, max_symbols):
+    """``count`` irreducible essential finite-to-one graphs on at most
+    ``max_symbols`` symbols, alternately random and skew products."""
     found = []
     attempts = 0
-    while len(found) < 20:
+    while len(found) < count:
         attempts += 1
         if attempts > 20000:
             raise RuntimeError("fixture generation stalled")
         maker = _random_fto_graph if len(found) % 2 == 0 else _random_skew_graph
-        g = maker(rng)
+        g = maker(rng, max_symbols)
         report = sl.analyze_graph(g)
         if not (report.is_essential and report.is_irreducible):
             continue

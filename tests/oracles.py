@@ -37,7 +37,10 @@ keyed by vertex in dicts and sets; the depth-first Lyndon-word sweep of
 the periodic fibers, which extends and closes the preimage runs of one
 word at a time in dicts, with ``periodic_fiber`` on those runs, the
 period search with one ``gcd`` call per non-tree edge, and Booth's least
-rotation of one word."""
+rotation of one word; and the per-class cylinders that the hidden-chain
+forward recursion replaced: Bernoulli products, Markov chain products,
+orbit phase counts, alternating-offset phase averages over displaced base
+words, and the pushforward sum of base masses over the preimage words."""
 
 from __future__ import annotations
 
@@ -48,8 +51,9 @@ from math import gcd, isqrt, log
 
 import numpy as np
 
+from sftlift.ca import AlternatingOffsetMeasure
 from sftlift.codes import (MAX_PERIODIC_POINTS, PhasedFiberDecomposition, _decomposition,
-                           _require_irreducible, is_finite_to_one)
+                           _require_irreducible, is_finite_to_one, preimage_words)
 from sftlift.errors import (EmptyAfterTrim, FiberInfinite, InfiniteToOne, InputError, NoPath,
                             NotInImage, PreconditionError)
 from sftlift.fibers import (CanonicalLiftDecomposition, LiftEntry, LiftReport,
@@ -1280,6 +1284,80 @@ def co_sample_indices(m, length, rng):
     return np.array([idx[w[(r + t) % m.orbit.period]] for t in range(length)], dtype=np.int64)
 
 
+def bernoulli_cylinder(m, word):
+    """The product of the letters' probabilities; 0 off the alphabet."""
+    idx = m._index()
+    mass = Fraction(1)
+    for a in _as_word(word):
+        if a not in idx:
+            return Fraction(0)
+        mass *= m.probabilities[idx[a]]
+    return mass
+
+
+def markov_cylinder(m, word):
+    """The stationary mass of the first letter times the transition
+    probabilities along the word; 0 off the alphabet."""
+    word = _as_word(word)
+    if not word:
+        return Fraction(1)
+    idx = m._index()
+    if any(a not in idx for a in word):
+        return Fraction(0)
+    mass = m.stationary[idx[word[0]]]
+    for a, b in zip(word, word[1:]):
+        mass *= m.matrix[idx[a]][idx[b]]
+        if mass == 0:
+            return Fraction(0)
+    return mass
+
+
+def co_cylinder(m, word):
+    """The share of the orbit's phases at which the word is read."""
+    word = _as_word(word)
+    if not word:
+        return Fraction(1)
+    w, p = m.orbit.primitive_word, m.orbit.period
+    hits = sum(all(word[i] == w[(r + i) % p] for i in range(len(word))) for r in range(p))
+    return Fraction(hits, p)
+
+
+def displaced(m, word, phase):
+    """The base word that an alternating-offset measure displaces onto
+    ``word`` when its sign at the first letter is (-1)^phase."""
+    signs = [1 if (i + phase) % 2 == 0 else -1 for i in range(len(word))]
+    return tuple(str((int(a) - sign * m.offset) % m.modulus) for a, sign in zip(word, signs))
+
+
+def cylinder_at_phase(m, word, phase):
+    """An alternating-offset cylinder averaged over the two sign phases,
+    starting the first at ``phase``."""
+    word = _as_word(word)
+    return Fraction(1, 2) * (cylinder(m.base, displaced(m, word, phase))
+                             + cylinder(m.base, displaced(m, word, phase + 1)))
+
+
+def pushforward_cylinder(m, code, w):
+    """(pi_* m)([w]_0): the base mass of the set of preimage words, exact."""
+    return sum((cylinder(m, u) for u in preimage_words(code, _as_word(w))), Fraction(0))
+
+
+def cylinder(m, word):
+    """The cylinder of a measure by its class's own formula: the per-class
+    bodies that the hidden-chain forward recursion replaced."""
+    if isinstance(m, BernoulliMeasure):
+        return bernoulli_cylinder(m, word)
+    if isinstance(m, MarkovMeasure):
+        return markov_cylinder(m, word)
+    if isinstance(m, COMeasure):
+        return co_cylinder(m, word)
+    if isinstance(m, PushforwardMeasure):
+        return pushforward_cylinder(m.base, m.block_code, word)
+    if isinstance(m, AlternatingOffsetMeasure):
+        return cylinder_at_phase(m, word, 0)
+    raise TypeError(f"no per-class cylinder for {type(m).__name__}")
+
+
 def preimage_words_block(code: SlidingBlockCode, w):
     """Every allowed domain word of length |w| + memory + anticipation that
     ``apply`` maps onto w (for the empty word, all allowed stubs), whether
@@ -1337,6 +1415,13 @@ def _support_states(m):
     return tuple(a for a, p in zip(m.alphabet, m.stationary) if p > 0)
 
 
+def support_transitions(m: MarkovMeasure):
+    """The transitions of a Markov measure's support: the 2-words of positive mass."""
+    idx = m._index()
+    return {(a, b) for a in m.alphabet for b in m.alphabet
+            if m.stationary[idx[a]] * m.matrix[idx[a]][idx[b]] > 0}
+
+
 def support_presentation(nu, g: LabeledGraph):
     """Right-resolving presentation of the support of an image measure,
     one branch per measure type and code kind.  It keeps every block of a
@@ -1348,7 +1433,7 @@ def support_presentation(nu, g: LabeledGraph):
         return determinize(support)
     if isinstance(nu, MarkovMeasure):
         states = _support_states(nu)
-        graph = LabeledGraph(states, nu.support_transitions(),
+        graph = LabeledGraph(states, support_transitions(nu),
                              {a: a for a in states}, g.y_symbols)
         return determinize(graph)
     raise TypeError(f"unsupported image measure type {type(nu).__name__}")
@@ -1362,7 +1447,7 @@ def _pushforward_support_presentation(nu: PushforwardMeasure):
             positive = set(_support_states(base))
             keep = [b for b in graph.x_symbols if all(a in positive for a in b)]
         elif isinstance(base, MarkovMeasure):
-            support = base.support_transitions()
+            support = support_transitions(base)
             keep = [b for b in graph.x_symbols
                     if all(pair in support for pair in zip(b, b[1:])) or len(b) == 1]
         else:
@@ -1373,7 +1458,7 @@ def _pushforward_support_presentation(nu: PushforwardMeasure):
         if isinstance(base, BernoulliMeasure):
             restricted = graph.restrict(_support_states(base))
         elif isinstance(base, MarkovMeasure):
-            support = base.support_transitions() & graph.transitions
+            support = support_transitions(base) & graph.transitions
             restricted = LabeledGraph(_support_states(base), support,
                                       {s: graph.label[s] for s in _support_states(base)},
                                       graph.y_symbols)

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 import sftlift as sl
+import oracles
 from sftlift import (AlternatingOffsetMeasure, BernoulliMeasure, LinearCACode,
                      MonteCarloParams, PushforwardMeasure)
 from sftlift.ca import _cylinder_table, _digits, exact_lift_analysis
@@ -110,7 +111,9 @@ def test_alternating_offset_shift_invariant():
     for offset in (1, 2):
         m = AlternatingOffsetMeasure(mu, offset, 5)
         for word in (("1",), ("1", "4"), ("0", "2", "3")):
-            assert m.cylinder_at_phase(word, 0) == m.cylinder_at_phase(word, 1)
+            assert oracles.cylinder_at_phase(m, word, 0) == oracles.cylinder_at_phase(m, word, 1)
+            assert m.cylinder(word) == oracles.cylinder_at_phase(m, word, 0)
+            assert sum(m.cylinder((a,) + word) for a in "01234") == m.cylinder(word)
 
 
 def test_displaced_measures_project_to_same_image():
@@ -125,9 +128,9 @@ def test_displaced_measures_project_to_same_image():
     words += [tuple(rng.choice("01234") for _ in range(k))
               for k in (3, 4) for _ in range(10)]
     for w in words:
-        expected = sl.pushforward_cylinder(mu, code, w)
-        assert sl.pushforward_cylinder(mu1, code, w) == expected
-        assert sl.pushforward_cylinder(mu2, code, w) == expected
+        expected = sl.PushforwardMeasure(mu, code).cylinder(w)
+        assert sl.PushforwardMeasure(mu1, code).cylinder(w) == expected
+        assert sl.PushforwardMeasure(mu2, code).cylinder(w) == expected
 
 
 def test_displaced_measure_margins():
@@ -182,13 +185,14 @@ def test_cross_validate_sum5(sum5):
     (5, "sum", ("7/10", "1/10", "1/20", "1/10", "1/20")),
 ])
 def test_cylinder_table_matches_per_word_cylinders(modulus, family, vector):
-    """The prefix-extended table of each exact lift equals ``cylinder`` on
-    every word of lengths 1..4, in ``product`` order."""
+    """The prefix-extended table of each exact lift equals ``cylinder`` and
+    the per-class oracle on every word of lengths 1..4, in ``product`` order."""
     digits = _digits(modulus)
     for entry in exact_lift_analysis(LinearCACode(modulus, family), vector).lifts:
-        expected = [entry.measure.cylinder(w) for length in range(1, 5)
-                    for w in product(digits, repeat=length)]
+        words = [w for length in range(1, 5) for w in product(digits, repeat=length)]
+        expected = [entry.measure.cylinder(w) for w in words]
         assert _cylinder_table(entry.measure, digits, 4) == expected
+        assert expected == [oracles.cylinder(entry.measure, w) for w in words]
 
 def test_cross_validate_reports_mismatches(diff4):
     with pytest.raises(MismatchReport):

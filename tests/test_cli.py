@@ -464,9 +464,14 @@ INVALID_VALUES = {
     "markov-transitions-type": ("measure", markov(["0", "1"]), "transitions"),
     "markov-row-type": ("measure", markov({"0": "1", "1": HALF}), "transitions"),
     "co-empty": ("measure", {"type": "co", "orbit": []}, "orbit"),
-    "co-measure": ("measure", {"type": "co", "orbit": ["0", "1"]}, "type"),
+    # a co measure is read like any other, and its orbit is not the whole image
+    "co-measure": ("measure", {"type": "co", "orbit": ["0", "1"]}, "not fully supported"),
     "co-base": ("measure", {"type": "pushforward", "base": {"type": "co", "orbit": ["0", "1"]}},
-                "type"),
+                "not fully supported"),
+    "co-forbidden": ("golden", {"type": "pushforward", "base": {"type": "co", "orbit": ["b"]}},
+                     "forbidden transition ('b','b')"),
+    "co-alphabet": ("measure", {"type": "co", "orbit": ["0", "1"], "alphabet": ["0"]},
+                    "alphabet"),
     "base-letter": ("measure", {"type": "pushforward", "base": {
         "type": "bernoulli", "alphabet": ["0", "1", "2"],
         "probabilities": ["1/2", "1/4", "1/4"]}}, "base"),

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -12,7 +13,8 @@ from sftlift.fibers import _unwrap
 from sftlift.graphs import load_graph_or_code
 from sftlift.errors import FiberInfinite, InfiniteToOne, NotInImage
 
-from conftest import d_star, direct_preimage_paths, trace_fiber_count
+from conftest import (d_star, direct_preimage_paths, eig_entropy, random_fto_codes,
+                      trace_fiber_count)
 from test_graphs import graphs_strategy
 
 
@@ -203,6 +205,28 @@ def test_fiber_matches_trace_oracle_small(rule102, diff4, collapsing_fixture):
             fiber = sl.periodic_fiber(code, orbit)
             assert fiber.fiber_size == trace_fiber_count(code, orbit)
             assert fiber.fiber_size == sum(w for _o, w in fiber.lift_orbits)
+
+
+@pytest.mark.slow
+def test_independent_oracles_on_random_codes_up_to_ten_symbols():
+    """The matrix-power fiber count, the dense eigenvalue entropy and plain
+    path enumeration against ``periodic_fiber``, ``entropy`` and
+    ``preimage_words`` on 60 random finite-to-one codes of up to 10
+    symbols: up to 200 image orbits of period <= 6 per code, every image
+    word of length <= 3 and 100 random words of length 4 to 8."""
+    rng = random.Random(20261020)
+    codes_ = random_fto_codes(rng, 60, 10)
+    assert max(len(g.x_symbols) for g in codes_) == 10
+    for g in codes_:
+        assert abs(sl.entropy(g) - eig_entropy(g)) <= 1e-9
+        orbits = sl.determinize(g).periodic_orbits(6)
+        for orbit in rng.sample(orbits, min(len(orbits), 200)):
+            assert sl.periodic_fiber(g, orbit).fiber_size == trace_fiber_count(g, orbit)
+        words = [w for n in (1, 2, 3) for w in product(g.y_symbols, repeat=n)]
+        words += [tuple(rng.choice(g.y_symbols) for _ in range(rng.randint(4, 8)))
+                  for _ in range(100)]
+        for word in words:
+            assert sl.preimage_words(g, word) == set(direct_preimage_paths(g, word))
 
 
 def test_constant_to_one_codes_fiber_equals_degree(rule102, sum5):

@@ -62,24 +62,24 @@ def test_empty_word_has_mass_one():
 
 def test_pushforward_rule102(rule102):
     p = Fraction(3, 10)
-    value = sl.pushforward_cylinder(bernoulli_p(p), rule102.code, "1")
+    value = sl.PushforwardMeasure(bernoulli_p(p), rule102.code).cylinder("1")
     assert value == 2 * p * (1 - p) == Fraction(21, 50)
 
 
 def test_pushforward_symmetry(rule102):
-    assert sl.pushforward_cylinder(bernoulli_p("1/2"), rule102.code, "1") == Fraction(1, 2)
+    assert sl.PushforwardMeasure(bernoulli_p("1/2"), rule102.code).cylinder("1") == Fraction(1, 2)
 
 
 def test_pushforward_empty_word(rule102):
-    assert sl.pushforward_cylinder(bernoulli_p("3/10"), rule102.code, "") == 1
+    assert sl.PushforwardMeasure(bernoulli_p("3/10"), rule102.code).cylinder("") == 1
 
 
 def test_pushforward_consistency_exact(rule102):
     m = bernoulli_p("3/10")
     for w in ("", "0", "1", "01", "10", "11"):
-        total = sum(sl.pushforward_cylinder(m, rule102.code, tuple(w) + (a,))
+        total = sum(sl.PushforwardMeasure(m, rule102.code).cylinder(tuple(w) + (a,))
                     for a in "01")
-        assert total == sl.pushforward_cylinder(m, rule102.code, w)
+        assert total == sl.PushforwardMeasure(m, rule102.code).cylinder(w)
 
 
 def test_diff4_cylinder_of_a_long_word_is_the_sum_over_its_lifts(diff4):
@@ -101,7 +101,32 @@ def test_diff4_cylinder_of_a_long_word_is_the_sum_over_its_lifts(diff4):
 def test_pushforward_on_graph_code(golden_mean_graph):
     m = MarkovMeasure(["a", "b"],
                       {"a": {"a": Fraction(1, 2), "b": Fraction(1, 2)}, "b": {"a": 1}})
-    assert sl.pushforward_cylinder(m, golden_mean_graph, "ab") == Fraction(1, 3)
+    assert sl.PushforwardMeasure(m, golden_mean_graph).cylinder("ab") == Fraction(1, 3)
+
+
+def test_hidden_chains_of_a_co_measure_and_a_pushforward(rule102):
+    # a co measure's states are the phases of its orbit; a pushforward's are
+    # the windows of its base chain's states, one per 2-block of rule102
+    co = COMeasure(PeriodicOrbit.from_word("001"))
+    chain = co.hidden_chain()
+    assert chain.stationary == (Fraction(1, 3),) * 3
+    assert chain.rows == ({1: 1}, {2: 1}, {0: 1}) and chain.letter == (0, 0, 1)
+    assert co.hidden_chain() is chain
+    assert BernoulliMeasure("012", ("1/2", "0", "1/2")).hidden_chain().letter == (0, 2)
+    chain = sl.PushforwardMeasure(bernoulli_p("3/10"), rule102.code).hidden_chain()
+    assert chain.stationary == tuple(Fraction(n, 100) for n in (49, 21, 21, 9))
+    assert chain.letter == (0, 1, 1, 0)
+    assert chain.rows[1] == {2: Fraction(7, 10), 3: Fraction(3, 10)}
+
+
+@pytest.mark.parametrize("base", [COMeasure(PeriodicOrbit.from_word("b")),
+                                  BernoulliMeasure("ab", ("1/2", "1/2"))])
+def test_pushforward_base_off_the_domain_refused(golden_mean_graph, base):
+    # the golden-mean graph forbids b -> b, which both bases charge: the co
+    # base was accepted with nu([b]) = 1 but nu([bb]) = 0
+    with pytest.raises(InputError, match=r"^base: positive probability on forbidden "
+                                         r"transition \('b','b'\)$"):
+        sl.PushforwardMeasure(base, golden_mean_graph)
 
 
 # ---------------------------------------------------------------- sampling

@@ -13,8 +13,9 @@ from the sweep, the vectorised samplers, the recoding-based pushforward path and
 fiber product on integer arrays with its edges, the structure report on
 the edges and the ``joining`` output built from them, least rotation and
 recoding, the per-period array sweep of the periodic lifts and
-``periodic_fiber`` on it, and the period search's gcd pass against the
-constructions they replaced (kept in ``oracles.py``)."""
+``periodic_fiber`` on it, the period search's gcd pass, and the cylinders
+and support presentation of every measure class read from its hidden
+chain, against the constructions they replaced (kept in ``oracles.py``)."""
 
 import contextlib
 import hashlib
@@ -46,6 +47,7 @@ from sftlift.joinings import _ViabilityWalk
 from sftlift.measures import EmpiricalDistribution, make_rng
 
 import oracles
+from conftest import random_rational_vector
 from test_graphs import graphs_strategy, loop_scan, scan_cases
 
 
@@ -1031,10 +1033,18 @@ def _random_base(rng, alphabet):
     return sl.MarkovMeasure(alphabet, rows)
 
 
+def _positive_steps(m):
+    """The letter pairs read by the positive steps of m's hidden chain,
+    which the domain of a code that m is pushed through must allow."""
+    chain, letters = m.hidden_chain(), m.alphabet
+    return {(letters[chain.letter[z]], letters[chain.letter[t]])
+            for z, row in enumerate(chain.rows) for t in row}
+
+
 def _random_pushforward(rng, as_graph, k_max=4, span=2):
     """A random base pushed through a full-shift block code (memory and
     anticipation up to ``span``), or through a labeled graph whose
-    transitions contain those of a Markov base."""
+    transitions contain the positive steps of the base."""
     k = rng.randint(2, k_max)
     if not as_graph:
         code = _random_block_code(rng, k, rng.randint(0, span), rng.randint(0, span))
@@ -1042,8 +1052,7 @@ def _random_pushforward(rng, as_graph, k_max=4, span=2):
     symbols = "abcd"[:k]
     base = _random_base(rng, symbols)
     edges = {(a, b) for a in symbols for b in symbols if rng.random() < 0.6}
-    if isinstance(base, sl.MarkovMeasure):
-        edges |= base.support_transitions()
+    edges |= _positive_steps(base)
     labels = "xyz"[:rng.randint(1, 3)]
     code = sl.LabeledGraph(symbols, edges, {s: rng.choice(labels) for s in symbols})
     return sl.PushforwardMeasure(base, code)
@@ -1092,6 +1101,99 @@ def test_support_presentation_matches_per_type_oracle(seed, kind):
         old = _presentation(oracles.support_presentation,
                             sl.PushforwardMeasure(nu.base, code), None)
     assert _same_language(_presentation(support_presentation, nu), old)
+
+
+def _random_measure(rng, kind, digits):
+    """A random measure of one kind on the digits: ``_random_base``'s
+    Bernoulli or Markov measure, a co measure, or an alternating offset of
+    the former (which adds to its digits mod their number)."""
+    if kind == "co":
+        word = [rng.choice(digits) for _ in range(rng.randint(1, 5))]
+        return sl.COMeasure(sl.PeriodicOrbit.from_word(word), digits)
+    base = _random_base(rng, digits)
+    if kind == "alternating":
+        return sl.AlternatingOffsetMeasure(base, rng.randrange(len(digits)), len(digits))
+    return base
+
+
+def _code_carrying(rng, m, as_graph):
+    """A random code whose domain carries the positive steps of m: a block
+    code of width up to 3 on the full shift of m's letters, or a labeled
+    graph on them with random extra transitions."""
+    letters, labels = m.alphabet, "xyz"[:rng.randint(1, 3)]
+    if not as_graph:
+        memory, anticipation = rng.randint(0, 1), rng.randint(0, 1)
+        return sl.SlidingBlockCode(memory, anticipation, letters, {
+            u: rng.choice(labels) for u in product(letters, repeat=memory + anticipation + 1)})
+    edges = {(a, b) for a in letters for b in letters if rng.random() < 0.5}
+    return sl.LabeledGraph(letters, edges | _positive_steps(m),
+                           {a: rng.choice(labels) for a in letters})
+
+
+def _check_chain_cylinders(m, depth=4):
+    """The forward recursion equals the per-class oracle, exactly, on every
+    word up to ``depth`` letters; a letter off the alphabet has mass 0."""
+    words = [w for n in range(depth + 1) for w in product(m.alphabet, repeat=n)]
+    assert [m.cylinder(w) for w in words] == [oracles.cylinder(m, w) for w in words]
+    assert m.cylinder((m.alphabet[0], "?")) == 0
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["base", "co", "alternating"]),
+       st.sampled_from(["direct", "block", "graph"]))
+def test_chain_cylinders_match_per_class_oracle(seed, kind, push):
+    rng = random.Random(seed)
+    m = _random_measure(rng, kind, tuple("0123"[:rng.randint(2, 3)]))
+    if push != "direct":
+        m = sl.PushforwardMeasure(m, _code_carrying(rng, m, push == "graph"))
+    _check_chain_cylinders(m)
+
+
+@pytest.mark.parametrize("name", GOLDEN_CODES)
+def test_chain_cylinders_match_per_class_oracle_on_golden_codes(name):
+    """Pushforwards through every golden code of a random Markov chain on
+    its domain, of co measures on domain orbits of period <= 2 and, on a
+    full shift of digits, of an alternating offset."""
+    rng = random.Random(name)
+    graph, block = load_graph_or_code(GOLDEN / f"{name}.json")
+    code = graph if block is None else block
+    letters = graph.x_symbols if block is None else block.alphabet
+    rows = {}
+    for a in letters:
+        weights = {b: rng.randint(1, 4) for b in letters if (a, b) in code.transitions}
+        rows[a] = {b: Fraction(x, sum(weights.values())) for b, x in weights.items()}
+    bases = [sl.MarkovMeasure(letters, rows)]
+    domain = sl.determinize(LabeledGraph(letters, code.transitions, {a: a for a in letters}))
+    bases += [sl.COMeasure(orbit, letters) for orbit in domain.periodic_orbits(2)[:4]]
+    n = len(letters)
+    if letters == tuple(map(str, range(n))) and len(code.transitions) == n ** 2:
+        bernoulli = sl.BernoulliMeasure(letters, random_rational_vector(rng, n))
+        bases.append(sl.AlternatingOffsetMeasure(bernoulli, 1, n))
+    for base in bases:
+        _check_chain_cylinders(sl.PushforwardMeasure(base, code))
+
+
+def _support_words(m, depth):
+    """The words up to ``depth`` letters that ``support_presentation`` reads."""
+    p = support_presentation(m)
+    return {w for n in range(1, depth + 1) for w in product(m.alphabet, repeat=n)
+            if oracles.table_accepts(p, w)}
+
+
+def test_support_presentation_of_co_and_alternating_offset_measures():
+    # the words of positive mass, and only those, are read: the rotations of
+    # the orbit's subwords, and letters that alternate between the offset
+    # images {1, 2} and {4, 0} of a base on {0, 1}
+    co = sl.COMeasure(sl.PeriodicOrbit.from_word("001"), tuple("012"))
+    alternating = sl.AlternatingOffsetMeasure(
+        sl.BernoulliMeasure(tuple("01234"), ["1/3", "2/3", "0", "0", "0"]), 1, 5)
+    for m in (co, alternating):
+        positive = {w for n in range(1, 7) for w in product(m.alphabet, repeat=n)
+                    if oracles.cylinder(m, w) > 0}
+        assert _support_words(m, 6) == positive
+    assert _support_words(co, 3) == {("0",), ("1",), ("0", "0"), ("0", "1"), ("1", "0"),
+                                     ("0", "0", "1"), ("0", "1", "0"), ("1", "0", "0")}
+    assert ("1", "4", "2", "0") in _support_words(alternating, 4)
+    assert ("1", "2") not in _support_words(alternating, 2)
 
 
 # ------------------------------------------------ output-sensitive constructions
