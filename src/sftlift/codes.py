@@ -8,11 +8,12 @@ position i, the set of symbols occurring at position i among preimage
 paths of w is F ∩ B, where F is the forward subset state of the prefix
 ending at i and B the backward subset state of the suffix starting at i.
 Prefix and suffix interact only through the common letter at position i,
-so the minimum of |F ∩ B| over all pairs of states with the same label
-equals the minimum of the per-word counts, which is the degree.  The
-automata are finite and each state carries a shortest witness word, so
-the search terminates and the minimizing pair's witnesses, joined at the
-shared letter, form a magic word that certifies the degree.
+so the least nonzero |F ∩ B| over all pairs of states equals the minimum
+of the per-word counts, which is the degree; states of different letters
+hold symbols of different labels, so their count is 0.  The search is one
+integer matrix product of the forward bit rows by the backward ones.  The
+minimizing pair's shortest witnesses, joined at the shared letter, form a
+magic word that certifies the degree.
 
 The lifts of a periodic orbit are the cycles of its word's preimage paths
 closed up at phase 0; ``periodic_fibers`` finds them for every orbit up to
@@ -88,17 +89,16 @@ def _require_irreducible(g: LabeledGraph) -> LabeledGraph:
 
 def _product_ids(g: LabeledGraph, n: int, distinct: bool = False):
     """The trimmed n-fold fiber product of ``fiber_product`` as int arrays:
-    ``ids``, whose row k holds the symbol indices of tuple k, rows in
-    lexicographic order, and the transitions ``src``, ``dst`` between rows.
+    ``ids``, row k the symbol indices of tuple k, rows in lexicographic
+    order, and the transitions ``src``, ``dst`` between rows, in index order.
 
     Its size, Σ_y |C_y|^n over the label classes (falling factorials when
     ``distinct``), is checked against MAX_PRODUCT_TUPLES first.  Tuples and
     successors are expanded coordinate by coordinate with ``np.repeat``, and
-    successors are found by ``searchsorted`` on a packed mixed-radix key."""
+    successors are found by ``searchsorted`` on their ``_tuple_keys``."""
     if n < 1:
         raise ValueError("arity must be >= 1")
-    sizes = [len(c) for c in g.label_classes.values()]
-    count = sum(perm(m, n) if distinct else m**n for m in sizes)
+    count = sum(perm(len(c), n) if distinct else len(c)**n for c in g.letter_successors[-1])
     if count > MAX_PRODUCT_TUPLES:
         raise PreconditionError(f"the {n}-fold fiber product has {count} tuples, more than "
                                 f"the cap MAX_PRODUCT_TUPLES = {MAX_PRODUCT_TUPLES}")
@@ -123,16 +123,8 @@ def _product_ids(g: LabeledGraph, n: int, distinct: bool = False):
     # the tuples succeed a start tuple of row len(x_symbols), by label class
     ids = successors(np.full((1, n), len(g.x_symbols)))[1]
     ids = ids[np.argsort(ids[:, 0], kind="stable")]
-    rank = np.zeros(len(g.x_symbols), dtype=np.int64)
-    for cls in table[-1]:
-        rank[cls] = np.arange(len(cls))
-    weights = max(sizes) ** np.arange(n - 1, -1, -1)
-
-    def key(tuples):        # the first index, then the ranks in its class: lexicographic
-        return tuples[:, 0] * weights[0] + rank[tuples[:, 1:]] @ weights[1:]
-
     src, nxt = successors(ids)
-    dst = np.searchsorted(key(ids), key(nxt))
+    dst = np.searchsorted(_tuple_keys(g, ids), _tuple_keys(g, nxt))
     order = np.lexsort((dst, src))
     src, dst = src[order], dst[order]
     alive = _essential_mask(len(ids), src, dst)
@@ -142,15 +134,32 @@ def _product_ids(g: LabeledGraph, n: int, distinct: bool = False):
     return ids[alive], new[src[live]], new[dst[live]]
 
 
-def fiber_product(g: LabeledGraph, n: int, distinct: bool = False) -> LabeledGraph:
-    """The 1-step SFT of equal-label n-tuples (pairwise-distinct entries
-    when ``distinct``), trimmed to its essential part (Lind & Marcus §9.1):
-    ``_product_ids`` with symbols made once, for the tuples it keeps."""
-    ids, src, dst = _product_ids(g, n, distinct)
+def _tuple_keys(g: LabeledGraph, tuples):
+    """The packed mixed-radix key of each row of ``tuples``, equal-label
+    tuples of g's symbol indices: the first index, then the ranks in its
+    label class, so keys ascend with the rows' lexicographic order."""
+    rank, classes = np.zeros(len(g.x_symbols), dtype=np.int64), g.letter_successors[-1]
+    for cls in classes:
+        rank[cls] = np.arange(len(cls))
+    weights = max(map(len, classes)) ** np.arange(tuples.shape[1] - 1, -1, -1)
+    return tuples[:, 0] * weights[0] + rank[tuples[:, 1:]] @ weights[1:]
+
+
+def _tuple_graph(g: LabeledGraph, ids, src, dst) -> LabeledGraph:
+    """The ``LabeledGraph`` on the rows of ``ids`` with the transitions src
+    -> dst between rows: a row's symbol is the tuple of g's symbols it
+    indexes, made once per row."""
     symbols = [tuple(map(g.x_symbols.__getitem__, u)) for u in ids.tolist()]
     pairs = [(symbols[a], symbols[b]) for a, b in zip(src.tolist(), dst.tolist())]
     return LabeledGraph(symbols, pairs, {u: g.label[u[0]] for u in symbols}, g.y_symbols,
                         edges=(src, dst))
+
+
+def fiber_product(g: LabeledGraph, n: int, distinct: bool = False) -> LabeledGraph:
+    """The 1-step SFT of equal-label n-tuples (pairwise-distinct entries
+    when ``distinct``), trimmed to its essential part (Lind & Marcus §9.1):
+    the ``_tuple_graph`` of ``_product_ids``."""
+    return _tuple_graph(g, *_product_ids(g, n, distinct))
 
 
 def _diagonal_reach(g: LabeledGraph):
@@ -201,24 +210,13 @@ def compute_degree(g: LabeledGraph) -> DegreeReport:
         raise InfiniteToOne("code admits a diamond; degree undefined", report)
 
     forward = g.forward_automaton
-    backward = SubsetAutomaton(g, backward=True)
-    suffixes = {}
-    for subset, word in zip(backward.subsets, backward.witness):
-        suffixes.setdefault(word[0], []).append((frozenset(subset), word))
-    best = None
-    for subset, f_word in zip(forward.subsets, forward.witness):
-        for b_set, b_word in suffixes[f_word[-1]]:
-            count = len(b_set.intersection(subset))
-            if count == 0:
-                continue
-            word = f_word + b_word[1:]
-            cand = (count, len(word), word, len(f_word) - 1)
-            if best is None or cand < best:
-                best = cand
-    if best is None:
-        raise RuntimeError("no realizable forward/backward pair found")
-    count, _length, word, position = best
-    return DegreeReport(True, count, word, position, h_x, h_y)
+    backward = SubsetAutomaton(g.label_ids, g.y_symbols, g.edges, backward=True)
+    # every |F ∩ B|; a label class meets itself, so some count is positive
+    counts = forward.members().astype(np.int64) @ backward.members().T
+    count = counts[counts > 0].min()
+    _length, word, position = min((len(f) + len(b) - 1, f + b[1:], len(f) - 1) for f, b in (
+        (forward.witness[i], backward.witness[j]) for i, j in zip(*np.nonzero(counts == count))))
+    return DegreeReport(True, int(count), word, position, h_x, h_y)
 
 
 def preimage_words(code, w):
@@ -245,7 +243,7 @@ def preimage_words(code, w):
 def _preimage_paths(g: LabeledGraph, w):
     """The essential paths of g carrying the label word w, read from the
     start row of ``letter_successors`` on."""
-    if not set(w) <= g.label_classes.keys():
+    if not set(w) <= set(g.y_symbols):
         return set()
     alive, paths = g.essential_mask.tolist(), [(len(g.x_symbols),)]
     for j in map(g.y_symbols.index, w):
@@ -266,7 +264,7 @@ def _phased_lifts(g: LabeledGraph, max_period: int, word=None):
     this relation (trimmed only where it is no permutation of its starts) must
     be a permutation without merged paths, or the fiber is infinite."""
     n, k = len(g.x_symbols), len(g.y_symbols)
-    lab = np.array([g.y_symbols.index(g.label[s]) for s in g.x_symbols], dtype=np.int64)
+    lab = g.label_ids
     cell = g.edges[0] * k + lab[g.edges[1]]     # edges by source, then target label, then target
     flat = g.edges[1][np.argsort(cell, kind="stable")]
     bounds = np.searchsorted(np.sort(cell), np.arange(n * k + 1))
@@ -351,7 +349,7 @@ def _decomposition(g: LabeledGraph, y: PeriodicOrbit, lifts) -> PhasedFiberDecom
 
 def periodic_fiber(g: LabeledGraph, y: PeriodicOrbit) -> PhasedFiberDecomposition:
     """Exact fiber of a periodic orbit of the image: ``_phased_lifts`` on its word."""
-    if missing := [a for a in y.primitive_word if a not in g.label_classes]:
+    if missing := [a for a in y.primitive_word if a not in g.y_symbols]:
         raise NotInImage(f"symbol {missing[0]!r} is not in the image alphabet")
     word = [g.y_symbols.index(a) for a in y.primitive_word]
     lifts = [(w, u) for _q, _words, groups in _phased_lifts(g, len(word), word)

@@ -204,15 +204,20 @@ def classify_lifts_monte_carlo(code, nu: StationaryMeasure,
 
     Samples an image window, threads a bi-viable joining-graph word over it
     (burn-in of one joining-symbol-count dropped at both ends), accumulates
-    per-coordinate cylinder statistics, and reports single-linkage clusters
-    as lifts with multiplicity = cluster size.  Non-fully-supported inputs
-    are refused unless the code is known constant-to-one, because the
-    clustering guarantees fail there.  More cylinders than letters are refused first.
+    per-coordinate cylinder statistics over the letters of the essential
+    symbols (for a recoding, their base letters), and reports single-linkage
+    clusters as lifts with multiplicity = cluster size.  Non-fully-supported
+    inputs are refused unless the code is known constant-to-one, because the
+    clustering guarantees fail there.  More cylinders than letters are
+    refused first, a sample too short for the burn-in before it is drawn.
     """
     if params is None:
         params = MonteCarloParams()
     g, recoding = _unwrap(code)
-    letter_alphabet = tuple(_lift_orbit_alphabet(g, recoding))
+    letters = (g.x_symbols if recoding is None
+               else [recoding.base_letter(s) for s in g.x_symbols])
+    used = {a for a, alive in zip(letters, g.essential_mask.tolist()) if alive}
+    letter_alphabet = tuple(a for a in _lift_orbit_alphabet(g, recoding) if a in used)
     k, depth, T = len(letter_alphabet), params.cylinder_depth, params.sample_length
     if k ** min(depth, int(T).bit_length()) > T:
         raise InputError(f"cylinder_depth {depth} asks for {k}**{depth} cylinders, "
@@ -229,26 +234,25 @@ def classify_lifts_monte_carlo(code, nu: StationaryMeasure,
                 "constant-to-one; refusing to classify")
 
     lam = degree_joining_graph(g, degree=d)
-    burn = len(lam.graph.x_symbols)
+    burn = len(lam.ids)
     if T <= 2 * burn + depth:
         raise InputError("sample_length too short for burn-in and cylinder depth")
 
     rng = make_rng(params.seed)
-    to_image = np.array([lam.graph.y_symbols.index(a) for a in nu.alphabet],
-                        dtype=np.min_scalar_type(len(lam.graph.y_symbols) - 1))
+    to_image = np.array([g.y_symbols.index(a) for a in nu.alphabet],
+                        dtype=np.min_scalar_type(len(g.y_symbols) - 1))
     y_idx = to_image.take(nu.sample_indices(T, rng))
 
-    walker = _ViabilityWalk(lam.graph)
+    walker = _ViabilityWalk(g, lam.ids, lam.src, lam.dst)
     path_idx = walker.walk(walker.viability_ids(y_idx))
     path_idx = path_idx[burn:len(path_idx) - burn]
 
+    # each symbol's letter index; the joining graph holds essential symbols only
     letter = {a: i for i, a in enumerate(letter_alphabet)}
-    distributions = []
-    for i in range(d):
-        table = np.array([letter[recoding.base_letter(sym[i]) if recoding is not None else sym[i]]
-                          for sym in lam.graph.x_symbols], dtype=np.min_scalar_type(k - 1))
-        distributions.append(EmpiricalDistribution.from_indices(
-            table.take(path_idx), letter_alphabet, depth))
+    symbol_letter = np.array([letter.get(a, 0) for a in letters], dtype=np.min_scalar_type(k - 1))
+    distributions = [EmpiricalDistribution.from_indices(
+        symbol_letter.take(lam.ids[:, i]).take(path_idx), letter_alphabet, depth)
+        for i in range(d)]
 
     dist = np.array([[a.distance(b) for b in distributions] for a in distributions])
     clusters = _single_linkage(dist, params.tau)

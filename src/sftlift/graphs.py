@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import islice, product
 from math import isqrt, log
 
 import numpy as np
@@ -87,20 +87,17 @@ class LabeledGraph:
                 if isinstance(s, tuple) else str(s) for s in self.x_symbols}
 
     @cached_property
-    def label_classes(self):
-        """Map y-symbol -> list of x-symbols carrying that label, in order."""
-        classes = {y: [] for y in self.y_symbols}
-        for s in self.x_symbols:
-            classes[self.label[s]].append(s)
-        return classes
+    def label_ids(self):
+        """Each symbol's label as an index into ``y_symbols``, an int64 array."""
+        column = {y: j for j, y in enumerate(self.y_symbols)}
+        return np.array([column[self.label[s]] for s in self.x_symbols], dtype=np.int64)
 
     @cached_property
     def letter_successors(self):
         """``[i][j]`` lists the successors of symbol i labeled ``y_symbols[j]``
         by index, in index order; row ``len(x_symbols)`` lists each label
         class, as the successors of a start vertex preceding every symbol."""
-        column = {y: j for j, y in enumerate(self.y_symbols)}
-        labels = [column[self.label[s]] for s in self.x_symbols]
+        labels = self.label_ids.tolist()
         n, (src, dst) = len(labels), (e.tolist() for e in self.edges)
         table = [[[] for _ in self.y_symbols] for _ in range(n + 1)]
         for a, b in zip(src + [n] * n, dst + list(range(n))):
@@ -114,9 +111,8 @@ class LabeledGraph:
 
     @cached_property
     def forward_automaton(self):
-        """The forward ``SubsetAutomaton``, shared by ``determinize`` and the
-        magic-word search."""
-        return SubsetAutomaton(self)
+        """The forward ``SubsetAutomaton``, shared by ``determinize`` and the degree."""
+        return SubsetAutomaton(self.label_ids, self.y_symbols, self.edges)
 
     def adjacency_matrix(self):
         n = len(self.x_symbols)
@@ -534,61 +530,65 @@ def recode_to_one_block(code: SlidingBlockCode) -> OneBlockRecoding:
 
 
 class SubsetAutomaton:
-    """The label-driven subset construction of a labeled graph (Lind &
-    Marcus, *An Introduction to Symbolic Dynamics and Coding*, §3.3).
+    """The label-driven subset construction (Lind & Marcus, *An Introduction
+    to Symbolic Dynamics and Coding*, §3.3) of the symbols 0..n-1 with labels
+    ``labels``, indices into ``y_symbols``, and the edges ``(src, dst)``.
 
-    State k stands for the nonempty symbol set ``subsets[k]`` (a tuple in
-    symbol order): the symbols at which some path carrying the label word
-    ``witness[k]`` ends, or with ``backward`` starts.  The initial states
-    are the nonempty label classes in image-alphabet order (``initial[j]``
-    is the state of ``y_symbols[j]``, -1 when its class is empty); the other
-    states are numbered in breadth-first discovery order, so each witness is
+    State k is the set of symbols at which some path carrying the label word
+    ``witness[k]`` ends (with ``backward``, starts): row k of ``rows``, a bit
+    row over the n symbols packed by ``np.packbits`` (symbol i is bit i, most
+    significant first), so the states take states × n/8 bytes.  The initial
+    states are the nonempty label classes in image-alphabet order
+    (``initial[j]`` is that of ``y_symbols[j]``, -1 when it is empty); the
+    others are numbered in breadth-first discovery order, so each witness is
     a shortest such word.  ``step[k, j]`` is the state reached by reading
-    ``y_symbols[j]`` after the word (before it with ``backward``), -1 when no
-    path carries the longer word.  A construction that would pass
-    ``MAX_SUBSET_STATES`` states is refused while it runs.
+    ``y_symbols[j]`` after the word (before it with ``backward``), -1 when
+    no path carries the longer word.  A level's step is one gather over the
+    edges from the (state, symbol) pairs of its rows, expanded with
+    ``np.repeat``, then an ``&`` with each label class; rows are interned by
+    their bytes.  A construction that would pass ``MAX_SUBSET_STATES``
+    states is refused while it runs.
     """
 
-    def __init__(self, graph: LabeledGraph, backward=False):
-        idx = graph.index
-        src, dst = graph.edges[::-1] if backward else graph.edges
-        reach = [sum(1 << t for t in succ) for succ in _successor_lists(len(idx), src, dst)]
-        classes = [sum(1 << idx[s] for s in graph.label_classes[y]) for y in graph.y_symbols]
-        ids = {}
-        masks = []
-        self.witness = []
+    def __init__(self, labels, y_symbols, edges, backward=False):
+        n = self.n = len(labels)
+        src, dst = edges[::-1] if backward else edges
+        order = np.argsort(src, kind="stable")
+        first, targets = np.searchsorted(src[order], np.arange(n + 1)), dst[order]
+        classes = np.packbits(np.arange(len(y_symbols))[:, None] == labels, axis=1)
+        ids, self.witness = {}, []
 
-        def intern(mask, word):
-            if len(masks) == MAX_SUBSET_STATES:
-                raise PreconditionError(
-                    f"the subset construction reached {len(masks) + 1} states, "
-                    f"more than the cap MAX_SUBSET_STATES = {MAX_SUBSET_STATES}")
-            ids[mask] = len(masks)
-            masks.append(mask)
-            self.witness.append(word)
-            return ids[mask]
+        def intern(row, word):
+            key = row.tobytes()
+            if key not in ids:
+                if len(ids) == MAX_SUBSET_STATES:
+                    raise PreconditionError(
+                        f"the subset construction reached {len(ids) + 1} states, "
+                        f"more than the cap MAX_SUBSET_STATES = {MAX_SUBSET_STATES}")
+                ids[key] = len(ids)
+                self.witness.append(word)
+            return ids[key]
 
-        self.initial = [intern(c, (y,)) if c else -1 for y, c in zip(graph.y_symbols, classes)]
-        rows = []
-        for mask, word in zip(masks, self.witness):     # both grow while read
-            out, rest = 0, mask
-            while rest:                 # the union over the set bits, lowest first
-                low = rest & -rest
-                out |= reach[low.bit_length() - 1]
-                rest ^= low
-            row = []
-            for y, cls in zip(graph.y_symbols, classes):
-                nxt = out & cls
-                if not nxt:
-                    row.append(-1)
-                elif nxt in ids:
-                    row.append(ids[nxt])
-                else:
-                    row.append(intern(nxt, (y,) + word if backward else word + (y,)))
-            rows.append(row)
-        self.step = np.array(rows, dtype=np.int64)
-        self.subsets = [tuple(s for i, s in enumerate(graph.x_symbols) if m >> i & 1)
-                        for m in masks]
+        self.initial = [intern(c, (y,)) if c.any() else -1 for y, c in zip(y_symbols, classes)]
+        steps, width = [], classes.shape[1]
+        while len(steps) < len(ids):        # a level: the states the last one found
+            words, level = self.witness[len(steps):], islice(ids, len(steps), None)
+            rows = np.frombuffer(b"".join(level), np.uint8).reshape(-1, width)
+            state, s = np.nonzero(np.unpackbits(rows, axis=1, count=n))
+            cnt = first[s + 1] - first[s]
+            at = np.repeat(first[s] - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
+            reached = np.zeros((len(rows), n), dtype=bool)
+            reached[np.repeat(state, cnt), targets[at]] = True
+            cands = np.packbits(reached, axis=1)[:, None] & classes
+            for word, row, live in zip(words, cands, cands.any(axis=2).tolist()):
+                steps.append([intern(c, (y,) + word if backward else word + (y,)) if a else -1
+                              for y, c, a in zip(y_symbols, row, live)])
+        self.step = np.array(steps, dtype=np.int64).reshape(-1, len(y_symbols))
+        self.rows = np.frombuffer(b"".join(ids), np.uint8).reshape(-1, width)
+
+    def members(self, states=slice(None)):
+        """The symbol sets of ``states`` (all by default) as bool rows over the n symbols."""
+        return np.unpackbits(self.rows[states], axis=1, count=self.n).view(bool)
 
 
 def _speculate(flat, symbols, inputs, entry):
@@ -796,16 +796,16 @@ def determinize(g: LabeledGraph) -> RightResolvingPresentation:
     every finite run extends bi-infinitely; the result presents exactly the
     image shift of ``g`` and is what ``entropy`` of the image is computed on.
     The alive states of the forward ``SubsetAutomaton`` are renumbered in
-    the order of their subsets."""
+    the order of their member index lists, and only they become symbol tuples."""
     ess = analyze_graph(g).essential
-    aut = ess.forward_automaton
+    aut, xs = ess.forward_automaton, ess.x_symbols
     src, letter = np.nonzero(aut.step >= 0)
-    alive = _essential_mask(len(aut.step), src, aut.step[src, letter])
-    order = ess.index
-    keep = sorted(np.flatnonzero(alive).tolist(), key=lambda k: [order[s] for s in aut.subsets[k]])
+    alive = np.flatnonzero(_essential_mask(len(aut.step), src, aut.step[src, letter]))
+    members = dict(zip(alive.tolist(), (np.flatnonzero(r).tolist() for r in aut.members(alive))))
+    keep = sorted(members, key=members.get)
     renumber = np.full(len(aut.step) + 1, -1, dtype=np.int64)   # entry -1 stays -1
     renumber[keep] = np.arange(len(keep))
-    return RightResolvingPresentation([aut.subsets[k] for k in keep],
+    return RightResolvingPresentation([tuple(map(xs.__getitem__, members[k])) for k in keep],
                                       renumber[aut.step[keep]], ess.y_symbols)
 
 

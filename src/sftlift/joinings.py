@@ -6,6 +6,8 @@ joining graph).  It projects onto the essential part of the domain in
 every coordinate and onto the whole image under its common label, and its
 ergodic measures over a given image measure are exactly the degree
 joinings, whose margins list the ergodic lifts with multiplicity.
+The joining graph is held as index arrays; its tuple symbols are made on
+demand, only where they are read.
 """
 
 from __future__ import annotations
@@ -16,21 +18,26 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NoPath, ProjectionNotOnto, UnsupportedFiber
-from .graphs import (LabeledGraph, PeriodicOrbit, SubsetAutomaton, _as_word, analyze_graph,
-                     scan)
-from .codes import compute_degree, fiber_product, periodic_fiber
+from .graphs import LabeledGraph, PeriodicOrbit, SubsetAutomaton, _as_word, analyze_graph, scan
+# fiber_product is also looked up here, as the layer entry point joinings.fiber_product
+from .codes import (_product_ids, _tuple_graph, _tuple_keys, compute_degree,  # noqa: F401
+                    fiber_product, periodic_fiber)
 
 
-@dataclass(frozen=True)
 class DegreeJoiningGraph:
-    """The distinct-tuple restriction of the d-fold fiber product.
+    """The distinct-tuple restriction of the d-fold fiber product of the code
+    ``base`` from ``_product_ids``: row k of ``ids`` holds the base symbol
+    indices of tuple k, ``src`` -> ``dst`` are the transitions between rows.
+    Tuple symbols are made on demand: ``graph``, whose ``label`` is the
+    1-block code onto the image, and its ``components`` (reducibility is
+    allowed) are built on first use."""
 
-    ``graph.label`` is the 1-block code onto the image; reducibility is
-    allowed and recorded in ``components``, computed on first use.
-    """
+    def __init__(self, degree, base, ids, src, dst):
+        self.degree, self.base, self.ids, self.src, self.dst = degree, base, ids, src, dst
 
-    degree: int
-    graph: LabeledGraph
+    @cached_property
+    def graph(self):
+        return _tuple_graph(self.base, self.ids, self.src, self.dst)
 
     @cached_property
     def components(self):
@@ -38,53 +45,48 @@ class DegreeJoiningGraph:
 
 
 def degree_joining_graph(g: LabeledGraph, degree: int | None = None) -> DegreeJoiningGraph:
-    """Materialize the SFT of d-tuples of distinct mutually separated
-    preimages and verify that every coordinate projection still covers the
-    essential part of g, which it is built from, and every label there."""
+    """The arrays of the SFT of d-tuples of distinct mutually separated
+    preimages, checked to cover the essential part of g in every coordinate
+    (and so every label there)."""
     if degree is None:
         degree = compute_degree(g).degree
-    ess = analyze_graph(g).essential
-    lam = fiber_product(g, degree, distinct=True)
+    ids, src, dst = _product_ids(g, degree, distinct=True)
     for i in range(degree):
-        covered = {t[i] for t in lam.x_symbols}
-        if covered != set(ess.x_symbols):
-            raise ProjectionNotOnto(
-                f"coordinate {i} misses symbols {sorted(map(str, set(ess.x_symbols) - covered))}")
-    if {lam.label[t] for t in lam.x_symbols} != {ess.label[s] for s in ess.x_symbols}:
-        raise ProjectionNotOnto("joining graph misses part of the image alphabet")
-    return DegreeJoiningGraph(degree, lam)
+        missed = g.essential_mask.copy()
+        missed[ids[:, i]] = False
+        if missed.any():
+            names = sorted(str(g.x_symbols[s]) for s in np.flatnonzero(missed))
+            raise ProjectionNotOnto(f"coordinate {i} misses symbols {names}")
+    return DegreeJoiningGraph(degree, g, ids, src, dst)
 
 
 class _ViabilityWalk:
-    """Viable paths over a label window, given as indices into ``y_symbols``.
+    """Viable paths over a label window (indices into ``y_symbols``) on the
+    rows of ``ids``, tuples of symbol indices of the code ``base``, with the
+    transitions ``src`` -> ``dst`` in index order; a plain graph is one
+    column of its own indices.  The backward pass scans the backward
+    ``SubsetAutomaton`` of the rows over the reversed window: its state at
+    position t is the set of rows from which the rest of the window can be
+    read.  The forward pass reads the dense table ``forward[s, v]``, the
+    least successor of row s in viability state v, or the sentinel row
+    ``dead = len(ids)`` (all ``dead``) where there is none; a walk starts at
+    row ``dead + 1``, the least row of each state.  ``resolutions`` counts
+    how ``scan`` settled the chunks: by a right guess, a coordinate
+    relabelling or a re-run."""
 
-    The backward pass scans the backward ``SubsetAutomaton`` of the graph
-    over the reversed window: its state at position t is the set of symbols
-    from which the rest of the window can be read.  The forward pass reads
-    the dense table ``forward[s, v]``, the least successor of symbol s in
-    viability state v, with the sentinel symbol ``dead = len(x_symbols)``
-    (whose own row is all ``dead``) where there is none.  Its start row
-    ``dead + 1`` holds the least symbol of each viability state, so a walk
-    starts there.  ``resolutions`` counts, over all walks, how ``scan``
-    settled the chunks: by a right guess, a coordinate relabelling or a re-run.
-    """
-
-    def __init__(self, graph: LabeledGraph):
-        self.automaton = SubsetAutomaton(graph, backward=True)
-        self.graph = graph
-        n = self.dead = len(graph.x_symbols)
-        index, subsets = graph.index, self.automaton.subsets
-        viable = np.zeros((len(subsets), n), dtype=bool)
-        for v, subset in enumerate(subsets):
-            viable[v, [index[s] for s in subset]] = True
+    def __init__(self, base: LabeledGraph, ids, src, dst):
+        self.automaton = SubsetAutomaton(base.label_ids[ids[:, 0]], base.y_symbols, (src, dst),
+                                         backward=True)
+        self.base, self.ids, self.keys = base, ids, _tuple_keys(base, ids)
+        n = self.dead = len(ids)
+        viable = self.automaton.members()
         # the edges run in index order, so each source's first edge into a
         # state's viable set leads to its least viable successor there
-        src, dst = graph.edges
         v, e = np.nonzero(viable[:, dst])
         s = src[e]
         first = np.ones(len(e), dtype=bool)
         first[1:] = (v[1:] != v[:-1]) | (s[1:] != s[:-1])
-        self.forward = np.full((n + 2, len(subsets)), n, dtype=np.int64)
+        self.forward = np.full((n + 2, len(viable)), n, dtype=np.int64)
         self.forward[s[first], v[first]] = dst[e[first]]
         self.forward[n + 1] = viable.argmax(axis=1)
         self._relabellings, self._rows = {}, {}
@@ -104,32 +106,29 @@ class _ViabilityWalk:
         return ids
 
     def _relabelling(self, guess, true):
-        """For ``scan``: the row sending each symbol index s to that of s∘σ
-        (``dead`` where s∘σ is no symbol, or s is ``dead``) for the coordinate
-        permutation σ with guess∘σ = true, None when there is none or either
-        is ``dead``; cached by the pair, and by σ, so that σ is checked once."""
+        """For ``scan``: the row sending each row index s to that of s∘σ, found
+        by ``searchsorted`` on the ``_tuple_keys`` (``dead`` where s∘σ is no
+        row, or s is ``dead``), for the column permutation σ of ``ids[guess]``
+        onto ``ids[true]``; None when there is none or either is ``dead``.
+        Cached by the pair, and by σ, so that σ is checked once."""
         key = (guess, true)
         if self.dead in key or key in self._relabellings:
             return self._relabellings.get(key)
-        symbols, row = self.graph.x_symbols, None
-        a, b = symbols[guess], symbols[true]
-        position = {x: i for i, x in enumerate(a)} if isinstance(a, tuple) else {}
-        if (isinstance(b, tuple) and 0 < len(position) == len(a) == len(b)
-                and set(b) == position.keys()):
-            sigma = tuple(position[x] for x in b)
+        a, b, row = self.ids[guess].tolist(), self.ids[true].tolist(), None
+        if len(set(a)) == len(a) and sorted(a) == sorted(b):
+            sigma = tuple(map(a.index, b))
             if sigma not in self._rows:
-                row = np.full(self.dead + 1, self.dead, dtype=np.int64)
-                for k, s in enumerate(symbols):
-                    if isinstance(s, tuple) and len(s) == len(sigma):
-                        row[k] = self.graph.index.get(tuple(s[j] for j in sigma), self.dead)
-                self._rows[sigma] = row
+                moved = _tuple_keys(self.base, self.ids[:, sigma])
+                at = np.minimum(np.searchsorted(self.keys, moved), self.dead - 1)
+                self._rows[sigma] = np.append(np.where(self.keys[at] == moved, at, self.dead),
+                                              self.dead)
             row = self._rows[sigma]
         self._relabellings[key] = row
         return row
 
     def walk(self, ids):
-        """Forward pass: the lexicographically least viable symbol each step,
-        as int64 symbol indices, written over ``ids`` when that is int64.  It
+        """Forward pass: the lexicographically least viable row each step,
+        as int64 row indices, written over ``ids`` when that is int64.  It
         is one ``scan`` of ``forward`` from the start row, with the σ rows of
         ``_relabelling`` offered where a chunk's guess is not its true start."""
         ids = np.asarray(ids, dtype=np.int64)
@@ -146,14 +145,12 @@ def lambda_path_over(joining: DegreeJoiningGraph, y_window):
     y_window = _as_word(y_window)
     if not y_window:
         return []
-    lam = joining.graph
-    y_index = {y: j for j, y in enumerate(lam.y_symbols)}
-    unknown = [y for y in y_window if y not in y_index]
-    if unknown:
+    y_index = {y: j for j, y in enumerate(joining.base.y_symbols)}
+    if unknown := [y for y in y_window if y not in y_index]:
         raise NoPath(f"image symbol {unknown[0]!r} unrealizable")
-    walker = _ViabilityWalk(lam)
+    walker = _ViabilityWalk(joining.base, joining.ids, joining.src, joining.dst)
     ids = walker.viability_ids([y_index[y] for y in y_window])
-    return [lam.x_symbols[k] for k in walker.walk(ids).tolist()]
+    return [joining.graph.x_symbols[k] for k in walker.walk(ids).tolist()]
 
 
 @dataclass(frozen=True)
@@ -171,17 +168,10 @@ def _canonical_column_form(orbit: PeriodicOrbit, order):
     columns.  Two orbits are related by a symbolwise coordinate
     permutation iff their forms agree (columns are pairwise distinct
     because tuple entries never collide)."""
-    word = orbit.primitive_word
-    q = len(word)
-    d = len(word[0])
-    best = None
-    for r in range(q):
-        rot = word[r:] + word[:r]
-        cols = sorted(tuple(order[rot[t][i]] for t in range(q)) for i in range(d))
-        cand = tuple(cols)
-        if best is None or cand < best:
-            best = cand
-    return q, best
+    word, q = orbit.primitive_word, orbit.period
+    rotations = (word[r:] + word[:r] for r in range(q))
+    return q, min(tuple(sorted(tuple(order[s[i]] for s in rot) for i in range(len(word[0]))))
+                  for rot in rotations)
 
 
 def enumerate_periodic_degree_joinings(joining: DegreeJoiningGraph, g: LabeledGraph,

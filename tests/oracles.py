@@ -1,5 +1,6 @@
 """The package's earlier constructions, kept unchanged as differential
-oracles for the code that replaced them: the forward and backward subset
+oracles for the code that replaced them: the subset automaton on n-bit
+Python ints with its symbol-tuple subsets, the forward and backward subset
 states of the magic-word search, the subset construction of
 ``determinize`` and the right-resolving presentation keyed by (subset
 tuple, letter) with its depth-first orbit enumerator, the depth-first
@@ -58,13 +59,22 @@ from sftlift.errors import (EmptyAfterTrim, FiberInfinite, InfiniteToOne, InputE
                             NotInImage, PreconditionError)
 from sftlift.fibers import (CanonicalLiftDecomposition, LiftEntry, LiftReport,
                             _lift_orbit_alphabet, _unwrap)
-from sftlift.graphs import (LabeledGraph, OneBlockRecoding, PeriodicOrbit, SlidingBlockCode,
-                            StructureReport, _as_word, _essential_mask, _speculate,
-                            analyze_graph, full_shift, load_graph_or_code, perron_value, scan)
+from sftlift.graphs import (MAX_SUBSET_STATES, LabeledGraph, OneBlockRecoding, PeriodicOrbit,
+                            SlidingBlockCode, StructureReport, _as_word, _essential_mask,
+                            _speculate, analyze_graph, full_shift, load_graph_or_code,
+                            perron_value, scan)
 from sftlift.joinings import _ViabilityWalk
 from sftlift.measures import (BernoulliMeasure, COMeasure, MarkovMeasure, PushforwardMeasure,
                               window_codes)
 
+
+
+def label_classes(g: LabeledGraph):
+    """Map y-symbol -> list of x-symbols carrying that label, in order."""
+    classes = {y: [] for y in g.y_symbols}
+    for s in g.x_symbols:
+        classes[g.label[s]].append(s)
+    return classes
 
 
 def tarjan_scc(order, succ):
@@ -158,7 +168,7 @@ def forward_states(g):
     states = {}
     frontier = []
     for y in g.y_symbols:
-        cls = frozenset(g.label_classes[y])
+        cls = frozenset(label_classes(g)[y])
         if cls and cls not in states:
             states[cls] = (y,)
             frontier.append(cls)
@@ -182,7 +192,7 @@ def backward_states(g):
     states = {}
     frontier = []
     for y in g.y_symbols:
-        cls = frozenset(g.label_classes[y])
+        cls = frozenset(label_classes(g)[y])
         if cls and cls not in states:
             states[cls] = (y,)
             frontier.append(cls)
@@ -438,7 +448,7 @@ def determinize(g: LabeledGraph) -> RightResolvingPresentation:
     order = ess.index
     initial = {}
     for y in ess.y_symbols:
-        cls = tuple(sorted(ess.label_classes[y], key=order.get))
+        cls = tuple(sorted(label_classes(ess)[y], key=order.get))
         if cls:
             initial[y] = cls
     step, succ = {}, sorted_successors(ess)
@@ -481,7 +491,7 @@ class ViabilityWalk:
         self.graph = graph
         order = graph.index
         self.order = order
-        self.classes = {y: tuple(sorted(graph.label_classes[y], key=order.get))
+        self.classes = {y: tuple(sorted(label_classes(graph)[y], key=order.get))
                         for y in graph.y_symbols}
         self.succ_by_label, self.succ = {}, sorted_successors(graph)
         for s in graph.x_symbols:
@@ -547,25 +557,85 @@ class ViabilityWalk:
 
 
 
+class IntSubsetAutomaton:
+    """The subset construction on n-bit Python ints: one int per symbol
+    holds its successors (predecessors with ``backward``), and a state's
+    step takes the union over its set bits, lowest first, one state at a
+    time in discovery order; ``subsets[k]`` is state k's symbol tuple."""
+
+    def __init__(self, graph: LabeledGraph, backward=False):
+        idx = graph.index
+        src, dst = graph.edges[::-1] if backward else graph.edges
+        reach = [0] * len(idx)
+        for a, b in zip(src.tolist(), dst.tolist()):
+            reach[a] |= 1 << b
+        classes = [sum(1 << idx[s] for s in label_classes(graph)[y]) for y in graph.y_symbols]
+        ids = {}
+        masks = []
+        self.witness = []
+
+        def intern(mask, word):
+            if len(masks) == MAX_SUBSET_STATES:
+                raise PreconditionError(
+                    f"the subset construction reached {len(masks) + 1} states, "
+                    f"more than the cap MAX_SUBSET_STATES = {MAX_SUBSET_STATES}")
+            ids[mask] = len(masks)
+            masks.append(mask)
+            self.witness.append(word)
+            return ids[mask]
+
+        self.initial = [intern(c, (y,)) if c else -1 for y, c in zip(graph.y_symbols, classes)]
+        rows = []
+        for mask, word in zip(masks, self.witness):     # both grow while read
+            out, rest = 0, mask
+            while rest:                 # the union over the set bits, lowest first
+                low = rest & -rest
+                out |= reach[low.bit_length() - 1]
+                rest ^= low
+            row = []
+            for y, cls in zip(graph.y_symbols, classes):
+                nxt = out & cls
+                if not nxt:
+                    row.append(-1)
+                elif nxt in ids:
+                    row.append(ids[nxt])
+                else:
+                    row.append(intern(nxt, (y,) + word if backward else word + (y,)))
+            rows.append(row)
+        self.step = np.array(rows, dtype=np.int64)
+        self.subsets = [tuple(s for i, s in enumerate(graph.x_symbols) if m >> i & 1)
+                        for m in masks]
+
+
+def subset_members(automaton, n):
+    """The member index list of each state of a ``SubsetAutomaton`` on n
+    symbols, read from its packed rows."""
+    assert automaton.rows.shape[1] == (n + 7) // 8
+    return [np.flatnonzero(r).tolist() for r in np.unpackbits(automaton.rows, axis=1, count=n)]
+
+
 class ChunkVerifiedWalk(_ViabilityWalk):
     """The speculate-and-verify walker that checks every relabelled chunk
-    on its own: its forward table is built from per-symbol successor lists,
-    each coordinate permutation's row is cached by σ, and a chunk that
-    starts at a permutation of its guess is relabelled, then verified step
-    by step with four numpy calls before it is kept."""
+    on its own: its forward table is built from per-symbol successor lists
+    of ``graph``, the tuple-symbol graph of the rows it walks on, each
+    coordinate permutation's row is cached by σ and made from the tuple
+    symbols, and a chunk that starts at a permutation of its guess is
+    relabelled, then verified step by step with four numpy calls before it
+    is kept."""
 
-    def __init__(self, graph: LabeledGraph):
-        super().__init__(graph)
+    def __init__(self, graph: LabeledGraph, *arrays):
+        super().__init__(*arrays)
+        self.graph = graph
         index = graph.index
         n = self.dead = len(graph.x_symbols)
-        subsets = self.automaton.subsets
         nbrs = sorted_successors(graph)
         succ = [[index[t] for t in nbrs[s]] for s in graph.x_symbols]
-        self.forward = np.full((n + 2, len(subsets)), n, dtype=np.int64)
-        for v, subset in enumerate(subsets):
-            viable = {index[s] for s in subset}
+        members = subset_members(self.automaton, n)
+        self.forward = np.full((n + 2, len(members)), n, dtype=np.int64)
+        for v, subset in enumerate(members):
+            viable = set(subset)
             self.forward[:n, v] = [next((t for t in row if t in viable), n) for row in succ]
-            self.forward[n + 1, v] = index[subset[0]]
+            self.forward[n + 1, v] = subset[0]
         self._relabellings = {}
 
     def _relabelling(self, guess, true):
@@ -638,7 +708,13 @@ class IntSettledWalk(_ViabilityWalk):
     with the whole table (checked once per σ and kept in ``_rows``) is
     settled by mapping its end on Python ints and relabelled with one
     ``take`` per σ after the loop; any other σ is relabelled and verified
-    per chunk, and a chunk without σ, or failing the verify, is re-run."""
+    per chunk, and a chunk without σ, or failing the verify, is re-run.
+    σ rows are made from the tuple symbols of ``graph``, the tuple-symbol
+    graph of the rows it walks on."""
+
+    def __init__(self, graph: LabeledGraph, *arrays):
+        super().__init__(*arrays)
+        self.graph = graph
 
     def _relabelling(self, guess, true):
         """The coordinate permutation σ with guess∘σ = true, None when the
@@ -840,9 +916,10 @@ def tuple_phased_cycles(g: LabeledGraph, y: PeriodicOrbit):
     w = y.primitive_word
     p = y.period
     for a in w:
-        if a not in g.label_classes:
+        if a not in label_classes(g):
             raise NotInImage(f"symbol {a!r} is not in the image alphabet")
-    vertices, succ = [(s, t) for t in range(p) for s in g.label_classes[w[t]]], sorted_successors(g)
+    classes, succ = label_classes(g), sorted_successors(g)
+    vertices = [(s, t) for t in range(p) for s in classes[w[t]]]
     edges = [((s, t), (s2, (t + 1) % p)) for s, t in vertices
              for s2 in succ[s] if g.label[s2] == w[(t + 1) % p]]
     alive = essential_symbols(vertices, edges)
@@ -861,7 +938,7 @@ def tuple_phased_cycles(g: LabeledGraph, y: PeriodicOrbit):
 
     seen = set()
     cycles = []
-    for s in g.label_classes[w[0]]:
+    for s in label_classes(g)[w[0]]:
         u = (s, 0)
         if u not in alive or u in seen:
             continue
@@ -1009,7 +1086,7 @@ def run_periodic_fiber(g: LabeledGraph, y: PeriodicOrbit) -> PhasedFiberDecompos
     of its word (see ``close_runs``)."""
     runs = {(len(g.x_symbols),) * 2: ()}
     for a in y.primitive_word:
-        if a not in g.label_classes:
+        if a not in label_classes(g):
             raise NotInImage(f"symbol {a!r} is not in the image alphabet")
         runs = extend_runs(g.letter_successors, runs, g.y_symbols.index(a))
     lifts = close_runs(g.letter_successors, g.y_symbols.index(y.primitive_word[0]), runs, y.period)
@@ -1476,7 +1553,7 @@ def fiber_product(g: LabeledGraph, n: int, distinct: bool = False) -> LabeledGra
     order = g.index
     symbols = []
     for y in g.y_symbols:
-        cls = g.label_classes[y]
+        cls = label_classes(g)[y]
         for tup in product(cls, repeat=n):
             if distinct and len(set(tup)) != n:
                 continue

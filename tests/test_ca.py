@@ -1,5 +1,11 @@
+import json
+import os
+import resource
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 from itertools import product
 
 import pytest
@@ -198,3 +204,37 @@ def test_cross_validate_reports_mismatches(diff4):
     with pytest.raises(MismatchReport):
         sl.cross_validate(diff4, ("1/8", "3/8", "1/8", "3/8"), FAST,
                           margin_tolerance=0.0)
+
+
+# The peak RSS allowed to ``ca --family diff --modulus 8 --length 1000000``:
+# it peaked at about 720 MB, most of it the 8-fold fiber product's arrays.
+DIFF8_PEAK_RSS_MB = 1024
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (4 * 10**9, 4 * 10**9))
+
+
+@pytest.mark.slow
+def test_ca_diff8_runs_under_a_4_gb_address_space():
+    # the child alone gets the 4 GB limit, set between fork and exec, and
+    # reports its own peak RSS, VmHWM: its ru_maxrss would also count the
+    # test runner's RSS, which the exec replaces
+    vector = "1/10,1/10,1/10,2/10,1/10,1/10,2/10,1/10"
+    child = ("import sys\n"
+             "from sftlift.cli import main\n"
+             "code = main(['ca', '--family', 'diff', '--modulus', '8', '--vector', "
+             f"{vector!r}, '--length', '1000000'])\n"
+             "sys.stdout.flush()\n"
+             "print(*[s for s in open('/proc/self/status') if s.startswith('VmHWM')], "
+             "file=sys.stderr)\n"
+             "sys.exit(code)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(sl.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          env=env, preexec_fn=_limit_address_space)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.split()[-1] == "kB"
+    assert int(proc.stderr.split()[-2]) / 1024 <= DIFF8_PEAK_RSS_MB
+    validation = json.loads(proc.stdout)["cross_validation"]
+    assert validation["degree"] == 8
+    assert sum(e["multiplicity"] for e in validation["monte_carlo"]["lifts"]) == 8

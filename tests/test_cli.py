@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import time
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import sftlift
 from sftlift.cli import _emit, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -152,18 +154,74 @@ def test_joining_reads_the_essential_part(capsys, tmp_path, case, degree, symbol
     assert payload["components"] == [symbols]
 
 
-def test_lift_mc_reads_the_essential_part(capsys, tmp_path):
+def _dangling_lift_mc(capsys, tmp_path, *args):
     (tmp_path / "code.json").write_text(json.dumps(PARTIAL["dangling"]))
     (tmp_path / "nu.json").write_text(json.dumps({"type": "pushforward", "base": {
         "type": "markov", "states": ["a", "b"],
         "transitions": {"a": {"a": "1/2", "b": "1/2"}, "b": {"a": "1"}}}}))
-    code, out = run(capsys, "lift-mc", str(tmp_path / "code.json"), "--measure",
-                    str(tmp_path / "nu.json"), "--length", "2000")
+    return run(capsys, "lift-mc", str(tmp_path / "code.json"), "--measure",
+               str(tmp_path / "nu.json"), *args)
+
+
+def test_lift_mc_reads_the_essential_part(capsys, tmp_path):
+    # cylinders are counted over the letters of the essential symbols: the
+    # dangling c has none, and the depth-3 cylinders are the 14 over {a, b}
+    code, out = _dangling_lift_mc(capsys, tmp_path, "--length", "2000")
     assert code == 0
     payload = json.loads(out)
     assert payload["degree"] == 1
     assert [e["multiplicity"] for e in payload["lifts"]] == [1]
-    assert payload["lifts"][0]["measure"]["frequencies"]["c"] == 0.0
+    assert "c" not in payload["lifts"][0]["measure"]["frequencies"]
+    cylinders = payload["details"]["clusters"][0]["cylinders"]["frequencies"]
+    assert sorted(cylinders) == sorted(",".join(w) for n in (1, 2, 3)
+                                       for w in itertools.product("ab", repeat=n))
+
+
+def test_lift_mc_depth_refusal_counts_essential_letters(capsys, tmp_path):
+    # 3**5 = 243 cylinders over {a, b, c} would pass T = 100, the 2**5 over {a, b} do not
+    code, out = _dangling_lift_mc(capsys, tmp_path, "--length", "100", "--cyl-depth", "5")
+    assert code == 0
+    assert len(json.loads(out)["details"]["clusters"][0]["cylinders"]["frequencies"]) == 62
+
+
+def test_too_short_lift_mc_is_refused_on_the_joining_arrays(inputs, capsys, monkeypatch):
+    # rule102's joining graph has 8 symbols: T = 10 passes the 2**3 cylinders
+    # but not the burn-in, which is refused before any symbol, walk or sample
+    called = []
+
+    def spy(name):
+        def record(*args, **kwargs):
+            called.append(name)
+            raise AssertionError(name)
+        return record
+
+    monkeypatch.setattr(sftlift.joinings._ViabilityWalk, "__init__", spy("walker"))
+    monkeypatch.setattr(sftlift.joinings.DegreeJoiningGraph, "graph", property(spy("graph")))
+    for cls in vars(sftlift.measures).values():
+        if isinstance(cls, type) and "sample_indices" in vars(cls):
+            monkeypatch.setattr(cls, "sample_indices", spy(f"{cls.__name__}.sample_indices"))
+    code, out = run(capsys, "lift-mc", inputs["rule102"], "--measure", inputs["push_bernoulli"],
+                    "--length", "10")
+    assert (code, out, called) == (2, "", [])
+
+
+def test_lift_mc_and_ca_make_no_tuple_symbols(inputs, capsys, monkeypatch):
+    # the codes' symbols are blocks, tuples of letters; a joining symbol would
+    # be a tuple of blocks
+    built = []
+    init = sftlift.graphs.LabeledGraph.__init__
+
+    def record(self, x_symbols, *args, **kwargs):
+        built.append(tuple(x_symbols))
+        init(self, built[-1], *args, **kwargs)
+
+    monkeypatch.setattr(sftlift.graphs.LabeledGraph, "__init__", record)
+    assert run(capsys, "lift-mc", inputs["rule102"], "--measure", inputs["push_bernoulli"],
+               "--length", "5000")[0] == 0
+    assert run(capsys, "ca", "--family", "diff", "--modulus", "4",
+               "--vector", "1/8,3/8,1/8,3/8", "--length", "20000")[0] == 0
+    assert built and not any(isinstance(s, tuple) and isinstance(s[0], tuple)
+                             for xs in built for s in xs)
 
 
 def test_lift_mc_refusal(inputs, capsys):

@@ -204,18 +204,18 @@ def test_mc_builds_the_forward_automaton_once_per_graph(rule102, monkeypatch):
     built = []
 
     class Recording(sl.graphs.SubsetAutomaton):
-        def __init__(self, graph, backward=False):
+        def __init__(self, labels, y_symbols, edges, backward=False):
             if not backward:
-                built.append(graph)
-            super().__init__(graph, backward)
+                built.append(edges)
+            super().__init__(labels, y_symbols, edges, backward)
 
     for module in (sl.graphs, sl.codes, sl.joinings):
         monkeypatch.setattr(module, "SubsetAutomaton", Recording)
     recoding = sl.recode_to_one_block(rule102.code)
     nu = PushforwardMeasure(BernoulliMeasure("01", ("7/10", "3/10")), rule102.code)
     sl.classify_lifts_monte_carlo(recoding, nu, MonteCarloParams(sample_length=2000))
-    assert sum(g is recoding.graph for g in built) == 1
-    assert len({id(g) for g in built}) == len(built)
+    assert sum(edges is recoding.graph.edges for edges in built) == 1
+    assert len({id(edges) for edges in built}) == len(built)
 
 
 def test_support_presentation_over_the_subset_state_cap_refused():

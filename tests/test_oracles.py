@@ -1,6 +1,7 @@
-"""Differential tests: the shared subset automaton, the table-based image
-presentation with its Lyndon-word orbit sweep, the diamond and closing
-tests on the trimmed 2-fold fiber product, the per-row sorted successor
+"""Differential tests: the shared subset automaton on packed bit rows, the
+walk's σ rows on index arrays, the table-based image presentation with its
+Lyndon-word orbit sweep, the diamond and closing tests on the trimmed
+2-fold fiber product, the per-row sorted successor
 lists, the speculate-and-verify integer scan, the
 forward walk as one ``scan`` with once-checked coordinate relabellings,
 Tarjan and the period search on lists, the one-pass empirical count arrays
@@ -51,21 +52,69 @@ from conftest import random_rational_vector
 from test_graphs import graphs_strategy, loop_scan, scan_cases
 
 
+def _plain(g):
+    """A plain graph as the arrays of a walk: one column of its own indices,
+    with its own edges."""
+    return g, np.arange(len(g.x_symbols))[:, None], *g.edges
+
+
+def _joining_arrays(joining):
+    return joining.base, joining.ids, joining.src, joining.dst
+
+
+def _subsets(aut, g):
+    """The symbol tuple of each state of a ``SubsetAutomaton`` on g's symbols."""
+    return [tuple(map(g.x_symbols.__getitem__, m))
+            for m in oracles.subset_members(aut, len(g.x_symbols))]
+
+
 @given(graphs_strategy())
 def test_subset_automaton_matches_subset_state_oracles(g):
     for backward, oracle in ((False, oracles.forward_states), (True, oracles.backward_states)):
-        aut = SubsetAutomaton(g, backward=backward)
-        expected = oracle(g)
-        assert [frozenset(s) for s in aut.subsets] == list(expected)
+        aut = SubsetAutomaton(g.label_ids, g.y_symbols, g.edges, backward=backward)
+        expected, subsets = oracle(g), _subsets(aut, g)
+        assert [frozenset(s) for s in subsets] == list(expected)
         assert aut.witness == list(expected.values())
-        assert all(list(s) == sorted(s, key=g.index.get) for s in aut.subsets)
-        ids = {frozenset(s): k for k, s in enumerate(aut.subsets)}
+        assert all(list(s) == sorted(s, key=g.index.get) for s in subsets)
+        ids = {frozenset(s): k for k, s in enumerate(subsets)}
         nbrs = (oracles.sorted_predecessors if backward else oracles.sorted_successors)(g)
-        for k, subset in enumerate(aut.subsets):
+        for k, subset in enumerate(subsets):
             reach = {t for s in subset for t in nbrs[s]}
             for j, y in enumerate(g.y_symbols):
                 nxt = frozenset(t for t in reach if g.label[t] == y)
                 assert aut.step[k, j] == ids.get(nxt, -1)
+
+
+def _check_automaton(labels, edges, graph):
+    """The bit-row ``SubsetAutomaton`` of symbols with labels ``labels`` and
+    edges ``edges``, forward and backward, against the big-int one of their
+    symbol graph: initial states, steps, witnesses and member sets."""
+    for backward in (False, True):
+        new = SubsetAutomaton(labels, graph.y_symbols, edges, backward)
+        old = oracles.IntSubsetAutomaton(graph, backward)
+        assert (new.initial, new.witness) == (old.initial, old.witness)
+        assert np.array_equal(new.step, old.step)
+        assert _subsets(new, graph) == old.subsets
+
+
+@given(graphs_strategy())
+def test_subset_automaton_matches_big_int_oracle(g):
+    _check_automaton(g.label_ids, g.edges, g)
+
+
+def _check_joining_automaton(g):
+    joining = sl.degree_joining_graph(g)
+    _check_automaton(g.label_ids[joining.ids[:, 0]], (joining.src, joining.dst), joining.graph)
+
+
+def test_subset_automaton_matches_big_int_oracle_on_joining_graphs(rule102, diff4, sum5):
+    for ca in (rule102, diff4, sum5):
+        _check_joining_automaton(ca.recoding.graph)
+
+
+@pytest.mark.slow
+def test_subset_automaton_matches_big_int_oracle_on_the_diff7_joining_graph():
+    _check_joining_automaton(sl.LinearCACode(7, "difference").recoding.graph)
 
 
 @given(graphs_strategy())
@@ -180,8 +229,10 @@ def _old_path(g, word):
     return walker.walk(word, walker.viability_ids(word))
 
 
-def _new_path(g, word):
-    walker = _ViabilityWalk(g)
+def _new_path(g, word, arrays=None):
+    """The walk on ``arrays`` (g as a plain graph when None), whose rows are
+    the symbols of g, as symbols."""
+    walker = _ViabilityWalk(*(arrays or _plain(g)))
     path = walker.walk(walker.viability_ids([g.y_symbols.index(y) for y in word]))
     return [g.x_symbols[k] for k in path]
 
@@ -216,10 +267,11 @@ def _bernoulli_window(lam, seed, length):
 
 def test_viability_walk_matches_oracle_on_joining_graphs(rule102, diff4, sum5):
     for ca in (rule102, diff4, sum5):
-        lam = sl.degree_joining_graph(ca.recoding.graph).graph
+        joining = sl.degree_joining_graph(ca.recoding.graph)
+        lam = joining.graph
         for seed in (0, 1, 2):
             word = _bernoulli_window(lam, seed, 3000)
-            assert _new_path(lam, word) == _old_path(lam, word)
+            assert _new_path(lam, word, _joining_arrays(joining)) == _old_path(lam, word)
 
 
 def _path_labels(g, rng, length, periodic):
@@ -245,27 +297,33 @@ def walk_windows(draw):
     """A random small graph with plain symbols, or its distinct-tuple fiber
     product of arity 1 to 3 (the joining graph when the arity is the
     degree), and a label window on it: a random path's labels, or a cycle's
-    labels repeated, a window that need not contain a magic word."""
+    labels repeated, a window that need not contain a magic word; with the
+    arrays of the walk on it."""
     g = sl.analyze_graph(draw(graphs_strategy())).essential
-    arity = draw(st.integers(0, 3))
+    arity, arrays = draw(st.integers(0, 3)), _plain(g)
     if arity:
         try:
-            g = sl.fiber_product(g, arity, distinct=True)
+            arrays = (g, *codes._product_ids(g, arity, distinct=True))
         except NotInImage:
             assume(False)
+        g = codes._tuple_graph(*arrays)
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    return g, _path_labels(g, rng, draw(st.integers(1, 400)), draw(st.booleans()))
+    return g, _path_labels(g, rng, draw(st.integers(1, 400)), draw(st.booleans())), arrays
 
 
-def _settled_walker(g, word):
-    """A walker after one walk over the window, checked against the per-step
-    oracle's path and, path and ``resolutions``, against the two walks with
-    their own chunk-settling loops, built on the same table."""
-    ids = [g.y_symbols.index(y) for y in word]
-    walker = _ViabilityWalk(g)
+def _settled_walker(g, word, arrays=None):
+    """A walker on ``arrays`` (g as a plain graph when None), whose rows are
+    the symbols of g, after one walk over the window, checked against the
+    per-step oracle's path and, path and ``resolutions``, against the two
+    walks with their own chunk-settling loops, built on the same table, whose
+    σ rows come from the tuple symbols of the rows."""
+    ids, arrays = [g.y_symbols.index(y) for y in word], arrays or _plain(g)
+    walker = _ViabilityWalk(*arrays)
     path = walker.walk(walker.viability_ids(ids))
     assert [g.x_symbols[k] for k in path] == _old_path(g, word)
-    for old in (oracles.IntSettledWalk(g), oracles.ChunkVerifiedWalk(g)):
+    tuples = codes._tuple_graph(*arrays)
+    for old in (oracles.IntSettledWalk(tuples, *arrays),
+                oracles.ChunkVerifiedWalk(tuples, *arrays)):
         assert np.array_equal(walker.forward, old.forward)
         assert np.array_equal(path, old.walk(old.viability_ids(ids)))
         assert walker.resolutions == old.resolutions
@@ -287,8 +345,9 @@ def test_speculative_walk_matches_oracle_on_300_random_windows(case):
 
 
 def test_speculative_walk_settles_chunks_all_three_ways(sum5):
-    lam = sl.degree_joining_graph(sum5.recoding.graph).graph
-    joining = _settled_walker(lam, _bernoulli_window(lam, 0, 3000)).resolutions
+    lam = sl.degree_joining_graph(sum5.recoding.graph)
+    joining = _settled_walker(lam.graph, _bernoulli_window(lam.graph, 0, 3000),
+                              _joining_arrays(lam)).resolutions
     assert joining == {"guess": 10, "relabel": 44, "rerun": 0}
     # plain symbols have no coordinates to permute.  c leads only to b, so
     # each chunk after the first is guessed at a and re-run from b, meeting
@@ -307,7 +366,8 @@ def test_speculative_walk_settles_chunks_all_three_ways(sum5):
                      {"a": "0", "b": "0", "c": "1", "d": "1"})
     # (the swap's row fails the check against the whole table, so the chunk
     # goes through the per-chunk verify)
-    swapped = _settled_walker(sl.fiber_product(g, 2, distinct=True), "1010")
+    pairs = (g, *codes._product_ids(g, 2, distinct=True))
+    swapped = _settled_walker(codes._tuple_graph(*pairs), "1010", pairs)
     forward, rows = swapped.forward, [r for r in swapped._relabellings.values() if r is not None]
     assert rows and not any(np.array_equal(forward[r], r[forward[:len(r)]]) for r in rows)
     assert swapped.resolutions == {"guess": 0, "relabel": 0, "rerun": 1}
@@ -351,9 +411,10 @@ def fto_joining_windows(draw):
                          {(a, b): (h.label[a], g.label[b]) for a in h.x_symbols
                           for b in g.x_symbols})
     assume(sl.analyze_graph(g).is_irreducible)
-    lam = sl.degree_joining_graph(g).graph
+    joining = sl.degree_joining_graph(g)
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    return lam, _path_labels(lam, rng, draw(st.integers(2000, 4000)), draw(st.booleans()))
+    return (joining.graph, _path_labels(joining.graph, rng, draw(st.integers(2000, 4000)),
+                                        draw(st.booleans())), _joining_arrays(joining))
 
 
 @given(fto_joining_windows())
@@ -374,7 +435,7 @@ def test_speculative_walk_matches_chunk_verified_walk_on_300_fto_joinings(case):
 
 def test_speculative_walk_raises_on_a_dead_end():
     g = LabeledGraph("ab", [("a", "b"), ("b", "a")], {"a": "x", "b": "y"})
-    walker = _ViabilityWalk(g)
+    walker = _ViabilityWalk(*_plain(g))
     good = walker.viability_ids([0, 1] * 25)
     assert walker.walk(good.copy()).tolist() == [0, 1] * 25     # walk writes over its argument
     for t in range(1, len(good)):
