@@ -16,8 +16,8 @@ minimizing pair's shortest witnesses, joined at the shared letter, form a
 magic word that certifies the degree.
 
 The lifts of a periodic orbit are the cycles of its word's preimage paths
-closed up at phase 0; ``periodic_fibers`` finds them for every orbit up to
-a period by one array pass per period, checked against tr(A^n).
+closed up at phase 0; periodic fibers read them from ``graphs._phased_lifts``,
+which sweeps every orbit up to a period, one array pass per period.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ from math import perm
 
 import numpy as np
 
-from .errors import (FiberInfinite, InfiniteToOne, InputError, NotInImage, NotIrreducible,
-                     PreconditionError)
+from .errors import InfiniteToOne, InputError, NotInImage, NotIrreducible, PreconditionError
 from .graphs import (LabeledGraph, PeriodicOrbit, SubsetAutomaton, _as_word, _essential_mask,
-                     _least_starts, _successor_lists, analyze_graph, determinize, entropy)
+                     _gather, _phased_lifts, _successor_lists, analyze_graph, determinize,
+                     entropy)
 
 ENTROPY_MATCH_TOL = 1e-9
 # The most tuples ``_product_ids`` builds.  It keeps the packed keys, below
@@ -40,8 +40,6 @@ ENTROPY_MATCH_TOL = 1e-9
 MAX_PRODUCT_TUPLES = 2**20
 # The most lift points ``_lift_cycles`` sweeps to a period p: Σ_{n<=p} tr(A^n).
 MAX_PERIODIC_POINTS = 2**20
-# About the most rows ``_phased_lifts`` extends at once in the last period, in whole words.
-LIFT_BATCH = 2**10
 
 
 @dataclass(frozen=True)
@@ -94,34 +92,31 @@ def _product_ids(g: LabeledGraph, n: int, distinct: bool = False):
 
     Its size, Σ_y |C_y|^n over the label classes (falling factorials when
     ``distinct``), is checked against MAX_PRODUCT_TUPLES first.  Tuples and
-    successors are expanded coordinate by coordinate with ``np.repeat``, and
+    successors are expanded coordinate by coordinate with ``_gather``, and
     successors are found by ``searchsorted`` on their ``_tuple_keys``."""
     if n < 1:
         raise ValueError("arity must be >= 1")
-    count = sum(perm(len(c), n) if distinct else len(c)**n for c in g.letter_successors[-1])
+    index, k, start = g.successor_index, len(g.y_symbols), len(g.x_symbols)
+    count = sum(perm(m, n) if distinct else m**n for m in np.diff(index[0][start * k:]).tolist())
     if count > MAX_PRODUCT_TUPLES:
         raise PreconditionError(f"the {n}-fold fiber product has {count} tuples, more than "
                                 f"the cap MAX_PRODUCT_TUPLES = {MAX_PRODUCT_TUPLES}")
-    table, labels = g.letter_successors, len(g.y_symbols)
-    counts = np.array([len(c) for row in table for c in row], dtype=np.int64)
-    flat = np.array([t for row in table for c in row for t in c], dtype=np.int64)
-    first = np.cumsum(counts) - counts          # where each (symbol, label) list starts
 
     def successors(tuples):
         """The successor tuples of each row of ``tuples`` with their source
-        rows, by source, then label, then lexicographically."""
-        rows = np.stack(np.divmod(np.arange(len(tuples) * labels), labels), axis=1)
-        for i in range(n):      # columns: source row, label, coordinates so far
-            cell = tuples[rows[:, 0], i] * labels + rows[:, 1]
-            cnt = counts[cell]
-            at = np.repeat(first[cell] - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
-            rows = np.column_stack([np.repeat(rows, cnt, axis=0), flat[at]])
+        rows, by source, then label, then lexicographically; each coordinate
+        moves the columns so far (source, coordinates) to the successors it adds."""
+        cols = list(_gather(index, tuples[:, 0] * k, tuples[:, 0] * k + k))
+        for i in range(1, n):
+            cell = tuples[cols[0], i] * k + g.label_ids[cols[1]]
+            at, t = _gather(index, cell, cell + 1)
             if distinct:
-                rows = rows[(rows[:, 2:-1] != rows[:, -1:]).all(axis=1)]
-        return rows[:, 0], rows[:, 2:]
+                keep = np.logical_and.reduce([c[at] != t for c in cols[1:]])
+                at, t = at[keep], t[keep]
+            cols = [c[at] for c in cols] + [t]
+        return cols[0], np.stack(cols[1:], axis=1)
 
-    # the tuples succeed a start tuple of row len(x_symbols), by label class
-    ids = successors(np.full((1, n), len(g.x_symbols)))[1]
+    ids = successors(np.full((1, n), start))[1]      # the classes, as successors of the start row
     ids = ids[np.argsort(ids[:, 0], kind="stable")]
     src, nxt = successors(ids)
     dst = np.searchsorted(_tuple_keys(g, ids), _tuple_keys(g, nxt))
@@ -138,10 +133,10 @@ def _tuple_keys(g: LabeledGraph, tuples):
     """The packed mixed-radix key of each row of ``tuples``, equal-label
     tuples of g's symbol indices: the first index, then the ranks in its
     label class, so keys ascend with the rows' lexicographic order."""
-    rank, classes = np.zeros(len(g.x_symbols), dtype=np.int64), g.letter_successors[-1]
-    for cls in classes:
-        rank[cls] = np.arange(len(cls))
-    weights = max(map(len, classes)) ** np.arange(tuples.shape[1] - 1, -1, -1)
+    (bounds, targets), start = g.successor_index, len(g.x_symbols) * len(g.y_symbols)
+    first = bounds[start:] - bounds[start]      # where each class starts in the start row
+    rank = np.argsort(targets[bounds[start]:]) - first[g.label_ids]    # a symbol's place in it
+    weights = np.diff(first).max() ** np.arange(tuples.shape[1] - 1, -1, -1)
     return tuples[:, 0] * weights[0] + rank[tuples[:, 1:]] @ weights[1:]
 
 
@@ -233,7 +228,7 @@ def preimage_words(code, w):
     """
     w = _as_word(w)
     if isinstance(code, LabeledGraph):
-        return _preimage_paths(code, w) if w else {()}
+        return _preimage_paths(code, w)
     g = code.recoding.graph
     if not w:
         return {u[:-1] for u, a in zip(g.x_symbols, g.essential_mask.tolist()) if a}
@@ -241,104 +236,16 @@ def preimage_words(code, w):
 
 
 def _preimage_paths(g: LabeledGraph, w):
-    """The essential paths of g carrying the label word w, read from the
-    start row of ``letter_successors`` on."""
+    """The essential paths of g carrying the label word w, rows of an int
+    array extended a letter at a time from the start row of the index."""
     if not set(w) <= set(g.y_symbols):
         return set()
-    alive, paths = g.essential_mask.tolist(), [(len(g.x_symbols),)]
+    k, paths = len(g.y_symbols), np.full((1, 1), len(g.x_symbols))
     for j in map(g.y_symbols.index, w):
-        paths = [p + (s,) for p in paths for s in g.letter_successors[p[-1]][j] if alive[s]]
-    return {tuple(map(g.x_symbols.__getitem__, p[1:])) for p in paths}
-
-
-def _phased_lifts(g: LabeledGraph, max_period: int, word=None):
-    """Per period q <= max_period, the Lyndon words of length q (label indices,
-    rows of ``words``) and their ``_cycles`` lifts; only ``word`` when given.
-    One array pass per period extends the paths of the prenecklaces of length
-    q - 1 by a letter.  A row is a path of a word: the word's rank (``np.unique``
-    keeps words in lexicographic order), the path, and whether another path of
-    the word has its ends (``merged``).  w + a is a prenecklace iff a >= w[-p],
-    a Lyndon word iff a > w[-p], p = ``plen`` the length of w's longest Lyndon
-    prefix (Duval, J. Algorithms 1983).  A path from s to e of a Lyndon word w
-    and an edge from e to t labeled w[0] relate s to t; the essential part of
-    this relation (trimmed only where it is no permutation of its starts) must
-    be a permutation without merged paths, or the fiber is infinite."""
-    n, k = len(g.x_symbols), len(g.y_symbols)
-    lab = g.label_ids
-    cell = g.edges[0] * k + lab[g.edges[1]]     # edges by source, then target label, then target
-    flat = g.edges[1][np.argsort(cell, kind="stable")]
-    bounds = np.searchsorted(np.sort(cell), np.arange(n * k + 1))
-
-    def step(ends, lo, hi):         # the successors of ``ends`` labeled lo..hi-1, with their rows
-        a, cnt = bounds[ends * k + lo], bounds[ends * k + hi] - bounds[ends * k + lo]
-        at = np.repeat(a - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
-        return np.repeat(np.arange(len(ends)), cnt), flat[at]
-
-    def extend(q, words, plen, rank, paths, merged):
-        least = words[rank, q - 1 - plen[rank]] if word is None else np.full_like(rank, word[q - 1])
-        row, end = step(paths[:, -1], least + (word is None and q == last),
-                        k if word is None else least + 1)
-        wkey = rank[row] * k + lab[end]
-        _key, at, count = np.unique((wkey * n + paths[row, 0]) * n + end,
-                                    return_index=True, return_counts=True)
-        row, end, wkey = row[at], end[at], wkey[at]
-        p = np.where(lab[end] == least[row], plen[rank[row]], q)
-        wkey, at, rank = np.unique(wkey, return_index=True, return_inverse=True)
-        return (np.column_stack([words[wkey // k], wkey % k]), p[at], rank,
-                np.column_stack([paths[row], end]), (count > 1) | merged[row])
-
-    def close(q, words, plen, rank, paths, merged):
-        rows = np.flatnonzero(plen[rank] == q) if word is None else np.arange(len(rank))
-        at, t = step(paths[rows, -1], words[rank[rows], 0], words[rank[rows], 0] + 1)
-        rows = rows[at]
-        s_key, t_key = rank[rows] * n + paths[rows, 0], rank[rows] * n + t     # s_key ascends
-        bad = np.zeros(len(words), dtype=bool)      # the words whose relation is no permutation
-        bad[rank[rows][1:][s_key[1:] == s_key[:-1]]] = True
-        bad[rank[rows][s_key != np.sort(t_key)]] = True
-        if (sel := bad[rank[rows]]).any():
-            ends, back = np.unique(np.concatenate([s_key[sel], t_key[sel]]), return_inverse=True)
-            keep = ~sel
-            keep[sel] = _essential_mask(len(ends), *back.reshape(2, -1))[back].reshape(2, -1).all(0)
-            rows, s_key, t_key = rows[keep], s_key[keep], t_key[keep]
-        if (s_key[1:] == s_key[:-1]).any() or merged[rows].any():
-            raise FiberInfinite("recurrent phased graph branches; fiber is infinite")
-        return q, words, _cycles(np.searchsorted(s_key, t_key), paths[rows], rank[rows])
-
-    last = max_period if word is None else len(word)
-    start = np.argsort(lab, kind="stable") if word is None else np.flatnonzero(lab == word[0])
-    words, rank = np.unique(lab[start], return_inverse=True)
-    rows = (words[:, None], np.ones(len(words), dtype=np.int64), rank, start[:, None], start < 0)
-    if word is None or last == 1:
-        yield close(1, *rows)
-    for q in range(2, last + 1):
-        words, plen, rank, paths, merged = rows
-        batch = LIFT_BATCH if q == last else len(rank) + 1
-        cuts = sorted(set(np.searchsorted(rank, rank[::batch]).tolist()))      # whole words
-        for a, b in zip(cuts, cuts[1:] + [len(rank)]):
-            part = extend(q, words, plen, rank[a:b], paths[a:b], merged[a:b])
-            if word is None or q == last:
-                yield close(q, *part)
-        rows = part if q < last and len(rank) else rows
-
-
-def _cycles(succ, paths, rank):
-    """The lifts of the cycles of the permutation ``succ`` of the relation pairs
-    with paths ``paths`` and word ranks ``rank`` of ``_phased_lifts``: a cycle
-    of w pairs is a lift of winding w whose ids are its paths at their least
-    rotation; per winding, its (w, word ranks, ids), sorted by (rank, ids)."""
-    lead, jump = np.arange(len(succ)), succ
-    while ((lower := np.minimum(lead, lead[jump])) < lead).any():
-        lead, jump = lower, jump[jump]          # the least pair of each cycle, by doubling
-    size, groups = np.bincount(lead, minlength=len(lead)), []
-    for w in sorted(set(size[size > 0].tolist())):
-        seq = [np.flatnonzero(size == w)]
-        while len(seq) < w:
-            seq.append(succ[seq[-1]])
-        ids, m = paths[np.stack(seq, axis=1)].reshape(len(seq[0]), -1), w * paths.shape[1]
-        ids = np.take_along_axis(ids, (_least_starts(ids)[:, None] + np.arange(m)) % m, axis=1)
-        by = np.lexsort([*ids.T[::-1], rank[seq[0]]])
-        groups.append((w, rank[seq[0]][by], ids[by].astype(np.min_scalar_type(ids.max()))))
-    return groups
+        cell = paths[:, -1] * k + j
+        row, t = _gather(g.successor_index, cell, cell + 1)
+        paths = np.column_stack([paths[row], t])[g.essential_mask[t]]
+    return {tuple(map(g.x_symbols.__getitem__, p[1:])) for p in paths.tolist()}
 
 
 def _decomposition(g: LabeledGraph, y: PeriodicOrbit, lifts) -> PhasedFiberDecomposition:
@@ -352,7 +259,8 @@ def periodic_fiber(g: LabeledGraph, y: PeriodicOrbit) -> PhasedFiberDecompositio
     if missing := [a for a in y.primitive_word if a not in g.y_symbols]:
         raise NotInImage(f"symbol {missing[0]!r} is not in the image alphabet")
     word = [g.y_symbols.index(a) for a in y.primitive_word]
-    lifts = [(w, u) for _q, _words, groups in _phased_lifts(g, len(word), word)
+    lifts = [(w, u) for _q, _words, groups in _phased_lifts(
+                 g.label_ids, len(g.y_symbols), g.successor_index, len(word), word)
              for w, _ranks, ids in groups for u in ids.tolist()]
     if not lifts:
         raise NotInImage("no preimage cycle realizes the orbit's word")
@@ -378,7 +286,7 @@ def _lift_cycles(g: LabeledGraph, max_period: int):
         raise PreconditionError(f"max_period {max_period}: the periods up to {len(traces)} "
                                 f"already hold {sum(traces)} lift points, more than the cap "
                                 f"MAX_PERIODIC_POINTS = {MAX_PERIODIC_POINTS}")
-    batches = list(_phased_lifts(g, max_period))
+    batches = list(_phased_lifts(g.label_ids, len(g.y_symbols), g.successor_index, max_period))
     sizes = [(q * w, len(ranks)) for q, _words, groups in batches for w, ranks, _ids in groups]
     for n, trace in enumerate(traces, 1):
         held = sum(m * count for m, count in sizes if n % m == 0)

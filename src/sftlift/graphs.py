@@ -9,7 +9,9 @@ block codes with memory/anticipation are brought into this normal form by
 
 Symbols are opaque hashable tokens; every "lexicographic" choice in the
 package uses the input order of ``x_symbols``, which keeps all outputs
-deterministic across runs.
+deterministic across runs.  The ``edges`` feed one array index,
+``_successor_index``, and one gather, ``_gather``, which every array walk
+reads, the prenecklace sweep of the periodic lifts ``_phased_lifts`` too.
 """
 
 from __future__ import annotations
@@ -22,13 +24,15 @@ from math import isqrt, log
 
 import numpy as np
 
-from .errors import EmptyAfterTrim, InputError, NotIrreducible, PreconditionError
+from .errors import EmptyAfterTrim, FiberInfinite, InputError, NotIrreducible, PreconditionError
 
 ENTROPY_TOL = 1e-12
 ENTROPY_MAX_ITER = 10**6
 # The most states a SubsetAutomaton builds: the subset construction of a
 # graph on n symbols can reach 2**n - 1 states.
 MAX_SUBSET_STATES = 2**15
+# About the most rows ``_phased_lifts`` extends at once in the last period, in whole words.
+LIFT_BATCH = 2**10
 
 
 def _as_word(word):
@@ -93,16 +97,10 @@ class LabeledGraph:
         return np.array([column[self.label[s]] for s in self.x_symbols], dtype=np.int64)
 
     @cached_property
-    def letter_successors(self):
-        """``[i][j]`` lists the successors of symbol i labeled ``y_symbols[j]``
-        by index, in index order; row ``len(x_symbols)`` lists each label
-        class, as the successors of a start vertex preceding every symbol."""
-        labels = self.label_ids.tolist()
-        n, (src, dst) = len(labels), (e.tolist() for e in self.edges)
-        table = [[[] for _ in self.y_symbols] for _ in range(n + 1)]
-        for a, b in zip(src + [n] * n, dst + list(range(n))):
-            table[a][labels[b]].append(b)
-        return table
+    def successor_index(self):
+        """``_successor_index`` of the edges: cell i·k + j lists the successors of
+        symbol i labeled ``y_symbols[j]``, row ``len(x_symbols)`` the label classes."""
+        return _successor_index(self.label_ids, len(self.y_symbols), *self.edges)
 
     @cached_property
     def essential_mask(self):
@@ -261,6 +259,25 @@ def _successor_lists(n, src, dst):
     bounds = np.searchsorted(src[order], np.arange(n + 1)).tolist()
     targets = dst[order].tolist()
     return [targets[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _successor_index(labels, k, src, dst):
+    """``(bounds, targets)``: cell c = source·k + labels[target] lists the
+    targets[bounds[c]:bounds[c + 1]] of the edges src -> dst on 0..n-1 in edge
+    order, and a start row n = len(labels) the label classes."""
+    n = len(labels)
+    src, dst = np.concatenate([src, np.full(n, n)]), np.concatenate([dst, np.arange(n)])
+    cell = src * k + labels[dst]
+    order = np.argsort(cell, kind="stable")
+    return np.searchsorted(cell[order], np.arange((n + 1) * k + 1)), dst[order]
+
+
+def _gather(index, lo, hi):
+    """``(rows, targets)``: the targets in the cells lo[i]..hi[i] - 1 of ``index``, with their i."""
+    bounds, targets = index
+    first, count = bounds[lo], bounds[hi] - bounds[lo]
+    at = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
+    return np.repeat(np.arange(len(first)), count), targets[at]
 
 
 def _essential_mask(n, src, dst):
@@ -543,19 +560,18 @@ class SubsetAutomaton:
     others are numbered in breadth-first discovery order, so each witness is
     a shortest such word.  ``step[k, j]`` is the state reached by reading
     ``y_symbols[j]`` after the word (before it with ``backward``), -1 when
-    no path carries the longer word.  A level's step is one gather over the
-    edges from the (state, symbol) pairs of its rows, expanded with
-    ``np.repeat``, then an ``&`` with each label class; rows are interned by
-    their bytes.  A construction that would pass ``MAX_SUBSET_STATES``
-    states is refused while it runs.
+    no path carries the longer word.  A level's step is one ``_gather`` of
+    the cells s·k..s·k + k - 1 (all successors of s) of the (state, symbol
+    s) pairs of its rows, then an ``&`` with each label class; rows are
+    interned by their bytes.  A construction that would pass
+    ``MAX_SUBSET_STATES`` states is refused while it runs.
     """
 
     def __init__(self, labels, y_symbols, edges, backward=False):
         n = self.n = len(labels)
-        src, dst = edges[::-1] if backward else edges
-        order = np.argsort(src, kind="stable")
-        first, targets = np.searchsorted(src[order], np.arange(n + 1)), dst[order]
-        classes = np.packbits(np.arange(len(y_symbols))[:, None] == labels, axis=1)
+        k = len(y_symbols)
+        index = _successor_index(labels, k, *(edges[::-1] if backward else edges))
+        classes = np.packbits(np.arange(k)[:, None] == labels, axis=1)
         ids, self.witness = {}, []
 
         def intern(row, word):
@@ -575,10 +591,9 @@ class SubsetAutomaton:
             words, level = self.witness[len(steps):], islice(ids, len(steps), None)
             rows = np.frombuffer(b"".join(level), np.uint8).reshape(-1, width)
             state, s = np.nonzero(np.unpackbits(rows, axis=1, count=n))
-            cnt = first[s + 1] - first[s]
-            at = np.repeat(first[s] - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
+            row, t = _gather(index, s * k, s * k + k)
             reached = np.zeros((len(rows), n), dtype=bool)
-            reached[np.repeat(state, cnt), targets[at]] = True
+            reached[state[row], t] = True
             cands = np.packbits(reached, axis=1)[:, None] & classes
             for word, row, live in zip(words, cands, cands.any(axis=2).tolist()):
                 steps.append([intern(c, (y,) + word if backward else word + (y,)) if a else -1
@@ -704,6 +719,91 @@ def scan(step, inputs, start, out, relabel=None, counts=None):
     return state - 1
 
 
+def _phased_lifts(labels, k, index, max_period: int, word=None):
+    """Per period q <= max_period, the Lyndon words of length q (label indices,
+    rows of ``words``) and their ``_cycles`` lifts on symbols ``labels`` and
+    the ``_successor_index`` ``index``; only ``word`` when given.
+    One array pass per period extends the paths of the prenecklaces of length
+    q - 1 by a letter.  A row is a path of a word: the word's rank (``np.unique``
+    keeps words in lexicographic order), the path, and whether another path of
+    the word has its ends (``merged``).  w + a is a prenecklace iff a >= w[-p],
+    a Lyndon word iff a > w[-p], p = ``plen`` the length of w's longest Lyndon
+    prefix (Duval, J. Algorithms 1983).  A path from s to e of a Lyndon word w
+    and an edge from e to t labeled w[0] relate s to t; the essential part of
+    this relation (trimmed only where it is no permutation of its starts) must
+    be a permutation without merged paths, or the fiber is infinite."""
+    n = len(labels)
+
+    def step(ends, lo, hi):         # the successors of ``ends`` labeled lo..hi-1, with their rows
+        return _gather(index, ends * k + lo, ends * k + hi)
+
+    def extend(q, words, plen, rank, paths, merged):
+        least = words[rank, q - 1 - plen[rank]] if word is None else np.full_like(rank, word[q - 1])
+        row, end = step(paths[:, -1], least + (word is None and q == last),
+                        k if word is None else least + 1)
+        wkey = rank[row] * k + labels[end]
+        _key, at, count = np.unique((wkey * n + paths[row, 0]) * n + end,
+                                    return_index=True, return_counts=True)
+        row, end, wkey = row[at], end[at], wkey[at]
+        p = np.where(labels[end] == least[row], plen[rank[row]], q)
+        wkey, at, rank = np.unique(wkey, return_index=True, return_inverse=True)
+        return (np.column_stack([words[wkey // k], wkey % k]), p[at], rank,
+                np.column_stack([paths[row], end]), (count > 1) | merged[row])
+
+    def close(q, words, plen, rank, paths, merged):
+        rows = np.flatnonzero(plen[rank] == q) if word is None else np.arange(len(rank))
+        at, t = step(paths[rows, -1], words[rank[rows], 0], words[rank[rows], 0] + 1)
+        rows = rows[at]
+        s_key, t_key = rank[rows] * n + paths[rows, 0], rank[rows] * n + t     # s_key ascends
+        bad = np.zeros(len(words), dtype=bool)      # the words whose relation is no permutation
+        bad[rank[rows][1:][s_key[1:] == s_key[:-1]]] = True
+        bad[rank[rows][s_key != np.sort(t_key)]] = True
+        if (sel := bad[rank[rows]]).any():
+            ends, back = np.unique(np.concatenate([s_key[sel], t_key[sel]]), return_inverse=True)
+            keep = ~sel
+            keep[sel] = _essential_mask(len(ends), *back.reshape(2, -1))[back].reshape(2, -1).all(0)
+            rows, s_key, t_key = rows[keep], s_key[keep], t_key[keep]
+        if (s_key[1:] == s_key[:-1]).any() or merged[rows].any():
+            raise FiberInfinite("recurrent phased graph branches; fiber is infinite")
+        return q, words, _cycles(np.searchsorted(s_key, t_key), paths[rows], rank[rows])
+
+    last = max_period if word is None else len(word)
+    start = np.argsort(labels, kind="stable") if word is None else np.flatnonzero(labels == word[0])
+    words, rank = np.unique(labels[start], return_inverse=True)
+    rows = (words[:, None], np.ones(len(words), dtype=np.int64), rank, start[:, None], start < 0)
+    if word is None or last == 1:
+        yield close(1, *rows)
+    for q in range(2, last + 1):
+        words, plen, rank, paths, merged = rows
+        batch = LIFT_BATCH if q == last else len(rank) + 1
+        cuts = sorted(set(np.searchsorted(rank, rank[::batch]).tolist()))      # whole words
+        for a, b in zip(cuts, cuts[1:] + [len(rank)]):
+            part = extend(q, words, plen, rank[a:b], paths[a:b], merged[a:b])
+            if word is None or q == last:
+                yield close(q, *part)
+        rows = part if q < last and len(rank) else rows
+
+
+def _cycles(succ, paths, rank):
+    """The lifts of the cycles of the permutation ``succ`` of the relation pairs
+    with paths ``paths`` and word ranks ``rank`` of ``_phased_lifts``: a cycle
+    of w pairs is a lift of winding w whose ids are its paths at their least
+    rotation; per winding, its (w, word ranks, ids), sorted by (rank, ids)."""
+    lead, jump = np.arange(len(succ)), succ
+    while ((lower := np.minimum(lead, lead[jump])) < lead).any():
+        lead, jump = lower, jump[jump]          # the least pair of each cycle, by doubling
+    size, groups = np.bincount(lead, minlength=len(lead)), []
+    for w in sorted(set(size[size > 0].tolist())):
+        seq = [np.flatnonzero(size == w)]
+        while len(seq) < w:
+            seq.append(succ[seq[-1]])
+        ids, m = paths[np.stack(seq, axis=1)].reshape(len(seq[0]), -1), w * paths.shape[1]
+        ids = np.take_along_axis(ids, (_least_starts(ids)[:, None] + np.arange(m)) % m, axis=1)
+        by = np.lexsort([*ids.T[::-1], rank[seq[0]]])
+        groups.append((w, rank[seq[0]][by], ids[by].astype(np.min_scalar_type(ids.max()))))
+    return groups
+
+
 class RightResolvingPresentation:
     """Edge-labeled right-resolving presentation of the image shift,
     obtained by the subset construction and trimmed to its essential part.
@@ -734,57 +834,48 @@ class RightResolvingPresentation:
             raise EmptyAfterTrim("presentation has no cycle")
         return max(values)
 
-    def periodic_orbits(self, max_period):
-        """All periodic orbits of the image shift with least period <=
-        max_period, by period and then lexicographically in alphabet order.
+    @cached_property
+    def _edge_graph(self):
+        """Letters and index edges of the edge graph: the edges (s, a), in (state,
+        letter) order, as symbols labelled a, with (s, a) -> (step[s, a], b)."""
+        state, letter = np.nonzero(self.step >= 0)
+        target = self.step[state, letter]
+        leaving = np.searchsorted(state, np.arange(len(self.step) + 1)), np.arange(len(state))
+        return letter, _gather(leaving, target, target + 1)
 
-        Each orbit is named by its Lyndon word, which is primitive and its
-        own least rotation.  One array pass per length extends the runs
-        (start, state) of the prenecklaces by a letter, as in
-        ``codes._phased_lifts``, and keeps a Lyndon word w when reading it
-        maps some state to itself.  This misses no orbit of a presentation
-        built by ``determinize``: if w^∞ is in the image, reading rot(w) =
-        w[1:] w[0] again and again from the label-class state of w[0] gives a
-        chain of subset states that shrinks (the construction is monotone)
-        and never empties (the preimages of w^∞ pass through it).  It stops
-        at a state S on a cycle, which the trim keeps, and w maps the state
-        that w[1:] reaches from S to itself.
-        """
+    def periodic_orbits(self, max_period):
+        """All periodic orbits of the image shift with least period <= max_period,
+        by period, then in alphabet order, each named by its Lyndon word w that
+        ``_phased_lifts`` lifts to the edge graph, where a path of w^∞ closes a cycle."""
         if max_period < 1:
             raise InputError("max_period must be >= 1")
-        k, words, found = len(self.alphabet), np.zeros((1, 0), dtype=np.int64), []
-        start = end = np.arange(len(self.step))     # a run from each state reads the empty word
-        rank, plen = np.zeros_like(start), np.ones(1, dtype=np.int64)
-        for q in range(1, max_period + 1):
-            least = words[rank, q - 1 - plen[rank]] if q > 1 else np.zeros_like(rank)
-            row, a = np.nonzero((np.arange(k) >= least[:, None]) & (self.step[end] >= 0))
-            p = np.where(a == least[row], plen[rank[row]], q)
-            wkey, at, rank = np.unique(rank[row] * k + a, return_index=True, return_inverse=True)
-            words, plen, start, end = (np.column_stack([words[wkey // k], wkey % k]), p[at],
-                                       start[row], self.step[end[row], a])
-            found += words[sorted(set(rank[(start == end) & (plen[rank] == q)].tolist()))].tolist()
+        letter, edges = self._edge_graph
+        index, found = _successor_index(letter, len(self.alphabet), *edges), []
+        for _q, words, groups in _phased_lifts(letter, len(self.alphabet), index, max_period):
+            lifted = {r for _w, ranks, _ids in groups for r in ranks.tolist()}
+            found += words[sorted(lifted)].tolist()
         return [PeriodicOrbit(tuple(self.alphabet[a] for a in w), len(w)) for w in found]
 
     def language_subset_of(self, other) -> bool:
-        """Whether every word readable here is readable in ``other``.  The
-        letters of the two alphabets are matched by name."""
-        column = {a: j for j, a in enumerate(other.alphabet)}
-        columns = [(j, column.get(a, -1)) for j, a in enumerate(self.alphabet)]
+        """Whether every word readable here is readable in ``other``: a search over
+        the pairs (state here, state of the ``SubsetAutomaton`` of ``other``'s
+        edge graph) that words reach, letters matched by name."""
+        letter, edges = other._edge_graph
+        aut = SubsetAutomaton(letter, other.alphabet, edges)
+        # row -1, the empty word, reads the initial states; column -1 a letter not in ``other``
+        table = [row + [-1] for row in aut.step.tolist() + [aut.initial]]
+        columns = [other.alphabet.index(a) if a in other.alphabet else -1 for a in self.alphabet]
         rows = self.step.tolist()
-        # a letter missing from ``other`` reads the extra column, -1 everywhere
-        other_rows = [row + [-1] for row in other.step.tolist()]
-        seen = {(s, frozenset(range(len(other_rows)))) for s in range(len(rows))}
+        seen = {(s, -1) for s in range(len(rows))}
         frontier = list(seen)
         while frontier:
             state, tracked = frontier.pop()
-            for j, other_j in columns:
-                nxt = rows[state][j]
-                if nxt < 0:
+            for j, other_j in enumerate(columns):
+                if rows[state][j] < 0:
                     continue
-                nxt_tracked = frozenset(u for t in tracked if (u := other_rows[t][other_j]) >= 0)
-                if not nxt_tracked:
+                key = (rows[state][j], table[tracked][other_j])
+                if key[1] < 0:
                     return False
-                key = (nxt, nxt_tracked)
                 if key not in seen:
                     seen.add(key)
                     frontier.append(key)

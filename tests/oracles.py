@@ -38,10 +38,14 @@ keyed by vertex in dicts and sets; the depth-first Lyndon-word sweep of
 the periodic fibers, which extends and closes the preimage runs of one
 word at a time in dicts, with ``periodic_fiber`` on those runs, the
 period search with one ``gcd`` call per non-tree edge, and Booth's least
-rotation of one word; and the per-class cylinders that the hidden-chain
+rotation of one word; the per-class cylinders that the hidden-chain
 forward recursion replaced: Bernoulli products, Markov chain products,
 orbit phase counts, alternating-offset phase averages over displaced base
-words, and the pushforward sum of base masses over the preimage words."""
+words, and the pushforward sum of base masses over the preimage words;
+and what the one successor index replaced: the Python table of successor
+lists per symbol and label, the image presentation's dense-table
+prenecklace sweep of its orbits and its language inclusion search over
+frozensets of states."""
 
 from __future__ import annotations
 
@@ -325,6 +329,63 @@ def table_accepts(p, word) -> bool:
             return False
         current = {t for s in current if (t := rows[s][column[a]]) >= 0}
     return bool(current)
+
+
+def table_periodic_orbits(p, max_period):
+    """The orbits of a table-based ``sftlift.RightResolvingPresentation``
+    with least period <= max_period, by period, then lexicographically: one
+    array pass per length extends the runs (start, state) of the
+    prenecklaces by a letter, and keeps a Lyndon word w when reading it
+    maps some state to itself.  This misses no orbit of a presentation
+    built by ``determinize``: if w^∞ is in the image, reading rot(w) =
+    w[1:] w[0] again and again from the label-class state of w[0] gives a
+    chain of subset states that shrinks (the construction is monotone) and
+    never empties (the preimages of w^∞ pass through it).  It stops at a
+    state S on a cycle, which the trim keeps, and w maps the state that
+    w[1:] reaches from S to itself.  A presentation built otherwise can
+    carry w^∞ only along a cycle of w^m, m > 1, which this misses."""
+    if max_period < 1:
+        raise InputError("max_period must be >= 1")
+    k, words, found = len(p.alphabet), np.zeros((1, 0), dtype=np.int64), []
+    start = end = np.arange(len(p.step))     # a run from each state reads the empty word
+    rank, plen = np.zeros_like(start), np.ones(1, dtype=np.int64)
+    for q in range(1, max_period + 1):
+        least = words[rank, q - 1 - plen[rank]] if q > 1 else np.zeros_like(rank)
+        row, a = np.nonzero((np.arange(k) >= least[:, None]) & (p.step[end] >= 0))
+        plen_q = np.where(a == least[row], plen[rank[row]], q)
+        wkey, at, rank = np.unique(rank[row] * k + a, return_index=True, return_inverse=True)
+        words, plen, start, end = (np.column_stack([words[wkey // k], wkey % k]), plen_q[at],
+                                   start[row], p.step[end[row], a])
+        found += words[sorted(set(rank[(start == end) & (plen[rank] == q)].tolist()))].tolist()
+    return [PeriodicOrbit(tuple(p.alphabet[a] for a in w), len(w)) for w in found]
+
+
+def table_language_subset_of(p, other) -> bool:
+    """Whether every word readable in the table-based presentation p is
+    readable in ``other``, by a search over the pairs (state of p, frozenset
+    of the states of ``other`` that the word reaches); letters are matched
+    by name."""
+    column = {a: j for j, a in enumerate(other.alphabet)}
+    columns = [(j, column.get(a, -1)) for j, a in enumerate(p.alphabet)]
+    rows = p.step.tolist()
+    # a letter missing from ``other`` reads the extra column, -1 everywhere
+    other_rows = [row + [-1] for row in other.step.tolist()]
+    seen = {(s, frozenset(range(len(other_rows)))) for s in range(len(rows))}
+    frontier = list(seen)
+    while frontier:
+        state, tracked = frontier.pop()
+        for j, other_j in columns:
+            nxt = rows[state][j]
+            if nxt < 0:
+                continue
+            nxt_tracked = frozenset(u for t in tracked if (u := other_rows[t][other_j]) >= 0)
+            if not nxt_tracked:
+                return False
+            key = (nxt, nxt_tracked)
+            if key not in seen:
+                seen.add(key)
+                frontier.append(key)
+    return True
 
 
 def keyed_presentation(p) -> RightResolvingPresentation:
@@ -1084,12 +1145,12 @@ def close_runs(table, first, runs, period):
 def run_periodic_fiber(g: LabeledGraph, y: PeriodicOrbit) -> PhasedFiberDecomposition:
     """Exact fiber of a periodic orbit of the image, from the preimage runs
     of its word (see ``close_runs``)."""
-    runs = {(len(g.x_symbols),) * 2: ()}
+    runs, table = {(len(g.x_symbols),) * 2: ()}, letter_successors(g)
     for a in y.primitive_word:
         if a not in label_classes(g):
             raise NotInImage(f"symbol {a!r} is not in the image alphabet")
-        runs = extend_runs(g.letter_successors, runs, g.y_symbols.index(a))
-    lifts = close_runs(g.letter_successors, g.y_symbols.index(y.primitive_word[0]), runs, y.period)
+        runs = extend_runs(table, runs, g.y_symbols.index(a))
+    lifts = close_runs(table, g.y_symbols.index(y.primitive_word[0]), runs, y.period)
     if not lifts:
         raise NotInImage("no preimage cycle realizes the orbit's word")
     return _decomposition(g, y, lifts)
@@ -1110,7 +1171,7 @@ def lift_cycles(g: LabeledGraph, max_period: int):
         raise PreconditionError(f"max_period {max_period}: the periods up to {len(traces)} "
                                 f"already hold {sum(traces)} lift points, more than the cap "
                                 f"MAX_PERIODIC_POINTS = {MAX_PERIODIC_POINTS}")
-    table, lengths = g.letter_successors, []
+    table, lengths = letter_successors(g), []
     for w, runs in lyndon_words(len(g.y_symbols), max_period, {(len(g.x_symbols),) * 2: ()},
                                 lambda runs, a: extend_runs(table, runs, a)):
         lifts = close_runs(table, w[0], runs, len(w))
@@ -1653,6 +1714,19 @@ def composed_scan(step, inputs, start, out):
     return state
 
 
+def letter_successors(g: LabeledGraph):
+    """``[i][j]`` lists the successors of symbol i labeled ``y_symbols[j]``
+    by index, in index order; row ``len(x_symbols)`` lists each label
+    class, as the successors of a start vertex preceding every symbol.
+    Python lists filled edge by edge."""
+    labels = g.label_ids.tolist()
+    n, (src, dst) = len(labels), (e.tolist() for e in g.edges)
+    table = [[[] for _ in g.y_symbols] for _ in range(n + 1)]
+    for a, b in zip(src + [n] * n, dst + list(range(n))):
+        table[a][labels[b]].append(b)
+    return table
+
+
 def sorted_successors(g: LabeledGraph):
     """Map symbol -> its successors, in symbol order, by one sort of all
     transitions keyed by an (index, index) pair."""
@@ -1726,7 +1800,7 @@ def tuple_fiber_product(g: LabeledGraph, n: int, distinct: bool = False) -> Labe
     (partial) successor tuple; distinct tuples are permutations of a class."""
     if n < 1:
         raise ValueError("arity must be >= 1")
-    table = g.letter_successors
+    table = letter_successors(g)
     ids = []
     for cls in table[len(g.x_symbols)]:
         ids.extend(permutations(cls, n) if distinct else product(cls, repeat=n))

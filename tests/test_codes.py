@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import sftlift as sl
-from sftlift import LabeledGraph, PeriodicOrbit, cli, codes, graphs
+from sftlift import LabeledGraph, PeriodicOrbit, cli, graphs
 from sftlift.cli import main
 from sftlift.fibers import _unwrap
 from sftlift.graphs import load_graph_or_code
@@ -229,6 +229,23 @@ def test_independent_oracles_on_random_codes_up_to_ten_symbols():
             assert sl.preimage_words(g, word) == set(direct_preimage_paths(g, word))
 
 
+@pytest.mark.slow
+def test_independent_oracles_on_every_short_word_and_orbit_up_to_ten_symbols():
+    """The dense eigenvalue entropy, the matrix-power fiber count and plain
+    path enumeration against ``entropy``, ``periodic_fiber`` and
+    ``preimage_words`` on 20 random finite-to-one codes of up to 10
+    symbols: every image orbit of period <= 4 and every image word of
+    length <= 4."""
+    codes_ = random_fto_codes(random.Random(20261021), 20, 10)
+    assert max(len(g.x_symbols) for g in codes_) == 10
+    for g in codes_:
+        assert abs(sl.entropy(g) - eig_entropy(g)) <= 1e-9
+        for orbit in sl.determinize(g).periodic_orbits(4):
+            assert sl.periodic_fiber(g, orbit).fiber_size == trace_fiber_count(g, orbit)
+        for word in (w for n in range(1, 5) for w in product(g.y_symbols, repeat=n)):
+            assert sl.preimage_words(g, word) == set(direct_preimage_paths(g, word))
+
+
 def test_constant_to_one_codes_fiber_equals_degree(rule102, sum5):
     for ca in (rule102, sum5):
         g = ca.recoding.graph
@@ -252,7 +269,7 @@ def test_periodic_fibers_checksum_catches_a_lost_lift(monkeypatch, capsys):
     # the cycle step of the sweep's core drops the last lift of its first
     # winding group; the trace checksum must refuse before anything is
     # printed, in the library and in the CLI
-    cycles, lost = codes._cycles, []
+    cycles, lost = graphs._cycles, []
 
     def lose_one(*args):
         groups = cycles(*args)
@@ -262,7 +279,7 @@ def test_periodic_fibers_checksum_catches_a_lost_lift(monkeypatch, capsys):
             groups[0] = w, ranks[:-1], ids[:-1]
         return groups
 
-    monkeypatch.setattr(codes, "_cycles", lose_one)
+    monkeypatch.setattr(graphs, "_cycles", lose_one)
     path = GOLDEN / "diff4.json"
     with pytest.raises(RuntimeError, match=r"tr\(A\^1\)"):
         sl.periodic_fibers(_unwrap(load_graph_or_code(path)[0])[0], 3)

@@ -358,6 +358,12 @@ def test_fixed_points_of_full_shift():
     assert all(o.period == 1 for o in orbits)
 
 
+def test_orbit_whose_word_moves_every_state():
+    # a^∞ is read along x -> y -> x, a cycle of a^2; no state is fixed by a
+    p = sl.RightResolvingPresentation([("x",), ("y",)], np.array([[1], [0]]), ("a",))
+    assert [o.primitive_word for o in p.periodic_orbits(3)] == [("a",)]
+
+
 @given(graphs_strategy(max_symbols=5), st.integers(1, 5))
 def test_trace_formula(g, max_p):
     swept = sl.determinize(_identity_labelled(g)).periodic_orbits(max_p)

@@ -1,5 +1,5 @@
-"""numpy is the package's only runtime dependency, and runs import no more
-of it than they use."""
+"""numpy is the package's only runtime dependency, runs import no more of
+it than they use, and one function expands successor lists."""
 
 import ast
 import json
@@ -24,6 +24,34 @@ def test_numpy_is_the_only_third_party_import():
     third_party = {m for m in modules
                    if m.split(".")[0] not in sys.stdlib_module_names | {"numpy", "sftlift"}}
     assert not third_party, f"third-party imports besides numpy: {sorted(third_party)}"
+
+
+class _RepeatCalls(ast.NodeVisitor):
+    """The innermost enclosing function of every ``.repeat(...)`` call, as
+    module.function (module.module for a call outside any function)."""
+
+    def __init__(self, module):
+        self.scopes, self.callers = [module], []
+
+    def visit_FunctionDef(self, node):
+        self.scopes.append(node.name)
+        self.generic_visit(node)
+        self.scopes.pop()
+
+    def visit_Call(self, node):
+        if isinstance(node.func, ast.Attribute) and node.func.attr == "repeat":
+            self.callers.append(f"{self.scopes[0]}.{self.scopes[-1]}")
+        self.generic_visit(node)
+
+
+def test_np_repeat_is_called_only_in_the_gather():
+    # every successor-list expansion of the package goes through graphs._gather
+    callers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        visitor = _RepeatCalls(path.stem)
+        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+        callers += visitor.callers
+    assert callers and set(callers) == {"graphs._gather"}, callers
 
 
 def test_markov_lift_mc_leaves_numpy_ma_unimported(tmp_path):

@@ -14,9 +14,11 @@ from the sweep, the vectorised samplers, the recoding-based pushforward path and
 fiber product on integer arrays with its edges, the structure report on
 the edges and the ``joining`` output built from them, least rotation and
 recoding, the per-period array sweep of the periodic lifts and
-``periodic_fiber`` on it, the period search's gcd pass, and the cylinders
+``periodic_fiber`` on it, the period search's gcd pass, the cylinders
 and support presentation of every measure class read from its hidden
-chain, against the constructions they replaced (kept in ``oracles.py``)."""
+chain, and the successor index with its gather, the presentation's orbits
+from the periodic sweep and its inclusion search on the subset automaton,
+against the constructions they replaced (kept in ``oracles.py``)."""
 
 import contextlib
 import hashlib
@@ -42,8 +44,8 @@ from sftlift.cli import main
 from sftlift.errors import EmptyAfterTrim, FiberInfinite, NoPath, NotInImage, PreconditionError
 from sftlift.fibers import _single_linkage, _unwrap, support_presentation
 from sftlift.graphs import (LabeledGraph, SubsetAutomaton, _component_periods, _essential_mask,
-                            _successor_lists, _tarjan_scc, least_rotation, load_graph_or_code,
-                            render_symbol)
+                            _gather, _successor_lists, _tarjan_scc, least_rotation,
+                            load_graph_or_code, render_symbol)
 from sftlift.joinings import _ViabilityWalk
 from sftlift.measures import EmpiricalDistribution, make_rng
 
@@ -155,11 +157,26 @@ def test_language_inclusion_matches_oracle(g, data):
                      {s: g.label[s] for s in keep}, letters)
     new_h = sl.determinize(h)
     new_g, old_g, old_h = sl.determinize(g), oracles.determinize(g), oracles.determinize(h)
-    assert new_h.language_subset_of(new_g) == old_h.language_subset_of(old_g)
-    assert new_g.language_subset_of(new_h) == old_g.language_subset_of(old_h)
+    assert (new_h.language_subset_of(new_g) == old_h.language_subset_of(old_g)
+            == oracles.table_language_subset_of(new_h, new_g))
+    assert (new_g.language_subset_of(new_h) == old_g.language_subset_of(old_h)
+            == oracles.table_language_subset_of(new_g, new_h))
     reordered = sl.determinize(LabeledGraph(g.x_symbols, g.transitions, g.label,
                                             g.y_symbols[::-1]))
     assert new_g.language_subset_of(reordered) and reordered.language_subset_of(new_g)
+
+
+@given(graphs_strategy())
+def test_orbit_sweep_matches_dense_table_oracle(g):
+    p = sl.determinize(g)
+    for max_period in range(1, 7):
+        assert p.periodic_orbits(max_period) == oracles.table_periodic_orbits(p, max_period)
+
+
+def test_orbit_sweep_matches_dense_table_oracle_on_ca_recodings(rule102, diff4, sum5):
+    for ca, max_period in ((rule102, 7), (diff4, 7), (sum5, 8)):
+        p = sl.determinize(ca.recoding.graph)
+        assert p.periodic_orbits(max_period) == oracles.table_periodic_orbits(p, max_period)
 
 
 def test_orbit_sweep_matches_depth_first_oracle(diff4, random_fto_fixtures):
@@ -743,8 +760,8 @@ def test_close_step_cases_match_oracle(monkeypatch, case):
     g = LabeledGraph(symbols, edges, {s: s[1] for s in symbols})
     y = sl.PeriodicOrbit.from_word(tuple(word))
     trims = []
-    trim = codes._essential_mask
-    monkeypatch.setattr(codes, "_essential_mask", lambda *args: trims.append(1) or trim(*args))
+    trim = sl.graphs._essential_mask
+    monkeypatch.setattr(sl.graphs, "_essential_mask", lambda *args: trims.append(1) or trim(*args))
     outcome = _refusal_or(sl.periodic_fiber, g, y)
     assert bool(trims) == trimmed
     assert outcome == _refusal_or(oracles.tuple_periodic_fiber, g, y)
@@ -1471,7 +1488,7 @@ def test_joining_bytes_match_tuple_oracles_off_the_right_resolving_path(fmt):
     path = GOLDEN / "skew3-edges.json"
     g = sl.LabeledGraph.from_json_dict(json.loads(path.read_text()))
     assert sl.analyze_graph(g).is_irreducible and sl.is_finite_to_one(g)
-    assert any(len(cell) > 1 for row in g.letter_successors[:-1] for cell in row)
+    assert any(len(cell) > 1 for row in oracles.letter_successors(g)[:-1] for cell in row)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(["joining", str(path), "--format", fmt]) == 0
@@ -1609,18 +1626,39 @@ def test_essential_symbols_match_full_pass_oracle(case):
 
 
 def _letter_successors_oracle(g):
-    """``letter_successors`` read off ``oracles.sorted_successors``."""
+    """``oracles.letter_successors`` read off ``oracles.sorted_successors``."""
     succ = oracles.sorted_successors(g)
     rows = [succ[s] for s in g.x_symbols] + [g.x_symbols]
     return [[[g.index[t] for t in row if g.label[t] == y] for y in g.y_symbols] for row in rows]
 
 
+def _check_successor_index(g):
+    """Each cell of ``successor_index``, start row included, against the
+    Python table of ``oracles.letter_successors`` and the one-sort lists."""
+    (bounds, targets), k = g.successor_index, len(g.y_symbols)
+    assert len(bounds) == (len(g.x_symbols) + 1) * k + 1 and bounds[-1] == len(targets)
+    cells = [targets[a:b].tolist() for a, b in zip(bounds, bounds[1:])]
+    table = oracles.letter_successors(g)
+    assert [cells[r * k:r * k + k] for r in range(len(table))] == table
+    assert table == _letter_successors_oracle(g)
+
+
 @given(graphs_strategy())
 def test_letter_successors_match_one_sort_oracle(g):
-    assert g.letter_successors == _letter_successors_oracle(g)
+    _check_successor_index(g)
 
 
 def test_letter_successors_match_one_sort_oracle_on_joining_graphs(rule102, diff4, sum5):
     for ca in (rule102, diff4, sum5):
         for g in (ca.recoding.graph, sl.degree_joining_graph(ca.recoding.graph).graph):
-            assert g.letter_successors == _letter_successors_oracle(g)
+            _check_successor_index(g)
+
+
+def test_gather_of_no_rows_and_of_empty_cells():
+    # cells 0..5 hold [], [7, 8], [], [], [9], []
+    index = np.array([0, 0, 2, 2, 2, 3, 3]), np.array([7, 8, 9])
+    for lo, hi in (([], []), ([0, 2, 5], [1, 4, 6]), ([3], [3])):
+        rows, targets = _gather(index, np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64))
+        assert rows.tolist() == targets.tolist() == []
+    rows, targets = _gather(index, np.array([2, 0, 1, 4]), np.array([5, 2, 1, 6]))
+    assert rows.tolist() == [0, 1, 1, 3] and targets.tolist() == [9, 7, 8, 9]
