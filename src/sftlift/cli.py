@@ -24,7 +24,7 @@ from .graphs import (OneBlockRecoding, analyze_graph, determinize, entropy,
 from .joinings import degree_joining_graph
 from .measures import measure_from_json_dict
 
-# The most row texts ``periodic-lifts`` holds before it writes them.
+# The most row texts, joined from fragment lists, that ``periodic-lifts`` holds unwritten.
 ROW_BATCH = 2**12
 
 
@@ -34,8 +34,7 @@ def _emit(payload, fmt="json"):
     newline.  Each distinct string is escaped once by the C escaper, each
     depth shares one whitespace triple, constants and finite numbers are
     written as json writes them, and json.dumps takes over on a key or type
-    left out.  ``periodic-lifts`` alone writes this layout itself, straight
-    from the lift sweep, once the sweep's checksum has passed."""
+    left out.  ``periodic-lifts`` writes its rows from ``_row_parts`` instead."""
     if fmt == "json":
         parts, layouts, strings, keys = [], [], {}, {}
 
@@ -136,57 +135,57 @@ def cmd_joining(args):
 
 
 def cmd_periodic_lifts(args):
+    """Write the lifts of each orbit of period <= ``--max-period`` once the sweep's
+    checksum has passed, ROW_BATCH rows at a time: a row's names fill the empty
+    slots of the ``_row_parts`` of its shape (period, windings), built once a call."""
     g, rec, _block = _load_code(args.input)
     if not is_finite_to_one(g):
         raise InfiniteToOne("periodic lift analysis requires a finite-to-one code")
     g = analyze_graph(g).essential
     names = [str(rec.base_letter(s)) if rec is not None else str(s) for s in g.x_symbols]
     labels, offset = [str(y) for y in g.y_symbols], rec.offset if rec is not None else 0
-    table, sep = args.format == "table", ",\n"
+    table, shapes, n = args.format == "table", {}, 0
     if not table:       # each name escaped once, as _emit would
         names, labels = ([encode_basestring_ascii(s) for s in strs] for strs in (names, labels))
-    # the sweep yields nothing before its checksum passes; rows go out ROW_BATCH at a
-    # time, and lift words rotate as in OneBlockRecoding.base_orbit
-    weights, n = {}, 0
     rows = [] if table else [f'{{\n  "max_period": {args.max_period},\n  "orbits": [']
-    for n, (word, lifts) in enumerate(_lift_cycles(g, args.max_period), 1):
-        p, d = len(word), sum(w for w, _ids in lifts)
-        if any(len(ids) != w * p for w, ids in lifts):
-            raise RuntimeError("fiber points are not equidistributed over the base orbit")
+    for n, (word, lifts) in enumerate(_lift_cycles(g, args.max_period, names, labels, offset), 1):
+        shape, points = (len(word),), []
+        for w, u in lifts:
+            if len(u) != w * len(word):
+                raise RuntimeError("fiber points are not equidistributed over the base orbit")
+            shape += (w,)
+            points += u
         if len(rows) >= ROW_BATCH:
             sys.stdout.write("".join(rows))
             rows.clear()
-        lifts = [(w, ids[-offset % len(ids):] + ids[:-offset % len(ids)]) for w, ids in lifts]
-        if table:
-            rows.append(f"orbit {','.join(map(labels.__getitem__, word))} (period {p}): "
-                        f"fiber {d}; lifts: " + ", ".join(
-                            f"{','.join(map(names.__getitem__, ids))} (mult {w})"
-                            for w, ids in lifts) + "\n")
-            continue
-        components, lift_items = [], []
-        for w, ids in lifts:
-            weight = weights.get((w, d)) or weights.setdefault((w, d), f'"{Fraction(w, d)}"')
-            components.append(_co_item(10, names, ids, '"weight": ' + weight))
-            lift_items.append(_co_item(8, names, ids, f'"multiplicity": {w}'))
-        orbit = ",\n        ".join(map(labels.__getitem__, word))
-        rows.append(f'{"," if n > 1 else ""}\n    {{\n      "canonical_lift": {{\n'
-                    f'        "components": [\n{sep.join(components)}\n        ],\n'
-                    f'        "is_ergodic": {"false" if lifts[1:] else "true"}\n      }},\n'
-                    f'      "fiber_size": {d},\n      "lifts": [\n{sep.join(lift_items)}\n'
-                    f'      ],\n      "orbit": [\n        {orbit}\n      ],\n'
-                    f'      "period": {p}\n    }}')
+        parts = shapes.get(shape) or shapes.setdefault(shape, _row_parts(*shape, table=table))
+        parts[1::2] = word + points if table else points + points + word
+        text = "".join(parts)
+        rows.append(text if table or n > 1 else text[1:])
     rows.append(("" if n else "\n") if table else "\n  ]\n}\n" if n else "]\n}\n")
     sys.stdout.write("".join(rows))
     return 0
 
 
-def _co_item(pad, names, ids, last):
-    """A lift or canonical-lift component of a JSON periodic-lifts row at indent
-    ``pad``: the co measure on the escaped ``names`` of ``ids``, then ``last``."""
-    i = " " * pad
-    orbit = f",\n{i}      ".join(map(names.__getitem__, ids))
-    return (f'{i}{{\n{i}  "measure": {{\n{i}    "orbit": [\n{i}      {orbit}\n{i}    ],\n'
-            f'{i}    "type": "co"\n{i}  }},\n{i}  {last}\n{i}}}')
+def _row_parts(p, *windings, table):
+    """A ``periodic-lifts`` row over an orbit of period p with lifts of windings
+    ``windings``, laid out with a mark for each name and split at the marks, an
+    empty slot between pieces: the slots take the letters, then each lift's points
+    (a table row), or each lift's points twice, then the letters (a JSON row, laid
+    out by json.dumps and opened with the comma after the row before)."""
+    d, mark = sum(windings), "\0"
+    if table:
+        lifts = ", ".join(",".join([mark] * (w * p)) + f" (mult {w})" for w in windings)
+        glue = f"orbit {','.join([mark] * p)} (period {p}): fiber {d}; lifts: {lifts}\n".split(mark)
+    else:
+        co = [({"orbit": [mark] * (w * p), "type": "co"}, w) for w in windings]
+        row = {"canonical_lift": {"is_ergodic": not windings[1:], "components": [
+                   {"measure": m, "weight": str(Fraction(w, d))} for m, w in co]},
+               "lifts": [{"measure": m, "multiplicity": w} for m, w in co],
+               "fiber_size": d, "orbit": [mark] * p, "period": p}
+        glue = (",\n" + json.dumps(row, sort_keys=True, indent=2)).replace("\n", "\n    ").split(
+            json.dumps(mark))
+    return [s for piece in glue for s in (piece, "")][:-1]
 
 
 def cmd_lift_mc(args):

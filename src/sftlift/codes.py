@@ -248,10 +248,9 @@ def _preimage_paths(g: LabeledGraph, w):
     return {tuple(map(g.x_symbols.__getitem__, p[1:])) for p in paths.tolist()}
 
 
-def _decomposition(g: LabeledGraph, y: PeriodicOrbit, lifts) -> PhasedFiberDecomposition:
+def _decomposition(y: PeriodicOrbit, lifts) -> PhasedFiberDecomposition:
     return PhasedFiberDecomposition(y, tuple(
-        (PeriodicOrbit(tuple(g.x_symbols[i] for i in ids), len(ids)), w) for w, ids in lifts),
-        sum(w for w, _ids in lifts))
+        (PeriodicOrbit(tuple(u), len(u)), w) for w, u in lifts), sum(w for w, _u in lifts))
 
 
 def periodic_fiber(g: LabeledGraph, y: PeriodicOrbit) -> PhasedFiberDecomposition:
@@ -259,24 +258,26 @@ def periodic_fiber(g: LabeledGraph, y: PeriodicOrbit) -> PhasedFiberDecompositio
     if missing := [a for a in y.primitive_word if a not in g.y_symbols]:
         raise NotInImage(f"symbol {missing[0]!r} is not in the image alphabet")
     word = [g.y_symbols.index(a) for a in y.primitive_word]
+    names = np.fromiter(g.x_symbols, object, len(g.x_symbols))
     lifts = [(w, u) for _q, _words, groups in _phased_lifts(
                  g.label_ids, len(g.y_symbols), g.successor_index, len(word), word)
-             for w, _ranks, ids in groups for u in ids.tolist()]
+             for w, _ranks, ids in groups for u in names[ids].tolist()]
     if not lifts:
         raise NotInImage("no preimage cycle realizes the orbit's word")
-    return _decomposition(g, y, lifts)
+    return _decomposition(y, lifts)
 
 
-def _lift_cycles(g: LabeledGraph, max_period: int):
-    """The Lyndon word (label indices) and sorted (winding, ids) lifts of
-    each orbit of least period <= max_period with lifts on the essential
-    graph g, by period.  The ``_phased_lifts`` sweep is held as arrays until
-    its checksum passes: a lift of winding w over an orbit of period q holds
-    q·w points, of period dividing n iff q·w does, so for each n <=
-    max_period they sum to tr(A^n) (Lind & Marcus §2.2).  A sweep whose
-    traces, taken first, sum past MAX_PERIODIC_POINTS is refused."""
+def _lift_cycles(g: LabeledGraph, max_period: int, names, letters, offset=0):
+    """The Lyndon word and sorted (winding, lift) pairs of each orbit of least period
+    <= max_period with lifts on the essential graph g, by period: lists of ``letters``
+    and ``names`` gathered once per batch and winding group, a lift from ``offset``
+    places sooner (``OneBlockRecoding.base_orbit``).  The sweep is held as arrays until
+    its checksum passes: a lift of winding w over an orbit of period q holds q·w points,
+    of period dividing n iff q·w does, so for each n <= max_period they sum to tr(A^n)
+    (Lind & Marcus §2.2).  Traces summing past MAX_PERIODIC_POINTS refuse it first."""
     if max_period < 1:
         raise InputError("max_period must be >= 1")
+    names, letters = (np.fromiter(strs, object, len(strs)) for strs in (names, letters))
     adjacency = power = g.adjacency_matrix().astype(object)     # Python ints: no wrap-around
     traces = [power.trace()]
     while len(traces) < max_period and sum(traces) <= MAX_PERIODIC_POINTS:
@@ -295,19 +296,19 @@ def _lift_cycles(g: LabeledGraph, max_period: int):
                                f"not tr(A^{n}) = {trace}")
     while batches:          # a batch's arrays go as its orbits are yielded
         _q, words, groups = batches.pop(0)
-        orbits, labels = {}, words.tolist()
+        orbits, labels = {}, letters[words].tolist()
         for w, ranks, ids in groups:            # windings up
-            for r, u in zip(ranks.tolist(), ids.tolist()):
+            for r, u in zip(ranks.tolist(), names[np.roll(ids, offset, axis=1)].tolist()):
                 orbits.setdefault(r, []).append((w, u))
-        yield from ((tuple(labels[r]), orbits[r]) for r in sorted(orbits))
+        yield from ((labels[r], orbits[r]) for r in sorted(orbits))
 
 
 def periodic_fibers(g: LabeledGraph, max_period: int):
     """The fibers of all periodic orbits of the image of least period <= max_period,
     from ``_lift_cycles``, ordered as ``determinize(g).periodic_orbits``."""
     g = analyze_graph(g).essential
-    return sorted((_decomposition(g, PeriodicOrbit(tuple(g.y_symbols[a] for a in w), len(w)), lifts)
-                   for w, lifts in _lift_cycles(g, max_period)), key=lambda f: f.base_orbit.period)
+    return [_decomposition(PeriodicOrbit(tuple(w), len(w)), lifts)
+            for w, lifts in _lift_cycles(g, max_period, g.x_symbols, g.y_symbols)]
 
 
 def is_right_closing(g: LabeledGraph) -> bool:

@@ -574,18 +574,18 @@ class SubsetAutomaton:
         classes = np.packbits(np.arange(k)[:, None] == labels, axis=1)
         ids, self.witness = {}, []
 
-        def intern(row, word):
+        def intern(row, word, y):       # a new state's witness: word read on by y
             key = row.tobytes()
-            if key not in ids:
+            if (state := ids.get(key)) is None:
                 if len(ids) == MAX_SUBSET_STATES:
                     raise PreconditionError(
                         f"the subset construction reached {len(ids) + 1} states, "
                         f"more than the cap MAX_SUBSET_STATES = {MAX_SUBSET_STATES}")
-                ids[key] = len(ids)
-                self.witness.append(word)
-            return ids[key]
+                state = ids[key] = len(ids)
+                self.witness.append((y,) + word if backward else word + (y,))
+            return state
 
-        self.initial = [intern(c, (y,)) if c.any() else -1 for y, c in zip(y_symbols, classes)]
+        self.initial = [intern(c, (), y) if c.any() else -1 for y, c in zip(y_symbols, classes)]
         steps, width = [], classes.shape[1]
         while len(steps) < len(ids):        # a level: the states the last one found
             words, level = self.witness[len(steps):], islice(ids, len(steps), None)
@@ -596,7 +596,7 @@ class SubsetAutomaton:
             reached[state[row], t] = True
             cands = np.packbits(reached, axis=1)[:, None] & classes
             for word, row, live in zip(words, cands, cands.any(axis=2).tolist()):
-                steps.append([intern(c, (y,) + word if backward else word + (y,)) if a else -1
+                steps.append([intern(c, word, y) if a else -1
                               for y, c, a in zip(y_symbols, row, live)])
         self.step = np.array(steps, dtype=np.int64).reshape(-1, len(y_symbols))
         self.rows = np.frombuffer(b"".join(ids), np.uint8).reshape(-1, width)

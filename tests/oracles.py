@@ -1153,7 +1153,7 @@ def run_periodic_fiber(g: LabeledGraph, y: PeriodicOrbit) -> PhasedFiberDecompos
     lifts = close_runs(table, g.y_symbols.index(y.primitive_word[0]), runs, y.period)
     if not lifts:
         raise NotInImage("no preimage cycle realizes the orbit's word")
-    return _decomposition(g, y, lifts)
+    return _decomposition(y, [(w, [g.x_symbols[i] for i in ids]) for w, ids in lifts])
 
 
 def lift_cycles(g: LabeledGraph, max_period: int):

@@ -297,8 +297,8 @@ def test_periodic_lifts_unequal_fiber_points_write_nothing(monkeypatch, capsys):
     # points for; the rows formatted before it must not reach stdout
     sweep = cli._lift_cycles
 
-    def miscount(g, max_period):
-        for n, (word, lifts) in enumerate(sweep(g, max_period)):
+    def miscount(g, max_period, *naming):
+        for n, (word, lifts) in enumerate(sweep(g, max_period, *naming)):
             yield word, [(w + 1, ids) for w, ids in lifts] if n == 2 else lifts
 
     monkeypatch.setattr(cli, "_lift_cycles", miscount)

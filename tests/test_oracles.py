@@ -39,7 +39,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import sftlift as sl
-from sftlift import codes
+from sftlift import cli, codes
 from sftlift.cli import main
 from sftlift.errors import EmptyAfterTrim, FiberInfinite, NoPath, NotInImage, PreconditionError
 from sftlift.fibers import _single_linkage, _unwrap, support_presentation
@@ -683,9 +683,34 @@ def test_periodic_lifts_table_bytes_match_row_dict_oracle(name):
     assert out.encode() == _oracle_stdout(GOLDEN / f"{name}.json", 6, "table")[1].encode()
 
 
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("name", ["sum5", "skew3"])
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_periodic_lifts_bytes_match_oracle_across_row_batches(monkeypatch, batch, name, fmt):
+    # sum5's rows come in several shapes (periods, lift windings): the row
+    # texts of one shape share one fragment list, and each flush must write
+    # every row as the oracle does
+    class Chunks(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    writes, out = [], Chunks()
+    monkeypatch.setattr(cli, "ROW_BATCH", batch)
+    with contextlib.redirect_stdout(out):
+        code = main(["periodic-lifts", str(GOLDEN / f"{name}.json"), "--max-period", "4",
+                     "--format", fmt])
+    expected = _oracle_stdout(GOLDEN / f"{name}.json", 4, fmt)
+    assert (code, out.getvalue()) == expected
+    rows = expected[1].count("\n    {\n") if fmt == "json" else expected[1].count("\n")
+    # a flush before a row when ``batch`` texts are held (the JSON head counts), then the last
+    assert rows > batch and len(writes) == 1 + (rows - 1 + (fmt == "json")) // batch
+
+
 # names JSON must escape: quote, backslash, control characters, a non-ASCII
-# letter, a line separator and an astral character (a surrogate pair)
-ESCAPED_NAMES = st.text(st.sampled_from('"\\\x00\n\x1f\x7f\xe9\u2028\U0001f600a'),
+# letter, a line separator and an astral character (a surrogate pair); and
+# the %, { and } that a writer parsing names as a format string would read
+ESCAPED_NAMES = st.text(st.sampled_from('"\\\x00\n\x1f\x7f\xe9\u2028\U0001f600%{}a'),
                         min_size=1, max_size=3)
 
 
@@ -776,7 +801,9 @@ def _check_lift_cycles(g, max_period):
     preimage runs, orbit by orbit in period order, on the essential part of
     g; a refusal must match by type and message."""
     g = sl.analyze_graph(g).essential
-    assert (_refusal_or(lambda: list(codes._lift_cycles(g, max_period)))
+    ids = (range(len(g.x_symbols)), range(len(g.y_symbols)))     # each named by its index
+    assert (_refusal_or(lambda: [(tuple(w), lifts)
+                                 for w, lifts in codes._lift_cycles(g, max_period, *ids)])
             == _refusal_or(lambda: sorted(oracles.lift_cycles(g, max_period),
                                           key=lambda orbit: len(orbit[0]))))
 
