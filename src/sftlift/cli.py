@@ -10,17 +10,19 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
+from functools import cache
 from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 from . import ca as ca_mod
 from .codes import _lift_cycles, compute_degree, is_finite_to_one
 from .errors import InfiniteToOne, PreconditionError
 from .fibers import MonteCarloParams, classify_lifts_monte_carlo
 from .graphs import (OneBlockRecoding, analyze_graph, determinize, entropy,
-                     load_graph_or_code, load_json, render_symbol, to_dot)
+                     load_graph_or_code, load_json, render_symbol)
 from .joinings import degree_joining_graph
 from .measures import measure_from_json_dict
 
@@ -28,53 +30,10 @@ from .measures import measure_from_json_dict
 ROW_BATCH = 2**12
 
 
-def _emit(payload, fmt="json"):
-    """Write a payload to stdout as a line-ended text, or as JSON
-    byte-identical to ``json.dumps(payload, sort_keys=True, indent=2)`` and a
-    newline.  Each distinct string is escaped once by the C escaper, each
-    depth shares one whitespace triple, constants and finite numbers are
-    written as json writes them, and json.dumps takes over on a key or type
-    left out.  ``periodic-lifts`` writes its rows from ``_row_parts`` instead."""
-    if fmt == "json":
-        parts, layouts, strings, keys = [], [], {}, {}
-
-        def encode(o, depth):
-            if isinstance(o, str):
-                parts.append(strings.get(o) or strings.setdefault(o, encode_basestring_ascii(o)))
-            elif isinstance(o, (dict, list, tuple)):
-                if len(layouts) == depth:
-                    inner = "\n" + "  " * (depth + 1)
-                    layouts.append((inner, "," + inner, inner[:-2]))
-                sep, comma, close = layouts[depth] if o else ("", "", "")
-                is_dict = isinstance(o, dict)
-                parts.append("{" if is_dict else "[")
-                for item in sorted(o.items()) if is_dict else o:
-                    parts.append(sep)
-                    sep = comma
-                    if is_dict:     # the escaper raises TypeError on a non-str key
-                        key, item = item
-                        parts.append(keys.get(key) or keys.setdefault(
-                            key, encode_basestring_ascii(key) + ": "))
-                    encode(item, depth + 1)
-                parts.append(close)
-                parts.append("}" if is_dict else "]")
-            elif o is None or o is True or o is False:     # identity: 1 == True
-                parts.append("null" if o is None else "true" if o else "false")
-            elif isinstance(o, int):
-                parts.append(int.__repr__(o))
-            elif isinstance(o, float) and math.isfinite(o):
-                parts.append(float.__repr__(o))
-            else:           # nan and inf; a TypeError on any other type
-                parts.append(json.dumps(o))
-
-        try:
-            encode(payload, 0)
-            parts.append("\n")
-        except TypeError:
-            parts = [json.dumps(payload, sort_keys=True, indent=2), "\n"]
-        sys.stdout.write("".join(parts))     # one write: a captured stdout keeps one string
-    else:
-        sys.stdout.write(payload if payload.endswith("\n") else payload + "\n")
+def _emit(payload):
+    """Write a payload to stdout as ``json.dumps(payload, sort_keys=True, indent=2)``
+    and a newline; ``joining`` and ``periodic-lifts`` write their JSON from arrays."""
+    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _load_code(path):
@@ -122,15 +81,40 @@ def cmd_degree(args):
 
 
 def cmd_joining(args):
+    """Write the degree joining graph from its arrays, each base symbol rendered
+    once and each row named once, its symbols joined by '|': the dot text of
+    ``to_dot`` or the JSON that ``json.dumps(..., sort_keys=True, indent=2)``
+    writes of its tuple graph's ``to_json_dict``, the degree and the components,
+    with the transitions and label keys ordered by the rank of the raw names."""
     g, _rec, _block = _load_code(args.input)
     lam = degree_joining_graph(g)
+    parts = np.fromiter(map(render_symbol, g.x_symbols), object, len(g.x_symbols))
+    raw = ["|".join(u) for u in parts[lam.ids].tolist()]
+    labels = [str(y) for y in g.y_symbols]
+    label = [labels[j] for j in g.label_ids[lam.ids[:, 0]].tolist()]
+    src, dst = lam.src.tolist(), lam.dst.tolist()
     if args.format == "dot":
-        _emit(to_dot(lam.graph), fmt="dot")
+        lines = ["digraph shift {", *(f'  "{n}" [label="{n} / {y}"];' for n, y in zip(raw, label)),
+                 *(f'  "{raw[a]}" -> "{raw[b]}";' for a, b in zip(src, dst)), "}\n"]
+        sys.stdout.write("\n".join(lines))
         return 0
-    out, name = lam.graph.to_json_dict(), lam.graph.names
-    out["degree"] = lam.degree
-    out["components"] = [[name[s] for s in comp] for comp in lam.components]
-    _emit(out)
+    rank = np.unique(np.array(raw, dtype=object), return_inverse=True)[1]     # by str order
+    name, label = (list(map(encode_basestring_ascii, strs)) for strs in (raw, label))
+
+    def block(items, depth, brackets="[]"):     # one json.dumps container, indented
+        inner = "\n" + "  " * depth
+        return brackets[0] + inner + ("," + inner).join(items) + inner[:-2] + brackets[1]
+
+    fields = {
+        "components": block([block([name[r] for r in c], 3) for c in lam.components], 2),
+        "degree": str(lam.degree),
+        "label": block([f"{name[r]}: {label[r]}" for r in np.argsort(rank).tolist()],
+                       2, "{}"),
+        "transitions": block([block([name[src[e]], name[dst[e]]], 3) for e in
+                              np.lexsort((rank[lam.dst], rank[lam.src])).tolist()], 2),
+        "x_symbols": block(name, 2),
+        "y_symbols": block(map(encode_basestring_ascii, labels), 2)}
+    sys.stdout.write(block([f'"{k}": {v}' for k, v in fields.items()], 1, "{}") + "\n")
     return 0
 
 
@@ -214,6 +198,7 @@ def cmd_ca(args):
     return 0
 
 
+@cache      # built on the first ``main`` call, once a process: the parse leaves it as it was
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="sftlift",
@@ -257,8 +242,7 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     commands = {"analyze": cmd_analyze, "degree": cmd_degree, "joining": cmd_joining,
                 "periodic-lifts": cmd_periodic_lifts, "lift-mc": cmd_lift_mc, "ca": cmd_ca}
     try:

@@ -253,18 +253,25 @@ def _decomposition(y: PeriodicOrbit, lifts) -> PhasedFiberDecomposition:
         (PeriodicOrbit(tuple(u), len(u)), w) for w, u in lifts), sum(w for w, _u in lifts))
 
 
-def periodic_fiber(g: LabeledGraph, y: PeriodicOrbit) -> PhasedFiberDecomposition:
-    """Exact fiber of a periodic orbit of the image: ``_phased_lifts`` on its word."""
-    if missing := [a for a in y.primitive_word if a not in g.y_symbols]:
+def _periodic_lifts(labels, y_symbols, index, y: PeriodicOrbit):
+    """The (winding, ids) groups of ``_phased_lifts`` over the word of the image
+    orbit y, on symbols ``labels`` with the ``_successor_index`` ``index``: a row
+    of ids is a lift, as symbol indices.  A word no lift realizes is refused."""
+    if missing := [a for a in y.primitive_word if a not in y_symbols]:
         raise NotInImage(f"symbol {missing[0]!r} is not in the image alphabet")
-    word = [g.y_symbols.index(a) for a in y.primitive_word]
-    names = np.fromiter(g.x_symbols, object, len(g.x_symbols))
-    lifts = [(w, u) for _q, _words, groups in _phased_lifts(
-                 g.label_ids, len(g.y_symbols), g.successor_index, len(word), word)
-             for w, _ranks, ids in groups for u in names[ids].tolist()]
-    if not lifts:
+    word = [y_symbols.index(a) for a in y.primitive_word]
+    groups = [(w, ids) for _q, _words, groups in _phased_lifts(
+                  labels, len(y_symbols), index, len(word), word) for w, _ranks, ids in groups]
+    if not groups:
         raise NotInImage("no preimage cycle realizes the orbit's word")
-    return _decomposition(y, lifts)
+    return groups
+
+
+def periodic_fiber(g: LabeledGraph, y: PeriodicOrbit) -> PhasedFiberDecomposition:
+    """Exact fiber of a periodic orbit of the image: ``_periodic_lifts`` on g, named."""
+    names = np.fromiter(g.x_symbols, object, len(g.x_symbols))
+    return _decomposition(y, [(w, u) for w, ids in _periodic_lifts(
+        g.label_ids, g.y_symbols, g.successor_index, y) for u in names[ids].tolist()])
 
 
 def _lift_cycles(g: LabeledGraph, max_period: int, names, letters, offset=0):

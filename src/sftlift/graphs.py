@@ -83,14 +83,6 @@ class LabeledGraph:
         return tuple(np.array(pairs, dtype=np.int64).reshape(-1, 2).T)
 
     @cached_property
-    def names(self):
-        """Map symbol -> ``render_symbol(symbol)``, rendering each member of
-        the tuple symbols once."""
-        part = {}
-        return {s: "|".join([part.get(m) or part.setdefault(m, render_symbol(m)) for m in s])
-                if isinstance(s, tuple) else str(s) for s in self.x_symbols}
-
-    @cached_property
     def label_ids(self):
         """Each symbol's label as an index into ``y_symbols``, an int64 array."""
         column = {y: j for j, y in enumerate(self.y_symbols)}
@@ -137,7 +129,7 @@ class LabeledGraph:
     __hash__ = None
 
     def to_json_dict(self):
-        names = list(self.names.values())
+        names = [render_symbol(s) for s in self.x_symbols]
         src, dst = (e.tolist() for e in self.edges)
         return {
             "x_symbols": names,
@@ -901,7 +893,7 @@ def determinize(g: LabeledGraph) -> RightResolvingPresentation:
 
 
 def to_dot(g: LabeledGraph) -> str:
-    name = list(g.names.values())
+    name = [render_symbol(s) for s in g.x_symbols]
     lines = ["digraph shift {"]
     for s, n in zip(g.x_symbols, name):
         lines.append(f'  "{n}" [label="{n} / {g.label[s]}"];')

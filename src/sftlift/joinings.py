@@ -6,8 +6,8 @@ joining graph).  It projects onto the essential part of the domain in
 every coordinate and onto the whole image under its common label, and its
 ergodic measures over a given image measure are exactly the degree
 joinings, whose margins list the ergodic lifts with multiplicity.
-The joining graph is held as index arrays; its tuple symbols are made on
-demand, only where they are read.
+The joining graph is held as index arrays, and every reader here runs on
+them: tuple symbols are made only for what a call returns.
 """
 
 from __future__ import annotations
@@ -18,19 +18,21 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NoPath, ProjectionNotOnto, UnsupportedFiber
-from .graphs import LabeledGraph, PeriodicOrbit, SubsetAutomaton, _as_word, analyze_graph, scan
+from .graphs import (LabeledGraph, PeriodicOrbit, SubsetAutomaton, _as_word, _successor_index,
+                     _successor_lists, _tarjan_scc, scan)
 # fiber_product is also looked up here, as the layer entry point joinings.fiber_product
-from .codes import (_product_ids, _tuple_graph, _tuple_keys, compute_degree,  # noqa: F401
-                    fiber_product, periodic_fiber)
+from .codes import (_periodic_lifts, _product_ids, _tuple_graph, _tuple_keys,  # noqa: F401
+                    compute_degree, fiber_product, periodic_fiber)
 
 
 class DegreeJoiningGraph:
     """The distinct-tuple restriction of the d-fold fiber product of the code
     ``base`` from ``_product_ids``: row k of ``ids`` holds the base symbol
-    indices of tuple k, ``src`` -> ``dst`` are the transitions between rows.
-    Tuple symbols are made on demand: ``graph``, whose ``label`` is the
-    1-block code onto the image, and its ``components`` (reducibility is
-    allowed) are built on first use."""
+    indices of tuple k, ``src`` -> ``dst`` are the transitions between rows;
+    every row lies on a bi-infinite path.  ``components`` (reducibility is
+    allowed) are sorted lists of rows.  ``graph``, the tuple-symbol
+    ``LabeledGraph`` whose ``label`` is the 1-block code onto the image, is
+    made on first use; nothing in the library reads it."""
 
     def __init__(self, degree, base, ids, src, dst):
         self.degree, self.base, self.ids, self.src, self.dst = degree, base, ids, src, dst
@@ -41,7 +43,9 @@ class DegreeJoiningGraph:
 
     @cached_property
     def components(self):
-        return analyze_graph(self.graph).components
+        n = len(self.ids)
+        return sorted(sorted(c) for c in _tarjan_scc(range(n), _successor_lists(n, self.src,
+                                                                                   self.dst)))
 
 
 def degree_joining_graph(g: LabeledGraph, degree: int | None = None) -> DegreeJoiningGraph:
@@ -150,7 +154,8 @@ def lambda_path_over(joining: DegreeJoiningGraph, y_window):
         raise NoPath(f"image symbol {unknown[0]!r} unrealizable")
     walker = _ViabilityWalk(joining.base, joining.ids, joining.src, joining.dst)
     ids = walker.viability_ids([y_index[y] for y in y_window])
-    return [joining.graph.x_symbols[k] for k in walker.walk(ids).tolist()]
+    names = np.fromiter(joining.base.x_symbols, object, len(joining.base.x_symbols))
+    return list(map(tuple, names[joining.ids[walker.walk(ids)]].tolist()))
 
 
 @dataclass(frozen=True)
@@ -162,16 +167,14 @@ class PeriodicJoiningReport:
     permutation_related: bool
 
 
-def _canonical_column_form(orbit: PeriodicOrbit, order):
-    """Invariant of a tuple-symbol orbit under coordinate permutation:
-    the least, over rotations, of the sorted multiset of coordinate
-    columns.  Two orbits are related by a symbolwise coordinate
-    permutation iff their forms agree (columns are pairwise distinct
-    because tuple entries never collide)."""
-    word, q = orbit.primitive_word, orbit.period
-    rotations = (word[r:] + word[:r] for r in range(q))
-    return q, min(tuple(sorted(tuple(order[s[i]] for s in rot) for i in range(len(word[0]))))
-                  for rot in rotations)
+def _canonical_column_form(rows):
+    """Invariant of a joining-graph orbit, the symbol indices of its rows, under
+    coordinate permutation: the least, over rotations, of the sorted multiset
+    of coordinate columns.  Two orbits are related by a symbolwise coordinate
+    permutation iff their forms agree (columns are pairwise distinct because
+    tuple entries never collide)."""
+    cols = rows.T.tolist()
+    return min(tuple(sorted(tuple(c[r:] + c[:r]) for c in cols)) for r in range(len(rows)))
 
 
 def enumerate_periodic_degree_joinings(joining: DegreeJoiningGraph, g: LabeledGraph,
@@ -179,7 +182,9 @@ def enumerate_periodic_degree_joinings(joining: DegreeJoiningGraph, g: LabeledGr
                                        constant_to_one: bool = False) -> PeriodicJoiningReport:
     """Enumerate the joining-graph orbits over a periodic image orbit and
     verify that all of them are pairwise related by a coordinate
-    permutation applied symbolwise.
+    permutation applied symbolwise.  The orbits are lifts of the periodic
+    sweep on the rows, ordered by their least row at phase zero; only those
+    returned get tuple symbols.
 
     When the code is not known constant-to-one and the orbit's fiber is
     larger than the degree, the guarantees behind the enumeration fail and
@@ -191,15 +196,18 @@ def enumerate_periodic_degree_joinings(joining: DegreeJoiningGraph, g: LabeledGr
             f"orbit fiber has {fiber.fiber_size} points but the degree is "
             f"{joining.degree}; enumeration over collapsed orbits is refused")
 
-    lam, w = joining.graph, y.primitive_word
+    base, ids, w = joining.base, joining.ids, y.primitive_word
+    labels = base.label_ids[ids[:, 0]]
+    index = _successor_index(labels, len(base.y_symbols), joining.src, joining.dst)
 
-    def least_phase_zero_symbol(orbit):         # where the orbit's labels read w
-        u = orbit.primitive_word
-        image = tuple(lam.label[s] for s in u) * 2
-        return min(lam.index[s] for i, s in enumerate(u) if image[i:i + len(w)] == w)
+    def least_phase_zero_row(u):            # where the lift's labels read w
+        image = tuple(base.y_symbols[j] for j in labels[u].tolist()) * 2
+        return min(r for i, r in enumerate(u) if image[i:i + len(w)] == w)
 
-    orbits = sorted((o for o, _w in periodic_fiber(lam, y).lift_orbits),
-                    key=least_phase_zero_symbol)
-    forms = {_canonical_column_form(o, g.index) for o in orbits}
-    return PeriodicJoiningReport(base_orbit=y, orbits=tuple(orbits),
-                                 permutation_related=len(forms) == 1)
+    lifts = sorted((u for _w, rows in _periodic_lifts(labels, base.y_symbols, index, y)
+                    for u in rows.tolist()), key=least_phase_zero_row)
+    names = np.fromiter(base.x_symbols, object, len(base.x_symbols))
+    orbits = tuple(PeriodicOrbit(tuple(map(tuple, names[ids[u]].tolist())), len(u))
+                   for u in lifts)
+    forms = {_canonical_column_form(ids[u]) for u in lifts}
+    return PeriodicJoiningReport(base_orbit=y, orbits=orbits, permutation_related=len(forms) == 1)

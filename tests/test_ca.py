@@ -238,3 +238,17 @@ def test_ca_diff8_runs_under_a_4_gb_address_space():
     validation = json.loads(proc.stdout)["cross_validation"]
     assert validation["degree"] == 8
     assert sum(e["multiplicity"] for e in validation["monte_carlo"]["lifts"]) == 8
+
+
+@pytest.mark.slow
+def test_diff8_joining_components_run_on_the_arrays_under_a_4_gb_address_space():
+    # 8!·8 rows of mutually separated 8-tuples, in 8!/8 components of 64 rows;
+    # the child alone gets the limit, and builds no tuple symbol
+    child = ("import sftlift as sl\n"
+             "lam = sl.degree_joining_graph(sl.LinearCACode(8, 'difference').recoding.graph)\n"
+             "print(len(lam.ids), len(lam.components), *{len(c) for c in lam.components})\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(sl.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          env=env, preexec_fn=_limit_address_space)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["322560", "5040", "64"]

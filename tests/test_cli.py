@@ -1,17 +1,13 @@
-import contextlib
-import io
 import itertools
 import json
 import math
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
 import sftlift
-from sftlift.cli import _emit, main
+from sftlift.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -260,64 +256,6 @@ def test_reruns_are_byte_identical(inputs, capsys):
         _code1, out1 = run(capsys, *args)
         _code2, out2 = run(capsys, *args)
         assert out1 == out2
-
-
-# ------------------------------------------------------------- encoder
-
-def emitted(payload):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        _emit(payload)
-    return out.getvalue()
-
-
-def stdlib(payload):
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-AWKWARD_STRINGS = st.sampled_from(["", '"', "\\", "\n\t\r\x00\x1f\x7f", "é", "\u2028",
-                                   "\U0001f600", "\ud800", "a\"b\\c", "</script>"])
-AWKWARD_FLOATS = st.sampled_from([0.0, -0.0, 1e300, -1e300, 5e-324, 0.1, 1e16, 2.5,
-                                  math.nan, math.inf, -math.inf])
-SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-2**256, 2**256),
-                    st.floats(), AWKWARD_FLOATS, st.text(), AWKWARD_STRINGS)
-JSON_TREES = st.recursive(
-    SCALARS,
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.lists(children, max_size=4).map(tuple),
-        st.dictionaries(st.one_of(st.text(), AWKWARD_STRINGS), children, max_size=4)),
-    max_leaves=40)
-
-
-@settings(max_examples=200)
-@given(JSON_TREES)
-@example({"": [], "a": {}, "b": [[], {}, ()], "c": {"d": {"e": [{}]}}})
-@example([True, False, None, 0, -1, 2**200, -0.0, 1e300, 5e-324, math.nan, math.inf, -math.inf])
-@example(("a", ("b", []), {"z": "\x00", "y": "\u00e9\ud83d"}))
-def test_emit_matches_json_dumps(tree):
-    assert emitted(tree) == stdlib(tree)
-
-
-def test_emit_writes_constants_and_numbers_as_json_dumps():
-    scalars = [True, 1, 1.0, 0.0, -0.0, 1e-300, math.nan, None, False, 0]
-    payload = {"list": scalars, "dict": {str(i): v for i, v in enumerate(scalars)},
-               "nested": [[v] for v in scalars] + [{"v": v} for v in scalars]}
-    assert emitted(payload) == stdlib(payload)
-
-
-def test_emit_leaves_int_keys_to_json_dumps():
-    for payload in ({1: "a", 2: [3]}, {"outer": {10: None, 2: {"x": 1}}}, [{True: 1}]):
-        assert emitted(payload) == stdlib(payload)
-
-
-@pytest.mark.parametrize("payload", [{"a": Fraction(1, 3)}, [Fraction(1, 2)], {1: "a", "b": 2}])
-def test_emit_raises_the_json_dumps_type_error(payload):
-    with pytest.raises(TypeError) as expected:
-        stdlib(payload)
-    with pytest.raises(TypeError) as raised:
-        emitted(payload)
-    assert str(raised.value) == str(expected.value)
 
 
 # ------------------------------------------------------------- refusals

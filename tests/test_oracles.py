@@ -39,7 +39,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import sftlift as sl
-from sftlift import cli, codes
+from sftlift import cli, codes, joinings
 from sftlift.cli import main
 from sftlift.errors import EmptyAfterTrim, FiberInfinite, NoPath, NotInImage, PreconditionError
 from sftlift.fibers import _single_linkage, _unwrap, support_presentation
@@ -1508,18 +1508,68 @@ def _joining_oracle_stdout(g, fmt):
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("fmt", ["json", "dot"])
-def test_joining_bytes_match_tuple_oracles_off_the_right_resolving_path(fmt):
-    # the edge graph of skew3, labelled by the first vertex of each edge: a
-    # degree-3 code whose symbols have two successors of one label
-    path = GOLDEN / "skew3-edges.json"
-    g = sl.LabeledGraph.from_json_dict(json.loads(path.read_text()))
+def _awkward_joining_code():
+    """A 2-to-1 code on six one-character symbols (v, e), labelled by v, whose
+    second coordinate flips after v = 0.  Raw, "z" sorts before "é"; escaped
+    ("\\u00e9"), after it."""
+    names = {(0, 0): "é", (0, 1): "z", (1, 0): '"', (1, 1): "\\", (2, 0): "|", (2, 1): " "}
+    letters = ["0", "ä", "2"]
+    pairs = [(s, names[w, e ^ (v == 0)]) for (v, e), s in names.items() for w in range(3)]
+    return LabeledGraph(names.values(), pairs, {s: letters[v] for (v, _e), s in names.items()},
+                        letters)
+
+
+@pytest.mark.parametrize("name, fmt", [
+    pytest.param(name, fmt, id=fmt if name == "skew3-edges" else f"{name}-{fmt}")
+    for name in ("skew3-edges", "rule102", "diff4", "sum5", "rule150", "awkward")
+    for fmt in ("json", "dot")])
+def test_joining_bytes_match_tuple_oracles_off_the_right_resolving_path(name, fmt, tmp_path):
+    # skew3-edges, the edge graph of skew3 labelled by the first vertex of each
+    # edge, is a degree-3 code whose symbols have two successors of one label;
+    # the golden block codes are read through their recodings
+    path = GOLDEN / f"{name}.json"
+    if name == "awkward":
+        path = tmp_path / "awkward.json"
+        path.write_text(json.dumps(_awkward_joining_code().to_json_dict()))
+    code, _block = load_graph_or_code(path)
+    g = code.graph if isinstance(code, sl.OneBlockRecoding) else code
     assert sl.analyze_graph(g).is_irreducible and sl.is_finite_to_one(g)
-    assert any(len(cell) > 1 for row in oracles.letter_successors(g)[:-1] for cell in row)
+    if name == "skew3-edges":
+        assert any(len(cell) > 1 for row in oracles.letter_successors(g)[:-1] for cell in row)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(["joining", str(path), "--format", fmt]) == 0
     assert out.getvalue().encode() == _joining_oracle_stdout(g, fmt).encode()
+
+
+def test_joining_readers_make_no_tuple_graph(diff4, monkeypatch):
+    """``joining``, ``lambda_path_over`` and the periodic joinings give the same
+    results when ``_tuple_graph``, which makes the tuple-symbol graph, raises."""
+    path = GOLDEN / "diff4.json"
+    g = diff4.recoding.graph
+    window = _bernoulli_window(g, 0, 200)
+    orbits = sl.determinize(g).periodic_orbits(3)
+
+    def results():
+        outs = []
+        for fmt in ("json", "dot"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["joining", str(path), "--format", fmt]) == 0
+            outs.append(out.getvalue())
+        joining = sl.degree_joining_graph(g)
+        return (outs, joining.components, sl.lambda_path_over(joining, window),
+                [sl.enumerate_periodic_degree_joinings(joining, g, y) for y in orbits])
+
+    expected = results()
+
+    def refuse(*args):
+        raise AssertionError("a tuple-symbol graph was made")
+
+    monkeypatch.setattr(joinings, "_tuple_graph", refuse)
+    with pytest.raises(AssertionError, match="tuple-symbol"):     # the spy is where graph looks
+        sl.degree_joining_graph(g).graph
+    assert results() == expected
 
 
 @pytest.mark.parametrize("alphabet, max_length", [("ab", 10), ("abc", 7)])
