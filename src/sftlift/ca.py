@@ -104,6 +104,19 @@ def _check_probability_vector(alpha, length):
     return alpha
 
 
+def _distinctness_witnesses(pairs, depth):
+    """Per named pair of lift measures, the ``compare_measures`` word of at most
+    ``depth`` letters that tells them apart, with their values on it."""
+    witnesses = {}
+    for name, (m1, m2) in pairs.items():
+        result = compare_measures(m1, m2, depth)
+        if not result.distinct:
+            raise RuntimeError(f"lift measures {name} must be distinct")
+        witnesses[name] = {"word": ",".join(str(a) for a in result.witness),
+                           "values": [str(v) for v in result.values]}
+    return witnesses
+
+
 def difference_lift_analysis(modulus: int, alpha) -> LiftReport:
     """Exact lifts of the image of Bernoulli(alpha) under the difference code.
 
@@ -119,16 +132,8 @@ def difference_lift_analysis(modulus: int, alpha) -> LiftReport:
     digits = _digits(modulus)
     L = least_cyclic_period(alpha)
     lifts = [BernoulliMeasure(digits, sweep_vector(alpha, k, modulus)) for k in range(L)]
-    witnesses = {}
-    for i in range(L):
-        for j in range(i + 1, L):
-            result = compare_measures(lifts[i], lifts[j], 1)
-            if not result.distinct:
-                raise RuntimeError("sweeps within one period class must be distinct")
-            witnesses[f"{i}/{j}"] = {
-                "word": ",".join(str(a) for a in result.witness),
-                "values": [str(v) for v in result.values],
-            }
+    witnesses = _distinctness_witnesses(
+        {f"{i}/{j}": (lifts[i], lifts[j]) for i in range(L) for j in range(i + 1, L)}, 1)
     multiplicity = modulus // L
     base = PushforwardMeasure(BernoulliMeasure(digits, alpha), difference_code(modulus))
     return LiftReport(
@@ -213,14 +218,8 @@ def sum_code_lift_analysis(alpha, params: MonteCarloParams | None = None,
     }
     if not all(v > Fraction(1, 2) for v in mass.values()):
         raise RuntimeError("mass certificates below 1/2 despite alpha_0 > 1/2")
-    witnesses = {}
-    for name, (m1, m2) in {"mu/mu'": (mu, mu1), "mu/mu''": (mu, mu2),
-                           "mu'/mu''": (mu1, mu2)}.items():
-        result = compare_measures(m1, m2, 2)
-        if not result.distinct:
-            raise RuntimeError("lift measures must be pairwise distinct here")
-        witnesses[name] = {"word": ",".join(str(a) for a in result.witness),
-                           "values": [str(v) for v in result.values]}
+    witnesses = _distinctness_witnesses(
+        {"mu/mu'": (mu, mu1), "mu/mu''": (mu, mu2), "mu'/mu''": (mu1, mu2)}, 2)
 
     base = PushforwardMeasure(mu, sum_code(5))
     return LiftReport(

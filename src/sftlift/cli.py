@@ -21,8 +21,8 @@ from . import ca as ca_mod
 from .codes import _lift_cycles, compute_degree, is_finite_to_one
 from .errors import InfiniteToOne, PreconditionError
 from .fibers import MonteCarloParams, classify_lifts_monte_carlo
-from .graphs import (OneBlockRecoding, analyze_graph, determinize, entropy,
-                     load_graph_or_code, load_json, render_symbol)
+from .graphs import (_dot, analyze_graph, determinize, entropy, load_graph_or_code, load_json,
+                     render_symbol)
 from .joinings import degree_joining_graph
 from .measures import measure_from_json_dict
 
@@ -36,20 +36,12 @@ def _emit(payload):
     sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _load_code(path):
-    code, block_code = load_graph_or_code(path)
-    if isinstance(code, OneBlockRecoding):
-        return code.graph, code, block_code
-    return code, None, None
-
-
 def _mc_params(args):
     return MonteCarloParams(args.length, args.cyl_depth, args.tolerance, args.seed)
 
 
 def cmd_analyze(args):
-    g, _rec, _block = _load_code(args.input)
-    report = analyze_graph(g)
+    report = analyze_graph(load_graph_or_code(args.input)[0].graph)
     out = {
         "is_essential": report.is_essential,
         "trimmed_symbols": [render_symbol(s) for s in report.trimmed_symbols],
@@ -69,7 +61,7 @@ def cmd_analyze(args):
 
 
 def cmd_degree(args):
-    g, _rec, _block = _load_code(args.input)
+    g = load_graph_or_code(args.input)[0].graph
     try:
         report = compute_degree(g)
     except InfiniteToOne as exc:
@@ -86,18 +78,16 @@ def cmd_joining(args):
     ``to_dot`` or the JSON that ``json.dumps(..., sort_keys=True, indent=2)``
     writes of its tuple graph's ``to_json_dict``, the degree and the components,
     with the transitions and label keys ordered by the rank of the raw names."""
-    g, _rec, _block = _load_code(args.input)
+    g = load_graph_or_code(args.input)[0].graph
     lam = degree_joining_graph(g)
     parts = np.fromiter(map(render_symbol, g.x_symbols), object, len(g.x_symbols))
     raw = ["|".join(u) for u in parts[lam.ids].tolist()]
     labels = [str(y) for y in g.y_symbols]
     label = [labels[j] for j in g.label_ids[lam.ids[:, 0]].tolist()]
-    src, dst = lam.src.tolist(), lam.dst.tolist()
     if args.format == "dot":
-        lines = ["digraph shift {", *(f'  "{n}" [label="{n} / {y}"];' for n, y in zip(raw, label)),
-                 *(f'  "{raw[a]}" -> "{raw[b]}";' for a, b in zip(src, dst)), "}\n"]
-        sys.stdout.write("\n".join(lines))
+        sys.stdout.write(_dot(raw, label, lam.src, lam.dst))
         return 0
+    src, dst = lam.src.tolist(), lam.dst.tolist()
     rank = np.unique(np.array(raw, dtype=object), return_inverse=True)[1]     # by str order
     name, label = (list(map(encode_basestring_ascii, strs)) for strs in (raw, label))
 
@@ -122,12 +112,12 @@ def cmd_periodic_lifts(args):
     """Write the lifts of each orbit of period <= ``--max-period`` once the sweep's
     checksum has passed, ROW_BATCH rows at a time: a row's names fill the empty
     slots of the ``_row_parts`` of its shape (period, windings), built once a call."""
-    g, rec, _block = _load_code(args.input)
-    if not is_finite_to_one(g):
+    rec = load_graph_or_code(args.input)[0]
+    if not is_finite_to_one(rec.graph):
         raise InfiniteToOne("periodic lift analysis requires a finite-to-one code")
-    g = analyze_graph(g).essential
-    names = [str(rec.base_letter(s)) if rec is not None else str(s) for s in g.x_symbols]
-    labels, offset = [str(y) for y in g.y_symbols], rec.offset if rec is not None else 0
+    g = analyze_graph(rec.graph).essential
+    names = [str(rec.base_letter(s)) for s in g.x_symbols]
+    labels, offset = [str(y) for y in g.y_symbols], rec.offset
     table, shapes, n = args.format == "table", {}, 0
     if not table:       # each name escaped once, as _emit would
         names, labels = ([encode_basestring_ascii(s) for s in strs] for strs in (names, labels))
@@ -174,12 +164,9 @@ def _row_parts(p, *windings, table):
 
 def cmd_lift_mc(args):
     params = _mc_params(args)
-    g, rec, block = _load_code(args.input)
-    push_code = block if block is not None else g
-    nu = load_json(args.measure, lambda data: measure_from_json_dict(data, code=push_code))
-    code = rec if rec is not None else g
-    report = classify_lifts_monte_carlo(code, nu, params,
-                                        constant_to_one=args.constant_to_one)
+    rec, code = load_graph_or_code(args.input)
+    nu = load_json(args.measure, lambda data: measure_from_json_dict(data, code=code))
+    report = classify_lifts_monte_carlo(rec, nu, params, constant_to_one=args.constant_to_one)
     _emit(report.to_json_dict())
     return 0
 

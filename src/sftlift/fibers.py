@@ -101,18 +101,12 @@ class CanonicalLiftDecomposition:
 
 
 def _unwrap(code):
-    if isinstance(code, OneBlockRecoding):
-        return code.graph, code
-    if isinstance(code, LabeledGraph):
-        return code, None
-    recoding = getattr(code, "recoding", None)
-    if recoding is not None:
-        return recoding.graph, recoding
-    raise TypeError(f"expected a labeled graph or a recoding, got {type(code).__name__}")
-
-
-def _lift_orbit_alphabet(g, recoding):
-    return recoding.base_alphabet if recoding is not None else g.x_symbols
+    """The code's ``OneBlockRecoding``: its ``.recoding`` (a labeled graph is its
+    own, of width 1), or the object itself if it is one."""
+    rec = getattr(code, "recoding", code)
+    if not isinstance(rec, OneBlockRecoding):
+        raise TypeError(f"expected a code with a 1-block recoding, got {type(code).__name__}")
+    return rec
 
 
 def analyze_periodic_lifts(code, y: PeriodicOrbit):
@@ -123,20 +117,20 @@ def analyze_periodic_lifts(code, y: PeriodicOrbit):
     carries the exactly computed diagonal mass of each lift's relatively
     independent self-joining, which must equal 1/multiplicity.
     """
-    g, recoding = _unwrap(code)
-    fiber, p = periodic_fiber(g, y), y.period
+    rec = _unwrap(code)
+    fiber, p = periodic_fiber(rec.graph, y), y.period
     entries, diagonal = [], {}
     for orbit, winding in fiber.lift_orbits:
         # the rotations of a lift run over the base rotations in turn, so each
         # base point has winding points over it, with diagonal mass 1/(p winding^2)
         if orbit.period != winding * p:
             raise RuntimeError("fiber points are not equidistributed over the base orbit")
-        reported = recoding.base_orbit(orbit) if recoding is not None else orbit
-        lift_measure = COMeasure(reported, _lift_orbit_alphabet(g, recoding))
+        reported = rec.base_orbit(orbit)
+        lift_measure = COMeasure(reported, rec.base_alphabet)
         entries.append(LiftEntry(lift_measure.describe(), winding, lift_measure))
         diagonal[",".join(str(a) for a in reported.primitive_word)] = str(Fraction(1, winding))
-    report = LiftReport(base=COMeasure(y, g.y_symbols).describe(), degree=fiber.fiber_size,
-                        lifts=tuple(entries), method="exact",
+    report = LiftReport(base=COMeasure(y, rec.graph.y_symbols).describe(),
+                        degree=fiber.fiber_size, lifts=tuple(entries), method="exact",
                         details={"diagonal_mass": diagonal, "base_period": p})
     return report, CanonicalLiftDecomposition(report.lifts, fiber.fiber_size)
 
@@ -204,8 +198,8 @@ def classify_lifts_monte_carlo(code, nu: StationaryMeasure,
 
     Samples an image window, threads a bi-viable joining-graph word over it
     (burn-in of one joining-symbol-count dropped at both ends), accumulates
-    per-coordinate cylinder statistics over the letters of the essential
-    symbols (for a recoding, their base letters), and reports single-linkage
+    per-coordinate cylinder statistics over the domain letters, read from the
+    code's recoding, of the essential symbols, and reports single-linkage
     clusters as lifts with multiplicity = cluster size.  Non-fully-supported
     inputs are refused unless the code is known constant-to-one, because the
     clustering guarantees fail there.  More cylinders than letters are
@@ -213,11 +207,9 @@ def classify_lifts_monte_carlo(code, nu: StationaryMeasure,
     """
     if params is None:
         params = MonteCarloParams()
-    g, recoding = _unwrap(code)
-    letters = (g.x_symbols if recoding is None
-               else [recoding.base_letter(s) for s in g.x_symbols])
-    used = {a for a, alive in zip(letters, g.essential_mask.tolist()) if alive}
-    letter_alphabet = tuple(a for a in _lift_orbit_alphabet(g, recoding) if a in used)
+    g = (rec := _unwrap(code)).graph
+    used = {a for a, alive in zip(rec.letters, g.essential_mask.tolist()) if alive}
+    letter_alphabet = tuple(a for a in rec.base_alphabet if a in used)
     k, depth, T = len(letter_alphabet), params.cylinder_depth, params.sample_length
     if k ** min(depth, int(T).bit_length()) > T:
         raise InputError(f"cylinder_depth {depth} asks for {k}**{depth} cylinders, "
@@ -249,7 +241,7 @@ def classify_lifts_monte_carlo(code, nu: StationaryMeasure,
 
     # each symbol's letter index; the joining graph holds essential symbols only
     letter = {a: i for i, a in enumerate(letter_alphabet)}
-    symbol_letter = np.array([letter.get(a, 0) for a in letters], dtype=np.min_scalar_type(k - 1))
+    symbol_letter = np.array([letter.get(a, 0) for a in rec.letters], np.min_scalar_type(k - 1))
     distributions = [EmpiricalDistribution.from_indices(
         symbol_letter.take(lam.ids[:, i]).take(path_idx), letter_alphabet, depth)
         for i in range(d)]

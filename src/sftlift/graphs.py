@@ -3,9 +3,9 @@
 A ``LabeledGraph`` is a directed graph on an ordered symbol set together
 with a total vertex labeling into an image alphabet.  It simultaneously
 presents a 1-step shift of finite type (the bi-infinite paths) and a
-1-block factor code onto a sofic image shift (read the labels).  Sliding
-block codes with memory/anticipation are brought into this normal form by
-``recode_to_one_block``.
+1-block factor code onto a sofic image shift (read the labels).  Every code
+is read through its ``recoding``: a graph is its own, and a sliding block
+code is brought into this normal form by ``recode_to_one_block``.
 
 Symbols are opaque hashable tokens; every "lexicographic" choice in the
 package uses the input order of ``x_symbols``, which keeps all outputs
@@ -93,6 +93,11 @@ class LabeledGraph:
         """``_successor_index`` of the edges: cell i·k + j lists the successors of
         symbol i labeled ``y_symbols[j]``, row ``len(x_symbols)`` the label classes."""
         return _successor_index(self.label_ids, len(self.y_symbols), *self.edges)
+
+    @property
+    def recoding(self):
+        """Its own width-1 recoding, built per read: a cached one would form a cycle."""
+        return OneBlockRecoding(self, 0, self.x_symbols, self.x_symbols)
 
     @cached_property
     def essential_mask(self):
@@ -495,27 +500,29 @@ class SlidingBlockCode:
 
 @dataclass(frozen=True)
 class OneBlockRecoding:
-    """A 1-block presentation of a sliding block code via higher blocks.
+    """A 1-block presentation of a code via higher blocks: the form every code is read in.
 
-    The recoded symbols are the allowed (m+n+1)-words of the domain; the
-    presented shift is conjugate to the domain and carries the same factor
-    onto Y up to an index shift by ``offset`` (= the memory m).  The offset
-    is what lets fibers computed on the recoded code be translated back.
+    The recoded symbols are the allowed (m+n+1)-words of the domain, ``letters``
+    the domain letter of each; the presented shift is conjugate to the domain
+    and carries the same factor onto Y up to an index shift by ``offset`` (= the
+    memory m), which lets fibers computed on the recoded code be translated
+    back.  A labeled graph is its own recoding: offset 0, each symbol its letter.
     """
 
     graph: LabeledGraph
     offset: int
     base_alphabet: tuple
+    letters: tuple
 
     def base_letter(self, block_symbol):
         """The domain letter this block symbol contributes at its own time."""
-        return block_symbol[self.offset]
+        return self.letters[self.graph.index[block_symbol]]
 
     def base_orbit(self, orbit: PeriodicOrbit) -> PeriodicOrbit:
         """The domain orbit of a lift orbit.  Blocks come in lexicographic
         order, so runs of overlapping blocks compare as the base words from m
         letters earlier: the least base rotation starts m letters sooner."""
-        word = tuple(b[self.offset] for b in orbit.primitive_word)
+        word = tuple(map(self.base_letter, orbit.primitive_word))
         k = -self.offset % orbit.period
         return PeriodicOrbit(word[k:] + word[:k], orbit.period)
 
@@ -534,8 +541,8 @@ def recode_to_one_block(code: SlidingBlockCode) -> OneBlockRecoding:
     trans = {(u, v) for u in symbols for v in by_prefix.get(u[1:], ())
              if (u[-1], v[-1]) in code.transitions}
     label = {u: code.block_map[u] for u in symbols}
-    graph = LabeledGraph(symbols, trans, label, code.y_symbols)
-    return OneBlockRecoding(graph=graph, offset=code.memory, base_alphabet=code.alphabet)
+    return OneBlockRecoding(LabeledGraph(symbols, trans, label, code.y_symbols), code.memory,
+                            code.alphabet, tuple(u[code.memory] for u in symbols))
 
 
 class SubsetAutomaton:
@@ -892,15 +899,15 @@ def determinize(g: LabeledGraph) -> RightResolvingPresentation:
                                       renumber[aut.step[keep]], ess.y_symbols)
 
 
+def _dot(names, labels, src, dst):
+    """The ``digraph shift`` text of symbols ``names`` labelled ``labels``, edges src -> dst."""
+    nodes = (f'  "{n}" [label="{n} / {y}"];\n' for n, y in zip(names, labels))
+    edges = (f'  "{names[a]}" -> "{names[b]}";\n' for a, b in zip(src.tolist(), dst.tolist()))
+    return "".join(["digraph shift {\n", *nodes, *edges, "}\n"])
+
+
 def to_dot(g: LabeledGraph) -> str:
-    name = [render_symbol(s) for s in g.x_symbols]
-    lines = ["digraph shift {"]
-    for s, n in zip(g.x_symbols, name):
-        lines.append(f'  "{n}" [label="{n} / {g.label[s]}"];')
-    for a, b in zip(*(e.tolist() for e in g.edges)):
-        lines.append(f'  "{name[a]}" -> "{name[b]}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot(list(map(render_symbol, g.x_symbols)), map(g.label.get, g.x_symbols), *g.edges)
 
 
 def load_json(path, parse):
@@ -924,9 +931,7 @@ def load_json(path, parse):
 
 def load_graph_or_code(path):
     """Read a JSON input file holding either a labeled graph or a sliding
-    block code; codes are recoded to their 1-block presentation."""
+    block code: the pair (its ``recoding``, the code as read)."""
     code = load_json(path, lambda data: (SlidingBlockCode if "block_map" in data
                                          else LabeledGraph).from_json_dict(data))
-    if isinstance(code, SlidingBlockCode):
-        return code.recoding, code
-    return code, None
+    return code.recoding, code

@@ -172,9 +172,11 @@ def _canonical_column_form(rows):
     coordinate permutation: the least, over rotations, of the sorted multiset
     of coordinate columns.  Two orbits are related by a symbolwise coordinate
     permutation iff their forms agree (columns are pairwise distinct because
-    tuple entries never collide)."""
-    cols = rows.T.tolist()
-    return min(tuple(sorted(tuple(c[r:] + c[:r]) for c in cols)) for r in range(len(rows)))
+    tuple entries never collide).  The form at rotation r starts with the least
+    entry of row r, so only the rotations whose row holds the least id are built."""
+    cols, least = rows.T.tolist(), rows.min()
+    return min(tuple(sorted(tuple(c[r:] + c[:r]) for c in cols))
+               for r, row in enumerate(rows.tolist()) if least in row)
 
 
 def enumerate_periodic_degree_joinings(joining: DegreeJoiningGraph, g: LabeledGraph,

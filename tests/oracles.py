@@ -61,8 +61,7 @@ from sftlift.codes import (MAX_PERIODIC_POINTS, PhasedFiberDecomposition, _decom
                            _require_irreducible, is_finite_to_one, preimage_words)
 from sftlift.errors import (EmptyAfterTrim, FiberInfinite, InfiniteToOne, InputError, NoPath,
                             NotInImage, PreconditionError)
-from sftlift.fibers import (CanonicalLiftDecomposition, LiftEntry, LiftReport,
-                            _lift_orbit_alphabet, _unwrap)
+from sftlift.fibers import CanonicalLiftDecomposition, LiftEntry, LiftReport, _unwrap
 from sftlift.graphs import (MAX_SUBSET_STATES, LabeledGraph, OneBlockRecoding, PeriodicOrbit,
                             SlidingBlockCode, StructureReport, _as_word, _essential_mask,
                             _speculate, analyze_graph, full_shift, load_graph_or_code,
@@ -929,6 +928,13 @@ def periodic_fiber(g: LabeledGraph, y: PeriodicOrbit):
     return tuple(lifts), total
 
 
+def canonical_column_form(rows):
+    """``joinings._canonical_column_form`` with the sorted columns built at
+    every rotation of the rows."""
+    cols = rows.T.tolist()
+    return min(tuple(sorted(tuple(c[r:] + c[:r]) for c in cols)) for r in range(len(rows)))
+
+
 def periodic_joining_orbits(lam: LabeledGraph, y: PeriodicOrbit):
     """The joining-graph orbits over a periodic orbit, as extracted by
     ``enumerate_periodic_degree_joinings``."""
@@ -1035,10 +1041,13 @@ def analyze_periodic_lifts(code, y: PeriodicOrbit):
     counted over every base point, the diagonal mass summed over them, the
     base orbit canonicalized by ``PeriodicOrbit.from_word`` and the weights
     summed as Fractions."""
-    g, recoding = _unwrap(code)
+    rec = _unwrap(code)
+    g = rec.graph
     fiber = tuple_periodic_fiber(g, y)
     d = fiber.fiber_size
     p = y.period
+    letter = dict(zip(g.x_symbols, rec.letters))
+    order = {s: i for i, s in enumerate(rec.base_alphabet)}
 
     entries = []
     diagonal = {}
@@ -1053,13 +1062,8 @@ def analyze_periodic_lifts(code, y: PeriodicOrbit):
         mass = sum(Fraction(1, p * len(per_base[t])) for t in range(p))
         if mass != Fraction(1, winding):
             raise RuntimeError("diagonal mass disagrees with the winding number")
-        if recoding is None:
-            reported = orbit
-        else:
-            order = {s: i for i, s in enumerate(recoding.base_alphabet)}
-            base_word = tuple(recoding.base_letter(b) for b in orbit.primitive_word)
-            reported = PeriodicOrbit.from_word(base_word, order)
-        lift_measure = COMeasure(reported, _lift_orbit_alphabet(g, recoding))
+        reported = PeriodicOrbit.from_word(tuple(letter[b] for b in orbit.primitive_word), order)
+        lift_measure = COMeasure(reported, rec.base_alphabet)
         entries.append(LiftEntry(lift_measure.describe(), winding, lift_measure))
         diagonal[",".join(str(a) for a in reported.primitive_word)] = mass
 
@@ -1215,14 +1219,13 @@ def periodic_lift_rows(path, max_period):
     them before it wrote their text straight from the sweep: one dict per
     orbit with lifts, from ``lift_cycles`` on the essential graph, sorted
     by period, for ``json.dumps`` or ``periodic_lift_table``."""
-    g, rec = load_graph_or_code(path)[0], None
-    if isinstance(g, OneBlockRecoding):
-        g, rec = g.graph, g
-    if not is_finite_to_one(g):
+    rec = load_graph_or_code(path)[0]
+    if not is_finite_to_one(rec.graph):
         raise InfiniteToOne("periodic lift analysis requires a finite-to-one code")
-    g = analyze_graph(g).essential
-    names = [str(rec.base_letter(s)) if rec is not None else str(s) for s in g.x_symbols]
-    labels, offset = [str(y) for y in g.y_symbols], rec.offset if rec is not None else 0
+    g = analyze_graph(rec.graph).essential
+    letter = dict(zip(rec.graph.x_symbols, rec.letters))
+    names = [str(letter[s]) for s in g.x_symbols]
+    labels, offset = [str(y) for y in g.y_symbols], rec.offset
     weights, rows = {}, []
     for word, lifts in lift_cycles(g, max_period):
         p, d = len(word), sum(w for w, _ids in lifts)
@@ -1680,7 +1683,8 @@ def recode_to_one_block(code: SlidingBlockCode) -> OneBlockRecoding:
              if u[1:] == v[:-1] and (u[-1], v[-1]) in code.transitions}
     label = {u: code.block_map[u] for u in symbols}
     graph = LabeledGraph(symbols, trans, label, code.y_symbols)
-    return OneBlockRecoding(graph=graph, offset=code.memory, base_alphabet=code.alphabet)
+    return OneBlockRecoding(graph=graph, offset=code.memory, base_alphabet=code.alphabet,
+                            letters=tuple(u[code.memory] for u in symbols))
 
 
 def composed_scan(step, inputs, start, out):

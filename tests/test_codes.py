@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 import sftlift as sl
 from sftlift import LabeledGraph, PeriodicOrbit, cli, graphs
 from sftlift.cli import main
-from sftlift.fibers import _unwrap
 from sftlift.graphs import load_graph_or_code
 from sftlift.errors import FiberInfinite, InfiniteToOne, NotInImage
 
@@ -260,7 +259,7 @@ GOLDEN = Path(__file__).parent / "golden"
 @pytest.mark.parametrize("name", ["sum5", "diff4", "skew3", "rule102", "rule150"])
 def test_periodic_fibers_pass_the_trace_checksum(name):
     # periodic_fibers raises RuntimeError unless its points add up to tr(A^n)
-    g = _unwrap(load_graph_or_code(GOLDEN / f"{name}.json")[0])[0]
+    g = load_graph_or_code(GOLDEN / f"{name}.json")[0].graph
     fibers = sl.periodic_fibers(g, 6)
     assert [f.base_orbit for f in fibers] == sl.determinize(g).periodic_orbits(6)
 
@@ -282,7 +281,7 @@ def test_periodic_fibers_checksum_catches_a_lost_lift(monkeypatch, capsys):
     monkeypatch.setattr(graphs, "_cycles", lose_one)
     path = GOLDEN / "diff4.json"
     with pytest.raises(RuntimeError, match=r"tr\(A\^1\)"):
-        sl.periodic_fibers(_unwrap(load_graph_or_code(path)[0])[0], 3)
+        sl.periodic_fibers(load_graph_or_code(path)[0].graph, 3)
     assert lost
     for fmt in ("json", "table"):
         lost.clear()

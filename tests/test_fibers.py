@@ -56,6 +56,43 @@ def test_recoding_offset_translates_lifts(rule102):
         assert as_set(base_report) == as_set(shifted_report)
 
 
+def _code_forms(name):
+    """One code in each form the fiber routines take: skew3 as a labeled graph
+    and as its recoding, rule102 as a block code, its recoding and its CA."""
+    if name == "skew3":
+        g = sl.LabeledGraph.from_json_dict(json.loads((GOLDEN / "skew3.json").read_text()))
+        return [g, g.recoding]
+    ca = LinearCACode(2, "difference")
+    return [ca.code, ca.code.recoding, ca]
+
+
+@pytest.mark.parametrize("name", ["skew3", "rule102"])
+def test_every_code_form_reports_the_same_lifts(name):
+    # the forms share one recoding, so the exact lifts over each orbit of
+    # period <= 3 and a short Monte-Carlo run over the pushforward of a Markov
+    # chain on the domain must match; a value with no recoding is refused
+    forms = _code_forms(name)
+    domain, letters = forms[0], forms[1].base_alphabet
+    succ = {a: [b for b in letters if (a, b) in domain.transitions] for a in letters}
+    base = MarkovMeasure(letters, {a: {b: Fraction(1, len(bs)) for b in bs}
+                                   for a, bs in succ.items()})
+    nu = PushforwardMeasure(base, domain)
+    orbits = sl.determinize(forms[1].graph).periodic_orbits(3)
+    params = MonteCarloParams(sample_length=5_000, cylinder_depth=2, seed=3)
+
+    def reports(code):
+        exact = [tuple(part.to_json_dict() for part in sl.analyze_periodic_lifts(code, y))
+                 for y in orbits]
+        return exact, sl.classify_lifts_monte_carlo(code, nu, params).to_json_dict()
+
+    first, *rest = map(reports, forms)
+    assert first[0] and all(r == first for r in rest)
+    with pytest.raises(TypeError, match="int"):
+        sl.analyze_periodic_lifts(42, orbits[0])
+    with pytest.raises(TypeError, match="int"):
+        sl.classify_lifts_monte_carlo(42, nu, params)
+
+
 def test_identity_code_single_lift():
     g = sl.full_shift("01")
     report, decomposition = sl.analyze_periodic_lifts(g, PeriodicOrbit.from_word("01"))

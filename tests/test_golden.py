@@ -24,7 +24,7 @@ for _name in ("rule102", "diff4", "sum5"):
     COMMANDS[f"degree-{_name}"] = ("degree", f"{_name}.json")
     COMMANDS[f"joining-{_name}"] = ("joining", f"{_name}.json")
     COMMANDS[f"periodic-lifts-{_name}"] = ("periodic-lifts", f"{_name}.json", "--max-period", "4")
-# a memory-1 block code, and a labeled graph (no recoding) of degree 3
+# a memory-1 block code, and a labeled graph (its own recoding) of degree 3
 COMMANDS["periodic-lifts-rule150"] = ("periodic-lifts", "rule150.json", "--max-period", "4")
 COMMANDS["periodic-lifts-skew3"] = ("periodic-lifts", "skew3.json")
 COMMANDS["lift-mc-rule102"] = ("lift-mc", "rule102.json", "--measure", "nu_rule102.json",

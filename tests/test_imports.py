@@ -1,5 +1,6 @@
 """numpy is the package's only runtime dependency, runs import no more of
-it than they use, and one function expands successor lists."""
+it than they use, one function expands successor lists, and one module
+builds the 1-block recodings every code is read through."""
 
 import ast
 import json
@@ -26,12 +27,12 @@ def test_numpy_is_the_only_third_party_import():
     assert not third_party, f"third-party imports besides numpy: {sorted(third_party)}"
 
 
-class _RepeatCalls(ast.NodeVisitor):
-    """The innermost enclosing function of every ``.repeat(...)`` call, as
+class _Calls(ast.NodeVisitor):
+    """The innermost enclosing function of every call ``match`` accepts, as
     module.function (module.module for a call outside any function)."""
 
-    def __init__(self, module):
-        self.scopes, self.callers = [module], []
+    def __init__(self, module, match):
+        self.scopes, self.callers, self.match = [module], [], match
 
     def visit_FunctionDef(self, node):
         self.scopes.append(node.name)
@@ -39,19 +40,42 @@ class _RepeatCalls(ast.NodeVisitor):
         self.scopes.pop()
 
     def visit_Call(self, node):
-        if isinstance(node.func, ast.Attribute) and node.func.attr == "repeat":
+        if self.match(node):
             self.callers.append(f"{self.scopes[0]}.{self.scopes[-1]}")
         self.generic_visit(node)
 
 
-def test_np_repeat_is_called_only_in_the_gather():
-    # every successor-list expansion of the package goes through graphs._gather
+def _callers(match):
     callers = []
     for path in sorted(PACKAGE.glob("*.py")):
-        visitor = _RepeatCalls(path.stem)
+        visitor = _Calls(path.stem, match)
         visitor.visit(ast.parse(path.read_text(), filename=str(path)))
         callers += visitor.callers
+    return callers
+
+
+def _names(node):
+    """The names a name, an attribute or a tuple of them refers to."""
+    if isinstance(node, ast.Tuple):
+        return {n for elt in node.elts for n in _names(elt)}
+    return {getattr(node, "id", None) or getattr(node, "attr", None)}
+
+
+def test_np_repeat_is_called_only_in_the_gather():
+    # every successor-list expansion of the package goes through graphs._gather
+    callers = _callers(lambda node: isinstance(node.func, ast.Attribute)
+                       and node.func.attr == "repeat")
     assert callers and set(callers) == {"graphs._gather"}, callers
+
+
+def test_recodings_are_built_in_graphs_and_told_apart_only_by_unwrap():
+    # every code is read through its OneBlockRecoding: graphs builds them all,
+    # and fibers._unwrap is the one place that asks whether it holds one
+    built = _callers(lambda node: "OneBlockRecoding" in _names(node.func))
+    tested = _callers(lambda node: "isinstance" in _names(node.func) and len(node.args) == 2
+                      and "OneBlockRecoding" in _names(node.args[1]))
+    assert built and {c.split(".")[0] for c in built} == {"graphs"}, built
+    assert tested == ["fibers._unwrap"], tested
 
 
 def test_markov_lift_mc_leaves_numpy_ma_unimported(tmp_path):

@@ -18,6 +18,7 @@ recoding, the per-period array sweep of the periodic lifts and
 and support presentation of every measure class read from its hidden
 chain, and the successor index with its gather, the presentation's orbits
 from the periodic sweep and its inclusion search on the subset automaton,
+the canonical column form built only at rotations holding the least id,
 against the constructions they replaced (kept in ``oracles.py``)."""
 
 import contextlib
@@ -504,9 +505,24 @@ def test_periodic_fiber_matches_oracle(g):
     _check_sweep(g, 3)
 
 
+@st.composite
+def distinct_column_rows(draw):
+    """An n x d id matrix whose d columns are pairwise distinct, from few ids
+    so that rows share their least id."""
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    cols = draw(st.lists(st.lists(st.integers(0, 4), min_size=n, max_size=n),
+                         min_size=d, max_size=d, unique_by=tuple))
+    return np.array(cols, dtype=np.int64).reshape(d, n).T
+
+
+@given(distinct_column_rows())
+def test_canonical_column_form_matches_every_rotation_oracle(rows):
+    assert joinings._canonical_column_form(rows) == oracles.canonical_column_form(rows)
+
+
 def test_periodic_cycles_match_oracle_on_sweep_fixtures(sweep_fixtures):
     for _name, code, _cto in sweep_fixtures:
-        g = code.graph if hasattr(code, "graph") else code
+        g = _unwrap(code).graph
         joining = sl.degree_joining_graph(g)
         for y in sl.determinize(g).periodic_orbits(3):
             _check_fiber(g, y)
@@ -522,7 +538,7 @@ def _lift_json(analyze, code, y):
 def _check_lifts(code, y):
     """Lift analysis and fiber against the tuple-vertex oracles; a refusal
     must match by type and message."""
-    g, _recoding = _unwrap(code)
+    g = _unwrap(code).graph
     assert (_refusal_or(_lift_json, sl.analyze_periodic_lifts, code, y)
             == _refusal_or(_lift_json, oracles.analyze_periodic_lifts, code, y))
     assert _refusal_or(sl.periodic_fiber, g, y) == _refusal_or(oracles.tuple_periodic_fiber, g, y)
@@ -531,7 +547,7 @@ def _check_lifts(code, y):
 def test_periodic_lifts_match_tuple_oracle_on_sweep_fixtures(sweep_fixtures):
     # the random finite-to-one fixtures are among the sweep fixtures
     for _name, code, _cto in sweep_fixtures:
-        g = _unwrap(code)[0]
+        g = _unwrap(code).graph
         for y in sl.determinize(g).periodic_orbits(4):
             _check_lifts(code, y)
         _check_sweep(g, 4)
@@ -615,7 +631,7 @@ def _cli_rows(payload, max_period):
 def _oracle_rows(code, max_period):
     """periodic-lifts rows built orbit by orbit from the tuple-vertex lift analysis."""
     rows = []
-    for y in oracles.determinize(sl.analyze_graph(_unwrap(code)[0]).essential).periodic_orbits(
+    for y in oracles.determinize(sl.analyze_graph(_unwrap(code).graph).essential).periodic_orbits(
             max_period):
         report, canonical = oracles.analyze_periodic_lifts(code, y)
         rows.append({"orbit": [str(a) for a in y.primitive_word], "period": y.period,
@@ -628,7 +644,7 @@ def _oracle_rows(code, max_period):
 def _check_cli_rows(code, payload, max_period=4):
     """The CLI rows equal the oracle rows on an irreducible finite-to-one
     code; any other code is refused with exit 2 and nothing on stdout."""
-    report = sl.analyze_graph(_unwrap(code)[0])
+    report = sl.analyze_graph(_unwrap(code).graph)
     if report.is_irreducible and sl.is_finite_to_one(report.essential):
         assert _cli_rows(payload, max_period) == _oracle_rows(code, max_period)
     else:
@@ -818,11 +834,11 @@ def test_lift_cycles_match_run_sweep_oracle(g):
 
 @pytest.mark.parametrize("name", GOLDEN_CODES)
 def test_lift_cycles_match_run_sweep_oracle_on_golden_codes(name):
-    _check_lift_cycles(_unwrap(load_graph_or_code(GOLDEN / f"{name}.json")[0])[0], 6)
+    _check_lift_cycles(load_graph_or_code(GOLDEN / f"{name}.json")[0].graph, 6)
 
 
 def test_periodic_fiber_matches_run_oracle_on_golden_codes(collapsing_fixture):
-    graphs = [_unwrap(load_graph_or_code(GOLDEN / f"{name}.json")[0])[0]
+    graphs = [load_graph_or_code(GOLDEN / f"{name}.json")[0].graph
               for name in GOLDEN_CODES]
     for g in [*graphs, collapsing_fixture]:
         for y in sl.determinize(g).periodic_orbits(4):
@@ -1259,9 +1275,8 @@ def test_chain_cylinders_match_per_class_oracle_on_golden_codes(name):
     its domain, of co measures on domain orbits of period <= 2 and, on a
     full shift of digits, of an alternating offset."""
     rng = random.Random(name)
-    graph, block = load_graph_or_code(GOLDEN / f"{name}.json")
-    code = graph if block is None else block
-    letters = graph.x_symbols if block is None else block.alphabet
+    rec, code = load_graph_or_code(GOLDEN / f"{name}.json")
+    letters = rec.base_alphabet
     rows = {}
     for a in letters:
         weights = {b: rng.randint(1, 4) for b in letters if (a, b) in code.transitions}
@@ -1531,8 +1546,7 @@ def test_joining_bytes_match_tuple_oracles_off_the_right_resolving_path(name, fm
     if name == "awkward":
         path = tmp_path / "awkward.json"
         path.write_text(json.dumps(_awkward_joining_code().to_json_dict()))
-    code, _block = load_graph_or_code(path)
-    g = code.graph if isinstance(code, sl.OneBlockRecoding) else code
+    g = load_graph_or_code(path)[0].graph
     assert sl.analyze_graph(g).is_irreducible and sl.is_finite_to_one(g)
     if name == "skew3-edges":
         assert any(len(cell) > 1 for row in oracles.letter_successors(g)[:-1] for cell in row)
