@@ -197,10 +197,10 @@ def classify_lifts_monte_carlo(code, nu: StationaryMeasure,
     """Statistical lift classification over a fully supported image measure.
 
     Samples an image window, threads a bi-viable joining-graph word over it
-    (burn-in of one joining-symbol-count dropped at both ends), accumulates
-    per-coordinate cylinder statistics over the domain letters, read from the
-    code's recoding, of the essential symbols, and reports single-linkage
-    clusters as lifts with multiplicity = cluster size.  Non-fully-supported
+    (burn-in of one joining-symbol-count dropped at both ends), counts its
+    windows once for every coordinate's cylinders over the domain letters
+    (from the code's recoding) of the essential symbols, and reports
+    single-linkage clusters as lifts with multiplicity = cluster size.  Non-fully-supported
     inputs are refused unless the code is known constant-to-one, because the
     clustering guarantees fail there.  More cylinders than letters are
     refused first, a sample too short for the burn-in before it is drawn.
@@ -236,15 +236,12 @@ def classify_lifts_monte_carlo(code, nu: StationaryMeasure,
     y_idx = to_image.take(nu.sample_indices(T, rng))
 
     walker = _ViabilityWalk(g, lam.ids, lam.src, lam.dst)
-    path_idx = walker.walk(walker.viability_ids(y_idx))
-    path_idx = path_idx[burn:len(path_idx) - burn]
-
-    # each symbol's letter index; the joining graph holds essential symbols only
+    # each row's letter index per coordinate; the joining graph holds essential symbols only
     letter = {a: i for i, a in enumerate(letter_alphabet)}
-    symbol_letter = np.array([letter.get(a, 0) for a in rec.letters], np.min_scalar_type(k - 1))
-    distributions = [EmpiricalDistribution.from_indices(
-        symbol_letter.take(lam.ids[:, i]).take(path_idx), letter_alphabet, depth)
-        for i in range(d)]
+    letters = np.array([letter.get(a, 0) for a in rec.letters], np.min_scalar_type(k - 1))[lam.ids]
+    viable, kept = walker.viability_ids(y_idx), slice(burn, T - burn)
+    distributions = EmpiricalDistribution.from_walk(      # viable is narrow: the walk copies it
+        walker.forward, viable[kept], walker.walk(viable)[kept], letters, letter_alphabet, depth)
 
     dist = np.array([[a.distance(b) for b in distributions] for a in distributions])
     clusters = _single_linkage(dist, params.tau)

@@ -74,9 +74,9 @@ class _ViabilityWalk:
     read.  The forward pass reads the dense table ``forward[s, v]``, the
     least successor of row s in viability state v, or the sentinel row
     ``dead = len(ids)`` (all ``dead``) where there is none; a walk starts at
-    row ``dead + 1``, the least row of each state.  ``resolutions`` counts
-    how ``scan`` settled the chunks: by a right guess, a coordinate
-    relabelling or a re-run."""
+    row ``dead + 1``, the least row of each state; a window of the walk is
+    fixed by its first row and the states after it.  ``resolutions`` counts how
+    ``scan`` settled the chunks: by a right guess, a relabelling or a re-run."""
 
     def __init__(self, base: LabeledGraph, ids, src, dst):
         self.automaton = SubsetAutomaton(base.label_ids[ids[:, 0]], base.y_symbols, (src, dst),
@@ -98,12 +98,12 @@ class _ViabilityWalk:
 
     def viability_ids(self, y_idx):
         """Backward pass: per position, the automaton state of the window's
-        suffix starting there."""
+        suffix starting there, narrow and signed (dead -1 is refused)."""
         y_idx = np.asarray(y_idx)
         sid = self.automaton.initial[y_idx[-1]]
         if sid < 0:
             raise NoPath(f"image symbol index {y_idx[-1]} unrealizable")
-        ids = np.empty(len(y_idx), dtype=np.int64)
+        ids = np.empty(len(y_idx), dtype=np.min_scalar_type(-len(self.automaton.step)))
         ids[-1] = sid
         if scan(self.automaton.step, y_idx[-2::-1], sid, ids[-2::-1]) < 0:
             raise NoPath("window is not a label word of the image shift")
@@ -131,8 +131,8 @@ class _ViabilityWalk:
         return row
 
     def walk(self, ids):
-        """Forward pass: the lexicographically least viable row each step,
-        as int64 row indices, written over ``ids`` when that is int64.  It
+        """Forward pass: the lexicographically least viable row each step, as
+        int64 row indices, over ``ids`` when that is int64, else in a copy.  It
         is one ``scan`` of ``forward`` from the start row, with the σ rows of
         ``_relabelling`` offered where a chunk's guess is not its true start."""
         ids = np.asarray(ids, dtype=np.int64)

@@ -449,14 +449,20 @@ class EmpiricalDistribution:
     @classmethod
     def from_indices(cls, arr, alphabet, depth):
         """Count the windows of every length up to ``depth`` in an index
-        array.
+        array: ``from_walk`` on the walk whose row is its input."""
+        k, arr = len(alphabet), np.asarray(arr)
+        return cls.from_walk(np.broadcast_to(np.arange(k), (k, k)), arr, arr.astype(np.int64),
+                             np.arange(k)[:, None], alphabet, depth)[0]
 
-        Only the longest windows, of length min(depth, len(arr)), are
-        counted directly: their base-k codes go through one bincount.  The
-        counts of each shorter length l are the sums of those of length
-        l + 1 over the last letter, plus the one window of length l that
-        starts too late to be the prefix of a longer one.  Refuses, before
-        allocating, more than ``MAX_COUNT_CELLS`` cells in all."""
+    @classmethod
+    def from_walk(cls, step, inputs, path, letters, alphabet, depth):
+        """The distributions of coordinates i of a walk ``path[t] = step[path[t-1],
+        inputs[t]]`` whose row r reads ``letters[r, i]``: the windows of length
+        min(depth, L), fixed by a first row and the inputs after it, are coded in
+        place over ``path`` (int64, consumed), ranked by ``np.unique`` if there may
+        be more codes than windows, counted by one bincount, decoded through ``step``
+        and projected onto every coordinate with one add; a shorter length sums the
+        next over its last letter, plus the window too late to prefix a longer one."""
         k = len(alphabet)
         # sum of k**l: with k >= 2 its first 64 terms already pass the cap
         cells = k * depth if k < 2 else sum(k ** n for n in range(1, min(depth, 64) + 1))
@@ -464,15 +470,36 @@ class EmpiricalDistribution:
             raise InputError(f"counting windows of {k} letters up to depth {depth} takes "
                              f"{'over ' * (k > 1 and depth > 64)}{cells} cells, more than the cap "
                              f"MAX_COUNT_CELLS = {MAX_COUNT_CELLS}")
-        arr = np.asarray(arr)
-        top = min(depth, len(arr))
-        counts = [np.zeros(k ** length, dtype=np.int64) for length in range(depth, top, -1)]
+        L, (R, d), base, top = len(path), letters.shape, step.shape[1], min(depth, len(path))
+
+        def decode(codes, prefixes, digits):    # a row of prefixes, then digits inputs
+            rows = list(prefixes[codes // base ** digits].T)
+            for j in range(digits - 1, -1, -1):
+                rows.append(step[rows[-1], codes // base ** j % base])
+            return np.stack(rows, axis=1)
+        counts = [[np.zeros(k ** n, np.int64) for n in range(depth, top, -1)] for _ in range(d)]
         if top:
-            counts.append(np.bincount(window_codes(arr, k, top), minlength=k ** top))
-            for length in range(top - 1, 0, -1):
-                counts.append(counts[-1].reshape(-1, k).sum(axis=1))
-                counts[-1][window_codes(arr[-length:], k, length)[0]] += 1
-        return cls(tuple(alphabet), depth, counts[::-1], int(len(arr)))
+            n, tail = L - top + 1, letters[path[L - top + 1:]]
+            codes, windows, width, bound = path[:n], np.arange(R)[:, None], 1, R
+            for j in range(1, top + 1):     # ranked before 2^62, and at the top if over L
+                if bound * base > 2 ** 62 or j == top and bound > L:
+                    ranks, codes[...] = np.unique(codes, return_inverse=True)
+                    windows, width, bound = decode(ranks, windows, j - width), j, len(ranks)
+                if j < top:
+                    codes *= base
+                    codes += inputs[j:j + n]
+                    bound *= base
+            distinct = np.flatnonzero(hits := np.bincount(codes))
+            rows = decode(distinct, windows, top - width)
+            top_counts = np.zeros((d, k ** top), np.int64)
+            codes = window_codes(np.moveaxis(letters[rows], 2, 0), k, top)[..., 0]
+            np.add.at(top_counts, (np.arange(d)[:, None], codes), hits[distinct])
+            for c, row, last in zip(counts, top_counts, tail.T):
+                c.append(row)
+                for length in range(top - 1, 0, -1):
+                    c.append(c[-1].reshape(-1, k).sum(axis=1))
+                    c[-1][window_codes(last[top - 1 - length:], k, length)[0]] += 1
+        return [cls(tuple(alphabet), depth, c[::-1], L) for c in counts]
 
     def frequencies(self, length) -> np.ndarray:
         """The length-``length`` counts (1 <= length <= depth) divided by

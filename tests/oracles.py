@@ -67,8 +67,9 @@ from sftlift.graphs import (MAX_SUBSET_STATES, LabeledGraph, OneBlockRecoding, P
                             _speculate, analyze_graph, full_shift, load_graph_or_code,
                             perron_value, scan)
 from sftlift.joinings import _ViabilityWalk
-from sftlift.measures import (BernoulliMeasure, COMeasure, MarkovMeasure, PushforwardMeasure,
-                              window_codes)
+from sftlift.measures import BernoulliMeasure, COMeasure, MarkovMeasure, PushforwardMeasure
+from sftlift.measures import EmpiricalDistribution as _EmpiricalDistribution
+from sftlift.measures import window_codes
 
 
 
@@ -1267,6 +1268,28 @@ def anchor_of_label(lift_word, labels, base_word):
             return t
     raise RuntimeError("lift orbit does not project onto the base orbit")
 
+
+
+def coordinate_distributions(letters, path, alphabet, depth):
+    """The cylinder counts ``classify_lifts_monte_carlo`` made before it
+    counted the walk's windows once: ``EmpiricalDistribution.from_indices``
+    as it was, over each coordinate's letters ``letters[path, i]``.  The
+    windows of length min(depth, len(path)) go through one bincount; each
+    shorter length sums the next over its last letter and adds the one
+    window too late to be the prefix of a longer one."""
+    k, distributions = len(alphabet), []
+    for i in range(letters.shape[1]):
+        arr = letters[:, i].take(path)
+        top = min(depth, len(arr))
+        counts = [np.zeros(k ** length, dtype=np.int64) for length in range(depth, top, -1)]
+        if top:
+            counts.append(np.bincount(window_codes(arr, k, top), minlength=k ** top))
+            for length in range(top - 1, 0, -1):
+                counts.append(counts[-1].reshape(-1, k).sum(axis=1))
+                counts[-1][window_codes(arr[-length:], k, length)[0]] += 1
+        distributions.append(_EmpiricalDistribution(tuple(alphabet), depth, counts[::-1],
+                                                    len(arr)))
+    return distributions
 
 
 def empirical_counts(arr, alphabet, depth):

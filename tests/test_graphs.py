@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 import sftlift as sl
 from sftlift import LabeledGraph, PeriodicOrbit, SlidingBlockCode, graphs
 from sftlift.errors import EmptyAfterTrim, NotIrreducible
-from sftlift.graphs import _essential_mask
+from sftlift.graphs import _essential_mask, _speculate
 
 import oracles
 from conftest import eig_entropy, label_word_realizable
@@ -333,6 +333,50 @@ def test_scan_settle_paths(step, inputs, relabel, settles, counts):
     assert sl.graphs.scan(step, inputs, 0, out, relabel, settled) == expected[-1]
     assert out.tolist() == expected
     assert tuple(settled.values()) == counts
+
+
+def _with_an_unreached_state(step):
+    """``step`` with one more state, which no state steps to and whose row
+    differs from the others, so that ``scan`` settles its chunks in order."""
+    extra = step[:1].copy()
+    extra[0, 0] = -1 if extra[0, 0] >= 0 else 0
+    return np.vstack([step, extra])
+
+
+@pytest.mark.parametrize("step, inputs", [
+    ([[0, 0]], [0, 1]),                 # one state
+    ([[2, 0, 1]] * 3, [0, 1, 2]),       # three states, one row
+    ([[1, -1, 0]] * 2, [0, 2]),         # its dead entry is never read
+    ([[1, -1, 0]] * 2, [0, 2, 1]),      # the lookup meets the dead state, from length 3
+], ids=["1 state", "3 states", "dead entry unread", "dead entry read"])
+@pytest.mark.parametrize("length", [0, 1, 2, 3, 15, 16, 17, 35, 36, 37, 1000])
+def test_scan_of_equal_rows_is_one_lookup(step, inputs, length, monkeypatch):
+    """A table whose rows are all equal is one lookup, speculating nothing,
+    when that meets no dead state, and else goes through the chunks; either
+    way, into int64, into int8, over reversed views (as the viability pass
+    gives them) and in place, its output matches the loop and its counts
+    match those of the chunks settled in order.  Lengths sit at and round
+    squares, where the chunks come out exact."""
+    step, inputs = np.array(step), np.resize(inputs, length)
+    dies = bool((step[0] < 0)[inputs].any())
+    speculated = []
+    monkeypatch.setattr(sl.graphs, "_speculate",
+                        lambda *a: speculated.append(a) or _speculate(*a))
+    expected = loop_scan(step, inputs, 0)
+    settled = dict.fromkeys(("guess", "relabel", "rerun"), 0)
+    reversed_views = (inputs[::-1].copy()[::-1], np.empty(length, np.int8)[::-1])
+    runs = [(inputs, np.empty(length, np.int64)), (inputs, np.empty(length, np.int8)),
+            reversed_views, (inputs.copy(),) * 2]
+    for source, out in runs:
+        assert sl.graphs.scan(step, source, 0, out, counts=settled) == \
+            (expected[-1] if length else 0)
+        assert out.tolist() == expected
+    assert len(speculated) == 4 * dies
+    chunked = dict.fromkeys(("guess", "relabel", "rerun"), 0)
+    sl.graphs.scan(_with_an_unreached_state(step), inputs, 0, np.empty(length, np.int64),
+                   counts=chunked)
+    assert len(speculated) == 4 * dies + 1
+    assert settled == {how: 4 * n for how, n in chunked.items()}
 
 
 # ---------------------------------------------------- periodic orbit lists

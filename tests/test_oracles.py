@@ -19,7 +19,8 @@ and support presentation of every measure class read from its hidden
 chain, and the successor index with its gather, the presentation's orbits
 from the periodic sweep and its inclusion search on the subset automaton,
 the canonical column form built only at rotations holding the least id,
-against the constructions they replaced (kept in ``oracles.py``)."""
+and the one count of a walk's windows for every coordinate, against the
+constructions they replaced (kept in ``oracles.py``)."""
 
 import contextlib
 import hashlib
@@ -455,12 +456,101 @@ def test_speculative_walk_raises_on_a_dead_end():
     g = LabeledGraph("ab", [("a", "b"), ("b", "a")], {"a": "x", "b": "y"})
     walker = _ViabilityWalk(*_plain(g))
     good = walker.viability_ids([0, 1] * 25)
-    assert walker.walk(good.copy()).tolist() == [0, 1] * 25     # walk writes over its argument
+    assert walker.walk(good.copy()).tolist() == [0, 1] * 25     # walk writes over int64 ids
     for t in range(1, len(good)):
         ids = good.copy()
         ids[t] = ids[t - 1]                 # a cannot follow a, nor b follow b
         with pytest.raises(RuntimeError, match="dead end"):
             walker.walk(ids)
+
+
+@pytest.mark.parametrize("length", [12, 13])
+def test_viability_ids_refuse_every_dead_window_with_nopath(length):
+    """The ids are narrow and signed, so a dead state is written as -1, not
+    wrapped in the chunks nor refused with ``OverflowError`` in the tail
+    loop: at length 13 the 12 scanned letters fill 4 chunks of 3, at length
+    12 the 11 fill 3 chunks and leave 2 to the tail loop."""
+    g = LabeledGraph("ab", [("a", "b"), ("b", "a")], {"a": "x", "b": "y"})
+    walker = _ViabilityWalk(*_plain(g))
+    step = walker.automaton.step
+    assert not (step == step[0]).all()          # the chunks are settled, not one lookup
+    good = [0, 1] * 7
+    assert walker.viability_ids(good[:length]).dtype == np.int8
+    for t in range(1, length):
+        window = good[:length]
+        window[t] = window[t - 1]                # x cannot follow x, nor y follow y
+        with pytest.raises(NoPath):
+            walker.viability_ids(window)
+
+
+def _check_walk_count(step, ids, path, letters, k, depth):
+    """``from_walk`` on a walk's table, ids and rows against the per-coordinate
+    oracle, array for array, and that against the word-dict counts."""
+    alphabet = tuple(range(k))
+    new = EmpiricalDistribution.from_walk(step, ids, path.copy(), letters, alphabet, depth)
+    old = oracles.coordinate_distributions(letters, path, alphabet, depth)
+    assert len(new) == len(old) == letters.shape[1]
+    for i, (a, b) in enumerate(zip(new, old)):
+        assert (a.alphabet, a.depth, a.sample_length) == (b.alphabet, b.depth, b.sample_length)
+        assert [c.dtype for c in a.counts] == [c.dtype for c in b.counts]
+        assert [c.tolist() for c in a.counts] == [c.tolist() for c in b.counts]
+        words = oracles.empirical_counts(letters[:, i].take(path), alphabet, depth)
+        assert [c.tolist() for c in b.counts] == [
+            [words.get(w, 0) for w in product(alphabet, repeat=length)]
+            for length in range(1, depth + 1)]
+
+
+@given(fto_joining_windows(), st.integers(1, 4), st.integers(1, 3), st.integers(0, 40),
+       st.one_of(st.integers(0, 5), st.integers(6, 4000)), st.integers(0, 2**32 - 1))
+def test_walk_count_matches_per_coordinate_oracle_on_fto_joinings(case, depth, k, start,
+                                                                    length, seed):
+    """One count of the walk's windows gives each coordinate's cylinder
+    counts, over a random letter for each base symbol, on a stretch of the
+    walk that may be shorter than the depth, or empty."""
+    g, word, (base, ids, src, dst) = case
+    walker = _ViabilityWalk(base, ids, src, dst)
+    viable = walker.viability_ids([g.y_symbols.index(y) for y in word])
+    path, kept = walker.walk(viable), slice(start, start + length)
+    letters = np.random.default_rng(seed).integers(0, k, len(base.x_symbols))[ids]
+    _check_walk_count(walker.forward, viable[kept], path[kept], letters.astype(np.uint8), k,
+                      depth)
+
+
+@pytest.mark.parametrize("length, depth, bincount", [
+    (1, 1, False), (1000, 3, False), (300, 4, False), (20000, 3, True), (3000, 1, True)])
+def test_walk_count_takes_bincount_or_unique_on_sum5(sum5, length, depth, bincount, monkeypatch):
+    """The sum5 joining graph has R = 600 rows and V = 5 viability states:
+    the R·V^(depth-1) codes go through one bincount when the walk has at
+    least as many windows, else they are ranked by ``np.unique`` first."""
+    lam = sl.degree_joining_graph(sum5.recoding.graph)
+    walker = _ViabilityWalk(*_joining_arrays(lam))
+    word = [lam.base.y_symbols.index(y) for y in _bernoulli_window(lam.graph, 3, length)]
+    viable = walker.viability_ids(word)
+    assert (len(lam.ids) * len(walker.automaton.step) ** (depth - 1) <= length) == bincount
+    letters = np.array([sum5.recoding.base_alphabet.index(a)
+                        for a in sum5.recoding.letters], np.uint8)[lam.ids]
+    calls, unique = [], np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **kw: calls.append(kw) or unique(*a, **kw))
+    _check_walk_count(walker.forward, viable, walker.walk(viable), letters, 5, depth)
+    assert calls == ([] if bincount else [{"return_inverse": True}])
+
+
+@pytest.mark.parametrize("rows, depth, ranks", [(4, 6, 1), (4, 8, 2), (4, 14, 3), (7, 13, 3),
+                                                (7, 1, 0)])
+def test_walk_count_re_ranks_codes_past_2_62(rows, depth, ranks, monkeypatch):
+    """A synthetic walk whose 1024 inputs step each row to a random one: its
+    window codes would pass 2^62 at depth 8 from 4 rows and at depth 7 from
+    7, and again 6 levels after each re-rank onto the at most 2000 distinct
+    windows; the top level is ranked too when its codes may outnumber the
+    windows.  The ranked windows are decoded back through the table."""
+    rng = np.random.default_rng(depth)
+    step, inputs = rng.integers(0, rows, (rows, 1024)), rng.integers(0, 1024, 2000)
+    path = np.array(loop_scan(step, inputs, 0))
+    calls, unique = [], np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **kw: calls.append(kw) or unique(*a, **kw))
+    _check_walk_count(step, inputs.astype(np.int16), path,
+                      rng.integers(0, 2, (rows, 3)).astype(np.uint8), 2, depth)
+    assert calls == [{"return_inverse": True}] * ranks
 
 
 def _fiber_outcome(fn, g, y):
