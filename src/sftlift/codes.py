@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import InfiniteToOne, InputError, NotInImage, NotIrreducible, PreconditionError
 from .graphs import (LabeledGraph, PeriodicOrbit, SubsetAutomaton, _as_word, _essential_mask,
-                     _gather, _phased_lifts, _successor_lists, analyze_graph, determinize,
-                     entropy)
+                     _gather, _phased_lifts, _successor_lists, _unwrap, analyze_graph,
+                     determinize, entropy)
 
 ENTROPY_MATCH_TOL = 1e-9
 # The most tuples ``_product_ids`` builds.  It keeps the packed keys, below
@@ -216,36 +216,30 @@ def compute_degree(g: LabeledGraph) -> DegreeReport:
 
 def preimage_words(code, w):
     """All domain words mapping onto the label word w that extend to
-    bi-infinite points (paths are confined to the essential subgraph).
-
-    Accepts a LabeledGraph (result words have length |w|) or a
-    SlidingBlockCode (result words have length |w| + memory + anticipation;
-    the empty word yields the extendable memory+anticipation stubs).  A
-    block code is read through its 1-block recoding: a preimage path of w
-    there is a chain of overlapping (m+n+1)-blocks, expanded to its base
-    word, so the cost grows with the number of preimage paths, not with the
-    k^(|w|+m+n) domain words.
-    """
-    w = _as_word(w)
-    if isinstance(code, LabeledGraph):
-        return _preimage_paths(code, w)
-    g = code.recoding.graph
+    bi-infinite points, read on the code's recoding (``graphs._unwrap``): an
+    essential preimage path of w there is a chain of overlapping windows,
+    expanded to the first window and the last letter of each later one, so the
+    cost grows with the number of paths, not with the k^(|w|+m+n) domain words.
+    The empty word yields the essential windows less their last letter (``{()}``
+    for a graph)."""
+    rec, w = _unwrap(code), _as_word(w)
     if not w:
-        return {u[:-1] for u, a in zip(g.x_symbols, g.essential_mask.tolist()) if a}
-    return {p[0] + tuple(u[-1] for u in p[1:]) for p in _preimage_paths(g, w)}
+        return {rec.windows[i][:-1] for i in np.flatnonzero(rec.graph.essential_mask).tolist()}
+    return {rec.windows[p[0]] + tuple(rec.windows[i][-1] for i in p[1:])
+            for p in _preimage_paths(rec.graph, w)}
 
 
 def _preimage_paths(g: LabeledGraph, w):
-    """The essential paths of g carrying the label word w, rows of an int
-    array extended a letter at a time from the start row of the index."""
+    """The essential paths of g carrying the label word w, as lists of symbol
+    indices, extended a letter at a time from the start row of the index."""
     if not set(w) <= set(g.y_symbols):
-        return set()
+        return []
     k, paths = len(g.y_symbols), np.full((1, 1), len(g.x_symbols))
     for j in map(g.y_symbols.index, w):
         cell = paths[:, -1] * k + j
         row, t = _gather(g.successor_index, cell, cell + 1)
         paths = np.column_stack([paths[row], t])[g.essential_mask[t]]
-    return {tuple(map(g.x_symbols.__getitem__, p[1:])) for p in paths.tolist()}
+    return paths[:, 1:].tolist()
 
 
 def _decomposition(y: PeriodicOrbit, lifts) -> PhasedFiberDecomposition:

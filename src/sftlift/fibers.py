@@ -26,7 +26,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import InputError, NotFullySupported
-from .graphs import LabeledGraph, OneBlockRecoding, PeriodicOrbit, _tarjan_scc, determinize
+from .graphs import LabeledGraph, PeriodicOrbit, _tarjan_scc, _unwrap, determinize
 from .codes import compute_degree, periodic_fiber
 from .joinings import _ViabilityWalk, degree_joining_graph
 from .measures import COMeasure, EmpiricalDistribution, StationaryMeasure, make_rng
@@ -98,15 +98,6 @@ class CanonicalLiftDecomposition:
                            for e in self.lifts],
             "is_ergodic": self.is_ergodic,
         }
-
-
-def _unwrap(code):
-    """The code's ``OneBlockRecoding``: its ``.recoding`` (a labeled graph is its
-    own, of width 1), or the object itself if it is one."""
-    rec = getattr(code, "recoding", code)
-    if not isinstance(rec, OneBlockRecoding):
-        raise TypeError(f"expected a code with a 1-block recoding, got {type(code).__name__}")
-    return rec
 
 
 def analyze_periodic_lifts(code, y: PeriodicOrbit):

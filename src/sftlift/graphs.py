@@ -97,7 +97,7 @@ class LabeledGraph:
     @property
     def recoding(self):
         """Its own width-1 recoding, built per read: a cached one would form a cycle."""
-        return OneBlockRecoding(self, 0, self.x_symbols, self.x_symbols)
+        return OneBlockRecoding(self, 0, self.x_symbols, tuple((s,) for s in self.x_symbols))
 
     @cached_property
     def essential_mask(self):
@@ -502,21 +502,26 @@ class SlidingBlockCode:
 class OneBlockRecoding:
     """A 1-block presentation of a code via higher blocks: the form every code is read in.
 
-    The recoded symbols are the allowed (m+n+1)-words of the domain, ``letters``
-    the domain letter of each; the presented shift is conjugate to the domain
-    and carries the same factor onto Y up to an index shift by ``offset`` (= the
-    memory m), which lets fibers computed on the recoded code be translated
-    back.  A labeled graph is its own recoding: offset 0, each symbol its letter.
+    The recoded symbols are the allowed (m+n+1)-words of the domain, ``windows``
+    the domain word each stands for; the presented shift is conjugate to the
+    domain and carries the same factor onto Y up to an index shift by ``offset``
+    (= the memory m), which lets fibers computed on the recoded code be translated
+    back.  A labeled graph is its own recoding: offset 0, windows of one symbol.
     """
 
     graph: LabeledGraph
     offset: int
     base_alphabet: tuple
-    letters: tuple
+    windows: tuple
+
+    @property
+    def letters(self):
+        """The domain letter of each symbol: the ``offset`` column of ``windows``."""
+        return tuple(u[self.offset] for u in self.windows)
 
     def base_letter(self, block_symbol):
         """The domain letter this block symbol contributes at its own time."""
-        return self.letters[self.graph.index[block_symbol]]
+        return self.windows[self.graph.index[block_symbol]][self.offset]
 
     def base_orbit(self, orbit: PeriodicOrbit) -> PeriodicOrbit:
         """The domain orbit of a lift orbit.  Blocks come in lexicographic
@@ -542,7 +547,16 @@ def recode_to_one_block(code: SlidingBlockCode) -> OneBlockRecoding:
              if (u[-1], v[-1]) in code.transitions}
     label = {u: code.block_map[u] for u in symbols}
     return OneBlockRecoding(LabeledGraph(symbols, trans, label, code.y_symbols), code.memory,
-                            code.alphabet, tuple(u[code.memory] for u in symbols))
+                            code.alphabet, tuple(symbols))
+
+
+def _unwrap(code) -> OneBlockRecoding:
+    """The code's ``OneBlockRecoding``: its ``.recoding`` (a labeled graph is its
+    own, of width 1), or the object itself if it is one."""
+    rec = getattr(code, "recoding", code)
+    if not isinstance(rec, OneBlockRecoding):
+        raise TypeError(f"expected a code with a 1-block recoding, got {type(code).__name__}")
+    return rec
 
 
 class SubsetAutomaton:

@@ -5,11 +5,11 @@ enters only through sampling and Monte-Carlo statistics.  Every measure is
 a finite hidden Markov chain (``StationaryMeasure.hidden_chain``), and
 every cylinder is one forward recursion over its chain (Rabiner, Proc.
 IEEE 1989).  An image measure is the chain on the windows of its base
-chain.  Both code kinds are read as a sliding block code (a labeled graph
-is the width-1 block code on its own symbols; Lind & Marcus, *An
-Introduction to Symbolic Dynamics and Coding*, §1.4-1.5): a sample reads
-each base window through one window-code -> label table of the code's
-cached 1-block recoding, its draws looked up in a guide table
+chain.  Every code is read through its 1-block recoding (a labeled graph
+is its own, of width 1; Lind & Marcus, *An Introduction to Symbolic
+Dynamics and Coding*, §1.4-1.5): one table, from the base code of each of
+the recoding's ``windows`` to its label, labels both the chain and the
+windows of a sample.  Samplers look their draws up in a guide table
 (``_count_below``).  ``EmpiricalDistribution.counts[l - 1]`` is an array
 of a sample's length-l window counts by base-k word code, the order of
 ``window_codes`` and of ``product(alphabet, repeat=l)``.
@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, NotErgodic
-from .graphs import PeriodicOrbit, SlidingBlockCode, _as_word, _json_list, _tarjan_scc, scan
+from .graphs import PeriodicOrbit, _as_word, _json_list, _tarjan_scc, _unwrap, scan
 
 # The most count cells, summed over the window lengths 1..depth, that
 # EmpiricalDistribution.from_indices allocates: 2**27 int64 cells take 1 GiB.
@@ -281,6 +281,8 @@ class COMeasure(StationaryMeasure):
         if alphabet is None:
             alphabet = sorted(set(orbit.primitive_word), key=str)
         self.alphabet = tuple(alphabet)
+        if len(self._index()) != len(self.alphabet):
+            raise InputError("alphabet: duplicate letters")
         outside = set(orbit.primitive_word) - set(self.alphabet)
         if outside:
             raise InputError(f"alphabet: lacks the orbit letters {sorted(map(str, outside))}")
@@ -305,72 +307,67 @@ class COMeasure(StationaryMeasure):
 
 
 class PushforwardMeasure(StationaryMeasure):
-    """Image of a measure under a code: the (measure, code) pair.
+    """Image of a measure under a code: the (measure, code) pair, read through
+    the code's recoding (``graphs._unwrap``), of window width w.
 
-    ``block_code`` is the code as a sliding block code (a labeled graph is
-    read as the width-1 block code on its own symbols).  The hidden chain's
-    states are the positive-mass windows of ``block_code.width`` base-chain
-    states, labelled by the block map.  A sample of length T reads each
-    window of a base sample of T + memory + anticipation letters through
-    one window-code -> label table.  The base must live on the code's
-    domain: a base letter outside the domain alphabet is refused, and so is
-    a positive-mass base step that the domain forbids (so every window is a
-    recoding block, and every window step a recoding transition).
+    The base must live on the code's domain: a base letter outside it is
+    refused, and so is a positive-mass base step that no recoding transition
+    adds, so every window of w letters the base charges is a recoding symbol.
+    One table holds the image index of each base-alphabet window code: it
+    labels the hidden chain, on the positive-mass windows of w base-chain
+    states, and a sample of T letters reads a base sample of T + w - 1 through it.
     """
 
     def __init__(self, base: StationaryMeasure, code):
-        self.base = base
-        self.code = code
-        self.alphabet = code.y_symbols
-        self.block_code = code if isinstance(code, SlidingBlockCode) else SlidingBlockCode(
-            0, 0, code.x_symbols, {(s,): code.label[s] for s in code.x_symbols}, code.transitions)
-        outside = set(base.alphabet) - set(self.block_code.alphabet)
-        if outside:
+        self.base, self.code = base, code
+        rec = self._recoding = _unwrap(code)
+        self.alphabet = rec.graph.y_symbols
+        if outside := set(base.alphabet) - set(rec.base_alphabet):
             raise InputError(f"base: letters {sorted(map(str, outside))} are outside the "
                              "code's domain alphabet")
+        last = [u[-1] for u in rec.windows]
+        steps = {(last[u], last[v]) for u, v in zip(*(e.tolist() for e in rec.graph.edges))}
         chain = base.hidden_chain()
         letter = [base.alphabet[e] for e in chain.letter]
         for a, b in ((letter[z], letter[t]) for z, row in enumerate(chain.rows) for t in row):
-            if (a, b) not in self.block_code.transitions:
+            if (a, b) not in steps:
                 field = "transitions" if isinstance(base, MarkovMeasure) else "base"
                 raise InputError(f"{field}: positive probability on forbidden "
                                  f"transition ({a!r},{b!r})")
+        index, none = base._index(), len(self.alphabet)      # none: a window no symbol reads
+        digits = np.array([[index.get(a, -1) for a in u] for u in rec.windows])
+        self._width, keep = digits.shape[1], (digits >= 0).all(axis=1)
+        self._labels = np.full(len(index) ** self._width, none, np.min_scalar_type(none))
+        self._labels[window_codes(digits[keep], len(index), self._width)[:, 0]] = (
+            rec.graph.label_ids[keep])
 
     def _hidden_chain(self):
-        base, letters = self.base.hidden_chain(), self.base.alphabet
+        base = self.base.hidden_chain()
         windows = {(z,): p for z, p in enumerate(base.stationary)}
-        for _ in range(self.block_code.width - 1):
+        for _ in range(self._width - 1):
             windows = {u + (t,): m * p
                        for u, m in windows.items() for t, p in base.rows[u[-1]].items()}
-        number, image = {u: i for i, u in enumerate(windows)}, self._index()
+        number = {u: i for i, u in enumerate(windows)}
+        digits = np.array([[base.letter[z] for z in u] for u in windows])
         return HiddenChain(
             tuple(windows.values()),
             tuple({number[u[1:] + (t,)]: p for t, p in base.rows[u[-1]].items()} for u in windows),
-            tuple(image[self.block_code.block_map[tuple(letters[base.letter[z]] for z in u)]]
-                  for u in windows))
+            tuple(self._labels[window_codes(digits, len(self.base.alphabet), self._width)[:, 0]]
+                  .tolist()))
 
     # a method of the class's own dict, where perfbench/spans.py finds the methods it wraps
     cylinder = StationaryMeasure.cylinder
 
     def sample_indices(self, length, rng) -> np.ndarray:
         """Each base window's image as a narrow index; ``len(alphabet)``: none."""
-        width = self.block_code.width
-        k = len(self.base.alphabet)
-        letter = self.base._index()
-        image = {y: i for i, y in enumerate(self.alphabet)}
-        graph = self.block_code.recoding.graph
-        blocks = [u for u in graph.x_symbols if all(a in letter for a in u)]
-        table = np.full(k ** width, len(image), dtype=np.min_scalar_type(len(image)))
-        encoded = np.array([[letter[a] for a in u] for u in blocks], dtype=np.int64)
-        table[window_codes(encoded.reshape(-1, width), k, width)[:, 0]] = [
-            image[graph.label[u]] for u in blocks]
-        out = table.take(window_codes(self.base.sample_indices(length + width - 1, rng), k, width))
-        if (out == len(image)).any():
+        out = self._labels.take(window_codes(self.base.sample_indices(
+            length + self._width - 1, rng), len(self.base.alphabet), self._width))
+        if (out == len(self.alphabet)).any():
             raise InputError("base: the sample left the code's domain")
-        return out.astype(np.min_scalar_type(len(image) - 1), copy=False)
+        return out.astype(np.min_scalar_type(len(self.alphabet) - 1), copy=False)
 
     def describe(self):
-        kind = "sliding-block code" if isinstance(self.code, SlidingBlockCode) else "1-block code"
+        kind = "1-block code" if self.code is self._recoding.graph else "sliding-block code"
         return {"type": "pushforward", "base": self.base.describe(), "code": kind}
 
 
@@ -504,6 +501,8 @@ class EmpiricalDistribution:
     def frequencies(self, length) -> np.ndarray:
         """The length-``length`` counts (1 <= length <= depth) divided by
         the number of windows of that length, all 0 when no window fits."""
+        if not 1 <= length <= self.depth:
+            raise InputError(f"length: {length} is outside 1..{self.depth}, the counted depths")
         return self.counts[length - 1] / max(self.sample_length - length + 1, 1)
 
     def frequency(self, word) -> float:

@@ -24,7 +24,8 @@ Bernoulli sampler through ``rng.choice``, the Markov interval lookup by
 ``np.searchsorted``, the alternating-offset sampler's sign comprehension, the
 per-code-kind pushforward constructions (block-code preimage words by
 enumerating every domain word, samples through the block-map table or
-the graph's label lookup, and the branch-per-measure-type support
+the graph's label lookup, the width-1 block code a graph was read as with
+the domain rule on its transitions, and the branch-per-measure-type support
 presentation), and the quadratic exact constructions: the fiber product
 that tests every pair of tuples, the least rotation by ranking every
 rotation, and the recoding that compares every pair of blocks; the
@@ -61,10 +62,10 @@ from sftlift.codes import (MAX_PERIODIC_POINTS, PhasedFiberDecomposition, _decom
                            _require_irreducible, is_finite_to_one, preimage_words)
 from sftlift.errors import (EmptyAfterTrim, FiberInfinite, InfiniteToOne, InputError, NoPath,
                             NotInImage, PreconditionError)
-from sftlift.fibers import CanonicalLiftDecomposition, LiftEntry, LiftReport, _unwrap
+from sftlift.fibers import CanonicalLiftDecomposition, LiftEntry, LiftReport
 from sftlift.graphs import (MAX_SUBSET_STATES, LabeledGraph, OneBlockRecoding, PeriodicOrbit,
                             SlidingBlockCode, StructureReport, _as_word, _essential_mask,
-                            _speculate, analyze_graph, full_shift, load_graph_or_code,
+                            _speculate, _unwrap, analyze_graph, full_shift, load_graph_or_code,
                             perron_value, scan)
 from sftlift.joinings import _ViabilityWalk
 from sftlift.measures import BernoulliMeasure, COMeasure, MarkovMeasure, PushforwardMeasure
@@ -1516,10 +1517,37 @@ def cylinder(m, word):
     if isinstance(m, COMeasure):
         return co_cylinder(m, word)
     if isinstance(m, PushforwardMeasure):
-        return pushforward_cylinder(m.base, m.block_code, word)
+        return pushforward_cylinder(m.base, block_code(m.code), word)
     if isinstance(m, AlternatingOffsetMeasure):
         return cylinder_at_phase(m, word, 0)
     raise TypeError(f"no per-class cylinder for {type(m).__name__}")
+
+
+def block_code(code):
+    """A labeled graph as the width-1 block code on its own symbols, the form
+    a pushforward read every code in; any other code as it is."""
+    if not isinstance(code, LabeledGraph):
+        return code
+    return SlidingBlockCode(0, 0, code.x_symbols, {(s,): code.label[s] for s in code.x_symbols},
+                            code.transitions)
+
+
+def check_pushforward_domain(base, code):
+    """The pushforward's domain rule on the block code of ``block_code``: refuse
+    a base letter outside the domain alphabet, then the first positive-mass base
+    step (in hidden-chain row order) that is not a domain transition."""
+    code = block_code(code)
+    outside = set(base.alphabet) - set(code.alphabet)
+    if outside:
+        raise InputError(f"base: letters {sorted(map(str, outside))} are outside the "
+                         "code's domain alphabet")
+    chain = base.hidden_chain()
+    letter = [base.alphabet[e] for e in chain.letter]
+    for a, b in ((letter[z], letter[t]) for z, row in enumerate(chain.rows) for t in row):
+        if (a, b) not in code.transitions:
+            field = "transitions" if isinstance(base, MarkovMeasure) else "base"
+            raise InputError(f"{field}: positive probability on forbidden "
+                             f"transition ({a!r},{b!r})")
 
 
 def preimage_words_block(code: SlidingBlockCode, w):
@@ -1707,7 +1735,7 @@ def recode_to_one_block(code: SlidingBlockCode) -> OneBlockRecoding:
     label = {u: code.block_map[u] for u in symbols}
     graph = LabeledGraph(symbols, trans, label, code.y_symbols)
     return OneBlockRecoding(graph=graph, offset=code.memory, base_alphabet=code.alphabet,
-                            letters=tuple(u[code.memory] for u in symbols))
+                            windows=tuple(symbols))
 
 
 def composed_scan(step, inputs, start, out):

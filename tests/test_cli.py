@@ -468,6 +468,10 @@ INVALID_VALUES = {
                      "forbidden transition ('b','b')"),
     "co-alphabet": ("measure", {"type": "co", "orbit": ["0", "1"], "alphabet": ["0"]},
                     "alphabet"),
+    # lift-mc refused it as "y_symbols: duplicate symbols", a field the input lacks
+    "co-alphabet-duplicate": ("measure", {"type": "co", "orbit": ["0", "1"],
+                                          "alphabet": ["0", "1", "0"]},
+                              "alphabet: duplicate letters"),
     "base-letter": ("measure", {"type": "pushforward", "base": {
         "type": "bernoulli", "alphabet": ["0", "1", "2"],
         "probabilities": ["1/2", "1/4", "1/4"]}}, "base"),

@@ -70,7 +70,8 @@ def _code_forms(name):
 def test_every_code_form_reports_the_same_lifts(name):
     # the forms share one recoding, so the exact lifts over each orbit of
     # period <= 3 and a short Monte-Carlo run over the pushforward of a Markov
-    # chain on the domain must match; a value with no recoding is refused
+    # chain on the domain must match, as must the pushforward's chain and the
+    # preimage words through each form; a value with no recoding is refused
     forms = _code_forms(name)
     domain, letters = forms[0], forms[1].base_alphabet
     succ = {a: [b for b in letters if (a, b) in domain.transitions] for a in letters}
@@ -91,6 +92,14 @@ def test_every_code_form_reports_the_same_lifts(name):
         sl.analyze_periodic_lifts(42, orbits[0])
     with pytest.raises(TypeError, match="int"):
         sl.classify_lifts_monte_carlo(42, nu, params)
+    word = orbits[-1].primitive_word
+    for code in forms[1:]:
+        assert PushforwardMeasure(base, code).hidden_chain() == nu.hidden_chain()
+        assert sl.preimage_words(code, word) == sl.preimage_words(domain, word)
+    with pytest.raises(TypeError, match="int"):
+        PushforwardMeasure(base, 42)
+    with pytest.raises(TypeError, match="int"):
+        sl.preimage_words(42, word)
 
 
 def test_identity_code_single_lift():

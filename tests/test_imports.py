@@ -1,6 +1,7 @@
 """numpy is the package's only runtime dependency, runs import no more of
 it than they use, one function expands successor lists, and one module
-builds the 1-block recodings every code is read through."""
+builds the 1-block recodings every code is read through and tells code kinds
+apart."""
 
 import ast
 import json
@@ -68,14 +69,21 @@ def test_np_repeat_is_called_only_in_the_gather():
     assert callers and set(callers) == {"graphs._gather"}, callers
 
 
+def _type_tests(name):
+    """The callers of ``isinstance(_, name)``, name alone or in a tuple."""
+    return _callers(lambda node: "isinstance" in _names(node.func) and len(node.args) == 2
+                    and name in _names(node.args[1]))
+
+
 def test_recodings_are_built_in_graphs_and_told_apart_only_by_unwrap():
     # every code is read through its OneBlockRecoding: graphs builds them all,
-    # and fibers._unwrap is the one place that asks whether it holds one
+    # graphs._unwrap is the one place that asks whether it holds one, and no
+    # module outside graphs asks whether a code is a graph or a block code
     built = _callers(lambda node: "OneBlockRecoding" in _names(node.func))
-    tested = _callers(lambda node: "isinstance" in _names(node.func) and len(node.args) == 2
-                      and "OneBlockRecoding" in _names(node.args[1]))
     assert built and {c.split(".")[0] for c in built} == {"graphs"}, built
-    assert tested == ["fibers._unwrap"], tested
+    assert _type_tests("OneBlockRecoding") == ["graphs._unwrap"]
+    kinds = _type_tests("LabeledGraph") + _type_tests("SlidingBlockCode")
+    assert kinds and {c.split(".")[0] for c in kinds} == {"graphs"}, kinds
 
 
 def test_markov_lift_mc_leaves_numpy_ma_unimported(tmp_path):

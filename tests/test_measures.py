@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import sftlift as sl
-from sftlift import BernoulliMeasure, COMeasure, MarkovMeasure, PeriodicOrbit
+from sftlift import BernoulliMeasure, COMeasure, MarkovMeasure, PeriodicOrbit, graphs
 from sftlift.errors import InputError, NotErgodic
 
 import oracles
@@ -104,6 +104,20 @@ def test_pushforward_on_graph_code(golden_mean_graph):
     assert sl.PushforwardMeasure(m, golden_mean_graph).cylinder("ab") == Fraction(1, 3)
 
 
+def test_a_graph_pushforward_builds_no_recoding(monkeypatch, golden_mean_graph):
+    # a graph is its own recoding: pushing it forward, sampling it and reading
+    # a cylinder build none (a width-1 block-code wrap once built one to sample)
+    calls, recode = [], graphs.recode_to_one_block
+    monkeypatch.setattr(graphs, "recode_to_one_block",
+                        lambda code: calls.append(type(code).__name__) or recode(code))
+    nu = sl.PushforwardMeasure(golden_mean_markov(), golden_mean_graph)
+    word = "".join(sl.sample_path(nu, 200, seed=0))
+    assert "bb" not in word and "ab" in word
+    assert nu.cylinder("ab") == Fraction(1, 3) and calls == []
+    sl.sample_path(sl.PushforwardMeasure(bernoulli_p("1/2"), sl.difference_code(2)), 50, seed=0)
+    assert calls == ["SlidingBlockCode"]
+
+
 def test_hidden_chains_of_a_co_measure_and_a_pushforward(rule102):
     # a co measure's states are the phases of its orbit; a pushforward's are
     # the windows of its base chain's states, one per 2-block of rule102
@@ -127,6 +141,11 @@ def test_pushforward_base_off_the_domain_refused(golden_mean_graph, base):
     with pytest.raises(InputError, match=r"^base: positive probability on forbidden "
                                          r"transition \('b','b'\)$"):
         sl.PushforwardMeasure(base, golden_mean_graph)
+
+
+def test_co_measure_refuses_a_duplicate_alphabet():
+    with pytest.raises(InputError, match="^alphabet: duplicate letters$"):
+        COMeasure(PeriodicOrbit.from_word("b"), ("a", "b", "a"))
 
 
 # ---------------------------------------------------------------- sampling
@@ -326,6 +345,19 @@ def test_empirical_distance():
     b = sl.EmpiricalDistribution.from_indices(np.ones(100, dtype=int), ("0", "1"), 1)
     assert a.distance(b) == 1.0
     assert a.distance(a) == 0.0
+
+
+def test_empirical_frequencies_refuse_lengths_outside_the_depth():
+    # at depth 2, length 0 once read the length-2 counts and a 3-letter word
+    # raised a bare IndexError
+    emp = sl.EmpiricalDistribution.from_indices(np.array([0, 1, 1, 0]), ("0", "1"), 2)
+    assert emp.frequencies(2).tolist() == [0, 1 / 3, 1 / 3, 1 / 3]
+    for length in (-1, 0, 3):
+        with pytest.raises(InputError, match=rf"^length: {length} is outside 1\.\.2"):
+            emp.frequencies(length)
+    for word in ((), "011"):
+        with pytest.raises(InputError, match="^length: "):
+            emp.frequency(word)
 
 
 def test_empirical_counts_over_the_cell_cap_refused_before_allocating():

@@ -10,7 +10,8 @@ clusters as connected components, the
 essential trim on index arrays, the one-sweep periodic fibers and the
 closing step along one word with the periodic lift analysis and the
 ``periodic-lifts`` rows with their JSON and table text written straight
-from the sweep, the vectorised samplers, the recoding-based pushforward path and the
+from the sweep, the vectorised samplers, the recoding-based pushforward path with
+its domain rule, and the
 fiber product on integer arrays with its edges, the structure report on
 the edges and the ``joining`` output built from them, least rotation and
 recoding, the per-period array sweep of the periodic lifts and
@@ -43,10 +44,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 import sftlift as sl
 from sftlift import cli, codes, joinings
 from sftlift.cli import main
-from sftlift.errors import EmptyAfterTrim, FiberInfinite, NoPath, NotInImage, PreconditionError
-from sftlift.fibers import _single_linkage, _unwrap, support_presentation
+from sftlift.errors import (EmptyAfterTrim, FiberInfinite, InputError, NoPath, NotInImage,
+                            PreconditionError)
+from sftlift.fibers import _single_linkage, support_presentation
 from sftlift.graphs import (LabeledGraph, SubsetAutomaton, _component_periods, _essential_mask,
-                            _gather, _successor_lists, _tarjan_scc, least_rotation,
+                            _gather, _successor_lists, _tarjan_scc, _unwrap, least_rotation,
                             load_graph_or_code, render_symbol)
 from sftlift.joinings import _ViabilityWalk
 from sftlift.measures import EmpiricalDistribution, make_rng
@@ -1278,6 +1280,45 @@ def test_pushforward_samples_match_per_kind_oracle(seed, as_graph, length):
     assert new.tolist() == old.tolist()
 
 
+def _refusal(fn, *args):
+    """The message of the InputError that ``fn(*args)`` raises, None if it returns."""
+    try:
+        fn(*args)
+    except InputError as error:
+        return str(error)
+    return None
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_pushforward_domain_rule_matches_transition_oracle(seed, as_graph):
+    # a random base (now and then with a letter off the domain) against a code
+    # of width <= 3 on a sparse domain with dead ends, which half the time
+    # carries the base's positive steps: the recoding's rule (a positive step
+    # must be added by a recoding transition) refuses exactly what the domain
+    # transition rule refuses, by the same field; on a graph the two are one
+    rng = random.Random(seed)
+    k = rng.randint(1, 4)
+    letters = "abcd"[:k]
+    base = _random_base(rng, "abcde"[:k + (rng.random() < 0.1)])
+    edges = {(a, b) for a in letters for b in letters if rng.random() < rng.choice([0.3, 0.5])}
+    if rng.random() < 0.5:
+        edges |= {(a, b) for a, b in _positive_steps(base) if {a, b} <= set(letters)}
+    labels = "xyz"[:rng.randint(1, 3)]
+    if as_graph:
+        code = LabeledGraph(letters, edges, {a: rng.choice(labels) for a in letters})
+    else:
+        memory, anticipation = rng.choice([(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)])
+        code = sl.SlidingBlockCode(memory, anticipation, letters, {
+            u: rng.choice(labels) for u in product(letters, repeat=memory + anticipation + 1)},
+            edges)
+    new = _refusal(sl.PushforwardMeasure, base, code)
+    old = _refusal(oracles.check_pushforward_domain, base, code)
+    assert (new is None) == (old is None)
+    if new is not None:
+        assert new.split(":")[0] == old.split(":")[0]
+        assert new == old or not as_graph
+
+
 def _presentation(fn, *args):
     try:
         return fn(*args)
@@ -1350,12 +1391,14 @@ def _check_chain_cylinders(m, depth=4):
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from(["base", "co", "alternating"]),
-       st.sampled_from(["direct", "block", "graph"]))
+       st.sampled_from(["direct", "block", "graph", "recoding"]))
 def test_chain_cylinders_match_per_class_oracle(seed, kind, push):
+    # "recoding" pushes through a block code's OneBlockRecoding itself
     rng = random.Random(seed)
     m = _random_measure(rng, kind, tuple("0123"[:rng.randint(2, 3)]))
     if push != "direct":
-        m = sl.PushforwardMeasure(m, _code_carrying(rng, m, push == "graph"))
+        code = _code_carrying(rng, m, push == "graph")
+        m = sl.PushforwardMeasure(m, code.recoding if push == "recoding" else code)
     _check_chain_cylinders(m)
 
 
