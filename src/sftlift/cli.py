@@ -116,7 +116,7 @@ def cmd_periodic_lifts(args):
     if not is_finite_to_one(rec.graph):
         raise InfiniteToOne("periodic lift analysis requires a finite-to-one code")
     g = analyze_graph(rec.graph).essential
-    names = [str(rec.base_letter(s)) for s in g.x_symbols]
+    names = [str(a) for a, alive in zip(rec.letters, rec.graph.essential_mask.tolist()) if alive]
     labels, offset = [str(y) for y in g.y_symbols], rec.offset
     table, shapes, n = args.format == "table", {}, 0
     if not table:       # each name escaped once, as _emit would

@@ -271,8 +271,9 @@ def periodic_fiber(g: LabeledGraph, y: PeriodicOrbit) -> PhasedFiberDecompositio
 def _lift_cycles(g: LabeledGraph, max_period: int, names, letters, offset=0):
     """The Lyndon word and sorted (winding, lift) pairs of each orbit of least period
     <= max_period with lifts on the essential graph g, by period: lists of ``letters``
-    and ``names`` gathered once per batch and winding group, a lift from ``offset``
-    places sooner (``OneBlockRecoding.base_orbit``).  The sweep is held as arrays until
+    and ``names`` gathered once per batch and winding group, a lift rolled ``offset``
+    places (overlapping blocks compare as their domain words from that many letters
+    earlier, so the least domain rotation starts sooner).  The sweep is held as arrays until
     its checksum passes: a lift of winding w over an orbit of period q holds q·w points,
     of period dividing n iff q·w does, so for each n <= max_period they sum to tr(A^n)
     (Lind & Marcus §2.2).  Traces summing past MAX_PERIODIC_POINTS refuse it first."""

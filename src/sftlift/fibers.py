@@ -4,8 +4,9 @@ Two routes:
 
 * exact, for periodic image orbits — the fiber decomposes into lift
   orbits whose winding numbers are the multiplicities; the canonical lift
-  and the relatively-independent-self-joining diagonal masses are computed
-  in exact rationals;
+  is exact, and a lift of winding w, once checked to hold w·p points over
+  the p points of the orbit, has 1/w written as the diagonal mass of its
+  relatively independent self-joining;
 
 * statistical, for fully supported image measures (hidden Markov
   chains, pushforwards included) — sample a long image window, thread the
@@ -26,8 +27,8 @@ from functools import reduce
 import numpy as np
 
 from .errors import InputError, NotFullySupported
-from .graphs import LabeledGraph, PeriodicOrbit, _tarjan_scc, _unwrap, determinize
-from .codes import compute_degree, periodic_fiber
+from .graphs import LabeledGraph, PeriodicOrbit, _reads_within, _tarjan_scc, _unwrap, analyze_graph
+from .codes import _periodic_lifts, compute_degree
 from .joinings import _ViabilityWalk, degree_joining_graph
 from .measures import COMeasure, EmpiricalDistribution, StationaryMeasure, make_rng
 
@@ -103,27 +104,30 @@ class CanonicalLiftDecomposition:
 def analyze_periodic_lifts(code, y: PeriodicOrbit):
     """Exact lift analysis of the CO-measure on a periodic image orbit.
 
-    Returns the lift report together with the canonical-lift decomposition.
-    Each lift's multiplicity is its winding number; the report additionally
-    carries the exactly computed diagonal mass of each lift's relatively
-    independent self-joining, which must equal 1/multiplicity.
+    Returns the lift report together with the canonical-lift decomposition.  The
+    lifts are the ``_periodic_lifts`` of the recoding graph, read through ``letters``
+    and rolled by ``offset`` as in ``codes._lift_cycles``.  A lift's multiplicity is
+    its winding number w; once it is checked to hold w·p points over the p points of
+    the orbit, 1/w is written as the diagonal mass of its relatively independent
+    self-joining.
     """
-    rec = _unwrap(code)
-    fiber, p = periodic_fiber(rec.graph, y), y.period
+    rec, p = _unwrap(code), y.period
+    g, letters = rec.graph, np.fromiter(rec.letters, object, len(rec.windows))
+    groups = _periodic_lifts(g.label_ids, g.y_symbols, g.successor_index, y)
     entries, diagonal = [], {}
-    for orbit, winding in fiber.lift_orbits:
+    for winding, ids in groups:
         # the rotations of a lift run over the base rotations in turn, so each
         # base point has winding points over it, with diagonal mass 1/(p winding^2)
-        if orbit.period != winding * p:
+        if ids.shape[1] != winding * p:
             raise RuntimeError("fiber points are not equidistributed over the base orbit")
-        reported = rec.base_orbit(orbit)
-        lift_measure = COMeasure(reported, rec.base_alphabet)
-        entries.append(LiftEntry(lift_measure.describe(), winding, lift_measure))
-        diagonal[",".join(str(a) for a in reported.primitive_word)] = str(Fraction(1, winding))
-    report = LiftReport(base=COMeasure(y, rec.graph.y_symbols).describe(),
-                        degree=fiber.fiber_size, lifts=tuple(entries), method="exact",
-                        details={"diagonal_mass": diagonal, "base_period": p})
-    return report, CanonicalLiftDecomposition(report.lifts, fiber.fiber_size)
+        for word in letters[np.roll(ids, rec.offset, axis=1)].tolist():
+            lift_measure = COMeasure(PeriodicOrbit(tuple(word), len(word)), rec.base_alphabet)
+            entries.append(LiftEntry(lift_measure.describe(), winding, lift_measure))
+            diagonal[",".join(map(str, word))] = str(Fraction(1, winding))
+    report = LiftReport(base=COMeasure(y, g.y_symbols).describe(),
+                        degree=sum(w * len(ids) for w, ids in groups), lifts=tuple(entries),
+                        method="exact", details={"diagonal_mass": diagonal, "base_period": p})
+    return report, CanonicalLiftDecomposition(report.lifts, report.degree)
 
 
 @dataclass(frozen=True)
@@ -143,6 +147,8 @@ class MonteCarloParams:
             raise InputError(f"cylinder_depth must be >= 1, got {self.cylinder_depth}")
         if self.tolerance is not None and not self.tolerance > 0:
             raise InputError(f"tolerance must be > 0, got {self.tolerance}")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def tau(self):
@@ -151,26 +157,18 @@ class MonteCarloParams:
         return 5.0 / math.sqrt(self.sample_length)
 
 
-def support_presentation(nu: StationaryMeasure):
-    """Right-resolving presentation of the support of a measure: the subset
-    construction of its hidden chain's graph of positive transitions, each
-    state labelled by its letter.  Every chain state has positive mass, so
-    every path of that graph has positive mass."""
-    chain = nu.hidden_chain()
-    states = range(len(chain.letter))
-    edges = {(z, t) for z in states for t in chain.rows[z]}
-    label = {z: nu.alphabet[chain.letter[z]] for z in states}
-    return determinize(LabeledGraph(states, edges, label, nu.alphabet))
-
-
 def is_fully_supported_on_image(nu: StationaryMeasure, g: LabeledGraph) -> bool:
-    """Whether supp(nu) is the whole image shift of g (exact language check
-    between right-resolving presentations)."""
-    image = determinize(g)
-    support = support_presentation(nu)
-    if not support.language_subset_of(image):
+    """Whether supp(nu) is the whole image shift of g: ``_reads_within`` both ways
+    between the graph of positive transitions of nu's hidden chain, each state
+    labelled by its letter, and g's essential part.  Every chain state has positive
+    mass, so every path of that graph has positive mass."""
+    chain, ess = nu.hidden_chain(), analyze_graph(g).essential
+    edges = [(z, t) for z, row in enumerate(chain.rows) for t in row]
+    support = LabeledGraph(range(len(chain.letter)), edges,
+                           enumerate(map(nu.alphabet.__getitem__, chain.letter)), nu.alphabet)
+    if not _reads_within(support, ess.forward_automaton, ess.y_symbols):
         raise NotFullySupported("measure is not supported inside the image shift")
-    return image.language_subset_of(support)
+    return _reads_within(ess, support.forward_automaton, nu.alphabet)
 
 
 def _single_linkage(dist, tau):

@@ -106,7 +106,8 @@ class LabeledGraph:
 
     @cached_property
     def forward_automaton(self):
-        """The forward ``SubsetAutomaton``, shared by ``determinize`` and the degree."""
+        """The forward ``SubsetAutomaton``, shared by ``determinize``, the degree and
+        the full-support check."""
         return SubsetAutomaton(self.label_ids, self.y_symbols, self.edges)
 
     def adjacency_matrix(self):
@@ -519,18 +520,6 @@ class OneBlockRecoding:
         """The domain letter of each symbol: the ``offset`` column of ``windows``."""
         return tuple(u[self.offset] for u in self.windows)
 
-    def base_letter(self, block_symbol):
-        """The domain letter this block symbol contributes at its own time."""
-        return self.windows[self.graph.index[block_symbol]][self.offset]
-
-    def base_orbit(self, orbit: PeriodicOrbit) -> PeriodicOrbit:
-        """The domain orbit of a lift orbit.  Blocks come in lexicographic
-        order, so runs of overlapping blocks compare as the base words from m
-        letters earlier: the least base rotation starts m letters sooner."""
-        word = tuple(map(self.base_letter, orbit.primitive_word))
-        k = -self.offset % orbit.period
-        return PeriodicOrbit(word[k:] + word[:k], orbit.period)
-
 
 def recode_to_one_block(code: SlidingBlockCode) -> OneBlockRecoding:
     """Higher-block presentation turning any sliding block code into a
@@ -854,13 +843,16 @@ class RightResolvingPresentation:
         return max(values)
 
     @cached_property
-    def _edge_graph(self):
-        """Letters and index edges of the edge graph: the edges (s, a), in (state,
-        letter) order, as symbols labelled a, with (s, a) -> (step[s, a], b)."""
+    def _edge_graph(self) -> LabeledGraph:
+        """The edge graph: the edges (s, a), in (state, letter) order, as symbols
+        0, 1, ... labelled a, with (s, a) -> (step[s, a], b)."""
         state, letter = np.nonzero(self.step >= 0)
         target = self.step[state, letter]
         leaving = np.searchsorted(state, np.arange(len(self.step) + 1)), np.arange(len(state))
-        return letter, _gather(leaving, target, target + 1)
+        edges = _gather(leaving, target, target + 1)
+        return LabeledGraph(range(len(letter)), zip(*(e.tolist() for e in edges)),
+                            enumerate(map(self.alphabet.__getitem__, letter.tolist())),
+                            self.alphabet, edges)
 
     def periodic_orbits(self, max_period):
         """All periodic orbits of the image shift with least period <= max_period,
@@ -868,37 +860,40 @@ class RightResolvingPresentation:
         ``_phased_lifts`` lifts to the edge graph, where a path of w^∞ closes a cycle."""
         if max_period < 1:
             raise InputError("max_period must be >= 1")
-        letter, edges = self._edge_graph
-        index, found = _successor_index(letter, len(self.alphabet), *edges), []
-        for _q, words, groups in _phased_lifts(letter, len(self.alphabet), index, max_period):
+        graph, found = self._edge_graph, []
+        for _q, words, groups in _phased_lifts(graph.label_ids, len(self.alphabet),
+                                               graph.successor_index, max_period):
             lifted = {r for _w, ranks, _ids in groups for r in ranks.tolist()}
             found += words[sorted(lifted)].tolist()
         return [PeriodicOrbit(tuple(self.alphabet[a] for a in w), len(w)) for w in found]
 
     def language_subset_of(self, other) -> bool:
-        """Whether every word readable here is readable in ``other``: a search over
-        the pairs (state here, state of the ``SubsetAutomaton`` of ``other``'s
-        edge graph) that words reach, letters matched by name."""
-        letter, edges = other._edge_graph
-        aut = SubsetAutomaton(letter, other.alphabet, edges)
-        # row -1, the empty word, reads the initial states; column -1 a letter not in ``other``
-        table = [row + [-1] for row in aut.step.tolist() + [aut.initial]]
-        columns = [other.alphabet.index(a) if a in other.alphabet else -1 for a in self.alphabet]
-        rows = self.step.tolist()
-        seen = {(s, -1) for s in range(len(rows))}
-        frontier = list(seen)
-        while frontier:
-            state, tracked = frontier.pop()
-            for j, other_j in enumerate(columns):
-                if rows[state][j] < 0:
-                    continue
-                key = (rows[state][j], table[tracked][other_j])
-                if key[1] < 0:
-                    return False
-                if key not in seen:
-                    seen.add(key)
-                    frontier.append(key)
-        return True
+        """Whether every word readable here is readable in ``other``: ``_reads_within``
+        of this edge graph and the forward ``SubsetAutomaton`` of ``other``'s."""
+        return _reads_within(self._edge_graph, other._edge_graph.forward_automaton,
+                             other.alphabet)
+
+
+def _reads_within(g: LabeledGraph, automaton: SubsetAutomaton, letters) -> bool:
+    """Whether ``automaton``, a ``SubsetAutomaton`` over ``letters``, reads the label
+    of every path of g: a search over the pairs (symbol, automaton state) that the
+    paths reach, letters matched by name, from a start vertex before every symbol."""
+    n, column = len(g.x_symbols), {a: j for j, a in enumerate(letters)}
+    # row -1, the empty word, reads the initial states; column -1 a letter not in ``letters``
+    table = [row + [-1] for row in automaton.step.tolist() + [automaton.initial]]
+    cols = [column.get(g.y_symbols[j], -1) for j in g.label_ids.tolist()]
+    succ = _successor_lists(n, *g.edges) + [range(n)]
+    seen, frontier = {(n, -1)}, [(n, -1)]
+    while frontier:
+        symbol, state = frontier.pop()
+        for t in succ[symbol]:
+            key = (t, table[state][cols[t]])
+            if key[1] < 0:
+                return False
+            if key not in seen:
+                seen.add(key)
+                frontier.append(key)
+    return True
 
 
 def determinize(g: LabeledGraph) -> RightResolvingPresentation:

@@ -514,10 +514,14 @@ class EmpiricalDistribution:
 
     def distance(self, other) -> float:
         """L-infinity distance over all cylinder frequencies up to depth."""
+        if tuple(self.alphabet) != tuple(other.alphabet):    # counts are read by word code
+            raise ValueError("distributions must share an alphabet")
         return max((float(np.abs(self.frequencies(length) - other.frequencies(length)).max())
                     for length in range(1, min(self.depth, other.depth) + 1)), default=0.0)
 
     def merged_with(self, other):
+        if tuple(self.alphabet) != tuple(other.alphabet):    # counts are read by word code
+            raise ValueError("distributions must share an alphabet")
         return EmpiricalDistribution(self.alphabet, min(self.depth, other.depth),
                                      [a + b for a, b in zip(self.counts, other.counts)],
                                      self.sample_length + other.sample_length)

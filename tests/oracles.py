@@ -46,7 +46,9 @@ words, and the pushforward sum of base masses over the preimage words;
 and what the one successor index replaced: the Python table of successor
 lists per symbol and label, the image presentation's dense-table
 prenecklace sweep of its orbits and its language inclusion search over
-frozensets of states."""
+frozensets of states; and the support check through presentations: the
+support presentation of a measure's hidden chain, compared with the image
+presentation by language inclusion each way."""
 
 from __future__ import annotations
 
@@ -57,11 +59,12 @@ from math import gcd, isqrt, log
 
 import numpy as np
 
+from sftlift import graphs
 from sftlift.ca import AlternatingOffsetMeasure
 from sftlift.codes import (MAX_PERIODIC_POINTS, PhasedFiberDecomposition, _decomposition,
                            _require_irreducible, is_finite_to_one, preimage_words)
 from sftlift.errors import (EmptyAfterTrim, FiberInfinite, InfiniteToOne, InputError, NoPath,
-                            NotInImage, PreconditionError)
+                            NotFullySupported, NotInImage, PreconditionError)
 from sftlift.fibers import CanonicalLiftDecomposition, LiftEntry, LiftReport
 from sftlift.graphs import (MAX_SUBSET_STATES, LabeledGraph, OneBlockRecoding, PeriodicOrbit,
                             SlidingBlockCode, StructureReport, _as_word, _essential_mask,
@@ -1612,6 +1615,29 @@ def support_transitions(m: MarkovMeasure):
     idx = m._index()
     return {(a, b) for a in m.alphabet for b in m.alphabet
             if m.stationary[idx[a]] * m.matrix[idx[a]][idx[b]] > 0}
+
+
+def chain_support_presentation(nu):
+    """Right-resolving presentation of the support of a measure: the subset
+    construction (``graphs.determinize``) of its hidden chain's graph of
+    positive transitions, each state labelled by its letter.  Every chain
+    state has positive mass, so every path of that graph has positive mass."""
+    chain = nu.hidden_chain()
+    states = range(len(chain.letter))
+    edges = {(z, t) for z in states for t in chain.rows[z]}
+    label = {z: nu.alphabet[chain.letter[z]] for z in states}
+    return graphs.determinize(LabeledGraph(states, edges, label, nu.alphabet))
+
+
+def presentation_fully_supported_on_image(nu, g: LabeledGraph) -> bool:
+    """``fibers.is_fully_supported_on_image`` through presentations: the image
+    presentation ``graphs.determinize(g)`` and ``chain_support_presentation``,
+    compared by ``language_subset_of`` each way."""
+    image = graphs.determinize(g)
+    support = chain_support_presentation(nu)
+    if not support.language_subset_of(image):
+        raise NotFullySupported("measure is not supported inside the image shift")
+    return image.language_subset_of(support)
 
 
 def support_presentation(nu, g: LabeledGraph):

@@ -419,6 +419,7 @@ INVALID_VALUES = {
     "measure-type": ("measure", {"type": "poisson", "alphabet": ["0", "1"]}, "type"),
     "modulus": ("ca", ("--modulus", "1", "--vector", "1"), "modulus"),
     "vector": ("ca", ("--modulus", "4", "--vector", "1/2,abc,1/4,1/4"), "vector"),
+    "seed": ("ca", ("--modulus", "4", "--vector", "1/4,1/4,1/4,1/4", "--seed", "-1"), "seed"),
     "negative-memory": ("graph", {**RULE102, "memory": -1}, "memory"),
     "missing-block": ("graph", {**RULE102, "block_map": {"00": "0", "01": "1", "10": "1"}},
                       "block_map"),

@@ -11,6 +11,7 @@ from sftlift import (BernoulliMeasure, LinearCACode, MarkovMeasure,
                      MonteCarloParams, PeriodicOrbit, PushforwardMeasure)
 from sftlift.cli import main
 from sftlift.errors import InputError, NotFullySupported, PreconditionError
+from sftlift.graphs import _unwrap
 
 from test_oracles import _random_pushforward
 
@@ -223,6 +224,12 @@ def test_sample_length_cap_checked_when_params_are_made():
         MonteCarloParams(sl.fibers.MAX_SAMPLE_LENGTH + 1)
 
 
+def test_negative_seed_refused_when_params_are_made():
+    # the generator takes no negative seed: refused by name before anything runs
+    with pytest.raises(InputError, match="^seed must be >= 0, got -1$"):
+        MonteCarloParams(seed=-1)
+
+
 # ------------------------------------------------------------ full support
 
 def test_full_support_checks(rule102, diff4):
@@ -240,10 +247,50 @@ def test_full_support_matches_letters_by_name(rule102, alphabet, full):
     assert sl.is_fully_supported_on_image(nu, rule102.recoding.graph) is full
 
 
+def test_inclusion_reads_every_component():
+    # the image component that the first symbol does not reach carries y,
+    # which the measure never shows and the one-loop graph lacks
+    two = sl.LabeledGraph("ab", {("a", "a"), ("b", "b")}, {"a": "x", "b": "y"})
+    loop = sl.LabeledGraph("a", {("a", "a")}, {"a": "x"})
+    assert not sl.is_fully_supported_on_image(BernoulliMeasure("xy", ("1", "0")), two)
+    assert not sl.determinize(two).language_subset_of(sl.determinize(loop))
+    assert sl.determinize(loop).language_subset_of(sl.determinize(two))
+
+
 def test_measure_outside_image_rejected(golden_mean_graph):
     nu = BernoulliMeasure(("a", "b"), ("1/2", "1/2"))
     with pytest.raises(NotFullySupported):
         sl.is_fully_supported_on_image(nu, golden_mean_graph)
+
+
+def test_full_support_answered_where_the_image_presentation_passes_the_state_cap():
+    # the subset construction of this code's image presentation (its 766-edge
+    # edge graph) passes MAX_SUBSET_STATES; g's own forward automaton answers:
+    # the image word zx has preimages but no mass
+    nu = _random_pushforward(random.Random(81), False, k_max=3, span=1)
+    assert sl.preimage_words(nu.code, "zx") and nu.cylinder("zx") == 0
+    assert sl.is_fully_supported_on_image(nu, _unwrap(nu.code).graph) is False
+
+
+@pytest.mark.parametrize("name, vector", [("rule102", "7/10,3/10"),
+                                          ("diff4", "1/8,3/8,1/8,3/8"),
+                                          ("sum5", "3/5,1/10,1/10,1/10,1/10")])
+def test_support_check_builds_one_subset_automaton(request, monkeypatch, name, vector):
+    # once g's forward automaton exists, only the chain graph's is built
+    code = request.getfixturevalue(name)
+    g = code.recoding.graph
+    assert g.forward_automaton is not None
+    built = []
+
+    class Recording(sl.graphs.SubsetAutomaton):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(sl.graphs, "SubsetAutomaton", Recording)
+    base = BernoulliMeasure([str(a) for a in range(code.modulus)], vector.split(","))
+    assert sl.is_fully_supported_on_image(PushforwardMeasure(base, code.code), g)
+    assert len(built) == 1
 
 
 def test_mc_builds_the_forward_automaton_once_per_graph(rule102, monkeypatch):
@@ -265,13 +312,14 @@ def test_mc_builds_the_forward_automaton_once_per_graph(rule102, monkeypatch):
 
 
 def test_support_presentation_over_the_subset_state_cap_refused():
-    # a random pushforward whose subset construction ran past 20 s without the cap
+    # a random pushforward whose subset construction ran past 20 s without the
+    # cap: the forward automaton of the code, which the support check reads
     nu = _random_pushforward(random.Random(24), False)
     start = time.perf_counter()
     with pytest.raises(PreconditionError, match=r"^the subset construction reached 32769 "
                                                 r"states, more than the cap MAX_SUBSET_STATES "
                                                 r"= 32768$"):
-        sl.fibers.support_presentation(nu)
+        sl.is_fully_supported_on_image(nu, _unwrap(nu.code).graph)
     assert time.perf_counter() - start < 2
 
 

@@ -347,6 +347,21 @@ def test_empirical_distance():
     assert a.distance(a) == 0.0
 
 
+def test_empirical_distributions_over_different_alphabets_refused():
+    # counts are combined by word code: a merge or a distance over another
+    # alphabet would pair the counts of different words (or fail to broadcast)
+    ab = sl.EmpiricalDistribution.from_indices([0, 1, 1, 0, 1], ("a", "b"), 2)
+    others = [sl.EmpiricalDistribution.from_indices([0, 0], ("b", "a"), 2),
+              sl.EmpiricalDistribution.from_indices([1, 0, 0, 1, 0], ("b", "a"), 2),
+              sl.EmpiricalDistribution.from_indices([0, 1, 2], ("a", "b", "c"), 2)]
+    for other in others:
+        for combine in (ab.merged_with, ab.distance):
+            with pytest.raises(ValueError, match="^distributions must share an alphabet$"):
+                combine(other)
+    merged = ab.merged_with(sl.EmpiricalDistribution.from_indices([1, 1], ("a", "b"), 2))
+    assert merged.frequency(("a",)) == 2 / 7 and ab.distance(ab) == 0.0
+
+
 def test_empirical_frequencies_refuse_lengths_outside_the_depth():
     # at depth 2, length 0 once read the length-2 counts and a 3-letter word
     # raised a bare IndexError

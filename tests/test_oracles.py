@@ -46,7 +46,7 @@ from sftlift import cli, codes, joinings
 from sftlift.cli import main
 from sftlift.errors import (EmptyAfterTrim, FiberInfinite, InputError, NoPath, NotInImage,
                             PreconditionError)
-from sftlift.fibers import _single_linkage, support_presentation
+from sftlift.fibers import _single_linkage
 from sftlift.graphs import (LabeledGraph, SubsetAutomaton, _component_periods, _essential_mask,
                             _gather, _successor_lists, _tarjan_scc, _unwrap, least_rotation,
                             load_graph_or_code, render_symbol)
@@ -1352,7 +1352,43 @@ def test_support_presentation_matches_per_type_oracle(seed, kind):
                                    {a: code.block_map[(a,)] for a in code.alphabet})
         old = _presentation(oracles.support_presentation,
                             sl.PushforwardMeasure(nu.base, code), None)
-    assert _same_language(_presentation(support_presentation, nu), old)
+    assert _same_language(_presentation(oracles.chain_support_presentation, nu), old)
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the type of the refusal it raises."""
+    try:
+        return fn(*args)
+    except PreconditionError as error:
+        return type(error)
+
+
+def _random_image_graph(rng, letters):
+    """A random labeled graph on up to 4 symbols labelled by ``letters``, now
+    and then by a letter outside them too."""
+    symbols = range(rng.randint(1, 4))
+    labels = tuple(letters) + ("w",) * (rng.random() < 0.2)
+    return LabeledGraph(symbols, {(a, b) for a in symbols for b in symbols if rng.random() < 0.5},
+                        {s: rng.choice(labels) for s in symbols})
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["base", "co", "alternating", "pushforward"]),
+       st.booleans())
+def test_support_check_matches_presentation_oracle(seed, kind, own_code):
+    # a measure pushed through its own code, or read directly, against a random
+    # graph: the same answer or the same refusal, except where the oracle's
+    # presentations pass the subset-state cap; the search builds none and answers
+    rng = random.Random(seed)
+    if kind == "pushforward":
+        nu = _random_pushforward(rng, rng.random() < 0.5, k_max=3, span=1)
+    else:
+        nu = _random_measure(rng, kind, tuple("0123"[:rng.randint(2, 3)]))
+        if own_code:
+            nu = sl.PushforwardMeasure(nu, _code_carrying(rng, nu, rng.random() < 0.5))
+    g = _unwrap(nu.code).graph if own_code else _random_image_graph(rng, nu.alphabet)
+    new = _outcome(sl.is_fully_supported_on_image, nu, g)
+    old = _outcome(oracles.presentation_fully_supported_on_image, nu, g)
+    assert isinstance(new, bool) if old is PreconditionError else new == old
 
 
 def _random_measure(rng, kind, digits):
@@ -1426,8 +1462,8 @@ def test_chain_cylinders_match_per_class_oracle_on_golden_codes(name):
 
 
 def _support_words(m, depth):
-    """The words up to ``depth`` letters that ``support_presentation`` reads."""
-    p = support_presentation(m)
+    """The words up to ``depth`` letters that ``chain_support_presentation`` reads."""
+    p = oracles.chain_support_presentation(m)
     return {w for n in range(1, depth + 1) for w in product(m.alphabet, repeat=n)
             if oracles.table_accepts(p, w)}
 
