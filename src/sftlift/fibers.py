@@ -32,9 +32,9 @@ from .codes import _periodic_lifts, compute_degree
 from .joinings import _ViabilityWalk, degree_joining_graph
 from .measures import COMeasure, EmpiricalDistribution, StationaryMeasure, make_rng
 
-# The longest Monte-Carlo sample accepted.  A run holds about 22 bytes per
-# letter at its peak (20.6 MiB traced for ``ca --family sum`` at T = 10**6),
-# so 2**26 letters take about 1.4 GiB.
+# The longest Monte-Carlo sample accepted.  A run holds about 14 bytes per
+# letter at its peak, in the forward walk (13.7 MiB traced for ``ca --family
+# sum`` at T = 10**6, the sampler 2.3 MiB), so 2**26 letters take about 0.9 GiB.
 MAX_SAMPLE_LENGTH = 2**26
 
 

@@ -33,6 +33,7 @@ ENTROPY_MAX_ITER = 10**6
 MAX_SUBSET_STATES = 2**15
 # About the most rows ``_phased_lifts`` extends at once in the last period, in whole words.
 LIFT_BATCH = 2**10
+BLOCK = 2**15     # the elements a blocked loop (``_blocks``) maps at a time
 
 
 def _as_word(word):
@@ -103,6 +104,10 @@ class LabeledGraph:
     def essential_mask(self):
         """Which symbols lie on bi-infinite paths: ``_essential_mask`` of the edges."""
         return _essential_mask(len(self.x_symbols), *self.edges)
+
+    @cached_property
+    def _essential(self):   # restricted once, so that its readers share its cached automata
+        return self.restrict(s for s, a in zip(self.x_symbols, self.essential_mask.tolist()) if a)
 
     @cached_property
     def forward_automaton(self):
@@ -375,7 +380,7 @@ def analyze_graph(g: LabeledGraph) -> StructureReport:
     if not alive.any():
         raise EmptyAfterTrim("no bi-infinite path exists")
     trimmed = tuple(s for s, a in zip(xs, alive.tolist()) if not a)
-    essential = g.restrict(set(xs).difference(trimmed)) if trimmed else g
+    essential = g._essential if trimmed else g
     live = alive[src] & alive[dst]
     src, dst = src[live], dst[live]
     succ = _successor_lists(len(xs), src, dst)
@@ -625,6 +630,13 @@ def _speculate(flat, symbols, inputs, entry):
     return cols
 
 
+def _blocks(length, *dtypes):
+    """Each start s in range(0, length, BLOCK) with a block-long view of one buffer per dtype."""
+    buffers = [np.empty(min(length, BLOCK), t) for t in dtypes]
+    for s in range(0, length, BLOCK):
+        yield s, *(b[:length - s] for b in buffers)
+
+
 def scan(step, inputs, start, out, relabel=None, counts=None):
     """Run a deterministic automaton over an input array: ``out[t] =
     step[out[t-1], inputs[t]]`` with ``out[-1]`` read as ``start``.
@@ -655,14 +667,17 @@ def scan(step, inputs, start, out, relabel=None, counts=None):
     numpy work and O(√T + re-run steps) interpreted steps; in the worst case,
     a permutation of the states per symbol with no σ offered, every chunk is
     re-run whole, a step loop plus O(T).  A table of equal rows is one lookup
-    ``step[0][inputs]`` if that meets no dead state, every guess counted right.
+    ``step[0][inputs]``, by blocks, if that meets no dead state, all guesses right.
     """
     counts = dict.fromkeys(("guess", "relabel", "rerun"), 0) if counts is None else counts
     row = step[0]
     if start >= 0 and (step == row).all() and not (row.min() < 0 and (row < 0)[inputs].any()):
         counts["guess"] += max(len(inputs) // max(1, isqrt(len(inputs))) - 1, 0)
         flip = slice(None, None, -1 if out.strides[0] < 0 else 1)    # take into a reversed view is slow
-        row.astype(out.dtype).take(inputs[flip], out=out[:len(inputs)][flip])
+        row, inputs, dest = row.astype(out.dtype), inputs[flip], out[:len(inputs)][flip]
+        for s, cells in _blocks(len(inputs), np.intp):
+            cells[...] = inputs[s:s + len(cells)]
+            row.take(cells, out=dest[s:s + len(cells)])
         return out.item(len(inputs) - 1) if len(inputs) else start
     states, symbols = step.shape
     # state s is held as s + 1, so that the dead state is 0, whose row is all 0

@@ -1,17 +1,17 @@
 """Exact-rational stationary measures and their cylinder calculus.
 
-All measure arithmetic is done in ``fractions.Fraction``; floating point
-enters only through sampling and Monte-Carlo statistics.  Every measure is
-a finite hidden Markov chain (``StationaryMeasure.hidden_chain``), and
-every cylinder is one forward recursion over its chain (Rabiner, Proc.
-IEEE 1989).  An image measure is the chain on the windows of its base
-chain.  Every code is read through its 1-block recoding (a labeled graph
-is its own, of width 1; Lind & Marcus, *An Introduction to Symbolic
-Dynamics and Coding*, §1.4-1.5): one table, from the base code of each of
-the recoding's ``windows`` to its label, labels both the chain and the
-windows of a sample.  Samplers look their draws up in a guide table
-(``_count_below``).  ``EmpiricalDistribution.counts[l - 1]`` is an array
-of a sample's length-l window counts by base-k word code, the order of
+All measure arithmetic is done in ``fractions.Fraction``; floating point enters
+only through sampling and Monte-Carlo statistics.  Every measure is a finite
+hidden Markov chain (``StationaryMeasure.hidden_chain``), and every cylinder is
+one forward recursion over its chain (Rabiner, Proc. IEEE 1989).  An image
+measure is the chain on the windows of its base chain.  Every code is read
+through its 1-block recoding (a labeled graph is its own, of width 1; Lind &
+Marcus, *An Introduction to Symbolic Dynamics and Coding*, §1.4-1.5): one
+table, from the base code of each of the recoding's ``windows`` to its label,
+labels both the chain and the windows of a sample.  Samplers draw a block at a
+time and look draws up in a guide table (``_count_below``); a sampler's order
+of draws is the seed contract.  ``EmpiricalDistribution.counts[l - 1]`` is an
+array of a sample's length-l window counts by base-k word code, the order of
 ``window_codes`` and of ``product(alphabet, repeat=l)``.
 """
 
@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, NotErgodic
-from .graphs import PeriodicOrbit, _as_word, _json_list, _tarjan_scc, _unwrap, scan
+from .graphs import PeriodicOrbit, _as_word, _blocks, _json_list, _tarjan_scc, _unwrap, scan
 
 # The most count cells, summed over the window lengths 1..depth, that
 # EmpiricalDistribution.from_indices allocates: 2**27 int64 cells take 1 GiB.
@@ -110,20 +110,22 @@ class StationaryMeasure:
         return {a: i for i, a in enumerate(self.alphabet)}
 
 
-def _count_below(breaks, draws, strict):
-    """``np.searchsorted(breaks, draws, "left" if strict else "right")`` for
-    draws in [0, 1], narrow, by a guide table (Chen & Asau 1974; Devroye
-    1986, §III.2.4): draw u is in bucket floor(u·2^b), exactly, and only
-    the draws in buckets that a break splits (marked m + 1) are searched."""
+def _count_below(breaks, rng, strict, out):
+    """Fill ``out``, with room for m + 1, with ``np.searchsorted(breaks, rng.random(
+    len(out)), "left" if strict else "right")`` a block at a time, by a guide table
+    (Chen & Asau 1974; Devroye 1986, §III.2.4): draw u is in bucket floor(u·2^b),
+    exactly, and only the draws in buckets a break splits (marked m + 1) are searched."""
     m, side = len(breaks), "left" if strict else "right"
     bits = min(m.bit_length() + 6, 20)
     edges = np.arange(2 ** bits + 2) / 2 ** bits
     low = np.searchsorted(breaks, edges[:-1], side)
-    table = np.where(np.searchsorted(breaks, edges[1:]) > low, m + 1, low)
-    out = table.astype(np.min_scalar_type(m + 1)).take((draws * 2 ** bits).astype(np.int32))
-    split = np.flatnonzero(out == m + 1)
-    out[split] = np.searchsorted(breaks, draws[split], side)
-    return out.astype(np.min_scalar_type(m), copy=False)
+    table = np.where(np.searchsorted(breaks, edges[1:]) > low, m + 1, low).astype(out.dtype)
+    for s, draws, cells in _blocks(len(out), float, np.intp):
+        np.multiply(rng.random(out=draws), 2 ** bits, out=cells, casting="unsafe")
+        block = table.take(cells, out=out[s:s + len(cells)], mode="clip")  # "raise" buffers out
+        split = np.flatnonzero(block == m + 1)
+        block[split] = np.searchsorted(breaks, draws[split], side)
+    return out
 
 
 def stationary_vector(states, matrix) -> tuple:
@@ -225,12 +227,11 @@ class MarkovMeasure(StationaryMeasure):
             positive = np.flatnonzero(rows[s])
             table[s, 1:] = np.searchsorted(cum[s], breaks, side="right")
             np.clip(table[s], positive[0], positive[-1], out=table[s])
-        draws = rng.random(length)
-        first = rng.choice(n, p=start_p)
-        out = np.empty(length, np.min_scalar_type(n - 1))
-        out[0] = first
-        scan(table, _count_below(breaks, draws[1:], strict=True), first, out[1:])
-        return out
+        out = np.empty(length, np.min_scalar_type(max(len(breaks) + 1, n - 1)))
+        _count_below(breaks, rng, True, out)        # the first draw's interval is not read
+        out[0] = first = rng.choice(n, p=start_p)
+        scan(table, out[1:], first, out[1:])
+        return out.astype(np.min_scalar_type(n - 1), copy=False)
 
     def describe(self):
         idx = self._index()
@@ -265,7 +266,8 @@ class BernoulliMeasure(StationaryMeasure):
         """``rng.choice(len(alphabet), length, p=p)``'s indices, narrow."""
         p = np.array([float(q) for q in self.probabilities])
         cdf = np.cumsum(p / p.sum())     # choice divides it by cdf[-1], which then tops every draw
-        return _count_below(cdf[:-1] / cdf[-1], rng.random(length), strict=False)
+        out = _count_below(cdf[:-1] / cdf[-1], rng, False, np.empty(length, np.min_scalar_type(len(p))))
+        return out.astype(np.min_scalar_type(len(p) - 1), copy=False)      # m + 1 may not fit
 
     def describe(self):
         return {"type": "bernoulli",
@@ -296,11 +298,9 @@ class COMeasure(StationaryMeasure):
 
     def sample_indices(self, length, rng) -> np.ndarray:
         """The orbit word from a uniform phase, as narrow indices."""
-        idx = self._index()
-        r = int(rng.integers(self.orbit.period))
-        word = np.array([idx[a] for a in self.orbit.primitive_word],
-                        np.min_scalar_type(len(idx) - 1))
-        return word[(r + np.arange(length)) % self.orbit.period]
+        r, idx = int(rng.integers(self.orbit.period)), self._index()
+        word = np.array([idx[a] for a in self.orbit.primitive_word], np.min_scalar_type(len(idx) - 1))
+        return np.tile(np.roll(word, -r), -(-length // self.orbit.period))[:length]
 
     def describe(self):
         return {"type": "co", "orbit": [str(a) for a in self.orbit.primitive_word]}
@@ -359,12 +359,14 @@ class PushforwardMeasure(StationaryMeasure):
     cylinder = StationaryMeasure.cylinder
 
     def sample_indices(self, length, rng) -> np.ndarray:
-        """Each base window's image as a narrow index; ``len(alphabet)``: none."""
-        out = self._labels.take(window_codes(self.base.sample_indices(
-            length + self._width - 1, rng), len(self.base.alphabet), self._width))
-        if (out == len(self.alphabet)).any():
-            raise InputError("base: the sample left the code's domain")
-        return out.astype(np.min_scalar_type(len(self.alphabet) - 1), copy=False)
+        """Each base window's image as a narrow index, by blocks; ``len(alphabet)``: none."""
+        w, none = self._width, len(self.alphabet)
+        base, out = self.base.sample_indices(length + w - 1, rng), np.empty(length, self._labels.dtype)
+        for s, codes in _blocks(length, np.intp):
+            codes[...] = window_codes(base[s:s + len(codes) + w - 1], len(self.base.alphabet), w)
+            if (self._labels.take(codes, out=out[s:s + len(codes)], mode="clip") == none).any():
+                raise InputError("base: the sample left the code's domain")
+        return out.astype(np.min_scalar_type(none - 1), copy=False)
 
     def describe(self):
         kind = "1-block code" if self.code is self._recoding.graph else "sliding-block code"
@@ -386,9 +388,7 @@ def sample_path(m: StationaryMeasure, length: int, seed: int):
     """A word of the stationary process, deterministic given the seed."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    rng = make_rng(seed)
-    idx = m.sample_indices(length, rng)
-    return tuple(m.alphabet[i] for i in idx)
+    return tuple(map(m.alphabet.__getitem__, m.sample_indices(length, make_rng(seed)).tolist()))
 
 
 def has_two_point_factor(m) -> bool:

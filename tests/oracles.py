@@ -21,7 +21,9 @@ counted the fiber points over every base point and canonicalized each
 base orbit anew, the brute-force search for a coordinate permutation
 relating two joining orbits, the per-step Markov and periodic-orbit samplers, the
 Bernoulli sampler through ``rng.choice``, the Markov interval lookup by
-``np.searchsorted``, the alternating-offset sampler's sign comprehension, the
+``np.searchsorted``, the guide-table lookup of a whole sample's draws at once
+(before draws were taken a block at a time), the alternating-offset sampler's
+sign comprehension, the
 per-code-kind pushforward constructions (block-code preimage words by
 enumerating every domain word, samples through the block-map table or
 the graph's label lookup, the width-1 block code a graph was read as with
@@ -1426,6 +1428,23 @@ def markov_interval_sample_indices(m, length, rng):
     out[0] = first
     scan(table, out[1:], first, out[1:])
     return out
+
+
+def count_below(breaks, draws, strict):
+    """``np.searchsorted(breaks, draws, "left" if strict else "right")`` for
+    draws in [0, 1], narrow, by a guide table (Chen & Asau 1974; Devroye
+    1986, §III.2.4) read for every draw of a sample at once: draw u is in
+    bucket floor(u·2^b), exactly, and only the draws in buckets that a break
+    splits (marked m + 1) are searched."""
+    m, side = len(breaks), "left" if strict else "right"
+    bits = min(m.bit_length() + 6, 20)
+    edges = np.arange(2 ** bits + 2) / 2 ** bits
+    low = np.searchsorted(breaks, edges[:-1], side)
+    table = np.where(np.searchsorted(breaks, edges[1:]) > low, m + 1, low)
+    out = table.astype(np.min_scalar_type(m + 1)).take((draws * 2 ** bits).astype(np.int32))
+    split = np.flatnonzero(out == m + 1)
+    out[split] = np.searchsorted(breaks, draws[split], side)
+    return out.astype(np.min_scalar_type(m), copy=False)
 
 
 def bernoulli_sample_indices(m, length, rng):

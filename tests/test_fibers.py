@@ -311,6 +311,28 @@ def test_mc_builds_the_forward_automaton_once_per_graph(rule102, monkeypatch):
     assert len({id(edges) for edges in built}) == len(built)
 
 
+def test_mc_restricts_a_graph_that_is_not_essential_once(rule102, monkeypatch):
+    # rule102's recoding graph plus a dangling symbol: the degree and the support
+    # check read one restriction to its essential part, whose forward automaton
+    # is built once; the image measure's own chain has two states
+    g = rule102.recoding.graph
+    dangling = sl.LabeledGraph(g.x_symbols + ("z",), set(g.transitions) | {(g.x_symbols[0], "z")},
+                               {**g.label, "z": g.y_symbols[0]}, g.y_symbols)
+    built = []
+
+    class Recording(sl.graphs.SubsetAutomaton):
+        def __init__(self, labels, y_symbols, edges, backward=False):
+            built.append((len(labels), "bwd" if backward else "fwd"))
+            super().__init__(labels, y_symbols, edges, backward)
+
+    for module in (sl.graphs, sl.codes, sl.joinings):
+        monkeypatch.setattr(module, "SubsetAutomaton", Recording)
+    nu = MarkovMeasure(g.y_symbols, {"0": {"0": "1/3", "1": "2/3"}, "1": {"0": "1/2", "1": "1/2"}})
+    report = sl.classify_lifts_monte_carlo(dangling, nu, MonteCarloParams(sample_length=2000))
+    assert report.degree == 2
+    assert built.count((4, "fwd")) == 1 and built.count((2, "fwd")) == 1
+
+
 def test_support_presentation_over_the_subset_state_cap_refused():
     # a random pushforward whose subset construction ran past 20 s without the
     # cap: the forward automaton of the code, which the support check reads

@@ -343,13 +343,17 @@ def _with_an_unreached_state(step):
     return np.vstack([step, extra])
 
 
-@pytest.mark.parametrize("step, inputs", [
+EQUAL_ROW_TABLES = pytest.mark.parametrize("step, inputs", [
     ([[0, 0]], [0, 1]),                 # one state
     ([[2, 0, 1]] * 3, [0, 1, 2]),       # three states, one row
     ([[1, -1, 0]] * 2, [0, 2]),         # its dead entry is never read
     ([[1, -1, 0]] * 2, [0, 2, 1]),      # the lookup meets the dead state, from length 3
 ], ids=["1 state", "3 states", "dead entry unread", "dead entry read"])
-@pytest.mark.parametrize("length", [0, 1, 2, 3, 15, 16, 17, 35, 36, 37, 1000])
+EQUAL_ROW_LENGTHS = pytest.mark.parametrize("length", [0, 1, 2, 3, 15, 16, 17, 35, 36, 37, 1000])
+
+
+@EQUAL_ROW_TABLES
+@EQUAL_ROW_LENGTHS
 def test_scan_of_equal_rows_is_one_lookup(step, inputs, length, monkeypatch):
     """A table whose rows are all equal is one lookup, speculating nothing,
     when that meets no dead state, and else goes through the chunks; either
@@ -377,6 +381,15 @@ def test_scan_of_equal_rows_is_one_lookup(step, inputs, length, monkeypatch):
                    counts=chunked)
     assert len(speculated) == 4 * dies + 1
     assert settled == {how: 4 * n for how, n in chunked.items()}
+
+
+@EQUAL_ROW_TABLES
+@EQUAL_ROW_LENGTHS
+def test_scan_of_equal_rows_looks_up_a_block_at_a_time(step, inputs, length, monkeypatch):
+    """The same, with the lookup taken in blocks of 7 inputs: blocks that
+    end inside a reversed view or an in-place buffer, and a last one short."""
+    monkeypatch.setattr(sl.graphs, "BLOCK", 7)
+    test_scan_of_equal_rows_is_one_lookup(step, inputs, length, monkeypatch)
 
 
 # ---------------------------------------------------- periodic orbit lists

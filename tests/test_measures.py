@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -11,6 +12,7 @@ from hypothesis import given, strategies as st
 import sftlift as sl
 from sftlift import BernoulliMeasure, COMeasure, MarkovMeasure, PeriodicOrbit, graphs
 from sftlift.errors import InputError, NotErgodic
+from sftlift.measures import make_rng
 
 import oracles
 from conftest import random_rational_vector
@@ -175,17 +177,26 @@ def test_sampling_deterministic_given_seed():
 
 
 class StubRng:
-    """Replays fixed uniform draws and a fixed initial state."""
+    """Replays fixed uniform draws, in one call or into ``out`` a block at a
+    time, then a fixed initial state, once every draw is taken."""
 
     def __init__(self, draws, first):
-        self.draws = np.array(draws)
+        self.draws = np.array(draws, dtype=float)
         self.first = first
+        self.taken = 0
 
-    def random(self, length):
-        assert length == len(self.draws)
-        return self.draws
+    def random(self, length=None, out=None):
+        n = len(out) if out is not None else length
+        assert self.taken + n <= len(self.draws)
+        block = self.draws[self.taken:self.taken + n]
+        self.taken += n
+        if out is None:
+            return block.copy()
+        out[...] = block
+        return out
 
     def choice(self, n, p):
+        assert self.taken == len(self.draws)        # the start state is drawn after the doubles
         return self.first
 
 
@@ -229,6 +240,27 @@ def test_markov_draws_on_breakpoints_match_oracle():
     for first in range(3):
         old = oracles.markov_sample_indices(m, len(draws), StubRng(draws, first))
         assert m.sample_indices(len(draws), StubRng(draws, first)).tolist() == old.tolist()
+
+
+@pytest.mark.parametrize("name", ["rule102-bernoulli", "markov"])
+def test_sampler_peak_is_a_few_blocks_beyond_its_output(rule102, name):
+    # draws are taken a block at a time: at T = 10**6 a sampler holds its
+    # output (and a pushforward its base sample) plus a few reused blocks
+    if name == "markov":
+        m = MarkovMeasure("abcd", {"a": {"b": "1/3", "d": "2/3"}, "b": {"b": "1/2", "c": "1/2"},
+                                   "c": {"a": "1/5", "c": "4/5"}, "d": {"a": "1"}})
+    else:
+        m = sl.PushforwardMeasure(BernoulliMeasure("01", ("7/10", "3/10")), rule102.code)
+    m.sample_indices(10, make_rng(0))                 # builds what is cached
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = m.sample_indices(10**6, make_rng(1))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == 10**6
+    assert peak < 3 * 2**20 + out.nbytes
 
 
 # ------------------------------------------------------- two-point factor

@@ -10,8 +10,8 @@ clusters as connected components, the
 essential trim on index arrays, the one-sweep periodic fibers and the
 closing step along one word with the periodic lift analysis and the
 ``periodic-lifts`` rows with their JSON and table text written straight
-from the sweep, the vectorised samplers, the recoding-based pushforward path with
-its domain rule, and the
+from the sweep, the vectorised samplers at every block size, the
+recoding-based pushforward path with its domain rule, and the
 fiber product on integer arrays with its edges, the structure report on
 the edges and the ``joining`` output built from them, least rotation and
 recoding, the per-period array sweep of the periodic lifts and
@@ -56,6 +56,7 @@ from sftlift.measures import EmpiricalDistribution, make_rng
 import oracles
 from conftest import random_rational_vector
 from test_graphs import graphs_strategy, loop_scan, scan_cases
+from test_measures import StubRng
 
 
 def _plain(g):
@@ -1072,10 +1073,17 @@ def _cumulative_breaks(weights):
 @example(_cumulative_breaks([i % 5 for i in range(1, 300)]), True)
 @example((0.5 + np.arange(250) * 2.0**-40, 0.5 + np.arange(-3, 500) * 2.0**-41), True)
 def test_count_below_matches_searchsorted(case, strict):
+    # the draws are replayed into blocks of 7 and of BLOCK; the one-shot lookup agrees
     breaks, draws = case
-    new = sl.measures._count_below(breaks, draws, strict)
-    assert new.dtype == np.min_scalar_type(len(breaks))
-    assert new.tolist() == np.searchsorted(breaks, draws, "left" if strict else "right").tolist()
+    expected = np.searchsorted(breaks, draws, "left" if strict else "right").tolist()
+    for block in (7, sl.graphs.BLOCK):
+        rng, out = StubRng(draws, None), np.empty(len(draws), np.min_scalar_type(len(breaks) + 1))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sl.graphs, "BLOCK", block)
+            assert sl.measures._count_below(breaks, rng, strict, out) is out
+        assert out.tolist() == expected and rng.taken == len(draws)
+    old = oracles.count_below(breaks, draws, strict)
+    assert old.dtype == np.min_scalar_type(len(breaks)) and old.tolist() == expected
 
 
 @given(st.lists(st.integers(0, 9), min_size=1, max_size=8).filter(any), SAMPLE_LENGTHS,
@@ -1124,6 +1132,58 @@ def test_samplers_match_their_oracles_at_a_million_letters():
         new = markov.sample_indices(T, make_rng(seed))
         for oracle in (oracles.markov_interval_sample_indices, oracles.markov_sample_indices):
             assert np.array_equal(new, oracle(markov, T, make_rng(seed)))
+
+
+def _with_oracle_base(oracle):
+    """A pushforward oracle whose base sample comes from the base's ``oracle``."""
+    def sample(nu, length, rng):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(nu.base, "sample_indices", lambda n, r: oracle(nu.base, n, r))
+            return oracles.pushforward_sample_indices(nu, length, rng)
+    return sample
+
+
+def _blocked_sampler_cases():
+    """(name, measure, oracle) of every sampler kind: the pushforwards' bases
+    are drawn by their own oracles."""
+    bernoulli = sl.BernoulliMeasure("01234", ["3/5", "1/10", "1/10", "0", "1/5"])
+    markov = sl.MarkovMeasure("abcd", {"a": {"b": "1/3", "d": "2/3"}, "b": {"b": "1/2", "c": "1/2"},
+                                       "c": {"a": "1/5", "c": "4/5"}, "d": {"a": "1"}})
+    graph = sl.LabeledGraph("abcd", {("a", "b"), ("a", "d"), ("b", "b"), ("b", "c"), ("c", "a"),
+                                     ("c", "c"), ("d", "a")}, {"a": "x", "b": "y", "c": "x", "d": "y"})
+    return [
+        ("bernoulli", bernoulli, oracles.bernoulli_sample_indices),
+        ("markov", markov, oracles.markov_interval_sample_indices),
+        ("co", sl.COMeasure(sl.PeriodicOrbit.from_word("abcab"), "abcd"),
+         oracles.co_sample_indices),
+        ("alternating-offset", sl.AlternatingOffsetMeasure(bernoulli, 2, 5),
+         oracles.alternating_offset_sample_indices),
+        ("pushforward-block-code", sl.PushforwardMeasure(bernoulli, sl.sum_code(5)),
+         _with_oracle_base(oracles.bernoulli_sample_indices)),
+        ("pushforward-graph", sl.PushforwardMeasure(markov, graph),
+         _with_oracle_base(oracles.markov_interval_sample_indices)),
+    ]
+
+
+@pytest.mark.parametrize("block", [1, 7, 2**15])
+def test_blocked_samplers_match_their_oracles(monkeypatch, block):
+    # every sampler reads the same draws in the same order at any block size:
+    # lengths around the block edges, and 10**6 at the default size
+    monkeypatch.setattr(sl.graphs, "BLOCK", block)
+    lengths = sorted({1, 2, max(block - 1, 1), block, block + 1, 2 * block + 1}
+                     | ({10**6} if block == 2**15 else set()))
+    for name, m, oracle in _blocked_sampler_cases():
+        for length in lengths:
+            for seed in (0, 5):
+                new_rng, old_rng = make_rng(seed), make_rng(seed)
+                new = m.sample_indices(length, new_rng)
+                old = oracle(m, length, old_rng)
+                assert new.dtype == np.uint8, name
+                assert np.array_equal(new, old), (name, length, seed)
+                assert new_rng.random() == old_rng.random(), (name, length, seed)
+                if name == "markov" and length < 10**4:
+                    per_step = oracles.markov_sample_indices(m, length, make_rng(seed))
+                    assert np.array_equal(new, per_step), (length, seed)
 
 
 # ------------------------------------------------------------ integer scan
