@@ -170,11 +170,13 @@ class AlternatingOffsetMeasure(StationaryMeasure):
                   for phase in (0, 1) for e in base.letter))
 
     def sample_indices(self, length, rng) -> np.ndarray:
-        """x_t + c * (-1)^(t + phase) (mod N), phase drawn first, in x's dtype."""
+        """x_t + c * (-1)^(t + phase) (mod N), phase drawn first, in x's dtype, in place."""
         phase = int(rng.integers(2))
         base_idx = self.base.sample_indices(length, rng)
-        shift = np.where(np.arange(length) % 2 == phase, self.offset, self.modulus - self.offset)
-        return ((base_idx + shift) % self.modulus).astype(base_idx.dtype)
+        out = base_idx.astype(np.min_scalar_type(2 * self.modulus), copy=False)
+        out[phase::2] += self.offset
+        out[1 - phase::2] += self.modulus - self.offset
+        return np.remainder(out, self.modulus, out=out).astype(base_idx.dtype, copy=False)
 
     def describe(self):
         return {"type": "alternating-offset", "offset": self.offset,

@@ -27,15 +27,16 @@ from functools import reduce
 import numpy as np
 
 from .errors import InputError, NotFullySupported
-from .graphs import LabeledGraph, PeriodicOrbit, _reads_within, _tarjan_scc, _unwrap, analyze_graph
+from .graphs import (LabeledGraph, PeriodicOrbit, _reads_within, _tarjan_scc, _unwrap,
+                     analyze_graph, scan)
 from .codes import _periodic_lifts, compute_degree
 from .joinings import _ViabilityWalk, degree_joining_graph
 from .measures import COMeasure, EmpiricalDistribution, StationaryMeasure, make_rng
 
-# The longest Monte-Carlo sample accepted.  A run holds about 14 bytes per
-# letter at its peak, in the forward walk (13.7 MiB traced for ``ca --family
-# sum`` at T = 10**6, the sampler 2.3 MiB), so 2**26 letters take about 0.9 GiB.
-MAX_SAMPLE_LENGTH = 2**26
+# The longest Monte-Carlo sample accepted.  A run holds about 7 bytes per letter
+# at its peak, in the forward walk (6.3 MiB traced for ``ca --family sum`` at T =
+# 10**6: viability ids, and rows and scan columns of 2 bytes), so 2**27 take 0.7 GiB.
+MAX_SAMPLE_LENGTH = 2**27
 
 
 @dataclass(frozen=True)
@@ -180,6 +181,18 @@ def _single_linkage(dist, tau):
                   key=lambda c: (-len(c), c[0]))
 
 
+def _image_sample(nu, g, length, seed):
+    """A sample of nu as indices into g's image alphabet: the sample itself when
+    nu's letters are g's first ones, else one lookup by blocks (``scan`` of one row)."""
+    sample = nu.sample_indices(length, make_rng(seed))
+    to_image = np.array([g.y_symbols.index(a) for a in nu.alphabet],
+                        np.min_scalar_type(len(g.y_symbols) - 1))
+    if np.array_equal(to_image, np.arange(len(to_image))):
+        return sample
+    scan(to_image[None], sample, 0, out := np.empty(length, to_image.dtype))
+    return out
+
+
 def classify_lifts_monte_carlo(code, nu: StationaryMeasure,
                                params: MonteCarloParams | None = None, *,
                                constant_to_one: bool = False) -> LiftReport:
@@ -219,17 +232,12 @@ def classify_lifts_monte_carlo(code, nu: StationaryMeasure,
     if T <= 2 * burn + depth:
         raise InputError("sample_length too short for burn-in and cylinder depth")
 
-    rng = make_rng(params.seed)
-    to_image = np.array([g.y_symbols.index(a) for a in nu.alphabet],
-                        dtype=np.min_scalar_type(len(g.y_symbols) - 1))
-    y_idx = to_image.take(nu.sample_indices(T, rng))
-
     walker = _ViabilityWalk(g, lam.ids, lam.src, lam.dst)
     # each row's letter index per coordinate; the joining graph holds essential symbols only
     letter = {a: i for i, a in enumerate(letter_alphabet)}
     letters = np.array([letter.get(a, 0) for a in rec.letters], np.min_scalar_type(k - 1))[lam.ids]
-    viable, kept = walker.viability_ids(y_idx), slice(burn, T - burn)
-    distributions = EmpiricalDistribution.from_walk(      # viable is narrow: the walk copies it
+    viable, kept = walker.viability_ids(_image_sample(nu, g, T, params.seed)), slice(burn, T - burn)
+    distributions = EmpiricalDistribution.from_walk(      # the rows are a narrow copy of viable
         walker.forward, viable[kept], walker.walk(viable)[kept], letters, letter_alphabet, depth)
 
     dist = np.array([[a.distance(b) for b in distributions] for a in distributions])

@@ -131,15 +131,15 @@ class _ViabilityWalk:
         return row
 
     def walk(self, ids):
-        """Forward pass: the lexicographically least viable row each step, as
-        int64 row indices, over ``ids`` when that is int64, else in a copy.  It
-        is one ``scan`` of ``forward`` from the start row, with the σ rows of
-        ``_relabelling`` offered where a chunk's guess is not its true start."""
-        ids = np.asarray(ids, dtype=np.int64)
-        if scan(self.forward, ids, self.dead + 1, ids, self._relabelling,
+        """Forward pass: the lexicographically least viable row each step, over one
+        copy of the array ``ids`` in the narrowest signed type that holds them and
+        ``dead + 1``.  It is one ``scan`` of ``forward`` from the start row, with the
+        σ rows of ``_relabelling`` offered where a chunk's guess is not its true start."""
+        rows = ids.astype(np.promote_types(ids.dtype, np.min_scalar_type(-self.dead - 2)))
+        if scan(self.forward, rows, self.dead + 1, rows, self._relabelling,
                 self.resolutions) == self.dead:       # the sentinel is absorbing
             raise RuntimeError("viability pruning admitted a dead end")
-        return ids
+        return rows
 
 
 def lambda_path_over(joining: DegreeJoiningGraph, y_window):

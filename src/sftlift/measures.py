@@ -448,17 +448,18 @@ class EmpiricalDistribution:
         """Count the windows of every length up to ``depth`` in an index
         array: ``from_walk`` on the walk whose row is its input."""
         k, arr = len(alphabet), np.asarray(arr)
-        return cls.from_walk(np.broadcast_to(np.arange(k), (k, k)), arr, arr.astype(np.int64),
+        return cls.from_walk(np.broadcast_to(np.arange(k), (k, k)), arr, arr,
                              np.arange(k)[:, None], alphabet, depth)[0]
 
     @classmethod
     def from_walk(cls, step, inputs, path, letters, alphabet, depth):
         """The distributions of coordinates i of a walk ``path[t] = step[path[t-1],
         inputs[t]]`` whose row r reads ``letters[r, i]``: the windows of length
-        min(depth, L), fixed by a first row and the inputs after it, are coded in
-        place over ``path`` (int64, consumed), ranked by ``np.unique`` if there may
-        be more codes than windows, counted by one bincount, decoded through ``step``
-        and projected onto every coordinate with one add; a shorter length sums the
+        min(depth, L), fixed by a first row and the inputs after it, are coded a block
+        at a time in one reused buffer (``path`` is only read).  At most L codes are
+        added up over all blocks and decoded through ``step`` once; more are ranked by
+        ``np.unique`` (as are codes about to pass 2^62) and decoded per block.  Windows
+        are projected onto every coordinate with one add; a shorter length sums the
         next over its last letter, plus the window too late to prefix a longer one."""
         k = len(alphabet)
         # sum of k**l: with k >= 2 its first 64 terms already pass the cap
@@ -474,24 +475,33 @@ class EmpiricalDistribution:
             for j in range(digits - 1, -1, -1):
                 rows.append(step[rows[-1], codes // base ** j % base])
             return np.stack(rows, axis=1)
-        counts = [[np.zeros(k ** n, np.int64) for n in range(depth, top, -1)] for _ in range(d)]
-        if top:
-            n, tail = L - top + 1, letters[path[L - top + 1:]]
-            codes, windows, width, bound = path[:n], np.arange(R)[:, None], 1, R
-            for j in range(1, top + 1):     # ranked before 2^62, and at the top if over L
-                if bound * base > 2 ** 62 or j == top and bound > L:
-                    ranks, codes[...] = np.unique(codes, return_inverse=True)
-                    windows, width, bound = decode(ranks, windows, j - width), j, len(ranks)
-                if j < top:
-                    codes *= base
-                    codes += inputs[j:j + n]
-                    bound *= base
-            distinct = np.flatnonzero(hits := np.bincount(codes))
-            rows = decode(distinct, windows, top - width)
-            top_counts = np.zeros((d, k ** top), np.int64)
+
+        def add(hits, windows, width):          # the hit windows' letters, coordinate by coordinate
+            rows = decode(distinct := np.flatnonzero(hits), windows, top - width)
             codes = window_codes(np.moveaxis(letters[rows], 2, 0), k, top)[..., 0]
             np.add.at(top_counts, (np.arange(d)[:, None], codes), hits[distinct])
-            for c, row, last in zip(counts, top_counts, tail.T):
+        counts = [[np.zeros(k ** n, np.int64) for n in range(depth, top, -1)] for _ in range(d)]
+        if top:
+            first, top_counts = np.arange(R)[:, None], np.zeros((d, k ** top), np.int64)
+            hits = np.zeros(R * base ** (top - 1) if R * base ** (top - 1) <= L else 0, np.int64)
+            for s, codes in _blocks(L - top + 1, np.intp):
+                codes[...] = path[s:s + len(codes)]
+                windows, width, bound = first, 1, R
+                for j in range(1, top + 1):
+                    if bound * base > 2 ** 62 or j == top and not len(hits):
+                        ranks, codes[...] = np.unique(codes, return_inverse=True)
+                        windows, width, bound = decode(ranks, windows, j - width), j, len(ranks)
+                    if j < top:
+                        codes *= base
+                        codes += inputs[s + j:s + j + len(codes)]
+                        bound *= base
+                if len(hits):
+                    np.add.at(hits, codes, 1)       # costs the block, where a bincount costs hits
+                else:
+                    add(np.bincount(codes), windows, width)
+            if len(hits):
+                add(hits, first, 1)
+            for c, row, last in zip(counts, top_counts, letters[path[L - top + 1:]].T):
                 c.append(row)
                 for length in range(top - 1, 0, -1):
                     c.append(c[-1].reshape(-1, k).sum(axis=1))

@@ -50,7 +50,9 @@ lists per symbol and label, the image presentation's dense-table
 prenecklace sweep of its orbits and its language inclusion search over
 frozensets of states; and the support check through presentations: the
 support presentation of a measure's hidden chain, compared with the image
-presentation by language inclusion each way."""
+presentation by language inclusion each way; and the int64 Monte-Carlo
+path: the forward walk writing int64 rows (``int64_walk``) and the window
+count coded in place over that whole path (``whole_walk_distributions``)."""
 
 from __future__ import annotations
 
@@ -1296,6 +1298,55 @@ def coordinate_distributions(letters, path, alphabet, depth):
         distributions.append(_EmpiricalDistribution(tuple(alphabet), depth, counts[::-1],
                                                     len(arr)))
     return distributions
+
+
+def int64_walk(walker, ids):
+    """``_ViabilityWalk.walk`` before its rows were narrow: the least viable
+    rows as int64, written over ``ids`` when that is int64, else over a copy."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if scan(walker.forward, ids, walker.dead + 1, ids, walker._relabelling,
+            walker.resolutions) == walker.dead:
+        raise RuntimeError("viability pruning admitted a dead end")
+    return ids
+
+
+def whole_walk_distributions(step, inputs, path, letters, alphabet, depth):
+    """``EmpiricalDistribution.from_walk`` before it took a block at a time:
+    the windows of length min(depth, L) coded in place over the int64
+    ``path`` (consumed), ranked by ``np.unique`` before 2^62 and at the top
+    if there may be more codes than windows, counted by one bincount over
+    the whole walk and decoded through ``step`` once."""
+    k = len(alphabet)
+    L, (R, d), base, top = len(path), letters.shape, step.shape[1], min(depth, len(path))
+
+    def decode(codes, prefixes, digits):    # a row of prefixes, then digits inputs
+        rows = list(prefixes[codes // base ** digits].T)
+        for j in range(digits - 1, -1, -1):
+            rows.append(step[rows[-1], codes // base ** j % base])
+        return np.stack(rows, axis=1)
+    counts = [[np.zeros(k ** n, np.int64) for n in range(depth, top, -1)] for _ in range(d)]
+    if top:
+        n, tail = L - top + 1, letters[path[L - top + 1:]]
+        codes, windows, width, bound = path[:n], np.arange(R)[:, None], 1, R
+        for j in range(1, top + 1):     # ranked before 2^62, and at the top if over L
+            if bound * base > 2 ** 62 or j == top and bound > L:
+                ranks, codes[...] = np.unique(codes, return_inverse=True)
+                windows, width, bound = decode(ranks, windows, j - width), j, len(ranks)
+            if j < top:
+                codes *= base
+                codes += inputs[j:j + n]
+                bound *= base
+        distinct = np.flatnonzero(hits := np.bincount(codes))
+        rows = decode(distinct, windows, top - width)
+        top_counts = np.zeros((d, k ** top), np.int64)
+        codes = window_codes(np.moveaxis(letters[rows], 2, 0), k, top)[..., 0]
+        np.add.at(top_counts, (np.arange(d)[:, None], codes), hits[distinct])
+        for c, row, last in zip(counts, top_counts, tail.T):
+            c.append(row)
+            for length in range(top - 1, 0, -1):
+                c.append(c[-1].reshape(-1, k).sum(axis=1))
+                c[-1][window_codes(last[top - 1 - length:], k, length)[0]] += 1
+    return [_EmpiricalDistribution(tuple(alphabet), depth, c[::-1], L) for c in counts]
 
 
 def empirical_counts(arr, alphabet, depth):

@@ -306,7 +306,7 @@ def test_oversized_sample_refused_before_it_is_drawn(inputs, capsys, command):
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert err == ("refused: sample_length 100000000000 is more than the cap "
-                   "MAX_SAMPLE_LENGTH = 67108864\n")
+                   "MAX_SAMPLE_LENGTH = 134217728\n")
 
 def test_oversized_joining_graph_refused_before_it_is_built(capsys, tmp_path):
     # diff9 has degree 9: its joining graph would hold 9 · 9! = 3 265 920 tuples

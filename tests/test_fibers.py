@@ -1,9 +1,14 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sftlift as sl
@@ -219,9 +224,75 @@ def test_mc_sample_length_guard(rule102):
 
 def test_sample_length_cap_checked_when_params_are_made():
     # only the parameters are made: nothing is sampled
-    assert MonteCarloParams(sl.fibers.MAX_SAMPLE_LENGTH).sample_length == 2**26
-    with pytest.raises(InputError, match="more than the cap MAX_SAMPLE_LENGTH = 67108864"):
+    assert MonteCarloParams(sl.fibers.MAX_SAMPLE_LENGTH).sample_length == 2**27
+    with pytest.raises(InputError, match="more than the cap MAX_SAMPLE_LENGTH = 134217728"):
         MonteCarloParams(sl.fibers.MAX_SAMPLE_LENGTH + 1)
+
+
+# The peak RSS allowed to the longest accepted Monte-Carlo run, in MB: the
+# 0.9 GiB stated beside MAX_SAMPLE_LENGTH.
+LONGEST_SAMPLE_PEAK_RSS_MB = 0.9 * 1024
+
+
+@pytest.mark.slow
+def test_longest_accepted_sample_fits_its_stated_peak(tmp_path):
+    # lift-mc on sum5, whose walk rows and scan columns take two bytes a
+    # letter, at MAX_SAMPLE_LENGTH letters.  The child process reports its own
+    # peak RSS, VmHWM: its ru_maxrss would also count the test runner's RSS,
+    # which the exec that starts it replaces
+    measure = tmp_path / "nu.json"
+    measure.write_text(json.dumps({"type": "pushforward", "base": {
+        "type": "bernoulli", "alphabet": list("01234"),
+        "probabilities": ["3/5", "1/10", "1/10", "1/10", "1/10"]}}))
+    child = ("import sys\n"
+             "from sftlift.cli import main\n"
+             f"code = main(['lift-mc', {str(GOLDEN / 'sum5.json')!r}, '--measure', "
+             f"{str(measure)!r}, '--length', '{sl.fibers.MAX_SAMPLE_LENGTH}'])\n"
+             "sys.stdout.flush()\n"
+             "print(*[s for s in open('/proc/self/status') if s.startswith('VmHWM')], "
+             "file=sys.stderr)\n"
+             "sys.exit(code)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(sl.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["details"]["sample_length"] == sl.fibers.MAX_SAMPLE_LENGTH
+    assert sorted(e["multiplicity"] for e in report["lifts"]) == [1, 2, 2]
+    assert proc.stderr.split()[-1] == "kB"
+    assert int(proc.stderr.split()[-2]) / 1024 <= LONGEST_SAMPLE_PEAK_RSS_MB
+
+
+@pytest.mark.parametrize("name, vector", [("rule102", ("7/10", "3/10")),
+                                          ("diff4", ("1/8", "3/8", "1/8", "3/8")),
+                                          ("sum5", ("3/5", "1/10", "1/10", "1/10", "1/10"))])
+def test_monte_carlo_peak_is_a_few_bytes_per_letter(request, name, vector):
+    # at T = 10**6 a run holds the viability ids, the walk's narrow rows and
+    # the scan's columns (two bytes each on sum5's 600 rows), not an int64
+    # path: the count reads the rows a block at a time
+    code = request.getfixturevalue(name)
+    nu = PushforwardMeasure(BernoulliMeasure([str(a) for a in range(len(vector))], vector),
+                            code.code)
+    sl.classify_lifts_monte_carlo(code, nu, FAST)           # builds what is cached
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sl.classify_lifts_monte_carlo(code, nu, MonteCarloParams(10**6, seed=0))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("alphabet", ["10", "1", "0"])
+def test_image_sample_is_looked_up_in_the_code_alphabet(rule102, alphabet):
+    # a measure on some of the image letters, in another order: its sample
+    # is mapped to the code's image indices, in place, as one take would
+    nu = BernoulliMeasure(alphabet, [Fraction(1, len(alphabet))] * len(alphabet))
+    g = rule102.recoding.graph
+    to_image = np.array([g.y_symbols.index(a) for a in alphabet])
+    mapped = sl.fibers._image_sample(nu, g, 1000, 3)
+    sample = nu.sample_indices(1000, sl.measures.make_rng(3))
+    assert mapped.dtype == np.uint8 and mapped.tolist() == to_image.take(sample).tolist()
 
 
 def test_negative_seed_refused_when_params_are_made():

@@ -242,13 +242,17 @@ def test_markov_draws_on_breakpoints_match_oracle():
         assert m.sample_indices(len(draws), StubRng(draws, first)).tolist() == old.tolist()
 
 
-@pytest.mark.parametrize("name", ["rule102-bernoulli", "markov"])
+@pytest.mark.parametrize("name", ["rule102-bernoulli", "markov", "alternating-offset"])
 def test_sampler_peak_is_a_few_blocks_beyond_its_output(rule102, name):
     # draws are taken a block at a time: at T = 10**6 a sampler holds its
-    # output (and a pushforward its base sample) plus a few reused blocks
+    # output (and a pushforward its base sample) plus a few reused blocks;
+    # the alternating offset is added in place
     if name == "markov":
         m = MarkovMeasure("abcd", {"a": {"b": "1/3", "d": "2/3"}, "b": {"b": "1/2", "c": "1/2"},
                                    "c": {"a": "1/5", "c": "4/5"}, "d": {"a": "1"}})
+    elif name == "alternating-offset":
+        m = sl.AlternatingOffsetMeasure(BernoulliMeasure("01234", ["3/5", "1/10", "1/10", "0",
+                                                                   "1/5"]), 2, 5)
     else:
         m = sl.PushforwardMeasure(BernoulliMeasure("01", ("7/10", "3/10")), rule102.code)
     m.sample_indices(10, make_rng(0))                 # builds what is cached

@@ -20,8 +20,9 @@ and support presentation of every measure class read from its hidden
 chain, and the successor index with its gather, the presentation's orbits
 from the periodic sweep and its inclusion search on the subset automaton,
 the canonical column form built only at rotations holding the least id,
-and the one count of a walk's windows for every coordinate, against the
-constructions they replaced (kept in ``oracles.py``)."""
+the one count of a walk's windows for every coordinate, and the walk's
+narrow rows with their count a block at a time, against the constructions
+they replaced (kept in ``oracles.py``)."""
 
 import contextlib
 import hashlib
@@ -459,7 +460,7 @@ def test_speculative_walk_raises_on_a_dead_end():
     g = LabeledGraph("ab", [("a", "b"), ("b", "a")], {"a": "x", "b": "y"})
     walker = _ViabilityWalk(*_plain(g))
     good = walker.viability_ids([0, 1] * 25)
-    assert walker.walk(good.copy()).tolist() == [0, 1] * 25     # walk writes over int64 ids
+    assert walker.walk(good).tolist() == [0, 1] * 25     # the walk reads ids into a copy
     for t in range(1, len(good)):
         ids = good.copy()
         ids[t] = ids[t - 1]                 # a cannot follow a, nor b follow b
@@ -538,22 +539,74 @@ def test_walk_count_takes_bincount_or_unique_on_sum5(sum5, length, depth, bincou
     assert calls == ([] if bincount else [{"return_inverse": True}])
 
 
-@pytest.mark.parametrize("rows, depth, ranks", [(4, 6, 1), (4, 8, 2), (4, 14, 3), (7, 13, 3),
-                                                (7, 1, 0)])
+RE_RANK_CASES = [(4, 6, 1), (4, 8, 2), (4, 14, 3), (7, 13, 3), (7, 1, 0)]
+
+
+def _synthetic_walk(rows, depth):
+    """A table whose 1024 inputs step each of ``rows`` rows to a random one,
+    2000 inputs, the walk over them from row 0 and a random 2-letter row for
+    each of 3 coordinates, all from the seed ``depth``."""
+    rng = np.random.default_rng(depth)
+    step, inputs = rng.integers(0, rows, (rows, 1024)), rng.integers(0, 1024, 2000)
+    path = np.array(loop_scan(step, inputs, 0))
+    return step, inputs.astype(np.int16), path, rng.integers(0, 2, (rows, 3)).astype(np.uint8)
+
+
+@pytest.mark.parametrize("rows, depth, ranks", RE_RANK_CASES)
 def test_walk_count_re_ranks_codes_past_2_62(rows, depth, ranks, monkeypatch):
     """A synthetic walk whose 1024 inputs step each row to a random one: its
     window codes would pass 2^62 at depth 8 from 4 rows and at depth 7 from
     7, and again 6 levels after each re-rank onto the at most 2000 distinct
     windows; the top level is ranked too when its codes may outnumber the
     windows.  The ranked windows are decoded back through the table."""
-    rng = np.random.default_rng(depth)
-    step, inputs = rng.integers(0, rows, (rows, 1024)), rng.integers(0, 1024, 2000)
-    path = np.array(loop_scan(step, inputs, 0))
+    step, inputs, path, letters = _synthetic_walk(rows, depth)
     calls, unique = [], np.unique
     monkeypatch.setattr(np, "unique", lambda *a, **kw: calls.append(kw) or unique(*a, **kw))
-    _check_walk_count(step, inputs.astype(np.int16), path,
-                      rng.integers(0, 2, (rows, 3)).astype(np.uint8), 2, depth)
+    _check_walk_count(step, inputs, path, letters, 2, depth)
     assert calls == [{"return_inverse": True}] * ranks
+
+
+@pytest.mark.parametrize("block", [1, 7, 2**15])
+@pytest.mark.parametrize("rows, depth, ranks", RE_RANK_CASES)
+@settings(max_examples=8, deadline=None)
+@given(start=st.integers(0, 2000), length=st.integers(0, 400))
+def test_blocked_walk_count_matches_whole_walk_oracle(rows, depth, ranks, block, start, length):
+    """At block sizes 1, 7 and 2^15, on the synthetic walks that count their
+    codes as they are (7 rows at depth 1), rank them at the top (4 rows at
+    depth 6) and re-rank them past 2^62 (the rest), over a stretch that may
+    be empty: the count over narrow rows a block at a time equals the count
+    over the whole int64 path, array for array and dtype for dtype."""
+    step, inputs, path, letters = _synthetic_walk(rows, depth)
+    kept = slice(start, start + length)
+    old = oracles.whole_walk_distributions(step, inputs[kept], path[kept].copy(), letters, (0, 1),
+                                           depth)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sl.graphs, "BLOCK", block)
+        new = EmpiricalDistribution.from_walk(step, inputs[kept], path[kept].astype(np.int8),
+                                              letters, (0, 1), depth)
+    for a, b in zip(new, old, strict=True):
+        assert (a.alphabet, a.depth, a.sample_length) == (b.alphabet, b.depth, b.sample_length)
+        assert [c.dtype for c in a.counts] == [c.dtype for c in b.counts]
+        assert [c.tolist() for c in a.counts] == [c.tolist() for c in b.counts]
+
+
+@pytest.mark.parametrize("block", [1, 7, 2**15])
+@pytest.mark.parametrize("n, dtype", [(126, np.int8), (128, np.int16), (32766, np.int16),
+                                      (32768, np.int32)])
+def test_walk_rows_are_narrow_and_equal_the_int64_walk(n, dtype, block, monkeypatch):
+    """The walk's rows are the narrowest signed type that holds ``dead + 1``
+    (n + 1 on a plain graph of n symbols) and equal the int64 walk's, with the
+    same chunk settlements, at every block size, on a word that walks the
+    cycle i -> i + 1, i + 2 (mod n), labelled by parity, round to its last rows."""
+    monkeypatch.setattr(sl.graphs, "BLOCK", block)
+    g = LabeledGraph(range(n), [(i, (i + s) % n) for i in range(n) for s in (1, 2)],
+                     {i: "ab"[i % 2] for i in range(n)})
+    new, old = (_ViabilityWalk(*_plain(g)) for _ in range(2))
+    viable = new.viability_ids(np.random.default_rng(n).integers(0, 2, 2 * n + 100))
+    rows = new.walk(viable)
+    assert rows.dtype == dtype and rows.max() >= n - 2
+    assert np.array_equal(rows, oracles.int64_walk(old, viable))
+    assert new.resolutions == old.resolutions
 
 
 def _fiber_outcome(fn, g, y):
